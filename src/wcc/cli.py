@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sharded enumeration")
+                        help="recorded in the enumerate config; the census scan is vectorized")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("project", help="Cartan/Jordan data of one matrix")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     LoxodromyError,
@@ -337,6 +336,8 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> floa
     witness of the pair: coarse grid seeding, Nelder-Mead, then a BFGS
     polish away from the non-smooth zero of the norm.
     """
+    import scipy.optimize
+
     d = x.d
     rs = root_system(d)
     w = pair.witness

@@ -2,11 +2,12 @@
 
 SL(2,Z) is enumerated exactly: the domain bounds the largest singular value,
 hence every entry, and the determinant condition fixes the fourth entry from
-the other three.  Membership tests compare the integer Frobenius mass
-against the domain's singular-value bound, so no decomposition error can
-leak into the census.  SL(3,Z) (or any generated presentation) ships as a
-breadth-first word ball with exact dedup and an explicit incompleteness
-flag: stats downstream are samples, not censuses.
+the other three.  The census is one int64 table whose membership (integer
+Frobenius mass against the domain's cap) and order (mass, then entries) are
+exact; its Cartan and Jordan columns come from one closed-form call each.
+SL(3,Z) (or any generated presentation) ships as a breadth-first word ball
+with exact dedup and an explicit incompleteness flag: stats downstream are
+samples, not censuses.
 """
 
 from __future__ import annotations
@@ -96,39 +97,50 @@ class ElementRecord:
 # ------------------------------------------------------------- enumeration
 
 
-def _sl2_frobenius_bound(sigma_max: float) -> float:
-    """g has largest singular value <= M  iff  sum of squares <= M^2 + M^-2."""
-    return sigma_max**2 + sigma_max**-2
+def _sl2_mass_cap(domain: Domain, rs: RootSystemA) -> int:
+    """Ball and box bound sigma_max by M: for det-one g that is mass <= M^2 + M^-2."""
+    m = math.exp(domain.max_top_weight(rs))
+    return math.floor(m * m + 1.0 / (m * m))
 
 
-def _sl2_candidates(bound: int, a_lo: int, a_hi: int, frob_cap: float):
-    """Integer SL(2) matrices with first entry in [a_lo, a_hi] and bounded mass.
+def _sl2_candidates(bound: int, a_lo: int, a_hi: int, mass_cap: int) -> np.ndarray:
+    """Int64 rows (a, b, c, d) of det-one matrices with a in [a_lo, a_hi], mass <= mass_cap.
 
-    Yields (a, b, c, d) rows; exact determinant one by construction.
+    For a != 0 the scan solves ad - bc = 1 for d; a = 0 forces bc = -1, d free.
     """
-    rows = []
-    b = np.arange(-bound, bound + 1)
-    c = np.arange(-bound, bound + 1)
-    bb, cc = np.meshgrid(b, c, indexing="ij")
-    prod = 1 + bb * cc
+    r = np.arange(-bound, bound + 1, dtype=np.int64)
+    bc1 = 1 + np.multiply.outer(r, r)
+    parts = [np.empty((0, 4), dtype=np.int64)]
     for a in range(a_lo, a_hi + 1):
         if a == 0:
-            mask = prod == 0  # bc = -1
-            bs, cs = bb[mask], cc[mask]
-            for bi, ci in zip(bs, cs):
-                d_max = int(math.floor(math.sqrt(max(0.0, frob_cap - (bi * bi + ci * ci)))))
-                for di in range(-min(bound, d_max), min(bound, d_max) + 1):
-                    if bi * bi + ci * ci + di * di <= frob_cap:
-                        rows.append((0, int(bi), int(ci), int(di)))
-        else:
-            mask = prod % a == 0
-            bs, cs = bb[mask], cc[mask]
-            ds = (1 + bs * cs) // a
-            mass = a * a + bs * bs + cs * cs + ds * ds
-            keep = mass <= frob_cap
-            for bi, ci, di in zip(bs[keep], cs[keep], ds[keep]):
-                rows.append((int(a), int(bi), int(ci), int(di)))
-    return rows
+            d = r[r * r <= mass_cap - 2]
+            parts += [np.stack([0 * d, 0 * d + s, 0 * d - s, d], axis=1) for s in (1, -1)]
+            continue
+        b, c = np.nonzero(bc1 % a == 0)
+        rows = np.stack([np.full_like(b, a), b - bound, c - bound, bc1[b, c] // a], axis=1)
+        parts.append(rows[np.einsum("ij,ij->i", rows, rows) <= mass_cap])
+    return np.concatenate(parts)
+
+
+def _sl2_table_records(table: np.ndarray, rs: RootSystemA, domain: Domain):
+    """Records of an int64 (n, 4) sl2 table in (mass, entries) order, and the
+    mask of those inside the domain."""
+    mass = np.einsum("ij,ij->i", table, table)
+    order = np.lexsort((*table.T[::-1], mass))
+    table, mass = table[order], mass[order]
+    cartan = cartan_vector(table.reshape(-1, 2, 2))
+    jordan, lox = jordan_project(table.reshape(-1, 2, 2))
+    beta = rs.simple_roots[0]
+    walls = np.maximum(cartan @ beta, 0.0) / rs.dual_norm(beta)
+    inside = mass <= _sl2_mass_cap(domain, rs)
+    if domain.regular_margin is not None:
+        inside &= walls > domain.regular_margin
+    if domain.slab is not None:
+        inside &= walls <= domain.slab
+    rows = zip(table.tolist(), cartan, walls.tolist(), lox.tolist(), jordan)
+    records = [ElementRecord(((a, b), (c, d)), cart, wall, is_lox, lam if is_lox else None)
+               for (a, b, c, d), cart, wall, is_lox, lam in rows]
+    return records, inside
 
 
 def _default_sl3_generators():
@@ -188,7 +200,7 @@ def enumerate_elements(
 
     Returns (records, meta); records are sorted by displacement norm then
     entries.  The sl2 full-integer path is exact; everything else is a word
-    ball with ``meta.complete = False``.
+    ball with ``meta.complete = False``.  ``threads`` is unused (vectorized scan).
     """
     rs = root_system(spec.d)
     domain.for_dimension(spec.d)
@@ -204,46 +216,23 @@ def enumerate_elements(
                 f"(entry bound {bound}); raise the cap explicitly to proceed",
                 estimated_candidates=candidates,
             )
-        frob_cap = _sl2_frobenius_bound(sigma_max)
         shards = max(1, min(shards, 2 * bound + 1))
         edges = np.linspace(-bound, bound + 1, shards + 1).astype(int)
         ranges = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(shards)]
-
-        def run_shard(rng_pair):
-            lo, hi = rng_pair
-            return _sl2_candidates(bound, lo, hi, frob_cap)
-
-        if threads > 1 and shards > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                shard_rows = list(pool.map(run_shard, ranges))
-        else:
-            shard_rows = [run_shard(r) for r in ranges]
-
-        records = []
-        for rows in shard_rows:
-            for (a, b, c, dd) in rows:
-                rec = ElementRecord.from_rows([[a, b], [c, dd]], rs)
-                if domain.contains_cartan(rs, rec.cartan):
-                    records.append(rec)
-        if base is not None:
-            records = [_conjugate_record(rec, base, rs) for rec in records]
-        records.sort(key=ElementRecord.sort_key)
+        mass_cap = _sl2_mass_cap(domain, rs)
+        table = np.concatenate([_sl2_candidates(bound, lo, hi, mass_cap) for lo, hi in ranges])
+        records, inside = _sl2_table_records(table, rs, domain)
+        records = [rec for rec, ok in zip(records, inside.tolist()) if ok]
         meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=candidates)
-        return records, meta
-
-    generators = spec.generators or _default_sl3_generators()
-    words = _word_ball(generators, word_radius)
-    records = []
-    for rows in words:
-        rec = ElementRecord.from_rows([list(r) for r in rows], rs)
-        if domain.contains_cartan(rs, rec.cartan):
-            if base is not None:
-                rec = _conjugate_record(rec, base, rs)
-            records.append(rec)
-    records.sort(key=ElementRecord.sort_key)
-    meta = EnumerationMeta(False, word_radius=word_radius)
+    else:
+        words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
+        records = [ElementRecord.from_rows([list(r) for r in rows], rs) for rows in words]
+        records = sorted((rec for rec in records if domain.contains_cartan(rs, rec.cartan)),
+                         key=ElementRecord.sort_key)
+        meta = EnumerationMeta(False, word_radius=word_radius)
+    if base is not None:
+        records = [_conjugate_record(rec, base, rs) for rec in records]
+        records.sort(key=ElementRecord.sort_key)
     return records, meta
 
 
@@ -272,6 +261,11 @@ def records_blob(records) -> bytes:
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _config_hash(manifest: dict) -> str:
+    keyed = {k: manifest[k] for k in ("version", "spec", "domain")}
+    return hashlib.sha256(_canonical_json(keyed).encode()).hexdigest()
 
 
 def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: EnumerationMeta,
@@ -306,19 +300,29 @@ def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: Enum
         "counts": counts,
         "total": len(records),
     }
-    manifest["config_hash"] = hashlib.sha256(
-        _canonical_json({k: manifest[k] for k in ("version", "spec", "domain")}).encode()
-    ).hexdigest()
+    manifest["config_hash"] = _config_hash(manifest)
     (directory / "manifest.json").write_text(_canonical_json(manifest) + "\n")
+    for stale in directory.glob("shard_*.bin"):
+        if stale.name not in shard_files:
+            stale.unlink()
     return directory
 
 
 def load_cache(directory):
-    """Load and verify a census cache; returns (spec, domain, records, manifest)."""
+    """Load and verify a census cache; returns (spec, domain, records, manifest).
+
+    Rejects any mismatch with the manifest, an unlisted shard, duplicates, a
+    determinant other than 1 and records outside an origin-based sl2 census.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest["version"] != CACHE_VERSION:
         raise ParameterError(f"unsupported cache version {manifest['version']}")
+    if manifest.get("config_hash") != _config_hash(manifest):
+        raise PreconditionError("cache manifest fails its config_hash")
+    unlisted = sorted({p.name for p in directory.glob("shard_*.bin")} - set(manifest["shards"]))
+    if unlisted:
+        raise PreconditionError(f"cache holds shards its manifest does not list: {unlisted}")
     sp = manifest["spec"]
     spec = LatticeSpec(
         group=sp["group"],
@@ -331,22 +335,28 @@ def load_cache(directory):
                     dm["regular_margin"], dm["slab"])
     rs = root_system(spec.d)
     d = spec.d
-    records = []
+    tables = [np.empty((0, d * d), dtype=np.int64)]
     for name, checksum, count in zip(manifest["shards"], manifest["checksums"], manifest["counts"]):
         blob = (directory / name).read_bytes()
         if hashlib.sha256(blob).hexdigest() != checksum:
             raise PreconditionError(f"cache shard {name} fails its checksum")
         if len(blob) != count * d * d * 8:
             raise PreconditionError(f"cache shard {name} has the wrong length")
-        flat = np.frombuffer(blob, dtype="<i8").reshape(count, d, d)
-        for rows in flat:
-            records.append(ElementRecord.from_rows([[int(x) for x in r] for r in rows], rs))
-    seen = set()
-    for rec in records:
-        if rec.matrix in seen:
-            raise PreconditionError("cache contains duplicate records")
-        seen.add(rec.matrix)
-    records.sort(key=ElementRecord.sort_key)
+        tables.append(np.frombuffer(blob, dtype="<i8").reshape(count, d * d))
+    table = np.concatenate(tables).astype(np.int64)
+    if len(np.unique(table, axis=0)) != len(table):
+        raise PreconditionError("cache contains duplicate records")
+    if d != 2:
+        records = [ElementRecord.from_rows(rows.tolist(), rs) for rows in table.reshape(-1, d, d)]
+        return spec, domain, sorted(records, key=ElementRecord.sort_key), manifest
+    if np.any((table > 2**30) | (table < -(2**30))):  # keeps int64 ad - bc and mass exact
+        raise PreconditionError("cache holds entries beyond 2^30 in absolute value")
+    det = table[:, 0] * table[:, 3] - table[:, 1] * table[:, 2]
+    if np.any(det != 1):
+        raise PreconditionError(f"cache holds {np.count_nonzero(det != 1)} records of det != 1")
+    records, inside = _sl2_table_records(table, rs, domain)
+    if spec.presentation == "full_integer" and spec.base_point is None and not inside.all():
+        raise PreconditionError(f"cache holds {np.count_nonzero(~inside)} records off its domain")
     return spec, domain, records, manifest
 
 

@@ -11,11 +11,11 @@ element is re-checked by an independent eigenvalue-gap test.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     LoxodromyError,
@@ -98,12 +98,13 @@ def _m_group(d: int):
 
 def dist_d1(g1: GroupElement, g2: GroupElement) -> float:
     """Local Riemannian surrogate on Weyl chambers: matrix-log length modulo M."""
+    import scipy.linalg
+
     rel = np.linalg.inv(g1.mat) @ g2.mat
-    best = math.inf
-    for m in _m_group(g1.d):
-        val = scipy.linalg.logm(rel @ m, disp=False)[0]
-        best = min(best, float(np.linalg.norm(val)))
-    return best
+    with warnings.catch_warnings():
+        # logm warns above an error estimate of 1000 eps, far below what the norm needs
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return min(float(np.linalg.norm(scipy.linalg.logm(rel @ m))) for m in _m_group(g1.d))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ All decompositions are numerical:
   positive-diagonal convention fixing the factor signs.
 
 The low-level kernels accept numpy stacks ``(..., d, d)`` so that the large
-seeded identity suites can run vectorized.
+seeded identity suites can run vectorized (integer sl2 stacks in closed form).
 """
 
 from __future__ import annotations
@@ -214,8 +214,22 @@ def cartan_project(g: GroupElement):
     return u, a, vh.T
 
 
-def cartan_vector(g: GroupElement) -> np.ndarray:
-    return g._svd[1]
+def _sl2_stack(mats) -> np.ndarray:
+    mats = np.asarray(mats)
+    if mats.ndim != 3 or mats.shape[1:] != (2, 2) or mats.dtype.kind not in "iu":
+        raise PreconditionError(f"need an integer (n, 2, 2) stack, got {mats.dtype} {mats.shape}")
+    return mats.astype(np.int64)
+
+
+def cartan_vector(g) -> np.ndarray:
+    """Zero-sum Cartan vector of one element, or its rows for an integer sl2 stack,
+    where sigma^2 + sigma^-2 = F (the Frobenius mass) gives log sigma_max =
+    1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2)."""
+    if isinstance(g, GroupElement):
+        return g._svd[1]
+    mats = _sl2_stack(g)
+    s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats) / 2.0)
+    return np.stack([s, -s], axis=1)
 
 
 def _int_char_discriminant(rows) -> int | None:
@@ -239,7 +253,7 @@ def _int_char_discriminant(rows) -> int | None:
     return None
 
 
-def jordan_project(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):
+def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
     """Jordan projection: sorted log-moduli of eigenvalues plus a loxodromy flag.
 
     Floating elements are loxodromic when all consecutive log-moduli gaps
@@ -247,7 +261,15 @@ def jordan_project(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):
     through the characteristic discriminant: defective or complex spectra
     are never misflagged by eigensolver noise, which reaches sqrt(eps) at a
     double root and would swamp the default gap threshold.
+
+    An integer sl2 stack gives rows and a boolean array: loxodromic iff
+    |tr| > 2, with log-moduli +-arccosh(|tr| / 2), and zero rows otherwise.
     """
+    if not isinstance(g, GroupElement):
+        mats = _sl2_stack(g)
+        trace = np.abs(mats[:, 0, 0] + mats[:, 1, 1])
+        ell = np.arccosh(np.maximum(trace / 2.0, 1.0))
+        return np.stack([ell, -ell], axis=1), trace > 2
     lam = g._log_eigen_moduli
     gaps = -np.diff(lam)
     is_lox = bool(lam.size > 1 and np.min(gaps) > tau_lox)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bqf
-from .errors import ParameterError
-from .lattice import LatticeSpec, enumerate_elements
-from .projections import BasePoint, GroupElement
+from .errors import ParameterError, WccError
+from .lattice import LatticeSpec, _word_ball, enumerate_elements
+from .projections import BasePoint, GroupElement, _integer_inverse, cartan_vector
 from .rootsys import root_system
 from .volume import Domain, domain_volume
 
@@ -357,34 +357,6 @@ def conjugacy_growth(T_grid, classes: list[TorusRecord] | None = None) -> dict:
 # ------------------------------------------------------ Jordan-Cartan survey
 
 
-def _sl2_word_ball(radius: int):
-    """SL(2,Z) word ball over the standard generators, exact dedup."""
-    S = ((0, -1), (1, 0))
-    Tm = ((1, 1), (0, 1))
-    Ti = ((1, -1), (0, 1))
-    gens = [np.array(S), np.array(((0, 1), (-1, 0))), np.array(Tm), np.array(Ti)]
-    seen = {((1, 0), (0, 1))}
-    frontier = [np.eye(2, dtype=int)]
-    for _ in range(radius):
-        new = []
-        for w in frontier:
-            for g in gens:
-                prod = w @ g
-                key = tuple(map(tuple, prod))
-                if key not in seen:
-                    seen.add(key)
-                    new.append(prod)
-        frontier = new
-    return [np.array(m) for m in sorted(seen)]
-
-
-def _cartan_norms_sl2(mats: np.ndarray) -> np.ndarray:
-    """Killing norms of the chamber displacements of stacked 2x2 matrices."""
-    frob = np.einsum("nij,nij->n", mats, mats)
-    u = 0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0, 0.0)))
-    return SQRT8 * 0.5 * np.log(np.maximum(u, 1.0))
-
-
 def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
     """Minimal conjugate Cartan-vs-Jordan gap per class over word balls.
 
@@ -394,21 +366,17 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
     minimum is the empirical conjugation constant of the lattice.
     """
     classes = conjugacy_classes_sl2(trace_bound)
-    balls = {r: _sl2_word_ball(r) for r in radii}
+    generators = (((0, -1), (1, 0)), ((1, 1), (0, 1)))  # S and T
+    balls = {r: np.array(_word_ball(generators, r)) for r in radii}
     rows = []
     for rec in classes:
         t, cid = rec.class_id
         rep = np.array(bqf.matrix_of_form(cid[0], t))
-        lam_norm = rec.length
         gaps = {}
         for r in radii:
-            best = math.inf
-            ws = balls[r]
-            conjs = np.array([w @ rep @ _int_inv2(w) for w in ws])
-            a_norms = _cartan_norms_sl2(conjs.astype(float))
+            conjs = np.array([w @ rep @ np.array(_integer_inverse(w.tolist())) for w in balls[r]])
             # both vectors are (s, -s): the gap is the norm difference
-            best = float(np.min(np.abs(a_norms - lam_norm)))
-            gaps[r] = best
+            gaps[r] = float(np.min(np.abs(SQRT8 * cartan_vector(conjs)[:, 0] - rec.length)))
         rows.append({"trace": t, "class_id": cid, "gaps": gaps})
     max_radius = max(radii)
     c_gamma = max(row["gaps"][max_radius] for row in rows)
@@ -420,16 +388,12 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
     return {"rows": rows, "C_Gamma": c_gamma, "radii": list(radii), "monotone": monotone}
 
 
-def _int_inv2(w: np.ndarray) -> np.ndarray:
-    return np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]])
-
-
 def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
-    """Jordan-Cartan flat bound over the loxodromic part of a census."""
+    """Jordan-Cartan flat bound over the loxodromic part of a census; elements
+    whose gap raises a library error are violations, listed under ``failures``."""
     from .loxodromy import jordan_cartan_gap
 
-    rows = []
-    violations = 0
+    rows, failures = [], []
     for rec in records:
         if not rec.loxodromic:
             continue
@@ -437,10 +401,12 @@ def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
         base = x if x is not None else BasePoint.origin(g.d)
         try:
             gap = jordan_cartan_gap(g, base)
-            rows.append({"matrix": rec.matrix, "gap": gap})
-        except Exception:
-            violations += 1
-    return {"checked": len(rows), "violations": violations, "max_gap": max((r["gap"] for r in rows), default=0.0)}
+        except WccError as exc:
+            failures.append({"matrix": rec.matrix, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        rows.append({"matrix": rec.matrix, "gap": gap})
+    return {"checked": len(rows), "violations": len(failures), "failures": failures,
+            "max_gap": max((r["gap"] for r in rows), default=0.0)}
 
 
 def balanced_split(records, T: float, kappa: float) -> dict:

@@ -1,11 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from wcc import lattice as lt
-from wcc.errors import CompletenessError, FeasibilityError
-from wcc.lattice import LatticeSpec
+from wcc.errors import CompletenessError, FeasibilityError, PreconditionError
+from wcc.lattice import ElementRecord, LatticeSpec
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
 
@@ -20,6 +22,71 @@ def brute_force_sl2(entry_bound, frob_cap):
                     if a * d - b * c == 1 and a * a + b * b + c * c + d * d <= frob_cap:
                         out.append(((a, b), (c, d)))
     return sorted(out)
+
+
+def t_of_cap(cap):
+    """Ball radius whose mass cap M^2 + M^-2 is exactly `cap`."""
+    return math.sqrt(8.0) * 0.5 * math.log((cap + math.sqrt(cap * cap - 4.0)) / 2.0)
+
+
+def per_record_census(t):
+    """The census as a GroupElement + SVD + eig per matrix of the entry cube."""
+    rs = root_system(2)
+    domain = Domain("ball", t)
+    bound = int(math.floor(math.exp(domain.max_top_weight(rs)) + 1e-12))
+    records = []
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            for c in range(-bound, bound + 1):
+                for d in range(-bound, bound + 1):
+                    if a * d - b * c == 1:
+                        rec = ElementRecord.from_rows([[a, b], [c, d]], rs)
+                        if domain.contains_cartan(rs, rec.cartan):
+                            records.append(rec)
+    return records
+
+
+def mass_entries_key(matrix):
+    flat = tuple(x for row in matrix for x in row)
+    return (sum(x * x for x in flat), flat)
+
+
+class TestColumnarCensus:
+    @pytest.mark.parametrize("t", [1e-9, 2.0, 5.0, 7.0])
+    def test_matches_per_record_path(self, t):
+        records, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", t))
+        oracle = {rec.matrix: rec for rec in per_record_census(t)}
+        assert sorted(r.matrix for r in records) == sorted(oracle)
+        for rec in records:
+            want = oracle[rec.matrix]
+            assert rec.loxodromic == want.loxodromic
+            assert np.max(np.abs(rec.cartan - want.cartan)) <= 1e-12
+            assert abs(rec.wall_margin - want.wall_margin) <= 1e-12
+            if want.loxodromic:
+                assert np.max(np.abs(rec.jordan - want.jordan)) <= 1e-12
+            else:
+                assert rec.jordan is None
+
+    @pytest.mark.parametrize(
+        "cap,int_cap",
+        [(3.5, 3), (7.0 + 5e-10, 7), (7.0 - 5e-10, 6), (27.0 + 5e-10, 27), (27.0 - 5e-10, 26),
+         (102.25, 102)],
+    )
+    def test_matches_nested_loop_oracle_at_integer_caps(self, cap, int_cap):
+        records, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", t_of_cap(cap)))
+        oracle = brute_force_sl2(math.isqrt(int_cap), int_cap)
+        assert sorted(r.matrix for r in records) == oracle
+        # caps within 1e-9 of 7 and 27 decide masses SL(2,Z) really has
+        for witness, mass in ((((2, 1), (1, 1)), 7), (((5, 1), (-1, 0)), 27)):
+            assert (witness in oracle) == (int_cap >= mass)
+
+    @pytest.mark.parametrize("shards", [1, 4, 9])
+    def test_records_in_exact_mass_entries_order(self, shards):
+        records, meta = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.0),
+                                              shards=shards)
+        assert len(meta.shard_ranges) == shards
+        keys = [mass_entries_key(r.matrix) for r in records]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 class TestExactEnumeration:
@@ -129,6 +196,89 @@ class TestShardingAndCache:
         shard.write_bytes(bytes(data))
         with pytest.raises(Exception):
             lt.load_cache(tmp_path)
+
+
+def write_census(directory, t=5.0, shards=1):
+    records, meta = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", t))
+    lt.save_cache(directory, LatticeSpec("sl2"), Domain("ball", t), records, meta, shards=shards)
+    return records
+
+
+def rewrite_shard(directory, rows):
+    """Replace the single shard with `rows`, keeping checksum and count consistent."""
+    blob = np.array(rows, dtype="<i8").tobytes()
+    (directory / "shard_0000.bin").write_bytes(blob)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["checksums"] = [hashlib.sha256(blob).hexdigest()]
+    manifest["counts"] = [len(rows)]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestCacheVerification:
+    def rows(self, directory):
+        blob = (directory / "shard_0000.bin").read_bytes()
+        return np.frombuffer(blob, dtype="<i8").reshape(-1, 4)
+
+    def test_rewritten_rows_load_in_mass_entries_order(self, tmp_path):
+        records = write_census(tmp_path)
+        rewrite_shard(tmp_path, self.rows(tmp_path)[::-1])
+        loaded = lt.load_cache(tmp_path)[2]
+        assert lt.records_blob(loaded) == lt.records_blob(records)
+        keys = [mass_entries_key(r.matrix) for r in loaded]
+        assert keys == sorted(keys)
+
+    def test_rejects_determinant_other_than_one(self, tmp_path):
+        write_census(tmp_path)
+        rows = self.rows(tmp_path).copy()
+        rows[5] = (2, 1, 1, 2)
+        rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="det != 1"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_overflowing_entries(self, tmp_path):
+        write_census(tmp_path)
+        rows = self.rows(tmp_path).copy()
+        # ad - bc = 2^64 + 1 wraps to 1 in int64
+        rows[5] = (2**32, -1, 1, 2**32)
+        rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="entries beyond"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_duplicates(self, tmp_path):
+        write_census(tmp_path)
+        rows = self.rows(tmp_path).copy()
+        rows[1] = rows[0]
+        rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="duplicate"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_records_outside_the_domain(self, tmp_path):
+        write_census(tmp_path)
+        rows = self.rows(tmp_path).copy()
+        rows[5] = (100, 1, 99, 1)
+        rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="off its domain"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_tampered_config(self, tmp_path):
+        write_census(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["domain"]["t"] = 9.0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PreconditionError, match="config_hash"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_unlisted_shard(self, tmp_path):
+        write_census(tmp_path)
+        (tmp_path / "shard_0001.bin").write_bytes((tmp_path / "shard_0000.bin").read_bytes())
+        with pytest.raises(PreconditionError, match="does not list"):
+            lt.load_cache(tmp_path)
+
+    def test_rewrite_with_fewer_shards_removes_stale_ones(self, tmp_path):
+        write_census(tmp_path, shards=3)
+        records = write_census(tmp_path, shards=1)
+        assert sorted(p.name for p in tmp_path.glob("shard_*.bin")) == ["shard_0000.bin"]
+        assert lt.records_blob(lt.load_cache(tmp_path)[2]) == lt.records_blob(records)
 
 
 class TestBasePoint:

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -124,6 +125,42 @@ class TestJordan:
             a32 = pj.cartan_vector(GroupElement(g32, check=False)) / 32.0
             assert rs.killing_norm(a32 - lam) < 0.05 * rs.killing_norm(a32)
         assert hits > 20
+
+
+class TestIntegerStacks:
+    MATS = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]], [[1, 1], [0, 1]],
+            [[-1, 5], [0, -1]], [[2, 1], [1, 1]], [[5, 1], [-1, 0]], [[-7, 3], [-12, 5]],
+            [[99, 70], [41, 29]], [[1000, 999], [1001, 1000]]]
+
+    @staticmethod
+    def log_top_root(x: int) -> float:
+        """Log of the larger root of z^2 - x z + 1, to 40 digits."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            x = decimal.Decimal(x)
+            return float(((x + (x * x - 4).sqrt()) / 2).ln()) if x > 2 else 0.0
+
+    def test_match_exact_values_and_flags(self):
+        cartan = pj.cartan_vector(np.array(self.MATS))
+        jordan, lox = pj.jordan_project(np.array(self.MATS))
+        assert cartan.shape == jordan.shape == (len(self.MATS), 2)
+        for m, a, lam, is_lox in zip(self.MATS, cartan, jordan, lox):
+            mass = sum(x * x for row in m for x in row)
+            s = 0.5 * self.log_top_root(mass)
+            assert a == pytest.approx([s, -s], abs=1e-14)
+            ell = self.log_top_root(abs(m[0][0] + m[1][1]))
+            assert lam == pytest.approx([ell, -ell], abs=1e-14)
+            assert bool(is_lox) == pj.jordan_project(GroupElement.from_integer(m))[1]
+
+    def test_rotations_are_exactly_zero(self):
+        cartan = pj.cartan_vector(np.array(self.MATS[:3]))
+        assert np.all(cartan == 0.0)
+
+    def test_reject_float_and_non_2x2_stacks(self):
+        with pytest.raises(PreconditionError):
+            pj.cartan_vector(np.eye(2)[None, :, :])
+        with pytest.raises(PreconditionError):
+            pj.jordan_project(np.eye(3, dtype=int)[None, :, :])
 
 
 class TestIwasawa:

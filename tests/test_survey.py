@@ -4,8 +4,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from wcc import loxodromy as lx
 from wcc import survey as sv
-from wcc.errors import ParameterError
+from wcc.errors import NumericError, ParameterError
 from wcc.lattice import LatticeSpec, enumerate_elements
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
@@ -232,6 +233,27 @@ class TestJordanCartanSurvey:
         report = sv.flat_bound_survey(lox)
         assert report["violations"] == 0
         assert report["checked"] == len(lox)
+        assert report["failures"] == []
+
+    def test_flat_bound_lists_failures_and_lets_other_errors_through(self, census_t8, monkeypatch):
+        records, _ = census_t8
+        lox = [r for r in records if r.loxodromic][:6]
+        bad = lox[2].matrix
+        gap = lx.jordan_cartan_gap
+
+        def failing_gap(g, base):
+            if tuple(map(tuple, g.int_mat)) == bad:
+                raise NumericError("solver stalled")
+            return gap(g, base)
+
+        monkeypatch.setattr(lx, "jordan_cartan_gap", failing_gap)
+        report = sv.flat_bound_survey(lox)
+        assert (report["checked"], report["violations"]) == (5, 1)
+        assert report["failures"] == [{"matrix": bad, "error": "NumericError: solver stalled"}]
+
+        monkeypatch.setattr(lx, "jordan_cartan_gap", lambda g, base: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            sv.flat_bound_survey(lox)
 
 
 class TestBalancedSplit:
