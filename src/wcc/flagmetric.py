@@ -301,21 +301,32 @@ def fixed_points(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):
 # ------------------------------------------------------------------- flats
 
 
-def _flat_objective(m: np.ndarray, basis: np.ndarray, rs):
-    def f(coords: np.ndarray) -> float:
-        y = coords @ basis
-        # keep exp() finite; the true objective is coercive so a growing
-        # penalty outside the window cannot hide the minimum
-        if np.max(np.abs(y)) > 250.0:
-            return 1e6 + float(np.linalg.norm(y))
-        s = np.linalg.svd(m * np.exp(y)[None, :], compute_uv=False)
-        if not np.all(np.isfinite(s)) or s[-1] <= 0.0:
-            return 1e6 + float(np.linalg.norm(y))
-        a = np.log(s)
-        a -= a.mean()
-        return float(np.sqrt(rs.killing_scale * np.dot(a, a)))
+def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
+    """F(Y) = d_X(o, m exp(Y) o)^2 = k |a - mean(a)|^2, a = log svd(m exp(Y)), and its
+    exact gradient, in the coordinates of Y along ``basis``: ds_i = u_i^T dM v_i gives
+    d log s_i / d y_j = vh[i, j]^2, so grad F = 2k (vh^2)^T (a - mean(a)).
+    """
+    k = rs.killing_scale
 
-    return f
+    def fg(coords: np.ndarray):
+        y = coords @ basis
+        # keep exp() finite during line searches; F is coercive, so a growing
+        # penalty outside the window cannot hide the minimum
+        if np.max(np.abs(y)) <= 250.0:
+            _, s, vh = np.linalg.svd(m * np.exp(y)[None, :])
+            if np.all(np.isfinite(s)) and s[-1] > 0.0:
+                a = np.log(s)
+                a -= a.mean()
+                return k * float(a @ a), 2.0 * k * (((vh * vh).T @ a) @ basis.T)
+        return 1e12 + float(coords @ coords), 2.0 * coords
+
+    return fg
+
+
+def _flat_objective(m: np.ndarray, basis: np.ndarray, rs):
+    """The distance d_X(o, m exp(Y) o) in the coordinates of Y along ``basis``."""
+    fg = _flat_value_and_grad(m, basis, rs)
+    return lambda coords: math.sqrt(fg(coords)[0])
 
 
 def _zero_sum_basis(d: int) -> np.ndarray:
@@ -332,50 +343,24 @@ def _zero_sum_basis(d: int) -> np.ndarray:
 def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> float:
     """Distance from x to the maximal flat of a transverse pair.
 
-    Minimizes d_X(x, w exp(Y) o) over the Cartan subspace, where w is the
-    witness of the pair: coarse grid seeding, Nelder-Mead, then a BFGS
-    polish away from the non-smooth zero of the norm.
+    BFGS from Y = 0 with the exact gradient (``tol`` its gradient tolerance) on the
+    squared distance d_X(x, w exp(Y) o)^2, w the witness of the pair: convex along
+    the flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary point
+    is the minimum.  A stall away from the flat raises NumericError.
     """
     import scipy.optimize
 
     d = x.d
-    rs = root_system(d)
-    w = pair.witness
-    m = x.h.inverse().mat @ w.mat
-    basis = _zero_sum_basis(d)
-    f = _flat_objective(m, basis, rs)
-
-    try:
-        reach = 1.5 * rs.killing_norm(gromov_product(pair.xi_plus, pair.xi_minus, x)) + 2.0
-    except TransversalityError:
-        reach = 6.0
-    n_grid = 64 if d > 2 else 65
-    per_axis = int(round(n_grid ** (1.0 / (d - 1))))
-    axes = [np.linspace(-reach, reach, per_axis) for _ in range(d - 1)]
-    best_coords, best_val = None, math.inf
-    for point in itertools.product(*axes):
-        val = f(np.array(point))
-        if val < best_val:
-            best_val, best_coords = val, np.array(point)
-
-    res = scipy.optimize.minimize(
-        f, best_coords, method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
-    )
-    value, coords = float(res.fun), res.x
-    if value > best_val:
-        value, coords = best_val, best_coords
-    if value > 1e-8:
-        polish = scipy.optimize.minimize(f, coords, method="BFGS", options={"gtol": tol})
-        if polish.fun <= value:
-            value, coords = float(polish.fun), polish.x
+    m = x.h.inverse().mat @ pair.witness.mat
+    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    res = scipy.optimize.minimize(fg, np.zeros(d - 1), jac=True, method="BFGS",
+                                  options={"gtol": tol})
+    value = math.sqrt(res.fun)
     if value > 1e-3:
-        # away from the flat the objective is smooth, so a non-vanishing
-        # gradient means the optimizer stalled; near zero the norm is conical
-        # and the value itself is the answer
-        grad_norm = float(np.linalg.norm(scipy.optimize.approx_fprime(coords, f, 1.49e-8)))
+        # gradient of the distance itself: grad F / (2 sqrt F)
+        grad_norm = float(np.linalg.norm(res.jac)) / (2.0 * value)
         if grad_norm > 1e-4 * max(1.0, value):
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
-    return max(0.0, value)
+    return value

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -230,24 +230,18 @@ def enumerate_elements(
         records = sorted((rec for rec in records if domain.contains_cartan(rs, rec.cartan)),
                          key=ElementRecord.sort_key)
         meta = EnumerationMeta(False, word_radius=word_radius)
-    if base is not None:
-        records = [_conjugate_record(rec, base, rs) for rec in records]
-        records.sort(key=ElementRecord.sort_key)
-    return records, meta
+    return _conjugated(records, base), meta
 
 
-def _conjugate_record(rec: ElementRecord, base: GroupElement, rs: RootSystemA) -> ElementRecord:
-    """Re-express a record enumerated around x = h.o as the element h m h^-1."""
-    g = GroupElement.from_integer([list(r) for r in rec.matrix])
-    conj = base @ g @ base.inverse()
-    out = ElementRecord(
-        matrix=tuple(tuple(int(x) for x in row) for row in conj.int_mat),
-        cartan=rec.cartan,
-        wall_margin=rec.wall_margin,
-        loxodromic=rec.loxodromic,
-        jordan=rec.jordan,
-    )
-    return out
+def _conjugated(records, base: GroupElement | None) -> list:
+    """Records enumerated around x = h.o re-expressed as h m h^-1, in sort_key order."""
+    if base is None:
+        return records
+    inv = base.inverse()
+    records = [replace(rec, matrix=tuple(tuple(int(x) for x in row) for row in (
+        base @ GroupElement.from_integer([list(r) for r in rec.matrix]) @ inv).int_mat))
+        for rec in records]
+    return sorted(records, key=ElementRecord.sort_key)
 
 
 # ------------------------------------------------------------------- cache
@@ -312,7 +306,8 @@ def load_cache(directory):
     """Load and verify a census cache; returns (spec, domain, records, manifest).
 
     Rejects any mismatch with the manifest, an unlisted shard, duplicates, a
-    determinant other than 1 and records outside an origin-based sl2 census.
+    determinant other than 1 and records outside a full-integer sl2 census;
+    columns and order are those ``enumerate_elements`` gives, also with a base point.
     """
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -346,18 +341,23 @@ def load_cache(directory):
     table = np.concatenate(tables).astype(np.int64)
     if len(np.unique(table, axis=0)) != len(table):
         raise PreconditionError("cache contains duplicate records")
+    base = spec.base_element()
+    if base is not None:
+        # back to m = h^-1 g h (exactly), whose columns enumerate_elements recorded
+        h, h_inv = (np.array(e.int_mat, dtype=object) for e in (base, base.inverse()))
+        table = (h_inv @ table.astype(object).reshape(-1, d, d) @ h).reshape(-1, d * d)
     if d != 2:
         records = [ElementRecord.from_rows(rows.tolist(), rs) for rows in table.reshape(-1, d, d)]
-        return spec, domain, sorted(records, key=ElementRecord.sort_key), manifest
+        return spec, domain, _conjugated(sorted(records, key=ElementRecord.sort_key), base), manifest
     if np.any((table > 2**30) | (table < -(2**30))):  # keeps int64 ad - bc and mass exact
         raise PreconditionError("cache holds entries beyond 2^30 in absolute value")
     det = table[:, 0] * table[:, 3] - table[:, 1] * table[:, 2]
     if np.any(det != 1):
         raise PreconditionError(f"cache holds {np.count_nonzero(det != 1)} records of det != 1")
-    records, inside = _sl2_table_records(table, rs, domain)
-    if spec.presentation == "full_integer" and spec.base_point is None and not inside.all():
+    records, inside = _sl2_table_records(table.astype(np.int64), rs, domain)
+    if spec.presentation == "full_integer" and not inside.all():
         raise PreconditionError(f"cache holds {np.count_nonzero(~inside)} records off its domain")
-    return spec, domain, records, manifest
+    return spec, domain, _conjugated(records, base), manifest
 
 
 class EnumerationCache:

@@ -2,10 +2,10 @@
 
 The certificate logic needs a handful of comparison constants (boundary
 distortion, local metric equivalence, the Gromov-product vs flat-distance
-sandwich).  They are not constructive, so we fit deterministic empirical
-envelopes once per dimension, cache them, and stamp every certificate with
-the fitted values.  Soundness never rests on the fits: each certified
-element is re-checked by an independent eigenvalue-gap test.
+sandwich).  They are not constructive, so ``_fit_constants`` fits deterministic
+empirical envelopes on seeded samples; the values for d = 2, 3 are pinned (a test
+refits them) and stamped into every certificate.  Soundness never rests on the
+fits: each certified element is re-checked by an independent eigenvalue-gap test.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class FittedConstants:
             "C_prime": self.c_prime,
             "eps0": self.eps0,
             "r0": self.r0,
-            "provenance": "C0 analytic (4*C_a); C1,C2,C3,C_prime,eps0 fitted empirical envelopes",
+            "provenance": "C0 analytic (4*C_a); C1,C2,C3,C_prime,eps0 pinned fitted envelopes",
         }
 
 
@@ -107,8 +107,23 @@ def dist_d1(g1: GroupElement, g2: GroupElement) -> float:
         return min(float(np.linalg.norm(scipy.linalg.logm(rel @ m))) for m in _m_group(g1.d))
 
 
+# _fit_constants for d = 2, 3: (c1, c2, c3, c_prime, eps0, r0), written with repr.  The
+# fit costs seconds per process, so it is pinned here; a Tier-1 test refits and compares.
+_PINNED_CONSTANTS = {
+    2: (1.05, 2.3291146540522427, 1.809028672008994, 0.3884860036299408, 0.1, 0.42630275100660764),
+    3: (1.05, 2.9912850638252486, 1.7520677345766242, 0.8687302697796185, 0.1, 0.42630275100660764),
+}
+
+
 @lru_cache(maxsize=None)
 def fitted_constants(d: int) -> FittedConstants:
+    """Comparison constants of dimension d: the pinned table for d = 2, 3, else a fresh fit."""
+    if d in _PINNED_CONSTANTS:
+        return FittedConstants(d, 4.0 * root_system(d).c_a(), *_PINNED_CONSTANTS[d])
+    return _fit_constants(d)
+
+
+def _fit_constants(d: int) -> FittedConstants:
     rs = root_system(d)
     c0 = 4.0 * rs.c_a()
     rng = np.random.default_rng(20240 + d)

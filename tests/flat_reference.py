@@ -1,0 +1,85 @@
+"""The grid + Nelder-Mead + finite-difference BFGS flat-distance solver.
+
+This was ``wcc.flagmetric.flat_distance`` before the convex solve with the
+exact SVD gradient replaced it; the tests keep it, unchanged, as the
+reference the new solver is compared against.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from wcc.errors import NumericError, TransversalityError
+from wcc.flagmetric import TransversePair, _zero_sum_basis, gromov_product
+from wcc.projections import BasePoint
+from wcc.rootsys import root_system
+
+
+def reference_flat_objective(m: np.ndarray, basis: np.ndarray, rs):
+    def f(coords: np.ndarray) -> float:
+        y = coords @ basis
+        # keep exp() finite; the true objective is coercive so a growing
+        # penalty outside the window cannot hide the minimum
+        if np.max(np.abs(y)) > 250.0:
+            return 1e6 + float(np.linalg.norm(y))
+        s = np.linalg.svd(m * np.exp(y)[None, :], compute_uv=False)
+        if not np.all(np.isfinite(s)) or s[-1] <= 0.0:
+            return 1e6 + float(np.linalg.norm(y))
+        a = np.log(s)
+        a -= a.mean()
+        return float(np.sqrt(rs.killing_scale * np.dot(a, a)))
+
+    return f
+
+
+def reference_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> float:
+    """Distance from x to the maximal flat of a transverse pair.
+
+    Minimizes d_X(x, w exp(Y) o) over the Cartan subspace, where w is the
+    witness of the pair: coarse grid seeding, Nelder-Mead, then a BFGS
+    polish away from the non-smooth zero of the norm.
+    """
+    import scipy.optimize
+
+    d = x.d
+    rs = root_system(d)
+    w = pair.witness
+    m = x.h.inverse().mat @ w.mat
+    basis = _zero_sum_basis(d)
+    f = reference_flat_objective(m, basis, rs)
+
+    try:
+        reach = 1.5 * rs.killing_norm(gromov_product(pair.xi_plus, pair.xi_minus, x)) + 2.0
+    except TransversalityError:
+        reach = 6.0
+    n_grid = 64 if d > 2 else 65
+    per_axis = int(round(n_grid ** (1.0 / (d - 1))))
+    axes = [np.linspace(-reach, reach, per_axis) for _ in range(d - 1)]
+    best_coords, best_val = None, math.inf
+    for point in itertools.product(*axes):
+        val = f(np.array(point))
+        if val < best_val:
+            best_val, best_coords = val, np.array(point)
+
+    res = scipy.optimize.minimize(
+        f, best_coords, method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000},
+    )
+    value, coords = float(res.fun), res.x
+    if value > best_val:
+        value, coords = best_val, best_coords
+    if value > 1e-8:
+        polish = scipy.optimize.minimize(f, coords, method="BFGS", options={"gtol": tol})
+        if polish.fun <= value:
+            value, coords = float(polish.fun), polish.x
+    if value > 1e-3:
+        # away from the flat the objective is smooth, so a non-vanishing
+        # gradient means the optimizer stalled; near zero the norm is conical
+        # and the value itself is the answer
+        grad_norm = float(np.linalg.norm(scipy.optimize.approx_fprime(coords, f, 1.49e-8)))
+        if grad_norm > 1e-4 * max(1.0, value):
+            raise NumericError(
+                f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
+            )
+    return max(0.0, value)

@@ -1,15 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wcc import flagmetric as fm
 from wcc import projections as pj
-from wcc.errors import LoxodromyError, PreconditionError, TransversalityError
+from wcc.errors import LoxodromyError, NumericError, PreconditionError, TransversalityError
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
+from flat_reference import reference_flat_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -355,6 +357,56 @@ class TestFlatDistance:
             gro = rs.killing_norm(fm.gromov_product(pair.xi_plus, pair.xi_minus))
             assert dist <= 10.0 * gro + 1.0
             assert gro <= 10.0 * dist + 1.0
+
+
+class TestFlatDistanceReference:
+    """The convex solve against the grid + Nelder-Mead + finite-difference solver."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_reference_solver(self, d):
+        rng = np.random.default_rng(300 + d)
+        compared = 0
+        for scale in (0.0, 0.3, 1.0):
+            for i in range(16):
+                x = BasePoint.origin(d) if scale == 0.0 else BasePoint(random_group(rng, d, scale))
+                if i % 2:
+                    pair = fm.TransversePair(fm.Flag(pj.random_so(d, rng)), fm.Flag(pj.random_so(d, rng)))
+                else:
+                    g = random_group(rng, d, 0.6)
+                    pair = fm.TransversePair(fm.eta0(d).translate(g), fm.zeta0(d).translate(g))
+                new, ref = fm.flat_distance(x, pair), reference_flat_distance(x, pair)
+                assert new <= ref + 1e-10
+                assert abs(new - ref) <= 1e-9 * max(ref, 1e-3)
+                compared += 1
+        assert compared >= 40
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_analytic_gradient_vs_central_differences(self, d):
+        rng = np.random.default_rng(310 + d)
+        rs = root_system(d)
+        basis = fm._zero_sum_basis(d)
+        step = 1e-6
+        for _ in range(10):
+            m = random_group(rng, d, 1.0).mat
+            fg = fm._flat_value_and_grad(m, basis, rs)
+            coords = rng.normal(size=d - 1)
+            _, grad = fg(coords)
+            fd = np.array([
+                (fg(coords + step * e)[0] - fg(coords - step * e)[0]) / (2.0 * step)
+                for e in np.eye(d - 1)
+            ])
+            assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(grad))))
+
+    def test_solves_a_pair_the_reference_stalls_on(self):
+        # base point at scale 2.5: the reference stops with a non-vanishing
+        # gradient; the convex solve returns the reference's last value
+        rng = np.random.default_rng(13)
+        x = BasePoint(random_group(rng, 3, 2.5))
+        pair = fm.TransversePair(fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng)))
+        with pytest.raises(NumericError, match="did not converge") as stalled:
+            reference_flat_distance(x, pair)
+        last = float(re.search(r"value (\S+),", str(stalled.value)).group(1))
+        assert abs(fm.flat_distance(x, pair) - last) <= 1e-9 * last
 
 
 class TestCorridors:

@@ -295,6 +295,31 @@ class TestBasePoint:
         assert expected == sorted(r.matrix for r in based)
 
 
+    def test_cache_round_trip_keeps_columns_and_order(self, tmp_path):
+        spec, domain = LatticeSpec("sl2", base_point=((2, 1), (1, 1))), Domain("ball", 5.0)
+        records, meta = lt.enumerate_elements(spec, domain)
+        lt.save_cache(tmp_path, spec, domain, records, meta, shards=2)
+        loaded = lt.load_cache(tmp_path)[2]
+        assert [r.matrix for r in loaded] == [r.matrix for r in records]
+        for a, b in zip(loaded, records):
+            assert np.array_equal(a.cartan, b.cartan)
+            assert a.wall_margin == b.wall_margin
+            assert a.loxodromic == b.loxodromic
+            assert (a.jordan is None and b.jordan is None) or np.array_equal(a.jordan, b.jordan)
+
+    def test_base_point_cache_rejects_records_outside_the_domain(self, tmp_path):
+        h = ((2, 1), (1, 1))
+        spec, domain = LatticeSpec("sl2", base_point=h), Domain("ball", 5.0)
+        records, meta = lt.enumerate_elements(spec, domain)
+        lt.save_cache(tmp_path, spec, domain, records, meta)
+        rows = np.frombuffer((tmp_path / "shard_0000.bin").read_bytes(), dtype="<i8").reshape(-1, 4).copy()
+        far = np.array(h) @ np.array([[100, 1], [99, 1]]) @ np.array([[1, -1], [-1, 2]])
+        rows[5] = far.ravel()
+        rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="off its domain"):
+            lt.load_cache(tmp_path)
+
+
 class TestWordBall:
     def test_sl3_incomplete_flagged(self):
         records, meta = lt.enumerate_elements(

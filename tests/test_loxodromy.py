@@ -35,6 +35,12 @@ class TestFittedConstants:
             assert 0.0 < a.r0 < 1.0
             assert a.c0 == pytest.approx(4.0 * root_system(d).c_a(), abs=1e-12)
 
+    def test_pinned_table_matches_refit(self):
+        for d in (2, 3):
+            pinned, refit = lx.fitted_constants(d), lx._fit_constants(d)
+            for name, value in vars(refit).items():
+                assert getattr(pinned, name) == pytest.approx(value, rel=1e-12), name
+
     def test_r0_is_the_root(self):
         for d in (2, 3):
             consts = lx.fitted_constants(d)
