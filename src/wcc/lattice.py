@@ -226,7 +226,10 @@ def enumerate_elements(
         meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=candidates)
     else:
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
-        records = [ElementRecord.from_rows([list(r) for r in rows], rs) for rows in words]
+        if spec.d == 2:  # the columns load_cache builds
+            records, _ = _sl2_table_records(np.array(words, dtype=np.int64).reshape(-1, 4), rs, domain)
+        else:
+            records = [ElementRecord.from_rows([list(r) for r in rows], rs) for rows in words]
         records = sorted((rec for rec in records if domain.contains_cartan(rs, rec.cartan)),
                          key=ElementRecord.sort_key)
         meta = EnumerationMeta(False, word_radius=word_radius)

@@ -22,10 +22,6 @@ from .errors import NumericError, ParameterError, PreconditionError
 ZERO_SUM_TOL = 1e-9
 CHAMBER_TOL = 1e-9
 
-# Agreement required between the optimization and closed-form values of the
-# growth exponents; a larger discrepancy means a regression somewhere.
-OPT_AGREE_TOL = 1e-9
-
 
 def _as_vector(y, d: int) -> np.ndarray:
     y = np.asarray(y, dtype=float)
@@ -153,74 +149,13 @@ class RootSystemA:
 
     # ------------------------------------------------------ growth exponents
 
-    def _max_linear_on_sphere(self, c) -> tuple[float, np.ndarray]:
-        """Maximize a linear functional on the Killing unit sphere.
-
-        Projected-gradient ascent from two deterministic seeds plus the
-        analytic candidate proportional to (1, 0, ..., 0, -1); the three
-        results and the closed-form dual norm must agree to OPT_AGREE_TOL.
-        """
-        c = _as_vector(c, self.d)
-        closed = self.dual_norm(c)
-        if closed == 0.0:
-            return 0.0, np.zeros(self.d)
-
-        def project_sphere(y):
-            y = y - np.mean(y)
-            n = np.sqrt(self.killing_scale * np.dot(y, y))
-            if n < 1e-300:
-                y = self.dual_vector(c)
-                return y
-            return y / n
-
-        # Seeds are nudged toward the analytic candidate so that none sits
-        # exactly on the antipodal critical point, where the tangent gradient
-        # vanishes and ascent could not move.
-        analytic = np.zeros(self.d)
-        analytic[0], analytic[-1] = 1.0, -1.0
-        nudge = 1e-3 * project_sphere(analytic)
-        seeds = [
-            project_sphere(np.cos(np.arange(self.d) + 1.0) + nudge),
-            project_sphere(np.sin(2.0 * np.arange(self.d) + 0.5) + nudge),
-            project_sphere(analytic),
-        ]
-        grad = (c - np.mean(c)) / self.killing_scale
-        results = []
-        for y in seeds:
-            for _ in range(500):
-                if float(c @ -y) > float(c @ y):
-                    # escape the antipodal critical point (the only other one
-                    # for a linear functional; in d=2 the sphere is just S^0)
-                    y = -y
-                tangent = grad - (self.killing_scale * np.dot(grad, y)) * y
-                tnorm = np.sqrt(self.killing_scale * np.dot(tangent, tangent))
-                if tnorm < 1e-14 * max(closed, 1.0):
-                    break
-                step = 1.0 / max(closed, 1e-12)
-                value = float(c @ y)
-                while step > 1e-18:
-                    y_next = project_sphere(y + step * tangent)
-                    if float(c @ y_next) > value:
-                        break
-                    step *= 0.5
-                y = y_next
-            results.append((float(c @ y), y))
-        best_val, best_y = max(results, key=lambda r: r[0])
-        spread = max(abs(v - closed) for v, _ in results)
-        if spread > OPT_AGREE_TOL or abs(best_val - closed) > OPT_AGREE_TOL:
-            raise NumericError(
-                f"sphere-maximum optimization disagrees with closed form: {results} vs {closed}"
-            )
-        return best_val, best_y
-
     def delta_zero(self) -> float:
-        """Volume growth exponent: max of twice rho over the Killing unit ball."""
-        val, _ = self._max_linear_on_sphere(self.two_rho)
-        return val
+        """Volume growth exponent: max of twice rho over the Killing unit ball,
+        which is the dual norm of 2 rho."""
+        return self.dual_norm(self.two_rho)
 
     def delta_zero_direction(self) -> np.ndarray:
-        _, y = self._max_linear_on_sphere(self.two_rho)
-        return y
+        return self.dual_vector(self.two_rho)
 
     def levi_delta0(self, theta) -> float:
         """Growth exponent of the Levi factor selected by a simple-root subset.
@@ -228,7 +163,8 @@ class RootSystemA:
         ``theta`` is a collection of simple-root indices (0-based).  The
         relevant root set is the positive roots supported entirely on the
         complement of theta; the exponent is the max of their sum over the
-        unit ball.  theta = empty recovers delta_zero, theta = all gives 0.
+        unit ball, its dual norm.  theta = empty recovers delta_zero, theta =
+        all gives 0.
         """
         theta = frozenset(theta)
         if not theta.issubset(range(self.d - 1)):
@@ -239,10 +175,7 @@ class RootSystemA:
             support = self._simple_support(root)
             if support.issubset(complement):
                 total += root
-        if not np.any(total):
-            return 0.0
-        val, _ = self._max_linear_on_sphere(total)
-        return val
+        return self.dual_norm(total)
 
     def _simple_support(self, root) -> set:
         """Indices of simple roots appearing in a positive root y_i - y_j."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
 
 from .errors import NumericError, ParameterError, PreconditionError
 from .rootsys import RootSystemA, root_system
@@ -116,6 +115,28 @@ def _finish(log_value: float, method: str, error: float, **extras) -> VolumeResu
 # --------------------------------------------------------------- integrands
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) of 1-d real input, computed as scipy.special.logsumexp does.
+
+    The max terms are split off: log1p(s) + log(m) + max(a), where m counts the
+    entries at the max and s is the sum of exp(a - max(a)) over the others,
+    divided by m.  The direct sum is the fallback when that is not finite;
+    empty input gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return LOG_ZERO
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        at_max = a == a_max
+        m = np.count_nonzero(at_max)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _log_sinh(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.full_like(x, LOG_ZERO)
@@ -185,28 +206,13 @@ def _dual_basis(rs: RootSystemA) -> list[np.ndarray]:
 
 
 def _chamber_arc(rs: RootSystemA) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Polar frame for d=3: orthonormal (b1, b2) with b1 interior, and the
-    angle window of the chamber."""
+    """Polar frame for d=3: orthonormal (b1, b2) with b1 the rho direction, and
+    the angle window of the chamber, the 60 degree wedge that b1 bisects."""
     basis = _ortho_basis(rs)
     b1 = rs.dual_vector(rs.two_rho)
     b2 = basis[1] - rs.killing_inner(basis[1], b1) * b1
     b2 = b2 / rs.killing_norm(b2)
-
-    def all_roots_nonneg(theta):
-        u = math.cos(theta) * b1 + math.sin(theta) * b2
-        return all(float(c @ u) >= -1e-15 for c in rs.simple_roots)
-
-    def boundary(side):
-        lo, hi = 0.0, side * math.pi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if all_roots_nonneg(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    return b1, b2, boundary(-1.0), boundary(+1.0)
+    return b1, b2, -math.pi / 6, math.pi / 6
 
 
 def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
@@ -216,15 +222,30 @@ def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
     )
 
 
+def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
+    """Cuts of the d=3 chamber window [lo, hi] = [-pi/6, pi/6] on whose pieces
+    the inner radial bound min(t, margin/w) of a ball is smooth.
+
+    The wall distance of the unit direction at angle theta is
+    w = sin(pi/6 - |theta|): the nearest wall switches at 0, and the bound
+    starts clipping where w = margin/t.
+    """
+    if margin <= 0.0:
+        return [lo, hi]
+    if margin >= 0.5 * t:
+        return [lo, 0.0, hi]
+    edge = hi - math.asin(margin / t)
+    return [lo, -edge, 0.0, edge, hi]
+
+
 def max_wall_distance(rs: RootSystemA, domain: Domain) -> float:
     """Largest wall distance attained on the unfiltered domain."""
     if domain.kind == "ball":
         if rs.d == 2:
             return domain.t
-        b1, b2, lo, hi = _chamber_arc(rs)
-        thetas = np.linspace(lo, hi, 2001)
-        dirs = np.outer(np.cos(thetas), b1) + np.outer(np.sin(thetas), b2)
-        return domain.t * max(_wall_scale(rs, u) for u in dirs)
+        # alpha(rho) = 1 for every simple root alpha, so the rho ray is
+        # equidistant from the walls and farthest from them
+        return domain.t * _wall_scale(rs, rs.dual_vector(rs.two_rho))
     domain.for_dimension(rs.d)
     duals = _dual_basis(rs)
     corners = itertools.product(*[(0.0, domain.t * e) for e in domain.edges])
@@ -301,8 +322,9 @@ def _region_log_integral(
     integrand: str,
     margin: float = 0.0,
     rel_tol: float = QUAD_REL_TOL,
-) -> float:
-    """Log integral over the domain restricted to wall distance >= margin."""
+) -> tuple[float, float]:
+    """Log integral over the domain restricted to wall distance >= margin, and
+    the last doubling delta of its quadrature (the largest over its pieces)."""
     logf = _INTEGRANDS[integrand]
     d = rs.d
     if domain.kind == "ball":
@@ -313,9 +335,7 @@ def _region_log_integral(
             def density(u):
                 return logf(rs, np.outer(u, b1))
 
-            lo = max(0.0, margin)
-            val, err = _log_quad_1d(density, lo, t, rel_tol)
-            return val
+            return _log_quad_1d(density, max(0.0, margin), t, rel_tol)
         if d != 3:
             raise ParameterError("ball quadrature is shipped for d = 2 and 3")
         b1, b2, th_lo, th_hi = _chamber_arc(rs)
@@ -323,72 +343,27 @@ def _region_log_integral(
         def wall_of(theta):
             return _wall_scale(rs, math.cos(theta) * b1 + math.sin(theta) * b2)
 
-        def refine(fn, a, b):
-            # bisect a sign change of fn on [a, b]
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                if fn(a) * fn(mid) <= 0:
-                    b = mid
-                else:
-                    a = mid
-            return 0.5 * (a + b)
-
-        def split_points():
-            """Theta pieces on which the inner radial bound is smooth.
-
-            Splits where the nearest wall switches and where the trimmed
-            window min(t, margin/w) starts clipping (w = margin/t).
-            """
-            grid = np.linspace(th_lo, th_hi, 2049)
-            cuts = {th_lo, th_hi}
-            alphas = [np.array(c) for c in rs.simple_roots]
-            scaled = [
-                np.array([float(a @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(a)
-                          for th in grid])
-                for a in alphas
-            ]
-            argmins = np.argmin(np.array(scaled), axis=0)
-            for idx in np.nonzero(np.diff(argmins))[0]:
-                i, j = argmins[idx], argmins[idx + 1]
-                cuts.add(refine(
-                    lambda th: (float(alphas[i] @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(alphas[i])
-                                - float(alphas[j] @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(alphas[j])),
-                    float(grid[idx]), float(grid[idx + 1]),
-                ))
-            if margin > 0.0:
-                level = margin / t
-                vals = np.min(np.array(scaled), axis=0) - level
-                for idx in np.nonzero(np.diff(np.sign(vals)))[0]:
-                    cuts.add(refine(lambda th: wall_of(th) - level,
-                                    float(grid[idx]), float(grid[idx + 1])))
-            return sorted(cuts)
+        def r_lo(theta):
+            if margin <= 0.0:
+                return 0.0
+            w = wall_of(theta)
+            return t if w <= 0.0 else min(t, margin / w)
 
         def density(theta, r):
             dirs = np.outer(np.cos(theta), b1) + np.outer(np.sin(theta), b2)
             ys = dirs * r[:, None]
             return logf(rs, ys) + np.log(r)
 
-        pieces = []
-        points = split_points() if margin > 0.0 else [th_lo, th_hi]
+        points = _arc_cuts(th_lo, th_hi, t, margin)
+        pieces, delta = [], 0.0
         for a, b in zip(points[:-1], points[1:]):
-            if margin > 0.0:
-                w_mid = wall_of(0.5 * (a + b))
-                if w_mid <= margin / t:
-                    continue  # window empty on this piece
-
-                def r_lo(theta):
-                    w = wall_of(theta)
-                    if w <= 0.0:
-                        return t
-                    return min(t, margin / w)
-            else:
-                def r_lo(theta):
-                    return 0.0
-
-            val, _ = _log_quad_2d(density, a, b, r_lo, lambda _: t, rel_tol)
+            if margin > 0.0 and wall_of(0.5 * (a + b)) <= margin / t:
+                continue  # window empty on this piece
+            val, err = _log_quad_2d(density, a, b, r_lo, lambda _: t, rel_tol)
+            delta = max(delta, err)
             if val != LOG_ZERO:
                 pieces.append(val)
-        return float(logsumexp(pieces)) if pieces else LOG_ZERO
+        return (logsumexp(pieces) if pieces else LOG_ZERO), delta
 
     # box domain: simple-root dual coordinates make everything rectangular
     domain.for_dimension(d)
@@ -398,13 +373,12 @@ def _region_log_integral(
     los = [margin / wf if margin > 0 else 0.0 for wf in wall_factors]
     his = [domain.t * e for e in domain.edges]
     if any(lo >= hi for lo, hi in zip(los, his)):
-        return LOG_ZERO
+        return LOG_ZERO, 0.0
     if d == 2:
         def density(z):
             return logf(rs, np.outer(z, duals[0])) + math.log(jac)
 
-        val, _ = _log_quad_1d(density, los[0], his[0], rel_tol)
-        return val
+        return _log_quad_1d(density, los[0], his[0], rel_tol)
     if d == 3:
         u0, u1 = duals
 
@@ -412,9 +386,8 @@ def _region_log_integral(
             ys = np.outer(z0, u0) + np.outer(z1, u1)
             return logf(rs, ys) + math.log(jac)
 
-        val, _ = _log_quad_2d(density, los[0], his[0],
-                              lambda _: los[1], lambda _: his[1], rel_tol)
-        return val
+        return _log_quad_2d(density, los[0], his[0],
+                            lambda _: los[1], lambda _: his[1], rel_tol)
     raise ParameterError("box quadrature is shipped for d = 2 and 3")
 
 
@@ -447,8 +420,8 @@ def ball_volume(rs_or_d, t: float, rel_tol: float = QUAD_REL_TOL) -> VolumeResul
     if not t > 0:
         raise ParameterError(f"t must be positive, got {t}")
     domain = Domain("ball", t)
-    log_val = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
-    result = _finish(log_val, "quadrature", rel_tol)
+    log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
+    result = _finish(log_val, "quadrature", err)
     if rs.d == 2:
         exact = closed_form_ball_d2(t)
         if exact > 0 and abs(result.value / exact - 1.0) > 1e-6:
@@ -461,15 +434,14 @@ def ball_volume(rs_or_d, t: float, rel_tol: float = QUAD_REL_TOL) -> VolumeResul
 
 def domain_volume(rs: RootSystemA, domain: Domain, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
     """Volume of a (possibly filtered) domain with the HC density."""
-    full = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
     if domain.regular_margin is not None:
-        log_val = _region_log_integral(rs, domain, "hc", domain.regular_margin, rel_tol)
-    elif domain.slab is not None:
-        reg = _region_log_integral(rs, domain, "hc", domain.slab, rel_tol)
-        log_val = _log_sub(full, reg)
+        log_val, err = _region_log_integral(rs, domain, "hc", domain.regular_margin, rel_tol)
     else:
-        log_val = full
-    return _finish(log_val, "quadrature", rel_tol)
+        log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
+        if domain.slab is not None:
+            reg, reg_err = _region_log_integral(rs, domain, "hc", domain.slab, rel_tol)
+            log_val, err = _log_sub(log_val, reg), max(err, reg_err)
+    return _finish(log_val, "quadrature", err)
 
 
 def fit_growth(rs: RootSystemA, t_grid, volumes_log) -> dict:
@@ -596,8 +568,8 @@ def box_volume(
 def box_volume_quadrature(rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     domain = Domain("box", t, tuple(float(e) for e in edges))
-    log_val = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
-    return _finish(log_val, "quadrature", rel_tol)
+    log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
+    return _finish(log_val, "quadrature", err)
 
 
 # ------------------------------------------------------------ slab volumes
@@ -621,15 +593,15 @@ def slab_volume(
     if not 0.0 < s < t:
         raise ParameterError(f"slab parameter must satisfy 0 < s < t, got s={s}, t={t}")
     domain = Domain(kind, t, tuple(edges) if edges else None)
-    full_tworho = _region_log_integral(rs, domain, "two_rho", 0.0, rel_tol)
-    regular_tworho = _region_log_integral(rs, domain, "two_rho", s, rel_tol)
+    full_tworho, full_err = _region_log_integral(rs, domain, "two_rho", 0.0, rel_tol)
+    regular_tworho, regular_err = _region_log_integral(rs, domain, "two_rho", s, rel_tol)
     log_slab = _log_sub(full_tworho, regular_tworho)
     vol = domain_volume(rs, domain, rel_tol)
     log_ratio = log_slab - vol.log_value
     return _finish(
         log_slab,
         "quadrature",
-        rel_tol,
+        max(full_err, regular_err),
         log_ratio=log_ratio,
         ratio=math.exp(log_ratio) if log_ratio < 700 else math.inf,
         log_volume=vol.log_value,
@@ -726,12 +698,12 @@ def well_rounded_probe(
     edges_t = tuple(edges) if edges else None
     domain = Domain(kind, t, edges_t)
 
-    vol_s = _region_log_integral(rs, domain, "hc", delta)
+    vol_s, _ = _region_log_integral(rs, domain, "hc", delta)
     if eps == 0.0:
         return {"volume_sandwich_C": 0.0, "samples_ok": True, "vol_S": vol_s,
                 "vol_plus": vol_s, "vol_minus": vol_s, "n_samples": 0, "failures": 0}
-    vol_plus = _region_log_integral(rs, Domain(kind, t + eps, edges_t), "hc", max(delta - eps, 0.0))
-    vol_minus = _region_log_integral(rs, Domain(kind, t - eps, edges_t), "hc", delta + eps)
+    vol_plus, _ = _region_log_integral(rs, Domain(kind, t + eps, edges_t), "hc", max(delta - eps, 0.0))
+    vol_minus, _ = _region_log_integral(rs, Domain(kind, t - eps, edges_t), "hc", delta + eps)
     diff = _log_sub(vol_plus, vol_minus)
     c_fit = math.exp(diff - vol_s) / eps if diff != LOG_ZERO else 0.0
 
@@ -758,15 +730,14 @@ def well_rounded_probe(
 
 
 def _sample_chamber_point(rs: RootSystemA, domain: Domain, margin: float, rng) -> np.ndarray:
+    basis = _ortho_basis(rs) if domain.kind == "ball" else _dual_basis(rs)
     for _ in range(10000):
         if domain.kind == "ball":
-            basis = _ortho_basis(rs)
             u = rng.normal(size=rs.d - 1)
             u *= domain.t * rng.uniform() ** (1.0 / (rs.d - 1)) / np.linalg.norm(u)
             y = u @ basis
         else:
-            duals = _dual_basis(rs)
-            y = sum(rng.uniform(0, domain.t * e) * u for e, u in zip(domain.edges, duals))
+            y = sum(rng.uniform(0, domain.t * e) * u for e, u in zip(domain.edges, basis))
         y = np.asarray(y)
         y = np.sort(y)[::-1]
         if domain.contains_cartan(rs, y) and rs.wall_distance(y) >= margin:

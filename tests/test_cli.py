@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wcc
 from wcc.cli import dispatch
 
 
@@ -45,6 +50,7 @@ class TestVolume:
         expect = math.sqrt(2.0) * (math.cosh(1.0 / math.sqrt(2.0)) - 1.0)
         assert doc["result"]["value"] == pytest.approx(expect, rel=1e-9)
         assert doc["result"]["delta0"] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert 0.0 <= doc["result"]["error"] < 1e-9
 
     def test_box_payload(self, capsys):
         code, doc = run_json(
@@ -141,3 +147,11 @@ class TestCheck:
 
 def test_usage_error_exit_code(capsys):
     assert dispatch(["no-such-command"]) == 2
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, wcc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(wcc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env, timeout=120)
+    assert out.stdout.strip() == "[]"

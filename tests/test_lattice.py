@@ -329,6 +329,20 @@ class TestWordBall:
         assert meta.word_radius == 2
         assert any(r.loxodromic for r in records)
 
+    def test_sl2_cache_round_trip_keeps_columns_and_order(self, tmp_path):
+        gens = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
+        spec, domain = LatticeSpec("sl2", "generated", gens), Domain("ball", 4.0)
+        records, meta = lt.enumerate_elements(spec, domain, word_radius=5)
+        assert len(records) == 91
+        lt.save_cache(tmp_path, spec, domain, records, meta)
+        loaded = lt.load_cache(tmp_path)[2]
+        assert [r.matrix for r in loaded] == [r.matrix for r in records]
+        for a, b in zip(loaded, records):
+            assert np.array_equal(a.cartan, b.cartan)
+            assert a.wall_margin == b.wall_margin
+            assert a.loxodromic == b.loxodromic
+            assert (a.jordan is None and b.jordan is None) or np.array_equal(a.jordan, b.jordan)
+
     def test_census_counts_completeness_gate(self):
         records, meta = lt.enumerate_elements(
             LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=2

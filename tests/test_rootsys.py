@@ -5,7 +5,83 @@ import numpy as np
 import pytest
 
 from wcc import rootsys
-from wcc.errors import ParameterError, PreconditionError
+from wcc.errors import NumericError, ParameterError, PreconditionError
+
+# Agreement required between the optimization and closed-form values of the
+# growth exponents; a larger discrepancy means a regression somewhere.
+OPT_AGREE_TOL = 1e-9
+
+
+def max_linear_on_sphere(rs, c) -> tuple[float, np.ndarray]:
+    """Maximize a linear functional on the Killing unit sphere.
+
+    Projected-gradient ascent from two deterministic seeds plus the
+    analytic candidate proportional to (1, 0, ..., 0, -1); the three
+    results and the closed-form dual norm must agree to OPT_AGREE_TOL.
+    The numeric oracle of the closed-form growth exponents in rootsys.
+    """
+    c = rootsys._as_vector(c, rs.d)
+    closed = rs.dual_norm(c)
+    if closed == 0.0:
+        return 0.0, np.zeros(rs.d)
+
+    def project_sphere(y):
+        y = y - np.mean(y)
+        n = np.sqrt(rs.killing_scale * np.dot(y, y))
+        if n < 1e-300:
+            y = rs.dual_vector(c)
+            return y
+        return y / n
+
+    # Seeds are nudged toward the analytic candidate so that none sits
+    # exactly on the antipodal critical point, where the tangent gradient
+    # vanishes and ascent could not move.
+    analytic = np.zeros(rs.d)
+    analytic[0], analytic[-1] = 1.0, -1.0
+    nudge = 1e-3 * project_sphere(analytic)
+    seeds = [
+        project_sphere(np.cos(np.arange(rs.d) + 1.0) + nudge),
+        project_sphere(np.sin(2.0 * np.arange(rs.d) + 0.5) + nudge),
+        project_sphere(analytic),
+    ]
+    grad = (c - np.mean(c)) / rs.killing_scale
+    results = []
+    for y in seeds:
+        for _ in range(500):
+            if float(c @ -y) > float(c @ y):
+                # escape the antipodal critical point (the only other one
+                # for a linear functional; in d=2 the sphere is just S^0)
+                y = -y
+            tangent = grad - (rs.killing_scale * np.dot(grad, y)) * y
+            tnorm = np.sqrt(rs.killing_scale * np.dot(tangent, tangent))
+            if tnorm < 1e-14 * max(closed, 1.0):
+                break
+            step = 1.0 / max(closed, 1e-12)
+            value = float(c @ y)
+            while step > 1e-18:
+                y_next = project_sphere(y + step * tangent)
+                if float(c @ y_next) > value:
+                    break
+                step *= 0.5
+            y = y_next
+        results.append((float(c @ y), y))
+    best_val, best_y = max(results, key=lambda r: r[0])
+    spread = max(abs(v - closed) for v, _ in results)
+    if spread > OPT_AGREE_TOL or abs(best_val - closed) > OPT_AGREE_TOL:
+        raise NumericError(
+            f"sphere-maximum optimization disagrees with closed form: {results} vs {closed}"
+        )
+    return best_val, best_y
+
+
+def levi_functional(rs, theta) -> np.ndarray:
+    """Sum of the positive roots y_i - y_j whose simple roots i..j-1 avoid theta."""
+    total = np.zeros(rs.d)
+    for i, j in itertools.combinations(range(rs.d), 2):
+        if not set(range(i, j)) & set(theta):
+            total[i] += 1.0
+            total[j] -= 1.0
+    return total
 
 
 def point_to_wall_distance_oracle(rs, y, root):
@@ -83,6 +159,36 @@ class TestDeltaZero:
                 assert float(rs.two_rho @ y) <= d0 * rs.killing_norm(y) + 1e-10
             ystar = rs.delta_zero_direction()
             assert float(rs.two_rho @ ystar) == pytest.approx(d0, abs=1e-7)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+class TestClosedFormsAgainstAscent:
+    """The growth exponents are dual norms; the sphere ascent is the oracle."""
+
+    def test_delta_zero_and_direction(self, d):
+        rs = rootsys.RootSystemA(d)
+        val, y = max_linear_on_sphere(rs, rs.two_rho)
+        assert abs(rs.delta_zero() - val) <= OPT_AGREE_TOL
+        assert np.max(np.abs(rs.delta_zero_direction() - y)) <= 1e-6
+
+    def test_levi_exponents_and_gap(self, d):
+        rs = rootsys.RootSystemA(d)
+        vals = {}
+        for r in range(d):
+            for theta in itertools.combinations(range(d - 1), r):
+                vals[theta] = max_linear_on_sphere(rs, levi_functional(rs, theta))[0]
+                assert abs(rs.levi_delta0(theta) - vals[theta]) <= OPT_AGREE_TOL
+        gap = min(vals[()] - v for theta, v in vals.items() if theta)
+        assert abs(rs.c_gap() - gap) <= 2 * OPT_AGREE_TOL
+
+    def test_random_functionals(self, d):
+        rs = rootsys.RootSystemA(d)
+        rng = np.random.default_rng(100 + d)
+        for _ in range(20):
+            c = rng.normal(size=d)
+            val, y = max_linear_on_sphere(rs, c)
+            assert abs(rs.dual_norm(c) - val) <= OPT_AGREE_TOL
+            assert np.max(np.abs(rs.dual_vector(c) - y)) <= 1e-6
 
 
 class TestWallDistance:

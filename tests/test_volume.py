@@ -9,6 +9,83 @@ from wcc.rootsys import root_system
 from wcc.volume import Domain
 
 
+def bisected_chamber_window(rs):
+    """Ends of the d=3 chamber window about b1, each by 200-step bisection."""
+    b1, b2, _, _ = V._chamber_arc(rs)
+
+    def all_roots_nonneg(theta):
+        u = math.cos(theta) * b1 + math.sin(theta) * b2
+        return all(float(c @ u) >= -1e-15 for c in rs.simple_roots)
+
+    def boundary(side):
+        lo, hi = 0.0, side * math.pi
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if all_roots_nonneg(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    return boundary(-1.0), boundary(+1.0)
+
+
+def scanned_max_wall_distance(rs, t):
+    """Largest wall distance on the d=3 ball by a 2,001-angle scan of the window."""
+    b1, b2, _, _ = V._chamber_arc(rs)
+    thetas = np.linspace(*bisected_chamber_window(rs), 2001)
+    dirs = np.outer(np.cos(thetas), b1) + np.outer(np.sin(thetas), b2)
+    return t * max(V._wall_scale(rs, u) for u in dirs)
+
+
+def grid_split_points(rs, t, margin):
+    """Window cuts where the nearest wall switches and where min(t, margin/w)
+    starts clipping, located on a 2,049-point theta grid and bisected."""
+    b1, b2, _, _ = V._chamber_arc(rs)
+    th_lo, th_hi = bisected_chamber_window(rs)
+
+    def wall_of(theta):
+        return V._wall_scale(rs, math.cos(theta) * b1 + math.sin(theta) * b2)
+
+    def refine(fn, a, b):
+        # bisect a sign change of fn on [a, b]
+        for _ in range(100):
+            mid = 0.5 * (a + b)
+            if fn(a) * fn(mid) <= 0:
+                b = mid
+            else:
+                a = mid
+        return 0.5 * (a + b)
+
+    grid = np.linspace(th_lo, th_hi, 2049)
+    cuts = {th_lo, th_hi}
+    alphas = [np.array(c) for c in rs.simple_roots]
+    scaled = [
+        np.array([float(a @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(a)
+                  for th in grid])
+        for a in alphas
+    ]
+    argmins = np.argmin(np.array(scaled), axis=0)
+    for idx in np.nonzero(np.diff(argmins))[0]:
+        i, j = argmins[idx], argmins[idx + 1]
+        cuts.add(refine(
+            lambda th: (float(alphas[i] @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(alphas[i])
+                        - float(alphas[j] @ (math.cos(th) * b1 + math.sin(th) * b2)) / rs.dual_norm(alphas[j])),
+            float(grid[idx]), float(grid[idx + 1]),
+        ))
+    if margin > 0.0:
+        level = margin / t
+        vals = np.min(np.array(scaled), axis=0) - level
+        for idx in np.nonzero(np.diff(np.sign(vals)))[0]:
+            cuts.add(refine(lambda th: wall_of(th) - level,
+                            float(grid[idx]), float(grid[idx + 1])))
+    return sorted(cuts)
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
 class TestIntegrand:
     def test_zero_on_walls(self):
         assert V.hc_integrand(2, [0.0, 0.0]) == 0.0
@@ -61,6 +138,151 @@ class TestBallVolume:
             rows = [(t, V.ball_volume(rs, t).log_value - d0 * t) for t in (8.0, 10.0, 12.0, 14.0)]
             residuals = [x for _, x in rows]
             assert max(residuals) - min(residuals) < (d - 1) * math.log(rows[-1][0]) + 2.0
+
+
+class TestChamberGeometry:
+    """The closed-form A2 window, wall distance and cuts against their numeric oracles."""
+
+    def test_window_matches_bisection(self):
+        rs = root_system(3)
+        _, _, lo, hi = V._chamber_arc(rs)
+        assert (lo, hi) == (-math.pi / 6, math.pi / 6)
+        assert np.allclose(bisected_chamber_window(rs), (lo, hi), rtol=0.0, atol=1e-12)
+
+    def test_wall_distance_is_a_sine_on_the_window(self):
+        rs = root_system(3)
+        b1, b2, lo, hi = V._chamber_arc(rs)
+        for th in np.linspace(lo, hi, 401):
+            w = V._wall_scale(rs, math.cos(th) * b1 + math.sin(th) * b2)
+            assert abs(w - math.sin(math.pi / 6 - abs(th))) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.5, 4.0, 8.0, 13.7])
+    def test_max_wall_distance_matches_scan(self, t):
+        rs = root_system(3)
+        wmax = V.max_wall_distance(rs, Domain("ball", t))
+        assert wmax == pytest.approx(scanned_max_wall_distance(rs, t), rel=1e-12, abs=0.0)
+        assert wmax == pytest.approx(t / 2.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("t, margin", [
+        (8.0, 0.5), (8.0, 0.8), (8.0, 2.0), (8.0, 3.9), (8.0, 4.5), (6.0, 1.0), (2.5, 0.1), (5.0, 2.4999),
+    ])
+    def test_cuts_match_grid_split_points(self, t, margin):
+        rs = root_system(3)
+        _, _, lo, hi = V._chamber_arc(rs)
+        cuts = V._arc_cuts(lo, hi, t, margin)
+        oracle = grid_split_points(rs, t, margin)
+        assert len(cuts) == len(oracle)
+        assert np.allclose(cuts, oracle, rtol=0.0, atol=1e-12)
+        assert V._arc_cuts(lo, hi, t, 0.0) == [lo, hi]
+
+
+class TestPinnedVolumes:
+    """sl3 volumes at t = 8 as computed with the bisected window and the grid
+    cuts above; the closed forms must agree to 1e-12 relative."""
+
+    def test_ball(self):
+        rs = root_system(3)
+        assert abs(V.ball_volume(rs, 8.0).log_value - 8.51612061748162) <= 1e-12
+        assert abs(V.domain_volume(rs, Domain("ball", 8.0)).log_value - 8.51612061748162) <= 1e-12
+
+    @pytest.mark.parametrize("s, log_value, log_ratio", [
+        (0.5, 8.141680162836279, -0.3744404546453417),
+        (0.8, 8.694202073620772, 0.17808145613915194),
+        (2.0, 9.908449709729405, 1.3923290922477847),
+    ])
+    def test_slab(self, s, log_value, log_ratio):
+        res = V.slab_volume(root_system(3), 8.0, s)
+        assert abs(res.log_value - log_value) <= 1e-12
+        assert abs(res.extras["log_ratio"] - log_ratio) <= 1e-12
+
+    @pytest.mark.parametrize("margin, log_value", [
+        (0.5, 8.494490293971324), (2.0, 8.108632379264566), (3.9, 3.290768991187151),
+    ])
+    def test_regular_margin(self, margin, log_value):
+        res = V.domain_volume(root_system(3), Domain("ball", 8.0, regular_margin=margin))
+        assert abs(res.log_value - log_value) <= 1e-12
+
+    def test_slab_domain(self):
+        res = V.domain_volume(root_system(3), Domain("ball", 8.0, slab=0.8))
+        assert abs(res.log_value - 5.60990840274369) <= 1e-12
+
+
+class TestMeasuredError:
+    """Volume results report the last doubling delta, not the requested tolerance."""
+
+    def test_ball_reports_its_delta(self):
+        for d in (2, 3):
+            rs = root_system(d)
+            res = V.ball_volume(rs, 6.0)
+            assert res.error_estimate == V._region_log_integral(rs, Domain("ball", 6.0), "hc")[1]
+            assert 0.0 <= res.error_estimate < V.QUAD_REL_TOL
+
+    def test_regular_margin_reports_its_delta(self):
+        rs = root_system(3)
+        dom = Domain("ball", 8.0, regular_margin=2.0)
+        res = V.domain_volume(rs, dom)
+        assert res.error_estimate == V._region_log_integral(rs, dom, "hc", 2.0)[1] < V.QUAD_REL_TOL
+
+    def test_slab_reports_the_larger_delta(self):
+        rs = root_system(3)
+        dom = Domain("ball", 8.0)
+        res = V.slab_volume(rs, 8.0, 0.8)
+        deltas = [V._region_log_integral(rs, dom, "two_rho", m)[1] for m in (0.0, 0.8)]
+        assert res.error_estimate == max(deltas) < V.QUAD_REL_TOL
+        slab = V.domain_volume(rs, Domain("ball", 8.0, slab=0.8))
+        deltas = [V._region_log_integral(rs, dom, "hc", m)[1] for m in (0.0, 0.8)]
+        assert slab.error_estimate == max(deltas) < V.QUAD_REL_TOL
+
+    def test_box(self):
+        assert V.box_volume(3, 5.0, (1.0, 1.0)).error_estimate == 0.0
+        quad = V.box_volume_quadrature(3, 5.0, (1.0, 1.0))
+        assert 0.0 <= quad.error_estimate < V.QUAD_REL_TOL
+
+
+class TestLogsumexp:
+    """The numpy logsumexp is bit-identical to scipy.special.logsumexp."""
+
+    def test_quadrature_like_inputs(self):
+        from scipy.special import logsumexp as reference
+
+        rng = np.random.default_rng(29)
+        for n in (2, 3, 24, 48, 97, 384):
+            x, w = np.polynomial.legendre.leggauss(n)
+            for scale in (1e-3, 1.0, 40.0, 400.0):
+                a = scale * rng.normal(size=n) + rng.uniform(-50.0, 50.0) + np.log(w)
+                assert same_bits(V.logsumexp(a), reference(a))
+                assert same_bits(V.logsumexp(list(a)), reference(list(a)))
+            a = V.log_hc_integrand(root_system(3), np.outer(4.0 * (x + 1.0), [1.0, 0.2, -1.2]))
+            assert same_bits(V.logsumexp(a + np.log(w)), reference(a + np.log(w)))
+        for n in (3072, 6144):
+            a = 30.0 * rng.normal(size=n) + np.log(rng.uniform(1e-6, 1e-3, size=n))
+            assert same_bits(V.logsumexp(a), reference(a))
+        # one or two dominant terms at 0, where log1p and the tie count show in the bits
+        for n in (2, 3, 24, 97, 384):
+            for ties in (1, 2):
+                a = -rng.uniform(15.0, 40.0, size=n + 1)
+                a[rng.choice(n + 1, size=ties, replace=False)] = 0.0
+                assert same_bits(V.logsumexp(a), reference(a))
+
+    @pytest.mark.parametrize("a", [
+        [],
+        [0.3],
+        [2.0, 2.0, 1.0],
+        [5.0, 5.0, 5.0],
+        [0.0, -20.0],
+        [0.0, 0.0, -20.0],
+        [-math.inf, -math.inf],
+        [-math.inf, 1.0, -math.inf, 0.5],
+        [math.inf, 1.0],
+        [math.inf, -math.inf],
+        [0.0, -800.0, 750.0],
+        [-745.5, 1.0, -1e308],
+    ])
+    def test_edge_cases(self, a):
+        from scipy.special import logsumexp as reference
+
+        assert same_bits(V.logsumexp(a), reference(a))
+        assert same_bits(V.logsumexp(np.array(a, dtype=float)), reference(np.array(a, dtype=float)))
 
 
 class TestBoxVolume:
@@ -117,7 +339,7 @@ class TestSlab:
         wmax = V.max_wall_distance(rs, dom)
         assert wmax == pytest.approx(3.0, abs=1e-9)
         res = V.slab_volume(rs, 6.0, wmax * 0.99999, "ball")
-        full = V._region_log_integral(rs, dom, "two_rho", 0.0)
+        full, _ = V._region_log_integral(rs, dom, "two_rho", 0.0)
         assert res.log_value == pytest.approx(full, abs=1e-3)
 
     def test_decay_sweep_positive_kappa(self):
@@ -179,6 +401,29 @@ class TestProbes:
         zero = V.well_rounded_probe(2, "ball", delta=0.8, t=7.0, eps=0.0)
         assert zero["volume_sandwich_C"] == 0.0
         assert zero["vol_plus"] == zero["vol_minus"] == zero["vol_S"]
+
+    def test_sampler_draws_as_pinned(self):
+        # first sample and the next draw after 20 samples, at seed 5
+        rs = root_system(3)
+        cases = [
+            (Domain("ball", 7.0), 0.8,
+             [1.4328062121102603, 0.034959529311951384, -1.4677657414222116], 2911985062180514382),
+            (Domain("box", 4.0, (1.0, 0.8)), 0.3,
+             [3.0084779723732735, -0.211533722608247, -2.7969442497650268], 2335288630997192072),
+        ]
+        for dom, margin, first, next_draw in cases:
+            rng = np.random.default_rng(5)
+            ys = [V._sample_chamber_point(rs, dom, margin, rng) for _ in range(20)]
+            assert ys[0].tolist() == first
+            assert int(rng.integers(2**62)) == next_draw
+
+    def test_well_rounded_probe_as_pinned(self):
+        rep = V.well_rounded_probe(3, "ball", delta=0.8, t=7.0, eps=0.01, n_samples=100)
+        assert (rep["n_samples"], rep["failures"], rep["samples_ok"]) == (100, 0, True)
+        for key, want in (("vol_S", 7.1148117768092805), ("vol_plus", 7.130514368961184),
+                          ("vol_minus", 7.099060457840153)):
+            assert abs(rep[key] - want) <= 1e-12
+        assert rep["volume_sandwich_C"] == pytest.approx(3.145444141034574, rel=1e-9)
 
     def test_well_rounded_sandwich_stable_in_t(self):
         consts = [
