@@ -80,12 +80,11 @@ def reduce_form(f: Form, max_steps: int = 10000) -> Form:
     raise NumericError(f"reduction did not terminate for {f}")
 
 
-def cycle(f: Form) -> tuple:
-    """The reduction cycle through a form, as the tuple starting at reduce(f)."""
-    start = reduce_form(f)
-    out = [start]
-    g = rho_step(start)
-    while g != start:
+def _walk(f: Form) -> tuple:
+    """The rho cycle of a reduced form, as the tuple starting at the form."""
+    out = [f]
+    g = rho_step(f)
+    while g != f:
         out.append(g)
         g = rho_step(g)
         if len(out) > 100000:
@@ -93,55 +92,49 @@ def cycle(f: Form) -> tuple:
     return tuple(out)
 
 
+def cycle(f: Form) -> tuple:
+    """The reduction cycle through a form, as the tuple starting at reduce(f)."""
+    return _walk(reduce_form(f))
+
+
 def class_id(f: Form) -> tuple:
     """Canonical id of the proper class: lexicographically minimal rotation
-    of the reduction cycle (traversal orientation is the rho direction)."""
+    of the reduction cycle (traversal orientation is the rho direction).
+    The forms of a cycle are distinct, so that rotation starts at the least."""
     cyc = cycle(f)
-    rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-    return min(rotations)
+    i = cyc.index(min(cyc))
+    return cyc[i:] + cyc[:i]
 
 
 def reduced_forms(D: int) -> list:
-    """All reduced forms of a positive non-square discriminant."""
+    """All reduced forms of a positive non-square discriminant, sorted: for
+    s = isqrt(D) and 0 < b <= s, the window sqrt(D) - b < 2|a| < sqrt(D) + b
+    is exactly (s + 2 - b) // 2 <= |a| <= (s + b) // 2, and each |a| there that
+    divides -ac = (D - b^2) / 4 gives the two forms (+-|a|, b, c)."""
     if D <= 0 or is_square(D):
         raise ParameterError(f"need a positive non-square discriminant, got {D}")
+    s = math.isqrt(D)
     out = []
-    for b in range(1, math.isqrt(D) + 1):
-        if (D - b * b) % 4 != 0:
-            continue
-        m = (D - b * b) // 4  # = -a c > 0
-        if m <= 0:
-            continue
-        for a in _divisors(m):
-            for sa in (a, -a):
-                c = (b * b - D) // (4 * sa)
-                f = (sa, b, c)
-                if is_reduced(f):
-                    out.append(f)
-    return sorted(out)
-
-
-def _divisors(n: int) -> list:
-    out = []
-    for k in range(1, math.isqrt(n) + 1):
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
+    for b in range(2 - D % 2, s + 1, 2):
+        m = (D - b * b) // 4
+        for a in range((s + 2 - b) // 2, (s + b) // 2 + 1):
+            if m % a == 0:
+                out += [(-a, b, m // a), (a, b, -(m // a))]
     return sorted(out)
 
 
 @lru_cache(maxsize=None)
 def form_classes(D: int) -> tuple:
-    """Canonical ids of all proper classes of discriminant D."""
-    remaining = set(reduced_forms(D))
-    ids = []
-    while remaining:
-        f = min(remaining)
-        cyc = cycle(f)
-        remaining -= set(cyc)
-        ids.append(min(cyc[i:] + cyc[:i] for i in range(len(cyc))))
-    return tuple(sorted(ids))
+    """Canonical ids of all proper classes of discriminant D, sorted: in one
+    pass over the sorted reduced forms, a form no earlier walk reached is the
+    least of its cycle, so the cycle walked from it is the canonical rotation."""
+    seen, ids = set(), []
+    for f in reduced_forms(D):
+        if f not in seen:
+            cyc = _walk(f)
+            seen.update(cyc)
+            ids.append(cyc)
+    return tuple(ids)
 
 
 # ------------------------------------------------------- matrices and forms
@@ -161,15 +154,32 @@ def matrix_of_form(f: Form, trace: int):
     return ((trace - B) // 2, -C), (A, (trace + B) // 2)
 
 
-def pell4_fundamental(D: int, v_cap: int = 10**7):
-    """Minimal (u, v), u, v >= 1, with u^2 - D v^2 = 4."""
+def pell4_fundamental(D: int):
+    """Minimal (u, v), u, v >= 1, with u^2 - D v^2 = 4.
+
+    One period of the continued fraction of the reduced quadratic irrational
+    (P0 + sqrt(D)) / 2, P0 the largest integer below sqrt(D) with P0 = D mod 2
+    (Cohen, Algorithm 5.7.2): with q, q' the last two convergent denominators,
+    (P0 q + 2 q' + q sqrt(D)) / 2 is the fundamental unit of the order of
+    discriminant D, squared when its norm is -1.  D = 2, 3 mod 4 goes through
+    4D, where u and v are even.
+    """
     if D <= 0 or is_square(D):
         raise ParameterError(f"need a positive non-square discriminant, got {D}")
-    for v in range(1, v_cap + 1):
-        uu = 4 + D * v * v
-        if is_square(uu):
-            return math.isqrt(uu), v
-    raise NumericError(f"no Pell +4 solution found for D={D} below v={v_cap}")
+    scale = 1 if D % 4 < 2 else 2
+    Dd = D * scale * scale
+    s = math.isqrt(Dd)
+    P0 = s - (s - Dd) % 2
+    P, Q, q_prev, q = P0, 2, 1, 0
+    while q == 0 or (P, Q) != (P0, 2):  # one period, back at (P0, 2)
+        a = (P + s) // Q
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (Dd - P * P) // Q
+    u, v = P0 * q + 2 * q_prev, q
+    if u * u - Dd * v * v == -4:
+        u, v = (u * u + Dd * v * v) // 2, u * v
+    return u, v * scale
 
 
 def automorph(f: Form):
@@ -198,7 +208,7 @@ def primitive_split(trace: int, f: Form):
     if (D % (m0 * m0)) != 0:
         raise NumericError(f"content {m0} does not square-divide {D}")
     Dp = D // (m0 * m0)
-    u1, v1 = pell4_fundamental(Dp, v_cap=max(10 * m0 + 10, 1000))
+    u1, v1 = pell4_fundamental(Dp)
     u, v = u1, v1
     for k in range(1, 10000):
         if (u, v) == (trace, m0):

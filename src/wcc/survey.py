@@ -162,7 +162,7 @@ class TorusRecord:
     jordan: np.ndarray
     period_volume: float  # Killing covolume of the period grid = primitive length
     length: float  # Killing norm of this class's own Jordan projection
-    multiplicity_in_domain: int | None = None
+    root_key: tuple  # (trace, least form) of the primitive root class
 
 
 def _length_of_trace(t: int) -> float:
@@ -181,7 +181,10 @@ def conjugacy_classes_sl2(trace_bound: int) -> list[TorusRecord]:
 
     Class identity is the canonical reduction cycle of the fixed-point form,
     an exact integer invariant; primitivity and the primitive length come
-    from the Pell automorph of the form's primitive part.
+    from the Pell automorph (u1, v1) of the form's primitive part, which
+    depends on the trace and the content m0 only.  That automorph is the root
+    class; its form is v1/m0 times this one, and rho commutes with positive
+    scaling, so v1/m0 * cid[0] is the least form of its cycle.
     """
     if trace_bound < 3:
         raise ParameterError(f"trace bound must be at least 3, got {trace_bound}")
@@ -190,8 +193,12 @@ def conjugacy_classes_sl2(trace_bound: int) -> list[TorusRecord]:
         D = t * t - 4
         eps = (t + math.sqrt(D)) / 2.0
         lam = np.array([math.log(eps), -math.log(eps)])
+        splits = {}
         for cid in bqf.form_classes(D):
-            k, root_trace, (u1, v1), Dp = bqf.primitive_split(t, cid[0])
+            f, m0 = cid[0], bqf.content(cid[0])
+            if m0 not in splits:
+                splits[m0] = bqf.primitive_split(t, f)
+            k, root_trace, (u1, v1), Dp = splits[m0]
             out.append(
                 TorusRecord(
                     class_id=(t, cid),
@@ -202,6 +209,7 @@ def conjugacy_classes_sl2(trace_bound: int) -> list[TorusRecord]:
                     jordan=lam,
                     period_volume=_length_of_pell(u1, v1, Dp),
                     length=_length_of_trace(t),
+                    root_key=(root_trace, tuple(v1 * x // m0 for x in f)),
                 )
             )
     return out
@@ -237,8 +245,7 @@ def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
     # the primitive part of the form is the primitive root of the tower
     groups = {}
     for rec in in_ball:
-        key = (rec.root_trace, round(rec.period_volume, 12), _root_key(rec))
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault(rec.root_key, []).append(rec.power)
 
     left_sum = math.fsum(rec.period_volume for rec in in_ball)
     right_sum = 0.0
@@ -247,11 +254,8 @@ def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
     primitives = [rec for rec in in_ball if rec.primitive]
     for rec in primitives:
         mult = int(math.floor(T / rec.period_volume + 1e-12))
-        rec.multiplicity_in_domain = mult
         right_sum += mult * rec.period_volume
-        key = (rec.root_trace, round(rec.period_volume, 12), _root_key(rec))
-        powers = sorted(r.power for r in groups.get(key, []))
-        if powers != list(range(1, mult + 1)):
+        if sorted(groups.get((rec.trace, rec.class_id[1][0]), [])) != list(range(1, mult + 1)):
             regroup_exact = False
         rows.append(
             {
@@ -262,8 +266,7 @@ def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
             }
         )
     # every non-primitive class must belong to some primitive group
-    covered = sum(len(groups[(r.root_trace, round(r.period_volume, 12), _root_key(r))])
-                  for r in primitives)
+    covered = sum(len(groups[(r.trace, r.class_id[1][0])]) for r in primitives)
     if covered != len(in_ball):
         regroup_exact = False
     return {
@@ -275,22 +278,6 @@ def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
         "regroup_exact": regroup_exact and abs(left_sum - right_sum) <= 1e-9 * max(1.0, left_sum),
         "rows": rows,
     }
-
-
-def _root_key(rec: TorusRecord):
-    """Identify the primitive torus of a class: the class of the k-th root.
-
-    Two classes share a torus iff they are powers of the same primitive
-    class; the primitive class of a trace-t class with form content m0 has
-    the class id of the automorph of the primitive part, which is determined
-    by the reduced primitive form cycle.
-    """
-    t, cid = rec.class_id
-    f = cid[0]
-    m0 = bqf.content(f)
-    fp = (f[0] // m0, f[1] // m0, f[2] // m0)
-    root_matrix = bqf.automorph(fp)
-    return bqf.class_id(bqf.form_of_matrix(root_matrix))
 
 
 def torus_sweep(T_grid, classes: list[TorusRecord] | None = None) -> dict:

@@ -1,0 +1,107 @@
+"""The divisor-scan form enumeration, the rotation-minimum class walk, the
+per-class root key and the linear Pell search.
+
+These were ``wcc.bqf.reduced_forms``, ``wcc.bqf.form_classes``,
+``wcc.survey._root_key`` and ``wcc.bqf.pell4_fundamental`` before the window
+scan, the one-pass cycle walk, the closed-form root keys and the continued
+fraction replaced them; the tests keep them, unchanged, as the references
+the new code is compared against.  The root key builds its automorph
+with the linear Pell search and its id with the rotation minimum, as it
+did then.
+"""
+
+import math
+
+from wcc import bqf
+from wcc.errors import NumericError, ParameterError
+
+
+def reference_reduced_forms(D: int) -> list:
+    """All reduced forms of a positive non-square discriminant."""
+    if D <= 0 or bqf.is_square(D):
+        raise ParameterError(f"need a positive non-square discriminant, got {D}")
+    out = []
+    for b in range(1, math.isqrt(D) + 1):
+        if (D - b * b) % 4 != 0:
+            continue
+        m = (D - b * b) // 4  # = -a c > 0
+        if m <= 0:
+            continue
+        for a in _divisors(m):
+            for sa in (a, -a):
+                c = (b * b - D) // (4 * sa)
+                f = (sa, b, c)
+                if bqf.is_reduced(f):
+                    out.append(f)
+    return sorted(out)
+
+
+def _divisors(n: int) -> list:
+    out = []
+    for k in range(1, math.isqrt(n) + 1):
+        if n % k == 0:
+            out.append(k)
+            if k != n // k:
+                out.append(n // k)
+    return sorted(out)
+
+
+def reference_class_id(f) -> tuple:
+    """Lexicographically minimal rotation of the reduction cycle."""
+    cyc = bqf.cycle(f)
+    rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
+    return min(rotations)
+
+
+def reference_form_classes(D: int) -> tuple:
+    """Canonical ids of all proper classes of discriminant D."""
+    remaining = set(reference_reduced_forms(D))
+    ids = []
+    while remaining:
+        f = min(remaining)
+        cyc = bqf.cycle(f)
+        remaining -= set(cyc)
+        ids.append(min(cyc[i:] + cyc[:i] for i in range(len(cyc))))
+    return tuple(sorted(ids))
+
+
+def reference_root_key(rec):
+    """The class id of the automorph of the primitive part of the form."""
+    t, cid = rec.class_id
+    f = cid[0]
+    m0 = bqf.content(f)
+    fp = (f[0] // m0, f[1] // m0, f[2] // m0)
+    A, B, C = fp
+    u, v = reference_pell4(bqf.discriminant(fp))
+    root_matrix = ((u - B * v) // 2, -C * v), (A * v, (u + B * v) // 2)
+    return reference_class_id(bqf.form_of_matrix(root_matrix))
+
+
+def reference_torus_key(rec):
+    """The key the torus census grouped classes by."""
+    return (rec.root_trace, round(rec.period_volume, 12), reference_root_key(rec))
+
+
+def reference_power(trace: int, f) -> int:
+    """The power k of the primitive root class, by stepping the root's
+    automorph with the linear Pell search."""
+    m0 = bqf.content(f)
+    Dp = (trace * trace - 4) // (m0 * m0)
+    u1, v1 = reference_pell4(Dp, v_cap=max(10 * m0 + 10, 1000))
+    u, v = u1, v1
+    for k in range(1, 10000):
+        if (u, v) == (trace, m0):
+            return k
+        u, v = (u1 * u + Dp * v1 * v) // 2, (u1 * v + v1 * u) // 2
+    raise NumericError(f"power decomposition did not close for trace {trace}, form {f}")
+
+
+def reference_pell4(D: int, v_cap: int = 10**7):
+    """Minimal (u, v), u, v >= 1, with u^2 - D v^2 = 4, by a linear search in v."""
+    if D <= 0 or bqf.is_square(D):
+        raise ParameterError(f"need a positive non-square discriminant, got {D}")
+    for v in range(1, v_cap + 1):
+        uu = 4 + D * v * v
+        if bqf.is_square(uu):
+            return math.isqrt(uu), v
+    raise NumericError(f"no Pell +4 solution found for D={D} below v={v_cap}")

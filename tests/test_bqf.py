@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bqf_reference import (
+    reference_class_id,
+    reference_form_classes,
+    reference_pell4,
+    reference_reduced_forms,
+)
 from wcc import bqf
-from wcc.errors import ParameterError
+from wcc.errors import NumericError, ParameterError
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
 
 class TestReduction:
@@ -124,3 +134,95 @@ class TestAutomorphs:
                 power = np.linalg.matrix_power(root, k)
                 expected = np.array(bqf.matrix_of_form(f, t), dtype=object)
                 assert np.array_equal(power, expected)
+
+
+def _linear_scan(D, v_cap):
+    """The linear Pell search over v <= v_cap at once; None when nothing is found.
+
+    4 + D v^2 stays below 2^53 for the sizes used here, so the float square
+    root of a perfect square is exact and the int64 check is exact.
+    """
+    v = np.arange(1, v_cap + 1, dtype=np.int64)
+    uu = 4 + D * v * v
+    assert int(uu[-1]) < 2**53
+    r = np.rint(np.sqrt(uu.astype(np.float64))).astype(np.int64)
+    hit = np.flatnonzero(r * r == uu)
+    return (int(r[hit[0]]), int(v[hit[0]])) if hit.size else None
+
+
+class TestPellContinuedFraction:
+    NON_SQUARES = [D for D in range(2, 2001) if not bqf.is_square(D)]
+
+    def test_agrees_with_linear_search(self):
+        # every D the linear search solves with v <= 10^5 gets the same
+        # answer; for the others the search finds nothing up to 10^5
+        v_cap, solved = 10**5, 0
+        for D in self.NON_SQUARES:
+            u, v = bqf.pell4_fundamental(D)
+            if v <= v_cap:
+                assert reference_pell4(D, v_cap=v) == (u, v), D
+                solved += 1
+            else:
+                assert _linear_scan(D, v_cap) is None, D
+        assert solved == 1167
+
+    def test_scan_agrees_with_reference_search(self):
+        for D in (5, 8, 13, 61, 94, 151, 1726):
+            try:
+                want = reference_pell4(D, v_cap=2000)
+            except NumericError:
+                want = None
+            assert _linear_scan(D, 2000) == want
+
+    def test_solves_the_equation(self):
+        for D in self.NON_SQUARES + [t * t - 4 for t in range(3, 2000)]:
+            u, v = bqf.pell4_fundamental(D)
+            assert u >= 1 and v >= 1
+            assert u * u - D * v * v == 4, D
+
+    def test_large_fundamental_solution(self):
+        # v = 226153980, far past what a linear search in v reaches
+        assert bqf.pell4_fundamental(244) == (3532638098, 226153980)
+        m = bqf.automorph((1, 0, -61))
+        (a, b), (c, d) = m
+        assert a * d - b * c == 1
+        assert (a + d, c) == (3532638098, 226153980)
+        assert bqf.form_of_matrix(m) == (226153980, 0, -61 * 226153980)
+
+
+class TestAgainstReference:
+    def test_reduced_forms_match_reference(self):
+        discriminants = [t * t - 4 for t in range(3, 301)]
+        discriminants += [D for D in range(5, 600) if D % 4 in (0, 1) and not bqf.is_square(D)]
+        for D in discriminants:
+            assert bqf.reduced_forms(D) == reference_reduced_forms(D), D
+
+    def test_form_classes_match_reference(self):
+        for t in range(3, 301):
+            D = t * t - 4
+            assert bqf.form_classes(D) == reference_form_classes(D), t
+
+    def test_class_id_matches_reference(self):
+        # reduced forms moved off the window by x -> x + k y, then by S
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            t = int(rng.integers(3, 60))
+            forms = bqf.reduced_forms(t * t - 4)
+            A, B, C = forms[int(rng.integers(len(forms)))]
+            k = int(rng.integers(-50, 51))
+            g = (A, B + 2 * A * k, A * k * k + B * k + C)
+            for h in (g, (g[2], -g[1], g[0])):
+                assert bqf.discriminant(h) == t * t - 4
+                assert bqf.class_id(h) == reference_class_id(h)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(st.integers(3, 400))
+    def test_classes_partition_reduced_forms_as_reference(self, t):
+        D = t * t - 4
+        classes = bqf.form_classes(D)
+        walked = [f for cid in classes for f in cid]
+        assert sorted(walked) == bqf.reduced_forms(D)
+        assert all(cid == bqf.class_id(cid[0]) for cid in classes)
+        assert classes == reference_form_classes(D)

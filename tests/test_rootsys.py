@@ -63,6 +63,8 @@ def max_linear_on_sphere(rs, c) -> tuple[float, np.ndarray]:
                 if float(c @ y_next) > value:
                     break
                 step *= 0.5
+            else:
+                break  # no step improves the value: converged
             y = y_next
         results.append((float(c @ y), y))
     best_val, best_y = max(results, key=lambda r: r[0])

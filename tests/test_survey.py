@@ -1,9 +1,14 @@
+import functools
 import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bqf_reference import reference_form_classes, reference_power, reference_torus_key
+from wcc import bqf
 from wcc import loxodromy as lx
 from wcc import survey as sv
 from wcc.errors import NumericError, ParameterError
@@ -12,6 +17,13 @@ from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+S_MAT = np.array([[0, -1], [1, 0]], dtype=object)
+
+
+@functools.cache
+def classes_up_to(trace_bound):
+    return sv.conjugacy_classes_sl2(trace_bound)
 
 
 def bfs_conjugacy_class_count(trace, entry_bound=40, expand_bound=160):
@@ -116,6 +128,57 @@ class TestConjugacyClasses:
     def test_trace_bound_validation(self):
         with pytest.raises(ParameterError):
             sv.conjugacy_classes_sl2(2)
+
+
+class TestAgainstReference:
+    """The class list and the torus grouping against the per-class root key."""
+
+    def test_ids_powers_and_tori_match_reference(self):
+        classes = classes_up_to(300)
+        by_trace = {}
+        for rec in classes:
+            by_trace.setdefault(rec.trace, []).append(rec.class_id[1])
+        for t in range(3, 301):
+            assert tuple(by_trace[t]) == reference_form_classes(t * t - 4), t
+        new_tori, old_tori = {}, {}
+        for rec in classes:
+            assert rec.power == reference_power(rec.trace, rec.class_id[1][0])
+            old_key = reference_torus_key(rec)
+            assert rec.root_key == (old_key[0], old_key[2][0])
+            new_tori.setdefault(rec.root_key, set()).add(rec.class_id)
+            old_tori.setdefault(old_key, set()).add(rec.class_id)
+        assert sorted(map(sorted, new_tori.values())) == sorted(map(sorted, old_tori.values()))
+
+
+class TestProperties:
+    @PROPERTY
+    @given(st.integers(3, 120), st.data())
+    def test_class_id_invariant_under_conjugation(self, trace, data):
+        # conjugate by S T^k letter by letter until an entry would pass 10^6
+        cids = bqf.form_classes(trace * trace - 4)
+        cid = cids[data.draw(st.integers(0, len(cids) - 1))]
+        conj = np.array(bqf.matrix_of_form(cid[0], trace), dtype=object)
+        letters = data.draw(st.lists(st.integers(-4, 4), min_size=6, max_size=24))
+        for k in letters:
+            w = S_MAT @ np.array([[1, k], [0, 1]], dtype=object)
+            w_inv = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]], dtype=object)
+            nxt = w @ conj @ w_inv
+            if max(abs(int(x)) for x in nxt.flat) > 10**6:
+                break
+            conj = nxt
+        assert sv.class_id_of_matrix(tuple(map(tuple, conj.tolist()))) == (trace, cid)
+
+    @PROPERTY
+    @given(st.data())
+    def test_root_key_names_a_primitive_class(self, data):
+        classes = classes_up_to(150)
+        rec = data.draw(st.sampled_from(classes))
+        roots = {(r.trace, r.class_id[1][0]): r for r in classes if r.primitive}
+        root = roots[rec.root_key]
+        assert root.period_volume == rec.period_volume
+        assert rec.length == pytest.approx(rec.power * root.length, rel=1e-12)
+        if rec.primitive:
+            assert root is rec
 
 
 class TestTorusCensus:
