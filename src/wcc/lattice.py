@@ -2,12 +2,13 @@
 
 SL(2,Z) is enumerated exactly: the domain bounds the largest singular value,
 hence every entry, and the determinant condition fixes the fourth entry from
-the other three.  The census is one int64 table whose membership (integer
-Frobenius mass against the domain's cap) and order (mass, then entries) are
-exact; its Cartan and Jordan columns come from one closed-form call each.
-SL(3,Z) (or any generated presentation) ships as a breadth-first word ball
-with exact dedup and an explicit incompleteness flag: stats downstream are
-samples, not censuses.
+the other three; membership is the integer Frobenius mass against the
+domain's cap.  SL(3,Z) (or any generated presentation) ships as a
+breadth-first word ball with exact dedup and an explicit incompleteness
+flag: stats downstream are samples, not censuses.  Every census is one int64
+table: its Cartan and Jordan columns come from one stacked call each, a base
+point conjugates it by one exact stack product, and its order is
+(round(|a|^2, 12), entries).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +27,11 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .projections import GroupElement, cartan_vector, jordan_project
+from .projections import _int_det, _integer_inverse, cartan_vector, jordan_project
 from .rootsys import RootSystemA, root_system
 from .volume import Domain
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 CANDIDATE_CAP = int(1e9)
 
 
@@ -53,11 +54,6 @@ class LatticeSpec:
     def d(self) -> int:
         return 2 if self.group == "sl2" else 3
 
-    def base_element(self) -> GroupElement | None:
-        if self.base_point is None:
-            return None
-        return GroupElement.from_integer([list(r) for r in self.base_point])
-
     def key(self) -> dict:
         return {
             "group": self.group,
@@ -74,24 +70,6 @@ class ElementRecord:
     wall_margin: float
     loxodromic: bool
     jordan: np.ndarray | None = None
-
-    @classmethod
-    def from_rows(cls, rows, rs: RootSystemA) -> "ElementRecord":
-        g = GroupElement.from_integer(rows)
-        a = cartan_vector(g)
-        lam, lox = jordan_project(g)
-        wall = rs.wall_distance(a)
-        return cls(
-            matrix=tuple(tuple(int(x) for x in row) for row in rows),
-            cartan=a,
-            wall_margin=wall,
-            loxodromic=lox,
-            jordan=lam if lox else None,
-        )
-
-    def sort_key(self):
-        flat = tuple(x for row in self.matrix for x in row)
-        return (round(float(np.dot(self.cartan, self.cartan)), 12), flat)
 
 
 # ------------------------------------------------------------- enumeration
@@ -122,25 +100,59 @@ def _sl2_candidates(bound: int, a_lo: int, a_hi: int, mass_cap: int) -> np.ndarr
     return np.concatenate(parts)
 
 
-def _sl2_table_records(table: np.ndarray, rs: RootSystemA, domain: Domain):
-    """Records of an int64 (n, 4) sl2 table in (mass, entries) order, and the
-    mask of those inside the domain."""
-    mass = np.einsum("ij,ij->i", table, table)
-    order = np.lexsort((*table.T[::-1], mass))
-    table, mass = table[order], mass[order]
-    cartan = cartan_vector(table.reshape(-1, 2, 2))
-    jordan, lox = jordan_project(table.reshape(-1, 2, 2))
-    beta = rs.simple_roots[0]
-    walls = np.maximum(cartan @ beta, 0.0) / rs.dual_norm(beta)
-    inside = mass <= _sl2_mass_cap(domain, rs)
+def _round12(x: np.ndarray) -> np.ndarray:
+    """Python's correctly rounded round(v, 12) of every entry; np.round differs only
+    where v * 1e12 lies within its rounding error of a half-integer."""
+    y, out = x * 1e12, np.round(x, 12)
+    near = np.flatnonzero(np.abs(y - np.floor(y) - 0.5) <= 2 * np.spacing(y))
+    out[near] = [round(v, 12) for v in x[near].tolist()]
+    return out
+
+
+def _conjugate(table: np.ndarray, h) -> np.ndarray:
+    """Rows of h m h^-1 for the rows m of an int64 (n, d*d) table, exact in Python ints."""
+    h = np.array(h, dtype=object)
+    if _int_det(h) != 1:
+        raise PreconditionError(f"base point must have determinant 1, got {_int_det(h)}")
+    d = len(h)
+    out = h @ table.reshape(-1, d, d).astype(object) @ _integer_inverse(h)
+    return out.reshape(len(table), d * d).astype(np.int64)
+
+
+def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_point=None):
+    """Records of the rows m of an int64 (n, d*d) table that lie in the domain,
+    and the number of rows that do not.
+
+    The columns are those of m, the displacement seen from x = h.o; the matrix
+    is h m h^-1 (m itself at the origin).  Records are ordered by
+    (round(|a|^2, 12), matrix entries).  sl2 membership is the exact integer
+    mass cap; sl3 membership is the float test of ``Domain.contains_cartan``.
+    """
+    d = rs.d
+    mats = table.reshape(-1, d, d)
+    cartan = cartan_vector(mats)
+    jordan, lox = jordan_project(mats)
+    roots = np.array(rs.simple_roots)
+    walls = np.min(np.maximum(0.0, cartan @ roots.T) / [rs.dual_norm(c) for c in roots], axis=1)
+    if d == 2:
+        inside = np.einsum("ij,ij->i", table, table) <= _sl2_mass_cap(domain, rs)
+    elif domain.kind == "ball":
+        inside = np.sqrt(rs.killing_scale * np.vecdot(cartan, cartan)) <= domain.t
+    else:
+        inside = np.all(cartan @ roots.T <= domain.t * np.array(domain.edges), axis=1)
     if domain.regular_margin is not None:
         inside &= walls > domain.regular_margin
     if domain.slab is not None:
         inside &= walls <= domain.slab
-    rows = zip(table.tolist(), cartan, walls.tolist(), lox.tolist(), jordan)
-    records = [ElementRecord(((a, b), (c, d)), cart, wall, is_lox, lam if is_lox else None)
-               for (a, b, c, d), cart, wall, is_lox, lam in rows]
-    return records, inside
+    keep = np.flatnonzero(inside)
+    table = table[keep] if base_point is None else _conjugate(table[keep], base_point)
+    order = np.lexsort((*table.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
+    table, rows = table[order], keep[order]
+    cols = table.T.tolist()  # row tuples zipped from columns: no list per record
+    matrices = zip(*(zip(*cols[i * d:(i + 1) * d]) for i in range(d)))
+    records = [ElementRecord(m, a, w, x, lam if x else None) for m, a, w, x, lam in
+               zip(matrices, cartan[rows], walls[rows].tolist(), lox[rows].tolist(), jordan[rows])]
+    return records, len(inside) - len(keep)
 
 
 def _default_sl3_generators():
@@ -154,29 +166,24 @@ def _default_sl3_generators():
     return tuple(gens)
 
 
-def _word_ball(generators, radius: int):
-    """Breadth-first ball over the generators and their inverses, exact dedup."""
-    gens = []
-    for g in generators:
-        ge = GroupElement.from_integer([list(r) for r in g])
-        gens.append(ge)
-        gens.append(ge.inverse())
-    d = gens[0].d
-    identity = tuple(tuple(int(x) for x in row) for row in np.eye(d, dtype=int))
-    seen = {identity}
-    frontier = [identity]
-    for _ in range(radius):
-        new = []
-        for rows in frontier:
-            left = GroupElement.from_integer([list(r) for r in rows])
-            for g in gens:
-                prod = left @ g
-                key = tuple(tuple(int(x) for x in row) for row in prod.int_mat)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(key)
-        frontier = new
-    return sorted(seen)
+def _word_ball(generators, radius: int) -> np.ndarray:
+    """Breadth-first ball over the generators and their inverses: its distinct
+    matrices as an int64 (n, d, d) stack in lexicographic order of the entries."""
+    gens = np.array(generators, dtype=object)
+    if np.any(_int_det(gens) != 1):
+        raise PreconditionError("word-ball generators must be integer matrices of determinant 1")
+    steps = np.concatenate([gens, _integer_inverse(gens)])
+    d = gens.shape[-1]
+    ball = frontier = np.eye(d, dtype=np.int64)[None]
+    for r in range(radius):
+        if d * int(np.max(np.abs(frontier), initial=0)) * max(map(abs, steps.flat)) >= 2**63:
+            raise FeasibilityError(f"word ball entries could overflow int64 at radius {r + 1}")
+        products = (frontier[:, None] @ steps.astype(np.int64)).reshape(-1, d, d)
+        merged = np.concatenate([ball, products])
+        known = len(ball)  # rows first seen past the old ball are the new sphere
+        ball, first = np.unique(merged, axis=0, return_index=True)
+        frontier = merged[first[first >= known]]
+    return ball
 
 
 @dataclass
@@ -204,8 +211,6 @@ def enumerate_elements(
     """
     rs = root_system(spec.d)
     domain.for_dimension(spec.d)
-    base = spec.base_element()
-
     if spec.group == "sl2" and spec.presentation == "full_integer":
         sigma_max = math.exp(domain.max_top_weight(rs))
         bound = int(math.floor(sigma_max + 1e-12))
@@ -221,30 +226,13 @@ def enumerate_elements(
         ranges = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(shards)]
         mass_cap = _sl2_mass_cap(domain, rs)
         table = np.concatenate([_sl2_candidates(bound, lo, hi, mass_cap) for lo, hi in ranges])
-        records, inside = _sl2_table_records(table, rs, domain)
-        records = [rec for rec, ok in zip(records, inside.tolist()) if ok]
         meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=candidates)
     else:
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
-        if spec.d == 2:  # the columns load_cache builds
-            records, _ = _sl2_table_records(np.array(words, dtype=np.int64).reshape(-1, 4), rs, domain)
-        else:
-            records = [ElementRecord.from_rows([list(r) for r in rows], rs) for rows in words]
-        records = sorted((rec for rec in records if domain.contains_cartan(rs, rec.cartan)),
-                         key=ElementRecord.sort_key)
+        table = words.reshape(len(words), -1)
         meta = EnumerationMeta(False, word_radius=word_radius)
-    return _conjugated(records, base), meta
-
-
-def _conjugated(records, base: GroupElement | None) -> list:
-    """Records enumerated around x = h.o re-expressed as h m h^-1, in sort_key order."""
-    if base is None:
-        return records
-    inv = base.inverse()
-    records = [replace(rec, matrix=tuple(tuple(int(x) for x in row) for row in (
-        base @ GroupElement.from_integer([list(r) for r in rec.matrix]) @ inv).int_mat))
-        for rec in records]
-    return sorted(records, key=ElementRecord.sort_key)
+    records, _ = _table_records(table, rs, domain, spec.base_point)
+    return records, meta
 
 
 # ------------------------------------------------------------------- cache
@@ -261,8 +249,17 @@ def _canonical_json(obj) -> str:
 
 
 def _config_hash(manifest: dict) -> str:
-    keyed = {k: manifest[k] for k in ("version", "spec", "domain")}
+    """Hash of every manifest field the shard files do not verify themselves."""
+    keyed = {k: manifest[k] for k in ("version", "spec", "domain", "complete", "bound",
+                                      "word_radius")}
     return hashlib.sha256(_canonical_json(keyed).encode()).hexdigest()
+
+
+def _float_as_written(text: str) -> float:
+    value = float(text)
+    if repr(value) != text:
+        raise ValueError(f"float {text!r} is not written as repr writes it")
+    return value
 
 
 def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: EnumerationMeta,
@@ -305,62 +302,78 @@ def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: Enum
     return directory
 
 
-def load_cache(directory):
-    """Load and verify a census cache; returns (spec, domain, records, manifest).
-
-    Rejects any mismatch with the manifest, an unlisted shard, duplicates, a
-    determinant other than 1 and records outside a full-integer sl2 census;
-    columns and order are those ``enumerate_elements`` gives, also with a base point.
-    """
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+def _read_cache(directory: Path):
+    """Manifest, spec, domain and int64 table of a cache, every byte verified: the
+    manifest is one JSON object (floats as ``repr`` writes them, at most a final
+    newline after it) that passes its config_hash, and each listed shard matches its
+    checksum and count."""
+    raw = (directory / "manifest.json").read_bytes()
+    body = raw[:-1] if raw.endswith(b"\n") else raw
+    manifest = json.loads(body, parse_float=_float_as_written)
+    if body != body.strip():
+        raise ValueError("manifest has whitespace around its JSON object")
     if manifest["version"] != CACHE_VERSION:
         raise ParameterError(f"unsupported cache version {manifest['version']}")
-    if manifest.get("config_hash") != _config_hash(manifest):
+    if manifest["config_hash"] != _config_hash(manifest):
         raise PreconditionError("cache manifest fails its config_hash")
     unlisted = sorted({p.name for p in directory.glob("shard_*.bin")} - set(manifest["shards"]))
     if unlisted:
         raise PreconditionError(f"cache holds shards its manifest does not list: {unlisted}")
-    sp = manifest["spec"]
+    sp, dm = manifest["spec"], manifest["domain"]
     spec = LatticeSpec(
         group=sp["group"],
         presentation=sp["presentation"],
         generators=tuple(tuple(tuple(r) for r in g) for g in sp["generators"]) if sp["generators"] else None,
         base_point=tuple(tuple(r) for r in sp["base_point"]) if sp["base_point"] else None,
     )
-    dm = manifest["domain"]
     domain = Domain(dm["kind"], dm["t"], tuple(dm["edges"]) if dm["edges"] else None,
                     dm["regular_margin"], dm["slab"])
-    rs = root_system(spec.d)
-    d = spec.d
-    tables = [np.empty((0, d * d), dtype=np.int64)]
-    for name, checksum, count in zip(manifest["shards"], manifest["checksums"], manifest["counts"]):
+    width = spec.d * spec.d
+    tables = [np.empty((0, width), dtype=np.int64)]
+    shards = zip(manifest["shards"], manifest["checksums"], manifest["counts"], strict=True)
+    for name, checksum, count in shards:
         blob = (directory / name).read_bytes()
         if hashlib.sha256(blob).hexdigest() != checksum:
             raise PreconditionError(f"cache shard {name} fails its checksum")
-        if len(blob) != count * d * d * 8:
+        if len(blob) != count * width * 8:
             raise PreconditionError(f"cache shard {name} has the wrong length")
-        tables.append(np.frombuffer(blob, dtype="<i8").reshape(count, d * d))
+        tables.append(np.frombuffer(blob, dtype="<i8").reshape(count, width))
     table = np.concatenate(tables).astype(np.int64)
+    if len(table) != manifest["total"]:
+        raise PreconditionError(
+            f"cache holds {len(table)} records where its manifest says {manifest['total']}")
+    return manifest, spec, domain, table
+
+
+def load_cache(directory):
+    """Load and verify a census cache; returns (spec, domain, records, manifest).
+
+    Rejects an unreadable or malformed manifest, any mismatch with it, a
+    missing or unlisted shard, duplicates, entries beyond 2^30, a determinant
+    other than 1 and records off the stored domain; columns and order are
+    those ``enumerate_elements`` gives, also with a base point.
+    """
+    directory = Path(directory)
+    try:
+        manifest, spec, domain, table = _read_cache(directory)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise PreconditionError(f"cache at {directory} is unreadable: {exc!r}") from exc
     if len(np.unique(table, axis=0)) != len(table):
         raise PreconditionError("cache contains duplicate records")
-    base = spec.base_element()
-    if base is not None:
-        # back to m = h^-1 g h (exactly), whose columns enumerate_elements recorded
-        h, h_inv = (np.array(e.int_mat, dtype=object) for e in (base, base.inverse()))
-        table = (h_inv @ table.astype(object).reshape(-1, d, d) @ h).reshape(-1, d * d)
-    if d != 2:
-        records = [ElementRecord.from_rows(rows.tolist(), rs) for rows in table.reshape(-1, d, d)]
-        return spec, domain, _conjugated(sorted(records, key=ElementRecord.sort_key), base), manifest
-    if np.any((table > 2**30) | (table < -(2**30))):  # keeps int64 ad - bc and mass exact
+    if np.any((table > 2**30) | (table < -(2**30))):  # keeps the int64 determinant exact
         raise PreconditionError("cache holds entries beyond 2^30 in absolute value")
-    det = table[:, 0] * table[:, 3] - table[:, 1] * table[:, 2]
+    d = spec.d
+    mats = table.reshape(-1, d, d)
+    det = _int_det(mats if d == 2 else mats.astype(object))
     if np.any(det != 1):
         raise PreconditionError(f"cache holds {np.count_nonzero(det != 1)} records of det != 1")
-    records, inside = _sl2_table_records(table.astype(np.int64), rs, domain)
-    if spec.presentation == "full_integer" and not inside.all():
-        raise PreconditionError(f"cache holds {np.count_nonzero(~inside)} records off its domain")
-    return spec, domain, _conjugated(records, base), manifest
+    if spec.base_point is not None:
+        # back to m = h^-1 g h, whose columns enumerate_elements recorded
+        table = _conjugate(table, _integer_inverse(np.array(spec.base_point, dtype=object)))
+    records, outside = _table_records(table, root_system(d), domain, spec.base_point)
+    if outside:
+        raise PreconditionError(f"cache holds {outside} records off its domain")
+    return spec, domain, records, manifest
 
 
 class EnumerationCache:

@@ -10,7 +10,8 @@ All decompositions are numerical:
   positive-diagonal convention fixing the factor signs.
 
 The low-level kernels accept numpy stacks ``(..., d, d)`` so that the large
-seeded identity suites can run vectorized (integer sl2 stacks in closed form).
+seeded identity suites can run vectorized; integer (n, 2, 2) and (n, 3, 3)
+stacks give the census columns (sl2 in closed form, sl3 by stacked solves).
 """
 
 from __future__ import annotations
@@ -24,23 +25,20 @@ from .errors import NumericError, PreconditionError, RegularityError
 from .rootsys import RootSystemA, root_system
 
 TAU_LOX_DEFAULT = 1e-9
-
-# determinant validation is only meaningful while the entries stay in a range
-# where the floating-point determinant itself is trustworthy
-_DET_CHECK_MAX_ENTRY = 1e5
 _DET_TOL = 1e-9
+# integer stacks keep |entries| <= 2^30, so the sl2 mass and sl2 discriminant stay exact in int64
+_INT_STACK_MAX = 2**30
 
 
-def _exact_int_det(m) -> int:
-    """Cofactor-expansion determinant over python ints."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _exact_int_det(minor)
-    return total
+def _int_det(m):
+    """Cofactor-expansion determinant over the last two axes, exact in the dtype of m
+    (object arrays for Python-int arithmetic; one object matrix gives a Python int)."""
+    t = m.T  # the transposes: same determinants, and t[i, j] is a scalar for one matrix
+    n = len(t)
+    if n <= 2:
+        return t[0, 0] if n == 1 else t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
+    cols = np.arange(n)
+    return sum((-1) ** j * t[0, j] * _int_det(t[1:, cols != j].T) for j in range(n))
 
 
 class GroupElement:
@@ -57,7 +55,7 @@ class GroupElement:
     @classmethod
     def from_integer(cls, mat) -> "GroupElement":
         rows = [[int(x) for x in row] for row in np.asarray(mat)]
-        det = _exact_int_det(rows)
+        det = _int_det(np.array(rows, dtype=object))
         if det != 1:
             raise PreconditionError(f"integer matrix must have determinant 1, got {det}")
         g = cls(rows, check=False)
@@ -72,10 +70,11 @@ class GroupElement:
         return cls(np.diag(np.exp(y)), check=False)
 
     def _check_unimodular(self):
-        if np.max(np.abs(self.mat)) <= _DET_CHECK_MAX_ENTRY:
-            det = float(np.linalg.det(self.mat))
-            if abs(det - 1.0) > _DET_TOL * max(1.0, np.max(np.abs(self.mat))):
-                raise PreconditionError(f"matrix must have determinant 1, got {det}")
+        # the rounding error of a float determinant scales with the Hadamard bound
+        hadamard = float(np.prod(np.linalg.norm(self.mat, axis=0)))
+        det = float(np.linalg.det(self.mat))
+        if not abs(det - 1.0) <= _DET_TOL * max(1.0, hadamard):
+            raise PreconditionError(f"matrix must have determinant 1, got {det}")
 
     @property
     def d(self) -> int:
@@ -87,26 +86,21 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         if self.int_mat is not None:
-            inv = _integer_inverse(self.int_mat)
-            return GroupElement.from_integer(inv)
+            return GroupElement.from_integer(_integer_inverse(self.int_mat))
         return GroupElement(np.linalg.inv(self.mat), check=False)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         out = GroupElement(self.mat @ other.mat, check=False)
         if self.int_mat is not None and other.int_mat is not None:
             a, b = self.int_mat, other.int_mat
-            n = self.d
-            out.int_mat = [
-                [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-            ]
+            out.int_mat = (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
         return out
 
     @cached_property
     def _svd(self):
         u, s, vh = np.linalg.svd(self.mat)
         u, vh = _so_sign_fix(u, vh)
-        a = self._robust_logs(s, kind="svd")
-        return u, a, vh
+        return u, _robust_logs(s[None], self._int_rows(), "svd")[0], vh
 
     @cached_property
     def _log_eigen_moduli(self) -> np.ndarray:
@@ -114,48 +108,54 @@ class GroupElement:
             eig = np.linalg.eigvals(self.mat)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigenvalue solver failed on {self.mat!r}") from exc
-        return self._robust_logs(np.sort(np.abs(eig))[::-1], kind="eig")
+        return _robust_logs(np.sort(np.abs(eig))[None, ::-1], self._int_rows(), "eig")[0]
 
-    def _robust_logs(self, values_desc: np.ndarray, kind: str) -> np.ndarray:
-        """Zero-sum logs of singular/eigen moduli.
-
-        For integer-exact elements with a huge dynamic range, the values
-        below 1 are recomputed as reciprocals of the large values of the
-        exact adjugate; the small values of the direct solve only carry
-        absolute accuracy eps * sigma_max.  Float matrices get the direct
-        values: their representation already limits what is recoverable.
-        """
-        values = np.maximum(np.asarray(values_desc, dtype=float), 1e-300)
-        if self.int_mat is not None and values[0] > 1e10 * values[-1]:
-            adj = np.array(_integer_inverse(self.int_mat), dtype=float)
-            if kind == "svd":
-                mirror = np.linalg.svd(adj, compute_uv=False)
-            else:
-                mirror = np.sort(np.abs(np.linalg.eigvals(adj)))[::-1]
-            mirror = np.maximum(mirror, 1e-300)
-            d = len(values)
-            out = np.empty(d)
-            for i in range(d):
-                out[i] = np.log(values[i]) if values[i] >= 1.0 else -np.log(mirror[d - 1 - i])
-            return out - np.mean(out)
-        a = np.log(values)
-        return a - np.mean(a)
+    def _int_rows(self) -> list | None:
+        """The exact matrix as a one-element stack (a list); None for float elements."""
+        return None if self.int_mat is None else [self.int_mat]
 
     def __repr__(self):
         return f"GroupElement({self.mat.tolist()})"
 
 
-def _integer_inverse(rows):
-    """Adjugate of an integer matrix with determinant 1 (exact)."""
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            adj[i][j] = (-1) ** (i + j) * _exact_int_det(minor) if n > 1 else 1
+def _integer_inverse(m) -> np.ndarray:
+    """Adjugate over the last two axes of integer matrices with determinant 1: their
+    exact inverse, in the dtype of an array argument and in Python ints for lists."""
+    m = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
+    n = m.shape[-1]
+    keep = ~np.eye(n, dtype=bool)
+    adj = np.ones_like(m)
+    if n > 1:
+        for i in range(n):
+            for j in range(n):
+                adj[..., i, j] = (-1) ** (i + j) * _int_det(m[..., keep[j], :][..., keep[i]])
     return adj
 
 
+def _robust_logs(values_desc: np.ndarray, int_mats, kind: str) -> np.ndarray:
+    """Zero-sum logs of the rows of descending singular ("svd") or eigen ("eig") moduli.
+
+    Where a row of the integer-exact stack ``int_mats`` (an int64 array, or a
+    list of lists of Python ints) spans more than 1e10, the values below 1 are
+    recomputed as reciprocals of the large values of the exact adjugate; the
+    small values of the direct solve only carry absolute accuracy
+    eps * sigma_max.  Float matrices (``int_mats`` None) get the direct
+    values: their representation already limits what is recoverable.
+    """
+    values = np.maximum(values_desc, 1e-300)
+    out = np.log(values)
+    out -= out.sum(axis=-1, keepdims=True) / out.shape[-1]  # np.mean, without its overhead
+    wide = () if int_mats is None else np.flatnonzero(values[:, 0] > 1e10 * values[:, -1])
+    for i in wide:
+        adj = _integer_inverse(int_mats[i]).astype(float)
+        if kind == "svd":
+            mirror = np.linalg.svd(adj, compute_uv=False)
+        else:
+            mirror = np.sort(np.abs(np.linalg.eigvals(adj)))[::-1]
+        row = np.array([np.log(v) if v >= 1.0 else -np.log(m)
+                        for v, m in zip(values[i], np.maximum(mirror, 1e-300)[::-1])])
+        out[i] = row - np.mean(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,43 +214,49 @@ def cartan_project(g: GroupElement):
     return u, a, vh.T
 
 
-def _sl2_stack(mats) -> np.ndarray:
+def _int_stack(mats) -> np.ndarray:
     mats = np.asarray(mats)
-    if mats.ndim != 3 or mats.shape[1:] != (2, 2) or mats.dtype.kind not in "iu":
-        raise PreconditionError(f"need an integer (n, 2, 2) stack, got {mats.dtype} {mats.shape}")
+    if (mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] not in (2, 3)
+            or mats.dtype.kind not in "iu"):
+        raise PreconditionError(
+            f"need an integer (n, 2, 2) or (n, 3, 3) stack, got {mats.dtype} {mats.shape}")
+    if np.any((mats > _INT_STACK_MAX) | (mats < -_INT_STACK_MAX)):
+        top = np.abs(mats.astype(float)).max()
+        raise PreconditionError(f"integer stacks need entries within 2^30, got {top:.4g}")
     return mats.astype(np.int64)
 
 
 def cartan_vector(g) -> np.ndarray:
-    """Zero-sum Cartan vector of one element, or its rows for an integer sl2 stack,
-    where sigma^2 + sigma^-2 = F (the Frobenius mass) gives log sigma_max =
-    1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2)."""
+    """Zero-sum Cartan vector of one element, or its rows for an integer (n, d, d) stack.
+
+    For d = 2, sigma^2 + sigma^-2 = F (the Frobenius mass) gives log sigma_max =
+    1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2); for d = 3 the rows are
+    the per-element values from one stacked SVD."""
     if isinstance(g, GroupElement):
         return g._svd[1]
-    mats = _sl2_stack(g)
-    s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats) / 2.0)
-    return np.stack([s, -s], axis=1)
+    mats = _int_stack(g)
+    if mats.shape[1] == 2:
+        s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats) / 2.0)
+        return np.stack([s, -s], axis=1)
+    return _robust_logs(np.linalg.svd(mats.astype(float))[1], mats, "svd")
 
 
-def _int_char_discriminant(rows) -> int | None:
-    """Exact discriminant of the characteristic polynomial, d <= 3."""
-    n = len(rows)
-    if n == 2:
-        tr = rows[0][0] + rows[1][1]
+def _int_char_discriminant(mats):
+    """Exact discriminants of the characteristic polynomials of det-one integer
+    matrices (over the last two axes), d <= 3 (None otherwise), from their
+    principal minors."""
+    d = mats.shape[-1]
+    if d > 3:
+        return None
+    # int64 stacks keep tr^2 - 4 exact; the transposes t have the same characteristic
+    # polynomials, and t[i, j] is a scalar for a single matrix
+    t = (mats.astype(object) if d == 3 else mats).T
+    tr = sum(t[i, i] for i in range(d))
+    if d == 2:
         return tr * tr - 4
-    if n == 3:
-        c2 = -(rows[0][0] + rows[1][1] + rows[2][2])
-        adj = _integer_inverse(rows)
-        c1 = adj[0][0] + adj[1][1] + adj[2][2]
-        c0 = -1
-        return (
-            18 * c2 * c1 * c0
-            - 4 * c2**3 * c0
-            + c2**2 * c1**2
-            - 4 * c1**3
-            - 27 * c0**2
-        )
-    return None
+    c1 = sum(t[i, i] * t[j, j] - t[i, j] * t[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    # x^3 - tr x^2 + c1 x - 1
+    return tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27
 
 
 def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
@@ -262,19 +268,27 @@ def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
     are never misflagged by eigensolver noise, which reaches sqrt(eps) at a
     double root and would swamp the default gap threshold.
 
-    An integer sl2 stack gives rows and a boolean array: loxodromic iff
-    |tr| > 2, with log-moduli +-arccosh(|tr| / 2), and zero rows otherwise.
+    An integer (n, d, d) stack gives rows and a boolean array, loxodromic iff
+    the discriminant is positive.  For d = 2 the rows are +-arccosh(|tr| / 2),
+    zero when not loxodromic; for d = 3 they are the per-element values from
+    one stacked eigenvalue solve.
     """
     if not isinstance(g, GroupElement):
-        mats = _sl2_stack(g)
-        trace = np.abs(mats[:, 0, 0] + mats[:, 1, 1])
-        ell = np.arccosh(np.maximum(trace / 2.0, 1.0))
-        return np.stack([ell, -ell], axis=1), trace > 2
+        mats = _int_stack(g)
+        lox = (_int_char_discriminant(mats) > 0).astype(bool)
+        if mats.shape[1] == 2:
+            ell = np.arccosh(np.maximum(np.abs(mats[:, 0, 0] + mats[:, 1, 1]) / 2.0, 1.0))
+            return np.stack([ell, -ell], axis=1), lox
+        try:
+            eig = np.linalg.eigvals(mats.astype(float))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError("eigenvalue solver failed on an integer stack") from exc
+        return _robust_logs(np.sort(np.abs(eig), axis=-1)[:, ::-1], mats, "eig"), lox
     lam = g._log_eigen_moduli
     gaps = -np.diff(lam)
     is_lox = bool(lam.size > 1 and np.min(gaps) > tau_lox)
     if g.int_mat is not None:
-        disc = _int_char_discriminant(g.int_mat)
+        disc = _int_char_discriminant(np.array(g.int_mat, dtype=object))
         if disc is not None:
             # distinct real eigenvalues iff disc > 0; for unimodular integer
             # matrices of size <= 3 that also forces distinct moduli

@@ -354,14 +354,14 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
     """
     classes = conjugacy_classes_sl2(trace_bound)
     generators = (((0, -1), (1, 0)), ((1, 1), (0, 1)))  # S and T
-    balls = {r: np.array(_word_ball(generators, r)) for r in radii}
+    balls = {r: _word_ball(generators, r) for r in radii}
     rows = []
     for rec in classes:
         t, cid = rec.class_id
         rep = np.array(bqf.matrix_of_form(cid[0], t))
         gaps = {}
         for r in radii:
-            conjs = np.array([w @ rep @ np.array(_integer_inverse(w.tolist())) for w in balls[r]])
+            conjs = balls[r] @ rep @ _integer_inverse(balls[r])
             # both vectors are (s, -s): the gap is the norm difference
             gaps[r] = float(np.min(np.abs(SQRT8 * cartan_vector(conjs)[:, 0] - rec.length)))
         rows.append({"trace": t, "class_id": cid, "gaps": gaps})

@@ -93,6 +93,22 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--group", "sl2", "--t", "40")
         assert code == 3
 
+    @pytest.mark.parametrize("damage", ["truncate", "drop_key", "drop_shard"])
+    def test_damaged_cache_exit_code(self, capsys, tmp_path, damage):
+        out = tmp_path / "census"
+        assert run(capsys, "enumerate", "--group", "sl2", "--t", "5", "--out", str(out),
+                   "--shards", "2")[0] == 0
+        manifest = out / "manifest.json"
+        if damage == "truncate":
+            manifest.write_bytes(manifest.read_bytes()[:40])
+        elif damage == "drop_key":
+            doc = json.loads(manifest.read_text())
+            del doc["counts"]
+            manifest.write_text(json.dumps(doc))
+        else:
+            (out / "shard_0001.bin").unlink()
+        assert run(capsys, "angular", "--cache", str(out))[0] == 2
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         code1, out1 = run(
             capsys, "enumerate", "--group", "sl2", "--t", "5",

@@ -1,15 +1,23 @@
+import cProfile
 import hashlib
 import json
 import math
+import pstats
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcc import lattice as lt
-from wcc.errors import CompletenessError, FeasibilityError, PreconditionError
-from wcc.lattice import ElementRecord, LatticeSpec
+from wcc.errors import CompletenessError, FeasibilityError, PreconditionError, WccError
+from wcc.lattice import LatticeSpec
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
+
+import lattice_reference as ref
 
 
 def brute_force_sl2(entry_bound, frob_cap):
@@ -40,7 +48,7 @@ def per_record_census(t):
             for c in range(-bound, bound + 1):
                 for d in range(-bound, bound + 1):
                     if a * d - b * c == 1:
-                        rec = ElementRecord.from_rows([[a, b], [c, d]], rs)
+                        rec = ref.from_rows([[a, b], [c, d]], rs)
                         if domain.contains_cartan(rs, rec.cartan):
                             records.append(rec)
     return records
@@ -384,3 +392,174 @@ def test_enumeration_cache_wrapper(tmp_path, census_t8):
     assert cache.complete
     assert lt.records_blob(cache.records) == lt.records_blob(records)
     assert cache.domain.t == 8.0
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+SL3_BASE = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
+
+
+def assert_same_records(got, want):
+    """Matrix, order and every column equal bit for bit."""
+    assert [r.matrix for r in got] == [r.matrix for r in want]
+    for a, b in zip(got, want):
+        assert a.cartan.tobytes() == b.cartan.tobytes()
+        assert struct.pack("<d", a.wall_margin) == struct.pack("<d", b.wall_margin)
+        assert a.loxodromic is b.loxodromic
+        assert (a.jordan is None and b.jordan is None) or a.jordan.tobytes() == b.jordan.tobytes()
+
+
+def assert_matches_reference(directory, spec, domain, word_radius=4):
+    """enumerate_elements and its cache round trip both match the per-record reference."""
+    want = ref.reference_census(spec, domain, word_radius)
+    records, meta = lt.enumerate_elements(spec, domain, word_radius=word_radius)
+    assert_same_records(records, want)
+    lt.save_cache(directory, spec, domain, records, meta, shards=2)
+    assert_same_records(lt.load_cache(directory)[2], want)
+
+
+def small_det_one(d):
+    """Products of up to three elementary matrices with multipliers in [-2, 2]."""
+    def build(steps):
+        m = np.eye(d, dtype=np.int64)
+        for i, j, k in steps:
+            e = np.eye(d, dtype=np.int64)
+            e[i, j] = k
+            m = m @ e
+        return tuple(tuple(int(x) for x in row) for row in m)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    step = st.tuples(st.sampled_from(pairs), st.integers(-2, 2)).map(lambda p: (*p[0], p[1]))
+    return st.lists(step, min_size=1, max_size=3).map(build)
+
+
+class TestTableOracle:
+    @pytest.mark.parametrize("t", [5.0, 8.0])
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_sl3_word_balls(self, tmp_path, t, radius):
+        assert_matches_reference(tmp_path, LatticeSpec("sl3"), Domain("ball", t), radius)
+
+    @pytest.mark.parametrize("domain", [Domain("box", 4.0, (1.0, 1.5), regular_margin=0.3),
+                                        Domain("ball", 5.0, slab=1.0)])
+    def test_sl3_filtered_domains(self, tmp_path, domain):
+        assert_matches_reference(tmp_path, LatticeSpec("sl3"), domain, 3)
+
+    def test_sl2_generated_ball(self, tmp_path):
+        gens = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
+        for t in (4.0, 6.5):
+            assert_matches_reference(tmp_path / str(t), LatticeSpec("sl2", "generated", gens),
+                                     Domain("ball", t), 5)
+
+    def test_sl2_base_point(self, tmp_path):
+        spec = LatticeSpec("sl2", base_point=((2, 1), (1, 1)))
+        assert_matches_reference(tmp_path, spec, Domain("ball", 6.0))
+
+    def test_sl3_base_point(self, tmp_path):
+        spec = LatticeSpec("sl3", base_point=SL3_BASE)
+        assert_matches_reference(tmp_path, spec, Domain("ball", 5.0), 3)
+
+    def test_sl3_census_builds_no_group_element_per_record(self):
+        profile = cProfile.Profile()
+        profile.enable()
+        records, _ = lt.enumerate_elements(LatticeSpec("sl3"), Domain("ball", 8.0), word_radius=4)
+        profile.disable()
+        inits = sum(stats[0] for (path, _, name), stats in pstats.Stats(profile).stats.items()
+                    if name == "__init__" and path.endswith("projections.py"))
+        assert len(records) > 1000
+        assert inits <= 2
+
+    @PROPERTY
+    @given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(
+        st.lists(small_det_one(d), min_size=1, max_size=3),
+        st.integers(0, 3),
+        st.one_of(st.none(), small_det_one(d)),
+        st.floats(1.0, 8.0),
+    )))
+    def test_random_generators_and_base_points(self, case):
+        gens, radius, base, t = case
+        d = len(gens[0])
+        assert np.array_equal(lt._word_ball(gens, radius),
+                              np.array(ref.word_ball(gens, radius), dtype=np.int64))
+        spec = LatticeSpec(f"sl{d}", "generated", tuple(gens), base_point=base)
+        with tempfile.TemporaryDirectory() as directory:
+            assert_matches_reference(directory, spec, Domain("ball", t), radius)
+
+    def test_sort_key_rounds_as_python_round(self):
+        # values at and one ulp either side of the half-way points of the 12th decimal
+        k = np.random.default_rng(3).integers(1, 10**14, 3000)
+        x = (k + 0.5) / 1e12
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+        assert lt._round12(x).tolist() == [round(v, 12) for v in x.tolist()]
+        assert np.count_nonzero(np.round(x, 12) != lt._round12(x)) > 1000
+
+    def test_word_ball_guards_int64(self):
+        gens = (((1, 2**40), (0, 1)),)
+        assert len(lt._word_ball(gens, 1)) == 3
+        with pytest.raises(FeasibilityError, match="overflow"):
+            lt._word_ball(gens, 2)
+
+
+@pytest.fixture(scope="module")
+def flip_cache(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("flip")
+    spec, domain = LatticeSpec("sl3"), Domain("ball", 5.0)
+    records, meta = lt.enumerate_elements(spec, domain, word_radius=2)
+    lt.save_cache(directory, spec, domain, records, meta, shards=2)
+    return directory, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+class TestDamagedCaches:
+    def test_unreadable_manifest_and_missing_shard(self, tmp_path):
+        write_census(tmp_path, shards=2)
+        manifest = tmp_path / "manifest.json"
+        good = manifest.read_bytes()
+        doc = json.loads(good)
+        del doc["total"]
+        for damaged in (good[:len(good) // 2], b"not json", json.dumps(doc).encode()):
+            manifest.write_bytes(damaged)
+            with pytest.raises(PreconditionError, match="unreadable"):
+                lt.load_cache(tmp_path)
+        manifest.write_bytes(good)
+        (tmp_path / "shard_0001.bin").unlink()
+        with pytest.raises(PreconditionError, match="unreadable"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_same_content_respelled(self, tmp_path):
+        write_census(tmp_path)
+        manifest = tmp_path / "manifest.json"
+        good = manifest.read_bytes()
+        assert b'"t":5.0' in good and good.endswith(b"}\n")
+        for damaged in (good.replace(b'"t":5.0', b'"t":5e0'), good[:-1] + b" "):
+            manifest.write_bytes(damaged)
+            with pytest.raises(PreconditionError):
+                lt.load_cache(tmp_path)
+
+    def test_rejects_changed_word_radius(self, flip_cache):
+        directory, files = flip_cache
+        assert b'"word_radius":2' in files["manifest.json"]
+        try:
+            (directory / "manifest.json").write_bytes(
+                files["manifest.json"].replace(b'"word_radius":2', b'"word_radius":3'))
+            with pytest.raises(PreconditionError, match="config_hash"):
+                lt.load_cache(directory)
+        finally:
+            (directory / "manifest.json").write_bytes(files["manifest.json"])
+
+    def test_rejects_wrong_total(self, tmp_path):
+        write_census(tmp_path)
+        rows = np.frombuffer((tmp_path / "shard_0000.bin").read_bytes(), dtype="<i8").reshape(-1, 4)
+        rewrite_shard(tmp_path, rows[:-1])
+        with pytest.raises(PreconditionError, match="manifest says"):
+            lt.load_cache(tmp_path)
+
+    @PROPERTY
+    @given(st.data())
+    def test_single_byte_flip_is_rejected(self, flip_cache, data):
+        directory, files = flip_cache
+        name = data.draw(st.sampled_from(sorted(files)))
+        blob = bytearray(files[name])
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        try:
+            (directory / name).write_bytes(bytes(blob))
+            with pytest.raises(WccError):
+                lt.load_cache(directory)
+        finally:
+            (directory / name).write_bytes(files[name])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wcc import flagmetric as fm
 from wcc import projections as pj
@@ -13,6 +15,39 @@ from wcc.rootsys import root_system
 from conftest import random_group
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+EPS = np.finfo(float).eps
+
+
+def det_one_completion(a: int, b: int):
+    """An integer matrix [[a, b], [c, d]] of determinant 1 with |c| <= |a|, |d| <= |b|,
+    or None when gcd(a, b) != 1 (extended Euclid)."""
+    r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    if abs(r0) != 1:
+        return None
+    return [[a, b], [-t0 * r0, s0 * r0]]
+
+
+@st.composite
+def det_one_matrices(draw, d: int, entry_max: int = 10**9):
+    """Integer det-one matrices with entries up to entry_max: a completed coprime row
+    for d = 2, a product of two such 2x2 blocks acting on rows (0, 1) and (1, 2) for d = 3."""
+    block_max = entry_max if d == 2 else math.isqrt(entry_max // 2)
+    blocks = []
+    for _ in range(d - 1):
+        a, b = draw(st.integers(-block_max, block_max)), draw(st.integers(-block_max, block_max))
+        block = det_one_completion(a, b)
+        if block is None:
+            block = [[1, b], [0, 1]]
+        blocks.append(np.array(block, dtype=object))
+    if d == 2:
+        return blocks[0].tolist()
+    first, second = np.eye(3, dtype=int).astype(object), np.eye(3, dtype=int).astype(object)
+    first[:2, :2], second[1:, 1:] = blocks
+    return (first @ second).tolist()
 
 
 class TestCartan:
@@ -127,6 +162,31 @@ class TestJordan:
         assert hits > 20
 
 
+class TestUnimodularCheck:
+    def test_rejects_large_determinant(self):
+        with pytest.raises(PreconditionError, match="determinant 1"):
+            GroupElement([[1e6, 0], [0, 5]])
+
+    def test_accepts_large_unipotent(self):
+        assert GroupElement([[1, 1e6], [0, 1]]).mat[0, 1] == 1e6
+
+    def test_accepts_large_cartan_products(self):
+        # float determinants of such products err by far more than 1e-9 * max|entry|
+        rng = np.random.default_rng(17)
+        beyond_entry_scale = 0
+        for d in (2, 3):
+            for scale in (14.0, 20.0, 26.0, 32.0):
+                for _ in range(5):
+                    y = rng.normal(size=d)
+                    y = np.sort(y - y.mean())[::-1]
+                    y *= scale / y[0]
+                    m = pj.random_so(d, rng) @ np.diag(np.exp(y)) @ pj.random_so(d, rng)
+                    assert np.max(np.abs(m)) > 1e5
+                    GroupElement(m)
+                    beyond_entry_scale += abs(np.linalg.det(m) - 1.0) > 1e-9 * np.max(np.abs(m))
+        assert beyond_entry_scale >= 10
+
+
 class TestIntegerStacks:
     MATS = [[[1, 0], [0, 1]], [[-1, 0], [0, -1]], [[0, -1], [1, 0]], [[1, 1], [0, 1]],
             [[-1, 5], [0, -1]], [[2, 1], [1, 1]], [[5, 1], [-1, 0]], [[-7, 3], [-12, 5]],
@@ -156,11 +216,69 @@ class TestIntegerStacks:
         cartan = pj.cartan_vector(np.array(self.MATS[:3]))
         assert np.all(cartan == 0.0)
 
-    def test_reject_float_and_non_2x2_stacks(self):
+    def test_cubic_discriminant(self):
+        """Companion matrices of x^3 - tr x^2 + c1 x - 1, conjugated so that every
+        principal minor is in play, against the textbook cubic discriminant."""
+        h = np.array([[1, 2, 0], [0, 1, 1], [1, 3, 2]], dtype=object)
+        h_inv = pj._integer_inverse(h)
+        mats, want = [], []
+        for tr in range(-6, 7):
+            for c1 in range(-6, 7):
+                b, c, d = -tr, c1, -1
+                want.append(18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2)
+                mats.append(h @ np.array([[0, 0, 1], [1, 0, -c1], [0, 1, tr]], dtype=object) @ h_inv)
+        stack = np.array(mats, dtype=np.int64)
+        assert pj._int_char_discriminant(stack).tolist() == want
+        assert pj.jordan_project(stack)[1].tolist() == [w > 0 for w in want]
+        assert want[(0 + 6) * 13 + (-1 + 6)] == -23  # x^3 - x - 1
+        assert want[(3 + 6) * 13 + (3 + 6)] == 0  # (x - 1)^3
+        cycle = np.array([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+        assert pj._int_char_discriminant(cycle)[0] == -27
+
+    def test_reject_entries_beyond_2_30(self):
+        # det 1, but the int64 mass 4 * 9e18 would wrap
+        big = [[3_000_000_001, 3_000_000_000], [1, 1]]
+        assert pj.cartan_vector(GroupElement.from_integer(big))[0] == pytest.approx(22.17, abs=0.01)
+        for kernel in (pj.cartan_vector, pj.jordan_project):
+            with pytest.raises(PreconditionError, match="2\\^30"):
+                kernel(np.array([big]))
+
+    @PROPERTY
+    @given(st.lists(det_one_matrices(2), min_size=1, max_size=6),
+           st.lists(det_one_matrices(3), min_size=1, max_size=6))
+    def test_stacks_match_group_element_path(self, mats2, mats3):
+        """sl3 rows are the per-element values bit for bit; sl2 closed forms agree with the
+        per-element SVD and eigenvalue solves within those solves' own error: the small
+        singular value carries eps * sigma_max (so eps * sigma_max / sigma_min on its log,
+        up to the 1e10 switch to the adjugate), the eigenvalues eps * |M|^2 / gap."""
+        for mats in (mats2, mats3):
+            stack = np.array(mats, dtype=np.int64)
+            cartan = pj.cartan_vector(stack)
+            jordan, lox = pj.jordan_project(stack)
+            for m, a, lam, is_lox in zip(mats, cartan, jordan, lox):
+                g = GroupElement.from_integer(m)
+                want_lam, want_lox = pj.jordan_project(g)
+                assert bool(is_lox) == want_lox
+                if len(m) == 3:
+                    assert a.tobytes() == pj.cartan_vector(g).tobytes()
+                    assert lam.tobytes() == want_lam.tobytes()
+                    continue
+                ratio = math.exp(2.0 * a[0])
+                assert np.max(np.abs(a - pj.cartan_vector(g))) <= 4 * EPS * min(ratio, 1e10) + 1e-14
+                if is_lox:
+                    mass = float(sum(x * x for row in m for x in row))
+                    top = math.exp(lam[0])
+                    tol = 4 * EPS * mass / (top - 1.0 / top) * min(top, 1e5) + 1e-14
+                    assert np.max(np.abs(lam - want_lam)) <= tol
+
+    def test_reject_float_and_non_square_stacks(self):
         with pytest.raises(PreconditionError):
             pj.cartan_vector(np.eye(2)[None, :, :])
-        with pytest.raises(PreconditionError):
-            pj.jordan_project(np.eye(3, dtype=int)[None, :, :])
+        bad_stacks = (np.eye(4, dtype=int)[None], np.ones((1, 2, 3), dtype=int), np.eye(3, dtype=int))
+        for bad in bad_stacks:
+            for kernel in (pj.cartan_vector, pj.jordan_project):
+                with pytest.raises(PreconditionError):
+                    kernel(bad)
 
 
 class TestIwasawa:
