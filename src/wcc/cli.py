@@ -215,7 +215,7 @@ def _cmd_enumerate(args) -> int:
         "complete": meta.complete,
         "bound": meta.bound,
         "word_radius": meta.word_radius,
-        "loxodromic": sum(1 for r in records if r.loxodromic),
+        "loxodromic": int(np.count_nonzero(records.loxodromic)),
     }
     _emit(payload, {"cmd": "enumerate", "group": args.group, "domain": args.domain,
                     "t": args.t, "edges": edges, "shards": args.shards,

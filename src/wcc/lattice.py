@@ -6,9 +6,9 @@ the other three; membership is the integer Frobenius mass against the
 domain's cap.  SL(3,Z) (or any generated presentation) ships as a
 breadth-first word ball with exact dedup and an explicit incompleteness
 flag: stats downstream are samples, not censuses.  Every census is one int64
-table: its Cartan and Jordan columns come from one stacked call each, a base
-point conjugates it by one exact stack product, and its order is
-(round(|a|^2, 12), entries).
+table with its columns (a ``Census``), conjugated by a base point in one exact
+stack product and ordered by (round(|a|^2, 12), entries).  Balls are nested,
+so a sweep enumerates once and restricts that census to each smaller ball.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import shutil
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .projections import _int_det, _integer_inverse, cartan_vector, jordan_project
 from .rootsys import RootSystemA, root_system
-from .volume import Domain
+from .volume import Domain, domain_volume
 
 CACHE_VERSION = 2
 CANDIDATE_CAP = int(1e9)
@@ -70,6 +73,39 @@ class ElementRecord:
     wall_margin: float
     loxodromic: bool
     jordan: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Census(Sequence):
+    """An ordered census as columns: the int64 (n, d*d) table of its matrices and
+    their cartan, wall_margin, loxodromic and jordan columns.  Indexing and
+    iteration build ``ElementRecord``s on demand; slices give lists of them."""
+
+    table: np.ndarray
+    cartan: np.ndarray
+    wall_margin: np.ndarray
+    loxodromic: np.ndarray
+    jordan: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self._records(i))
+        k = range(len(self))[i]
+        return next(self._records(slice(k, k + 1)))
+
+    def __iter__(self):
+        return self._records(slice(None))
+
+    def _records(self, rows: slice):
+        d = math.isqrt(self.table.shape[1])
+        cols = self.table[rows].T.tolist()  # row tuples zipped from columns: no list per record
+        matrices = zip(*(zip(*cols[i * d:(i + 1) * d]) for i in range(d)))
+        return (ElementRecord(m, a, w, x, lam if x else None) for m, a, w, x, lam in
+                zip(matrices, self.cartan[rows], self.wall_margin[rows].tolist(),
+                    self.loxodromic[rows].tolist(), self.jordan[rows]))
 
 
 # ------------------------------------------------------------- enumeration
@@ -120,11 +156,11 @@ def _conjugate(table: np.ndarray, h) -> np.ndarray:
 
 
 def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_point=None):
-    """Records of the rows m of an int64 (n, d*d) table that lie in the domain,
+    """The census of the rows m of an int64 (n, d*d) table that lie in the domain,
     and the number of rows that do not.
 
     The columns are those of m, the displacement seen from x = h.o; the matrix
-    is h m h^-1 (m itself at the origin).  Records are ordered by
+    is h m h^-1 (m itself at the origin).  Rows are ordered by
     (round(|a|^2, 12), matrix entries).  sl2 membership is the exact integer
     mass cap; sl3 membership is the float test of ``Domain.contains_cartan``.
     """
@@ -147,12 +183,17 @@ def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_poin
     keep = np.flatnonzero(inside)
     table = table[keep] if base_point is None else _conjugate(table[keep], base_point)
     order = np.lexsort((*table.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
-    table, rows = table[order], keep[order]
-    cols = table.T.tolist()  # row tuples zipped from columns: no list per record
-    matrices = zip(*(zip(*cols[i * d:(i + 1) * d]) for i in range(d)))
-    records = [ElementRecord(m, a, w, x, lam if x else None) for m, a, w, x, lam in
-               zip(matrices, cartan[rows], walls[rows].tolist(), lox[rows].tolist(), jordan[rows])]
-    return records, len(inside) - len(keep)
+    rows = keep[order]
+    census = Census(table[order], cartan[rows], walls[rows], lox[rows], jordan[rows])
+    return census, len(inside) - len(keep)
+
+
+def restrict(table: np.ndarray, spec: LatticeSpec, domain: Domain):
+    """The census of the rows g of a census table that lie in the domain, and the
+    number of rows that do not, with the columns of m = h^-1 g h (``_table_records``)."""
+    if spec.base_point is not None:
+        table = _conjugate(table, _integer_inverse(np.array(spec.base_point, dtype=object)))
+    return _table_records(table, root_system(spec.d), domain, spec.base_point)
 
 
 def _default_sl3_generators():
@@ -205,8 +246,8 @@ def enumerate_elements(
 ):
     """Census of lattice elements whose chamber displacement lies in the domain.
 
-    Returns (records, meta); records are sorted by displacement norm then
-    entries.  The sl2 full-integer path is exact; everything else is a word
+    Returns (census, meta); the census rows are sorted by displacement norm
+    then entries.  The sl2 full-integer path is exact; everything else is a word
     ball with ``meta.complete = False``.  ``threads`` is unused (vectorized scan).
     """
     rs = root_system(spec.d)
@@ -231,17 +272,16 @@ def enumerate_elements(
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
         table = words.reshape(len(words), -1)
         meta = EnumerationMeta(False, word_radius=word_radius)
-    records, _ = _table_records(table, rs, domain, spec.base_point)
-    return records, meta
+    census, _ = _table_records(table, rs, domain, spec.base_point)
+    return census, meta
 
 
 # ------------------------------------------------------------------- cache
 
 
-def records_blob(records) -> bytes:
-    """Canonical little-endian int64 serialization of sorted records."""
-    flat = [x for rec in records for row in rec.matrix for x in row]
-    return np.array(flat, dtype="<i8").tobytes()
+def records_blob(census: Census) -> bytes:
+    """Canonical little-endian int64 serialization of a census's matrices, in its order."""
+    return census.table.astype("<i8").tobytes()
 
 
 def _canonical_json(obj) -> str:
@@ -262,20 +302,48 @@ def _float_as_written(text: str) -> float:
     return value
 
 
-def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: EnumerationMeta,
-               shards: int = 1) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    shards = max(1, shards)
-    chunks = np.array_split(np.arange(len(records)), shards)
+def save_cache(directory, spec: LatticeSpec, domain: Domain, census: Census,
+               meta: EnumerationMeta, shards: int = 1) -> Path:
+    """Write the census as shards plus a manifest into a fresh sibling directory,
+    then rename that into place, so a reader finds the old cache or the new one,
+    never a part.  A target holding anything but a cache's files is refused."""
+    directory = Path(os.path.abspath(directory))  # "." and ".." have no sibling name
+    if directory.exists():
+        foreign = sorted(p.name for p in directory.iterdir() if not p.is_file()
+                         or not (p.name == "manifest.json" or p.match("shard_*.bin")))
+        if foreign:
+            raise PreconditionError(f"{directory} holds files no cache writes: {foreign}")
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = directory.with_name(f".{directory.name}.tmp-{os.getpid()}")
+    staging.mkdir()
+    try:
+        _write_cache(staging, spec, domain, census, meta, shards)
+        if directory.exists():
+            old = directory.with_name(f".{directory.name}.old-{os.getpid()}")
+            directory.rename(old)
+            try:
+                staging.rename(directory)
+            except OSError:
+                old.rename(directory)
+                raise
+            shutil.rmtree(old)
+        else:
+            staging.rename(directory)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return directory
+
+
+def _write_cache(directory: Path, spec: LatticeSpec, domain: Domain, census: Census,
+                 meta: EnumerationMeta, shards: int) -> None:
     shard_files, checksums, counts = [], [], []
-    for i, chunk in enumerate(chunks):
-        blob = records_blob([records[j] for j in chunk])
+    for i, rows in enumerate(np.array_split(census.table, max(1, shards))):
+        blob = rows.astype("<i8").tobytes()
         name = f"shard_{i:04d}.bin"
         (directory / name).write_bytes(blob)
         shard_files.append(name)
         checksums.append(hashlib.sha256(blob).hexdigest())
-        counts.append(int(len(chunk)))
+        counts.append(len(rows))
     manifest = {
         "version": CACHE_VERSION,
         "spec": spec.key(),
@@ -292,14 +360,10 @@ def save_cache(directory, spec: LatticeSpec, domain: Domain, records, meta: Enum
         "shards": shard_files,
         "checksums": checksums,
         "counts": counts,
-        "total": len(records),
+        "total": len(census),
     }
     manifest["config_hash"] = _config_hash(manifest)
     (directory / "manifest.json").write_text(_canonical_json(manifest) + "\n")
-    for stale in directory.glob("shard_*.bin"):
-        if stale.name not in shard_files:
-            stale.unlink()
-    return directory
 
 
 def _read_cache(directory: Path):
@@ -346,7 +410,7 @@ def _read_cache(directory: Path):
 
 
 def load_cache(directory):
-    """Load and verify a census cache; returns (spec, domain, records, manifest).
+    """Load and verify a census cache; returns (spec, domain, census, manifest).
 
     Rejects an unreadable or malformed manifest, any mismatch with it, a
     missing or unlisted shard, duplicates, entries beyond 2^30, a determinant
@@ -367,37 +431,17 @@ def load_cache(directory):
     det = _int_det(mats if d == 2 else mats.astype(object))
     if np.any(det != 1):
         raise PreconditionError(f"cache holds {np.count_nonzero(det != 1)} records of det != 1")
-    if spec.base_point is not None:
-        # back to m = h^-1 g h, whose columns enumerate_elements recorded
-        table = _conjugate(table, _integer_inverse(np.array(spec.base_point, dtype=object)))
-    records, outside = _table_records(table, root_system(d), domain, spec.base_point)
+    census, outside = restrict(table, spec, domain)
     if outside:
         raise PreconditionError(f"cache holds {outside} records off its domain")
-    return spec, domain, records, manifest
-
-
-class EnumerationCache:
-    """Convenience handle over a cache directory (manifest + shards)."""
-
-    def __init__(self, directory):
-        self.directory = Path(directory)
-        self.spec, self.domain, self.records, self.manifest = load_cache(self.directory)
-
-    @property
-    def complete(self) -> bool:
-        return bool(self.manifest["complete"])
-
-    @classmethod
-    def write(cls, directory, spec, domain, records, meta, shards: int = 1) -> "EnumerationCache":
-        save_cache(directory, spec, domain, records, meta, shards=shards)
-        return cls(directory)
+    return spec, domain, census, manifest
 
 
 # ------------------------------------------------------------------ counts
 
 
 def census_counts(
-    records,
+    census: Census,
     rs: RootSystemA,
     domain: Domain,
     slabs=(),
@@ -412,9 +456,9 @@ def census_counts(
     """
     if require_complete and not complete:
         raise CompletenessError("exact counts requested from an incomplete (sample) census")
-    total = len(records)
-    regular = sum(1 for r in records if r.wall_margin > regular_margin)
-    loxo = sum(1 for r in records if r.loxodromic)
+    total, wall = len(census), census.wall_margin
+    regular = int(np.count_nonzero(wall > regular_margin))
+    loxo = int(np.count_nonzero(census.loxodromic))
     out = {
         "total": total,
         "regular": regular,
@@ -423,7 +467,7 @@ def census_counts(
         "slabs": {},
     }
     for s in slabs:
-        out["slabs"][float(s)] = sum(1 for r in records if r.wall_margin <= s)
+        out["slabs"][float(s)] = int(np.count_nonzero(wall <= s))
     if volume_log is not None:
         vol = math.exp(volume_log)
         out["normalized"] = {
@@ -434,25 +478,19 @@ def census_counts(
     return out
 
 
-def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), kind: str = "ball", **kwargs) -> dict:
-    """Counts across a t sweep with slab ratios and their fitted decay."""
-    from .volume import domain_volume
-
+def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), **kwargs) -> dict:
+    """Counts across a sweep of balls with slab ratios and their fitted decay."""
     rs = root_system(spec.d)
+    grid = [float(t) for t in t_grid]
+    census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **kwargs)
     rows = []
-    for t in t_grid:
-        domain = Domain(kind, float(t))
-        records, meta = enumerate_elements(spec, domain, **kwargs)
+    for t in grid:
+        domain = Domain("ball", t)
         vol = domain_volume(rs, domain)
-        counts = census_counts(
-            records, rs, domain,
-            slabs=[eps * t for eps in epsilons],
-            volume_log=vol.log_value,
-            complete=meta.complete,
-        )
-        counts["t"] = float(t)
-        counts["log_volume"] = vol.log_value
-        rows.append(counts)
+        counts = census_counts(restrict(census.table, spec, domain)[0], rs, domain,
+                               slabs=[eps * t for eps in epsilons], volume_log=vol.log_value,
+                               complete=meta.complete)
+        rows.append({**counts, "t": t, "log_volume": vol.log_value})
     report = {"rows": rows, "complete": all(r["complete"] for r in rows)}
     if epsilons and len(rows) >= 2:
         fits = {}

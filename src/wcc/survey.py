@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bqf
 from .errors import ParameterError, WccError
-from .lattice import LatticeSpec, _word_ball, enumerate_elements
+from .lattice import Census, LatticeSpec, _word_ball, enumerate_elements, restrict
 from .projections import BasePoint, GroupElement, _integer_inverse, cartan_vector
 from .rootsys import root_system
 from .volume import Domain, domain_volume
@@ -29,21 +29,20 @@ SQRT8 = 2.0 * math.sqrt(2.0)
 # ----------------------------------------------------- angular distribution
 
 
-def sl2_angles(records):
-    """Attracting/repelling boundary angles (mod pi) of sl2 census records.
+def sl2_angles(matrices):
+    """Attracting/repelling boundary angles (mod pi) of an (n, 2, 2) matrix array.
 
     The attracting flag of a regular element is its top left-singular
     direction; the repelling one is the orthogonal complement of the top
     right-singular direction.
     """
-    mats = np.array([rec.matrix for rec in records], dtype=float)
+    mats = np.asarray(matrices, dtype=float)
     a, b = mats[:, 0, 0], mats[:, 0, 1]
     c, d = mats[:, 1, 0], mats[:, 1, 1]
     # top eigenvector angle of g^T g gives the right-singular direction
     theta_v = 0.5 * np.arctan2(2.0 * (a * b + c * d), (a * a + c * c) - (b * b + d * d))
-    u = np.stack([a * np.cos(theta_v) + b * np.sin(theta_v),
-                  c * np.cos(theta_v) + d * np.sin(theta_v)], axis=1)
-    theta_plus = np.mod(np.arctan2(u[:, 1], u[:, 0]), math.pi)
+    cos, sin = np.cos(theta_v), np.sin(theta_v)
+    theta_plus = np.mod(np.arctan2(c * cos + d * sin, a * cos + b * sin), math.pi)
     theta_minus = np.mod(theta_v + 0.5 * math.pi, math.pi)
     return theta_plus, theta_minus
 
@@ -59,7 +58,7 @@ def ks_to_uniform(values, period: float = math.pi) -> float:
 
 
 def angular_statistics(
-    records,
+    census: Census,
     rs,
     domain: Domain,
     volume_log: float,
@@ -78,16 +77,17 @@ def angular_statistics(
     """
     if regular_margin < 0.0:
         raise ParameterError("angular statistics need a nonnegative regularity margin")
-    kept = [r for r in records if r.wall_margin > regular_margin]
+    kept = census.wall_margin > regular_margin
+    n_regular = int(np.count_nonzero(kept))
     if rs.d != 2:
         raise ParameterError("angular statistics are shipped for sl2 censuses")
-    if not kept:
+    if not n_regular:
         raise ParameterError("no regular census elements above the margin")
-    theta_plus, theta_minus = sl2_angles(kept)
+    theta_plus, theta_minus = sl2_angles(census.table[kept].reshape(-1, 2, 2))
     vol = math.exp(volume_log)
     out = {
-        "n_regular": len(kept),
-        "count_over_volume": len(kept) / vol,
+        "n_regular": n_regular,
+        "count_over_volume": n_regular / vol,
         "ks_plus": ks_to_uniform(theta_plus),
         "ks_minus": ks_to_uniform(theta_minus),
     }
@@ -116,25 +116,19 @@ def angular_statistics(
 
 
 def angular_sweep(spec: LatticeSpec, t_grid, bins: int = 36, **enum_kwargs) -> dict:
-    """KS distances across a census sweep plus the fitted decay exponent."""
+    """KS distances across a sweep of balls plus the fitted decay exponent."""
     rs = root_system(spec.d)
+    grid = [float(t) for t in t_grid]
+    census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **enum_kwargs)
     rows = []
-    for t in t_grid:
-        domain = Domain("ball", float(t))
-        records, meta = enumerate_elements(spec, domain, **enum_kwargs)
+    for t in grid:
+        domain = Domain("ball", t)
         vol = domain_volume(rs, domain)
-        stats = angular_statistics(records, rs, domain, vol.log_value, bins=bins)
-        rows.append(
-            {
-                "t": float(t),
-                "n_regular": stats["n_regular"],
-                "ks_plus": stats["ks_plus"],
-                "ks_minus": stats["ks_minus"],
-                "ks_max": max(stats["ks_plus"], stats["ks_minus"]),
-                "log_volume": vol.log_value,
-                "complete": meta.complete,
-            }
-        )
+        stats = angular_statistics(restrict(census.table, spec, domain)[0], rs, domain,
+                                   vol.log_value, bins=bins)
+        row = {k: stats[k] for k in ("n_regular", "ks_plus", "ks_minus")}
+        rows.append({"t": t, **row, "ks_max": max(row["ks_plus"], row["ks_minus"]),
+                     "log_volume": vol.log_value, "complete": meta.complete})
     report = {"rows": rows}
     if len(rows) >= 2:
         logs_v = np.array([r["log_volume"] for r in rows])
@@ -396,29 +390,21 @@ def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
             "max_gap": max((r["gap"] for r in rows), default=0.0)}
 
 
-def balanced_split(records, T: float, kappa: float) -> dict:
+def balanced_split(census: Census, T: float, kappa: float) -> dict:
     """Balanced/unbalanced split of sampled loxodromic elements at T / kappa.
 
     Sample-mode report (word-ball censuses are not exhaustive): an element
     counts as balanced when its Jordan length exceeds the threshold.
     """
     threshold = T / kappa
-    balanced, unbalanced = [], []
-    rs = None
-    for rec in records:
-        if not rec.loxodromic or rec.jordan is None:
-            continue
-        if rs is None:
-            rs = root_system(len(rec.jordan))
-        length = rs.killing_norm(rec.jordan)
-        if length > T:
-            continue
-        (balanced if length > threshold else unbalanced).append(length)
+    jordan = census.jordan[census.loxodromic]
+    length = np.sqrt(root_system(jordan.shape[1]).killing_scale * np.vecdot(jordan, jordan))
+    length = length[length <= T]
     return {
         "T": T,
         "kappa": kappa,
         "threshold": threshold,
-        "balanced": len(balanced),
-        "unbalanced": len(unbalanced),
+        "balanced": int(np.count_nonzero(length > threshold)),
+        "unbalanced": int(np.count_nonzero(length <= threshold)),
         "exhaustive": False,
     }

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wcc
+from wcc import lattice as lt
 from wcc.cli import dispatch
 
 
@@ -108,6 +109,33 @@ class TestEnumerate:
         else:
             (out / "shard_0001.bin").unlink()
         assert run(capsys, "angular", "--cache", str(out))[0] == 2
+
+    def test_refuses_an_out_directory_holding_other_files(self, capsys, tmp_path):
+        out = tmp_path / "census"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        code, _ = run(capsys, "enumerate", "--group", "sl2", "--t", "5", "--out", str(out))
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["census"]
+
+    def test_census_commands_build_no_element_record(self, capsys, tmp_path, monkeypatch):
+        built, init = [], lt.ElementRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(lt.ElementRecord, "__init__", counting_init)
+        out = str(tmp_path / "census")
+        for argv in (["enumerate", "--group", "sl2", "--t", "7", "--shards", "3", "--out", out],
+                     ["angular", "--cache", out],
+                     ["angular", "--group", "sl2", "--sweep", "7,5,6"]):
+            assert run(capsys, *argv)[0] == 0
+        assert built == []
+        lt.load_cache(out)[2][0]  # the count does see a record built on demand
+        assert len(built) == 1
 
     def test_determinism_byte_identical(self, capsys, tmp_path):
         code1, out1 = run(

@@ -96,6 +96,20 @@ class TestColumnarCensus:
         keys = [mass_entries_key(r.matrix) for r in records]
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
 
+    def test_census_is_a_sequence_of_records(self, census_t8):
+        census, _ = census_t8
+        records = list(census)
+        assert len(census) == len(records) > 10
+        assert census[-1].matrix == records[-1].matrix
+        assert [r.matrix for r in census[3:9:2]] == [r.matrix for r in records[3:9:2]]
+        with pytest.raises(IndexError):
+            census[len(census)]
+        rec = census[5]
+        assert type(rec) is lt.ElementRecord
+        assert all(type(x) is int for row in rec.matrix for x in row)
+        assert type(rec.wall_margin) is float and type(rec.loxodromic) is bool
+        assert all((r.jordan is None) is (not r.loxodromic) for r in records)
+
 
 class TestExactEnumeration:
     def test_orthogonal_core(self):
@@ -289,6 +303,65 @@ class TestCacheVerification:
         assert lt.records_blob(lt.load_cache(tmp_path)[2]) == lt.records_blob(records)
 
 
+class TestAtomicCacheWrite:
+    def test_failed_rewrite_keeps_the_previous_cache(self, tmp_path, monkeypatch):
+        directory = tmp_path / "cache"
+        records = write_census(directory, shards=3)
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        census, meta = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 6.0))
+        write_bytes, calls = type(directory).write_bytes, []
+
+        def second_write_fails(path, data):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(type(directory), "write_bytes", second_write_fails)
+        with pytest.raises(OSError, match="disk full"):
+            lt.save_cache(directory, LatticeSpec("sl2"), Domain("ball", 6.0), census, meta,
+                          shards=3)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+        assert lt.records_blob(lt.load_cache(directory)[2]) == lt.records_blob(records)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    def test_rewrite_replaces_the_directory_and_leaves_no_sibling(self, tmp_path):
+        directory = tmp_path / "cache"
+        write_census(directory, shards=3)
+        records = write_census(directory, t=6.0, shards=2)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "manifest.json", "shard_0000.bin", "shard_0001.bin"]
+        assert lt.records_blob(lt.load_cache(directory)[2]) == lt.records_blob(records)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    def test_rewrite_of_the_working_directory(self, tmp_path, monkeypatch):
+        directory = tmp_path / "cache"
+        write_census(directory)
+        monkeypatch.chdir(directory)
+        records = write_census(".", t=6.0)
+        monkeypatch.chdir(tmp_path)
+        assert lt.records_blob(lt.load_cache(directory)[2]) == lt.records_blob(records)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "shard_0000.bin.orig", "sub/"])
+    def test_refuses_a_directory_holding_other_files(self, tmp_path, foreign):
+        directory = tmp_path / "cache"
+        write_census(directory)
+        if foreign.endswith("/"):
+            (directory / foreign).mkdir()
+        else:
+            (directory / foreign).write_text("keep me")
+        before = sorted(p.name for p in directory.iterdir())
+        manifest = (directory / "manifest.json").read_bytes()
+        with pytest.raises(PreconditionError, match="no cache writes"):
+            write_census(directory, t=6.0)
+        assert sorted(p.name for p in directory.iterdir()) == before
+        assert (directory / "manifest.json").read_bytes() == manifest
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+
+
 class TestBasePoint:
     def test_conjugation_translation_consistency(self):
         h = ((2, 1), (1, 1))
@@ -376,6 +449,18 @@ class TestCensusCounts:
             len(records) / math.exp(vol.log_value)
         )
 
+    def test_sweep_rows_match_per_t_enumeration(self):
+        spec, rs = LatticeSpec("sl2", base_point=((2, 1), (1, 1))), root_system(2)
+        report = lt.census_sweep(spec, [5, 7.0, 6.0], epsilons=[0.1])
+        assert [r["t"] for r in report["rows"]] == [5.0, 7.0, 6.0]
+        for row in report["rows"]:
+            dom = Domain("ball", row["t"])
+            records, meta = lt.enumerate_elements(spec, dom)
+            want = lt.census_counts(records, rs, dom, slabs=[0.1 * row["t"]],
+                                    volume_log=domain_volume(rs, dom).log_value,
+                                    complete=meta.complete)
+            assert {k: row[k] for k in want} == want
+
     def test_sweep_ratio_stabilizes(self):
         report = lt.census_sweep(LatticeSpec("sl2"), [9.0, 10.0, 11.0], epsilons=[0.1])
         rows = report["rows"]
@@ -384,18 +469,17 @@ class TestCensusCounts:
         assert report["slab_decay"][0.1]["kappa_fit"] > 0.0
 
 
-def test_enumeration_cache_wrapper(tmp_path, census_t8):
-    records, meta = census_t8
-    cache = lt.EnumerationCache.write(
-        tmp_path, LatticeSpec("sl2"), Domain("ball", 8.0), records, meta, shards=2
-    )
-    assert cache.complete
-    assert lt.records_blob(cache.records) == lt.records_blob(records)
-    assert cache.domain.t == 8.0
-
-
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 SL3_BASE = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
+SL2_GENS = (((1, 1), (0, 1)), ((1, 0), (1, 1)))
+SWEEP_SPECS = [
+    (LatticeSpec("sl2"), 4),
+    (LatticeSpec("sl2", base_point=((2, 1), (1, 1))), 4),
+    (LatticeSpec("sl2", "generated", SL2_GENS), 5),
+    (LatticeSpec("sl2", "generated", SL2_GENS, base_point=((2, 1), (1, 1))), 5),
+    (LatticeSpec("sl3"), 3),
+    (LatticeSpec("sl3", base_point=SL3_BASE), 3),
+]
 
 
 def assert_same_records(got, want):
@@ -481,6 +565,24 @@ class TestTableOracle:
         spec = LatticeSpec(f"sl{d}", "generated", tuple(gens), base_point=base)
         with tempfile.TemporaryDirectory() as directory:
             assert_matches_reference(directory, spec, Domain("ball", t), radius)
+
+    @PROPERTY
+    @given(st.integers(2, 50), st.floats(0.01, 0.99))
+    def test_integer_census_matches_nested_loops_at_random_caps(self, int_cap, frac):
+        records, _ = lt.enumerate_elements(LatticeSpec("sl2"),
+                                           Domain("ball", t_of_cap(int_cap + frac)))
+        assert sorted(r.matrix for r in records) == brute_force_sl2(math.isqrt(int_cap), int_cap)
+
+    @PROPERTY
+    @given(st.sampled_from(SWEEP_SPECS), st.floats(0.5, 7.0), st.floats(0.5, 7.0))
+    def test_restriction_matches_enumeration_at_the_smaller_ball(self, case, t1, t2):
+        spec, radius = case
+        small, big = Domain("ball", min(t1, t2)), Domain("ball", max(t1, t2))
+        census, _ = lt.enumerate_elements(spec, big, word_radius=radius)
+        want, _ = lt.enumerate_elements(spec, small, word_radius=radius)
+        got, outside = lt.restrict(census.table, spec, small)
+        assert_same_records(got, want)
+        assert outside == len(census) - len(want)
 
     def test_sort_key_rounds_as_python_round(self):
         # values at and one ulp either side of the half-way points of the 12th decimal

@@ -241,12 +241,24 @@ class TestAngular:
         assert stats["ks_plus"] < 0.05
         assert stats["ks_minus"] < 0.05
 
+    def test_sweep_rows_match_per_t_statistics(self):
+        spec, rs = LatticeSpec("sl2"), root_system(2)
+        report = sv.angular_sweep(spec, [6, 8.0, 7.0], bins=12)
+        assert [r["t"] for r in report["rows"]] == [6.0, 8.0, 7.0]
+        for row in report["rows"]:
+            dom = Domain("ball", row["t"])
+            records, _ = enumerate_elements(spec, dom)
+            stats = sv.angular_statistics(records, rs, dom, domain_volume(rs, dom).log_value,
+                                          bins=12)
+            assert (row["n_regular"], row["ks_plus"], row["ks_minus"]) == (
+                stats["n_regular"], stats["ks_plus"], stats["ks_minus"])
+
     def test_marginals_agree_by_inversion_closure(self, census_t8):
         # the census is closed under inversion, which swaps the two angular
         # marginals, so their empirical laws coincide exactly
         records, _ = census_t8
         kept = [r for r in records if r.wall_margin > 0]
-        tp, tm = sv.sl2_angles(kept)
+        tp, tm = sv.sl2_angles(np.array([r.matrix for r in kept]))
         assert np.allclose(np.sort(tp), np.sort(tm), atol=1e-9)
 
     def test_smooth_psi_matches_reference(self, census_t8):
