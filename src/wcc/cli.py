@@ -204,9 +204,8 @@ def _cmd_enumerate(args) -> int:
     spec = lt.LatticeSpec(args.group)
     edges = _parse_edges(args.edges)
     domain = Domain(args.domain, args.t, edges, regular_margin=args.regular_margin)
-    records, meta = lt.enumerate_elements(
-        spec, domain, shards=args.shards, word_radius=args.word_radius, threads=args.threads
-    )
+    records, meta = lt.enumerate_elements(spec, domain, shards=args.shards,
+                                          word_radius=args.word_radius)
     out_dir = Path(args.out or _default_cache_root())
     lt.save_cache(out_dir, spec, domain, records, meta, shards=args.shards)
     payload = {
@@ -219,8 +218,8 @@ def _cmd_enumerate(args) -> int:
     }
     _emit(payload, {"cmd": "enumerate", "group": args.group, "domain": args.domain,
                     "t": args.t, "edges": edges, "shards": args.shards,
-                    "word_radius": args.word_radius, "threads": args.threads,
-                    "regular_margin": args.regular_margin, "seed": args.seed},
+                    "word_radius": args.word_radius, "regular_margin": args.regular_margin,
+                    "seed": args.seed},
           complete=meta.complete)
     return 0
 
@@ -332,7 +331,7 @@ def _cmd_check(args) -> int:
         try:
             ok = bool(fn())
             checks.append((name, ok, ""))
-        except Exception as exc:  # pragma: no cover - failure path
+        except WccError as exc:
             checks.append((name, False, f"{type(exc).__name__}: {exc}"))
 
     rs2, rs3 = root_system(2), root_system(3)
@@ -419,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weyl-chamber-flow counting toolkit for SL(2,R)/SL(3,R) lattices",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in the enumerate config; the census scan is vectorized")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("project", help="Cartan/Jordan data of one matrix")

@@ -241,14 +241,13 @@ def enumerate_elements(
     domain: Domain,
     shards: int = 1,
     word_radius: int = 4,
-    threads: int = 1,
-    candidate_cap: int = CANDIDATE_CAP,
 ):
     """Census of lattice elements whose chamber displacement lies in the domain.
 
     Returns (census, meta); the census rows are sorted by displacement norm
     then entries.  The sl2 full-integer path is exact; everything else is a word
-    ball with ``meta.complete = False``.  ``threads`` is unused (vectorized scan).
+    ball with ``meta.complete = False``.  An sl2 scan beyond ``CANDIDATE_CAP``
+    candidates raises ``FeasibilityError``.
     """
     rs = root_system(spec.d)
     domain.for_dimension(spec.d)
@@ -256,10 +255,10 @@ def enumerate_elements(
         sigma_max = math.exp(domain.max_top_weight(rs))
         bound = int(math.floor(sigma_max + 1e-12))
         candidates = (2 * bound + 1) ** 3
-        if candidates > candidate_cap:
+        if candidates > CANDIDATE_CAP:
             raise FeasibilityError(
                 f"sl2 enumeration would scan ~{candidates:.2e} candidates "
-                f"(entry bound {bound}); raise the cap explicitly to proceed",
+                f"(entry bound {bound}), beyond the cap of {CANDIDATE_CAP:.0e}",
                 estimated_candidates=candidates,
             )
         shards = max(1, min(shards, 2 * bound + 1))
@@ -442,8 +441,6 @@ def load_cache(directory):
 
 def census_counts(
     census: Census,
-    rs: RootSystemA,
-    domain: Domain,
     slabs=(),
     regular_margin: float = 0.0,
     volume_log: float | None = None,
@@ -487,9 +484,9 @@ def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), **kwargs) -> dict:
     for t in grid:
         domain = Domain("ball", t)
         vol = domain_volume(rs, domain)
-        counts = census_counts(restrict(census.table, spec, domain)[0], rs, domain,
-                               slabs=[eps * t for eps in epsilons], volume_log=vol.log_value,
-                               complete=meta.complete)
+        ball = census if t == max(grid) else restrict(census.table, spec, domain)[0]
+        counts = census_counts(ball, slabs=[eps * t for eps in epsilons],
+                               volume_log=vol.log_value, complete=meta.complete)
         rows.append({**counts, "t": t, "log_volume": vol.log_value})
     report = {"rows": rows, "complete": all(r["complete"] for r in rows)}
     if epsilons and len(rows) >= 2:

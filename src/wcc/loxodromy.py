@@ -2,16 +2,16 @@
 
 The certificate logic needs a handful of comparison constants (boundary
 distortion, local metric equivalence, the Gromov-product vs flat-distance
-sandwich).  They are not constructive, so ``_fit_constants`` fits deterministic
-empirical envelopes on seeded samples; the values for d = 2, 3 are pinned (a test
-refits them) and stamped into every certificate.  Soundness never rests on the
-fits: each certified element is re-checked by an independent eigenvalue-gap test.
+sandwich).  They are not constructive: deterministic empirical envelopes fitted
+on seeded samples, pinned here for d = 2, 3 (other d raise ``PreconditionError``;
+the fit is a test reference that a test reruns against the table) and stamped
+into every certificate.  Soundness never rests on the fits: each certified
+element is re-checked by an independent eigenvalue-gap test.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,8 +30,8 @@ from . import projections as pj
 from .projections import BasePoint, GroupElement
 from .rootsys import root_system
 
-T0_SAFETY = 1.05
-_FIT_SAMPLES = 350
+T0_SAFETY = 1.05  # padding of the certificate's wall-margin threshold
+GAP_SLACK = 1e-6  # numeric slack of the Jordan-Cartan flat bound
 
 
 @dataclass(frozen=True)
@@ -75,40 +75,9 @@ def _random_group(rng, d, scale) -> GroupElement:
     return GroupElement(k1 @ np.diag(np.exp(y)) @ k2, check=False)
 
 
-def dist_d2(g1: GroupElement, g2: GroupElement) -> float:
-    """Hopf-coordinate product distance between two Weyl chambers g1 M, g2 M."""
-    rs = root_system(g1.d)
-    h1, h2 = fm.hopf(g1), fm.hopf(g2)
-    return max(
-        fm.dist_d(h1.pair.xi_plus, h2.pair.xi_plus),
-        fm.dist_d(h1.pair.xi_minus, h2.pair.xi_minus),
-        rs.killing_norm(h1.a_coord - h2.a_coord),
-    )
-
-
-def _m_group(d: int):
-    """Determinant-one sign matrices: the flag gauge group."""
-    mats = []
-    for bits in range(2**d):
-        signs = [1.0 if (bits >> i) & 1 == 0 else -1.0 for i in range(d)]
-        if np.prod(signs) > 0:
-            mats.append(np.diag(signs))
-    return mats
-
-
-def dist_d1(g1: GroupElement, g2: GroupElement) -> float:
-    """Local Riemannian surrogate on Weyl chambers: matrix-log length modulo M."""
-    import scipy.linalg
-
-    rel = np.linalg.inv(g1.mat) @ g2.mat
-    with warnings.catch_warnings():
-        # logm warns above an error estimate of 1000 eps, far below what the norm needs
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return min(float(np.linalg.norm(scipy.linalg.logm(rel @ m))) for m in _m_group(g1.d))
-
-
-# _fit_constants for d = 2, 3: (c1, c2, c3, c_prime, eps0, r0), written with repr.  The
-# fit costs seconds per process, so it is pinned here; a Tier-1 test refits and compares.
+# The seeded fit of (c1, c2, c3, c_prime, eps0, r0) for d = 2, 3, written with repr.  The
+# fit costs seconds per process, so only its values ship; the fit itself is the test
+# reference tests/constants_reference.py, and a Tier-1 test refits and compares.
 _PINNED_CONSTANTS = {
     2: (1.05, 2.3291146540522427, 1.809028672008994, 0.3884860036299408, 0.1, 0.42630275100660764),
     3: (1.05, 2.9912850638252486, 1.7520677345766242, 0.8687302697796185, 0.1, 0.42630275100660764),
@@ -117,89 +86,10 @@ _PINNED_CONSTANTS = {
 
 @lru_cache(maxsize=None)
 def fitted_constants(d: int) -> FittedConstants:
-    """Comparison constants of dimension d: the pinned table for d = 2, 3, else a fresh fit."""
-    if d in _PINNED_CONSTANTS:
-        return FittedConstants(d, 4.0 * root_system(d).c_a(), *_PINNED_CONSTANTS[d])
-    return _fit_constants(d)
-
-
-def _fit_constants(d: int) -> FittedConstants:
-    rs = root_system(d)
-    c0 = 4.0 * rs.c_a()
-    rng = np.random.default_rng(20240 + d)
-
-    # C1: distortion envelope of the boundary metrics and the cocycle under
-    # moderate group elements, relative to exp(C0 * displacement)
-    worst = 1.0
-    for _ in range(_FIT_SAMPLES):
-        g = _random_group(rng, d, rng.uniform(0.05, 0.6))
-        dx = rs.killing_norm(pj.cartan_vector(g))
-        damp = math.exp(c0 * dx)
-        xi, eta = fm.Flag(pj.random_so(d, rng)), fm.Flag(pj.random_so(d, rng))
-        den_d = fm.dist_d(xi, eta)
-        den_delta = fm.dist_delta(xi, eta)
-        gxi, geta = xi.translate(g), eta.translate(g)
-        if den_d > 1e-9:
-            worst = max(worst, fm.dist_d(gxi, geta) / (damp * den_d))
-            sig = np.linalg.norm(
-                pj.iwasawa_cocycle(g, xi) - pj.iwasawa_cocycle(g, eta)
-            ) * math.sqrt(rs.killing_scale)
-            worst = max(worst, sig / (damp * den_d))
-        if den_delta > 1e-9:
-            worst = max(worst, fm.dist_delta(gxi, geta) / (damp * den_delta))
-    c1 = 1.05 * worst
-
-    # C2: local equivalence of the surrogate Riemannian distance and the
-    # Hopf product distance on a fixed neighborhood of the base chamber
-    eps0 = 0.1
-    worst = 1.0
-    for _ in range(_FIT_SAMPLES // 2):
-        g1 = _random_group(rng, d, rng.uniform(0.005, 0.04))
-        g2 = _random_group(rng, d, rng.uniform(0.005, 0.04))
-        d1, d2 = dist_d1(g1, g2), dist_d2(g1, g2)
-        if min(d1, d2) > 1e-8:
-            worst = max(worst, d1 / d2, d2 / d1)
-    c2 = 1.05 * worst
-
-    # C3, C_prime: sandwich between the Gromov product norm and the distance
-    # to the maximal flat of the pair
-    ratios, excess = [1.0], [0.0]
-    for trial in range(_FIT_SAMPLES // 2):
-        if trial % 2 == 0:
-            pair_flags = (fm.Flag(pj.random_so(d, rng)), fm.Flag(pj.random_so(d, rng)))
-        else:
-            g = _random_group(rng, d, rng.uniform(0.1, 0.8))
-            pair_flags = (fm.eta0(d).translate(g), fm.zeta0(d).translate(g))
-        try:
-            pair = fm.TransversePair(*pair_flags)
-            if pair.delta_value < 1e-4:
-                continue
-            gro = rs.killing_norm(fm.gromov_product(pair.xi_plus, pair.xi_minus))
-            fd = fm.flat_distance(BasePoint.origin(d), pair)
-        except (TransversalityError, NumericError):
-            continue
-        if fd > 1e-7:
-            ratios.append(gro / fd)
-        excess.append(fd - gro)
-    c3 = 1.05 * max(ratios)
-    c_prime = 1.05 * max(excess)
-
-    r0 = _bisect_r0(max(c3, 2.0))
-    return FittedConstants(d, c0, c1, c2, c3, c_prime, eps0, r0)
-
-
-def _bisect_r0(slope: float) -> float:
-    """Unique zero in (0,1) of r -> -log(r) - slope * r, to 1e-12."""
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if -math.log(mid) - slope * mid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    """Comparison constants of dimension d: the pinned table, for d = 2, 3 only."""
+    if d not in _PINNED_CONSTANTS:
+        raise PreconditionError(f"comparison constants are pinned for d = 2, 3 only, got d = {d}")
+    return FittedConstants(d, 4.0 * root_system(d).c_a(), *_PINNED_CONSTANTS[d])
 
 
 def cx_constant(x: BasePoint) -> float:
@@ -209,17 +99,17 @@ def cx_constant(x: BasePoint) -> float:
     return 8.0 * consts.c2 * consts.c1 * math.exp(consts.c0 * dx)
 
 
-def t_zero(x: BasePoint, epsilon: float, safety: float = T0_SAFETY) -> float:
+def t_zero(x: BasePoint, epsilon: float) -> float:
     """Wall-margin threshold for the certificate, with the comparison slack.
 
     The contraction step needs every simple root of the chamber displacement
     to exceed 2 log C_x - 2 log(eps); wall distance and the root minimum
-    differ by the exact factor sqrt(d) in type A, padded by ``safety``.
+    differ by the exact factor sqrt(d) in type A, padded by ``T0_SAFETY``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
     cx = cx_constant(x)
-    return safety * math.sqrt(x.d) * (2.0 * math.log(cx) - 2.0 * math.log(epsilon))
+    return T0_SAFETY * math.sqrt(x.d) * (2.0 * math.log(cx) - 2.0 * math.log(epsilon))
 
 
 @dataclass
@@ -294,7 +184,6 @@ def certify(
     x: BasePoint,
     r: float,
     epsilon: float,
-    safety: float = T0_SAFETY,
 ) -> LoxodromyCertificate:
     """Certify loxodromy from the chamber-displacement configuration at x.
 
@@ -318,7 +207,7 @@ def certify(
         )
 
     rs = root_system(d)
-    t0 = t_zero(x, epsilon, safety)
+    t0 = t_zero(x, epsilon)
     a_x = pj.cartan_at(gamma, x)
     wall = rs.wall_distance(a_x)
     conditions = {
@@ -370,11 +259,11 @@ def certify(
     )
 
 
-def jordan_cartan_gap(gamma: GroupElement, x: BasePoint, slack: float = 1e-6) -> float:
+def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:
     """Distance between the Jordan and x-Cartan projections of a loxodromic element.
 
     Also asserts the flat bound: the gap never exceeds twice the distance
-    from x to the fixed-point flat (plus numeric slack).
+    from x to the fixed-point flat (plus ``GAP_SLACK``).
     """
     lam, is_lox = pj.jordan_project(gamma)
     if not is_lox:
@@ -382,7 +271,7 @@ def jordan_cartan_gap(gamma: GroupElement, x: BasePoint, slack: float = 1e-6) ->
     rs = root_system(gamma.d)
     gap = rs.killing_norm(lam - pj.cartan_at(gamma, x))
     gp, gm = fm.fixed_points(gamma)
-    bound = 2.0 * fm.flat_distance(x, fm.TransversePair(gp, gm)) + slack
+    bound = 2.0 * fm.flat_distance(x, fm.TransversePair(gp, gm)) + GAP_SLACK
     if gap > bound:
         raise NumericError(
             f"flat bound violated: gap {gap} exceeds 2*flat_distance + slack = {bound}"

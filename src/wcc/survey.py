@@ -124,8 +124,8 @@ def angular_sweep(spec: LatticeSpec, t_grid, bins: int = 36, **enum_kwargs) -> d
     for t in grid:
         domain = Domain("ball", t)
         vol = domain_volume(rs, domain)
-        stats = angular_statistics(restrict(census.table, spec, domain)[0], rs, domain,
-                                   vol.log_value, bins=bins)
+        ball = census if t == max(grid) else restrict(census.table, spec, domain)[0]
+        stats = angular_statistics(ball, rs, domain, vol.log_value, bins=bins)
         row = {k: stats[k] for k in ("n_regular", "ks_plus", "ks_minus")}
         rows.append({"t": t, **row, "ks_max": max(row["ks_plus"], row["ks_minus"]),
                      "log_volume": vol.log_value, "complete": meta.complete})

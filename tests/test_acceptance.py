@@ -308,7 +308,7 @@ class TestCriterion5CensusExactness:
         ]
 
         r1, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.5), shards=1)
-        r7, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.5), shards=7, threads=2)
+        r7, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.5), shards=7)
         byte_exact = lt.records_blob(r1) == lt.records_blob(r7)
         elapsed = time.time() - start
         ok = exact_match and orthogonal_core and byte_exact and elapsed < 60.0

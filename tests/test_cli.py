@@ -9,7 +9,9 @@ import pytest
 
 import wcc
 from wcc import lattice as lt
+from wcc import volume as vol
 from wcc.cli import dispatch
+from wcc.errors import NumericError
 
 
 def run(capsys, *argv):
@@ -40,6 +42,14 @@ class TestProject:
     def test_bad_matrix(self, capsys):
         code, _ = run(capsys, "project", "--group", "sl2", "--matrix", "[[2,0],[0,1]]")
         assert code == 2
+
+
+class TestLoxo:
+    def test_unpinned_dimension_exit_code(self, capsys):
+        matrix = "[[2,1,0,0],[1,1,0,0],[0,0,2,1],[0,0,1,1]]"
+        code, out = run(capsys, "loxo", "--matrix", matrix, "--r", "0.4", "--eps", "0.01")
+        assert code == 2
+        assert out == ""
 
 
 class TestVolume:
@@ -187,6 +197,26 @@ class TestCheck:
         code, out = run(capsys, "check", "--quick")
         assert code == 0
         assert "overall" in out and "FAIL" not in out
+
+    def test_library_error_is_a_fail_line(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericError("quadrature stalled at delta 0.5")
+
+        monkeypatch.setattr(vol, "ball_volume", broken)
+        code, out = run(capsys, "check", "--quick")
+        assert code == 1
+        lines = [line for line in out.splitlines() if line.startswith("d=2 ball closed form")]
+        assert len(lines) == 1
+        assert "FAIL" in lines[0] and "NumericError: quadrature stalled at delta 0.5" in lines[0]
+        assert out.splitlines()[-1].endswith("FAIL")
+
+    def test_programming_error_propagates(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("ball_volume() got an unexpected argument")
+
+        monkeypatch.setattr(vol, "ball_volume", broken)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            dispatch(["check", "--quick"])
 
 
 def test_usage_error_exit_code(capsys):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcc import lattice as lt
+from wcc import survey as sv
 from wcc.errors import CompletenessError, FeasibilityError, PreconditionError, WccError
 from wcc.lattice import LatticeSpec
 from wcc.rootsys import root_system
@@ -185,7 +186,7 @@ class TestShardingAndCache:
         r1, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.0), shards=1)
         r4, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 7.0), shards=4)
         r9, _ = lt.enumerate_elements(
-            LatticeSpec("sl2"), Domain("ball", 7.0), shards=9, threads=3
+            LatticeSpec("sl2"), Domain("ball", 7.0), shards=9
         )
         blob = lt.records_blob(r1)
         assert lt.records_blob(r4) == blob
@@ -428,10 +429,8 @@ class TestWordBall:
         records, meta = lt.enumerate_elements(
             LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=2
         )
-        rs = root_system(3)
         with pytest.raises(CompletenessError):
-            lt.census_counts(records, rs, Domain("ball", 5.0), complete=meta.complete,
-                             require_complete=True)
+            lt.census_counts(records, complete=meta.complete, require_complete=True)
 
 
 class TestCensusCounts:
@@ -441,7 +440,7 @@ class TestCensusCounts:
         dom = Domain("ball", 8.0)
         vol = domain_volume(rs, dom)
         counts = lt.census_counts(
-            records, rs, dom, slabs=[1.0], volume_log=vol.log_value, complete=meta.complete
+            records, slabs=[1.0], volume_log=vol.log_value, complete=meta.complete
         )
         assert counts["total"] == len(records)
         assert counts["regular"] == sum(1 for r in records if r.wall_margin > 0)
@@ -456,10 +455,22 @@ class TestCensusCounts:
         for row in report["rows"]:
             dom = Domain("ball", row["t"])
             records, meta = lt.enumerate_elements(spec, dom)
-            want = lt.census_counts(records, rs, dom, slabs=[0.1 * row["t"]],
+            want = lt.census_counts(records, slabs=[0.1 * row["t"]],
                                     volume_log=domain_volume(rs, dom).log_value,
                                     complete=meta.complete)
             assert {k: row[k] for k in want} == want
+
+    @pytest.mark.parametrize("sweep", [lt.census_sweep, sv.angular_sweep])
+    def test_sweep_builds_each_census_once(self, sweep, monkeypatch):
+        calls, table_records = [], lt._table_records
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return table_records(*args, **kwargs)
+
+        monkeypatch.setattr(lt, "_table_records", counting)
+        sweep(LatticeSpec("sl2"), [5.0, 7.0, 6.0])
+        assert [dom.t for dom in calls] == [7.0, 5.0, 6.0]
 
     def test_sweep_ratio_stabilizes(self):
         report = lt.census_sweep(LatticeSpec("sl2"), [9.0, 10.0, 11.0], epsilons=[0.1])

@@ -11,6 +11,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
+from constants_reference import _fit_constants, dist_d2
 
 
 def admissible_parameters(d):
@@ -37,9 +38,13 @@ class TestFittedConstants:
 
     def test_pinned_table_matches_refit(self):
         for d in (2, 3):
-            pinned, refit = lx.fitted_constants(d), lx._fit_constants(d)
+            pinned, refit = lx.fitted_constants(d), _fit_constants(d)
             for name, value in vars(refit).items():
                 assert getattr(pinned, name) == pytest.approx(value, rel=1e-12), name
+
+    def test_unpinned_dimension_raises(self):
+        with pytest.raises(PreconditionError, match="d = 4"):
+            lx.fitted_constants(4)
 
     def test_r0_is_the_root(self):
         for d in (2, 3):
@@ -221,12 +226,12 @@ class TestDistanceSurrogates:
         for _ in range(50):
             g = random_group(rng, 2, 0.4)
             z1, z2 = random_group(rng, 2, 0.3), random_group(rng, 2, 0.3)
-            lhs = lx.dist_d2(
+            lhs = dist_d2(
                 GroupElement(g.mat @ z1.mat, check=False),
                 GroupElement(g.mat @ z2.mat, check=False),
             )
             cap = consts.c1 * math.exp(consts.c0 * rs.killing_norm(pj.cartan_vector(g)))
-            assert lhs <= cap * lx.dist_d2(z1, z2) * (1 + 1e-6) + 1e-12
+            assert lhs <= cap * dist_d2(z1, z2) * (1 + 1e-6) + 1e-12
 
     def test_constants_report_stable(self):
         a = lx.constants_report(2)
