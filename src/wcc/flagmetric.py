@@ -343,22 +343,47 @@ def _zero_sum_basis(d: int) -> np.ndarray:
 def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> float:
     """Distance from x to the maximal flat of a transverse pair.
 
-    BFGS from Y = 0 with the exact gradient (``tol`` its gradient tolerance) on the
-    squared distance d_X(x, w exp(Y) o)^2, w the witness of the pair: convex along
-    the flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary point
-    is the minimum.  A stall away from the flat raises NumericError.
+    Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
+    squared distance F(Y) = d_X(x, w exp(Y) o)^2, w the witness of the pair: convex
+    along the flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary
+    point is the minimum.  It stops at max |grad F| <= ``tol``, after 200 (d-1)
+    iterations, when backtracking runs out, or when a step no longer lowers F
+    beyond rounding (near a nonzero minimum the gradient cannot reach a small
+    ``tol`` in floating point).  A stall away from the flat raises NumericError.
     """
-    import scipy.optimize
-
     d = x.d
     m = x.h.inverse().mat @ pair.witness.mat
     fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
-    res = scipy.optimize.minimize(fg, np.zeros(d - 1), jac=True, method="BFGS",
-                                  options={"gtol": tol})
-    value = math.sqrt(res.fun)
+    y = np.zeros(d - 1)
+    f, g = fg(y)
+    h = np.eye(d - 1)
+    for it in range(200 * (d - 1)):
+        if np.max(np.abs(g)) <= tol:
+            break
+        p = -(h @ g)
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(60):
+            f_new, g_new = fg(y + t * p)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, dg = t * p, g_new - g
+        y, f_old, f, g = y + s, f, f_new, g_new
+        if f_old - f <= 1e-15 * f_old:
+            break
+        sy = float(s @ dg)
+        if sy > 0.0:
+            if it == 0:
+                h *= sy / float(dg @ dg)
+            a = np.eye(d - 1) - np.outer(s, dg) / sy
+            h = a @ h @ a.T + np.outer(s, s) / sy
+    value = math.sqrt(f)
     if value > 1e-3:
         # gradient of the distance itself: grad F / (2 sqrt F)
-        grad_norm = float(np.linalg.norm(res.jac)) / (2.0 * value)
+        grad_norm = float(np.linalg.norm(g)) / (2.0 * value)
         if grad_norm > 1e-4 * max(1.0, value):
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"

@@ -66,15 +66,6 @@ class FittedConstants:
         }
 
 
-def _random_group(rng, d, scale) -> GroupElement:
-    y = rng.normal(size=d) * scale
-    y -= y.mean()
-    y = np.sort(y)[::-1]
-    k1 = pj.random_so(d, rng)
-    k2 = pj.random_so(d, rng)
-    return GroupElement(k1 @ np.diag(np.exp(y)) @ k2, check=False)
-
-
 # The seeded fit of (c1, c2, c3, c_prime, eps0, r0) for d = 2, 3, written with repr.  The
 # fit costs seconds per process, so only its values ship; the fit itself is the test
 # reference tests/constants_reference.py, and a Tier-1 test refits and compares.
@@ -106,10 +97,14 @@ def t_zero(x: BasePoint, epsilon: float) -> float:
     to exceed 2 log C_x - 2 log(eps); wall distance and the root minimum
     differ by the exact factor sqrt(d) in type A, padded by ``T0_SAFETY``.
     """
+    return _t_zero(cx_constant(x), x.d, epsilon)
+
+
+def _t_zero(cx: float, d: int, epsilon: float) -> float:
+    """``t_zero`` from the configuration constant C_x of the base point."""
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
-    cx = cx_constant(x)
-    return T0_SAFETY * math.sqrt(x.d) * (2.0 * math.log(cx) - 2.0 * math.log(epsilon))
+    return T0_SAFETY * math.sqrt(d) * (2.0 * math.log(cx) - 2.0 * math.log(epsilon))
 
 
 @dataclass
@@ -207,7 +202,7 @@ def certify(
         )
 
     rs = root_system(d)
-    t0 = t_zero(x, epsilon)
+    t0 = _t_zero(cx, d, epsilon)
     a_x = pj.cartan_at(gamma, x)
     wall = rs.wall_distance(a_x)
     conditions = {
@@ -277,7 +272,3 @@ def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:
             f"flat bound violated: gap {gap} exceeds 2*flat_distance + slack = {bound}"
         )
     return gap
-
-
-def constants_report(d: int) -> dict:
-    return fitted_constants(d).as_dict()

@@ -13,9 +13,11 @@ import numpy as np
 from wcc import flagmetric as fm
 from wcc import projections as pj
 from wcc.errors import NumericError, TransversalityError
-from wcc.loxodromy import FittedConstants, _random_group
+from wcc.loxodromy import FittedConstants
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
+
+from conftest import random_group
 
 _FIT_SAMPLES = 350
 
@@ -61,7 +63,7 @@ def _fit_constants(d: int) -> FittedConstants:
     # moderate group elements, relative to exp(C0 * displacement)
     worst = 1.0
     for _ in range(_FIT_SAMPLES):
-        g = _random_group(rng, d, rng.uniform(0.05, 0.6))
+        g = random_group(rng, d, rng.uniform(0.05, 0.6))
         dx = rs.killing_norm(pj.cartan_vector(g))
         damp = math.exp(c0 * dx)
         xi, eta = fm.Flag(pj.random_so(d, rng)), fm.Flag(pj.random_so(d, rng))
@@ -83,8 +85,8 @@ def _fit_constants(d: int) -> FittedConstants:
     eps0 = 0.1
     worst = 1.0
     for _ in range(_FIT_SAMPLES // 2):
-        g1 = _random_group(rng, d, rng.uniform(0.005, 0.04))
-        g2 = _random_group(rng, d, rng.uniform(0.005, 0.04))
+        g1 = random_group(rng, d, rng.uniform(0.005, 0.04))
+        g2 = random_group(rng, d, rng.uniform(0.005, 0.04))
         d1, d2 = dist_d1(g1, g2), dist_d2(g1, g2)
         if min(d1, d2) > 1e-8:
             worst = max(worst, d1 / d2, d2 / d1)
@@ -97,7 +99,7 @@ def _fit_constants(d: int) -> FittedConstants:
         if trial % 2 == 0:
             pair_flags = (fm.Flag(pj.random_so(d, rng)), fm.Flag(pj.random_so(d, rng)))
         else:
-            g = _random_group(rng, d, rng.uniform(0.1, 0.8))
+            g = random_group(rng, d, rng.uniform(0.1, 0.8))
             pair_flags = (fm.eta0(d).translate(g), fm.zeta0(d).translate(g))
         try:
             pair = fm.TransversePair(*pair_flags)

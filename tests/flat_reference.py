@@ -1,8 +1,9 @@
-"""The grid + Nelder-Mead + finite-difference BFGS flat-distance solver.
+"""Two earlier flat-distance solvers, kept unchanged as test references.
 
-This was ``wcc.flagmetric.flat_distance`` before the convex solve with the
-exact SVD gradient replaced it; the tests keep it, unchanged, as the
-reference the new solver is compared against.
+``reference_flat_distance``, the grid + Nelder-Mead + finite-difference BFGS
+solver, was ``wcc.flagmetric.flat_distance`` before the convex solve with the
+exact SVD gradient replaced it.  ``scipy_bfgs_flat_distance`` was that convex
+solve while it ran on ``scipy.optimize.minimize``, before the numpy BFGS.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from wcc.errors import NumericError, TransversalityError
-from wcc.flagmetric import TransversePair, _zero_sum_basis, gromov_product
+from wcc.flagmetric import TransversePair, _flat_value_and_grad, _zero_sum_basis, gromov_product
 from wcc.projections import BasePoint
 from wcc.rootsys import root_system
 
@@ -83,3 +84,29 @@ def reference_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
     return max(0.0, value)
+
+
+def scipy_bfgs_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> float:
+    """Distance from x to the maximal flat of a transverse pair.
+
+    BFGS from Y = 0 with the exact gradient (``tol`` its gradient tolerance) on the
+    squared distance d_X(x, w exp(Y) o)^2, w the witness of the pair: convex along
+    the flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary point
+    is the minimum.  A stall away from the flat raises NumericError.
+    """
+    import scipy.optimize
+
+    d = x.d
+    m = x.h.inverse().mat @ pair.witness.mat
+    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    res = scipy.optimize.minimize(fg, np.zeros(d - 1), jac=True, method="BFGS",
+                                  options={"gtol": tol})
+    value = math.sqrt(res.fun)
+    if value > 1e-3:
+        # gradient of the distance itself: grad F / (2 sqrt F)
+        grad_norm = float(np.linalg.norm(res.jac)) / (2.0 * value)
+        if grad_norm > 1e-4 * max(1.0, value):
+            raise NumericError(
+                f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
+            )
+    return value

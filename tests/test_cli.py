@@ -224,7 +224,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, wcc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    # importing the CLI, the check battery and a certificate through flat_distance
+    code = (
+        "import contextlib, io, sys\n"
+        "from wcc import cli, loxodromy as lx, projections as pj\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.dispatch(['check', '--quick']) == 0\n"
+        "o = pj.BasePoint.origin(3)\n"
+        "g = pj.GroupElement.from_cartan_vector([30.0, 0.0, -30.0])\n"
+        "cert = lx.certify(g, o, 0.4, 0.9 * min(0.4 / lx.cx_constant(o), 0.1))\n"
+        "assert cert.certified and cert.conditions['flat_dist'] < 1e-12\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(wcc.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env, timeout=120)

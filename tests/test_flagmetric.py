@@ -11,7 +11,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from flat_reference import reference_flat_distance
+from flat_reference import reference_flat_distance, scipy_bfgs_flat_distance
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -360,13 +360,19 @@ class TestFlatDistance:
 
 
 class TestFlatDistanceReference:
-    """The convex solve against the grid + Nelder-Mead + finite-difference solver."""
+    """The numpy BFGS against the grid + Nelder-Mead + finite-difference solver and
+    against the same convex solve on SciPy's BFGS."""
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_reference_solver(self, d):
+    @pytest.mark.parametrize("d, reference", [
+        (2, reference_flat_distance),
+        (3, reference_flat_distance),
+        (2, scipy_bfgs_flat_distance),
+        (3, scipy_bfgs_flat_distance),
+    ], ids=["2", "3", "2-scipy_bfgs", "3-scipy_bfgs"])
+    def test_matches_reference_solver(self, d, reference):
         rng = np.random.default_rng(300 + d)
         compared = 0
-        for scale in (0.0, 0.3, 1.0):
+        for scale in (0.0, 0.3, 1.0, 2.0):
             for i in range(16):
                 x = BasePoint.origin(d) if scale == 0.0 else BasePoint(random_group(rng, d, scale))
                 if i % 2:
@@ -374,11 +380,11 @@ class TestFlatDistanceReference:
                 else:
                     g = random_group(rng, d, 0.6)
                     pair = fm.TransversePair(fm.eta0(d).translate(g), fm.zeta0(d).translate(g))
-                new, ref = fm.flat_distance(x, pair), reference_flat_distance(x, pair)
+                new, ref = fm.flat_distance(x, pair), reference(x, pair)
                 assert new <= ref + 1e-10
                 assert abs(new - ref) <= 1e-9 * max(ref, 1e-3)
                 compared += 1
-        assert compared >= 40
+        assert compared >= 56
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_analytic_gradient_vs_central_differences(self, d):
@@ -407,6 +413,25 @@ class TestFlatDistanceReference:
             reference_flat_distance(x, pair)
         last = float(re.search(r"value (\S+),", str(stalled.value)).group(1))
         assert abs(fm.flat_distance(x, pair) - last) <= 1e-9 * last
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("tilted", [True, False], ids=["iteration_cap", "no_descent"])
+    def test_stall_raises_with_measured_value_and_gradient(self, monkeypatch, d, tilted):
+        # a tilted plane never levels off, so the iteration cap stops the solve;
+        # a flat value under a nonzero gradient leaves backtracking no descent
+        tilt = 1.0 if tilted else 0.0
+
+        def plane(m, basis, rs):
+            return lambda coords: (1e3 + tilt * float(coords.sum()), np.ones(d - 1))
+
+        monkeypatch.setattr(fm, "_flat_value_and_grad", plane)
+        pair = fm.TransversePair(fm.eta0(d), fm.zeta0(d))
+        with pytest.raises(NumericError, match="did not converge") as stalled:
+            fm.flat_distance(BasePoint.origin(d), pair)
+        value, grad = map(float, re.search(r"value (\S+), gradient (\S+)$", str(stalled.value)).groups())
+        expected = math.sqrt(1e3 - 200 * (d - 1) ** 2) if tilted else math.sqrt(1e3)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert grad == pytest.approx(math.sqrt(d - 1) / (2.0 * value), rel=1e-12)
 
 
 class TestCorridors:

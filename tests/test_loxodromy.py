@@ -234,7 +234,7 @@ class TestDistanceSurrogates:
             assert lhs <= cap * dist_d2(z1, z2) * (1 + 1e-6) + 1e-12
 
     def test_constants_report_stable(self):
-        a = lx.constants_report(2)
-        b = lx.constants_report(2)
+        a = lx.fitted_constants(2).as_dict()
+        b = lx.fitted_constants(2).as_dict()
         assert a == b
         assert "provenance" in a
