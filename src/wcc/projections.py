@@ -11,13 +11,14 @@ All decompositions are numerical:
 
 The low-level kernels accept numpy stacks ``(..., d, d)`` so that the large
 seeded identity suites can run vectorized; integer (n, 2, 2) and (n, 3, 3)
-stacks give the census columns (sl2 in closed form, sl3 by stacked solves).
+stacks give the census columns (sl2 in closed form, sl3 by stacked solves),
+and an integer ``GroupElement`` goes through the same integer body as an exact
+one-row stack of Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def _int_det(m):
 
 
 class GroupElement:
-    """A d x d unimodular real matrix with decomposition caches."""
+    """A d x d unimodular real matrix; integer elements also keep their exact entries
+    (``int_mat``, Python ints), which the projections read as a one-row stack."""
 
     def __init__(self, mat, check: bool = True):
         self.mat = np.array(mat, dtype=float)
@@ -96,24 +98,6 @@ class GroupElement:
             out.int_mat = (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
         return out
 
-    @cached_property
-    def _svd(self):
-        u, s, vh = np.linalg.svd(self.mat)
-        u, vh = _so_sign_fix(u, vh)
-        return u, _robust_logs(s[None], self._int_rows(), "svd")[0], vh
-
-    @cached_property
-    def _log_eigen_moduli(self) -> np.ndarray:
-        try:
-            eig = np.linalg.eigvals(self.mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigenvalue solver failed on {self.mat!r}") from exc
-        return _robust_logs(np.sort(np.abs(eig))[None, ::-1], self._int_rows(), "eig")[0]
-
-    def _int_rows(self) -> list | None:
-        """The exact matrix as a one-element stack (a list); None for float elements."""
-        return None if self.int_mat is None else [self.int_mat]
-
     def __repr__(self):
         return f"GroupElement({self.mat.tolist()})"
 
@@ -133,10 +117,11 @@ def _integer_inverse(m) -> np.ndarray:
 
 
 def _robust_logs(values_desc: np.ndarray, int_mats, kind: str) -> np.ndarray:
-    """Zero-sum logs of the rows of descending singular ("svd") or eigen ("eig") moduli.
+    """Zero-sum logs of descending singular ("svd") or eigen ("eig") moduli, along the
+    last axis of one row or of a stack of rows.
 
-    Where a row of the integer-exact stack ``int_mats`` (an int64 array, or a
-    list of lists of Python ints) spans more than 1e10, the values below 1 are
+    Where a row of the integer-exact stack ``int_mats`` (an int64 array, or an
+    object array of Python ints) spans more than 1e10, the values below 1 are
     recomputed as reciprocals of the large values of the exact adjugate; the
     small values of the direct solve only carry absolute accuracy
     eps * sigma_max.  Float matrices (``int_mats`` None) get the direct
@@ -181,37 +166,29 @@ class BasePoint:
         return self.h.d
 
 
-def _so_sign_fix(u, vh):
-    """Flip the last singular pair where needed so both frames are in SO(d)."""
-    u = np.array(u, copy=True)
-    vh = np.array(vh, copy=True)
-    det = np.linalg.det(u)
-    if u.ndim == 2:
-        if det < 0:
-            u[:, -1] *= -1.0
-            vh[-1, :] *= -1.0
-    else:
-        mask = det < 0
-        u[mask, :, -1] *= -1.0
-        vh[mask, -1, :] *= -1.0
-    return u, vh
+def _so_sign_fix(u, vh=None) -> None:
+    """Flip, in place and over any leading axes, the last column of u and the last row
+    of vh where det u < 0, so both frames land in SO(d)."""
+    sign = np.where(np.linalg.det(u) < 0, -1.0, 1.0)[..., None]
+    u[..., -1] *= sign
+    if vh is not None:
+        vh[..., -1, :] *= sign
 
 
 def cartan_batch(mats):
     """Stacked Cartan decomposition: mats = k exp(a) l^-1 with k,l in SO(d)."""
-    mats = np.asarray(mats, dtype=float)
-    u, s, vh = np.linalg.svd(mats)
-    u, vh = _so_sign_fix(u, vh)
-    a = np.log(s)
-    a = a - np.mean(a, axis=-1, keepdims=True)
-    l = np.swapaxes(vh, -1, -2)
-    return u, a, l
+    u, s, vh = np.linalg.svd(np.asarray(mats, dtype=float))
+    _so_sign_fix(u, vh)
+    return u, _robust_logs(s, None, "svd"), np.swapaxes(vh, -1, -2)
 
 
 def cartan_project(g: GroupElement):
-    """Cartan decomposition (k, a, l): non-increasing zero-sum a, g = k exp(a) l^-1."""
-    u, a, vh = g._svd
-    return u, a, vh.T
+    """Cartan decomposition (k, a, l): non-increasing zero-sum a, g = k exp(a) l^-1;
+    an integer element gets the exact a of ``cartan_vector``."""
+    k, a, l = cartan_batch(g.mat)
+    if g.int_mat is not None:
+        a = _int_cartan(np.array([g.int_mat], dtype=object))[0]
+    return k, a, l
 
 
 def _int_stack(mats) -> np.ndarray:
@@ -226,19 +203,29 @@ def _int_stack(mats) -> np.ndarray:
     return mats.astype(np.int64)
 
 
+def _int_cartan(mats) -> np.ndarray:
+    """Cartan rows of an exact integer stack: an int64 stack, or the object one-row
+    stack of an integer GroupElement (Python ints, any size and any d)."""
+    if mats.shape[1] == 2:
+        s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats).astype(float) / 2.0)
+        return np.stack([s, 0.0 - s], axis=1)  # 0.0 - s: +0.0, not -0.0, at s = 0
+    return _robust_logs(np.linalg.svd(mats.astype(float))[1], mats, "svd")
+
+
 def cartan_vector(g) -> np.ndarray:
     """Zero-sum Cartan vector of one element, or its rows for an integer (n, d, d) stack.
 
-    For d = 2, sigma^2 + sigma^-2 = F (the Frobenius mass) gives log sigma_max =
-    1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2); for d = 3 the rows are
-    the per-element values from one stacked SVD."""
-    if isinstance(g, GroupElement):
-        return g._svd[1]
-    mats = _int_stack(g)
-    if mats.shape[1] == 2:
-        s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats) / 2.0)
-        return np.stack([s, -s], axis=1)
-    return _robust_logs(np.linalg.svd(mats.astype(float))[1], mats, "svd")
+    Float elements take the SVD of ``cartan_batch``.  Integer stacks and integer
+    elements (exact one-row stacks of Python ints, with no 2^30 bound) share one
+    body: for d = 2, sigma^2 + sigma^-2 = F (the Frobenius mass) gives
+    log sigma_max = 1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2); for
+    d >= 3 the rows come from one stacked SVD, with the exact-adjugate recovery
+    of ``_robust_logs``."""
+    if not isinstance(g, GroupElement):
+        return _int_cartan(_int_stack(g))
+    if g.int_mat is None:
+        return cartan_batch(g.mat)[1]
+    return _int_cartan(np.array([g.int_mat], dtype=object))[0]
 
 
 def _int_char_discriminant(mats):
@@ -259,41 +246,56 @@ def _int_char_discriminant(mats):
     return tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27
 
 
+def _eig_logs(mats, int_mats=None) -> np.ndarray:
+    """``_robust_logs`` of the descending eigenvalue moduli of one float matrix or a stack."""
+    try:
+        eig = np.linalg.eigvals(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue solver failed on {mats!r}") from exc
+    return _robust_logs(np.sort(np.abs(eig), axis=-1)[..., ::-1], int_mats, "eig")
+
+
+def _gap_test(lam: np.ndarray, tau_lox: float) -> np.ndarray:
+    """Loxodromy from log-moduli rows: every consecutive gap exceeds tau_lox."""
+    return (lam.shape[-1] > 1) & np.all(-np.diff(lam, axis=-1) > tau_lox, axis=-1)
+
+
+def _int_jordan(mats, tau_lox: float):
+    """Jordan rows and loxodromy flags of an exact integer stack (as ``_int_cartan``)."""
+    if mats.shape[1] == 2:
+        half_trace = np.abs(mats[:, 0, 0] + mats[:, 1, 1]).astype(float) / 2.0
+        ell = np.arccosh(np.maximum(half_trace, 1.0))
+        lam = np.stack([ell, 0.0 - ell], axis=1)
+    else:
+        lam = _eig_logs(mats.astype(float), mats)
+    # distinct real eigenvalues iff disc > 0; for unimodular integer matrices of
+    # size <= 3 that also forces distinct moduli
+    disc = _int_char_discriminant(mats)
+    lox = _gap_test(lam, tau_lox) if disc is None else disc > 0
+    return lam, np.asarray(lox, dtype=bool)
+
+
 def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
     """Jordan projection: sorted log-moduli of eigenvalues plus a loxodromy flag.
 
-    Floating elements are loxodromic when all consecutive log-moduli gaps
-    exceed ``tau_lox``.  Integer-exact elements (d <= 3) get the exact test
-    through the characteristic discriminant: defective or complex spectra
-    are never misflagged by eigensolver noise, which reaches sqrt(eps) at a
-    double root and would swamp the default gap threshold.
-
-    An integer (n, d, d) stack gives rows and a boolean array, loxodromic iff
-    the discriminant is positive.  For d = 2 the rows are +-arccosh(|tr| / 2),
-    zero when not loxodromic; for d = 3 they are the per-element values from
-    one stacked eigenvalue solve.
+    Float elements take one eigenvalue solve and are loxodromic when all
+    consecutive log-moduli gaps exceed ``tau_lox``.  Integer elements are exact
+    one-row stacks of Python ints and share the body of integer (n, d, d)
+    stacks (rows and a boolean array): for d = 2 the rows are
+    +-arccosh(|tr| / 2), zero when not loxodromic; for d >= 3 they come from
+    one stacked eigenvalue solve.  For d <= 3 loxodromy is the exact test
+    "the characteristic discriminant is positive": defective or complex
+    spectra are never misflagged by eigensolver noise, which reaches sqrt(eps)
+    at a double root and would swamp the default gap threshold.  Larger
+    integer elements keep the gap test.
     """
     if not isinstance(g, GroupElement):
-        mats = _int_stack(g)
-        lox = (_int_char_discriminant(mats) > 0).astype(bool)
-        if mats.shape[1] == 2:
-            ell = np.arccosh(np.maximum(np.abs(mats[:, 0, 0] + mats[:, 1, 1]) / 2.0, 1.0))
-            return np.stack([ell, -ell], axis=1), lox
-        try:
-            eig = np.linalg.eigvals(mats.astype(float))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError("eigenvalue solver failed on an integer stack") from exc
-        return _robust_logs(np.sort(np.abs(eig), axis=-1)[:, ::-1], mats, "eig"), lox
-    lam = g._log_eigen_moduli
-    gaps = -np.diff(lam)
-    is_lox = bool(lam.size > 1 and np.min(gaps) > tau_lox)
-    if g.int_mat is not None:
-        disc = _int_char_discriminant(np.array(g.int_mat, dtype=object))
-        if disc is not None:
-            # distinct real eigenvalues iff disc > 0; for unimodular integer
-            # matrices of size <= 3 that also forces distinct moduli
-            is_lox = disc > 0
-    return lam, is_lox
+        return _int_jordan(_int_stack(g), tau_lox)
+    if g.int_mat is None:
+        lam = _eig_logs(g.mat)
+        return lam, bool(_gap_test(lam, tau_lox))
+    lam, lox = _int_jordan(np.array([g.int_mat], dtype=object), tau_lox)
+    return lam[0], bool(lox[0])
 
 
 def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
@@ -377,16 +379,8 @@ def angular_points(g: GroupElement, x: BasePoint, margin: float = TAU_LOX_DEFAUL
 
 
 def random_so(d: int, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Haar-uniform SO(d) frames from QR of Gaussian matrices."""
+    """Haar-uniform SO(d) frames from the positive-diagonal QR of Gaussian matrices."""
     shape = (d, d) if size is None else (size, d, d)
-    q, r = np.linalg.qr(rng.normal(size=shape))
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    q = q * signs[..., None, :]
-    det = np.linalg.det(q)
-    if size is None:
-        if det < 0:
-            q[:, -1] *= -1.0
-    else:
-        q[det < 0, :, -1] *= -1.0
+    q = flag_frame_action(np.eye(d), rng.normal(size=shape))
+    _so_sign_fix(q)
     return q

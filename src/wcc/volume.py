@@ -178,19 +178,14 @@ _INTEGRANDS = {"hc": log_hc_integrand, "two_rho": log_two_rho_integrand}
 
 
 def _ortho_basis(rs: RootSystemA) -> np.ndarray:
-    """Killing-orthonormal basis rows of the traceless subspace."""
-    raw = []
+    """Killing-orthonormal basis rows of the traceless subspace: the normalised
+    Helmert rows (1, ..., 1, -k, 0, ..., 0), already mutually orthogonal."""
+    basis = []
     for k in range(1, rs.d):
         v = np.zeros(rs.d)
         v[:k] = 1.0
         v[k] = -float(k)
-        raw.append(v)
-    basis = []
-    for v in raw:
-        for b in basis:
-            v = v - rs.killing_inner(v, b) * b
-        v = v / rs.killing_norm(v)
-        basis.append(v)
+        basis.append(v / rs.killing_norm(v))
     return np.array(basis)
 
 
@@ -485,27 +480,15 @@ def _expansion_terms(rs: RootSystemA):
         yield (-1) ** sum(signs), coeffs
 
 
-def box_volume(
-    rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL, lower_edges=None
-) -> VolumeResult:
+def box_volume(rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
     """Exact finite expansion of the parallelotope volume.
 
     Also returns the growth exponent (the sup of 2 rho over the
     parallelotope), the leading coefficient, and the exponent of the
     largest secondary term.
-
-    ``lower_edges`` (experimental): shifted parallelotopes with per-root
-    windows [t*lo, t*hi].  The expansion generalizes factor by factor; no
-    acceptance target is attached to this mode.
     """
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     edges = tuple(float(e) for e in edges)
-    if lower_edges is not None:
-        lower_edges = tuple(float(e) for e in lower_edges)
-        if len(lower_edges) != len(edges) or any(
-            lo < 0 or lo >= hi for lo, hi in zip(lower_edges, edges)
-        ):
-            raise ParameterError("lower_edges must satisfy 0 <= lo < hi per root")
     domain = Domain("box", t, edges)
     domain.for_dimension(rs.d)
 
@@ -520,21 +503,19 @@ def box_volume(
     delta_p = float(sum(n * a for n, a in zip(two_rho_coeffs, edges)))
 
     # assemble log |term| with signs, while tracking the per-unit-t exponents
-    lows = lower_edges if lower_edges is not None else tuple(0.0 for _ in edges)
     pos_logs, neg_logs = [], []
     exponents = set()
     for sign, coeffs in _expansion_terms(rs):
         factor_logs = []
-        for n, a, lo in zip(coeffs, edges, lows):
-            length = t * (a - lo)
+        for n, a in zip(coeffs, edges):
             if n == 0:
-                factor_logs.append([(0.0, math.log(length), 1)])
+                factor_logs.append([(0.0, math.log(t * a), 1)])
             else:
-                # (e^{n t a} - e^{n t lo})/n  ->  two signed exponential pieces
+                # (e^{n t a} - 1)/n  ->  two signed exponential pieces
                 factor_logs.append(
                     [
                         (n * a, -math.log(abs(n)), 1 if n > 0 else -1),
-                        (n * lo, -math.log(abs(n)), -1 if n > 0 else 1),
+                        (0.0, -math.log(abs(n)), -1 if n > 0 else 1),
                     ]
                 )
         for combo in itertools.product(*factor_logs):
@@ -754,34 +735,3 @@ def _small_displacement(rs: RootSystemA, radius: float, rng) -> np.ndarray:
     if norm > 0:
         y *= rng.uniform(0.0, radius) / norm
     return pj.random_so(rs.d, rng) @ np.diag(np.exp(np.sort(y)[::-1])) @ pj.random_so(rs.d, rng)
-
-
-def monte_carlo_volume(rs_or_d, domain: Domain, n_samples: int = 200000, seed: int = 3) -> dict:
-    """Uniform-box Monte-Carlo estimate of the domain volume (sanity check)."""
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
-    rng = np.random.default_rng(seed)
-    basis = _ortho_basis(rs)
-    if domain.kind == "ball":
-        box_lo = np.full(rs.d - 1, -domain.t)
-        box_hi = np.full(rs.d - 1, domain.t)
-    else:
-        duals = _dual_basis(rs)
-        corners = np.array(
-            [
-                [np.dot(sum(c * u for c, u in zip(corner, duals)), b * rs.killing_scale) for b in basis]
-                for corner in itertools.product(*[(0.0, domain.t * e) for e in domain.edges])
-            ]
-        )
-        box_lo, box_hi = corners.min(axis=0), corners.max(axis=0)
-    coords = rng.uniform(box_lo, box_hi, size=(n_samples, rs.d - 1))
-    ys = coords @ basis
-    inside = np.array(
-        [rs.in_closed_chamber(y) and domain.contains_cartan(rs, y) for y in ys]
-    )
-    vals = np.zeros(n_samples)
-    if inside.any():
-        vals[inside] = np.exp(log_hc_integrand(rs, ys[inside]))
-    box_vol = float(np.prod(box_hi - box_lo))
-    mean = vals.mean()
-    std_err = vals.std(ddof=1) / math.sqrt(n_samples)
-    return {"value": box_vol * mean, "std_err": box_vol * std_err, "n": n_samples}

@@ -13,6 +13,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
+from projection_reference import reference_cartan, reference_jordan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -247,29 +248,58 @@ class TestIntegerStacks:
     @given(st.lists(det_one_matrices(2), min_size=1, max_size=6),
            st.lists(det_one_matrices(3), min_size=1, max_size=6))
     def test_stacks_match_group_element_path(self, mats2, mats3):
-        """sl3 rows are the per-element values bit for bit; sl2 closed forms agree with the
-        per-element SVD and eigenvalue solves within those solves' own error: the small
-        singular value carries eps * sigma_max (so eps * sigma_max / sigma_min on its log,
-        up to the 1e10 switch to the adjugate), the eigenvalues eps * |M|^2 / gap."""
+        """sl3 rows are the per-element float solves of the reference bit for bit; sl2
+        closed forms agree with its SVD and eigenvalue solves within those solves' own
+        error: the small singular value carries eps * sigma_max (so eps * sigma_max /
+        sigma_min on its log, up to the 1e10 switch to the adjugate), the eigenvalues
+        eps * |M|^2 / gap."""
         for mats in (mats2, mats3):
             stack = np.array(mats, dtype=np.int64)
             cartan = pj.cartan_vector(stack)
             jordan, lox = pj.jordan_project(stack)
             for m, a, lam, is_lox in zip(mats, cartan, jordan, lox):
-                g = GroupElement.from_integer(m)
-                want_lam, want_lox = pj.jordan_project(g)
-                assert bool(is_lox) == want_lox
+                want_a, want_lam = reference_cartan(m), reference_jordan(m)
+                assert bool(is_lox) == pj.jordan_project(GroupElement.from_integer(m))[1]
                 if len(m) == 3:
-                    assert a.tobytes() == pj.cartan_vector(g).tobytes()
+                    assert a.tobytes() == want_a.tobytes()
                     assert lam.tobytes() == want_lam.tobytes()
                     continue
                 ratio = math.exp(2.0 * a[0])
-                assert np.max(np.abs(a - pj.cartan_vector(g))) <= 4 * EPS * min(ratio, 1e10) + 1e-14
+                assert np.max(np.abs(a - want_a)) <= 4 * EPS * min(ratio, 1e10) + 1e-14
                 if is_lox:
                     mass = float(sum(x * x for row in m for x in row))
                     top = math.exp(lam[0])
                     tol = 4 * EPS * mass / (top - 1.0 / top) * min(top, 1e5) + 1e-14
                     assert np.max(np.abs(lam - want_lam)) <= tol
+
+    def test_group_elements_are_exact_one_row_stacks(self):
+        """Integer elements take the integer-stack kernels: their Cartan and Jordan rows
+        are the stack rows bit for bit and match 40-digit references, up to 2^30."""
+        rng = np.random.default_rng(2030)
+        mats = []
+        while len(mats) < 400:
+            a, b = (int(x) for x in rng.integers(-2**30, 2**30, size=2, endpoint=True))
+            m = det_one_completion(a, b)
+            if m is not None:
+                mats.append(m)
+        stack = np.array(mats, dtype=np.int64)
+        cartan = pj.cartan_vector(stack)
+        jordan, lox = pj.jordan_project(stack)
+        for m, a, lam, is_lox in zip(mats, cartan, jordan, lox):
+            g = GroupElement.from_integer(m)
+            g_lam, g_lox = pj.jordan_project(g)
+            assert pj.cartan_vector(g).tobytes() == a.tobytes()
+            assert pj.cartan_project(g)[1].tobytes() == a.tobytes()
+            assert g_lam.tobytes() == lam.tobytes() and g_lox == bool(is_lox)
+            s = 0.5 * self.log_top_root(sum(x * x for row in m for x in row))
+            ell = self.log_top_root(abs(m[0][0] + m[1][1]))
+            assert a == pytest.approx([s, -s], abs=1e-14)
+            assert lam == pytest.approx([ell, -ell], abs=1e-14)
+        # |trace| 78030: a float eigenvalue solve of this matrix gives 11.2094
+        repro = GroupElement.from_integer([[114135097, 287825473], [-45228500, -114057067]])
+        lam, is_lox = pj.jordan_project(repro)
+        assert lam.tolist() == [11.264848646946568, -11.264848646946568] and is_lox
+        assert lam[0] == pytest.approx(self.log_top_root(78030), abs=1e-14)
 
     def test_reject_float_and_non_square_stacks(self):
         with pytest.raises(PreconditionError):

@@ -8,6 +8,8 @@ from wcc.errors import ParameterError, PreconditionError
 from wcc.rootsys import root_system
 from wcc.volume import Domain
 
+from volume_reference import monte_carlo_volume
+
 
 def bisected_chamber_window(rs):
     """Ends of the d=3 chamber window about b1, each by 200-step bisection."""
@@ -435,31 +437,6 @@ class TestProbes:
     def test_monte_carlo_agreement(self):
         rs = root_system(3)
         dom = Domain("ball", 4.0)
-        mc = V.monte_carlo_volume(rs, dom, n_samples=120000)
+        mc = monte_carlo_volume(rs, dom, n_samples=120000)
         quad = V.ball_volume(rs, 4.0)
         assert abs(mc["value"] - quad.value) < 3.0 * mc["std_err"]
-
-
-class TestShiftedBoxExperimental:
-    def test_d2_closed_form(self):
-        t, lo, hi = 3.0, 0.2, 0.9
-        res = V.box_volume(2, t, (hi,), lower_edges=(lo,))
-        oracle = math.sqrt(2.0) * (math.cosh(t * hi) - math.cosh(t * lo))
-        assert res.value == pytest.approx(oracle, rel=1e-12)
-
-    def test_d3_against_quadrature(self):
-        rs = root_system(3)
-        res = V.box_volume(rs, 4.0, (1.0, 0.8), lower_edges=(0.3, 0.1))
-        duals = V._dual_basis(rs)
-        jac = V._box_jacobian(rs, duals)
-
-        def density(z0, z1):
-            ys = np.outer(z0, duals[0]) + np.outer(z1, duals[1])
-            return V.log_hc_integrand(rs, ys) + math.log(jac)
-
-        val, _ = V._log_quad_2d(density, 1.2, 4.0, lambda _: 0.4, lambda _: 3.2)
-        assert res.value == pytest.approx(math.exp(val), rel=1e-9)
-
-    def test_window_validation(self):
-        with pytest.raises(ParameterError):
-            V.box_volume(2, 3.0, (0.5,), lower_edges=(0.6,))
