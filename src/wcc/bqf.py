@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import NumericError, ParameterError
 
 Form = tuple  # (a, b, c) integers
@@ -80,61 +82,119 @@ def reduce_form(f: Form, max_steps: int = 10000) -> Form:
     raise NumericError(f"reduction did not terminate for {f}")
 
 
-def _walk(f: Form) -> tuple:
-    """The rho cycle of a reduced form, as the tuple starting at the form."""
-    out = [f]
-    g = rho_step(f)
-    while g != f:
-        out.append(g)
-        g = rho_step(g)
-        if len(out) > 100000:
-            raise NumericError(f"cycle of {f} did not close")
-    return tuple(out)
+def class_id(f: Form) -> tuple:
+    """Canonical id of the proper class: the reduction cycle through reduce(f),
+    in the rho direction, starting at its least form."""
+    g = reduce_form(f)
+    return next(cyc for cyc in form_classes(discriminant(g)) if g in cyc)
 
 
 def cycle(f: Form) -> tuple:
     """The reduction cycle through a form, as the tuple starting at reduce(f)."""
-    return _walk(reduce_form(f))
-
-
-def class_id(f: Form) -> tuple:
-    """Canonical id of the proper class: lexicographically minimal rotation
-    of the reduction cycle (traversal orientation is the rho direction).
-    The forms of a cycle are distinct, so that rotation starts at the least."""
-    cyc = cycle(f)
-    i = cyc.index(min(cyc))
+    g = reduce_form(f)
+    cyc = class_id(g)
+    i = cyc.index(g)
     return cyc[i:] + cyc[:i]
 
 
+# ------------------------------------------------- the table of reduced forms
+
+_BLOCK = 1 << 17  # window pairs tested per numpy pass; bounds the scan's memory
+
+
+def _packed(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row (i, a, b, ...) in (i, a, b) order, its widths taken
+    from the table."""
+    a_lo, a_hi, b_hi = (table[:, 1].min(initial=0), table[:, 1].max(initial=0),
+                        table[:, 2].max(initial=0))
+    return (rows[:, 0] * (a_hi - a_lo + 1) + rows[:, 1] - a_lo) * (b_hi + 1) + rows[:, 2]
+
+
+def _lookup(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The row numbers in a table sorted by (i, a, b) of rows that must be in it;
+    each match is checked, so a row off the key widths cannot alias another."""
+    at = np.searchsorted(_packed(table, table), _packed(table, rows)).clip(max=len(table) - 1)
+    if not np.array_equal(table[at], rows):
+        raise NumericError("a form is missing from the table of reduced forms")
+    return at
+
+
+def cycle_table(discriminants):
+    """All proper classes of the given discriminants as one table.
+
+    Returns (forms, start, disc): int64 (n, 3) forms, where class j is the
+    rho cycle forms[start[j]:start[j + 1]] from its least form (its canonical
+    id), classes sorted by (discriminant index disc[j], least form).
+
+    The reduced forms: for s = isqrt(D) and 0 < b <= s, b = D mod 2, the window
+    sqrt(D) - b < 2|a| < sqrt(D) + b is exactly (s + 2 - b) // 2 <= |a| <=
+    (s + b) // 2, and each |a| there that divides m = -ac = (D - b^2) / 4 gives
+    the two forms (+-|a|, b, c).  As 4m = (sqrt(D) - b)(sqrt(D) + b), |a| is in
+    the window exactly when m / |a| is, so only |a| <= isqrt(m) is tested, in
+    blocks of about _BLOCK window pairs, and each divisor brings its co-divisor.
+
+    rho permutes the reduced forms, so it is computed on the whole table and
+    each image mapped to its row.  The cycles then come from Wyllie's pointer
+    jumping (Cohen, section 5.6, for rho): after k rounds label[x] is the least
+    row within 2^k steps of x and dist[x] the steps to it, and a round that
+    changes no label leaves every label at the least row of its cycle.
+    """
+    for D in discriminants:
+        if D <= 0 or is_square(D):
+            raise ParameterError(f"need a positive non-square discriminant, got {D}")
+    D = np.array(discriminants, dtype=np.int64)
+    s = np.array([math.isqrt(x) for x in discriminants], dtype=np.int64)
+    nb = np.maximum((s - 2 + D % 2) // 2 + 1, 0)
+    i = np.repeat(np.arange(len(D)), nb)
+    b = 2 - D[i] % 2 + 2 * (np.arange(len(i)) - np.repeat(np.cumsum(nb) - nb, nb))
+    keep = (D[i] - b * b) % 4 == 0  # no integral form when D = 2, 3 mod 4
+    i, b = i[keep], b[keep]
+    m = (D[i] - b * b) // 4
+    q = np.sqrt(m).astype(np.int64)  # isqrt(m): the float root is off by at most one
+    q += ((q + 1) * (q + 1) <= m).astype(np.int64) - (q * q > m)
+    lo = (s[i] + 2 - b) // 2
+    width = np.maximum(np.minimum((s[i] + b) // 2, q) - lo + 1, 0)
+    cuts = np.searchsorted(np.cumsum(width), np.arange(_BLOCK, width.sum(), _BLOCK))
+    found = []
+    for block in np.split(np.arange(len(width)), cuts):
+        w = width[block]
+        end = np.cumsum(w)
+        a = np.arange(w.sum()) - np.repeat(end - w - lo[block], w)
+        hit = np.flatnonzero(np.repeat(m[block], w) % a == 0)
+        found.append(np.c_[block[np.searchsorted(end, hit, side="right")], a[hit]])
+    r, a = np.concatenate(found).T
+    co = m[r] // a
+    r, a = np.r_[r, r[co != a]], np.r_[a, co[co != a]]
+    c = m[r] // a
+    table = np.c_[np.tile(i[r], 2), np.r_[-a, a], np.tile(b[r], 2), np.r_[c, -c]]
+    table = table[np.argsort(_packed(table, table))]
+    i, _, b, c = table.T
+    ac, D, s = np.abs(c), D[i], s[i]
+    r = -b % (2 * ac)
+    r = np.where(ac > s, np.where(r > ac, r - 2 * ac, r), r + 2 * ac * ((s - r) // (2 * ac)))
+    p = _lookup(table, np.c_[i, c, r, (r * r - D) // (4 * c)])
+    label, dist, step = np.arange(len(table)), np.zeros(len(table), dtype=np.int64), 1
+    while (better := label[p] < label).any():
+        dist = np.where(better, dist[p] + step, dist)
+        label = np.where(better, label[p], label)
+        p, step = p[p], 2 * step
+    size = np.bincount(label, minlength=len(table))
+    order = np.argsort(label * len(table) + (size[label] - dist) % size[label])
+    roots = np.flatnonzero(label == np.arange(len(table)))
+    return table[order, 1:], np.r_[0, np.cumsum(size[roots])], i[roots]
+
+
 def reduced_forms(D: int) -> list:
-    """All reduced forms of a positive non-square discriminant, sorted: for
-    s = isqrt(D) and 0 < b <= s, the window sqrt(D) - b < 2|a| < sqrt(D) + b
-    is exactly (s + 2 - b) // 2 <= |a| <= (s + b) // 2, and each |a| there that
-    divides -ac = (D - b^2) / 4 gives the two forms (+-|a|, b, c)."""
-    if D <= 0 or is_square(D):
-        raise ParameterError(f"need a positive non-square discriminant, got {D}")
-    s = math.isqrt(D)
-    out = []
-    for b in range(2 - D % 2, s + 1, 2):
-        m = (D - b * b) // 4
-        for a in range((s + 2 - b) // 2, (s + b) // 2 + 1):
-            if m % a == 0:
-                out += [(-a, b, m // a), (a, b, -(m // a))]
-    return sorted(out)
+    """All reduced forms of a positive non-square discriminant, sorted."""
+    return sorted(f for cyc in form_classes(D) for f in cyc)
 
 
 @lru_cache(maxsize=None)
 def form_classes(D: int) -> tuple:
-    """Canonical ids of all proper classes of discriminant D, sorted: in one
-    pass over the sorted reduced forms, a form no earlier walk reached is the
-    least of its cycle, so the cycle walked from it is the canonical rotation."""
-    seen, ids = set(), []
-    for f in reduced_forms(D):
-        if f not in seen:
-            cyc = _walk(f)
-            seen.update(cyc)
-            ids.append(cyc)
-    return tuple(ids)
+    """Canonical ids of all proper classes of discriminant D, sorted."""
+    forms, start, _ = cycle_table([D])
+    rows = list(map(tuple, forms.tolist()))
+    return tuple(tuple(rows[j:k]) for j, k in zip(start[:-1].tolist(), start[1:].tolist()))
 
 
 # ------------------------------------------------------- matrices and forms

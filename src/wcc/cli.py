@@ -283,11 +283,8 @@ def _cmd_tori(args) -> int:
                        ["trace", "period_volume", "multiplicity"],
                        [(r["trace"], r["period_volume"], r["multiplicity"])
                         for r in report["rows"]])
-        report = dict(report)
-        report["rows"] = [
-            {k: (v if k != "class_id" else repr(v)) for k, v in row.items()}
-            for row in report["rows"]
-        ]
+        for row in report["rows"]:
+            row["class_id"] = repr(row["class_id"])
         _emit(report, config)
         return 0
     classes = sv.conjugacy_classes_sl2(args.trace_bound)

@@ -12,7 +12,10 @@ bijection.  All reported trends are exploratory in the non-cocompact regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -159,18 +162,48 @@ class TorusRecord:
     root_key: tuple  # (trace, least form) of the primitive root class
 
 
-def _length_of_trace(t: int) -> float:
-    """Killing norm of the Jordan projection of a trace-t hyperbolic matrix."""
-    eps = (t + math.sqrt(t * t - 4.0)) / 2.0
-    return SQRT8 * math.log(eps)
+@dataclass(frozen=True, eq=False)
+class ClassTable(Sequence):
+    """Positive-trace hyperbolic classes of SL(2,Z) as columns, one row per
+    class in (trace, least form) order: trace, power, the row of the primitive
+    root class, primitive, jordan, period_volume and length.  Class j's
+    reduction cycle is forms[start[j]:start[j + 1]], from its least form.
+    Indexing and iteration give ``TorusRecord`` views, built once per row."""
+
+    forms: np.ndarray
+    start: np.ndarray
+    trace: np.ndarray
+    power: np.ndarray
+    root: np.ndarray
+    primitive: np.ndarray
+    jordan: np.ndarray
+    period_volume: np.ndarray
+    length: np.ndarray
+    _views: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.trace)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = range(len(self))[i]
+        if k not in self._views:
+            r = int(self.root[k])
+            self._views[k] = TorusRecord(
+                self.class_id(k), int(self.trace[k]), bool(self.primitive[k]),
+                int(self.power[k]), int(self.trace[r]), self.jordan[k],
+                float(self.period_volume[k]), float(self.length[k]),
+                (int(self.trace[r]), tuple(self.forms[self.start[r]].tolist())))
+        return self._views[k]
+
+    def class_id(self, k: int) -> tuple:
+        """(trace, reduction cycle from the least form) of class k."""
+        lo, hi = self.start[k : k + 2].tolist()
+        return int(self.trace[k]), tuple(map(tuple, self.forms[lo:hi].tolist()))
 
 
-def _length_of_pell(u: int, v: int, Dp: int) -> float:
-    eta = (u + v * math.sqrt(Dp)) / 2.0
-    return SQRT8 * math.log(eta)
-
-
-def conjugacy_classes_sl2(trace_bound: int) -> list[TorusRecord]:
+def conjugacy_classes_sl2(trace_bound: int) -> ClassTable:
     """All positive-trace hyperbolic classes of SL(2,Z) with trace <= bound.
 
     Class identity is the canonical reduction cycle of the fixed-point form,
@@ -178,35 +211,34 @@ def conjugacy_classes_sl2(trace_bound: int) -> list[TorusRecord]:
     from the Pell automorph (u1, v1) of the form's primitive part, which
     depends on the trace and the content m0 only.  That automorph is the root
     class; its form is v1/m0 times this one, and rho commutes with positive
-    scaling, so v1/m0 * cid[0] is the least form of its cycle.
+    scaling, so v1/m0 times the least form is the least form of the root.
     """
     if trace_bound < 3:
         raise ParameterError(f"trace bound must be at least 3, got {trace_bound}")
-    out = []
-    for t in range(3, trace_bound + 1):
-        D = t * t - 4
-        eps = (t + math.sqrt(D)) / 2.0
-        lam = np.array([math.log(eps), -math.log(eps)])
-        splits = {}
-        for cid in bqf.form_classes(D):
-            f, m0 = cid[0], bqf.content(cid[0])
-            if m0 not in splits:
-                splits[m0] = bqf.primitive_split(t, f)
-            k, root_trace, (u1, v1), Dp = splits[m0]
-            out.append(
-                TorusRecord(
-                    class_id=(t, cid),
-                    trace=t,
-                    primitive=(k == 1),
-                    power=k,
-                    root_trace=root_trace,
-                    jordan=lam,
-                    period_volume=_length_of_pell(u1, v1, Dp),
-                    length=_length_of_trace(t),
-                    root_key=(root_trace, tuple(v1 * x // m0 for x in f)),
-                )
-            )
-    return out
+    traces = range(3, trace_bound + 1)
+    forms, start, disc = bqf.cycle_table([t * t - 4 for t in traces])
+    trace, least = disc + 3, forms[start[:-1]]
+    m0 = np.gcd.reduce(np.abs(least), axis=1)
+    _, first, pair = np.unique(trace * (m0.max() + 1) + m0, return_index=True,
+                               return_inverse=True)
+    # one power decomposition per (trace, content) pair, then broadcast
+    split = [bqf.primitive_split(t, f) for t, f in
+             zip(trace[first].tolist(), map(tuple, least[first].tolist()))]
+    power, u1, v1 = np.array([(k, u, v) for k, _, (u, v), _ in split]).T[:, pair]
+    root = bqf._lookup(np.c_[disc, least], np.c_[u1 - 3, least // m0[:, None] * v1[:, None]])
+    log_eps = np.array([math.log((t + math.sqrt(t * t - 4.0)) / 2.0) for t in traces])
+    return ClassTable(
+        forms=forms,
+        start=start,
+        trace=trace,
+        power=power,
+        root=root,
+        primitive=power == 1,
+        jordan=np.c_[log_eps, -log_eps][disc],
+        period_volume=np.array([SQRT8 * math.log((u + v * math.sqrt(Dp)) / 2.0)
+                                for _, _, (u, v), Dp in split])[pair],
+        length=(SQRT8 * log_eps)[disc],
+    )
 
 
 def class_id_of_matrix(m) -> tuple:
@@ -223,7 +255,29 @@ def trace_bound_for_length(T: float) -> int:
     return max(2, int(math.floor(2.0 * math.cosh(T / SQRT8))))
 
 
-def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
+def _torus_sums(T: float, classes: ClassTable):
+    """(primitive rows in the ball, their multiplicities, classes in the ball,
+    left sum, right sum, regroup_exact) at scale T.  The regrouping is exact
+    when the (root row, power) pairs of the classes in the ball are exactly
+    (p, 1..multiplicity of p) over the primitive rows p in the ball."""
+    in_ball = classes.length <= T
+    prim = np.flatnonzero(in_ball & classes.primitive)
+    pv = classes.period_volume[prim]
+    mult = np.floor(T / pv + 1e-12).astype(np.int64)
+    left_sum = math.fsum(classes.period_volume[in_ball].tolist())
+    # left to right in class order: np.sum is pairwise, and the builtin sum
+    # is compensated on Python >= 3.12, so either would move the last bits
+    right_sum = reduce(add, (mult * pv).tolist(), 0.0)
+    pairs = np.c_[classes.root, classes.power][in_ball]
+    first = np.repeat(np.cumsum(mult) - mult, mult)
+    expect = np.c_[np.repeat(prim, mult), np.arange(len(first)) - first + 1]
+    order = np.argsort(pairs[:, 0] * (pairs[:, 1].max(initial=0) + 1) + pairs[:, 1])
+    exact = np.array_equal(pairs[order], expect)
+    exact = exact and abs(left_sum - right_sum) <= 1e-9 * max(1.0, left_sum)
+    return prim, mult, len(pairs), left_sum, right_sum, exact
+
+
+def torus_census(T: float, classes: ClassTable | None = None) -> dict:
     """Weighted torus sum at scale T with the exact regrouping check.
 
     Left side: the primitive length summed over all classes with Jordan
@@ -234,47 +288,16 @@ def torus_census(T: float, classes: list[TorusRecord] | None = None) -> dict:
     """
     if classes is None:
         classes = conjugacy_classes_sl2(trace_bound_for_length(T))
-    in_ball = [rec for rec in classes if rec.length <= T]
-    # group classes by their primitive torus: the class of the automorph of
-    # the primitive part of the form is the primitive root of the tower
-    groups = {}
-    for rec in in_ball:
-        groups.setdefault(rec.root_key, []).append(rec.power)
-
-    left_sum = math.fsum(rec.period_volume for rec in in_ball)
-    right_sum = 0.0
-    rows = []
-    regroup_exact = True
-    primitives = [rec for rec in in_ball if rec.primitive]
-    for rec in primitives:
-        mult = int(math.floor(T / rec.period_volume + 1e-12))
-        right_sum += mult * rec.period_volume
-        if sorted(groups.get((rec.trace, rec.class_id[1][0]), [])) != list(range(1, mult + 1)):
-            regroup_exact = False
-        rows.append(
-            {
-                "trace": rec.trace,
-                "class_id": rec.class_id,
-                "period_volume": rec.period_volume,
-                "multiplicity": mult,
-            }
-        )
-    # every non-primitive class must belong to some primitive group
-    covered = sum(len(groups[(r.trace, r.class_id[1][0])]) for r in primitives)
-    if covered != len(in_ball):
-        regroup_exact = False
-    return {
-        "T": T,
-        "classes_in_ball": len(in_ball),
-        "primitive_tori": len(primitives),
-        "left_sum": left_sum,
-        "right_sum": right_sum,
-        "regroup_exact": regroup_exact and abs(left_sum - right_sum) <= 1e-9 * max(1.0, left_sum),
-        "rows": rows,
-    }
+    prim, mult, n_in_ball, left_sum, right_sum, regroup_exact = _torus_sums(T, classes)
+    rows = [{"trace": t, "class_id": classes.class_id(k), "period_volume": pv, "multiplicity": n}
+            for k, t, pv, n in zip(prim.tolist(), classes.trace[prim].tolist(),
+                                   classes.period_volume[prim].tolist(), mult.tolist())]
+    return {"T": T, "classes_in_ball": n_in_ball, "primitive_tori": len(prim),
+            "left_sum": left_sum, "right_sum": right_sum, "regroup_exact": regroup_exact,
+            "rows": rows}
 
 
-def torus_sweep(T_grid, classes: list[TorusRecord] | None = None) -> dict:
+def torus_sweep(T_grid, classes: ClassTable | None = None) -> dict:
     """Ratio of the weighted torus sum to the ball volume across a T sweep."""
     rs = root_system(2)
     T_grid = [float(t) for t in T_grid]
@@ -282,16 +305,15 @@ def torus_sweep(T_grid, classes: list[TorusRecord] | None = None) -> dict:
         classes = conjugacy_classes_sl2(trace_bound_for_length(max(T_grid)))
     rows = []
     for T in T_grid:
-        census = torus_census(T, classes)
+        *_, right_sum, regroup_exact = _torus_sums(T, classes)
         vol = domain_volume(rs, Domain("ball", T))
-        ratio = census["right_sum"] / math.exp(vol.log_value)
         rows.append(
             {
                 "T": T,
-                "weighted_sum": census["right_sum"],
+                "weighted_sum": right_sum,
                 "log_volume": vol.log_value,
-                "ratio": ratio,
-                "regroup_exact": census["regroup_exact"],
+                "ratio": right_sum / math.exp(vol.log_value),
+                "regroup_exact": regroup_exact,
             }
         )
     report = {"rows": rows}
@@ -301,7 +323,7 @@ def torus_sweep(T_grid, classes: list[TorusRecord] | None = None) -> dict:
     return report
 
 
-def conjugacy_growth(T_grid, classes: list[TorusRecord] | None = None) -> dict:
+def conjugacy_growth(T_grid, classes: ClassTable | None = None) -> dict:
     """Loxodromic class counts over a T sweep and the growth-rate fit.
 
     Fits log count = rate * T + p * log T + c; the reported rate targets the
@@ -314,8 +336,8 @@ def conjugacy_growth(T_grid, classes: list[TorusRecord] | None = None) -> dict:
     T_grid = [float(t) for t in T_grid]
     if classes is None:
         classes = conjugacy_classes_sl2(trace_bound_for_length(max(T_grid)))
-    lengths = np.sort(np.array([rec.length for rec in classes]))
-    counts = np.array([int(np.searchsorted(lengths, T, side="right")) for T in T_grid])
+    # classes come in trace order and the length grows with the trace
+    counts = np.searchsorted(classes.length, T_grid, side="right")
     if np.any(counts == 0):
         raise ParameterError("T grid starts below the shortest class length")
     ys = np.log(counts.astype(float))

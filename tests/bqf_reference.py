@@ -1,13 +1,14 @@
-"""The divisor-scan form enumeration, the rotation-minimum class walk, the
-per-class root key and the linear Pell search.
+"""The divisor-scan form enumeration, the rho walk, the rotation-minimum
+class walk, the per-class root key and the linear Pell search.
 
-These were ``wcc.bqf.reduced_forms``, ``wcc.bqf.form_classes``,
-``wcc.survey._root_key`` and ``wcc.bqf.pell4_fundamental`` before the window
-scan, the one-pass cycle walk, the closed-form root keys and the continued
-fraction replaced them; the tests keep them, unchanged, as the references
-the new code is compared against.  The root key builds its automorph
-with the linear Pell search and its id with the rotation minimum, as it
-did then.
+These were ``wcc.bqf.reduced_forms``, ``wcc.bqf._walk``,
+``wcc.bqf.form_classes``, ``wcc.survey._root_key`` and
+``wcc.bqf.pell4_fundamental`` before the window scan, the table of rho
+cycles, the closed-form root keys and the continued fraction replaced them;
+the tests keep them, unchanged, as the references the new code is compared
+against.  The walk steps ``bqf.rho_step`` form by form, so the references
+never run the table.  The root key builds its automorph with the linear
+Pell search and its id with the rotation minimum, as it did then.
 """
 
 import math
@@ -46,9 +47,26 @@ def _divisors(n: int) -> list:
     return sorted(out)
 
 
+def _walk(f) -> tuple:
+    """The rho cycle of a reduced form, as the tuple starting at the form."""
+    out = [f]
+    g = bqf.rho_step(f)
+    while g != f:
+        out.append(g)
+        g = bqf.rho_step(g)
+        if len(out) > 100000:
+            raise NumericError(f"cycle of {f} did not close")
+    return tuple(out)
+
+
+def reference_cycle(f) -> tuple:
+    """The reduction cycle through a form, as the tuple starting at reduce(f)."""
+    return _walk(bqf.reduce_form(f))
+
+
 def reference_class_id(f) -> tuple:
     """Lexicographically minimal rotation of the reduction cycle."""
-    cyc = bqf.cycle(f)
+    cyc = reference_cycle(f)
     rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
     return min(rotations)
 
@@ -59,7 +77,7 @@ def reference_form_classes(D: int) -> tuple:
     ids = []
     while remaining:
         f = min(remaining)
-        cyc = bqf.cycle(f)
+        cyc = reference_cycle(f)
         remaining -= set(cyc)
         ids.append(min(cyc[i:] + cyc[:i] for i in range(len(cyc))))
     return tuple(sorted(ids))

@@ -191,16 +191,26 @@ class TestPellContinuedFraction:
 
 
 class TestAgainstReference:
+    DISCRIMINANTS = [t * t - 4 for t in range(3, 301)] + [
+        D for D in range(5, 600) if D % 4 in (0, 1) and not bqf.is_square(D)
+    ]
+
     def test_reduced_forms_match_reference(self):
-        discriminants = [t * t - 4 for t in range(3, 301)]
-        discriminants += [D for D in range(5, 600) if D % 4 in (0, 1) and not bqf.is_square(D)]
-        for D in discriminants:
+        for D in self.DISCRIMINANTS:
             assert bqf.reduced_forms(D) == reference_reduced_forms(D), D
 
     def test_form_classes_match_reference(self):
-        for t in range(3, 301):
-            D = t * t - 4
-            assert bqf.form_classes(D) == reference_form_classes(D), t
+        # 4099^2 - 4 has isqrt above 4096 and a scan of several blocks
+        for D in self.DISCRIMINANTS + [4099 * 4099 - 4]:
+            assert bqf.form_classes(D) == reference_form_classes(D), D
+
+    def test_table_of_many_discriminants_matches_one_at_a_time(self):
+        forms, start, disc = bqf.cycle_table(self.DISCRIMINANTS)
+        rows = list(map(tuple, forms.tolist()))
+        got = [[] for _ in self.DISCRIMINANTS]
+        for i, j, k in zip(disc.tolist(), start[:-1].tolist(), start[1:].tolist()):
+            got[i].append(tuple(rows[j:k]))
+        assert [tuple(ids) for ids in got] == [bqf.form_classes(D) for D in self.DISCRIMINANTS]
 
     def test_class_id_matches_reference(self):
         # reduced forms moved off the window by x -> x + k y, then by S

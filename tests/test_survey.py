@@ -202,6 +202,13 @@ class TestTorusCensus:
         assert report["tail_relative_change"] < 0.25
         assert all(r["regroup_exact"] for r in report["rows"])
 
+    def test_reports_equal_with_and_without_the_table(self):
+        grid = [10.0, 11.0, 12.0, 13.0, 14.0]
+        classes = sv.conjugacy_classes_sl2(sv.trace_bound_for_length(max(grid)))
+        assert sv.torus_census(12.0, classes) == sv.torus_census(12.0)
+        assert sv.torus_sweep(grid, classes) == sv.torus_sweep(grid)
+        assert sv.conjugacy_growth(grid, classes) == sv.conjugacy_growth(grid)
+
 
 class TestGrowth:
     def test_counts_monotone_and_rate(self):
