@@ -21,34 +21,45 @@ from .errors import (
     NumericError,
     PreconditionError,
     TransversalityError,
+    WccError,
 )
 from .projections import (
     BasePoint,
     GroupElement,
     TAU_LOX_DEFAULT,
-    cartan_vector,
     flag_frame_action,
-    iwasawa_batch,
     iwasawa_cocycle,
-    jordan_project,
+    _jordan_solve,
 )
 from .rootsys import root_system
 
 FRAME_ORTHO_TOL = 1e-8
 TRANSVERSE_TOL_DEFAULT = 1e-9
+FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
+_NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 
 
 def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
-    """Plucker coordinates of the span of k orthonormal columns.
+    """Plucker coordinates of the span of k orthonormal columns, over any leading axes.
 
     Entries are the k x k minors over lexicographically ordered row subsets;
     for orthonormal input the result is a unit vector.
     """
-    d, k = columns.shape
+    d, k = columns.shape[-2:]
     if k == 1:
-        return columns[:, 0].copy()
-    coords = [np.linalg.det(columns[list(rows), :]) for rows in itertools.combinations(range(d), k)]
-    return np.array(coords)
+        return columns[..., 0].copy()
+    return np.linalg.det(columns[..., list(itertools.combinations(range(d), k)), :])
+
+
+def _embedded_lines(frames: np.ndarray) -> list[np.ndarray]:
+    """``Flag.embedded_lines`` of frames over any leading axes."""
+    return [wedge_coordinates(frames[..., :k]) for k in range(1, frames.shape[-1])]
+
+
+def _perp_lines(frames: np.ndarray) -> list[np.ndarray]:
+    """``Flag.perp_lines`` of frames over any leading axes."""
+    d = frames.shape[-1]
+    return [wedge_coordinates(frames[..., d - k :]) for k in range(1, d)]
 
 
 class Flag:
@@ -76,7 +87,7 @@ class Flag:
     @cached_property
     def embedded_lines(self) -> list[np.ndarray]:
         """Unit wedge of the first k columns, k = 1 .. d-1."""
-        return [wedge_coordinates(self.frame[:, :k]) for k in range(1, self.d)]
+        return _embedded_lines(self.frame)
 
     @cached_property
     def perp_lines(self) -> list[np.ndarray]:
@@ -85,7 +96,7 @@ class Flag:
         These are the embedded lines of the opposite flag through the origin,
         used by the transversality gauge delta.
         """
-        return [wedge_coordinates(self.frame[:, self.d - k :]) for k in range(1, self.d)]
+        return _perp_lines(self.frame)
 
     def translate(self, g) -> "Flag":
         mat = g.mat if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
@@ -119,9 +130,15 @@ def dist_d(xi: Flag, eta: Flag) -> float:
 
 def dist_delta(xi: Flag, eta: Flag) -> float:
     """Transversality gauge: min over k of |<w_k(xi), perp_k(eta)>| in [0, 1]."""
+    return float(_delta(xi.embedded_lines, eta.perp_lines))
+
+
+def _delta(lines, perps):
+    """``dist_delta`` from the embedded lines of xi and the perp lines of eta, over any
+    leading axes."""
     best = 1.0
-    for u, v in zip(xi.embedded_lines, eta.perp_lines):
-        best = min(best, abs(float(u @ v)))
+    for u, v in zip(lines, perps):
+        best = np.fmin(best, np.abs(np.vecdot(u, v)))  # fmin: a NaN keeps best, as min does
     return best
 
 
@@ -131,49 +148,47 @@ def is_transverse(xi: Flag, eta: Flag, tol: float = TRANSVERSE_TOL_DEFAULT) -> b
     return dist_delta(xi, eta) > tol
 
 
-def _subspace_intersection_line(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the intersection of span(a) and span(b).
+def _witness_frames(plus: np.ndarray, minus: np.ndarray):
+    """Transverse witnesses of stacked frame pairs (n, d, d), and per row the message
+    of the TransversalityError that row raises instead (None where it has a witness).
 
-    Both spans must intersect in a line (the transverse configuration);
-    detected through the smallest singular value of the stacked system.
+    Column k spans the line where the k-th forward subspace of ``plus`` meets the
+    (d-k+1)-th forward subspace of ``minus``: the null line of the d x (d+1) system
+    [a, -b], which is a line exactly when the system has full rank d.
     """
-    k = a.shape[1]
-    system = np.hstack([a, -b])  # d x (d+1): null space is nonempty, and is a
-    # line exactly when the system has full rank d (the transverse case)
-    _, s, vh = np.linalg.svd(system)
-    if s[-1] < 1e-7:
-        raise TransversalityError(
-            f"subspaces meet in more than a line (d-th singular value {s[-1]:.2e})"
-        )
-    coeffs = vh[-1, :k]
-    v = a @ coeffs
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        raise TransversalityError("degenerate intersection in witness construction")
-    return v / n
+    n, d = plus.shape[:2]
+    g = np.empty((n, d, d))
+    s_min, norms = np.empty((n, d)), np.empty((n, d))
+    for k in range(1, d + 1):
+        a = plus[:, :, :k]
+        _, s, vh = np.linalg.svd(np.concatenate([a, -minus[:, :, : d - k + 1]], axis=2))
+        v = (a @ vh[:, -1, :k, None])[..., 0]
+        s_min[:, k - 1], norms[:, k - 1] = s[:, -1], np.sqrt(np.vecdot(v, v))  # np.linalg.norm per row
+        g[:, :, k - 1] = v
+    g /= np.maximum(norms, 1e-300)[:, None, :]
+    errors, scale = [], np.ones(n)
+    for i, (det, row_s, row_n) in enumerate(zip(np.linalg.det(g), s_min.tolist(), norms.tolist())):
+        k = next((k for k in range(d) if row_s[k] < 1e-7 or row_n[k] < 1e-12), None)
+        if k is not None:
+            errors.append(f"subspaces meet in more than a line (d-th singular value {row_s[k]:.2e})"
+                          if row_s[k] < 1e-7 else "degenerate intersection in witness construction")
+        elif abs(det) < 1e-12:
+            errors.append("witness frame is singular")
+        else:
+            errors.append(None)
+            if det < 0:
+                g[i, :, -1] *= -1.0
+            scale[i] = abs(det) ** (1.0 / d)  # a scalar power: the array power rounds differently
+    return g / scale[:, None, None], errors
 
 
 def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
-    """Unimodular g with g(eta0, zeta0) = (xi, eta).
-
-    Built column by column: the k-th column spans the line where the k-th
-    forward subspace of xi meets the (d-k+1)-th forward subspace of eta.
-    """
-    d = xi.d
-    cols = []
-    for k in range(1, d + 1):
-        a = xi.frame[:, :k]
-        b = eta.frame[:, : d - k + 1]
-        cols.append(_subspace_intersection_line(a, b))
-    g = np.column_stack(cols)
-    det = np.linalg.det(g)
-    if abs(det) < 1e-12:
-        raise TransversalityError("witness frame is singular")
-    if det < 0:
-        g[:, -1] *= -1.0
-        det = -det
-    g = g / det ** (1.0 / d)
-    return GroupElement(g, check=False)
+    """Unimodular g with g(eta0, zeta0) = (xi, eta), column by column as in
+    ``_witness_frames``."""
+    g, errors = _witness_frames(xi.frame[None], eta.frame[None])
+    if errors[0]:
+        raise TransversalityError(errors[0])
+    return GroupElement(g[0], check=False)
 
 
 @dataclass
@@ -283,29 +298,54 @@ def fixed_points(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):
 
     Computed from the real eigenbasis sorted by decreasing eigenvalue
     modulus; the two flags are the orthonormalized forward and backward
-    eigenflags.
+    eigenflags.  The loxodromy test reads the same eigen-solve.
     """
-    lam, is_lox = jordan_project(g, tau_lox)
+    lam, is_lox, eig = _jordan_solve(g, tau_lox, vectors=True)
     if not is_lox:
         raise LoxodromyError(f"element is not loxodromic: jordan projection {lam}")
-    eigvals, eigvecs = np.linalg.eig(g.mat)
-    if np.max(np.abs(eigvals.imag)) > 1e-8 * np.max(np.abs(eigvals)):
-        raise LoxodromyError("element has non-real eigenvalues despite loxodromy check")
-    order = np.argsort(-np.abs(eigvals.real))
-    basis = eigvecs.real[:, order]
-    plus = Flag(flag_frame_action(np.eye(g.d), basis), check=False)
-    minus = Flag(flag_frame_action(np.eye(g.d), basis[:, ::-1]), check=False)
-    return plus, minus
+    return _eigen_flags(*eig)
+
+
+def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """Frames (2, ..., d, d) of the forward and backward eigenflags of eigen-pairs over
+    leading axes, gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real
+    spectrum (the frames of the others are meaningless)."""
+    real = np.max(np.abs(eigvals.imag), axis=-1) <= 1e-8 * np.max(np.abs(eigvals), axis=-1)
+    order = np.argsort(-np.abs(eigvals.real), axis=-1)
+    basis = np.take_along_axis(eigvecs.real, order[..., None, :], axis=-1)
+    frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
+    frames[..., -1] *= np.where(np.linalg.det(frames) < 0, -1.0, 1.0)[..., None]
+    return frames, real
+
+
+def _eigen_flags(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """Attracting and repelling flags of one element from its eigen-pairs."""
+    (plus, minus), real = _eigen_frames(eigvals, eigvecs)
+    if not real:
+        raise LoxodromyError(_NON_REAL)
+    return Flag(plus, check=False), Flag(minus, check=False)
 
 
 # ------------------------------------------------------------------- flats
 
 
-def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
-    """F(Y) = d_X(o, m exp(Y) o)^2 = k |a - mean(a)|^2, a = log svd(m exp(Y)), and its
-    exact gradient, in the coordinates of Y along ``basis``: ds_i = u_i^T dM v_i gives
-    d log s_i / d y_j = vh[i, j]^2, so grad F = 2k (vh^2)^T (a - mean(a)).
+def _flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):
+    """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), and its exact gradient
+    along ``basis`` (of Y in m exp(Y), at Y = 0), for a stack (n, d, d) of m, and which
+    rows have finite nonzero singular values (the others carry no value):
+    ds_i = u_i^T dM v_i gives d log s_i / d y_j = vh[i, j]^2, so
+    grad F = 2k (vh^2)^T (a - mean(a)).
     """
+    _, s, vh = np.linalg.svd(ms)
+    ok = np.isfinite(s).all(axis=-1) & (s[..., -1] > 0.0)
+    a = np.log(np.where(ok[..., None], s, 1.0))
+    a -= a.sum(axis=-1, keepdims=True) / a.shape[-1]  # np.mean, without its overhead
+    return k * np.vecdot(a, a), 2.0 * k * ((a[..., None, :] @ (vh * vh)) @ basis.T)[..., 0, :], ok
+
+
+def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
+    """F(Y) = d_X(o, m exp(Y) o)^2 and its gradient along ``basis``: ``_flat_rows`` of
+    the one-row stack m exp(Y)."""
     k = rs.killing_scale
 
     def fg(coords: np.ndarray):
@@ -313,20 +353,12 @@ def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
         if np.max(np.abs(y)) <= 250.0:
-            _, s, vh = np.linalg.svd(m * np.exp(y)[None, :])
-            if np.all(np.isfinite(s)) and s[-1] > 0.0:
-                a = np.log(s)
-                a -= a.mean()
-                return k * float(a @ a), 2.0 * k * (((vh * vh).T @ a) @ basis.T)
+            f, g, ok = _flat_rows((m * np.exp(y)[None, :])[None], basis, k)
+            if ok[0]:
+                return float(f[0]), g[0]
         return 1e12 + float(coords @ coords), 2.0 * coords
 
     return fg
-
-
-def _flat_objective(m: np.ndarray, basis: np.ndarray, rs):
-    """The distance d_X(o, m exp(Y) o) in the coordinates of Y along ``basis``."""
-    fg = _flat_value_and_grad(m, basis, rs)
-    return lambda coords: math.sqrt(fg(coords)[0])
 
 
 def _zero_sum_basis(d: int) -> np.ndarray:
@@ -340,7 +372,7 @@ def _zero_sum_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
-def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> float:
+def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> float:
     """Distance from x to the maximal flat of a transverse pair.
 
     Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
@@ -358,7 +390,7 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> floa
     f, g = fg(y)
     h = np.eye(d - 1)
     for it in range(200 * (d - 1)):
-        if np.max(np.abs(g)) <= tol:
+        if np.max(np.abs(g), axis=-1) <= tol:  # the test of _flat_start
             break
         p = -(h @ g)
         slope = float(g @ p)
@@ -389,3 +421,35 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-8) -> floa
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
     return value
+
+
+def _flat_start(x: BasePoint, witnesses: np.ndarray, tol: float = FLAT_TOL):
+    """F(0) of ``flat_distance`` for a stack (n, d, d) of witnesses, and which rows meet
+    its stop test at once, on a finite start: ``flat_distance`` returns sqrt(F(0))
+    for those, and its stall test cannot fire there."""
+    d = x.d
+    f, g, ok = _flat_rows(x.h.inverse().mat @ witnesses, _zero_sum_basis(d), root_system(d).killing_scale)
+    return f, ok & (np.max(np.abs(g), axis=-1) <= tol)
+
+
+def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
+    """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
+    stacked pass: per row the distance, or the library error that the per-element path
+    (``_eigen_flags``, ``TransversePair``, ``transverse_witness``) raises for it.  Rows
+    that ``_flat_start`` does not settle go through ``flat_distance`` itself."""
+    (plus, minus), real = _eigen_frames(eigvals, eigvecs)
+    delta = _delta(_embedded_lines(plus), _perp_lines(minus))
+    witness, errors = _witness_frames(plus, minus)
+    rows = [LoxodromyError(_NON_REAL) if not is_real
+            else TransversalityError("flag pair is not transverse") if not gauge > 0.0
+            else TransversalityError(error) if error else None
+            for is_real, gauge, error in zip(real.tolist(), delta.tolist(), errors)]
+    good = [i for i, row in enumerate(rows) if row is None]
+    f0, settled = _flat_start(x, witness[good])
+    for i, f, done in zip(good, f0.tolist(), settled.tolist()):
+        try:
+            rows[i] = math.sqrt(f) if done else flat_distance(
+                x, TransversePair(Flag(plus[i], check=False), Flag(minus[i], check=False)))
+        except WccError as exc:
+            rows[i] = exc
+    return rows

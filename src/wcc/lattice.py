@@ -30,9 +30,9 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .projections import _int_det, _integer_inverse, cartan_vector, jordan_project
+from .projections import _int_conjugate, _int_det, _integer_inverse, cartan_vector, jordan_project
 from .rootsys import RootSystemA, root_system
-from .volume import Domain, domain_volume
+from .volume import Domain
 
 CACHE_VERSION = 2
 CANDIDATE_CAP = int(1e9)
@@ -151,7 +151,7 @@ def _conjugate(table: np.ndarray, h) -> np.ndarray:
     if _int_det(h) != 1:
         raise PreconditionError(f"base point must have determinant 1, got {_int_det(h)}")
     d = len(h)
-    out = h @ table.reshape(-1, d, d).astype(object) @ _integer_inverse(h)
+    out = _int_conjugate(table.reshape(-1, d, d), _integer_inverse(h))
     return out.reshape(len(table), d * d).astype(np.int64)
 
 
@@ -473,35 +473,3 @@ def census_counts(
             "slabs": {k: v / vol for k, v in out["slabs"].items()},
         }
     return out
-
-
-def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), **kwargs) -> dict:
-    """Counts across a sweep of balls with slab ratios and their fitted decay."""
-    rs = root_system(spec.d)
-    grid = [float(t) for t in t_grid]
-    census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **kwargs)
-    rows = []
-    for t in grid:
-        domain = Domain("ball", t)
-        vol = domain_volume(rs, domain)
-        ball = census if t == max(grid) else restrict(census.table, spec, domain)[0]
-        counts = census_counts(ball, slabs=[eps * t for eps in epsilons],
-                               volume_log=vol.log_value, complete=meta.complete)
-        rows.append({**counts, "t": t, "log_volume": vol.log_value})
-    report = {"rows": rows, "complete": all(r["complete"] for r in rows)}
-    if epsilons and len(rows) >= 2:
-        fits = {}
-        for i, eps in enumerate(epsilons):
-            ratios, logs = [], []
-            for row in rows:
-                s = eps * row["t"]
-                cnt = row["slabs"][float(s)]
-                if cnt > 0:
-                    ratios.append(math.log(cnt) - row["log_volume"])
-                    logs.append(row["log_volume"])
-            if len(ratios) >= 2:
-                A = np.vstack([logs, np.ones_like(logs)]).T
-                (slope, _), *_ = np.linalg.lstsq(A, np.array(ratios), rcond=None)
-                fits[float(eps)] = {"kappa_fit": float(-slope), "points": len(ratios)}
-        report["slab_decay"] = fits
-    return report

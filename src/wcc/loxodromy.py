@@ -22,8 +22,8 @@ from .errors import (
     NumericError,
     ParameterError,
     PreconditionError,
-    RegularityError,
     TransversalityError,
+    WccError,
 )
 from . import flagmetric as fm
 from . import projections as pj
@@ -86,7 +86,7 @@ def fitted_constants(d: int) -> FittedConstants:
 def cx_constant(x: BasePoint) -> float:
     """Configuration constant 8 C2 C1 exp(C0 d_X(o, x))."""
     consts = fitted_constants(x.d)
-    dx = pj.dist_x(BasePoint.origin(x.d), x)
+    dx = root_system(x.d).killing_norm(pj.cartan_vector(x.h))  # d_X(o, x)
     return 8.0 * consts.c2 * consts.c1 * math.exp(consts.c0 * dx)
 
 
@@ -203,7 +203,8 @@ def certify(
 
     rs = root_system(d)
     t0 = _t_zero(cx, d, epsilon)
-    a_x = pj.cartan_at(gamma, x)
+    # one Cartan decomposition of the conjugate gives the wall distance and the flags
+    k, a_x, l = pj.cartan_project(pj._conjugate(gamma, x))
     wall = rs.wall_distance(a_x)
     conditions = {
         "wall_distance": wall,
@@ -216,11 +217,10 @@ def certify(
     pair = None
     if conditions["wall_margin_ok"]:
         try:
-            plus, minus = pj.angular_points(gamma, x, margin=0.0)
-            pair = fm.TransversePair(plus, minus)
+            pair = fm.TransversePair(*pj._angular_flags(x, k, l))
             conditions["transverse_ok"] = True
             conditions["flat_dist"] = fm.flat_distance(x, pair)
-        except (RegularityError, TransversalityError, NumericError):
+        except (TransversalityError, NumericError):
             pair = None
 
     certified = bool(
@@ -231,12 +231,13 @@ def certify(
 
     fixed_point_errors = None
     if certified:
-        _, independent_lox = pj.jordan_project(gamma)
+        # one eigen-solve gives the independent re-check and the fixed flags
+        _, independent_lox, eig = pj._jordan_solve(gamma, vectors=True)
         if not independent_lox:
             # the configuration misfired; never report an unsound certificate
             certified = False
         else:
-            gp, gm = fm.fixed_points(gamma)
+            gp, gm = fm._eigen_flags(*eig)
             fixed_point_errors = (
                 fm.dist_d(gp, pair.xi_plus),
                 fm.dist_d(gm, pair.xi_minus),
@@ -258,17 +259,38 @@ def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:
     """Distance between the Jordan and x-Cartan projections of a loxodromic element.
 
     Also asserts the flat bound: the gap never exceeds twice the distance
-    from x to the fixed-point flat (plus ``GAP_SLACK``).
+    from x to the fixed-point flat (plus ``GAP_SLACK``).  The one-row case of
+    ``_flat_bound_rows``.
     """
-    lam, is_lox = pj.jordan_project(gamma)
-    if not is_lox:
-        raise LoxodromyError("jordan_cartan_gap needs a loxodromic element")
-    rs = root_system(gamma.d)
-    gap = rs.killing_norm(lam - pj.cartan_at(gamma, x))
-    gp, gm = fm.fixed_points(gamma)
-    bound = 2.0 * fm.flat_distance(x, fm.TransversePair(gp, gm)) + GAP_SLACK
-    if gap > bound:
-        raise NumericError(
-            f"flat bound violated: gap {gap} exceeds 2*flat_distance + slack = {bound}"
-        )
-    return gap
+    row = _flat_bound_rows(pj._one_row(gamma), x)[0]
+    if isinstance(row, WccError):
+        raise row
+    return row
+
+
+def _flat_bound_rows(mats: np.ndarray, x: BasePoint) -> list:
+    """``jordan_cartan_gap`` of every matrix of a stack (n, d, d) in one stacked pass:
+    per row its gap, or the library error ``jordan_cartan_gap`` raises for it.
+
+    An integer stack (int64, or Python ints) has exact Jordan and Cartan rows, the
+    latter of its exact conjugates when h_x is integer.  One eigen-solve gives the
+    Jordan rows and the fixed flags, whose flat distances come from
+    ``flagmetric._fixed_flat_distances``.
+    """
+    eigvals, eigvecs = pj._eig(mats.astype(float), vectors=True)
+    lam, lox = pj._jordan_rows(mats, pj.TAU_LOX_DEFAULT, eigvals)
+    diff = lam - pj._cartan_rows(pj._conjugate_stack(mats, x))
+    gaps = np.sqrt(root_system(mats.shape[1]).killing_scale * np.vecdot(diff, diff))  # killing_norm
+    flats = iter(fm._fixed_flat_distances(x, eigvals[lox], eigvecs[lox]))
+
+    rows = []
+    for is_lox, gap in zip(lox.tolist(), gaps.tolist()):
+        flat = next(flats) if is_lox else LoxodromyError("jordan_cartan_gap needs a loxodromic element")
+        if isinstance(flat, WccError):
+            rows.append(flat)
+        elif gap > (bound := 2.0 * flat + GAP_SLACK):
+            rows.append(NumericError(
+                f"flat bound violated: gap {gap} exceeds 2*flat_distance + slack = {bound}"))
+        else:
+            rows.append(gap)
+    return rows

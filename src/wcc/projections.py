@@ -157,10 +157,6 @@ class BasePoint:
     def origin(cls, d: int) -> "BasePoint":
         return cls(GroupElement(np.eye(d), check=False))
 
-    @classmethod
-    def from_matrix(cls, mat) -> "BasePoint":
-        return cls(GroupElement(mat))
-
     @property
     def d(self) -> int:
         return self.h.d
@@ -187,7 +183,7 @@ def cartan_project(g: GroupElement):
     an integer element gets the exact a of ``cartan_vector``."""
     k, a, l = cartan_batch(g.mat)
     if g.int_mat is not None:
-        a = _int_cartan(np.array([g.int_mat], dtype=object))[0]
+        a = cartan_vector(g)
     return k, a, l
 
 
@@ -203,9 +199,12 @@ def _int_stack(mats) -> np.ndarray:
     return mats.astype(np.int64)
 
 
-def _int_cartan(mats) -> np.ndarray:
-    """Cartan rows of an exact integer stack: an int64 stack, or the object one-row
-    stack of an integer GroupElement (Python ints, any size and any d)."""
+def _cartan_rows(mats: np.ndarray) -> np.ndarray:
+    """Cartan rows of a stack: from the SVD of ``cartan_batch`` for a float stack; exact
+    for an integer one, an int64 stack or the object one-row stack of an integer
+    GroupElement (Python ints, any size and any d)."""
+    if mats.dtype.kind == "f":
+        return cartan_batch(mats)[1]
     if mats.shape[1] == 2:
         s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats).astype(float) / 2.0)
         return np.stack([s, 0.0 - s], axis=1)  # 0.0 - s: +0.0, not -0.0, at s = 0
@@ -222,10 +221,13 @@ def cartan_vector(g) -> np.ndarray:
     d >= 3 the rows come from one stacked SVD, with the exact-adjugate recovery
     of ``_robust_logs``."""
     if not isinstance(g, GroupElement):
-        return _int_cartan(_int_stack(g))
-    if g.int_mat is None:
-        return cartan_batch(g.mat)[1]
-    return _int_cartan(np.array([g.int_mat], dtype=object))[0]
+        return _cartan_rows(_int_stack(g))
+    return _cartan_rows(_one_row(g))[0]
+
+
+def _one_row(g: GroupElement) -> np.ndarray:
+    """g as a one-row stack: its exact Python ints when it is integer, else its floats."""
+    return g.mat[None] if g.int_mat is None else np.array([g.int_mat], dtype=object)
 
 
 def _int_char_discriminant(mats):
@@ -246,12 +248,19 @@ def _int_char_discriminant(mats):
     return tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27
 
 
-def _eig_logs(mats, int_mats=None) -> np.ndarray:
-    """``_robust_logs`` of the descending eigenvalue moduli of one float matrix or a stack."""
+def _eig(mats, vectors: bool = False):
+    """Eigenvalues (with ``vectors``, eigenvalues and eigenvectors) of one float matrix
+    or a stack; a solver failure is a NumericError."""
     try:
-        eig = np.linalg.eigvals(mats)
+        return np.linalg.eig(mats) if vectors else np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solver failed on {mats!r}") from exc
+
+
+def _eig_logs(mats, int_mats=None, eig=None) -> np.ndarray:
+    """``_robust_logs`` of the descending eigenvalue moduli of one float matrix or a stack;
+    ``eig`` passes eigenvalues already solved for."""
+    eig = _eig(mats) if eig is None else eig
     return _robust_logs(np.sort(np.abs(eig), axis=-1)[..., ::-1], int_mats, "eig")
 
 
@@ -260,14 +269,19 @@ def _gap_test(lam: np.ndarray, tau_lox: float) -> np.ndarray:
     return (lam.shape[-1] > 1) & np.all(-np.diff(lam, axis=-1) > tau_lox, axis=-1)
 
 
-def _int_jordan(mats, tau_lox: float):
-    """Jordan rows and loxodromy flags of an exact integer stack (as ``_int_cartan``)."""
+def _jordan_rows(mats: np.ndarray, tau_lox: float = TAU_LOX_DEFAULT, eig=None):
+    """Jordan rows and loxodromy flags of a stack: the gap test on the eigenvalue logs
+    of a float stack; exact for an integer one (as ``_cartan_rows``).  ``eig`` passes
+    the eigenvalues of the stack already solved for."""
+    if mats.dtype.kind == "f":
+        lam = _eig_logs(mats, eig=eig)
+        return lam, _gap_test(lam, tau_lox)
     if mats.shape[1] == 2:
         half_trace = np.abs(mats[:, 0, 0] + mats[:, 1, 1]).astype(float) / 2.0
         ell = np.arccosh(np.maximum(half_trace, 1.0))
         lam = np.stack([ell, 0.0 - ell], axis=1)
     else:
-        lam = _eig_logs(mats.astype(float), mats)
+        lam = _eig_logs(mats.astype(float), mats, eig)
     # distinct real eigenvalues iff disc > 0; for unimodular integer matrices of
     # size <= 3 that also forces distinct moduli
     disc = _int_char_discriminant(mats)
@@ -290,12 +304,17 @@ def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
     integer elements keep the gap test.
     """
     if not isinstance(g, GroupElement):
-        return _int_jordan(_int_stack(g), tau_lox)
-    if g.int_mat is None:
-        lam = _eig_logs(g.mat)
-        return lam, bool(_gap_test(lam, tau_lox))
-    lam, lox = _int_jordan(np.array([g.int_mat], dtype=object), tau_lox)
-    return lam[0], bool(lox[0])
+        return _jordan_rows(_int_stack(g), tau_lox)
+    return _jordan_solve(g, tau_lox)[:2]
+
+
+def _jordan_solve(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT, vectors: bool = False):
+    """``jordan_project`` of one element, and with ``vectors`` the eigenvalues and
+    eigenvectors of the same solve (None without): the loxodromy test and the fixed
+    flags of an element take one eigen-solve."""
+    eig = _eig(g.mat, vectors=True) if vectors else None
+    lam, lox = _jordan_rows(_one_row(g), tau_lox, None if eig is None else eig[0][None])
+    return lam[0], bool(lox[0]), eig
 
 
 def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
@@ -336,46 +355,63 @@ def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
     return iwasawa_batch(relative, moved_frame)
 
 
-def cartan_distance(x: BasePoint, y: BasePoint):
-    """Chamber-valued distance d_a(x,y) and its Killing norm d_X(x,y)."""
-    rel = GroupElement(x.h.inverse().mat @ y.h.mat, check=False)
-    a = cartan_vector(rel)
-    rs = root_system(x.d)
-    return a, rs.killing_norm(a)
+def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
+    """h_x^-1 m h_x over the last two axes: m itself at the origin, exact in Python
+    ints for an integer m (int64 or object) when h_x is integer, in floats otherwise."""
+    h = x.h
+    if np.array_equal(h.mat, np.eye(h.d)):
+        return mats
+    if mats.dtype.kind != "f" and h.int_mat is not None:
+        return _int_conjugate(mats, h.int_mat)
+    return h.inverse().mat @ mats.astype(float) @ h.mat
 
 
-def dist_x(x: BasePoint, y: BasePoint) -> float:
-    return cartan_distance(x, y)[1]
+def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:
+    """h^-1 m h over the last two axes in Python ints, for integer m and a det-one integer h."""
+    h = np.array(h, dtype=object)
+    return _integer_inverse(h) @ mats.astype(object) @ h
+
+
+def _conjugate(g: GroupElement, x: BasePoint) -> GroupElement:
+    """h_x^-1 g h_x as an element, exact (``_conjugate_stack``) when it is integer."""
+    conj = _conjugate_stack(_one_row(g), x)[0]
+    out = GroupElement(conj, check=False)
+    if conj.dtype == object:
+        out.int_mat = conj.tolist()
+    return out
 
 
 def cartan_at(g: GroupElement, x: BasePoint) -> np.ndarray:
-    """Cartan projection seen from x: a(h_x^-1 g h_x)."""
-    conj = x.h.inverse().mat @ g.mat @ x.h.mat
-    return cartan_vector(GroupElement(conj, check=False))
+    """Cartan projection seen from x: a(h_x^-1 g h_x), exact (as ``cartan_vector``)
+    for an integer g at the origin or at an x with an integer representative."""
+    return cartan_vector(_conjugate(g, x))
+
+
+def _angular_flags(x: BasePoint, k: np.ndarray, l: np.ndarray):
+    """Attracting and repelling angular flags at x from the frames of a Cartan
+    decomposition k exp(a) l^-1 of h_x^-1 g h_x, in one stacked frame action."""
+    from .flagmetric import Flag
+
+    rev = root_system(len(k)).reversal_frame()
+    plus, minus = flag_frame_action(x.h.mat, np.stack([k, l @ rev]))
+    return Flag(plus), Flag(minus)
 
 
 def angular_points(g: GroupElement, x: BasePoint, margin: float = TAU_LOX_DEFAULT):
     """Attracting/repelling angular flags of an x-Cartan-regular element.
 
-    Requires the chamber-valued displacement of x to stay further than
-    ``margin`` from the walls; raises RegularityError (carrying the measured
-    wall distance) otherwise.
+    Requires the chamber-valued displacement of x (exact as in ``cartan_at``)
+    to stay further than ``margin`` from the walls; raises RegularityError
+    (carrying the measured wall distance) otherwise.
     """
-    from .flagmetric import Flag
-
-    rs = root_system(g.d)
-    hx_inv = x.h.inverse().mat
-    conj = GroupElement(hx_inv @ g.mat @ x.h.mat, check=False)
-    k, a, l = cartan_project(conj)
-    wall = rs.wall_distance(a)
+    k, a, l = cartan_project(_conjugate(g, x))
+    wall = root_system(g.d).wall_distance(a)
     if wall <= margin:
         raise RegularityError(
             f"element is not x-cartan-regular at margin {margin} (wall distance {wall})",
             wall_distance=wall,
         )
-    plus = flag_frame_action(x.h.mat, k)
-    minus = flag_frame_action(x.h.mat, l @ rs.reversal_frame())
-    return Flag(plus), Flag(minus)
+    return _angular_flags(x, k, l)
 
 
 def random_so(d: int, rng: np.random.Generator, size=None) -> np.ndarray:

@@ -62,6 +62,12 @@ class RootSystemA:
         self.rho = 0.5 * np.sum(self.positive_roots, axis=0)
         self.two_rho = 2.0 * self.rho
 
+        self._simple_dual_norms = np.array([self.dual_norm(c) for c in self.simple_roots])
+        # the antidiagonal permutation frame, its first column negated where needed for SO(d)
+        self._reversal = np.eye(d)[::-1].copy()
+        if np.linalg.det(self._reversal) < 0:
+            self._reversal[:, 0] *= -1.0
+
     def positive_roots_pair(self, i: int, j: int) -> np.ndarray:
         c = np.zeros(self.d)
         c[i], c[j] = 1.0, -1.0
@@ -121,8 +127,9 @@ class RootSystemA:
         y = self.check_traceless(y)
         if not self.in_closed_chamber(y):
             raise PreconditionError(f"wall_distance needs a closed-chamber vector, got {y}")
-        vals = [max(0.0, float(c @ y)) / self.dual_norm(c) for c in self.simple_roots]
-        return min(vals)
+        # the simple roots y_i - y_{i+1}: -diff(y), rounded as c @ y; negatives and -0.0 to 0.0
+        alpha = -np.diff(y)
+        return float(np.min(np.where(alpha > 0.0, alpha, 0.0) / self._simple_dual_norms))
 
     def opposition(self, y) -> np.ndarray:
         """The involution reversing and negating coordinates; preserves the chamber."""
@@ -139,13 +146,7 @@ class RootSystemA:
         Conjugation by this frame maps exp(y) to exp(reverse(y)); the sign of
         one antidiagonal entry is flipped when needed to land in SO(d).
         """
-        d = self.d
-        k = np.zeros((d, d))
-        for i in range(d):
-            k[d - 1 - i, i] = 1.0
-        if np.linalg.det(k) < 0:
-            k[:, 0] *= -1.0
-        return k
+        return self._reversal.copy()
 
     # ------------------------------------------------------ growth exponents
 

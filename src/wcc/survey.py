@@ -22,7 +22,7 @@ import numpy as np
 from . import bqf
 from .errors import ParameterError, WccError
 from .lattice import Census, LatticeSpec, _word_ball, enumerate_elements, restrict
-from .projections import BasePoint, GroupElement, _integer_inverse, cartan_vector
+from .projections import _INT_STACK_MAX, BasePoint, _integer_inverse, cartan_vector
 from .rootsys import root_system
 from .volume import Domain, domain_volume
 
@@ -241,15 +241,6 @@ def conjugacy_classes_sl2(trace_bound: int) -> ClassTable:
     )
 
 
-def class_id_of_matrix(m) -> tuple:
-    """Conjugation-invariant id of a positive-trace hyperbolic integer matrix."""
-    (a, b), (c, d) = m
-    trace = int(a) + int(d)
-    if trace < 3:
-        raise ParameterError(f"class ids are issued for trace >= 3, got {trace}")
-    return (trace, bqf.class_id(bqf.form_of_matrix(m)))
-
-
 def trace_bound_for_length(T: float) -> int:
     """Largest trace whose Jordan length fits in the Killing ball of radius T."""
     return max(2, int(math.floor(2.0 * math.cosh(T / SQRT8))))
@@ -392,41 +383,23 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
 
 
 def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
-    """Jordan-Cartan flat bound over the loxodromic part of a census; elements
-    whose gap raises a library error are violations, listed under ``failures``."""
-    from .loxodromy import jordan_cartan_gap
+    """Jordan-Cartan flat bound over the loxodromic part of a census (a ``Census`` or
+    a list of ``ElementRecord``s), as one stacked pass; elements whose gap raises a
+    library error are violations, listed under ``failures``."""
+    from .loxodromy import _flat_bound_rows
 
-    rows, failures = [], []
-    for rec in records:
-        if not rec.loxodromic:
-            continue
-        g = GroupElement.from_integer([list(r) for r in rec.matrix])
-        base = x if x is not None else BasePoint.origin(g.d)
-        try:
-            gap = jordan_cartan_gap(g, base)
-        except WccError as exc:
-            failures.append({"matrix": rec.matrix, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        rows.append({"matrix": rec.matrix, "gap": gap})
-    return {"checked": len(rows), "violations": len(failures), "failures": failures,
-            "max_gap": max((r["gap"] for r in rows), default=0.0)}
-
-
-def balanced_split(census: Census, T: float, kappa: float) -> dict:
-    """Balanced/unbalanced split of sampled loxodromic elements at T / kappa.
-
-    Sample-mode report (word-ball censuses are not exhaustive): an element
-    counts as balanced when its Jordan length exceeds the threshold.
-    """
-    threshold = T / kappa
-    jordan = census.jordan[census.loxodromic]
-    length = np.sqrt(root_system(jordan.shape[1]).killing_scale * np.vecdot(jordan, jordan))
-    length = length[length <= T]
-    return {
-        "T": T,
-        "kappa": kappa,
-        "threshold": threshold,
-        "balanced": int(np.count_nonzero(length > threshold)),
-        "unbalanced": int(np.count_nonzero(length <= threshold)),
-        "exhaustive": False,
-    }
+    lox = [rec.matrix for rec in records if rec.loxodromic]
+    if not lox:
+        return {"checked": 0, "violations": 0, "failures": [], "max_gap": 0.0}
+    mats = np.array(lox, dtype=object)
+    if np.all(np.abs(mats) <= _INT_STACK_MAX):
+        mats = mats.astype(np.int64)
+    base = x if x is not None else BasePoint.origin(mats.shape[1])
+    gaps, failures = [], []
+    for matrix, row in zip(lox, _flat_bound_rows(mats, base)):
+        if isinstance(row, WccError):
+            failures.append({"matrix": matrix, "error": f"{type(row).__name__}: {row}"})
+        else:
+            gaps.append(row)
+    return {"checked": len(gaps), "violations": len(failures), "failures": failures,
+            "max_gap": max(gaps, default=0.0)}

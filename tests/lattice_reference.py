@@ -6,6 +6,10 @@ eigenvalue solve per element, and a base point conjugates record by record.
 sl2 columns are the closed forms of the integer kernels applied to one matrix
 at a time.  Records are filtered by ``Domain.contains_cartan`` (sl2
 full-integer censuses by their exact mass cap) and ordered by ``sort_key``.
+
+Also ``census_sweep``, counts over a sweep of balls with their fitted slab decay,
+which no command runs (the CLI's sweep is ``wcc.survey.angular_sweep``): it was
+``wcc.lattice.census_sweep``, unchanged.
 """
 
 from __future__ import annotations
@@ -16,9 +20,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from wcc.lattice import ElementRecord, _default_sl3_generators, _sl2_mass_cap
+from wcc.lattice import (
+    ElementRecord,
+    LatticeSpec,
+    _default_sl3_generators,
+    _sl2_mass_cap,
+    census_counts,
+    enumerate_elements,
+    restrict,
+)
 from wcc.projections import GroupElement, cartan_vector, jordan_project
 from wcc.rootsys import RootSystemA, root_system
+from wcc.volume import Domain, domain_volume
 
 
 def from_rows(rows, rs: RootSystemA) -> ElementRecord:
@@ -122,3 +135,35 @@ def reference_census(spec, domain, word_radius: int = 4) -> list:
         records = [_word_record(rows, spec.d) for rows in words]
         records = [rec for rec in records if domain.contains_cartan(rs, rec.cartan)]
     return conjugated(sorted(records, key=sort_key), spec.base_point)
+
+
+def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), **kwargs) -> dict:
+    """Counts across a sweep of balls with slab ratios and their fitted decay."""
+    rs = root_system(spec.d)
+    grid = [float(t) for t in t_grid]
+    census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **kwargs)
+    rows = []
+    for t in grid:
+        domain = Domain("ball", t)
+        vol = domain_volume(rs, domain)
+        ball = census if t == max(grid) else restrict(census.table, spec, domain)[0]
+        counts = census_counts(ball, slabs=[eps * t for eps in epsilons],
+                               volume_log=vol.log_value, complete=meta.complete)
+        rows.append({**counts, "t": t, "log_volume": vol.log_value})
+    report = {"rows": rows, "complete": all(r["complete"] for r in rows)}
+    if epsilons and len(rows) >= 2:
+        fits = {}
+        for i, eps in enumerate(epsilons):
+            ratios, logs = [], []
+            for row in rows:
+                s = eps * row["t"]
+                cnt = row["slabs"][float(s)]
+                if cnt > 0:
+                    ratios.append(math.log(cnt) - row["log_volume"])
+                    logs.append(row["log_volume"])
+            if len(ratios) >= 2:
+                A = np.vstack([logs, np.ones_like(logs)]).T
+                (slope, _), *_ = np.linalg.lstsq(A, np.array(ratios), rcond=None)
+                fits[float(eps)] = {"kappa_fit": float(-slope), "points": len(ratios)}
+        report["slab_decay"] = fits
+    return report

@@ -5,11 +5,16 @@ one-row stacks of the integer kernels: one float SVD, or one float eigenvalue
 solve, of a single matrix, with zero-sum logs of the moduli.  For an integer
 matrix whose moduli span more than 1e10, the values below 1 are recomputed as
 reciprocals of the large values of the exact adjugate.
+
+Also the Cartan distance between two base points (``cartan_distance``,
+``dist_x``), which no command or acceptance criterion runs: it was
+``wcc.projections.cartan_distance`` and ``dist_x``, unchanged.
 """
 
 import numpy as np
 
-from wcc.projections import _integer_inverse
+from wcc.projections import BasePoint, GroupElement, _integer_inverse, cartan_vector
+from wcc.rootsys import root_system
 
 
 def _zero_sum_logs(values_desc: np.ndarray, int_mat, kind: str) -> np.ndarray:
@@ -36,3 +41,15 @@ def reference_jordan(int_mat) -> np.ndarray:
     """Sorted zero-sum log eigenvalue moduli of one integer matrix (a list of rows)."""
     eig = np.linalg.eigvals(np.array(int_mat, dtype=float))
     return _zero_sum_logs(np.sort(np.abs(eig))[::-1], int_mat, "eig")
+
+
+def cartan_distance(x: BasePoint, y: BasePoint):
+    """Chamber-valued distance d_a(x,y) and its Killing norm d_X(x,y)."""
+    rel = GroupElement(x.h.inverse().mat @ y.h.mat, check=False)
+    a = cartan_vector(rel)
+    rs = root_system(x.d)
+    return a, rs.killing_norm(a)
+
+
+def dist_x(x: BasePoint, y: BasePoint) -> float:
+    return cartan_distance(x, y)[1]

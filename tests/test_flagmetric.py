@@ -11,7 +11,11 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from flat_reference import reference_flat_distance, scipy_bfgs_flat_distance
+from flat_reference import (
+    reference_flat_distance,
+    reference_flat_objective,
+    scipy_bfgs_flat_distance,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -125,6 +129,19 @@ class TestTransversality:
     def test_non_transverse_pair_rejected(self):
         with pytest.raises(TransversalityError):
             fm.TransversePair(fm.eta0(3), fm.eta0(3))
+
+    def test_stacked_witnesses_fail_row_by_row(self):
+        rng = np.random.default_rng(9)
+        a, b = pj.random_so(3, rng, size=3), pj.random_so(3, rng, size=3)
+        a[1], b[1] = np.eye(3), np.eye(3)  # the second and third forward subspaces meet in a plane
+        w, errors = fm._witness_frames(a, b)
+        assert errors[0] is None and errors[2] is None
+        with pytest.raises(TransversalityError) as err:
+            fm.transverse_witness(fm.eta0(3), fm.eta0(3))
+        assert errors[1] == str(err.value)
+        assert errors[1].startswith("subspaces meet in more than a line")
+        for i in (0, 2):
+            assert np.array_equal(w[i], fm.transverse_witness(fm.Flag(a[i]), fm.Flag(b[i])).mat)
 
 
 class TestGromov:
@@ -319,6 +336,11 @@ class TestFixedPoints:
         with pytest.raises(LoxodromyError):
             fm.fixed_points(GroupElement([[1, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solver_failure_is_a_numeric_error(self, bad):
+        with pytest.raises(NumericError, match="eigenvalue solver failed"):
+            fm.fixed_points(GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), check=False))
+
 
 class TestFlatDistance:
     def test_zero_on_the_flat(self):
@@ -335,7 +357,7 @@ class TestFlatDistance:
         x = BasePoint(GroupElement(n))
         val = fm.flat_distance(x, pair)
         basis = fm._zero_sum_basis(3)
-        f = fm._flat_objective(np.linalg.inv(n) @ pair.witness.mat, basis, rs)
+        f = reference_flat_objective(np.linalg.inv(n) @ pair.witness.mat, basis, rs)
         grid = min(
             f(np.array([u, v]))
             for u in np.linspace(-2.0, 2.0, 201)

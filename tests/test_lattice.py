@@ -450,7 +450,7 @@ class TestCensusCounts:
 
     def test_sweep_rows_match_per_t_enumeration(self):
         spec, rs = LatticeSpec("sl2", base_point=((2, 1), (1, 1))), root_system(2)
-        report = lt.census_sweep(spec, [5, 7.0, 6.0], epsilons=[0.1])
+        report = ref.census_sweep(spec, [5, 7.0, 6.0], epsilons=[0.1])
         assert [r["t"] for r in report["rows"]] == [5.0, 7.0, 6.0]
         for row in report["rows"]:
             dom = Domain("ball", row["t"])
@@ -460,7 +460,7 @@ class TestCensusCounts:
                                     complete=meta.complete)
             assert {k: row[k] for k in want} == want
 
-    @pytest.mark.parametrize("sweep", [lt.census_sweep, sv.angular_sweep])
+    @pytest.mark.parametrize("sweep", [ref.census_sweep, sv.angular_sweep])
     def test_sweep_builds_each_census_once(self, sweep, monkeypatch):
         calls, table_records = [], lt._table_records
 
@@ -473,7 +473,7 @@ class TestCensusCounts:
         assert [dom.t for dom in calls] == [7.0, 5.0, 6.0]
 
     def test_sweep_ratio_stabilizes(self):
-        report = lt.census_sweep(LatticeSpec("sl2"), [9.0, 10.0, 11.0], epsilons=[0.1])
+        report = ref.census_sweep(LatticeSpec("sl2"), [9.0, 10.0, 11.0], epsilons=[0.1])
         rows = report["rows"]
         ratios = [r["normalized"]["total"] for r in rows]
         assert abs(ratios[-1] - ratios[-2]) / ratios[-2] < 0.1

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +8,16 @@ import pytest
 from wcc import flagmetric as fm
 from wcc import loxodromy as lx
 from wcc import projections as pj
-from wcc.errors import LoxodromyError, ParameterError, PreconditionError
+from wcc.errors import LoxodromyError, NumericError, ParameterError, PreconditionError
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
 from constants_reference import _fit_constants, dist_d2
+from loxodromy_reference import reference_jordan_cartan_gap
+from projection_reference import dist_x
+
+VERDICTS = Path(__file__).with_name("certify_verdicts.json")
 
 
 def admissible_parameters(d):
@@ -26,6 +32,99 @@ def deep_regular_vector(d, o, eps, factor=1.05):
     margin = factor * lx.t_zero(o, eps) / math.sqrt(d)
     y = margin * (np.arange(d)[::-1] - (d - 1) / 2.0)
     return y
+
+
+def _det_one_sl2(rng, top):
+    """A det-one integer 2x2 matrix, entries of size up to about ``top``, random sign."""
+    while True:
+        a, c = (int(v) for v in rng.integers(1, top, size=2))
+        if math.gcd(a, c) == 1:
+            break
+    d = pow(a, -1, c) if c > 1 else 1  # a d = 1 (mod c)
+    b = (a * d - 1) // c
+    k = int(rng.integers(0, max(1, (top - d) // a)))
+    m = [[a, b + k * a], [c, d + k * c]]
+    return [[-v for v in row] for row in m] if rng.choice([1, -1]) < 0 else m
+
+
+def certify_cases():
+    """160 seeded certify inputs (label, g, x, r, eps): float elements built about the
+    wall-margin threshold, integer sl2 elements with entries up to 1e9, integer sl3
+    words, elements at an integer and at a float base point, and the adversarial family."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for d in (2, 3):
+        rs = root_system(d)
+        consts = lx.fitted_constants(d)
+        o = BasePoint.origin(d)
+        r = 0.98 * consts.r0
+        eps = 0.9 * min(r / lx.cx_constant(o), consts.eps0)
+        step = lx.t_zero(o, eps) / math.sqrt(d)
+        for _ in range(40):
+            y = rng.uniform(0.9, 1.2) * step * (np.arange(d)[::-1] - (d - 1) / 2.0)
+            yh = rng.normal(size=d)
+            yh -= yh.mean()
+            yh *= rng.uniform(0.0, 0.6 * r) / max(rs.killing_norm(yh), 1e-12)
+            h = pj.random_so(d, rng) @ np.diag(np.exp(np.sort(yh)[::-1])) @ pj.random_so(d, rng)
+            signs = rng.choice([1.0, -1.0], size=d)
+            if np.prod(signs) < 0:
+                signs[0] *= -1
+            g = h @ (np.diag(np.exp(y)) @ np.diag(signs)) @ np.linalg.inv(h)
+            cases.append((f"float d={d}", GroupElement(g, check=False), o, r, eps))
+    o2 = BasePoint.origin(2)
+    for _ in range(40):
+        top = int(10 ** rng.uniform(1.0, 9.0))
+        g = GroupElement.from_integer(_det_one_sl2(rng, top))
+        cases.append(("integer d=2", g, o2, 0.4, 0.0005))
+    gens = [np.eye(3, dtype=int) for _ in range(6)]
+    for i, (p, q) in enumerate([(0, 1), (1, 2), (0, 2), (1, 0), (2, 1), (2, 0)]):
+        gens[i][p, q] = 1
+    o3 = BasePoint.origin(3)
+    eps3 = 0.5 * min(0.4 / lx.cx_constant(o3), lx.fitted_constants(3).eps0)
+    for _ in range(10):
+        m = np.eye(3, dtype=object)
+        for j in rng.integers(0, 6, size=int(rng.integers(20, 60))):
+            m = m @ gens[j].astype(object)
+        cases.append(("integer d=3", GroupElement.from_integer(m), o3, 0.4, eps3))
+    xi = BasePoint(GroupElement.from_integer([[2, 1], [1, 1]]))
+    eps_i = 0.5 * min(0.4 / lx.cx_constant(xi), lx.fitted_constants(2).eps0)
+    for _ in range(5):
+        g = GroupElement.from_integer(_det_one_sl2(rng, int(10 ** rng.uniform(2.0, 9.0))))
+        cases.append(("integer at integer x", g, xi, 0.4, eps_i))
+    xf = BasePoint(GroupElement.from_cartan_vector([0.04, -0.04]))
+    consts = lx.fitted_constants(2)
+    r = 0.98 * consts.r0
+    eps_f = 0.9 * min(r / lx.cx_constant(xf), consts.eps0)
+    step = lx.t_zero(xf, eps_f) / math.sqrt(2)
+    for _ in range(5):
+        y = rng.uniform(0.95, 1.3) * step * np.array([0.5, -0.5])
+        h = xf.h.mat @ pj.random_so(2, rng)
+        g = h @ np.diag(np.exp(y)) @ np.linalg.inv(h)
+        cases.append(("float at float x", GroupElement(g, check=False), xf, r, eps_f))
+    for d in (2, 3):
+        consts = lx.fitted_constants(d)
+        o = BasePoint.origin(d)
+        r = 0.98 * consts.r0
+        eps = 0.9 * min(r / lx.cx_constant(o), consts.eps0)
+        for n in (1, 7, 100, 10**4, 10**6):
+            u = np.eye(d)
+            u[0, -1] = float(n)
+            cases.append((f"unipotent d={d}", GroupElement(u), o, r, eps))
+        for _ in range(3):
+            cases.append((f"rotation d={d}", GroupElement(pj.random_so(d, rng), check=False), o, r, eps))
+        for w in (0.1, 3.0):
+            yv = np.zeros(d)
+            yv[0], yv[-1] = w, -w
+            cases.append((f"near wall d={d}", GroupElement.from_cartan_vector(yv), o, r, eps))
+    return cases
+
+
+def verdict_row(cert) -> dict:
+    c = cert.conditions
+    return {"certified": cert.certified, "wall_distance": c["wall_distance"], "t0": c["t0"],
+            "wall_margin_ok": c["wall_margin_ok"], "transverse_ok": c["transverse_ok"],
+            "flat_dist": c["flat_dist"],
+            "fixed_point_errors": None if cert.fixed_point_errors is None else list(cert.fixed_point_errors)}
 
 
 class TestFittedConstants:
@@ -66,6 +165,23 @@ class TestFittedConstants:
                     assert fm.dist_d(xi.translate(g), eta.translate(g)) <= cap * fm.dist_d(xi, eta) * (1 + 1e-9)
                 if fm.dist_delta(xi, eta) > 1e-9:
                     assert fm.dist_delta(xi.translate(g), eta.translate(g)) <= cap * fm.dist_delta(xi, eta) * (1 + 1e-9)
+
+    def test_cx_reads_the_cartan_vector_of_the_representative(self):
+        # the old formula: the Killing distance from the origin through dist_x
+        def old_cx(x):
+            consts = lx.fitted_constants(x.d)
+            dx = dist_x(BasePoint.origin(x.d), x)
+            return 8.0 * consts.c2 * consts.c1 * math.exp(consts.c0 * dx)
+
+        rng = np.random.default_rng(107)
+        for d in (2, 3):
+            assert lx.cx_constant(BasePoint.origin(d)) == old_cx(BasePoint.origin(d))
+            for _ in range(200):
+                x = BasePoint(random_group(rng, d, rng.uniform(0.01, 0.5)))
+                assert lx.cx_constant(x) == old_cx(x)
+        # an integer representative takes the exact Cartan vector
+        x = BasePoint(GroupElement.from_integer([[2, 1], [1, 1]]))
+        assert lx.cx_constant(x) == pytest.approx(old_cx(x), rel=1e-12)
 
     def test_cx_monotone_in_distance(self):
         o = BasePoint.origin(3)
@@ -196,6 +312,43 @@ class TestCertify:
                 assert pj.is_loxodromic(g)
 
 
+class TestVerdictTable:
+    """certify on 160 seeded inputs against the table recorded before the certificate
+    took one Cartan decomposition and one eigen-solve per element."""
+
+    def test_verdicts_and_conditions_unchanged(self):
+        table = json.loads(VERDICTS.read_text())
+        cases = certify_cases()
+        assert [label for label, *_ in cases] == [label for label, _ in table]
+        for (label, g, x, r, eps), (_, old) in zip(cases, table):
+            new = verdict_row(lx.certify(g, x, r, eps))
+            if g.int_mat is not None:
+                # the wall distance of an integer element is now that of its exact conjugate
+                conj = GroupElement.from_integer(
+                    pj._integer_inverse(x.h.int_mat) @ np.array(g.int_mat, dtype=object)
+                    @ np.array(x.h.int_mat, dtype=object)) if x.h.int_mat is not None else g
+                old["wall_distance"] = root_system(g.d).wall_distance(pj.cartan_vector(conj))
+            assert new == old, label
+
+    def test_wide_integer_wall_distance_is_exact(self):
+        o, g = BasePoint.origin(2), GroupElement.from_integer(
+            [[74329081, 28229880], [47049800, 17869321]])
+        cert = lx.certify(g, o, 0.4, 0.0005)
+        assert cert.conditions["wall_distance"] == 51.929538344805906
+
+    def test_one_eigen_solve_per_certificate(self, monkeypatch):
+        calls = []
+        for name in ("eig", "eigvals"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, _s=solve, _n=name: calls.append(_n) or _s(m))
+        for d in (2, 3):
+            o, r, eps = admissible_parameters(d)
+            calls.clear()
+            cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
+            assert cert.certified
+            assert calls == ["eig"]
+
+
 class TestJordanCartanGap:
     def test_diagonal_gap_zero(self):
         g = GroupElement(np.diag([2.0, 1.0, 0.5]))
@@ -216,6 +369,25 @@ class TestJordanCartanGap:
     def test_rejects_non_loxodromic(self):
         with pytest.raises(LoxodromyError):
             lx.jordan_cartan_gap(GroupElement([[1, 1], [0, 1]]), BasePoint.origin(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_solver_failure_is_a_numeric_error(self, bad):
+        g = GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), check=False)
+        with pytest.raises(NumericError, match="eigenvalue solver failed"):
+            lx.jordan_cartan_gap(g, BasePoint.origin(2))
+
+    def test_matches_the_per_element_reference(self):
+        rng = np.random.default_rng(106)
+        for d in (2, 3):
+            o, x = BasePoint.origin(d), BasePoint(random_group(rng, d, 0.2))
+            for _ in range(10):
+                y = np.sort(rng.uniform(0.4, 1.5, size=d))[::-1]
+                y -= y.mean()
+                h = random_group(rng, d, 0.4)
+                g = GroupElement(h.mat @ np.diag(np.exp(y)) @ np.linalg.inv(h.mat), check=False)
+                for base in (o, x):
+                    assert lx.jordan_cartan_gap(g, base) == pytest.approx(
+                        reference_jordan_cartan_gap(g, base), rel=1e-9)
 
 
 class TestDistanceSurrogates:

@@ -13,7 +13,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from projection_reference import reference_cartan, reference_jordan
+from projection_reference import cartan_distance, dist_x, reference_cartan, reference_jordan
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -113,7 +113,7 @@ class TestCartan:
             x = BasePoint(random_group(rng, 3, scale=0.4))
             y = BasePoint(random_group(rng, 3, scale=0.4))
             gap = rs.killing_norm(pj.cartan_at(g, x) - pj.cartan_at(g, y))
-            assert gap <= 2.0 * pj.dist_x(x, y) + 1e-9
+            assert gap <= 2.0 * dist_x(x, y) + 1e-9
 
 
 class TestJordan:
@@ -380,7 +380,7 @@ class TestBusemann:
                 x = BasePoint(random_group(rng, d, 0.6))
                 y = BasePoint(random_group(rng, d, 0.6))
                 val = rs.killing_norm(pj.busemann(xi, x, y))
-                assert val <= ca * pj.dist_x(x, y) + 1e-9
+                assert val <= ca * dist_x(x, y) + 1e-9
 
     def test_representative_invariance(self):
         rng = np.random.default_rng(13)
@@ -397,13 +397,13 @@ class TestBusemann:
 class TestCartanDistance:
     def test_same_point(self):
         o = BasePoint.origin(3)
-        a, dist = pj.cartan_distance(o, o)
+        a, dist = cartan_distance(o, o)
         assert np.allclose(a, 0.0) and dist == 0.0
 
     def test_diagonal_displacement(self):
         o = BasePoint.origin(3)
         y = BasePoint(GroupElement.from_cartan_vector([1.0, 0.0, -1.0]))
-        a, dist = pj.cartan_distance(o, y)
+        a, dist = cartan_distance(o, y)
         assert np.allclose(a, [1.0, 0.0, -1.0], atol=1e-12)
         assert dist == pytest.approx(math.sqrt(12.0), rel=1e-12)
 
@@ -412,10 +412,43 @@ class TestCartanDistance:
         rs = root_system(3)
         for _ in range(100):
             x, y, z = (BasePoint(random_group(rng, 3)) for _ in range(3))
-            axy, dxy = pj.cartan_distance(x, y)
-            ayx, _ = pj.cartan_distance(y, x)
+            axy, dxy = cartan_distance(x, y)
+            ayx, _ = cartan_distance(y, x)
             assert np.max(np.abs(ayx - rs.opposition(axy))) < 1e-9
-            assert dxy <= pj.dist_x(x, z) + pj.dist_x(z, y) + 1e-9
+            assert dxy <= dist_x(x, z) + dist_x(z, y) + 1e-9
+
+
+class TestCartanAt:
+    def test_integer_elements_take_the_exact_kernel(self):
+        # the float SVD of a conjugate loses the small singular value of a wide integer
+        # element (up to 12.6% relative in the Cartan vector at entries near 1e9)
+        rng = np.random.default_rng(2000)
+        o = BasePoint.origin(2)
+        h = np.array([[2, 1], [1, 1]], dtype=object)
+        x = BasePoint(GroupElement.from_integer(h))
+        count = 0
+        while count < 2000:
+            a, b = (int(v) for v in rng.integers(-(10**9), 10**9, size=2))
+            rows = det_one_completion(a, b)
+            if rows is None:
+                continue
+            count += 1
+            g = GroupElement.from_integer(rows)
+            assert np.array_equal(pj.cartan_at(g, o), pj.cartan_vector(g))
+            conj = pj._integer_inverse(h) @ np.array(rows, dtype=object) @ h
+            assert np.array_equal(pj.cartan_at(g, x), pj.cartan_vector(GroupElement.from_integer(conj)))
+
+    def test_float_base_point_keeps_the_float_conjugate(self):
+        rng = np.random.default_rng(2001)
+        for d in (2, 3):
+            for _ in range(20):
+                g, x = random_group(rng, d), BasePoint(random_group(rng, d, 0.4))
+                conj = GroupElement(x.h.inverse().mat @ g.mat @ x.h.mat, check=False)
+                assert np.array_equal(pj.cartan_at(g, x), pj.cartan_vector(conj))
+                if d == 2:  # an integer element at a float base point
+                    ig = GroupElement.from_integer([[2, 1], [1, 1]])
+                    conj = GroupElement(x.h.inverse().mat @ ig.mat @ x.h.mat, check=False)
+                    assert np.array_equal(pj.cartan_at(ig, x), pj.cartan_vector(conj))
 
 
 class TestAngularPoints:

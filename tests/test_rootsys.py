@@ -215,6 +215,23 @@ class TestWallDistance:
         rs = rootsys.root_system(2)
         assert rs.wall_distance([2.0, -2.0]) == pytest.approx(rs.killing_norm([2.0, -2.0]))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_equals_the_per_root_formula_bit_for_bit(self, d):
+        # the simple-root dual norms are computed once; the value and the sign of a zero
+        # must stay those of min over simple roots of max(0, c @ y) / dual_norm(c)
+        rs = rootsys.root_system(d)
+        rng = np.random.default_rng(40 + d)
+        for i in range(2000):
+            y = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if i % 7 == 0:
+                y[1] = y[0]
+            y = np.sort(y - y.mean())[::-1]
+            if i % 11 == 0:
+                y = np.zeros(d)
+            old = min(max(0.0, float(c @ y)) / rs.dual_norm(c) for c in rs.simple_roots)
+            new = rs.wall_distance(y)
+            assert (new, math.copysign(1.0, new)) == (old, math.copysign(1.0, old))
+
 
 class TestOpposition:
     def test_involution_and_chamber(self):
@@ -226,6 +243,19 @@ class TestOpposition:
                 assert np.allclose(rs.opposition(rs.opposition(y)), y)
                 ych = rs.chamber_sort(y)
                 assert rs.in_closed_chamber(rs.opposition(ych))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_reversal_frame_is_a_fresh_copy_of_the_antidiagonal_frame(self, d):
+        rs = rootsys.root_system(d)
+        k = np.zeros((d, d))
+        for i in range(d):
+            k[d - 1 - i, i] = 1.0
+        if np.linalg.det(k) < 0:
+            k[:, 0] *= -1.0
+        frame = rs.reversal_frame()
+        assert np.array_equal(frame, k)
+        frame[0, 0] = 7.0
+        assert np.array_equal(rs.reversal_frame(), k)
 
     def test_rho_invariant_under_opposition(self):
         rng = np.random.default_rng(5)

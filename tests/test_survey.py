@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqf_reference import reference_form_classes, reference_power, reference_torus_key
+from loxodromy_reference import reference_flat_bound_survey
+from survey_reference import balanced_split, class_id_of_matrix
 from wcc import bqf
+from wcc import flagmetric as fm
 from wcc import loxodromy as lx
 from wcc import survey as sv
-from wcc.errors import NumericError, ParameterError
+from wcc.errors import NumericError, ParameterError, WccError
 from wcc.lattice import LatticeSpec, enumerate_elements
+from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
 
@@ -116,7 +120,7 @@ class TestConjugacyClasses:
                     w = w @ (S if rng.random() < 0.5 else T)
                 wi = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]])
                 conj = tuple(map(tuple, w @ rep @ wi))
-                assert sv.class_id_of_matrix(conj) == rec.class_id
+                assert class_id_of_matrix(conj) == rec.class_id
 
     def test_primitive_powers_partition(self, classes_trace_10):
         # every class is a unique power of a unique primitive class
@@ -166,7 +170,7 @@ class TestProperties:
             if max(abs(int(x)) for x in nxt.flat) > 10**6:
                 break
             conj = nxt
-        assert sv.class_id_of_matrix(tuple(map(tuple, conj.tolist()))) == (trace, cid)
+        assert class_id_of_matrix(tuple(map(tuple, conj.tolist()))) == (trace, cid)
 
     @PROPERTY
     @given(st.data())
@@ -321,21 +325,77 @@ class TestJordanCartanSurvey:
         records, _ = census_t8
         lox = [r for r in records if r.loxodromic][:6]
         bad = lox[2].matrix
-        gap = lx.jordan_cartan_gap
+        rows = lx._flat_bound_rows
 
-        def failing_gap(g, base):
-            if tuple(map(tuple, g.int_mat)) == bad:
-                raise NumericError("solver stalled")
-            return gap(g, base)
+        def failing_rows(mats, base):
+            out = rows(mats, base)
+            for i, m in enumerate(mats.tolist()):
+                if tuple(map(tuple, m)) == bad:
+                    out[i] = NumericError("solver stalled")
+            return out
 
-        monkeypatch.setattr(lx, "jordan_cartan_gap", failing_gap)
+        monkeypatch.setattr(lx, "_flat_bound_rows", failing_rows)
         report = sv.flat_bound_survey(lox)
         assert (report["checked"], report["violations"]) == (5, 1)
         assert report["failures"] == [{"matrix": bad, "error": "NumericError: solver stalled"}]
 
-        monkeypatch.setattr(lx, "jordan_cartan_gap", lambda g, base: 1 / 0)
+        monkeypatch.setattr(lx, "_flat_bound_rows", lambda mats, base: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             sv.flat_bound_survey(lox)
+
+
+@functools.cache
+def census_t6():
+    return enumerate_elements(LatticeSpec("sl2"), Domain("ball", 6.0))[0]
+
+
+class TestStackedFlatBound:
+    """The stacked survey against the per-element loop it replaced."""
+
+    @pytest.mark.parametrize("base", ["origin", "integer", "float"])
+    def test_t6_matches_the_reference(self, base):
+        x = {"origin": None,
+             "integer": BasePoint(GroupElement.from_integer([[2, 1], [1, 1]])),
+             "float": BasePoint(GroupElement.from_cartan_vector([0.3, -0.3]))}[base]
+        self.check(census_t6(), x)
+
+    def test_t8_matches_the_reference(self, census_t8):
+        self.check(census_t8[0], None)
+
+    def test_sl3_word_ball_matches_the_reference(self):
+        census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
+        self.check(census, BasePoint(GroupElement.from_integer([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
+
+    @pytest.mark.parametrize("base", ["origin", "float"])
+    def test_flat_values_are_flat_distance_bit_for_bit(self, base):
+        # the stacked F(0) shortcut and the rows it leaves to flat_distance both give
+        # exactly what flat_distance returns for the fixed flags of each element
+        census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
+        for lox in ([r for r in census_t6() if r.loxodromic], [r for r in census if r.loxodromic]):
+            mats = np.array([rec.matrix for rec in lox], dtype=float)
+            d = mats.shape[1]
+            x = BasePoint.origin(d) if base == "origin" else BasePoint(
+                GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, d)))
+            pairs = [fm.TransversePair(*fm.fixed_points(GroupElement(m, check=False))) for m in mats]
+            want = [fm.flat_distance(x, pair) for pair in pairs]
+            assert fm._fixed_flat_distances(x, *np.linalg.eig(mats)) == want
+            _, settled = fm._flat_start(x, np.array([pair.witness.mat for pair in pairs]))
+            assert settled.any() if base == "origin" else not settled.all()
+
+    @staticmethod
+    def check(census, x):
+        lox = [rec for rec in census if rec.loxodromic]
+        ref = reference_flat_bound_survey(lox, x)
+        report = sv.flat_bound_survey(lox, x)
+        assert sv.flat_bound_survey(census, x) == report
+        for key in ("checked", "violations", "failures"):
+            assert report[key] == ref[key], key
+        mats = np.array([rec.matrix for rec in lox])
+        rows = lx._flat_bound_rows(mats, x or BasePoint.origin(mats.shape[1]))
+        gaps = [row for row in rows if not isinstance(row, WccError)]
+        assert len(gaps) == len(ref["gaps"]) == report["checked"]
+        assert gaps == pytest.approx(ref["gaps"], rel=1e-12, abs=0.0)
+        assert report["max_gap"] == pytest.approx(ref["max_gap"], rel=1e-12, abs=0.0)
 
 
 class TestBalancedSplit:
@@ -343,7 +403,7 @@ class TestBalancedSplit:
         records, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 6.0), word_radius=3)
         rs = root_system(3)
         kappa = 2.0 * rs.delta_zero() / rs.c_gap()
-        report = sv.balanced_split(records, T=6.0, kappa=kappa)
+        report = balanced_split(records, T=6.0, kappa=kappa)
         assert report["threshold"] == pytest.approx(6.0 / kappa)
         assert not report["exhaustive"]
         assert report["balanced"] + report["unbalanced"] > 0

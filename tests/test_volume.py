@@ -8,7 +8,14 @@ from wcc.errors import ParameterError, PreconditionError
 from wcc.rootsys import root_system
 from wcc.volume import Domain
 
-from volume_reference import monte_carlo_volume
+from volume_reference import (
+    _sample_chamber_point,
+    hc_integrand,
+    lipschitz_probe,
+    max_wall_distance,
+    monte_carlo_volume,
+    well_rounded_probe,
+)
 
 
 def bisected_chamber_window(rs):
@@ -90,20 +97,20 @@ def same_bits(x, y) -> bool:
 
 class TestIntegrand:
     def test_zero_on_walls(self):
-        assert V.hc_integrand(2, [0.0, 0.0]) == 0.0
-        assert V.hc_integrand(3, [1.0, 1.0, -2.0]) == 0.0
+        assert hc_integrand(2, [0.0, 0.0]) == 0.0
+        assert hc_integrand(3, [1.0, 1.0, -2.0]) == 0.0
 
     def test_sl2_single_root(self):
         for s in (0.3, 1.0, 2.0):
-            assert V.hc_integrand(2, [s, -s]) == pytest.approx(math.sinh(2 * s), rel=1e-12)
+            assert hc_integrand(2, [s, -s]) == pytest.approx(math.sinh(2 * s), rel=1e-12)
 
     def test_sl3_example(self):
-        val = V.hc_integrand(3, [1.0, 0.0, -1.0])
+        val = hc_integrand(3, [1.0, 0.0, -1.0])
         assert val == pytest.approx(math.sinh(1.0) ** 2 * math.sinh(2.0), rel=1e-12)
 
     def test_outside_chamber_rejected(self):
         with pytest.raises(PreconditionError):
-            V.hc_integrand(3, [-1.0, 0.0, 1.0])
+            hc_integrand(3, [-1.0, 0.0, 1.0])
 
 
 class TestBallVolume:
@@ -161,7 +168,7 @@ class TestChamberGeometry:
     @pytest.mark.parametrize("t", [0.5, 4.0, 8.0, 13.7])
     def test_max_wall_distance_matches_scan(self, t):
         rs = root_system(3)
-        wmax = V.max_wall_distance(rs, Domain("ball", t))
+        wmax = max_wall_distance(rs, Domain("ball", t))
         assert wmax == pytest.approx(scanned_max_wall_distance(rs, t), rel=1e-12, abs=0.0)
         assert wmax == pytest.approx(t / 2.0, rel=1e-15, abs=0.0)
 
@@ -338,7 +345,7 @@ class TestSlab:
     def test_slab_exhausts_domain(self):
         rs = root_system(3)
         dom = Domain("ball", 6.0)
-        wmax = V.max_wall_distance(rs, dom)
+        wmax = max_wall_distance(rs, dom)
         assert wmax == pytest.approx(3.0, abs=1e-9)
         res = V.slab_volume(rs, 6.0, wmax * 0.99999, "ball")
         full, _ = V._region_log_integral(rs, dom, "two_rho", 0.0)
@@ -386,7 +393,7 @@ class TestDomain:
 class TestProbes:
     def test_lipschitz_stability(self):
         rs = root_system(2)
-        rep = V.lipschitz_probe(rs, "ball", [10.0], [0.1, 0.05, 0.01, 0.002])
+        rep = lipschitz_probe(rs, "ball", [10.0], [0.1, 0.05, 0.01, 0.002])
         assert rep["finite"]
         slopes = [r["slope"] for r in rep["rows"]]
         assert max(slopes) / min(slopes) < 1.05
@@ -394,13 +401,13 @@ class TestProbes:
 
     def test_lipschitz_requires_t_above_one(self):
         with pytest.raises(ParameterError):
-            V.lipschitz_probe(2, "ball", [0.5], [0.1])
+            lipschitz_probe(2, "ball", [0.5], [0.1])
 
     def test_well_rounded_conditions(self):
-        rep = V.well_rounded_probe(3, "ball", delta=0.8, t=7.0, eps=0.01, n_samples=300)
+        rep = well_rounded_probe(3, "ball", delta=0.8, t=7.0, eps=0.01, n_samples=300)
         assert rep["samples_ok"]
         assert rep["volume_sandwich_C"] > 0.0
-        zero = V.well_rounded_probe(2, "ball", delta=0.8, t=7.0, eps=0.0)
+        zero = well_rounded_probe(2, "ball", delta=0.8, t=7.0, eps=0.0)
         assert zero["volume_sandwich_C"] == 0.0
         assert zero["vol_plus"] == zero["vol_minus"] == zero["vol_S"]
 
@@ -415,12 +422,12 @@ class TestProbes:
         ]
         for dom, margin, first, next_draw in cases:
             rng = np.random.default_rng(5)
-            ys = [V._sample_chamber_point(rs, dom, margin, rng) for _ in range(20)]
+            ys = [_sample_chamber_point(rs, dom, margin, rng) for _ in range(20)]
             assert ys[0].tolist() == first
             assert int(rng.integers(2**62)) == next_draw
 
     def test_well_rounded_probe_as_pinned(self):
-        rep = V.well_rounded_probe(3, "ball", delta=0.8, t=7.0, eps=0.01, n_samples=100)
+        rep = well_rounded_probe(3, "ball", delta=0.8, t=7.0, eps=0.01, n_samples=100)
         assert (rep["n_samples"], rep["failures"], rep["samples_ok"]) == (100, 0, True)
         for key, want in (("vol_S", 7.1148117768092805), ("vol_plus", 7.130514368961184),
                           ("vol_minus", 7.099060457840153)):
@@ -429,7 +436,7 @@ class TestProbes:
 
     def test_well_rounded_sandwich_stable_in_t(self):
         consts = [
-            V.well_rounded_probe(2, "ball", delta=0.6, t=t, eps=0.02, n_samples=50)["volume_sandwich_C"]
+            well_rounded_probe(2, "ball", delta=0.6, t=t, eps=0.02, n_samples=50)["volume_sandwich_C"]
             for t in (6.0, 8.0, 10.0)
         ]
         assert max(consts) / min(consts) < 2.0
