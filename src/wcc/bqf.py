@@ -184,11 +184,6 @@ def cycle_table(discriminants):
     return table[order, 1:], np.r_[0, np.cumsum(size[roots])], i[roots]
 
 
-def reduced_forms(D: int) -> list:
-    """All reduced forms of a positive non-square discriminant, sorted."""
-    return sorted(f for cyc in form_classes(D) for f in cyc)
-
-
 @lru_cache(maxsize=None)
 def form_classes(D: int) -> tuple:
     """Canonical ids of all proper classes of discriminant D, sorted."""
@@ -198,12 +193,6 @@ def form_classes(D: int) -> tuple:
 
 
 # ------------------------------------------------------- matrices and forms
-
-
-def form_of_matrix(m) -> Form:
-    """Fixed-point form (c, d-a, -b) of an integer matrix [[a,b],[c,d]]."""
-    (a, b), (c, d) = m
-    return (int(c), int(d) - int(a), -int(b))
 
 
 def matrix_of_form(f: Form, trace: int):

@@ -10,36 +10,25 @@ or usage errors, 3 feasibility errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, flagmetric as fm, loxodromy as lx, projections as pj
-from . import lattice as lt
-from . import survey as sv
-from . import volume as vol
+from . import __version__
 from .errors import FeasibilityError, ParameterError, WccError
-from .projections import BasePoint, GroupElement
-from .rootsys import for_group, root_system
-from .volume import Domain
 
 CACHE_ENV = "WCC_CACHE"
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.ndarray, np.integer, np.floating)):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, Path):
         return str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -55,39 +44,101 @@ def _emit(payload: dict, config: dict, complete=True, out=None):
         "complete": complete,
         "result": payload,
     }
-    out.write(json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n")
+    out.write(_dumps(doc) + "\n")
 
 
-def _parse_matrix(text: str) -> GroupElement:
+def _dumps(node, pad: str = "") -> str:
+    """`json.dumps(node, sort_keys=True, indent=2, default=_json_default)`, nested at `pad`.
+
+    Dicts with string keys recurse and row tables come from `_table_rows`;
+    every other node is json.dumps's own output, re-indented.
+    """
+    inner = pad + "  "
+    if type(node) is dict and node and all(type(k) is str for k in node):
+        items = [f"{_json_str(k)}: {_dumps(v, inner)}" for k, v in sorted(node.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    rows = _table_rows(node, inner)
+    if rows is not None:
+        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+    text = json.dumps(node, sort_keys=True, indent=2, default=_json_default)
+    return text.replace("\n", "\n" + pad)
+
+
+_CELL = {str: "%s", bool: "%s", int: "%r", float: "%r"}
+
+
+def _table_rows(rows, pad: str):
+    """The rows of a list of dicts with the same string keys and one exact type of
+    `_CELL` per column (floats all finite), each from one `%` template; else None."""
+    if type(rows) is not list or not rows or type(rows[0]) is not dict or not rows[0]:
+        return None
+    first = rows[0].keys()
+    if any(type(k) is not str for k in first) or any(type(r) is not dict or r.keys() != first
+                                                     for r in rows):
+        return None
+    inner, cells, columns = pad + "  ", [], []
+    for key in sorted(first):
+        column = [r[key] for r in rows]
+        kinds = set(map(type, column))
+        kind = kinds.pop()
+        if kinds or kind not in _CELL or kind is float and not all(map(math.isfinite, column)):
+            return None
+        if kind is str:
+            column = list(map(_json_str, column))
+        elif kind is bool:
+            column = ["true" if v else "false" for v in column]
+        columns.append(column)
+        cells.append(_json_str(key).replace("%", "%%") + ": " + _CELL[kind])
+    template = "{\n" + inner + (",\n" + inner).join(cells) + "\n" + pad + "}"
+    return [template % values for values in zip(*columns)]
+
+
+def _parse_rows(text: str, what: str) -> list:
+    """JSON rows of a square matrix of finite numbers, or of the file named after an @."""
     try:
-        rows = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"matrix must be a JSON array of rows: {exc}") from None
-    arr = np.asarray(rows)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParameterError(f"matrix must be square, got shape {arr.shape}")
-    if all(float(x) == int(x) for x in arr.flatten()):
+        rows = json.loads(Path(text[1:]).read_text() if text.startswith("@") else text)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParameterError(f"{what} must be a JSON array of rows, got {text}: {exc}") from None
+    if not isinstance(rows, list) or not rows or not all(
+            isinstance(r, list) and len(r) == len(rows) for r in rows):
+        raise ParameterError(f"{what} must be a square JSON array of rows, got {text}")
+    for x in (x for row in rows for x in row):
+        if not isinstance(x, (int, float)) or isinstance(x, float) and not math.isfinite(x):
+            raise ParameterError(f"{what} entry {json.dumps(x)} is not a finite number")
+    return rows
+
+
+def _parse_matrix(text: str):
+    from .projections import GroupElement
+
+    rows = _parse_rows(text, "matrix")
+    if all(not isinstance(x, float) or x.is_integer() for row in rows for x in row):
         return GroupElement.from_integer([[int(x) for x in row] for row in rows])
-    return GroupElement(arr)
-
-
-def _maybe_matrix_file(text: str) -> str:
-    if text.startswith("@"):
-        return Path(text[1:]).read_text()
-    return text
+    return GroupElement(np.asarray(rows))
 
 
 def _parse_edges(text: str | None):
-    if not text:
-        return None
-    return tuple(float(x) for x in text.split(","))
+    return tuple(_parse_grid(text)) if text else None
 
 
-def _parse_grid(text: str):
-    return [float(x) for x in text.split(",")]
+def _finite(text: str) -> float:
+    """The type of every real-valued option: a float that is not NaN or infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def _parse_grid(text: str) -> list:
+    try:
+        return [_finite(token) for token in text.split(",")]
+    except ValueError as exc:  # its message names the token
+        raise ParameterError(f"{text!r} is not a list of finite numbers: {exc}") from None
 
 
 def _write_csv(path: Path, header, rows):
+    import csv
+
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -98,12 +149,16 @@ def _write_csv(path: Path, header, rows):
 
 
 def _cmd_project(args) -> int:
+    from . import projections as pj
+    from .rootsys import for_group
+
     rs = for_group(args.group)
-    g = _parse_matrix(_maybe_matrix_file(args.matrix))
+    g = _parse_matrix(args.matrix)
     if g.d != rs.d:
         raise ParameterError(f"matrix dimension {g.d} does not match group {args.group}")
+    tau_lox = pj.TAU_LOX_DEFAULT if args.tau_lox is None else args.tau_lox
     k, a, l = pj.cartan_project(g)
-    lam, lox = pj.jordan_project(g, args.tau_lox)
+    lam, lox = pj.jordan_project(g, tau_lox)
     payload = {
         "cartan": a,
         "jordan": lam,
@@ -112,15 +167,17 @@ def _cmd_project(args) -> int:
         "killing_norm": rs.killing_norm(a),
     }
     _emit(payload, {"cmd": "project", "group": args.group, "matrix": g.mat,
-                    "tau_lox": args.tau_lox, "seed": args.seed})
+                    "tau_lox": tau_lox, "seed": args.seed})
     return 0
 
 
 def _cmd_flag(args) -> int:
-    rs = for_group(args.group)
-    d = rs.d
-    xi = fm.Flag(json.loads(_maybe_matrix_file(args.xi))) if args.xi else fm.eta0(d)
-    eta = fm.Flag(json.loads(_maybe_matrix_file(args.eta))) if args.eta else fm.zeta0(d)
+    from . import flagmetric as fm
+    from .rootsys import for_group
+
+    d = for_group(args.group).d
+    xi = fm.Flag(_parse_rows(args.xi, "xi")) if args.xi else fm.eta0(d)
+    eta = fm.Flag(_parse_rows(args.eta, "eta")) if args.eta else fm.zeta0(d)
     payload: dict = {}
     if args.op == "dist":
         payload["dist"] = fm.dist_d(xi, eta)
@@ -132,7 +189,7 @@ def _cmd_flag(args) -> int:
     elif args.op == "hopf":
         if not args.matrix:
             raise ParameterError("hopf needs --matrix")
-        g = _parse_matrix(_maybe_matrix_file(args.matrix))
+        g = _parse_matrix(args.matrix)
         hp = fm.hopf(g)
         payload["xi_plus_frame"] = hp.pair.xi_plus.frame
         payload["xi_minus_frame"] = hp.pair.xi_minus.frame
@@ -145,10 +202,13 @@ def _cmd_flag(args) -> int:
 
 
 def _cmd_loxo(args) -> int:
-    g = _parse_matrix(_maybe_matrix_file(args.matrix))
+    from . import loxodromy as lx
+    from .projections import BasePoint
+
+    g = _parse_matrix(args.matrix)
     base = BasePoint.origin(g.d)
     if args.base:
-        base = BasePoint(_parse_matrix(_maybe_matrix_file(args.base)))
+        base = BasePoint(_parse_matrix(args.base))
     cert = lx.certify(g, base, args.r, args.eps)
     payload = cert.as_dict()
     _emit(payload, {"cmd": "loxo", "matrix": g.mat, "r": args.r, "eps": args.eps,
@@ -157,6 +217,9 @@ def _cmd_loxo(args) -> int:
 
 
 def _cmd_volume(args) -> int:
+    from . import volume as vol
+    from .rootsys import for_group
+
     rs = for_group(args.group)
     edges = _parse_edges(args.edges)
     config = {
@@ -166,33 +229,17 @@ def _cmd_volume(args) -> int:
     }
     if args.slab is not None:
         res = vol.slab_volume(rs, args.t, args.slab, args.domain, edges)
-        payload = {
-            "value_log": res.log_value,
-            "value": res.value,
-            "method": res.method,
-            "error": res.error_estimate,
-            "ratio_to_volume": res.extras["ratio"],
-            "log_volume": res.extras["log_volume"],
-            "delta0": rs.delta_zero(),
-        }
+        extras = {"ratio_to_volume": res.extras["ratio"], "log_volume": res.extras["log_volume"]}
     elif args.domain == "box":
         if edges is None:
             raise ParameterError("box volume needs --edges")
         res = vol.box_volume(rs, args.t, edges)
-        payload = {
-            "value_log": res.log_value, "value": res.value, "method": res.method,
-            "error": res.error_estimate, "delta0": rs.delta_zero(),
-            "C_G": res.extras["C_G"], "delta_P": res.extras["delta_P"],
-            "delta_minus": res.extras["delta_minus"],
-        }
+        extras = {key: res.extras[key] for key in ("C_G", "delta_P", "delta_minus")}
     else:
-        domain = Domain("ball", args.t, regular_margin=args.regular_margin)
-        res = vol.domain_volume(rs, domain)
-        payload = {
-            "value_log": res.log_value, "value": res.value, "method": res.method,
-            "error": res.error_estimate, "delta0": rs.delta_zero(),
-        }
-    _emit(payload, config)
+        res = vol.domain_volume(rs, vol.Domain("ball", args.t, regular_margin=args.regular_margin))
+        extras = {}
+    _emit({"value_log": res.log_value, "value": res.value, "method": res.method,
+           "error": res.error_estimate, "delta0": rs.delta_zero(), **extras}, config)
     return 0
 
 
@@ -201,6 +248,9 @@ def _default_cache_root():
 
 
 def _cmd_enumerate(args) -> int:
+    from . import lattice as lt
+    from .volume import Domain
+
     spec = lt.LatticeSpec(args.group)
     edges = _parse_edges(args.edges)
     domain = Domain(args.domain, args.t, edges, regular_margin=args.regular_margin)
@@ -225,6 +275,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _load_or_enumerate(args):
+    from . import lattice as lt
+    from .volume import Domain
+
     if args.cache:
         spec, domain, records, manifest = lt.load_cache(args.cache)
         return spec, domain, records, manifest["complete"]
@@ -237,17 +290,20 @@ def _load_or_enumerate(args):
 
 
 def _cmd_angular(args) -> int:
+    from . import lattice as lt, survey as sv, volume as vol
+    from .rootsys import root_system
+
     config = {"cmd": "angular", "group": args.group, "cache": args.cache, "t": args.t,
               "bins": args.bins, "sweep": args.sweep, "seed": args.seed}
     if args.sweep:
         spec = lt.LatticeSpec(args.group)
         report = sv.angular_sweep(spec, _parse_grid(args.sweep), bins=args.bins)
-        payload = report
-        rows = [(r["t"], r["n_regular"], r["ks_plus"], r["ks_minus"]) for r in report["rows"]]
         if args.out:
             _write_csv(Path(args.out + "_angular_sweep.csv"),
-                       ["t", "n_regular", "ks_plus", "ks_minus"], rows)
-        _emit(payload, config)
+                       ["t", "n_regular", "ks_plus", "ks_minus"],
+                       [(r["t"], r["n_regular"], r["ks_plus"], r["ks_minus"])
+                        for r in report["rows"]])
+        _emit(report, config)
         return 0
     spec, domain, records, complete = _load_or_enumerate(args)
     rs = root_system(spec.d)
@@ -263,6 +319,8 @@ def _cmd_angular(args) -> int:
 
 
 def _cmd_tori(args) -> int:
+    from . import survey as sv
+
     config = {"cmd": "tori", "T": args.T, "T_grid": args.T_grid,
               "trace_bound": args.trace_bound, "seed": args.seed}
     if args.T_grid:
@@ -288,17 +346,10 @@ def _cmd_tori(args) -> int:
         _emit(report, config)
         return 0
     classes = sv.conjugacy_classes_sl2(args.trace_bound)
-    payload = {
-        "classes": [
-            {
-                "trace": c.trace, "primitive": c.primitive, "power": c.power,
-                "jordan": c.jordan, "period_volume": c.period_volume, "length": c.length,
-                "class_id": repr(c.class_id),
-            }
-            for c in classes
-        ],
-        "count": len(classes),
-    }
+    rows = [{"trace": c.trace, "primitive": c.primitive, "power": c.power, "jordan": c.jordan,
+             "period_volume": c.period_volume, "length": c.length, "class_id": repr(c.class_id)}
+            for c in classes]
+    payload = {"classes": rows, "count": len(classes)}
     if args.out:
         _write_csv(Path(args.out + "_classes.csv"),
                    ["trace", "primitive", "power", "period_volume", "length"],
@@ -309,6 +360,9 @@ def _cmd_tori(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from . import survey as sv
+    from .rootsys import root_system
+
     grid = _parse_grid(args.T_grid)
     report = sv.conjugacy_growth(grid)
     report["delta0"] = root_system(2).delta_zero()
@@ -319,17 +373,23 @@ def _cmd_growth(args) -> int:
     return 0
 
 
-def _random_group(rng, d, scale) -> GroupElement:
+def _random_group(rng, d, scale):
     """Random unimodular matrix with chamber displacement of controlled size."""
+    from . import projections as pj
+
     y = rng.normal(size=d) * scale
     y -= y.mean()
     y = np.sort(y)[::-1]
     k1 = pj.random_so(d, rng)
     k2 = pj.random_so(d, rng)
-    return GroupElement(k1 @ np.diag(np.exp(y)) @ k2, check=False)
+    return pj.GroupElement(k1 @ np.diag(np.exp(y)) @ k2, check=False)
 
 
 def _cmd_check(args) -> int:
+    from . import flagmetric as fm, lattice as lt, loxodromy as lx, projections as pj
+    from . import survey as sv, volume as vol
+    from .rootsys import root_system
+
     quick = args.quick
     rng = np.random.default_rng(args.seed)
     checks = []
@@ -353,7 +413,7 @@ def _cmd_check(args) -> int:
             g1 = _random_group(rng, 3, 0.5)
             g2 = _random_group(rng, 3, 0.5)
             xi = fm.Flag(pj.random_so(3, rng))
-            lhs = pj.iwasawa_cocycle(GroupElement(g1.mat @ g2.mat, check=False), xi)
+            lhs = pj.iwasawa_cocycle(pj.GroupElement(g1.mat @ g2.mat, check=False), xi)
             rhs = pj.iwasawa_cocycle(g1, xi.translate(g2)) + pj.iwasawa_cocycle(g2, xi)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst < 1e-8
@@ -387,7 +447,7 @@ def _cmd_check(args) -> int:
     )
 
     def census_check():
-        recs, meta = lt.enumerate_elements(lt.LatticeSpec("sl2"), Domain("ball", 1e-9))
+        recs, meta = lt.enumerate_elements(lt.LatticeSpec("sl2"), vol.Domain("ball", 1e-9))
         return meta.complete and len(recs) == 4
 
     record("census orthogonal core", census_check)
@@ -397,11 +457,11 @@ def _cmd_check(args) -> int:
 
     def certify_check():
         consts = lx.fitted_constants(2)
-        o = BasePoint.origin(2)
+        o = pj.BasePoint.origin(2)
         r = 0.98 * consts.r0
         eps = 0.9 * min(r / lx.cx_constant(o), consts.eps0)
         m = 1.05 * lx.t_zero(o, eps) / math.sqrt(2)
-        g = GroupElement.from_cartan_vector(np.array([m, -m]) / 2 * 2)
+        g = pj.GroupElement.from_cartan_vector(np.array([m, -m]) / 2 * 2)
         cert = lx.certify(g, o, r, eps)
         return cert.certified and max(cert.fixed_point_errors) < eps
 
@@ -430,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="Cartan/Jordan data of one matrix")
     p.add_argument("--group", required=True)
     p.add_argument("--matrix", required=True, help="JSON rows, or @file")
-    p.add_argument("--tau-lox", type=float, default=pj.TAU_LOX_DEFAULT)
+    p.add_argument("--tau-lox", type=_finite)
     p.set_defaults(fn=_cmd_project)
 
     p = sub.add_parser("flag", help="boundary metrics and Hopf coordinates")
@@ -444,25 +504,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loxo", help="loxodromy certificate of one matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--base", help="JSON rows of a base-point representative")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--r", type=_finite, required=True)
+    p.add_argument("--eps", type=_finite, required=True)
     p.set_defaults(fn=_cmd_loxo)
 
     p = sub.add_parser("volume", help="Harish-Chandra volumes and slabs")
     p.add_argument("--group", required=True)
     p.add_argument("--domain", default="ball", choices=["ball", "box"])
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--edges", help="comma-separated box edge lengths")
-    p.add_argument("--slab", type=float)
-    p.add_argument("--regular-margin", type=float, dest="regular_margin")
+    p.add_argument("--slab", type=_finite)
+    p.add_argument("--regular-margin", type=_finite, dest="regular_margin")
     p.set_defaults(fn=_cmd_volume)
 
     p = sub.add_parser("enumerate", help="integer lattice census into a cache")
     p.add_argument("--group", required=True)
     p.add_argument("--domain", default="ball", choices=["ball", "box"])
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--edges")
-    p.add_argument("--regular-margin", type=float, dest="regular_margin")
+    p.add_argument("--regular-margin", type=_finite, dest="regular_margin")
     p.add_argument("--out", help=f"cache directory (default ${CACHE_ENV} or wcc_cache)")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--word-radius", type=int, default=4)
@@ -471,14 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("angular", help="angular equidistribution statistics")
     p.add_argument("--group", default="sl2")
     p.add_argument("--cache", help="census cache directory")
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=_finite)
     p.add_argument("--bins", type=int, default=36)
     p.add_argument("--sweep", help="comma-separated t grid")
     p.add_argument("--out", help="CSV artifact prefix")
     p.set_defaults(fn=_cmd_angular)
 
     p = sub.add_parser("tori", help="conjugacy classes and periodic-torus sums")
-    p.add_argument("--T", type=float)
+    p.add_argument("--T", type=_finite)
     p.add_argument("--T-grid", dest="T_grid")
     p.add_argument("--trace-bound", type=int, dest="trace_bound")
     p.add_argument("--out")

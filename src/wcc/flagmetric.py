@@ -34,7 +34,6 @@ from .projections import (
 from .rootsys import root_system
 
 FRAME_ORTHO_TOL = 1e-8
-TRANSVERSE_TOL_DEFAULT = 1e-9
 FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 
@@ -140,12 +139,6 @@ def _delta(lines, perps):
     for u, v in zip(lines, perps):
         best = np.fmin(best, np.abs(np.vecdot(u, v)))  # fmin: a NaN keeps best, as min does
     return best
-
-
-def is_transverse(xi: Flag, eta: Flag, tol: float = TRANSVERSE_TOL_DEFAULT) -> bool:
-    if tol <= 0:
-        raise PreconditionError("transversality tolerance must be positive")
-    return dist_delta(xi, eta) > tol
 
 
 def _witness_frames(plus: np.ndarray, minus: np.ndarray):
@@ -283,14 +276,6 @@ def hopf(g: GroupElement) -> HopfPoint:
     minus = zeta0(d).translate(g)
     a = iwasawa_cocycle(g, eta0(d))
     return HopfPoint(TransversePair(plus, minus), a)
-
-
-def hopf_inverse(point: HopfPoint) -> GroupElement:
-    """A representative of the M-coset with the given Hopf coordinates."""
-    w = point.pair.witness
-    base = iwasawa_cocycle(w, eta0(w.d))
-    shift = np.asarray(point.a_coord, dtype=float) - base
-    return GroupElement(w.mat @ np.diag(np.exp(shift)), check=False)
 
 
 def fixed_points(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):

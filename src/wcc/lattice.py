@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CompletenessError,
-    FeasibilityError,
-    ParameterError,
-    PreconditionError,
-)
+from .errors import FeasibilityError, ParameterError, PreconditionError
 from .projections import _int_conjugate, _int_det, _integer_inverse, cartan_vector, jordan_project
 from .rootsys import RootSystemA, root_system
 from .volume import Domain
@@ -437,39 +432,3 @@ def load_cache(directory):
 
 
 # ------------------------------------------------------------------ counts
-
-
-def census_counts(
-    census: Census,
-    slabs=(),
-    regular_margin: float = 0.0,
-    volume_log: float | None = None,
-    complete: bool = True,
-    require_complete: bool = False,
-) -> dict:
-    """Count table over one census: total, regular, and per-slab counts.
-
-    Counts are normalized by the domain volume when ``volume_log`` is given.
-    """
-    if require_complete and not complete:
-        raise CompletenessError("exact counts requested from an incomplete (sample) census")
-    total, wall = len(census), census.wall_margin
-    regular = int(np.count_nonzero(wall > regular_margin))
-    loxo = int(np.count_nonzero(census.loxodromic))
-    out = {
-        "total": total,
-        "regular": regular,
-        "loxodromic": loxo,
-        "complete": complete,
-        "slabs": {},
-    }
-    for s in slabs:
-        out["slabs"][float(s)] = int(np.count_nonzero(wall <= s))
-    if volume_log is not None:
-        vol = math.exp(volume_log)
-        out["normalized"] = {
-            "total": total / vol,
-            "regular": regular / vol,
-            "slabs": {k: v / vol for k, v in out["slabs"].items()},
-        }
-    return out

@@ -317,10 +317,6 @@ def _jordan_solve(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT, vectors: bo
     return lam[0], bool(lox[0]), eig
 
 
-def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
-    return jordan_project(g, tau_lox)[1]
-
-
 def _frame_of(xi) -> np.ndarray:
     frame = getattr(xi, "frame", xi)
     return np.asarray(frame, dtype=float)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -242,12 +243,20 @@ def _converge(evaluate, start_nodes: int = 24, rel_tol: float = QUAD_REL_TOL):
     raise NumericError(f"quadrature did not converge below {rel_tol} by {MAX_NODES} nodes")
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per n."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
     if hi <= lo:
         return LOG_ZERO, 0.0
 
     def evaluate(n):
-        x, w = leggauss(n)
+        x, w = _gauss_legendre(n)
         u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         logw = np.log(0.5 * (hi - lo) * w)
         return float(logsumexp(log_density(u) + logw))
@@ -261,7 +270,7 @@ def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
         return LOG_ZERO, 0.0
 
     def evaluate(n):
-        x, w = leggauss(n)
+        x, w = _gauss_legendre(n)
         u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
         logw_u = np.log(0.5 * (hi1 - lo1) * w)
         pieces = []

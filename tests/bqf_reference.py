@@ -6,7 +6,9 @@ These were ``wcc.bqf.reduced_forms``, ``wcc.bqf._walk``,
 ``wcc.bqf.pell4_fundamental`` before the window scan, the table of rho
 cycles, the closed-form root keys and the continued fraction replaced them;
 the tests keep them, unchanged, as the references the new code is compared
-against.  The walk steps ``bqf.rho_step`` form by form, so the references
+against.  ``reduced_forms`` (all reduced forms, read off the table) and
+``form_of_matrix`` were ``wcc.bqf`` functions that only the tests called;
+they moved here unchanged.  The walk steps ``bqf.rho_step`` form by form, so the references
 never run the table.  The root key builds its automorph with the linear
 Pell search and its id with the rotation minimum, as it did then.
 """
@@ -15,6 +17,17 @@ import math
 
 from wcc import bqf
 from wcc.errors import NumericError, ParameterError
+
+
+def reduced_forms(D: int) -> list:
+    """All reduced forms of a positive non-square discriminant, sorted."""
+    return sorted(f for cyc in bqf.form_classes(D) for f in cyc)
+
+
+def form_of_matrix(m) -> tuple:
+    """Fixed-point form (c, d-a, -b) of an integer matrix [[a,b],[c,d]]."""
+    (a, b), (c, d) = m
+    return (int(c), int(d) - int(a), -int(b))
 
 
 def reference_reduced_forms(D: int) -> list:
@@ -92,7 +105,7 @@ def reference_root_key(rec):
     A, B, C = fp
     u, v = reference_pell4(bqf.discriminant(fp))
     root_matrix = ((u - B * v) // 2, -C * v), (A * v, (u + B * v) // 2)
-    return reference_class_id(bqf.form_of_matrix(root_matrix))
+    return reference_class_id(form_of_matrix(root_matrix))
 
 
 def reference_torus_key(rec):

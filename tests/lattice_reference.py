@@ -7,9 +7,10 @@ sl2 columns are the closed forms of the integer kernels applied to one matrix
 at a time.  Records are filtered by ``Domain.contains_cartan`` (sl2
 full-integer censuses by their exact mass cap) and ordered by ``sort_key``.
 
-Also ``census_sweep``, counts over a sweep of balls with their fitted slab decay,
-which no command runs (the CLI's sweep is ``wcc.survey.angular_sweep``): it was
-``wcc.lattice.census_sweep``, unchanged.
+Also ``census_counts``, the count table of one census, and ``census_sweep``,
+counts over a sweep of balls with their fitted slab decay, which no command
+runs (the CLI's sweep is ``wcc.survey.angular_sweep``): they were
+``wcc.lattice.census_counts`` and ``census_sweep``, unchanged.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from wcc.errors import CompletenessError
 from wcc.lattice import (
+    Census,
     ElementRecord,
     LatticeSpec,
     _default_sl3_generators,
     _sl2_mass_cap,
-    census_counts,
     enumerate_elements,
     restrict,
 )
@@ -167,3 +169,39 @@ def census_sweep(spec: LatticeSpec, t_grid, epsilons=(), **kwargs) -> dict:
                 fits[float(eps)] = {"kappa_fit": float(-slope), "points": len(ratios)}
         report["slab_decay"] = fits
     return report
+
+
+def census_counts(
+    census: Census,
+    slabs=(),
+    regular_margin: float = 0.0,
+    volume_log: float | None = None,
+    complete: bool = True,
+    require_complete: bool = False,
+) -> dict:
+    """Count table over one census: total, regular, and per-slab counts.
+
+    Counts are normalized by the domain volume when ``volume_log`` is given.
+    """
+    if require_complete and not complete:
+        raise CompletenessError("exact counts requested from an incomplete (sample) census")
+    total, wall = len(census), census.wall_margin
+    regular = int(np.count_nonzero(wall > regular_margin))
+    loxo = int(np.count_nonzero(census.loxodromic))
+    out = {
+        "total": total,
+        "regular": regular,
+        "loxodromic": loxo,
+        "complete": complete,
+        "slabs": {},
+    }
+    for s in slabs:
+        out["slabs"][float(s)] = int(np.count_nonzero(wall <= s))
+    if volume_log is not None:
+        vol = math.exp(volume_log)
+        out["normalized"] = {
+            "total": total / vol,
+            "regular": regular / vol,
+            "slabs": {k: v / vol for k, v in out["slabs"].items()},
+        }
+    return out

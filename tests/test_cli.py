@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,13 +7,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wcc
+from wcc import cli
 from wcc import lattice as lt
 from wcc import volume as vol
 from wcc.cli import dispatch
 from wcc.errors import NumericError
+
+
+def json_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, default=cli._json_default)
+
+
+@pytest.fixture(autouse=True)
+def emit_is_json_dumps(monkeypatch):
+    """Every document a test here emits must be json.dumps's bytes."""
+    dumps = cli._dumps
+
+    def checked(node, pad=""):
+        text = dumps(node, pad)
+        if not pad:
+            assert text == json_dumps(node)
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", checked)
 
 
 def run(capsys, *argv):
@@ -235,6 +256,108 @@ class TestCheck:
 
 def test_usage_error_exit_code(capsys):
     assert dispatch(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["project", "--group", "sl2", "--matrix", "[[NaN,1],[0,1]]"], "NaN"),
+    (["project", "--group", "sl2", "--matrix", "[[Infinity,1],[0,1]]"], "Infinity"),
+    (["project", "--group", "sl2", "--matrix", '[["a",1],[0,1]]'], '"a"'),
+    (["project", "--group", "sl2", "--matrix", "[[1,2],[3]]"], "[[1,2],[3]]"),
+    (["loxo", "--matrix", "[[2,1],[1,1]]", "--base", "[[1]", "--r", "0.4", "--eps", "0.01"],
+     "[[1]"),
+    (["flag", "--group", "sl2", "--op", "dist", "--xi", "[[1,0"], "[[1,0"),
+    (["flag", "--group", "sl2", "--op", "hopf", "--matrix", "@no-such-file.json"],
+     "no-such-file.json"),
+    (["flag", "--group", "sl2", "--op", "dist", "--eta", "[[0,1],[1,null]]"], "null"),
+    (["volume", "--group", "sl3", "--domain", "box", "--t", "5", "--edges", "1,x"], "'x'"),
+    (["growth", "--T-grid", "10,x"], "'x'"),
+    (["tori", "--T-grid", "10,,12"], "''"),
+    (["angular", "--sweep", "7,y"], "'y'"),
+    (["growth", "--T-grid", "10,nan"], "'nan'"),
+    (["tori", "--T-grid", "10,inf"], "'inf'"),
+    (["tori", "--T", "inf"], "'inf'"),
+    (["volume", "--group", "sl2", "--t", "inf"], "'inf'"),
+    (["volume", "--group", "sl2", "--t", "4", "--slab=-inf"], "'-inf'"),
+    (["loxo", "--matrix", "[[2,1],[1,1]]", "--r", "nan", "--eps", "0.01"], "'nan'"),
+])
+def test_malformed_value_is_a_parameter_error(capsys, argv, token):
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: " in captured.err and token in captured.err
+
+
+def _loaded_modules(argv, tmp_path) -> set:
+    code = (
+        "import contextlib, io, sys\n"
+        "from wcc import cli\n"
+        "argv = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert not argv or cli.dispatch(argv) == 0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('wcc.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wcc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True, env=env, cwd=tmp_path, timeout=120)
+    return {m.removeprefix("wcc.") for m in out.stdout.split()}
+
+
+def test_import_loads_only_errors(tmp_path):
+    assert _loaded_modules([], tmp_path) == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    ("volume --group sl3 --domain ball --t 4 --slab 0.5",
+     {"lattice", "survey", "bqf", "flagmetric", "loxodromy", "projections"}),
+    ("tori --T 9", {"flagmetric", "loxodromy"}),
+    ("tori --T-grid 10,11", {"flagmetric", "loxodromy"}),
+    ("growth --T-grid 10,11", {"flagmetric", "loxodromy"}),
+    ("enumerate --group sl2 --t 5 --out census", {"survey", "bqf", "flagmetric", "loxodromy"}),
+])
+def test_each_command_loads_only_what_it_runs(argv, unused, tmp_path):
+    assert _loaded_modules(argv.split(), tmp_path) & unused == set()
+
+
+# rows that are a uniform table take the one-template path; every other node
+# is json.dumps's own output
+TEMPLATED = [
+    [{"flag": True, "n": 1, "x": 0.5}, {"flag": False, "n": -2, "x": 1e-300}],
+    [{"a": 2**80, "b": -0.0, "c": 5e-324, "d": 1e22, "e": 1.0}],
+    [{"s": "caf\u00e9 \u2603 \ud83d\ude00", "t": "\x00\t\n\"\\\x7f"}, {"s": "", "t": "/"}],
+    [{"%s": 1, "100%": "%d", "%%(k)r": 0.25}, {"%s": 2, "100%": "%%", "%%(k)r": 0.5}],
+]
+FALLBACK = [
+    [],
+    [{}, {}],
+    [{"x": math.nan}, {"x": 1.0}],
+    [{"x": math.inf}, {"x": -math.inf}],
+    [{"x": np.float64(0.1)}, {"x": 0.2}],
+    [{"x": np.int64(3)}, {"x": np.int64(4)}],
+    [{"x": np.arange(3)}, {"x": np.ones(2)}],
+    [{"a": 1}, {"b": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}],
+    [{"a": 1}, {"a": 1.0}],
+    [{"a": 1}, {"a": True}],
+    [{"a": None}, {"a": None}],
+    [{"a": [1, 2]}, {"a": [3]}],
+    [{1: "a"}, {1: "b"}],
+    [{"a": 1}, [1]],
+    ({"a": 1}, {"a": 2}),
+]
+
+
+@pytest.mark.parametrize("rows", TEMPLATED + FALLBACK)
+def test_emit_is_json_dumps_on_synthetic_rows(rows):
+    templated = any(rows is r for r in TEMPLATED)
+    assert (cli._table_rows(rows, "") is not None) == templated
+    nested = {"result": {"rows": rows, "deeper": {"more": [rows], "rows": rows}}, "n": 1}
+    for doc in (rows, {"rows": rows}, nested, {"a": {}, "b": [], "c": rows}):
+        assert cli._dumps(doc) == json_dumps(doc)
+    out = io.StringIO()
+    cli._emit({"rows": rows}, {"cmd": "synthetic", "edges": (1.0, 2.0)}, out=out)
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == json_dumps({**doc, "result": {"rows": rows}}) + "\n"
 
 
 def test_import_loads_no_scipy():

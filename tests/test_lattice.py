@@ -430,7 +430,7 @@ class TestWordBall:
             LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=2
         )
         with pytest.raises(CompletenessError):
-            lt.census_counts(records, complete=meta.complete, require_complete=True)
+            ref.census_counts(records, complete=meta.complete, require_complete=True)
 
 
 class TestCensusCounts:
@@ -439,7 +439,7 @@ class TestCensusCounts:
         rs = root_system(2)
         dom = Domain("ball", 8.0)
         vol = domain_volume(rs, dom)
-        counts = lt.census_counts(
+        counts = ref.census_counts(
             records, slabs=[1.0], volume_log=vol.log_value, complete=meta.complete
         )
         assert counts["total"] == len(records)
@@ -455,9 +455,9 @@ class TestCensusCounts:
         for row in report["rows"]:
             dom = Domain("ball", row["t"])
             records, meta = lt.enumerate_elements(spec, dom)
-            want = lt.census_counts(records, slabs=[0.1 * row["t"]],
-                                    volume_log=domain_volume(rs, dom).log_value,
-                                    complete=meta.complete)
+            want = ref.census_counts(records, slabs=[0.1 * row["t"]],
+                                     volume_log=domain_volume(rs, dom).log_value,
+                                     complete=meta.complete)
             assert {k: row[k] for k in want} == want
 
     @pytest.mark.parametrize("sweep", [ref.census_sweep, sv.angular_sweep])

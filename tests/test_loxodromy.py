@@ -15,7 +15,7 @@ from wcc.rootsys import root_system
 from conftest import random_group
 from constants_reference import _fit_constants, dist_d2
 from loxodromy_reference import reference_jordan_cartan_gap
-from projection_reference import dist_x
+from projection_reference import dist_x, is_loxodromic
 
 VERDICTS = Path(__file__).with_name("certify_verdicts.json")
 
@@ -309,7 +309,7 @@ class TestCertify:
             g = GroupElement(h.mat @ np.diag(np.exp(y)) @ np.linalg.inv(h.mat), check=False)
             cert = lx.certify(g, o, r, eps)
             if cert.certified:
-                assert pj.is_loxodromic(g)
+                assert is_loxodromic(g)
 
 
 class TestVerdictTable:

@@ -248,6 +248,40 @@ class TestMeasuredError:
         assert 0.0 <= quad.error_estimate < V.QUAD_REL_TOL
 
 
+class TestGaussLegendreRules:
+    """Each Gauss-Legendre rule is computed once per node count and shared read-only."""
+
+    def test_rules_are_cached_and_read_only(self):
+        x, w = V._gauss_legendre(24)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert V._gauss_legendre(24)[0] is x
+        ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    def test_cold_warm_and_uncached_results_are_bit_identical(self, monkeypatch):
+        rs2, rs3 = root_system(2), root_system(3)
+
+        def results():
+            runs = [
+                V.domain_volume(rs3, Domain("ball", 8.0)),
+                V.domain_volume(rs3, Domain("ball", 8.0, regular_margin=2.0)),
+                V.domain_volume(rs2, Domain("ball", 4.0)),
+                V.slab_volume(rs3, 8.0, 0.8),
+                V.box_volume(rs3, 5.0, (1.0, 1.0)),
+                V.box_volume_quadrature(rs3, 5.0, (1.0, 1.0)),
+            ]
+            return [(r.log_value, r.value, r.error_estimate, r.extras) for r in runs]
+
+        V._gauss_legendre.cache_clear()
+        cold = results()
+        assert V._gauss_legendre.cache_info().misses > 0
+        warm = results()
+        monkeypatch.setattr(V, "_gauss_legendre", np.polynomial.legendre.leggauss)
+        assert cold == warm == results()
+
+
 class TestLogsumexp:
     """The numpy logsumexp is bit-identical to scipy.special.logsumexp."""
 
