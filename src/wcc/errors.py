@@ -41,9 +41,5 @@ class FeasibilityError(WccError):
         self.estimated_candidates = estimated_candidates
 
 
-class CompletenessError(WccError):
-    """Exact statistics were requested from a sample-mode (incomplete) cache."""
-
-
 class NumericError(WccError):
     """A numerical routine failed to converge or failed a redundancy check."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .projections import (
     TAU_LOX_DEFAULT,
     flag_frame_action,
     iwasawa_cocycle,
+    _h_inverse,
     _jordan_solve,
+    _so_sign_fix,
 )
 from .rootsys import root_system
 
@@ -69,7 +71,7 @@ class Flag:
         if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
             raise PreconditionError(f"flag frame must be square, got shape {frame.shape}")
         if check:
-            gram_err = np.max(np.abs(frame.T @ frame - np.eye(frame.shape[0])))
+            gram_err = np.abs(frame.T @ frame - np.eye(frame.shape[0])).max()
             if gram_err > FRAME_ORTHO_TOL:
                 raise PreconditionError(f"flag frame is not orthonormal (error {gram_err:.2e})")
         if np.linalg.det(frame) < 0:
@@ -150,13 +152,14 @@ def _witness_frames(plus: np.ndarray, minus: np.ndarray):
     [a, -b], which is a line exactly when the system has full rank d.
     """
     n, d = plus.shape[:2]
-    g = np.empty((n, d, d))
-    s_min, norms = np.empty((n, d)), np.empty((n, d))
+    # the d systems of every row, each gathered from the columns of [plus, -minus], in one SVD
+    cols = [j for k in range(1, d + 1) for j in (*range(k), *range(d, 2 * d - k + 1))]
+    systems = np.concatenate([plus, -minus], axis=2)[:, :, cols].reshape(n, d, d, d + 1)
+    _, s, vh = np.linalg.svd(systems.swapaxes(1, 2))
+    s_min, g, norms = s[..., -1], np.empty((n, d, d)), np.empty((n, d))
     for k in range(1, d + 1):
-        a = plus[:, :, :k]
-        _, s, vh = np.linalg.svd(np.concatenate([a, -minus[:, :, : d - k + 1]], axis=2))
-        v = (a @ vh[:, -1, :k, None])[..., 0]
-        s_min[:, k - 1], norms[:, k - 1] = s[:, -1], np.sqrt(np.vecdot(v, v))  # np.linalg.norm per row
+        v = (plus[:, :, :k] @ vh[:, k - 1, -1, :k, None])[..., 0]
+        norms[:, k - 1] = np.sqrt(np.vecdot(v, v))  # np.linalg.norm per row
         g[:, :, k - 1] = v
     g /= np.maximum(norms, 1e-300)[:, None, :]
     errors, scale = [], np.ones(n)
@@ -172,7 +175,8 @@ def _witness_frames(plus: np.ndarray, minus: np.ndarray):
             if det < 0:
                 g[i, :, -1] *= -1.0
             scale[i] = abs(det) ** (1.0 / d)  # a scalar power: the array power rounds differently
-    return g / scale[:, None, None], errors
+    g /= scale[:, None, None]
+    return g, errors
 
 
 def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
@@ -217,9 +221,8 @@ def gromov_product(xi: Flag, eta: Flag, x: BasePoint | None = None) -> np.ndarra
     """
     d = xi.d
     if x is not None and not np.allclose(x.h.mat, np.eye(d)):
-        hx_inv = x.h.inverse().mat
-        xi = xi.translate(hx_inv)
-        eta = eta.translate(hx_inv)
+        xi = xi.translate(_h_inverse(x))
+        eta = eta.translate(_h_inverse(x))
     weights = []
     for u, v in zip(eta.embedded_lines, xi.perp_lines):
         delta_k = abs(float(u @ v))
@@ -295,11 +298,11 @@ def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
     """Frames (2, ..., d, d) of the forward and backward eigenflags of eigen-pairs over
     leading axes, gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real
     spectrum (the frames of the others are meaningless)."""
-    real = np.max(np.abs(eigvals.imag), axis=-1) <= 1e-8 * np.max(np.abs(eigvals), axis=-1)
+    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
     order = np.argsort(-np.abs(eigvals.real), axis=-1)
     basis = np.take_along_axis(eigvecs.real, order[..., None, :], axis=-1)
     frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
-    frames[..., -1] *= np.where(np.linalg.det(frames) < 0, -1.0, 1.0)[..., None]
+    _so_sign_fix(frames)
     return frames, real
 
 
@@ -337,8 +340,8 @@ def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
         y = coords @ basis
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
-        if np.max(np.abs(y)) <= 250.0:
-            f, g, ok = _flat_rows((m * np.exp(y)[None, :])[None], basis, k)
+        if np.abs(y).max() <= 250.0:
+            f, g, ok = _flat_rows((m * np.exp(y))[None], basis, k)
             if ok[0]:
                 return float(f[0]), g[0]
         return 1e12 + float(coords @ coords), 2.0 * coords
@@ -346,15 +349,18 @@ def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
     return fg
 
 
+@lru_cache(maxsize=None)
 def _zero_sum_basis(d: int) -> np.ndarray:
-    """Euclidean-orthonormal basis rows of the zero-sum subspace."""
+    """Euclidean-orthonormal basis rows of the zero-sum subspace, read-only, once per d."""
     basis = []
     for k in range(1, d):
         v = np.zeros(d)
         v[:k] = 1.0
         v[k] = -float(k)
         basis.append(v / np.linalg.norm(v))
-    return np.array(basis)
+    basis = np.array(basis)
+    basis.flags.writeable = False
+    return basis
 
 
 def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> float:
@@ -369,13 +375,13 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> 
     ``tol`` in floating point).  A stall away from the flat raises NumericError.
     """
     d = x.d
-    m = x.h.inverse().mat @ pair.witness.mat
+    m = _h_inverse(x) @ pair.witness.mat
     fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
     y = np.zeros(d - 1)
     f, g = fg(y)
-    h = np.eye(d - 1)
+    h = eye = np.eye(d - 1)
     for it in range(200 * (d - 1)):
-        if np.max(np.abs(g), axis=-1) <= tol:  # the test of _flat_start
+        if np.abs(g).max() <= tol:  # the test of _flat_start
             break
         p = -(h @ g)
         slope = float(g @ p)
@@ -394,9 +400,9 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> 
         sy = float(s @ dg)
         if sy > 0.0:
             if it == 0:
-                h *= sy / float(dg @ dg)
-            a = np.eye(d - 1) - np.outer(s, dg) / sy
-            h = a @ h @ a.T + np.outer(s, s) / sy
+                h = h * (sy / float(dg @ dg))
+            a = eye - s[:, None] * dg / sy  # outer products s dg^T and s s^T
+            h = a @ h @ a.T + s[:, None] * s / sy
     value = math.sqrt(f)
     if value > 1e-3:
         # gradient of the distance itself: grad F / (2 sqrt F)
@@ -413,8 +419,8 @@ def _flat_start(x: BasePoint, witnesses: np.ndarray, tol: float = FLAT_TOL):
     its stop test at once, on a finite start: ``flat_distance`` returns sqrt(F(0))
     for those, and its stall test cannot fire there."""
     d = x.d
-    f, g, ok = _flat_rows(x.h.inverse().mat @ witnesses, _zero_sum_basis(d), root_system(d).killing_scale)
-    return f, ok & (np.max(np.abs(g), axis=-1) <= tol)
+    f, g, ok = _flat_rows(_h_inverse(x) @ witnesses, _zero_sum_basis(d), root_system(d).killing_scale)
+    return f, ok & (np.abs(g).max(axis=-1) <= tol)
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:

@@ -416,7 +416,8 @@ def load_cache(directory):
         manifest, spec, domain, table = _read_cache(directory)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise PreconditionError(f"cache at {directory} is unreadable: {exc!r}") from exc
-    if len(np.unique(table, axis=0)) != len(table):
+    ordered = table[np.lexsort(table.T)]  # equal rows become adjacent
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise PreconditionError("cache contains duplicate records")
     if np.any((table > 2**30) | (table < -(2**30))):  # keeps the int64 determinant exact
         raise PreconditionError("cache holds entries beyond 2^30 in absolute value")

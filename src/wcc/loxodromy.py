@@ -83,8 +83,9 @@ def fitted_constants(d: int) -> FittedConstants:
     return FittedConstants(d, 4.0 * root_system(d).c_a(), *_PINNED_CONSTANTS[d])
 
 
+@pj._base_point_memo
 def cx_constant(x: BasePoint) -> float:
-    """Configuration constant 8 C2 C1 exp(C0 d_X(o, x))."""
+    """Configuration constant 8 C2 C1 exp(C0 d_X(o, x)), once per value of x."""
     consts = fitted_constants(x.d)
     dx = root_system(x.d).killing_norm(pj.cartan_vector(x.h))  # d_X(o, x)
     return 8.0 * consts.c2 * consts.c1 * math.exp(consts.c0 * dx)
@@ -97,14 +98,9 @@ def t_zero(x: BasePoint, epsilon: float) -> float:
     to exceed 2 log C_x - 2 log(eps); wall distance and the root minimum
     differ by the exact factor sqrt(d) in type A, padded by ``T0_SAFETY``.
     """
-    return _t_zero(cx_constant(x), x.d, epsilon)
-
-
-def _t_zero(cx: float, d: int, epsilon: float) -> float:
-    """``t_zero`` from the configuration constant C_x of the base point."""
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must be in (0,1), got {epsilon}")
-    return T0_SAFETY * math.sqrt(d) * (2.0 * math.log(cx) - 2.0 * math.log(epsilon))
+    return T0_SAFETY * math.sqrt(x.d) * (2.0 * math.log(cx_constant(x)) - 2.0 * math.log(epsilon))
 
 
 @dataclass
@@ -124,8 +120,7 @@ def contraction_check(a, epsilon: float, n_samples: int = 1000, seed: int = 7) -
     """
     a = np.asarray(a, dtype=float)
     rs = root_system(len(a))
-    rs.check_traceless(a)
-    if not rs.in_closed_chamber(a):
+    if not rs.in_closed_chamber(a):  # which also refuses a vector off the zero-sum plane
         raise PreconditionError("contraction_check needs a closed-chamber vector")
     if not 0.0 < epsilon < 1.0:
         raise PreconditionError(f"epsilon must be in (0,1), got {epsilon}")
@@ -202,7 +197,7 @@ def certify(
         )
 
     rs = root_system(d)
-    t0 = _t_zero(cx, d, epsilon)
+    t0 = t_zero(x, epsilon)
     # one Cartan decomposition of the conjugate gives the wall distance and the flags
     k, a_x, l = pj.cartan_project(pj._conjugate(gamma, x))
     wall = rs.wall_distance(a_x)

@@ -19,6 +19,7 @@ one-row stack of Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -162,6 +163,33 @@ class BasePoint:
         return self.h.d
 
 
+class _Key(tuple):
+    """A cache key that carries the base point it was made from."""
+
+
+def _base_point_memo(fn):
+    """``fn(x)`` in a bounded ``lru_cache`` keyed on the value of x's representative h, as
+    callers build fresh base points: its floats, and its exact entries when it is integer."""
+    cached = lru_cache(maxsize=64)(lambda key: fn(key.x))
+
+    @wraps(fn)
+    def memo(x: BasePoint):
+        key = _Key((x.h.mat.shape, x.h.mat.tobytes(), x.h.int_mat and tuple(map(tuple, x.h.int_mat))))
+        key.x = x
+        return cached(key)
+
+    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+    return memo
+
+
+@_base_point_memo
+def _h_inverse(x: BasePoint) -> np.ndarray:
+    """h_x^-1, read-only (exact for an integer h, as ``GroupElement.inverse``)."""
+    inv = x.h.inverse().mat
+    inv.flags.writeable = False
+    return inv
+
+
 def _so_sign_fix(u, vh=None) -> None:
     """Flip, in place and over any leading axes, the last column of u and the last row
     of vh where det u < 0, so both frames land in SO(d)."""
@@ -266,7 +294,7 @@ def _eig_logs(mats, int_mats=None, eig=None) -> np.ndarray:
 
 def _gap_test(lam: np.ndarray, tau_lox: float) -> np.ndarray:
     """Loxodromy from log-moduli rows: every consecutive gap exceeds tau_lox."""
-    return (lam.shape[-1] > 1) & np.all(-np.diff(lam, axis=-1) > tau_lox, axis=-1)
+    return (lam.shape[-1] > 1) & (-np.diff(lam, axis=-1) > tau_lox).all(axis=-1)
 
 
 def _jordan_rows(mats: np.ndarray, tau_lox: float = TAU_LOX_DEFAULT, eig=None):
@@ -345,10 +373,8 @@ def flag_frame_action(mat, frame) -> np.ndarray:
 
 def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
     """Busemann cocycle beta_xi(x, y) = sigma(h_x^-1 h_y, h_y^-1 xi)."""
-    hy_inv = y.h.inverse()
-    relative = x.h.inverse().mat @ y.h.mat
-    moved_frame = flag_frame_action(hy_inv.mat, _frame_of(xi))
-    return iwasawa_batch(relative, moved_frame)
+    moved_frame = flag_frame_action(_h_inverse(y), _frame_of(xi))
+    return iwasawa_batch(_h_inverse(x) @ y.h.mat, moved_frame)
 
 
 def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
@@ -359,7 +385,7 @@ def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
         return mats
     if mats.dtype.kind != "f" and h.int_mat is not None:
         return _int_conjugate(mats, h.int_mat)
-    return h.inverse().mat @ mats.astype(float) @ h.mat
+    return _h_inverse(x) @ mats.astype(float) @ h.mat
 
 
 def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:

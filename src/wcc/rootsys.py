@@ -77,8 +77,8 @@ class RootSystemA:
 
     def check_traceless(self, y) -> np.ndarray:
         y = _as_vector(y, self.d)
-        scale = max(1.0, float(np.max(np.abs(y))))
-        if abs(float(np.sum(y))) > ZERO_SUM_TOL * scale:
+        scale = max(1.0, float(np.abs(y).max()))
+        if abs(float(y.sum())) > ZERO_SUM_TOL * scale:
             raise PreconditionError(f"Cartan vector must have zero coordinate sum, got {y}")
         return y
 
@@ -110,8 +110,8 @@ class RootSystemA:
 
     def in_closed_chamber(self, y, tol: float = CHAMBER_TOL) -> bool:
         y = self.check_traceless(y)
-        scale = max(1.0, float(np.max(np.abs(y))))
-        return bool(np.all(np.diff(y) <= tol * scale))
+        scale = max(1.0, float(np.abs(y).max()))
+        return bool((np.diff(y) <= tol * scale).all())
 
     def chamber_sort(self, y) -> np.ndarray:
         """Weyl representative: coordinates sorted non-increasingly."""
@@ -124,12 +124,12 @@ class RootSystemA:
         Equals min over simple roots of the point-to-hyperplane distance
         alpha(y) / ||alpha||_*, which in type A is sqrt(d) * min_i alpha_i(y).
         """
-        y = self.check_traceless(y)
-        if not self.in_closed_chamber(y):
+        y = _as_vector(y, self.d)
+        if not self.in_closed_chamber(y):  # which also refuses a vector off the zero-sum plane
             raise PreconditionError(f"wall_distance needs a closed-chamber vector, got {y}")
         # the simple roots y_i - y_{i+1}: -diff(y), rounded as c @ y; negatives and -0.0 to 0.0
         alpha = -np.diff(y)
-        return float(np.min(np.where(alpha > 0.0, alpha, 0.0) / self._simple_dual_norms))
+        return float((np.where(alpha > 0.0, alpha, 0.0) / self._simple_dual_norms).min())
 
     def opposition(self, y) -> np.ndarray:
         """The involution reversing and negating coordinates; preserves the chamber."""

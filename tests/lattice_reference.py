@@ -10,7 +10,9 @@ full-integer censuses by their exact mass cap) and ordered by ``sort_key``.
 Also ``census_counts``, the count table of one census, and ``census_sweep``,
 counts over a sweep of balls with their fitted slab decay, which no command
 runs (the CLI's sweep is ``wcc.survey.angular_sweep``): they were
-``wcc.lattice.census_counts`` and ``census_sweep``, unchanged.
+``wcc.lattice.census_counts`` and ``census_sweep``, unchanged.  Only
+``census_counts`` raises ``CompletenessError``, so it lives here too (it was
+``wcc.errors.CompletenessError``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from wcc.errors import CompletenessError
+from wcc.errors import WccError
 from wcc.lattice import (
     Census,
     ElementRecord,
@@ -34,6 +36,10 @@ from wcc.lattice import (
 from wcc.projections import GroupElement, cartan_vector, jordan_project
 from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain, domain_volume
+
+
+class CompletenessError(WccError):
+    """Exact statistics were requested from a sample-mode (incomplete) cache."""
 
 
 def from_rows(rows, rs: RootSystemA) -> ElementRecord:

@@ -288,14 +288,14 @@ def test_malformed_value_is_a_parameter_error(capsys, argv, token):
     assert "error: " in captured.err and token in captured.err
 
 
-def _loaded_modules(argv, tmp_path) -> set:
+def _loaded_modules(argv, tmp_path, prefix="wcc.") -> set:
     code = (
         "import contextlib, io, sys\n"
         "from wcc import cli\n"
         "argv = sys.argv[1:]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert not argv or cli.dispatch(argv) == 0\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('wcc.'))))"
+        f"print(' '.join(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wcc.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
@@ -317,6 +317,13 @@ def test_import_loads_only_errors(tmp_path):
 ])
 def test_each_command_loads_only_what_it_runs(argv, unused, tmp_path):
     assert _loaded_modules(argv.split(), tmp_path) & unused == set()
+
+
+def test_reading_a_cache_loads_no_numpy_ma(capsys, tmp_path):
+    # the duplicate check of load_cache sorts rows; np.unique(axis=0) would import numpy.ma
+    assert dispatch(["enumerate", "--group", "sl2", "--t", "5", "--out", str(tmp_path / "census")]) == 0
+    capsys.readouterr()
+    assert _loaded_modules(["angular", "--cache", "census"], tmp_path, prefix="numpy.ma.") == set()
 
 
 # rows that are a uniform table take the one-template path; every other node

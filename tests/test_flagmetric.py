@@ -11,7 +11,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from flagmetric_reference import hopf_inverse, is_transverse
+from flagmetric_reference import hopf_inverse, is_transverse, reference_witness_frames
 from flat_reference import (
     reference_flat_distance,
     reference_flat_objective,
@@ -144,6 +144,19 @@ class TestTransversality:
         assert errors[1].startswith("subspaces meet in more than a line")
         for i in (0, 2):
             assert np.array_equal(w[i], fm.transverse_witness(fm.Flag(a[i]), fm.Flag(b[i])).mat)
+
+
+    def test_stacked_witness_solve_is_the_per_dimension_reference(self):
+        rng = np.random.default_rng(10)
+        for d in (2, 3):
+            for n in (1, 1, 1, 4, 40):
+                a, b = pj.random_so(d, rng, size=n), pj.random_so(d, rng, size=n)
+                if n > 1:  # a non-transverse row and an opposite pair
+                    a[0], b[-1] = b[0], a[-1][:, ::-1]
+                w, errors = fm._witness_frames(a, b)
+                ref, ref_errors = reference_witness_frames(a, b)
+                assert errors == ref_errors
+                assert w.tobytes() == ref.tobytes()
 
 
 class TestGromov:

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from wcc import lattice as lt
 from wcc import survey as sv
-from wcc.errors import CompletenessError, FeasibilityError, PreconditionError, WccError
+from wcc.errors import FeasibilityError, PreconditionError, WccError
 from wcc.lattice import LatticeSpec
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
 
 import lattice_reference as ref
+from lattice_reference import CompletenessError
 
 
 def brute_force_sl2(entry_bound, frob_cap):
@@ -272,6 +273,20 @@ class TestCacheVerification:
         rows = self.rows(tmp_path).copy()
         rows[1] = rows[0]
         rewrite_shard(tmp_path, rows)
+        with pytest.raises(PreconditionError, match="duplicate"):
+            lt.load_cache(tmp_path)
+
+    def test_rejects_duplicates_in_different_shards(self, tmp_path):
+        write_census(tmp_path, shards=3)
+        lt.load_cache(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        first, last = (tmp_path / manifest["shards"][i] for i in (0, -1))
+        rows = np.frombuffer(last.read_bytes(), dtype="<i8").reshape(-1, 4).copy()
+        rows[-1] = np.frombuffer(first.read_bytes(), dtype="<i8")[:4]  # the first row on disk
+        blob = rows.tobytes()
+        last.write_bytes(blob)
+        manifest["checksums"][-1] = hashlib.sha256(blob).hexdigest()
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(PreconditionError, match="duplicate"):
             lt.load_cache(tmp_path)
 

@@ -349,6 +349,63 @@ class TestVerdictTable:
             assert calls == ["eig"]
 
 
+def _clear_base_point_caches():
+    lx.cx_constant.cache_clear()
+    pj._h_inverse.cache_clear()
+
+
+class TestBasePointCaches:
+    """C_x and h_x^-1 are memoised on the value of the base point, the zero-sum basis
+    once per d; every certificate reads them."""
+
+    def test_verdicts_cold_and_warm_are_identical(self):
+        cases = certify_cases()  # its parameters come through cx_constant
+
+        def rows():
+            return [verdict_row(lx.certify(g, x, r, eps)) for _, g, x, r, eps in cases]
+
+        _clear_base_point_caches()
+        fm._zero_sum_basis.cache_clear()
+        cold = rows()
+        assert rows() == cold
+        assert lx.cx_constant.cache_info().hits >= len(cases)
+
+    def test_integer_and_float_base_points_do_not_share_an_entry(self):
+        def exact():
+            return BasePoint(GroupElement.from_integer([[5, 2], [2, 1]]))
+
+        def floats():
+            return BasePoint(GroupElement([[5, 2], [2, 1]]))
+
+        # the exact and float paths round differently here, so a shared entry would show
+        assert lx.cx_constant.__wrapped__(exact()) != lx.cx_constant.__wrapped__(floats())
+        assert not np.array_equal(exact().h.inverse().mat, floats().h.inverse().mat)
+        for order in ((exact, floats), (floats, exact)):
+            _clear_base_point_caches()
+            for make in order + order:  # a miss, then a hit on a fresh but equal point
+                x = make()
+                assert lx.cx_constant(x) == lx.cx_constant.__wrapped__(x)
+                assert pj._h_inverse(x).tobytes() == x.h.inverse().mat.tobytes()
+
+    def test_cached_arrays_refuse_writes(self):
+        inverse = pj._h_inverse(BasePoint(GroupElement.from_cartan_vector([0.1, 0.0, -0.1])))
+        for cached in (inverse, fm._zero_sum_basis(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+
+    def test_a_seen_base_point_takes_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        _clear_base_point_caches()
+        y = [0.2, -0.05, -0.15]
+        first = lx.cx_constant(BasePoint(GroupElement.from_cartan_vector(y)))
+        assert len(calls) == 1
+        calls.clear()
+        assert lx.cx_constant(BasePoint(GroupElement.from_cartan_vector(y))) == first
+        assert calls == []
+
+
 class TestJordanCartanGap:
     def test_diagonal_gap_zero(self):
         g = GroupElement(np.diag([2.0, 1.0, 0.5]))
