@@ -341,20 +341,19 @@ def _cmd_tori(args) -> int:
                        ["trace", "period_volume", "multiplicity"],
                        [(r["trace"], r["period_volume"], r["multiplicity"])
                         for r in report["rows"]])
-        for row in report["rows"]:
-            row["class_id"] = repr(row["class_id"])
         _emit(report, config)
         return 0
     classes = sv.conjugacy_classes_sl2(args.trace_bound)
-    rows = [{"trace": c.trace, "primitive": c.primitive, "power": c.power, "jordan": c.jordan,
-             "period_volume": c.period_volume, "length": c.length, "class_id": repr(c.class_id)}
-            for c in classes]
+    columns = (classes.trace.tolist(), classes.primitive.tolist(), classes.power.tolist(),
+               classes.period_volume.tolist(), classes.length.tolist())
+    rows = [{"trace": t, "primitive": prim, "power": k, "jordan": j, "period_volume": vol,
+             "length": length, "class_id": cid}
+            for t, prim, k, vol, length, j, cid in zip(*columns, classes.jordan.tolist(),
+                                             classes.class_id_text(np.arange(len(classes))))]
     payload = {"classes": rows, "count": len(classes)}
     if args.out:
         _write_csv(Path(args.out + "_classes.csv"),
-                   ["trace", "primitive", "power", "period_volume", "length"],
-                   [(c.trace, c.primitive, c.power, c.period_volume, c.length)
-                    for c in classes])
+                   ["trace", "primitive", "power", "period_volume", "length"], zip(*columns))
     _emit(payload, config)
     return 0
 

@@ -81,6 +81,13 @@ class Flag:
             frame[:, -1] *= -1.0
         self.frame = frame
 
+    @classmethod
+    def _of_so_frame(cls, frame: np.ndarray) -> Flag:
+        """The flag of a frame already gauge-fixed into SO(d), taken as it is."""
+        flag = cls.__new__(cls)
+        flag.frame = frame
+        return flag
+
     @property
     def d(self) -> int:
         return self.frame.shape[0]
@@ -250,19 +257,6 @@ def bms_weight(xi: Flag, eta: Flag, x: BasePoint | None = None) -> float:
     return math.exp(float(rs.two_rho @ y))
 
 
-def rn_derivative(g: GroupElement, xi: Flag) -> float:
-    """Radon-Nikodym factor of the translated boundary measure at xi.
-
-    exp(-2 rho sigma(g^-1, xi)): the Poisson kernel of the full flag
-    variety.  Averaging it over the rotation-invariant measure returns total
-    mass one (the change-of-variables oracle pins the factor two in the
-    exponent).
-    """
-    rs = root_system(g.d)
-    sigma = iwasawa_cocycle(g.inverse(), xi)
-    return math.exp(-float(rs.two_rho @ sigma))
-
-
 # -------------------------------------------------------- Hopf coordinates
 
 
@@ -311,7 +305,7 @@ def _eigen_flags(eigvals: np.ndarray, eigvecs: np.ndarray):
     (plus, minus), real = _eigen_frames(eigvals, eigvecs)
     if not real:
         raise LoxodromyError(_NON_REAL)
-    return Flag(plus, check=False), Flag(minus, check=False)
+    return Flag._of_so_frame(plus), Flag._of_so_frame(minus)
 
 
 # ------------------------------------------------------------------- flats
@@ -440,7 +434,7 @@ def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray
     for i, f, done in zip(good, f0.tolist(), settled.tolist()):
         try:
             rows[i] = math.sqrt(f) if done else flat_distance(
-                x, TransversePair(Flag(plus[i], check=False), Flag(minus[i], check=False)))
+                x, TransversePair(Flag._of_so_frame(plus[i]), Flag._of_so_frame(minus[i])))
         except WccError as exc:
             rows[i] = exc
     return rows

@@ -104,50 +104,6 @@ def t_zero(x: BasePoint, epsilon: float) -> float:
 
 
 @dataclass
-class ContractionResult:
-    analytic: bool
-    n_sampled: int
-    n_contracted: int
-    max_image_distance: float
-
-
-def contraction_check(a, epsilon: float, n_samples: int = 1000, seed: int = 7) -> ContractionResult:
-    """Analytic contraction criterion plus a sampled verification.
-
-    Analytic flag: every simple root of ``a`` is at least -2 log(eps).  When
-    sampling, flags at gauge distance at least eps from the repelling flag
-    must be mapped into the eps-ball of the attracting one.
-    """
-    a = np.asarray(a, dtype=float)
-    rs = root_system(len(a))
-    if not rs.in_closed_chamber(a):  # which also refuses a vector off the zero-sum plane
-        raise PreconditionError("contraction_check needs a closed-chamber vector")
-    if not 0.0 < epsilon < 1.0:
-        raise PreconditionError(f"epsilon must be in (0,1), got {epsilon}")
-    analytic = all(float(c @ a) >= -2.0 * math.log(epsilon) for c in rs.simple_roots)
-
-    rng = np.random.default_rng(seed)
-    d = len(a)
-    g = np.diag(np.exp(a))
-    target = fm.eta0(d)
-    repeller = fm.zeta0(d)
-    contracted, sampled = 0, 0
-    worst = 0.0
-    attempts = 0
-    while sampled < n_samples and attempts < 50 * n_samples:
-        attempts += 1
-        xi = fm.Flag(pj.random_so(d, rng))
-        if fm.dist_delta(xi, repeller) < epsilon:
-            continue
-        sampled += 1
-        dist = fm.dist_d(xi.translate(g), target)
-        worst = max(worst, dist)
-        if dist <= epsilon:
-            contracted += 1
-    return ContractionResult(analytic, sampled, contracted, worst)
-
-
-@dataclass
 class LoxodromyCertificate:
     element: GroupElement
     base: BasePoint

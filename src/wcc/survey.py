@@ -14,19 +14,30 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bqf
 from .errors import ParameterError, WccError
-from .lattice import Census, LatticeSpec, _word_ball, enumerate_elements, restrict
-from .projections import _INT_STACK_MAX, BasePoint, _integer_inverse, cartan_vector
 from .rootsys import root_system
-from .volume import Domain, domain_volume
+
+if TYPE_CHECKING:  # the sibling modules load in the functions that run them
+    from .lattice import Census, LatticeSpec
+    from .projections import BasePoint
+    from .volume import Domain
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def __getattr__(name):
+    # `survey.enumerate_elements` is still read by perfbench's recorder test
+    if name == "enumerate_elements":
+        from .lattice import enumerate_elements
+
+        return enumerate_elements
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------- angular distribution
@@ -120,6 +131,9 @@ def angular_statistics(
 
 def angular_sweep(spec: LatticeSpec, t_grid, bins: int = 36, **enum_kwargs) -> dict:
     """KS distances across a sweep of balls plus the fitted decay exponent."""
+    from .lattice import enumerate_elements, restrict
+    from .volume import Domain, domain_volume
+
     rs = root_system(spec.d)
     grid = [float(t) for t in t_grid]
     census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **enum_kwargs)
@@ -168,7 +182,8 @@ class ClassTable(Sequence):
     class in (trace, least form) order: trace, power, the row of the primitive
     root class, primitive, jordan, period_volume and length.  Class j's
     reduction cycle is forms[start[j]:start[j + 1]], from its least form.
-    Indexing and iteration give ``TorusRecord`` views, built once per row."""
+    Indexing and iteration give ``TorusRecord`` views, built once per row; class ids
+    come as tuples from ``class_id`` and as their repr text from ``class_id_text``."""
 
     forms: np.ndarray
     start: np.ndarray
@@ -202,6 +217,22 @@ class ClassTable(Sequence):
         lo, hi = self.start[k : k + 2].tolist()
         return int(self.trace[k]), tuple(map(tuple, self.forms[lo:hi].tolist()))
 
+    def class_id_text(self, rows: np.ndarray) -> list[str]:
+        """``repr(self.class_id(k))`` for k in rows, in one pass: every trace and form
+        entry goes through one `%` template joined from one template per cycle length."""
+        lo, n = self.start[rows], np.diff(self.start)[rows]
+        first = np.cumsum(n) - n  # of each class's forms among the selected ones
+        forms = self.forms[np.repeat(lo - first, n) + np.arange(n.sum())]
+        values = np.insert(forms.ravel(), 3 * first, self.trace[rows])
+        text = "\n".join(map(_id_template, n.tolist())) % tuple(values.tolist())
+        return text.split("\n") if len(rows) else []
+
+
+@lru_cache(maxsize=None)
+def _id_template(length: int) -> str:
+    """`%` template of the repr of a class id whose cycle has this many forms."""
+    return "(%d, (" + ", ".join(["(%d, %d, %d)"] * length) + ("," if length == 1 else "") + "))"
+
 
 def conjugacy_classes_sl2(trace_bound: int) -> ClassTable:
     """All positive-trace hyperbolic classes of SL(2,Z) with trace <= bound.
@@ -213,6 +244,8 @@ def conjugacy_classes_sl2(trace_bound: int) -> ClassTable:
     class; its form is v1/m0 times this one, and rho commutes with positive
     scaling, so v1/m0 times the least form is the least form of the root.
     """
+    from . import bqf
+
     if trace_bound < 3:
         raise ParameterError(f"trace bound must be at least 3, got {trace_bound}")
     traces = range(3, trace_bound + 1)
@@ -275,14 +308,14 @@ def torus_census(T: float, classes: ClassTable | None = None) -> dict:
     length at most T.  Right side: over primitive classes, the number of
     chamber periods in the ball times the period covolume.  The two are the
     same data regrouped; the report carries both sums, the integer-level
-    regrouping verdict, and per-torus rows.
+    regrouping verdict, and per-torus rows; a row's class id is its repr text.
     """
     if classes is None:
         classes = conjugacy_classes_sl2(trace_bound_for_length(T))
     prim, mult, n_in_ball, left_sum, right_sum, regroup_exact = _torus_sums(T, classes)
-    rows = [{"trace": t, "class_id": classes.class_id(k), "period_volume": pv, "multiplicity": n}
-            for k, t, pv, n in zip(prim.tolist(), classes.trace[prim].tolist(),
-                                   classes.period_volume[prim].tolist(), mult.tolist())]
+    rows = [{"trace": t, "class_id": cid, "period_volume": pv, "multiplicity": n}
+            for t, cid, pv, n in zip(classes.trace[prim].tolist(), classes.class_id_text(prim),
+                                     classes.period_volume[prim].tolist(), mult.tolist())]
     return {"T": T, "classes_in_ball": n_in_ball, "primitive_tori": len(prim),
             "left_sum": left_sum, "right_sum": right_sum, "regroup_exact": regroup_exact,
             "rows": rows}
@@ -290,6 +323,8 @@ def torus_census(T: float, classes: ClassTable | None = None) -> dict:
 
 def torus_sweep(T_grid, classes: ClassTable | None = None) -> dict:
     """Ratio of the weighted torus sum to the ball volume across a T sweep."""
+    from .volume import Domain, domain_volume
+
     rs = root_system(2)
     T_grid = [float(t) for t in T_grid]
     if classes is None:
@@ -359,6 +394,10 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
     representatives over conjugator balls of growing radius.  The largest
     minimum is the empirical conjugation constant of the lattice.
     """
+    from . import bqf
+    from .lattice import _word_ball
+    from .projections import _integer_inverse, cartan_vector
+
     classes = conjugacy_classes_sl2(trace_bound)
     generators = (((0, -1), (1, 0)), ((1, 1), (0, 1)))  # S and T
     balls = {r: _word_ball(generators, r) for r in radii}
@@ -387,6 +426,7 @@ def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
     a list of ``ElementRecord``s), as one stacked pass; elements whose gap raises a
     library error are violations, listed under ``failures``."""
     from .loxodromy import _flat_bound_rows
+    from .projections import _INT_STACK_MAX, BasePoint
 
     lox = [rec.matrix for rec in records if rec.loxodromic]
     if not lox:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericError, ParameterError
 from .rootsys import RootSystemA, root_system
@@ -24,6 +23,7 @@ from .rootsys import RootSystemA, root_system
 QUAD_REL_TOL = 1e-9
 MAX_NODES = 3072
 LOG_ZERO = -math.inf
+_QUAD_BLOCK = 1 << 16  # (outer, inner) nodes per stacked block of the 2-D rule
 
 
 # ------------------------------------------------------------------ domains
@@ -116,26 +116,29 @@ def _finish(log_value: float, method: str, error: float, **extras) -> VolumeResu
 # --------------------------------------------------------------- integrands
 
 
-def logsumexp(a) -> float:
-    """log(sum(exp(a))) of 1-d real input, computed as scipy.special.logsumexp does.
+def logsumexp(a):
+    """log(sum(exp(a))) over the last axis of real input, computed as
+    scipy.special.logsumexp does: a float for 1-d input, an array of row values
+    for stacked rows.
 
     The max terms are split off: log1p(s) + log(m) + max(a), where m counts the
     entries at the max and s is the sum of exp(a - max(a)) over the others,
-    divided by m.  The direct sum is the fallback when that is not finite;
+    divided by m.  The direct sum is the fallback where that is not finite;
     empty input gives -inf.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return LOG_ZERO
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a)
+        a_max = np.max(a, axis=-1, keepdims=True)
         at_max = a == a_max
-        m = np.count_nonzero(at_max)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max))
-        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+        m = np.count_nonzero(at_max, axis=-1)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1)
+        out = np.log1p(np.where(s != 0, s / m, s)) + np.log(m) + a_max[..., 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1)), out)
+    return float(out) if a.ndim == 1 else out
 
 
 def _log_sinh(x: np.ndarray) -> np.ndarray:
@@ -246,6 +249,8 @@ def _converge(evaluate, start_nodes: int = 24, rel_tol: float = QUAD_REL_TOL):
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per n."""
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(n)
     x.flags.writeable = w.flags.writeable = False
     return x, w
@@ -265,7 +270,12 @@ def _log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
 
 
 def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
-    """Iterated integral with inner bounds depending on the outer variable."""
+    """Iterated integral with inner bounds depending on the outer variable.
+
+    Every (outer, inner) node of one node count goes through ``log_density`` in one
+    stacked pass (in blocks of whole outer rows), and each row's inner sum is the
+    row-wise ``logsumexp``; outer nodes with an empty inner window are dropped.
+    """
     if hi1 <= lo1:
         return LOG_ZERO, 0.0
 
@@ -273,18 +283,19 @@ def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
         x, w = _gauss_legendre(n)
         u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
         logw_u = np.log(0.5 * (hi1 - lo1) * w)
-        pieces = []
-        for ui, lwi in zip(u, logw_u):
-            lo2, hi2 = lo2_fn(ui), hi2_fn(ui)
-            if hi2 <= lo2:
-                continue
-            v = 0.5 * (hi2 - lo2) * x + 0.5 * (hi2 + lo2)
-            logw_v = np.log(0.5 * (hi2 - lo2) * w)
-            vals = log_density(np.full_like(v, ui), v)
-            pieces.append(logsumexp(vals + logw_v) + lwi)
-        if not pieces:
+        lo2, hi2 = np.array([lo2_fn(ui) for ui in u]), np.array([hi2_fn(ui) for ui in u])
+        keep = ~(hi2 <= lo2)  # the per-node test: NaN bounds are kept, not dropped
+        u, logw_u, lo2, hi2 = u[keep], logw_u[keep], lo2[keep], hi2[keep]
+        if not len(u):
             return LOG_ZERO
-        return float(logsumexp(pieces))
+        step, pieces = max(1, _QUAD_BLOCK // n), []
+        for i in range(0, len(u), step):
+            rows = slice(i, i + step)
+            half = (0.5 * (hi2[rows] - lo2[rows]))[:, None]
+            v = half * x + (0.5 * (hi2[rows] + lo2[rows]))[:, None]
+            vals = log_density(np.repeat(u[rows], n), v.ravel()).reshape(v.shape)
+            pieces.append(logsumexp(vals + np.log(half * w)) + logw_u[rows])
+        return float(logsumexp(np.concatenate(pieces)))
 
     return _converge(evaluate, rel_tol=rel_tol)
 

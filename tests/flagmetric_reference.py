@@ -3,13 +3,18 @@ kept for their tests: the transversality predicate and a representative with
 given Hopf coordinates (they were ``wcc.flagmetric.is_transverse``, with its
 default tolerance, and ``hopf_inverse``, unchanged), and the witness frames
 with one SVD per subspace dimension k (``wcc.flagmetric._witness_frames``
-before its d systems went into one stacked SVD), the oracle of its bits."""
+before its d systems went into one stacked SVD), the oracle of its bits; and the
+Radon-Nikodym factor of a translated boundary measure (``rn_derivative``, unchanged
+from ``wcc.flagmetric``), which only the flag tests run."""
+
+import math
 
 import numpy as np
 
 from wcc.errors import PreconditionError
-from wcc.flagmetric import HopfPoint, dist_delta, eta0
+from wcc.flagmetric import Flag, HopfPoint, dist_delta, eta0
 from wcc.projections import GroupElement, iwasawa_cocycle
+from wcc.rootsys import root_system
 
 TRANSVERSE_TOL_DEFAULT = 1e-9
 
@@ -53,3 +58,16 @@ def hopf_inverse(point: HopfPoint) -> GroupElement:
     base = iwasawa_cocycle(w, eta0(w.d))
     shift = np.asarray(point.a_coord, dtype=float) - base
     return GroupElement(w.mat @ np.diag(np.exp(shift)), check=False)
+
+
+def rn_derivative(g: GroupElement, xi: Flag) -> float:
+    """Radon-Nikodym factor of the translated boundary measure at xi.
+
+    exp(-2 rho sigma(g^-1, xi)): the Poisson kernel of the full flag
+    variety.  Averaging it over the rotation-invariant measure returns total
+    mass one (the change-of-variables oracle pins the factor two in the
+    exponent).
+    """
+    rs = root_system(g.d)
+    sigma = iwasawa_cocycle(g.inverse(), xi)
+    return math.exp(-float(rs.two_rho @ sigma))

@@ -1,7 +1,8 @@
 """Survey helpers that no command or acceptance criterion runs, kept for their
 tests: the balanced/unbalanced split of a sampled census and the class id of one
 matrix (they were ``wcc.survey.balanced_split`` and ``class_id_of_matrix``,
-unchanged)."""
+unchanged); and the class-id text one row at a time, the oracle of
+``ClassTable.class_id_text``."""
 
 import numpy as np
 
@@ -39,3 +40,9 @@ def class_id_of_matrix(m) -> tuple:
     if trace < 3:
         raise ParameterError(f"class ids are issued for trace >= 3, got {trace}")
     return (trace, bqf.class_id(form_of_matrix(m)))
+
+
+def reference_class_id_text(classes, rows) -> list:
+    """The repr of each row's class-id tuple, one row at a time (as ``torus_census``
+    and ``wcc tori`` wrote it before the one-pass text)."""
+    return [repr(classes.class_id(k)) for k in rows]

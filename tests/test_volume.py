@@ -14,6 +14,7 @@ from volume_reference import (
     lipschitz_probe,
     max_wall_distance,
     monte_carlo_volume,
+    reference_log_quad_2d,
     well_rounded_probe,
 )
 
@@ -282,6 +283,57 @@ class TestGaussLegendreRules:
         assert cold == warm == results()
 
 
+class TestStackedQuadrature:
+    """The stacked 2-D rule gives the per-node loop's floats exactly."""
+
+    @staticmethod
+    def runs():
+        rs3 = root_system(3)
+        out = []
+        for t in (2.0, 8.0, 12.0):
+            out += [
+                V.domain_volume(rs3, Domain("ball", t)),
+                V.domain_volume(rs3, Domain("ball", t, regular_margin=0.5)),
+                V.domain_volume(rs3, Domain("ball", t, regular_margin=0.6 * t)),
+                V.slab_volume(rs3, t, 0.1 * t),
+                V.box_volume_quadrature(rs3, t, (1.0, 1.0)),
+                V.box_volume_quadrature(rs3, t, (0.3, 2.0)),
+                V.domain_volume(rs3, Domain("box", t, (1.0, 0.5), regular_margin=0.2)),
+                V.slab_volume(rs3, t, 0.2 * t, "box", (1.0, 1.0)),
+            ]
+        return [(r.log_value, r.value, r.error_estimate, r.extras) for r in out]
+
+    def test_ball_slab_box_and_margin_volumes(self, monkeypatch):
+        stacked = self.runs()
+        monkeypatch.setattr(V, "_QUAD_BLOCK", 50)  # blocks of one outer row, then of two
+        assert self.runs() == stacked
+        monkeypatch.setattr(V, "_log_quad_2d", reference_log_quad_2d)
+        assert self.runs() == stacked
+
+    @pytest.mark.parametrize("lo2_fn, hi2_fn", [
+        (lambda u: u, lambda u: 1.0 - u),  # the inner window empties past u = 1/2
+        (lambda u: 0.0, lambda u: 1.0 if u < 0.0 else 0.0),  # empty where u >= 0
+        (lambda u: 1.0, lambda u: 1.0),  # empty everywhere
+    ])
+    def test_empty_inner_windows(self, lo2_fn, hi2_fn):
+        def density(u, v):
+            return np.log1p(u * u + v * v) + 3.0 * v
+
+        # a loose tolerance: the window edge is a kink the doubling converges on slowly
+        args = (density, -1.0, 1.0, lo2_fn, hi2_fn, 1e-4)
+        assert V._log_quad_2d(*args) == reference_log_quad_2d(*args)
+
+    @pytest.mark.parametrize("density", [
+        # -inf only where exp(density) is below e^-170 of the peak, so the rule converges
+        lambda u, v: np.where(np.abs(u) > 1.33, -np.inf, v - 100.0 * u * u),  # whole rows
+        lambda u, v: np.where(np.abs(v) > 1.33, -np.inf, u - 100.0 * v * v),  # part of each row
+        lambda u, v: np.full_like(v, -np.inf),  # every row: the integral is 0
+    ])
+    def test_rows_at_minus_infinity(self, density):
+        args = (density, -2.0, 2.0, lambda u: -2.0, lambda u: 2.0)
+        assert V._log_quad_2d(*args) == reference_log_quad_2d(*args)
+
+
 class TestLogsumexp:
     """The numpy logsumexp is bit-identical to scipy.special.logsumexp."""
 
@@ -306,6 +358,16 @@ class TestLogsumexp:
                 a = -rng.uniform(15.0, 40.0, size=n + 1)
                 a[rng.choice(n + 1, size=ties, replace=False)] = 0.0
                 assert same_bits(V.logsumexp(a), reference(a))
+
+    def test_rows_are_the_one_row_values(self):
+        rng = np.random.default_rng(31)
+        inf = math.inf
+        rows = [[0.0, -20.0, 1.0], [5.0, 5.0, 5.0], [-inf, -inf, -inf], [-inf, 1.0, 0.5],
+                [inf, 1.0, 2.0], [inf, -inf, 0.0], [0.0, -800.0, 750.0], [-745.5, 1.0, -1e308]]
+        for a in [np.array(rows), 40.0 * rng.normal(size=(7, 97)), rng.normal(size=(1, 384))]:
+            got = V.logsumexp(a)
+            assert got.shape == a.shape[:1]
+            assert all(same_bits(g, V.logsumexp(row)) for g, row in zip(got, a))
 
     @pytest.mark.parametrize("a", [
         [],

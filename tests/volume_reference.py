@@ -3,7 +3,8 @@ for the quadrature and the closed forms of ``wcc.volume``; and the Lipschitz and
 well-roundedness probes of the volume family, the largest wall distance of a
 domain and the pointwise Harish-Chandra density, which no command or acceptance
 criterion runs (they were ``wcc.volume.lipschitz_probe``, ``well_rounded_probe``,
-``max_wall_distance`` and ``hc_integrand``, unchanged)."""
+``max_wall_distance`` and ``hc_integrand``, unchanged); and the 2-D rule one outer
+node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``."""
 
 import itertools
 import math
@@ -15,14 +16,18 @@ from wcc.errors import NumericError, ParameterError, PreconditionError
 from wcc.rootsys import CHAMBER_TOL, RootSystemA, root_system
 from wcc.volume import (
     LOG_ZERO,
+    QUAD_REL_TOL,
     Domain,
+    _converge,
     _dual_basis,
+    _gauss_legendre,
     _log_sub,
     _ortho_basis,
     _region_log_integral,
     _wall_scale,
     domain_volume,
     log_hc_integrand,
+    logsumexp,
 )
 
 
@@ -191,3 +196,30 @@ def hc_integrand(rs_or_d, y) -> float:
         raise PreconditionError(f"integrand is defined on the closed chamber, got {y}")
     val = log_hc_integrand(rs, y[None, :])[0]
     return 0.0 if val == LOG_ZERO else math.exp(val)
+
+
+def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
+    """Iterated integral with inner bounds depending on the outer variable, with one
+    inner rule and one ``logsumexp`` per outer node (``wcc.volume._log_quad_2d`` before
+    it became one stacked pass)."""
+    if hi1 <= lo1:
+        return LOG_ZERO, 0.0
+
+    def evaluate(n):
+        x, w = _gauss_legendre(n)
+        u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
+        logw_u = np.log(0.5 * (hi1 - lo1) * w)
+        pieces = []
+        for ui, lwi in zip(u, logw_u):
+            lo2, hi2 = lo2_fn(ui), hi2_fn(ui)
+            if hi2 <= lo2:
+                continue
+            v = 0.5 * (hi2 - lo2) * x + 0.5 * (hi2 + lo2)
+            logw_v = np.log(0.5 * (hi2 - lo2) * w)
+            vals = log_density(np.full_like(v, ui), v)
+            pieces.append(logsumexp(vals + logw_v) + lwi)
+        if not pieces:
+            return LOG_ZERO
+        return float(logsumexp(pieces))
+
+    return _converge(evaluate, rel_tol=rel_tol)
