@@ -73,9 +73,9 @@ def rho_step(f: Form) -> Form:
     return (c, r, (r * r - D) // (4 * c))
 
 
-def reduce_form(f: Form, max_steps: int = 10000) -> Form:
+def reduce_form(f: Form) -> Form:
     g = tuple(int(x) for x in f)
-    for _ in range(max_steps):
+    for _ in range(10000):
         if is_reduced(g):
             return g
         g = rho_step(g)

@@ -129,6 +129,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """The type of --bins and --shards: an integer of at least 1."""
+    if int(text) < 1:
+        raise ValueError(f"below 1: {text!r}")
+    return int(text)
+
+
+def _radius(text: str) -> int:
+    """The type of --word-radius: an integer of at least 0."""
+    if int(text) < 0:
+        raise ValueError(f"negative: {text!r}")
+    return int(text)
+
+
 def _parse_grid(text: str) -> list:
     try:
         return [_finite(token) for token in text.split(",")]
@@ -308,7 +322,7 @@ def _cmd_angular(args) -> int:
     spec, domain, records, complete = _load_or_enumerate(args)
     rs = root_system(spec.d)
     v = vol.domain_volume(rs, domain)
-    stats = sv.angular_statistics(records, rs, domain, v.log_value, bins=args.bins)
+    stats = sv.angular_statistics(records, rs, v.log_value, bins=args.bins)
     if args.out:
         hist = stats["histogram"]
         rows = list(zip(hist["edges"][:-1], hist["edges"][1:], hist["plus"], hist["minus"]))
@@ -523,15 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges")
     p.add_argument("--regular-margin", type=_finite, dest="regular_margin")
     p.add_argument("--out", help=f"cache directory (default ${CACHE_ENV} or wcc_cache)")
-    p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--word-radius", type=int, default=4)
+    p.add_argument("--shards", type=_count, default=1)
+    p.add_argument("--word-radius", type=_radius, default=4)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("angular", help="angular equidistribution statistics")
     p.add_argument("--group", default="sl2")
     p.add_argument("--cache", help="census cache directory")
     p.add_argument("--t", type=_finite)
-    p.add_argument("--bins", type=int, default=36)
+    p.add_argument("--bins", type=_count, default=36)
     p.add_argument("--sweep", help="comma-separated t grid")
     p.add_argument("--out", help="CSV artifact prefix")
     p.set_defaults(fn=_cmd_angular)

@@ -275,14 +275,14 @@ def hopf(g: GroupElement) -> HopfPoint:
     return HopfPoint(TransversePair(plus, minus), a)
 
 
-def fixed_points(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT):
+def fixed_points(g: GroupElement):
     """Attracting and repelling fixed flags of a loxodromic element.
 
-    Computed from the real eigenbasis sorted by decreasing eigenvalue
-    modulus; the two flags are the orthonormalized forward and backward
-    eigenflags.  The loxodromy test reads the same eigen-solve.
+    Computed from the real eigenbasis sorted by decreasing eigenvalue modulus;
+    the two flags are the orthonormalized forward and backward eigenflags.  The
+    loxodromy test (at ``TAU_LOX_DEFAULT``) reads the same eigen-solve.
     """
-    lam, is_lox, eig = _jordan_solve(g, tau_lox, vectors=True)
+    lam, is_lox, eig = _jordan_solve(g, TAU_LOX_DEFAULT, vectors=True)
     if not is_lox:
         raise LoxodromyError(f"element is not loxodromic: jordan projection {lam}")
     return _eigen_flags(*eig)
@@ -357,25 +357,30 @@ def _zero_sum_basis(d: int) -> np.ndarray:
     return basis
 
 
-def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> float:
-    """Distance from x to the maximal flat of a transverse pair.
+def flat_distance(x: BasePoint, pair: TransversePair) -> float:
+    """Distance from x to the maximal flat of a transverse pair: ``_flat_minimum`` of
+    m = h_x^-1 w, w the witness of the pair."""
+    return _flat_minimum(_h_inverse(x) @ pair.witness.mat)
+
+
+def _flat_minimum(m: np.ndarray) -> float:
+    """Distance from the origin to the flat m A o, for m = h_x^-1 w (``flat_distance``).
 
     Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
-    squared distance F(Y) = d_X(x, w exp(Y) o)^2, w the witness of the pair: convex
-    along the flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary
-    point is the minimum.  It stops at max |grad F| <= ``tol``, after 200 (d-1)
-    iterations, when backtracking runs out, or when a step no longer lowers F
-    beyond rounding (near a nonzero minimum the gradient cannot reach a small
-    ``tol`` in floating point).  A stall away from the flat raises NumericError.
+    squared distance F(Y) = d_X(o, m exp(Y) o)^2: convex along the flat
+    (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
+    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations,
+    when backtracking runs out, or when a step no longer lowers F beyond rounding
+    (near a nonzero minimum the gradient cannot reach a small ``FLAT_TOL`` in floating
+    point).  A stall away from the flat raises NumericError.
     """
-    d = x.d
-    m = _h_inverse(x) @ pair.witness.mat
+    d = m.shape[-1]
     fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
     y = np.zeros(d - 1)
     f, g = fg(y)
     h = eye = np.eye(d - 1)
     for it in range(200 * (d - 1)):
-        if np.abs(g).max() <= tol:  # the test of _flat_start
+        if np.abs(g).max() <= FLAT_TOL:  # the test of _flat_start
             break
         p = -(h @ g)
         slope = float(g @ p)
@@ -408,20 +413,20 @@ def flat_distance(x: BasePoint, pair: TransversePair, tol: float = FLAT_TOL) -> 
     return value
 
 
-def _flat_start(x: BasePoint, witnesses: np.ndarray, tol: float = FLAT_TOL):
+def _flat_start(x: BasePoint, witnesses: np.ndarray):
     """F(0) of ``flat_distance`` for a stack (n, d, d) of witnesses, and which rows meet
     its stop test at once, on a finite start: ``flat_distance`` returns sqrt(F(0))
     for those, and its stall test cannot fire there."""
     d = x.d
     f, g, ok = _flat_rows(_h_inverse(x) @ witnesses, _zero_sum_basis(d), root_system(d).killing_scale)
-    return f, ok & (np.abs(g).max(axis=-1) <= tol)
+    return f, ok & (np.abs(g).max(axis=-1) <= FLAT_TOL)
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
     """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
     stacked pass: per row the distance, or the library error that the per-element path
     (``_eigen_flags``, ``TransversePair``, ``transverse_witness``) raises for it.  Rows
-    that ``_flat_start`` does not settle go through ``flat_distance`` itself."""
+    that ``_flat_start`` does not settle go to ``_flat_minimum`` on their witness."""
     (plus, minus), real = _eigen_frames(eigvals, eigvecs)
     delta = _delta(_embedded_lines(plus), _perp_lines(minus))
     witness, errors = _witness_frames(plus, minus)
@@ -433,8 +438,7 @@ def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray
     f0, settled = _flat_start(x, witness[good])
     for i, f, done in zip(good, f0.tolist(), settled.tolist()):
         try:
-            rows[i] = math.sqrt(f) if done else flat_distance(
-                x, TransversePair(Flag._of_so_frame(plus[i]), Flag._of_so_frame(minus[i])))
+            rows[i] = math.sqrt(f) if done else _flat_minimum(_h_inverse(x) @ witness[i])
         except WccError as exc:
             rows[i] = exc
     return rows

@@ -164,7 +164,7 @@ def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_poin
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
     roots = np.array(rs.simple_roots)
-    walls = np.min(np.maximum(0.0, cartan @ roots.T) / [rs.dual_norm(c) for c in roots], axis=1)
+    walls = rs.wall_distances(cartan)
     if d == 2:
         inside = np.einsum("ij,ij->i", table, table) <= _sl2_mass_cap(domain, rs)
     elif domain.kind == "ball":

@@ -419,18 +419,18 @@ def _angular_flags(x: BasePoint, k: np.ndarray, l: np.ndarray):
     return Flag(plus), Flag(minus)
 
 
-def angular_points(g: GroupElement, x: BasePoint, margin: float = TAU_LOX_DEFAULT):
+def angular_points(g: GroupElement, x: BasePoint):
     """Attracting/repelling angular flags of an x-Cartan-regular element.
 
     Requires the chamber-valued displacement of x (exact as in ``cartan_at``)
-    to stay further than ``margin`` from the walls; raises RegularityError
+    to stay further than ``TAU_LOX_DEFAULT`` from the walls; raises RegularityError
     (carrying the measured wall distance) otherwise.
     """
     k, a, l = cartan_project(_conjugate(g, x))
     wall = root_system(g.d).wall_distance(a)
-    if wall <= margin:
+    if wall <= TAU_LOX_DEFAULT:
         raise RegularityError(
-            f"element is not x-cartan-regular at margin {margin} (wall distance {wall})",
+            f"element is not x-cartan-regular at margin {TAU_LOX_DEFAULT} (wall distance {wall})",
             wall_distance=wall,
         )
     return _angular_flags(x, k, l)

@@ -62,7 +62,7 @@ class RootSystemA:
         self.rho = 0.5 * np.sum(self.positive_roots, axis=0)
         self.two_rho = 2.0 * self.rho
 
-        self._simple_dual_norms = np.array([self.dual_norm(c) for c in self.simple_roots])
+        self.simple_dual_norms = np.array([self.dual_norm(c) for c in self.simple_roots])
         # the antidiagonal permutation frame, its first column negated where needed for SO(d)
         self._reversal = np.eye(d)[::-1].copy()
         if np.linalg.det(self._reversal) < 0:
@@ -108,10 +108,10 @@ class RootSystemA:
 
     # --------------------------------------------------------------- chamber
 
-    def in_closed_chamber(self, y, tol: float = CHAMBER_TOL) -> bool:
+    def in_closed_chamber(self, y) -> bool:
         y = self.check_traceless(y)
         scale = max(1.0, float(np.abs(y).max()))
-        return bool((np.diff(y) <= tol * scale).all())
+        return bool((np.diff(y) <= CHAMBER_TOL * scale).all())
 
     def chamber_sort(self, y) -> np.ndarray:
         """Weyl representative: coordinates sorted non-increasingly."""
@@ -127,9 +127,14 @@ class RootSystemA:
         y = _as_vector(y, self.d)
         if not self.in_closed_chamber(y):  # which also refuses a vector off the zero-sum plane
             raise PreconditionError(f"wall_distance needs a closed-chamber vector, got {y}")
+        return float(self.wall_distances(y))
+
+    def wall_distances(self, ys) -> np.ndarray:
+        """``wall_distance`` over the last axis of (..., d) rows, unchecked: a row
+        outside the closed chamber gets the distance of its clipped root values."""
         # the simple roots y_i - y_{i+1}: -diff(y), rounded as c @ y; negatives and -0.0 to 0.0
-        alpha = -np.diff(y)
-        return float((np.where(alpha > 0.0, alpha, 0.0) / self._simple_dual_norms).min())
+        alpha = -np.diff(ys, axis=-1)
+        return (np.where(alpha > 0.0, alpha, 0.0) / self.simple_dual_norms).min(axis=-1)
 
     def opposition(self, y) -> np.ndarray:
         """The involution reversing and negating coordinates; preserves the chamber."""

@@ -26,7 +26,6 @@ from .rootsys import root_system
 if TYPE_CHECKING:  # the sibling modules load in the functions that run them
     from .lattice import Census, LatticeSpec
     from .projections import BasePoint
-    from .volume import Domain
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -71,27 +70,17 @@ def ks_to_uniform(values, period: float = math.pi) -> float:
     return float(max(np.max(grid - x), np.max(x - (grid - 1.0 / n))))
 
 
-def angular_statistics(
-    census: Census,
-    rs,
-    domain: Domain,
-    volume_log: float,
-    bins: int = 36,
-    psi=None,
-    n_reference: int = 200000,
-    seed: int = 5,
-    regular_margin: float = 0.0,
-) -> dict:
+def angular_statistics(census: Census, rs, volume_log: float, bins: int = 36, psi=None) -> dict:
     """Empirical angular measure of a census against the rotation-invariant law.
 
-    Needs a positive regularity margin (angular flags require chamber-regular
-    displacements).  For sl2 the two boundary marginals live on the circle of
-    lines, where the invariant law is uniform in angle; the report carries KS
-    distances, histogram rows, and the normalized test-function sums.
+    Counts the chamber-regular elements, those with ``wall_margin > 0`` (angular
+    flags require chamber-regular displacements).  For sl2 the two boundary
+    marginals live on the circle of lines, where the invariant law is uniform in
+    angle; the report carries KS distances, histogram rows, and the normalized
+    test-function sums, whose reference mean is over 200,000 uniform samples
+    (seed 5).
     """
-    if regular_margin < 0.0:
-        raise ParameterError("angular statistics need a nonnegative regularity margin")
-    kept = census.wall_margin > regular_margin
+    kept = census.wall_margin > 0.0
     n_regular = int(np.count_nonzero(kept))
     if rs.d != 2:
         raise ParameterError("angular statistics are shipped for sl2 censuses")
@@ -115,7 +104,7 @@ def angular_statistics(
     }
     if psi is not None:
         empirical = float(np.sum(psi(theta_plus, theta_minus))) / vol
-        rng = np.random.default_rng(seed)
+        rng, n_reference = np.random.default_rng(5), 200000
         ref_plus = rng.uniform(0.0, math.pi, n_reference)
         ref_minus = rng.uniform(0.0, math.pi, n_reference)
         vals = np.asarray(psi(ref_plus, ref_minus), dtype=float)
@@ -129,20 +118,20 @@ def angular_statistics(
     return out
 
 
-def angular_sweep(spec: LatticeSpec, t_grid, bins: int = 36, **enum_kwargs) -> dict:
+def angular_sweep(spec: LatticeSpec, t_grid, bins: int = 36) -> dict:
     """KS distances across a sweep of balls plus the fitted decay exponent."""
     from .lattice import enumerate_elements, restrict
     from .volume import Domain, domain_volume
 
     rs = root_system(spec.d)
     grid = [float(t) for t in t_grid]
-    census, meta = enumerate_elements(spec, Domain("ball", max(grid)), **enum_kwargs)
+    census, meta = enumerate_elements(spec, Domain("ball", max(grid)))
     rows = []
     for t in grid:
         domain = Domain("ball", t)
         vol = domain_volume(rs, domain)
         ball = census if t == max(grid) else restrict(census.table, spec, domain)[0]
-        stats = angular_statistics(ball, rs, domain, vol.log_value, bins=bins)
+        stats = angular_statistics(ball, rs, vol.log_value, bins=bins)
         row = {k: stats[k] for k in ("n_regular", "ks_plus", "ks_minus")}
         rows.append({"t": t, **row, "ks_max": max(row["ks_plus"], row["ks_minus"]),
                      "log_volume": vol.log_value, "complete": meta.complete})

@@ -104,7 +104,6 @@ class VolumeResult:
     log_value: float
     method: str
     error_estimate: float
-    exponent_data: dict | None = None
     extras: dict = field(default_factory=dict)
 
 
@@ -204,13 +203,6 @@ def _chamber_arc(rs: RootSystemA) -> tuple[np.ndarray, np.ndarray, float, float]
     return b1, b2, -math.pi / 6, math.pi / 6
 
 
-def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
-    """Wall distance of a unit direction (wall(r u) = r * wall(u))."""
-    return min(
-        max(0.0, float(c @ direction)) / rs.dual_norm(c) for c in rs.simple_roots
-    )
-
-
 def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
     """Cuts of the d=3 chamber window [lo, hi] = [-pi/6, pi/6] on whose pieces
     the inner radial bound min(t, margin/w) of a ball is smooth.
@@ -230,9 +222,9 @@ def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
 # ------------------------------------------------------ quadrature drivers
 
 
-def _converge(evaluate, start_nodes: int = 24, rel_tol: float = QUAD_REL_TOL):
-    """Double node counts until successive log values agree to rel_tol."""
-    n = start_nodes
+def _converge(evaluate, rel_tol: float = QUAD_REL_TOL):
+    """Double node counts from 24 until successive log values agree to rel_tol."""
+    n = 24
     prev = evaluate(n)
     while n <= MAX_NODES:
         n *= 2
@@ -270,7 +262,8 @@ def _log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
 
 
 def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
-    """Iterated integral with inner bounds depending on the outer variable.
+    """Iterated integral with inner bounds ``lo2_fn(u)``, ``hi2_fn(u)`` of the array u
+    of outer nodes (arrays, or scalars that are broadcast).
 
     Every (outer, inner) node of one node count goes through ``log_density`` in one
     stacked pass (in blocks of whole outer rows), and each row's inner sum is the
@@ -283,7 +276,7 @@ def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
         x, w = _gauss_legendre(n)
         u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
         logw_u = np.log(0.5 * (hi1 - lo1) * w)
-        lo2, hi2 = np.array([lo2_fn(ui) for ui in u]), np.array([hi2_fn(ui) for ui in u])
+        lo2, hi2 = np.broadcast_to(lo2_fn(u), u.shape), np.broadcast_to(hi2_fn(u), u.shape)
         keep = ~(hi2 <= lo2)  # the per-node test: NaN bounds are kept, not dropped
         u, logw_u, lo2, hi2 = u[keep], logw_u[keep], lo2[keep], hi2[keep]
         if not len(u):
@@ -327,24 +320,23 @@ def _region_log_integral(
             raise ParameterError("ball quadrature is shipped for d = 2 and 3")
         b1, b2, th_lo, th_hi = _chamber_arc(rs)
 
-        def wall_of(theta):
-            return _wall_scale(rs, math.cos(theta) * b1 + math.sin(theta) * b2)
+        def directions(theta):
+            return np.multiply.outer(np.cos(theta), b1) + np.multiply.outer(np.sin(theta), b2)
 
         def r_lo(theta):
             if margin <= 0.0:
                 return 0.0
-            w = wall_of(theta)
-            return t if w <= 0.0 else min(t, margin / w)
+            w = rs.wall_distances(directions(theta))  # wall(r u) = r * wall(u)
+            with np.errstate(divide="ignore"):
+                return np.where(w <= 0.0, t, np.minimum(t, margin / w))
 
         def density(theta, r):
-            dirs = np.outer(np.cos(theta), b1) + np.outer(np.sin(theta), b2)
-            ys = dirs * r[:, None]
-            return logf(rs, ys) + np.log(r)
+            return logf(rs, directions(theta) * r[:, None]) + np.log(r)
 
         points = _arc_cuts(th_lo, th_hi, t, margin)
         pieces, delta = [], 0.0
         for a, b in zip(points[:-1], points[1:]):
-            if margin > 0.0 and wall_of(0.5 * (a + b)) <= margin / t:
+            if margin > 0.0 and rs.wall_distances(directions(0.5 * (a + b))) <= margin / t:
                 continue  # window empty on this piece
             val, err = _log_quad_2d(density, a, b, r_lo, lambda _: t, rel_tol)
             delta = max(delta, err)
@@ -356,8 +348,8 @@ def _region_log_integral(
     domain.for_dimension(d)
     duals = _dual_basis(rs)
     jac = _box_jacobian(rs, duals)
-    wall_factors = [1.0 / rs.dual_norm(c) for c in rs.simple_roots]
-    los = [margin / wf if margin > 0 else 0.0 for wf in wall_factors]
+    wall_factors = 1.0 / rs.simple_dual_norms
+    los = [margin / wf if margin > 0 else 0.0 for wf in wall_factors.tolist()]
     his = [domain.t * e for e in domain.edges]
     if any(lo >= hi for lo, hi in zip(los, his)):
         return LOG_ZERO, 0.0
@@ -401,13 +393,13 @@ def closed_form_ball_d2(t: float) -> float:
     return math.sqrt(2.0) * (math.cosh(t / math.sqrt(2.0)) - 1.0)
 
 
-def ball_volume(rs_or_d, t: float, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
-    """Harish-Chandra volume of the chamber ball of Killing radius t."""
+def ball_volume(rs_or_d, t: float) -> VolumeResult:
+    """Harish-Chandra volume of the chamber ball of Killing radius t, to ``QUAD_REL_TOL``."""
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     if not t > 0:
         raise ParameterError(f"t must be positive, got {t}")
     domain = Domain("ball", t)
-    log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
+    log_val, err = _region_log_integral(rs, domain, "hc")
     result = _finish(log_val, "quadrature", err)
     if rs.d == 2:
         exact = closed_form_ball_d2(t)
@@ -472,7 +464,7 @@ def _expansion_terms(rs: RootSystemA):
         yield (-1) ** sum(signs), coeffs
 
 
-def box_volume(rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
+def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
     """Exact finite expansion of the parallelotope volume.
 
     Also returns the growth exponent (the sup of 2 rho over the
@@ -538,10 +530,10 @@ def box_volume(rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL) -> Volum
     )
 
 
-def box_volume_quadrature(rs_or_d, t: float, edges, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
+def box_volume_quadrature(rs_or_d, t: float, edges) -> VolumeResult:
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     domain = Domain("box", t, tuple(float(e) for e in edges))
-    log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
+    log_val, err = _region_log_integral(rs, domain, "hc")
     return _finish(log_val, "quadrature", err)
 
 
@@ -581,26 +573,20 @@ def slab_volume(
     )
 
 
-def slab_decay_sweep(
-    rs_or_d,
-    epsilons,
-    t_grid,
-    kind: str = "ball",
-    edges=None,
-    rel_tol: float = 1e-7,
-) -> dict:
-    """Fit the decay of the slab ratio at s = eps * t across a t sweep.
+def slab_decay_sweep(rs_or_d, epsilons, t_grid) -> dict:
+    """Fit the decay of the ball's slab ratio at s = eps * t across a t sweep, each
+    volume to a relative 1e-7.
 
     The fitted exponent is the empirical counterpart of the (non-
     constructive) slab decay rate: log ratio regressed on -log volume.
     """
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     t_grid = list(t_grid)
-    report = {"kind": kind, "t_grid": t_grid, "per_epsilon": {}}
+    report = {"kind": "ball", "t_grid": t_grid, "per_epsilon": {}}
     for eps in epsilons:
         rows = []
         for t in t_grid:
-            res = slab_volume(rs, t, eps * t, kind, edges, rel_tol)
+            res = slab_volume(rs, t, eps * t, rel_tol=1e-7)
             rows.append(
                 {
                     "t": t,

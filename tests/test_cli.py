@@ -218,10 +218,16 @@ class TestSurveyCommands:
         ("tori --T 12", "bfa6a478b17f772c"),
         ("tori --T-grid 10,11,12,13,14", "d6e4410c0d51193c"),
         ("growth --T-grid 10,11,12,13,14,15,16", "7b217384ddbb6cdd"),
+        ("volume --group sl3 --domain ball --t 8", "0e46bce6c480108e"),
+        ("volume --group sl3 --domain ball --t 8 --slab 0.8", "422bb41060f4a835"),
+        ("volume --group sl3 --domain ball --t 8 --regular-margin 2", "6a8de9c9327c22db"),
+        ("volume --group sl3 --domain box --t 5 --edges 1,1", "c408eb1b15e155d7"),
+        ("volume --group sl2 --domain ball --t 4", "f1b9b85d0d241f01"),
     ])
     def test_stdout_pinned(self, capsys, argv, digest):
         # sha256 prefixes recorded from the per-form cycle walk that the table
-        # of reduced forms replaced: the growth commands print the same bytes
+        # of reduced forms replaced: the growth commands print the same bytes;
+        # the volume digests from the per-node wall-distance quadrature
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
@@ -279,6 +285,12 @@ def test_usage_error_exit_code(capsys):
     (["volume", "--group", "sl2", "--t", "inf"], "'inf'"),
     (["volume", "--group", "sl2", "--t", "4", "--slab=-inf"], "'-inf'"),
     (["loxo", "--matrix", "[[2,1],[1,1]]", "--r", "nan", "--eps", "0.01"], "'nan'"),
+    (["angular", "--t", "3", "--bins", "-2"], "'-2'"),
+    (["angular", "--t", "3", "--bins", "0"], "'0'"),
+    (["angular", "--t", "3", "--bins", "2.5"], "'2.5'"),
+    (["enumerate", "--group", "sl2", "--t", "3", "--shards", "-2"], "'-2'"),
+    (["enumerate", "--group", "sl2", "--t", "3", "--shards", "0"], "'0'"),
+    (["enumerate", "--group", "sl3", "--t", "3", "--word-radius", "-1"], "'-1'"),
 ])
 def test_malformed_value_is_a_parameter_error(capsys, argv, token):
     code = dispatch(argv)

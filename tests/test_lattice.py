@@ -77,6 +77,15 @@ class TestColumnarCensus:
             else:
                 assert rec.jordan is None
 
+    @pytest.mark.parametrize("group, t", [("sl2", 11.0), ("sl3", 8.0)])
+    def test_wall_margin_is_the_checked_wall_distance(self, group, t):
+        # the stacked kernel's column is the one-row RootSystemA.wall_distance, bit for bit
+        spec = LatticeSpec(group)
+        census, _ = lt.enumerate_elements(spec, Domain("ball", t))  # sl3: the word ball r = 4
+        rs = root_system(spec.d)
+        want = np.array([rs.wall_distance(a) for a in census.cartan])
+        assert len(census) > 1000 and census.wall_margin.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "cap,int_cap",
         [(3.5, 3), (7.0 + 5e-10, 7), (7.0 - 5e-10, 6), (27.0 + 5e-10, 27), (27.0 - 5e-10, 26),

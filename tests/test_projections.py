@@ -486,7 +486,7 @@ class TestAngularPoints:
     def test_regularity_error(self):
         g = GroupElement.from_cartan_vector([0.5, 0.5, -1.0])  # on a wall
         with pytest.raises(RegularityError) as err:
-            pj.angular_points(g, BasePoint.origin(3), margin=1e-9)
+            pj.angular_points(g, BasePoint.origin(3))
         assert err.value.wall_distance is not None
 
 

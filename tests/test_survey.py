@@ -263,7 +263,7 @@ class TestAngular:
         dom = Domain("ball", 8.0)
         vol = domain_volume(rs, dom)
         stats = sv.angular_statistics(
-            records, rs, dom, vol.log_value, psi=lambda tp, tm: np.ones_like(tp)
+            records, rs, vol.log_value, psi=lambda tp, tm: np.ones_like(tp)
         )
         n_reg = sum(1 for r in records if r.wall_margin > 0)
         assert stats["psi"]["empirical_sum_over_volume"] == pytest.approx(
@@ -276,7 +276,7 @@ class TestAngular:
         rs = root_system(2)
         dom = Domain("ball", 8.0)
         vol = domain_volume(rs, dom)
-        stats = sv.angular_statistics(records, rs, dom, vol.log_value)
+        stats = sv.angular_statistics(records, rs, vol.log_value)
         assert stats["ks_plus"] < 0.05
         assert stats["ks_minus"] < 0.05
 
@@ -287,8 +287,7 @@ class TestAngular:
         for row in report["rows"]:
             dom = Domain("ball", row["t"])
             records, _ = enumerate_elements(spec, dom)
-            stats = sv.angular_statistics(records, rs, dom, domain_volume(rs, dom).log_value,
-                                          bins=12)
+            stats = sv.angular_statistics(records, rs, domain_volume(rs, dom).log_value, bins=12)
             assert (row["n_regular"], row["ks_plus"], row["ks_minus"]) == (
                 stats["n_regular"], stats["ks_plus"], stats["ks_minus"])
 
@@ -309,7 +308,7 @@ class TestAngular:
         def psi(tp, tm):
             return np.sin(2 * tp) ** 2 * np.cos(2 * tm) ** 2 + 0.5
 
-        stats = sv.angular_statistics(records, rs, dom, vol.log_value, psi=psi)
+        stats = sv.angular_statistics(records, rs, vol.log_value, psi=psi)
         emp = stats["psi"]["empirical_sum_over_volume"]
         pred = stats["psi"]["predicted_sum_over_volume"]
         # desk-scale equidistribution: a few percent at t = 8
@@ -319,7 +318,7 @@ class TestAngular:
         records, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 4.0), word_radius=2)
         rs = root_system(3)
         with pytest.raises(ParameterError):
-            sv.angular_statistics(records, rs, Domain("ball", 4.0), 0.0)
+            sv.angular_statistics(records, rs, 0.0)
 
     def test_ks_uniform_oracle(self):
         rng = np.random.default_rng(5)
@@ -394,16 +393,19 @@ class TestStackedFlatBound:
         census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
         self.check(census, BasePoint(GroupElement.from_integer([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
 
-    @pytest.mark.parametrize("base", ["origin", "float"])
+    @pytest.mark.parametrize("base", ["origin", "integer", "float"])
     def test_flat_values_are_flat_distance_bit_for_bit(self, base):
-        # the stacked F(0) shortcut and the rows it leaves to flat_distance both give
-        # exactly what flat_distance returns for the fixed flags of each element
+        # the stacked F(0) shortcut and the rows it leaves to the minimizer on their
+        # stacked witness both give exactly what flat_distance returns for the fixed
+        # flags of each element
         census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
         for lox in ([r for r in census_t6() if r.loxodromic], [r for r in census if r.loxodromic]):
             mats = np.array([rec.matrix for rec in lox], dtype=float)
             d = mats.shape[1]
-            x = BasePoint.origin(d) if base == "origin" else BasePoint(
-                GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, d)))
+            x = {"origin": BasePoint.origin(d),
+                 "integer": BasePoint(GroupElement.from_integer(
+                     {2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}[d])),
+                 "float": BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, d)))}[base]
             pairs = [fm.TransversePair(*fm.fixed_points(GroupElement(m, check=False))) for m in mats]
             want = [fm.flat_distance(x, pair) for pair in pairs]
             assert fm._fixed_flat_distances(x, *np.linalg.eig(mats)) == want

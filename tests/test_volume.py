@@ -5,11 +5,12 @@ import pytest
 
 from wcc import volume as V
 from wcc.errors import ParameterError, PreconditionError
-from wcc.rootsys import root_system
+from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain
 
 from volume_reference import (
     _sample_chamber_point,
+    _wall_scale,
     hc_integrand,
     lipschitz_probe,
     max_wall_distance,
@@ -45,7 +46,7 @@ def scanned_max_wall_distance(rs, t):
     b1, b2, _, _ = V._chamber_arc(rs)
     thetas = np.linspace(*bisected_chamber_window(rs), 2001)
     dirs = np.outer(np.cos(thetas), b1) + np.outer(np.sin(thetas), b2)
-    return t * max(V._wall_scale(rs, u) for u in dirs)
+    return t * max(_wall_scale(rs, u) for u in dirs)
 
 
 def grid_split_points(rs, t, margin):
@@ -55,7 +56,7 @@ def grid_split_points(rs, t, margin):
     th_lo, th_hi = bisected_chamber_window(rs)
 
     def wall_of(theta):
-        return V._wall_scale(rs, math.cos(theta) * b1 + math.sin(theta) * b2)
+        return _wall_scale(rs, math.cos(theta) * b1 + math.sin(theta) * b2)
 
     def refine(fn, a, b):
         # bisect a sign change of fn on [a, b]
@@ -163,7 +164,7 @@ class TestChamberGeometry:
         rs = root_system(3)
         b1, b2, lo, hi = V._chamber_arc(rs)
         for th in np.linspace(lo, hi, 401):
-            w = V._wall_scale(rs, math.cos(th) * b1 + math.sin(th) * b2)
+            w = _wall_scale(rs, math.cos(th) * b1 + math.sin(th) * b2)
             assert abs(w - math.sin(math.pi / 6 - abs(th))) < 1e-12
 
     @pytest.mark.parametrize("t", [0.5, 4.0, 8.0, 13.7])
@@ -184,6 +185,63 @@ class TestChamberGeometry:
         assert len(cuts) == len(oracle)
         assert np.allclose(cuts, oracle, rtol=0.0, atol=1e-12)
         assert V._arc_cuts(lo, hi, t, 0.0) == [lo, hi]
+
+
+class TestStackedWallDistance:
+    """The ball quadrature reads its wall distances from the stacked
+    ``RootSystemA.wall_distances``, one call per rule of outer nodes."""
+
+    @staticmethod
+    def rules(monkeypatch, t, margin):
+        """(a, b, lo2_fn) of each 2-D rule of the d=3 ball integral at this margin."""
+        calls = []
+        monkeypatch.setattr(V, "_log_quad_2d", lambda *args: calls.append(args) or (0.0, 0.0))
+        V._region_log_integral(root_system(3), Domain("ball", t), "hc", margin)
+        return [(a, b, lo2_fn) for _, a, b, lo2_fn, _, _ in calls]
+
+    @pytest.mark.parametrize("t, margin", [
+        (2.0, 0.1), (5.0, 1.0), (8.0, 0.8), (8.0, 2.0), (8.0, 3.9), (12.0, 5.9), (8.0, 4.0),
+    ])
+    def test_inner_bound_is_the_per_node_bound(self, monkeypatch, t, margin):
+        rs = root_system(3)
+        b1, b2, _, _ = V._chamber_arc(rs)
+        rules = self.rules(monkeypatch, t, margin)
+        assert bool(rules) == (margin < t / 2.0)  # t/2 is the largest wall distance
+        for a, b, lo2_fn in rules:
+            for n in (24, 48, 96, 192):
+                u = 0.5 * (b - a) * V._gauss_legendre(n)[0] + 0.5 * (b + a)
+                want = []
+                for th in u:
+                    w = _wall_scale(rs, math.cos(th) * b1 + math.sin(th) * b2)
+                    want.append(t if w <= 0.0 else min(t, margin / w))
+                assert np.broadcast_to(lo2_fn(u), u.shape).tobytes() == np.array(want).tobytes()
+
+    def test_slab_volume_calls_the_kernel_once_per_rule(self, monkeypatch):
+        kernel, shapes, per_rule, norms = RootSystemA.wall_distances, [], [], []
+        quad = V._log_quad_2d
+
+        def counted_quad(density, a, b, lo2_fn, hi2_fn, rel_tol=V.QUAD_REL_TOL):
+            def lo2(u):
+                before = len(shapes)
+                out = lo2_fn(u)
+                per_rule.append((len(u), shapes[before:]))
+                return out
+
+            return quad(density, a, b, lo2, hi2_fn, rel_tol)
+
+        monkeypatch.setattr(RootSystemA, "wall_distances",
+                            lambda rs, ys: shapes.append(np.shape(ys)) or kernel(rs, ys))
+        monkeypatch.setattr(RootSystemA, "dual_norm", lambda rs, c: norms.append(c))
+        monkeypatch.setattr(V, "_log_quad_2d", counted_quad)
+        V.slab_volume(root_system(3), 8.0, 0.8)
+        assert norms == []
+        # a rule of the margin-free integrals reads no wall distance, one of the
+        # 0.8-margin integral reads all its outer nodes at once
+        assert all(calls in ([], [(n, 3)]) for n, calls in per_rule)
+        in_rules = sum(len(calls) for _, calls in per_rule)
+        assert 0 < in_rules < len(per_rule) < 100
+        # the rest are the empty-window tests, one direction per piece of the 0.8 arc
+        assert shapes.count((3,)) == len(shapes) - in_rules == 4
 
 
 class TestPinnedVolumes:
@@ -312,7 +370,7 @@ class TestStackedQuadrature:
 
     @pytest.mark.parametrize("lo2_fn, hi2_fn", [
         (lambda u: u, lambda u: 1.0 - u),  # the inner window empties past u = 1/2
-        (lambda u: 0.0, lambda u: 1.0 if u < 0.0 else 0.0),  # empty where u >= 0
+        (lambda u: 0.0, lambda u: np.where(u < 0.0, 1.0, 0.0)),  # empty where u >= 0
         (lambda u: 1.0, lambda u: 1.0),  # empty everywhere
     ])
     def test_empty_inner_windows(self, lo2_fn, hi2_fn):

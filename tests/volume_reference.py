@@ -3,8 +3,11 @@ for the quadrature and the closed forms of ``wcc.volume``; and the Lipschitz and
 well-roundedness probes of the volume family, the largest wall distance of a
 domain and the pointwise Harish-Chandra density, which no command or acceptance
 criterion runs (they were ``wcc.volume.lipschitz_probe``, ``well_rounded_probe``,
-``max_wall_distance`` and ``hc_integrand``, unchanged); and the 2-D rule one outer
-node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``."""
+``max_wall_distance`` and ``hc_integrand``, unchanged); the 2-D rule one outer
+node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; and the wall
+distance of one direction at a time, the oracle of the stacked
+``RootSystemA.wall_distances`` in the ball quadrature (``wcc.volume._wall_scale``,
+unchanged)."""
 
 import itertools
 import math
@@ -24,11 +27,17 @@ from wcc.volume import (
     _log_sub,
     _ortho_basis,
     _region_log_integral,
-    _wall_scale,
     domain_volume,
     log_hc_integrand,
     logsumexp,
 )
+
+
+def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
+    """Wall distance of a unit direction (wall(r u) = r * wall(u))."""
+    return min(
+        max(0.0, float(c @ direction)) / rs.dual_norm(c) for c in rs.simple_roots
+    )
 
 
 def monte_carlo_volume(rs, domain, n_samples: int = 200000, seed: int = 3) -> dict:
@@ -201,7 +210,8 @@ def hc_integrand(rs_or_d, y) -> float:
 def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
     """Iterated integral with inner bounds depending on the outer variable, with one
     inner rule and one ``logsumexp`` per outer node (``wcc.volume._log_quad_2d`` before
-    it became one stacked pass)."""
+    it became one stacked pass).  The bounds map the outer-node array to arrays (or
+    scalars, broadcast) of bounds, as there."""
     if hi1 <= lo1:
         return LOG_ZERO, 0.0
 
@@ -209,9 +219,9 @@ def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_RE
         x, w = _gauss_legendre(n)
         u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
         logw_u = np.log(0.5 * (hi1 - lo1) * w)
+        lo2s, hi2s = np.broadcast_to(lo2_fn(u), u.shape), np.broadcast_to(hi2_fn(u), u.shape)
         pieces = []
-        for ui, lwi in zip(u, logw_u):
-            lo2, hi2 = lo2_fn(ui), hi2_fn(ui)
+        for ui, lwi, lo2, hi2 in zip(u, logw_u, lo2s, hi2s):
             if hi2 <= lo2:
                 continue
             v = 0.5 * (hi2 - lo2) * x + 0.5 * (hi2 + lo2)
