@@ -38,6 +38,7 @@ from .rootsys import root_system
 FRAME_ORTHO_TOL = 1e-8
 FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
+_SINGULAR_WITNESS = "witness frame is singular"
 
 
 def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
@@ -176,7 +177,7 @@ def _witness_frames(plus: np.ndarray, minus: np.ndarray):
             errors.append(f"subspaces meet in more than a line (d-th singular value {row_s[k]:.2e})"
                           if row_s[k] < 1e-7 else "degenerate intersection in witness construction")
         elif abs(det) < 1e-12:
-            errors.append("witness frame is singular")
+            errors.append(_SINGULAR_WITNESS)
         else:
             errors.append(None)
             if det < 0:
@@ -358,9 +359,39 @@ def _zero_sum_basis(d: int) -> np.ndarray:
 
 
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
-    """Distance from x to the maximal flat of a transverse pair: ``_flat_minimum`` of
-    m = h_x^-1 w, w the witness of the pair."""
+    """Distance from x to the maximal flat of a transverse pair: at d = 2 the one-row
+    case of ``_sl2_flat_distances``, else ``_flat_minimum`` of m = h_x^-1 w, w the
+    witness of the pair."""
+    if x.d == 2:
+        value, singular = _sl2_flat_distances(x, pair.xi_plus.frame[None], pair.xi_minus.frame[None])
+        if singular[0]:
+            raise TransversalityError(_SINGULAR_WITNESS)
+        return float(value[0])
     return _flat_minimum(_h_inverse(x) @ pair.witness.mat)
+
+
+def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
+    """Distance from x to the flat of each pair of a stack (n, 2, 2) of SO(2) frames, in
+    closed form, and which rows the witness refuses: |det[xi_1 eta_1]| < 1e-12 for the
+    first frame columns, the only witness test that unit columns can fail at d = 2.
+
+    The flat is the geodesic of H^2 between the lines of p = h_x^-1 xi_1 and
+    q = h_x^-1 eta_1.  Carried by h_x^-1 and a rotation to the geodesic (0, inf), whose
+    hyperbolic distance to z is asinh(|Re z| / Im z), its distance to o is
+    asinh(|<p, q>| / |det[p q]|) (Beardon, The Geometry of Discrete Groups, ch. 7), and
+    d_X = sqrt(2) d_H in the Killing normalisation.
+    """
+    ends = np.concatenate([plus[:, :, :1], minus[:, :, :1]], axis=2)  # columns xi_1, eta_1
+    singular = np.abs(_det2(ends)) < 1e-12
+    pq = _h_inverse(x) @ ends  # columns p, q
+    dot = pq[:, 0, 0] * pq[:, 0, 1] + pq[:, 1, 0] * pq[:, 1, 1]
+    det = np.where(singular, 1.0, _det2(pq))  # no division by a refused zero
+    return math.sqrt(2.0) * np.arcsinh(np.abs(dot / det)), singular
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (n, 2, 2), written out: no LU as in ``np.linalg.det``."""
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 1, 0] * m[:, 0, 1]
 
 
 def _flat_minimum(m: np.ndarray) -> float:
@@ -369,17 +400,21 @@ def _flat_minimum(m: np.ndarray) -> float:
     Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
     squared distance F(Y) = d_X(o, m exp(Y) o)^2: convex along the flat
     (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
-    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations,
-    when backtracking runs out, or when a step no longer lowers F beyond rounding
-    (near a nonzero minimum the gradient cannot reach a small ``FLAT_TOL`` in floating
-    point).  A stall away from the flat raises NumericError.
+    minimum.  The inverse Hessian starts at I / (2k), k the Killing scale: exact on a
+    flat through o, where F(Y) = k |Y|^2 in the orthonormal zero-sum basis.  It stops
+    at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when backtracking runs
+    out, or when a step no longer lowers F beyond rounding (near a nonzero minimum the
+    gradient cannot reach a small ``FLAT_TOL`` in floating point).  A stall away from
+    the flat raises NumericError.
     """
     d = m.shape[-1]
-    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    rs = root_system(d)
+    fg = _flat_value_and_grad(m, _zero_sum_basis(d), rs)
     y = np.zeros(d - 1)
     f, g = fg(y)
-    h = eye = np.eye(d - 1)
-    for it in range(200 * (d - 1)):
+    eye = np.eye(d - 1)
+    h = eye / (2.0 * rs.killing_scale)
+    for _ in range(200 * (d - 1)):
         if np.abs(g).max() <= FLAT_TOL:  # the test of _flat_start
             break
         p = -(h @ g)
@@ -398,8 +433,6 @@ def _flat_minimum(m: np.ndarray) -> float:
             break
         sy = float(s @ dg)
         if sy > 0.0:
-            if it == 0:
-                h = h * (sy / float(dg @ dg))
             a = eye - s[:, None] * dg / sy  # outer products s dg^T and s s^T
             h = a @ h @ a.T + s[:, None] * s / sy
     value = math.sqrt(f)
@@ -425,16 +458,25 @@ def _flat_start(x: BasePoint, witnesses: np.ndarray):
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
     """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
     stacked pass: per row the distance, or the library error that the per-element path
-    (``_eigen_flags``, ``TransversePair``, ``transverse_witness``) raises for it.  Rows
-    that ``_flat_start`` does not settle go to ``_flat_minimum`` on their witness."""
+    (``_eigen_flags``, ``TransversePair``, ``flat_distance``) raises for it.  At d = 2
+    every row is ``_sl2_flat_distances``; at d >= 3 the rows that ``_flat_start`` does
+    not settle go to ``_flat_minimum`` on their witness."""
     (plus, minus), real = _eigen_frames(eigvals, eigvecs)
     delta = _delta(_embedded_lines(plus), _perp_lines(minus))
-    witness, errors = _witness_frames(plus, minus)
+    if plus.shape[-1] == 2:
+        values, singular = _sl2_flat_distances(x, plus, minus)
+        errors = [_SINGULAR_WITNESS if row else None for row in singular.tolist()]
+    else:
+        witness, errors = _witness_frames(plus, minus)
     rows = [LoxodromyError(_NON_REAL) if not is_real
             else TransversalityError("flag pair is not transverse") if not gauge > 0.0
             else TransversalityError(error) if error else None
             for is_real, gauge, error in zip(real.tolist(), delta.tolist(), errors)]
     good = [i for i, row in enumerate(rows) if row is None]
+    if plus.shape[-1] == 2:
+        for i, value in zip(good, values[good].tolist()):
+            rows[i] = value
+        return rows
     f0, settled = _flat_start(x, witness[good])
     for i, f, done in zip(good, f0.tolist(), settled.tolist()):
         try:

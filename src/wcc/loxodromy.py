@@ -171,7 +171,10 @@ def certify(
             pair = fm.TransversePair(*pj._angular_flags(x, k, l))
             conditions["transverse_ok"] = True
             conditions["flat_dist"] = fm.flat_distance(x, pair)
-        except (TransversalityError, NumericError):
+        except TransversalityError:  # also the witness's refusal inside flat_distance
+            conditions["transverse_ok"] = False
+            pair = None
+        except NumericError:
             pair = None
 
     certified = bool(

@@ -1,3 +1,6 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,38 @@ def random_group_batch(rng, d, n, scale=0.6):
     k1 = pj.random_so(d, rng, size=n)
     k2 = pj.random_so(d, rng, size=n)
     return k1 @ (np.exp(ys)[:, :, None] * k2)
+
+
+@functools.cache
+def criterion4_elements():
+    """The constructed elements of acceptance criterion 4 as {d: [GroupElement]}: seed 4,
+    500 per rank (d = 2, then d = 3), each just past ``t_zero`` at the origin for the
+    (r, eps) of that criterion, with a conjugator of Cartan norm below 0.3 r."""
+    from wcc import loxodromy as lx
+    from wcc.rootsys import root_system
+
+    rng = np.random.default_rng(4)
+    out = {}
+    for d in (2, 3):
+        rs = root_system(d)
+        consts = lx.fitted_constants(d)
+        o = pj.BasePoint.origin(d)
+        r = 0.98 * consts.r0
+        eps = 0.9 * min(r / lx.cx_constant(o), consts.eps0)
+        margin = 1.05 * lx.t_zero(o, eps) / math.sqrt(d)
+        y = margin * (np.arange(d)[::-1] - (d - 1) / 2.0)
+        out[d] = []
+        for _ in range(500):
+            yh = rng.normal(size=d)
+            yh -= yh.mean()
+            yh *= rng.uniform(0.0, 0.3 * r) / max(rs.killing_norm(yh), 1e-12)
+            h = pj.random_so(d, rng) @ np.diag(np.exp(np.sort(yh)[::-1])) @ pj.random_so(d, rng)
+            signs = rng.choice([1.0, -1.0], size=d)
+            if np.prod(signs) < 0:
+                signs[0] *= -1
+            g = h @ (np.diag(np.exp(y)) @ np.diag(signs)) @ np.linalg.inv(h)
+            out[d].append(pj.GroupElement(g, check=False))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,29 @@
-"""Two earlier flat-distance solvers, kept unchanged as test references.
+"""Three earlier flat-distance solvers, kept unchanged as test references.
 
 ``reference_flat_distance``, the grid + Nelder-Mead + finite-difference BFGS
 solver, was ``wcc.flagmetric.flat_distance`` before the convex solve with the
 exact SVD gradient replaced it.  ``scipy_bfgs_flat_distance`` was that convex
 solve while it ran on ``scipy.optimize.minimize``, before the numpy BFGS.
+``reference_flat_minimum`` is that numpy BFGS as it ran at every d, from the
+identity inverse Hessian with a first-step rescale, before d = 2 took the closed
+form and d = 3 the inverse Hessian I / (2k).  ``decimal_sl2_flat_distance`` is the
+d = 2 closed form evaluated at 50 digits.
 """
 
+import decimal
 import itertools
 import math
 
 import numpy as np
 
 from wcc.errors import NumericError, TransversalityError
-from wcc.flagmetric import TransversePair, _flat_value_and_grad, _zero_sum_basis, gromov_product
+from wcc.flagmetric import (
+    FLAT_TOL,
+    TransversePair,
+    _flat_value_and_grad,
+    _zero_sum_basis,
+    gromov_product,
+)
 from wcc.projections import BasePoint
 from wcc.rootsys import root_system
 
@@ -110,3 +121,65 @@ def scipy_bfgs_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
     return value
+
+
+def reference_flat_minimum(m: np.ndarray) -> float:
+    """Distance from the origin to the flat m A o, for m = h_x^-1 w (``flat_distance``).
+
+    Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
+    squared distance F(Y) = d_X(o, m exp(Y) o)^2: convex along the flat
+    (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
+    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations,
+    when backtracking runs out, or when a step no longer lowers F beyond rounding
+    (near a nonzero minimum the gradient cannot reach a small ``FLAT_TOL`` in floating
+    point).  A stall away from the flat raises NumericError.
+    """
+    d = m.shape[-1]
+    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    y = np.zeros(d - 1)
+    f, g = fg(y)
+    h = eye = np.eye(d - 1)
+    for it in range(200 * (d - 1)):
+        if np.abs(g).max() <= FLAT_TOL:  # the test of _flat_start
+            break
+        p = -(h @ g)
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(60):
+            f_new, g_new = fg(y + t * p)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, dg = t * p, g_new - g
+        y, f_old, f, g = y + s, f, f_new, g_new
+        if f_old - f <= 1e-15 * f_old:
+            break
+        sy = float(s @ dg)
+        if sy > 0.0:
+            if it == 0:
+                h = h * (sy / float(dg @ dg))
+            a = eye - s[:, None] * dg / sy  # outer products s dg^T and s s^T
+            h = a @ h @ a.T + s[:, None] * s / sy
+    value = math.sqrt(f)
+    if value > 1e-3:
+        # gradient of the distance itself: grad F / (2 sqrt F)
+        grad_norm = float(np.linalg.norm(g)) / (2.0 * value)
+        if grad_norm > 1e-4 * max(1.0, value):
+            raise NumericError(
+                f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
+            )
+    return value
+
+
+def decimal_sl2_flat_distance(hinv: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> float:
+    """sqrt(2) asinh(|<p, q>| / |det[p q]|) for p = hinv xi and q = hinv eta, evaluated
+    at 50 digits from the exact values of the float inputs (asinh r = ln(r + sqrt(r^2 + 1)))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        h = [[decimal.Decimal(float(v)) for v in row] for row in hinv]
+        p, q = ([h[i][0] * decimal.Decimal(float(v[0])) + h[i][1] * decimal.Decimal(float(v[1]))
+                 for i in range(2)] for v in (xi, eta))
+        r = abs(p[0] * q[0] + p[1] * q[1]) / abs(p[0] * q[1] - p[1] * q[0])
+        return float(decimal.Decimal(2).sqrt() * (r + (r * r + 1).sqrt()).ln())

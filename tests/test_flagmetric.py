@@ -10,10 +10,12 @@ from wcc.errors import LoxodromyError, NumericError, PreconditionError, Transver
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
-from conftest import random_group
+from conftest import criterion4_elements, random_group
 from flagmetric_reference import hopf_inverse, is_transverse, reference_witness_frames, rn_derivative
 from flat_reference import (
+    decimal_sl2_flat_distance,
     reference_flat_distance,
+    reference_flat_minimum,
     reference_flat_objective,
     scipy_bfgs_flat_distance,
 )
@@ -462,13 +464,78 @@ class TestFlatDistanceReference:
             return lambda coords: (1e3 + tilt * float(coords.sum()), np.ones(d - 1))
 
         monkeypatch.setattr(fm, "_flat_value_and_grad", plane)
-        pair = fm.TransversePair(fm.eta0(d), fm.zeta0(d))
         with pytest.raises(NumericError, match="did not converge") as stalled:
-            fm.flat_distance(BasePoint.origin(d), pair)
+            fm._flat_minimum(np.eye(d))  # flat_distance takes the closed form at d = 2
         value, grad = map(float, re.search(r"value (\S+), gradient (\S+)$", str(stalled.value)).groups())
-        expected = math.sqrt(1e3 - 200 * (d - 1) ** 2) if tilted else math.sqrt(1e3)
+        # each step is -H g = -(1, ..., 1) / (2k): the inverse Hessian stays I / (2k)
+        k = root_system(d).killing_scale
+        expected = math.sqrt(1e3 - 200 * (d - 1) ** 2 / (2.0 * k)) if tilted else math.sqrt(1e3)
         assert value == pytest.approx(expected, rel=1e-12)
         assert grad == pytest.approx(math.sqrt(d - 1) / (2.0 * value), rel=1e-12)
+
+
+def certificate_pair(g, x):
+    """The pair whose flat a certificate of g at x measures: its two angular flags."""
+    k, _, l = pj.cartan_project(pj._conjugate(g, x))
+    return fm.TransversePair(*pj._angular_flags(x, k, l))
+
+
+class TestFlatDistanceOracle:
+    """The closed form at d = 2 and the I / (2k) start at d = 3 against the BFGS from the
+    identity that ran at every d before them."""
+
+    def test_sl2_closed_form_matches_the_bfgs(self):
+        # every fourth pair at a random float base point, the others at the three base
+        # points of the stacked flat-bound tests.  The BFGS is itself only as accurate as
+        # its stop test (|grad F| <= FLAT_TOL) and its SVD allow; where it is further from
+        # the 50-digit closed form than the tolerance, the float closed form must be nearer.
+        def close(a, b):
+            return abs(a - b) <= (1e-12 * b if b > 1e-6 else 1e-15)
+
+        rng = np.random.default_rng(2000)
+        fixed = [BasePoint.origin(2), BasePoint(GroupElement.from_integer([[2, 1], [1, 1]])),
+                 BasePoint(GroupElement.from_cartan_vector([0.3, -0.3]))]
+        oracle_off = 0
+        for i in range(2000):
+            x = fixed[i % 4 - 1] if i % 4 else BasePoint(random_group(rng, 2, rng.uniform(0.1, 2.0)))
+            pair = fm.TransversePair(fm.Flag(pj.random_so(2, rng)), fm.Flag(pj.random_so(2, rng)))
+            hinv = pj._h_inverse(x)
+            new = fm.flat_distance(x, pair)
+            ref = reference_flat_minimum(hinv @ pair.witness.mat)
+            exact = decimal_sl2_flat_distance(hinv, pair.xi_plus.frame[:, 0], pair.xi_minus.frame[:, 0])
+            assert close(new, exact), (i, new, exact)
+            if not close(ref, exact):
+                oracle_off += 1
+                assert abs(new - exact) < abs(ref - exact), (i, new, ref, exact)
+            else:
+                assert close(new, ref), (i, new, ref)
+        assert oracle_off <= 20
+
+    def test_sl3_scaled_start_matches_the_bfgs(self):
+        o = BasePoint.origin(3)
+        for g in criterion4_elements()[3]:
+            pair = certificate_pair(g, o)
+            new, ref = fm.flat_distance(o, pair), reference_flat_minimum(pair.witness.mat)
+            assert abs(new - ref) <= 1e-12 * ref, (new, ref)
+
+    @pytest.mark.parametrize("sine, refused", [(0.99e-12, True), (1.01e-12, False)])
+    def test_singular_witness_refused_in_both_paths(self, sine, refused):
+        # fixed flags through e_1 and a line at angle asin(sine) to it: transverse, but
+        # |det[xi_1 eta_1]| = sine is just below (or above) the witness's 1e-12
+        eigvals = np.array([2.0, 0.5])
+        eigvecs = np.array([[1.0, math.sqrt(1.0 - sine * sine)], [0.0, sine]])
+        pair = fm.TransversePair(*fm._eigen_flags(eigvals, eigvecs))
+        o = BasePoint.origin(2)
+        stacked = fm._fixed_flat_distances(o, eigvals[None], eigvecs[None])
+        if refused:
+            for call in (lambda: fm.flat_distance(o, pair), lambda: pair.witness):
+                with pytest.raises(TransversalityError, match="^witness frame is singular$"):
+                    call()
+            assert isinstance(stacked[0], TransversalityError)
+            assert str(stacked[0]) == "witness frame is singular"
+        else:
+            assert stacked == [fm.flat_distance(o, pair)]
+            assert stacked[0] > 30.0
 
 
 class TestCorridors:

@@ -8,11 +8,14 @@ import pytest
 from wcc import flagmetric as fm
 from wcc import loxodromy as lx
 from wcc import projections as pj
+from wcc import survey as sv
 from wcc.errors import LoxodromyError, NumericError, ParameterError, PreconditionError
+from wcc.lattice import LatticeSpec, enumerate_elements
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
+from wcc.volume import Domain
 
-from conftest import random_group
+from conftest import criterion4_elements, random_group
 from constants_reference import _fit_constants, dist_d2
 from loxodromy_reference import contraction_check, reference_jordan_cartan_gap
 from projection_reference import dist_x, is_loxodromic
@@ -328,6 +331,10 @@ class TestVerdictTable:
                     pj._integer_inverse(x.h.int_mat) @ np.array(g.int_mat, dtype=object)
                     @ np.array(x.h.int_mat, dtype=object)) if x.h.int_mat is not None else g
                 old["wall_distance"] = root_system(g.d).wall_distance(pj.cartan_vector(conj))
+            # the flat distance is now the closed form at d = 2 and the BFGS from I / (2k)
+            # at d = 3, so it moves in the last digits
+            new_flat, old_flat = new.pop("flat_dist"), old.pop("flat_dist")
+            assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), label
             assert new == old, label
 
     def test_wide_integer_wall_distance_is_exact(self):
@@ -349,18 +356,69 @@ class TestVerdictTable:
             assert calls == ["eig"]
 
     def test_one_determinant_per_frame(self, monkeypatch):
-        # Cartan frame, two angular flags, the witness, and the two fixed flags in the one
-        # stacked det of _eigen_frames; for d = 3 also the five 2 x 2 minor stacks
+        # Cartan frame, two angular flags, the witness (d = 3 only: the d = 2 flat distance
+        # has no witness), and the two fixed flags in the one stacked det of _eigen_frames;
+        # for d = 3 also the five 2 x 2 minor stacks
         calls = []
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(np.shape(m)) or det(m))
-        for d, n_calls in ((2, 5), (3, 10)):
+        for d, n_calls in ((2, 4), (3, 10)):
             o, r, eps = admissible_parameters(d)
             calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
             assert len(calls) == n_calls
             assert calls.count((2, d, d)) == 1  # the forward and backward eigenflag frames
+
+
+class TestFlatDistanceWork:
+    """What a certificate's flat distance runs: the closed form at d = 2, and at d = 3 a
+    BFGS that starts from the exact Hessian of a flat through the base point."""
+
+    def test_sl2_runs_no_witness_and_no_optimizer(self, monkeypatch):
+        calls = []
+        for name in ("_flat_minimum", "_witness_frames"):
+            fn = getattr(fm, name)
+            monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        o, r, eps = admissible_parameters(2)
+        for g in criterion4_elements()[2][:50]:
+            assert lx.certify(g, o, r, eps).certified
+        census = enumerate_elements(LatticeSpec("sl2"), Domain("ball", 6.0))[0]
+        for x in (None, BasePoint(GroupElement.from_integer([[2, 1], [1, 1]]))):
+            assert sv.flat_bound_survey(census, x)["checked"] > 0
+        assert calls == []
+        o, r, eps = admissible_parameters(3)  # the wrappers do see the d = 3 calls
+        assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
+        assert sorted(calls) == ["_flat_minimum", "_witness_frames"]
+
+    def test_sl3_optimizer_evaluations(self, monkeypatch):
+        solves, evaluations = [], []
+        make = fm._flat_value_and_grad
+
+        def counting(m, basis, rs):
+            fg = make(m, basis, rs)
+            solves.append(1)
+            return lambda coords: evaluations.append(1) or fg(coords)
+
+        monkeypatch.setattr(fm, "_flat_value_and_grad", counting)
+        o, r, eps = admissible_parameters(3)
+        for g in criterion4_elements()[3]:
+            assert lx.certify(g, o, r, eps).certified
+        assert len(solves) == 500
+        assert len(evaluations) / len(solves) <= 4.5  # 6.0 from the identity
+
+    def test_witness_refusal_is_not_transverse(self):
+        # the angular flags meet at an angle of 1e-13: transverse (delta > 0), but the
+        # witness refuses them, so condition (ii) fails at transversality
+        o, r, eps = admissible_parameters(2)
+        s, phi = lx.t_zero(o, eps), math.pi / 2 + 1e-13
+        rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        g = GroupElement(np.diag([math.exp(s), math.exp(-s)]) @ rot.T, check=False)
+        cert = lx.certify(g, o, r, eps)
+        assert cert.conditions["wall_margin_ok"]
+        assert not cert.conditions["transverse_ok"]
+        assert cert.conditions["flat_dist"] == math.inf
+        assert not cert.certified
 
 
 def _clear_base_point_caches():
