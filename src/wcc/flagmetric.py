@@ -75,11 +75,7 @@ class Flag:
             gram_err = np.abs(frame.T @ frame - np.eye(frame.shape[0])).max()
             if gram_err > FRAME_ORTHO_TOL:
                 raise PreconditionError(f"flag frame is not orthonormal (error {gram_err:.2e})")
-        if np.linalg.det(frame) < 0:
-            # the last column never enters the flag data (k <= d-1), so the
-            # sign flip is a pure gauge fix into SO(d)
-            frame = frame.copy()
-            frame[:, -1] *= -1.0
+        _so_sign_fix(frame)  # the last column never enters the flag data: a pure gauge fix
         self.frame = frame
 
     @classmethod
@@ -237,12 +233,7 @@ def gromov_product(xi: Flag, eta: Flag, x: BasePoint | None = None) -> np.ndarra
         if delta_k <= 0.0:
             raise TransversalityError("Gromov product undefined: pair is not transverse")
         weights.append(-math.log(delta_k))
-    y = np.empty(d)
-    y[0] = weights[0]
-    for k in range(1, d - 1):
-        y[k] = weights[k] - weights[k - 1]
-    y[d - 1] = -weights[d - 2]
-    return y
+    return np.diff([0.0, *weights, -0.0])  # y_k = w_k - w_{k-1}; -0.0 - w is -w also at w = 0
 
 
 def bms_weight(xi: Flag, eta: Flag, x: BasePoint | None = None) -> float:
@@ -347,27 +338,40 @@ def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
 @lru_cache(maxsize=None)
 def _zero_sum_basis(d: int) -> np.ndarray:
     """Euclidean-orthonormal basis rows of the zero-sum subspace, read-only, once per d."""
-    basis = []
-    for k in range(1, d):
-        v = np.zeros(d)
-        v[:k] = 1.0
-        v[k] = -float(k)
-        basis.append(v / np.linalg.norm(v))
-    basis = np.array(basis)
+    k = np.arange(1, d)
+    basis = np.tri(d - 1, d)  # row k - 1 is (1, ..., 1, -k, 0, ..., 0) with k ones, normalised
+    basis[k - 1, k] = -k
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
     basis.flags.writeable = False
     return basis
 
 
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
-    """Distance from x to the maximal flat of a transverse pair: at d = 2 the one-row
-    case of ``_sl2_flat_distances``, else ``_flat_minimum`` of m = h_x^-1 w, w the
-    witness of the pair."""
+    """Distance from x to the maximal flat of a transverse pair: the one-row case of
+    ``_flat_distances``."""
+    value = _flat_distances(x, pair.xi_plus.frame[None], pair.xi_minus.frame[None])[0]
+    if isinstance(value, WccError):
+        raise value
+    return value
+
+
+def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
+    """Distance from x to the maximal flat of each pair of a stack (n, d, d) of SO(d)
+    frames: per row the distance, or the library error the row raises.  At d = 2 the
+    closed form ``_sl2_flat_distances``; at d >= 3 ``_flat_minimum`` of m = h_x^-1 w,
+    w the row's witness (``_witness_frames``)."""
     if x.d == 2:
-        value, singular = _sl2_flat_distances(x, pair.xi_plus.frame[None], pair.xi_minus.frame[None])
-        if singular[0]:
-            raise TransversalityError(_SINGULAR_WITNESS)
-        return float(value[0])
-    return _flat_minimum(_h_inverse(x) @ pair.witness.mat)
+        values, singular = _sl2_flat_distances(x, plus, minus)
+        return [TransversalityError(_SINGULAR_WITNESS) if bad else value
+                for value, bad in zip(values.tolist(), singular.tolist())]
+    witness, errors = _witness_frames(plus, minus)
+    hinv, rows = _h_inverse(x), []
+    for w, error in zip(witness, errors):
+        try:
+            rows.append(TransversalityError(error) if error else _flat_minimum(hinv @ w))
+        except WccError as exc:
+            rows.append(exc)
+    return rows
 
 
 def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
@@ -406,6 +410,12 @@ def _flat_minimum(m: np.ndarray) -> float:
     out, or when a step no longer lowers F beyond rounding (near a nonzero minimum the
     gradient cannot reach a small ``FLAT_TOL`` in floating point).  A stall away from
     the flat raises NumericError.
+
+    The float64 SVD gives the least singular value of m exp(Y) only to eps s_1 / s_d
+    relative, so accuracy falls with distance: for one seeded d = 3 pair and x =
+    exp(diag(e, -e/2, -e/2) ln 10) the value is within 1.2e-13 relative of the test
+    oracle ``reference_flat_minimum`` at e = 2 (d_X(o, x) = 13.8), 8.0e-12 at e = 4 and
+    2.3e-8 at e = 6; from e = 11 (d_X = 76.0) it raises NumericError near 70.
     """
     d = m.shape[-1]
     rs = root_system(d)
@@ -415,7 +425,7 @@ def _flat_minimum(m: np.ndarray) -> float:
     eye = np.eye(d - 1)
     h = eye / (2.0 * rs.killing_scale)
     for _ in range(200 * (d - 1)):
-        if np.abs(g).max() <= FLAT_TOL:  # the test of _flat_start
+        if np.abs(g).max() <= FLAT_TOL:
             break
         p = -(h @ g)
         slope = float(g @ p)
@@ -446,41 +456,16 @@ def _flat_minimum(m: np.ndarray) -> float:
     return value
 
 
-def _flat_start(x: BasePoint, witnesses: np.ndarray):
-    """F(0) of ``flat_distance`` for a stack (n, d, d) of witnesses, and which rows meet
-    its stop test at once, on a finite start: ``flat_distance`` returns sqrt(F(0))
-    for those, and its stall test cannot fire there."""
-    d = x.d
-    f, g, ok = _flat_rows(_h_inverse(x) @ witnesses, _zero_sum_basis(d), root_system(d).killing_scale)
-    return f, ok & (np.abs(g).max(axis=-1) <= FLAT_TOL)
-
-
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
     """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
     stacked pass: per row the distance, or the library error that the per-element path
-    (``_eigen_flags``, ``TransversePair``, ``flat_distance``) raises for it.  At d = 2
-    every row is ``_sl2_flat_distances``; at d >= 3 the rows that ``_flat_start`` does
-    not settle go to ``_flat_minimum`` on their witness."""
+    (``_eigen_flags``, ``TransversePair``, ``flat_distance``) raises for it.  The rows
+    with a real spectrum and transverse fixed flags go to ``_flat_distances``."""
     (plus, minus), real = _eigen_frames(eigvals, eigvecs)
     delta = _delta(_embedded_lines(plus), _perp_lines(minus))
-    if plus.shape[-1] == 2:
-        values, singular = _sl2_flat_distances(x, plus, minus)
-        errors = [_SINGULAR_WITNESS if row else None for row in singular.tolist()]
-    else:
-        witness, errors = _witness_frames(plus, minus)
     rows = [LoxodromyError(_NON_REAL) if not is_real
-            else TransversalityError("flag pair is not transverse") if not gauge > 0.0
-            else TransversalityError(error) if error else None
-            for is_real, gauge, error in zip(real.tolist(), delta.tolist(), errors)]
-    good = [i for i, row in enumerate(rows) if row is None]
-    if plus.shape[-1] == 2:
-        for i, value in zip(good, values[good].tolist()):
-            rows[i] = value
-        return rows
-    f0, settled = _flat_start(x, witness[good])
-    for i, f, done in zip(good, f0.tolist(), settled.tolist()):
-        try:
-            rows[i] = math.sqrt(f) if done else _flat_minimum(_h_inverse(x) @ witness[i])
-        except WccError as exc:
-            rows[i] = exc
-    return rows
+            else TransversalityError("flag pair is not transverse") if not gauge > 0.0 else None
+            for is_real, gauge in zip(real.tolist(), delta.tolist())]
+    good = np.array([row is None for row in rows], dtype=bool)
+    flats = iter(_flat_distances(x, plus[good], minus[good]))
+    return [next(flats) if row is None else row for row in rows]

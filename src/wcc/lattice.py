@@ -157,24 +157,17 @@ def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_poin
     The columns are those of m, the displacement seen from x = h.o; the matrix
     is h m h^-1 (m itself at the origin).  Rows are ordered by
     (round(|a|^2, 12), matrix entries).  sl2 membership is the exact integer
-    mass cap; sl3 membership is the float test of ``Domain.contains_cartan``.
+    mass cap with ``Domain.filter_rows``; sl3 membership is ``Domain.contains_rows``.
     """
     d = rs.d
     mats = table.reshape(-1, d, d)
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
-    roots = np.array(rs.simple_roots)
     walls = rs.wall_distances(cartan)
-    if d == 2:
-        inside = np.einsum("ij,ij->i", table, table) <= _sl2_mass_cap(domain, rs)
-    elif domain.kind == "ball":
-        inside = np.sqrt(rs.killing_scale * np.vecdot(cartan, cartan)) <= domain.t
+    if d == 2:  # the exact mass cap in place of the float ball or box test
+        inside = domain.filter_rows(np.einsum("ij,ij->i", table, table) <= _sl2_mass_cap(domain, rs), walls)
     else:
-        inside = np.all(cartan @ roots.T <= domain.t * np.array(domain.edges), axis=1)
-    if domain.regular_margin is not None:
-        inside &= walls > domain.regular_margin
-    if domain.slab is not None:
-        inside &= walls <= domain.slab
+        inside = domain.contains_rows(rs, cartan, walls)
     keep = np.flatnonzero(inside)
     table = table[keep] if base_point is None else _conjugate(table[keep], base_point)
     order = np.lexsort((*table.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))

@@ -415,8 +415,9 @@ def _angular_flags(x: BasePoint, k: np.ndarray, l: np.ndarray):
     from .flagmetric import Flag
 
     rev = root_system(len(k)).reversal_frame()
-    plus, minus = flag_frame_action(x.h.mat, np.stack([k, l @ rev]))
-    return Flag(plus), Flag(minus)
+    frames = flag_frame_action(x.h.mat, np.stack([k, l @ rev]))
+    _so_sign_fix(frames)
+    return Flag._of_so_frame(frames[0]), Flag._of_so_frame(frames[1])
 
 
 def angular_points(g: GroupElement, x: BasePoint):

@@ -69,21 +69,24 @@ class Domain:
             )
 
     def contains_cartan(self, rs: RootSystemA, a) -> bool:
-        """Membership of a chamber vector, including the optional filters."""
-        a = np.asarray(a, dtype=float)
+        """Membership of a closed-chamber vector (checked): the one-row ``contains_rows``."""
+        wall = rs.wall_distance(a)
+        return bool(self.contains_rows(rs, np.asarray(a, dtype=float)[None], np.array([wall]))[0])
+
+    def contains_rows(self, rs: RootSystemA, cartan: np.ndarray, walls: np.ndarray) -> np.ndarray:
+        """Membership of (n, d) Cartan rows with their wall distances, unchecked: the
+        ball or box test, then ``filter_rows``."""
         if self.kind == "ball":
-            if rs.killing_norm(a) > self.t:
-                return False
-        else:
-            self.for_dimension(rs.d)
-            for edge, beta in zip(self.edges, rs.simple_roots):
-                if float(beta @ a) > self.t * edge:
-                    return False
+            return self.filter_rows(np.sqrt(rs.killing_scale * np.vecdot(cartan, cartan)) <= self.t, walls)
+        self.for_dimension(rs.d)
+        roots = np.array(rs.simple_roots)
+        return self.filter_rows(np.all(cartan @ roots.T <= self.t * np.array(self.edges), axis=-1), walls)
+
+    def filter_rows(self, inside: np.ndarray, walls: np.ndarray) -> np.ndarray:
+        """The rows of ``inside`` whose wall distance the optional filters keep."""
         if self.regular_margin is not None:
-            return rs.wall_distance(a) > self.regular_margin
-        if self.slab is not None:
-            return rs.wall_distance(a) <= self.slab
-        return True
+            return inside & (walls > self.regular_margin)
+        return inside & (walls <= self.slab) if self.slab is not None else inside
 
     def max_top_weight(self, rs: RootSystemA) -> float:
         """Sup of the top fundamental weight (log of the largest singular

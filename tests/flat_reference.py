@@ -140,7 +140,7 @@ def reference_flat_minimum(m: np.ndarray) -> float:
     f, g = fg(y)
     h = eye = np.eye(d - 1)
     for it in range(200 * (d - 1)):
-        if np.abs(g).max() <= FLAT_TOL:  # the test of _flat_start
+        if np.abs(g).max() <= FLAT_TOL:
             break
         p = -(h @ g)
         slope = float(g @ p)

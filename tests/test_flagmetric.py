@@ -234,12 +234,20 @@ class TestRadonNikodym:
             math.exp(float(rs.two_rho @ y)), rel=1e-12
         )
 
+    @staticmethod
+    def stacked_rn_derivative(g, frames):
+        # rn_derivative of every frame of a stack, from one stacked Iwasawa cocycle
+        vals = np.exp(-(pj.iwasawa_batch(g.inverse().mat, frames) @ root_system(g.d).two_rho))
+        for f, val in zip(frames[:5], vals[:5]):
+            assert val == pytest.approx(rn_derivative(g, fm.Flag(f, check=False)), rel=1e-12)
+        return vals
+
     def test_total_mass_preserved(self):
         rng = np.random.default_rng(12)
         g = random_group(rng, 3, 0.7)
         n = 20000
         frames = pj.random_so(3, rng, size=n)
-        vals = np.array([rn_derivative(g, fm.Flag(f, check=False)) for f in frames])
+        vals = self.stacked_rn_derivative(g, frames)
         err = vals.std(ddof=1) / math.sqrt(n)
         assert abs(vals.mean() - 1.0) < 3.0 * err
 
@@ -257,9 +265,11 @@ class TestRadonNikodym:
             s = flag_frames[:, 1, 0]
             return (c * s) ** 2 + 0.3 * (c**2 - s**2)
 
-        weights = np.array([rn_derivative(g, fm.Flag(fr, check=False)) for fr in frames])
+        weights = self.stacked_rn_derivative(g, frames)
         lhs = float(np.mean(f(frames) * weights))
-        moved = np.array([fm.Flag(fr, check=False).translate(g).frame for fr in frames])
+        moved = pj.flag_frame_action(g.mat, frames)  # Flag.translate, stacked
+        for fr, mv in zip(frames[:5], moved[:5]):
+            np.testing.assert_allclose(mv, fm.Flag(fr, check=False).translate(g).frame, rtol=0, atol=1e-12)
         rhs = float(np.mean(f(moved)))
         scale = np.std(f(frames) * weights) / math.sqrt(n) + np.std(f(moved)) / math.sqrt(n)
         assert abs(lhs - rhs) < 4.0 * scale

@@ -356,19 +356,19 @@ class TestVerdictTable:
             assert calls == ["eig"]
 
     def test_one_determinant_per_frame(self, monkeypatch):
-        # Cartan frame, two angular flags, the witness (d = 3 only: the d = 2 flat distance
-        # has no witness), and the two fixed flags in the one stacked det of _eigen_frames;
-        # for d = 3 also the five 2 x 2 minor stacks
+        # Cartan frame, the two angular flags in one stacked det, the witness (d = 3 only:
+        # the d = 2 flat distance has no witness), and the two fixed flags in the one
+        # stacked det of _eigen_frames; for d = 3 also the five 2 x 2 minor stacks
         calls = []
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(np.shape(m)) or det(m))
-        for d, n_calls in ((2, 4), (3, 10)):
+        for d, n_calls in ((2, 3), (3, 9)):
             o, r, eps = admissible_parameters(d)
             calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
             assert len(calls) == n_calls
-            assert calls.count((2, d, d)) == 1  # the forward and backward eigenflag frames
+            assert calls.count((2, d, d)) == 2  # the angular and the fixed-flag frame pairs
 
 
 class TestFlatDistanceWork:
@@ -390,6 +390,20 @@ class TestFlatDistanceWork:
         o, r, eps = admissible_parameters(3)  # the wrappers do see the d = 3 calls
         assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
         assert sorted(calls) == ["_flat_minimum", "_witness_frames"]
+
+    def test_sl3_certificate_and_fixed_flags_share_one_kernel(self, monkeypatch):
+        # both paths hand their frame pairs to the stacked kernel; neither builds a witness
+        # through the per-pair transverse_witness
+        calls = []
+        for name in ("_flat_distances", "transverse_witness"):
+            fn = getattr(fm, name)
+            monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        o, r, eps = admissible_parameters(3)
+        elements = criterion4_elements()[3][:5]
+        assert lx.certify(elements[0], o, r, eps).certified
+        rows = fm._fixed_flat_distances(o, *np.linalg.eig(np.array([g.mat for g in elements])))
+        assert all(isinstance(row, float) for row in rows)
+        assert calls == ["_flat_distances", "_flat_distances"]
 
     def test_sl3_optimizer_evaluations(self, monkeypatch):
         solves, evaluations = [], []

@@ -395,9 +395,8 @@ class TestStackedFlatBound:
 
     @pytest.mark.parametrize("base", ["origin", "integer", "float"])
     def test_flat_values_are_flat_distance_bit_for_bit(self, base):
-        # the stacked F(0) shortcut and the rows it leaves to the minimizer on their
-        # stacked witness both give exactly what flat_distance returns for the fixed
-        # flags of each element
+        # the stacked fixed-flag distances give exactly what flat_distance returns for
+        # the fixed flags of each element
         census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
         for lox in ([r for r in census_t6() if r.loxodromic], [r for r in census if r.loxodromic]):
             mats = np.array([rec.matrix for rec in lox], dtype=float)
@@ -409,8 +408,6 @@ class TestStackedFlatBound:
             pairs = [fm.TransversePair(*fm.fixed_points(GroupElement(m, check=False))) for m in mats]
             want = [fm.flat_distance(x, pair) for pair in pairs]
             assert fm._fixed_flat_distances(x, *np.linalg.eig(mats)) == want
-            _, settled = fm._flat_start(x, np.array([pair.witness.mat for pair in pairs]))
-            assert settled.any() if base == "origin" else not settled.all()
 
     @staticmethod
     def check(census, x):
