@@ -37,6 +37,7 @@ from .rootsys import root_system
 
 FRAME_ORTHO_TOL = 1e-8
 FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
+FLAT_RESOLUTION = 1e-5  # d >= 3 flat distances are refused where eps s_1 / s_d exceeds this
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 _SINGULAR_WITNESS = "witness frame is singular"
 
@@ -126,10 +127,16 @@ def zeta0(d: int) -> Flag:
 
 def dist_d(xi: Flag, eta: Flag) -> float:
     """Boundary distance: max over k of the sine of the wedge-line angle."""
+    return float(_dist_d(xi.embedded_lines, eta.embedded_lines))
+
+
+def _dist_d(lines, others):
+    """``dist_d`` from the embedded lines of xi and of eta, over any leading axes."""
     worst = 0.0
-    for u, v in zip(xi.embedded_lines, eta.embedded_lines):
-        c = min(1.0, abs(float(u @ v)))
-        worst = max(worst, math.sqrt(max(0.0, 1.0 - c * c)))
+    for u, v in zip(lines, others):
+        # fmin and fmax: a NaN keeps the other operand, as Python's min and max do here
+        c = np.fmin(1.0, np.abs(np.vecdot(u, v)))
+        worst = np.fmax(worst, np.sqrt(np.fmax(0.0, 1.0 - c * c)))
     return worst
 
 
@@ -205,6 +212,14 @@ class TransversePair:
         if self.delta_value <= 0.0:
             raise TransversalityError("flag pair is not transverse")
 
+    @classmethod
+    def _of_so_frames(cls, plus: np.ndarray, minus: np.ndarray, delta_value: float) -> TransversePair:
+        """The pair of two SO(d) frames whose positive gauge value is known, taken as it is."""
+        pair = cls.__new__(cls)
+        pair.xi_plus, pair.xi_minus = Flag._of_so_frame(plus), Flag._of_so_frame(minus)
+        pair.delta_value = delta_value
+        return pair
+
     @cached_property
     def witness(self) -> GroupElement:
         return transverse_witness(self.xi_plus, self.xi_minus)
@@ -277,62 +292,51 @@ def fixed_points(g: GroupElement):
     lam, is_lox, eig = _jordan_solve(g, TAU_LOX_DEFAULT, vectors=True)
     if not is_lox:
         raise LoxodromyError(f"element is not loxodromic: jordan projection {lam}")
-    return _eigen_flags(*eig)
+    (plus, minus), real = _eigen_frames(*eig)
+    if not real:
+        raise LoxodromyError(_NON_REAL)
+    return Flag._of_so_frame(plus), Flag._of_so_frame(minus)
+
+
+def _eigen_basis(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """Real eigenbases of eigen-pairs over leading axes, by decreasing eigenvalue modulus,
+    and which rows have a real spectrum (the bases of the others are meaningless)."""
+    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
+    order = np.argsort(-np.abs(eigvals.real), axis=-1)
+    return np.take_along_axis(eigvecs.real, order[..., None, :], axis=-1), real
 
 
 def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
     """Frames (2, ..., d, d) of the forward and backward eigenflags of eigen-pairs over
     leading axes, gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real
-    spectrum (the frames of the others are meaningless)."""
-    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
-    order = np.argsort(-np.abs(eigvals.real), axis=-1)
-    basis = np.take_along_axis(eigvecs.real, order[..., None, :], axis=-1)
+    spectrum (``_eigen_basis``)."""
+    basis, real = _eigen_basis(eigvals, eigvecs)
     frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
     _so_sign_fix(frames)
     return frames, real
-
-
-def _eigen_flags(eigvals: np.ndarray, eigvecs: np.ndarray):
-    """Attracting and repelling flags of one element from its eigen-pairs."""
-    (plus, minus), real = _eigen_frames(eigvals, eigvecs)
-    if not real:
-        raise LoxodromyError(_NON_REAL)
-    return Flag._of_so_frame(plus), Flag._of_so_frame(minus)
 
 
 # ------------------------------------------------------------------- flats
 
 
 def _flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):
-    """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), and its exact gradient
-    along ``basis`` (of Y in m exp(Y), at Y = 0), for a stack (n, d, d) of m, and which
-    rows have finite nonzero singular values (the others carry no value):
-    ds_i = u_i^T dM v_i gives d log s_i / d y_j = vh[i, j]^2, so
-    grad F = 2k (vh^2)^T (a - mean(a)).
-    """
+    """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), its exact gradient and
+    Hessian along ``basis`` (of Y in m exp(Y), at Y = 0) and log(s_1 / s_d), for a stack
+    (n, d, d) of m, and which rows have finite nonzero singular values (the others carry
+    no value).  With z_ij = (vh_i * vh_j) @ basis^T, d log s_i / dY = z_ii, so
+    grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
+    phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o."""
     _, s, vh = np.linalg.svd(ms)
     ok = np.isfinite(s).all(axis=-1) & (s[..., -1] > 0.0)
     a = np.log(np.where(ok[..., None], s, 1.0))
     a -= a.sum(axis=-1, keepdims=True) / a.shape[-1]  # np.mean, without its overhead
-    return k * np.vecdot(a, a), 2.0 * k * ((a[..., None, :] @ (vh * vh)) @ basis.T)[..., 0, :], ok
-
-
-def _flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
-    """F(Y) = d_X(o, m exp(Y) o)^2 and its gradient along ``basis``: ``_flat_rows`` of
-    the one-row stack m exp(Y)."""
-    k = rs.killing_scale
-
-    def fg(coords: np.ndarray):
-        y = coords @ basis
-        # keep exp() finite during line searches; F is coercive, so a growing
-        # penalty outside the window cannot hide the minimum
-        if np.abs(y).max() <= 250.0:
-            f, g, ok = _flat_rows((m * np.exp(y))[None], basis, k)
-            if ok[0]:
-                return float(f[0]), g[0]
-        return 1e12 + float(coords @ coords), 2.0 * coords
-
-    return fg
+    grad = 2.0 * k * ((a[..., None, :] @ (vh * vh)) @ basis.T)[..., 0, :]
+    n, d = s.shape
+    z = (vh[:, :, None, :] * vh[:, None, :, :]).reshape(n, d * d, d) @ basis.T
+    diff = (a[:, :, None] - a[:, None, :]).reshape(n, d * d, 1)
+    phi = np.divide(diff, np.tanh(diff), out=np.ones_like(diff), where=diff != 0.0)
+    hess = 2.0 * k * (z.swapaxes(1, 2) @ (phi * z))
+    return k * np.vecdot(a, a), grad, hess, a[:, 0] - a[:, -1], ok
 
 
 @lru_cache(maxsize=None)
@@ -401,51 +405,53 @@ def _det2(m: np.ndarray) -> np.ndarray:
 def _flat_minimum(m: np.ndarray) -> float:
     """Distance from the origin to the flat m A o, for m = h_x^-1 w (``flat_distance``).
 
-    Dense BFGS with Armijo backtracking from Y = 0 with the exact gradient on the
-    squared distance F(Y) = d_X(o, m exp(Y) o)^2: convex along the flat
-    (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
-    minimum.  The inverse Hessian starts at I / (2k), k the Killing scale: exact on a
-    flat through o, where F(Y) = k |Y|^2 in the orthonormal zero-sum basis.  It stops
-    at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when backtracking runs
-    out, or when a step no longer lowers F beyond rounding (near a nonzero minimum the
-    gradient cannot reach a small ``FLAT_TOL`` in floating point).  A stall away from
-    the flat raises NumericError.
-
-    The float64 SVD gives the least singular value of m exp(Y) only to eps s_1 / s_d
-    relative, so accuracy falls with distance: for one seeded d = 3 pair and x =
-    exp(diag(e, -e/2, -e/2) ln 10) the value is within 1.2e-13 relative of the test
-    oracle ``reference_flat_minimum`` at e = 2 (d_X(o, x) = 13.8), 8.0e-12 at e = 4 and
-    2.3e-8 at e = 6; from e = 11 (d_X = 76.0) it raises NumericError near 70.
+    Newton's method with Armijo backtracking from Y = 0 on F(Y) = d_X(o, m exp(Y) o)^2,
+    from the exact gradient and Hessian of ``_flat_rows``: F is convex along the flat
+    (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the minimum.
+    It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when
+    backtracking runs out, or when a step no longer lowers F beyond rounding, and returns
+    sqrt(F - g^T H^-1 g / 2): less the decrease one more step predicts, to third order.
+    A stall away from the flat raises NumericError, and so does a point where
+    eps s_1 / s_d exceeds ``FLAT_RESOLUTION``, as the float64 SVD resolves s_d only to
+    that relative: for one seeded d = 3 pair and x = exp(diag(e, -e/2, -e/2) ln 10),
+    e = 2 .. 9, the value was within 0.05 eps s_1 / s_d of a 60-digit SVD (1.8e-14 at
+    e = 2, d_X(o, x) = 13.8; 6.4e-8 at e = 6), and it is refused from e = 7.
     """
     d = m.shape[-1]
-    rs = root_system(d)
-    fg = _flat_value_and_grad(m, _zero_sum_basis(d), rs)
+    basis, k = _zero_sum_basis(d), root_system(d).killing_scale
+
+    def rows(coords: np.ndarray):
+        y = coords @ basis
+        # keep exp() finite during line searches; F is coercive, so a growing
+        # penalty outside the window cannot hide the minimum
+        if np.abs(y).max() <= 250.0:
+            f, g, h, spread, ok = _flat_rows((m * np.exp(y))[None], basis, k)
+            if ok[0]:
+                return float(f[0]), g[0], h[0], float(spread[0])
+        return 1e12 + float(coords @ coords), 2.0 * coords, 2.0 * np.eye(d - 1), math.inf
+
     y = np.zeros(d - 1)
-    f, g = fg(y)
-    eye = np.eye(d - 1)
-    h = eye / (2.0 * rs.killing_scale)
+    f, g, h, spread = rows(y)
     for _ in range(200 * (d - 1)):
         if np.abs(g).max() <= FLAT_TOL:
             break
-        p = -(h @ g)
+        p = -np.linalg.solve(h, g)
         slope = float(g @ p)
         t = 1.0
         for _ in range(60):
-            f_new, g_new = fg(y + t * p)
+            f_new, g_new, h_new, spread_new = rows(y + t * p)
             if f_new <= f + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        s, dg = t * p, g_new - g
-        y, f_old, f, g = y + s, f, f_new, g_new
+        y, f_old, f, g, h, spread = y + t * p, f, f_new, g_new, h_new, spread_new
         if f_old - f <= 1e-15 * f_old:
             break
-        sy = float(s @ dg)
-        if sy > 0.0:
-            a = eye - s[:, None] * dg / sy  # outer products s dg^T and s s^T
-            h = a @ h @ a.T + s[:, None] * s / sy
     value = math.sqrt(f)
+    if spread > math.log(FLAT_RESOLUTION / np.finfo(float).eps):
+        raise NumericError(
+            f"flat distance beyond float64 resolution: value {value}, s_1/s_d {np.exp(spread):.3e}")
     if value > 1e-3:
         # gradient of the distance itself: grad F / (2 sqrt F)
         grad_norm = float(np.linalg.norm(g)) / (2.0 * value)
@@ -453,13 +459,13 @@ def _flat_minimum(m: np.ndarray) -> float:
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
-    return value
+    return math.sqrt(max(0.0, f - 0.5 * float(g @ np.linalg.solve(h, g))))
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
     """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
     stacked pass: per row the distance, or the library error that the per-element path
-    (``_eigen_flags``, ``TransversePair``, ``flat_distance``) raises for it.  The rows
+    (``fixed_points``, ``TransversePair``, ``flat_distance``) raises for it.  The rows
     with a real spectrum and transverse fixed flags go to ``_flat_distances``."""
     (plus, minus), real = _eigen_frames(eigvals, eigvecs)
     delta = _delta(_embedded_lines(plus), _perp_lines(minus))

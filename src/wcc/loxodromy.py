@@ -154,9 +154,10 @@ def certify(
 
     rs = root_system(d)
     t0 = t_zero(x, epsilon)
-    # one Cartan decomposition of the conjugate gives the wall distance and the flags
+    # one Cartan decomposition of the conjugate gives the wall distance and the flags; its
+    # sorted zero-sum row needs no chamber check, as the census's Cartan rows need none
     k, a_x, l = pj.cartan_project(pj._conjugate(gamma, x))
-    wall = rs.wall_distance(a_x)
+    wall = float(rs.wall_distances(a_x))
     conditions = {
         "wall_distance": wall,
         "t0": t0,
@@ -165,37 +166,42 @@ def certify(
         "flat_dist": math.inf,
     }
 
-    pair = None
     if conditions["wall_margin_ok"]:
+        # the one eigen-solve first, so that one frame action gives the angular and the
+        # fixed flags; its failure is raised only for an element that would be certified
         try:
-            pair = fm.TransversePair(*pj._angular_flags(x, k, l))
-            conditions["transverse_ok"] = True
-            conditions["flat_dist"] = fm.flat_distance(x, pair)
-        except TransversalityError:  # also the witness's refusal inside flat_distance
-            conditions["transverse_ok"] = False
-            pair = None
-        except NumericError:
-            pair = None
+            _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
+        except NumericError as exc:
+            lox, eigvals, eigvecs = exc, np.ones(d), np.eye(d)
+        basis, real = fm._eigen_basis(eigvals, eigvecs)
+        h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
+        frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
+        pj._so_sign_fix(frames)
+        lines = fm._embedded_lines(frames)  # of xi+, xi-, the attracting and repelling flags
+        delta = float(fm._delta([u[0] for u in lines], fm._perp_lines(frames[1])))
+        conditions["transverse_ok"] = delta > 0.0
+        if conditions["transverse_ok"]:
+            try:
+                pair = fm.TransversePair._of_so_frames(frames[0], frames[1], delta)
+                conditions["flat_dist"] = fm.flat_distance(x, pair)
+            except TransversalityError:  # the witness's refusal inside flat_distance
+                conditions["transverse_ok"] = False
+            except NumericError:
+                pass
 
-    certified = bool(
-        conditions["wall_margin_ok"]
-        and conditions["transverse_ok"]
-        and conditions["flat_dist"] < r
-    )
+    certified = conditions["transverse_ok"] and conditions["flat_dist"] < r  # past the wall margin
 
     fixed_point_errors = None
     if certified:
-        # one eigen-solve gives the independent re-check and the fixed flags
-        _, independent_lox, eig = pj._jordan_solve(gamma, vectors=True)
-        if not independent_lox:
+        if isinstance(lox, NumericError):
+            raise lox
+        if not lox:
             # the configuration misfired; never report an unsound certificate
             certified = False
+        elif not real:
+            raise LoxodromyError(fm._NON_REAL)
         else:
-            gp, gm = fm._eigen_flags(*eig)
-            fixed_point_errors = (
-                fm.dist_d(gp, pair.xi_plus),
-                fm.dist_d(gm, pair.xi_minus),
-            )
+            fixed_point_errors = tuple(fm._dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
 
     return LoxodromyCertificate(
         element=gamma,

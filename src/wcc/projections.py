@@ -409,32 +409,27 @@ def cartan_at(g: GroupElement, x: BasePoint) -> np.ndarray:
     return cartan_vector(_conjugate(g, x))
 
 
-def _angular_flags(x: BasePoint, k: np.ndarray, l: np.ndarray):
-    """Attracting and repelling angular flags at x from the frames of a Cartan
-    decomposition k exp(a) l^-1 of h_x^-1 g h_x, in one stacked frame action."""
-    from .flagmetric import Flag
-
-    rev = root_system(len(k)).reversal_frame()
-    frames = flag_frame_action(x.h.mat, np.stack([k, l @ rev]))
-    _so_sign_fix(frames)
-    return Flag._of_so_frame(frames[0]), Flag._of_so_frame(frames[1])
-
-
 def angular_points(g: GroupElement, x: BasePoint):
-    """Attracting/repelling angular flags of an x-Cartan-regular element.
+    """Attracting/repelling angular flags of an x-Cartan-regular element, from the frames
+    of a Cartan decomposition k exp(a) l^-1 of h_x^-1 g h_x in one stacked frame action.
 
     Requires the chamber-valued displacement of x (exact as in ``cartan_at``)
     to stay further than ``TAU_LOX_DEFAULT`` from the walls; raises RegularityError
     (carrying the measured wall distance) otherwise.
     """
+    from .flagmetric import Flag
+
+    rs = root_system(g.d)
     k, a, l = cartan_project(_conjugate(g, x))
-    wall = root_system(g.d).wall_distance(a)
+    wall = rs.wall_distance(a)
     if wall <= TAU_LOX_DEFAULT:
         raise RegularityError(
             f"element is not x-cartan-regular at margin {TAU_LOX_DEFAULT} (wall distance {wall})",
             wall_distance=wall,
         )
-    return _angular_flags(x, k, l)
+    frames = flag_frame_action(x.h.mat, np.stack([k, l @ rs.reversal_frame()]))
+    _so_sign_fix(frames)
+    return Flag._of_so_frame(frames[0]), Flag._of_so_frame(frames[1])
 
 
 def random_so(d: int, rng: np.random.Generator, size=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Three earlier flat-distance solvers, kept unchanged as test references.
+"""Four earlier flat-distance solvers, kept unchanged as test references.
 
 ``reference_flat_distance``, the grid + Nelder-Mead + finite-difference BFGS
 solver, was ``wcc.flagmetric.flat_distance`` before the convex solve with the
@@ -6,8 +6,10 @@ exact SVD gradient replaced it.  ``scipy_bfgs_flat_distance`` was that convex
 solve while it ran on ``scipy.optimize.minimize``, before the numpy BFGS.
 ``reference_flat_minimum`` is that numpy BFGS as it ran at every d, from the
 identity inverse Hessian with a first-step rescale, before d = 2 took the closed
-form and d = 3 the inverse Hessian I / (2k).  ``decimal_sl2_flat_distance`` is the
-d = 2 closed form evaluated at 50 digits.
+form and d = 3 the inverse Hessian I / (2k).  ``scaled_bfgs_flat_minimum`` is that
+d = 3 BFGS from I / (2k), before Newton's method on the exact Hessian replaced it.
+All four minimize through ``flat_value_and_grad``, the objective they ran on.
+``decimal_sl2_flat_distance`` is the d = 2 closed form evaluated at 50 digits.
 """
 
 import decimal
@@ -20,12 +22,30 @@ from wcc.errors import NumericError, TransversalityError
 from wcc.flagmetric import (
     FLAT_TOL,
     TransversePair,
-    _flat_value_and_grad,
+    _flat_rows,
     _zero_sum_basis,
     gromov_product,
 )
 from wcc.projections import BasePoint
 from wcc.rootsys import root_system
+
+
+def flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
+    """F(Y) = d_X(o, m exp(Y) o)^2 and its gradient along ``basis``: ``_flat_rows`` of
+    the one-row stack m exp(Y)."""
+    k = rs.killing_scale
+
+    def fg(coords: np.ndarray):
+        y = coords @ basis
+        # keep exp() finite during line searches; F is coercive, so a growing
+        # penalty outside the window cannot hide the minimum
+        if np.abs(y).max() <= 250.0:
+            f, g, _, _, ok = _flat_rows((m * np.exp(y))[None], basis, k)
+            if ok[0]:
+                return float(f[0]), g[0]
+        return 1e12 + float(coords @ coords), 2.0 * coords
+
+    return fg
 
 
 def reference_flat_objective(m: np.ndarray, basis: np.ndarray, rs):
@@ -109,7 +129,7 @@ def scipy_bfgs_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e
 
     d = x.d
     m = x.h.inverse().mat @ pair.witness.mat
-    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    fg = flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
     res = scipy.optimize.minimize(fg, np.zeros(d - 1), jac=True, method="BFGS",
                                   options={"gtol": tol})
     value = math.sqrt(res.fun)
@@ -135,7 +155,7 @@ def reference_flat_minimum(m: np.ndarray) -> float:
     point).  A stall away from the flat raises NumericError.
     """
     d = m.shape[-1]
-    fg = _flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
+    fg = flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
     y = np.zeros(d - 1)
     f, g = fg(y)
     h = eye = np.eye(d - 1)
@@ -183,3 +203,46 @@ def decimal_sl2_flat_distance(hinv: np.ndarray, xi: np.ndarray, eta: np.ndarray)
                  for i in range(2)] for v in (xi, eta))
         r = abs(p[0] * q[0] + p[1] * q[1]) / abs(p[0] * q[1] - p[1] * q[0])
         return float(decimal.Decimal(2).sqrt() * (r + (r * r + 1).sqrt()).ln())
+
+
+def scaled_bfgs_flat_minimum(m: np.ndarray) -> float:
+    """``reference_flat_minimum`` with its inverse Hessian started at I / (2k), k the
+    Killing scale, and no first-step rescale: exact on a flat through o, where
+    F(Y) = k |Y|^2 in the orthonormal zero-sum basis."""
+    d = m.shape[-1]
+    rs = root_system(d)
+    fg = flat_value_and_grad(m, _zero_sum_basis(d), rs)
+    y = np.zeros(d - 1)
+    f, g = fg(y)
+    eye = np.eye(d - 1)
+    h = eye / (2.0 * rs.killing_scale)
+    for _ in range(200 * (d - 1)):
+        if np.abs(g).max() <= FLAT_TOL:
+            break
+        p = -(h @ g)
+        slope = float(g @ p)
+        t = 1.0
+        for _ in range(60):
+            f_new, g_new = fg(y + t * p)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        s, dg = t * p, g_new - g
+        y, f_old, f, g = y + s, f, f_new, g_new
+        if f_old - f <= 1e-15 * f_old:
+            break
+        sy = float(s @ dg)
+        if sy > 0.0:
+            a = eye - s[:, None] * dg / sy  # outer products s dg^T and s s^T
+            h = a @ h @ a.T + s[:, None] * s / sy
+    value = math.sqrt(f)
+    if value > 1e-3:
+        # gradient of the distance itself: grad F / (2 sqrt F)
+        grad_norm = float(np.linalg.norm(g)) / (2.0 * value)
+        if grad_norm > 1e-4 * max(1.0, value):
+            raise NumericError(
+                f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
+            )
+    return value

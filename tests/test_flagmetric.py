@@ -14,9 +14,11 @@ from conftest import criterion4_elements, random_group
 from flagmetric_reference import hopf_inverse, is_transverse, reference_witness_frames, rn_derivative
 from flat_reference import (
     decimal_sl2_flat_distance,
+    flat_value_and_grad,
     reference_flat_distance,
     reference_flat_minimum,
     reference_flat_objective,
+    scaled_bfgs_flat_minimum,
     scipy_bfgs_flat_distance,
 )
 from projection_reference import is_loxodromic
@@ -409,8 +411,8 @@ class TestFlatDistance:
 
 
 class TestFlatDistanceReference:
-    """The numpy BFGS against the grid + Nelder-Mead + finite-difference solver and
-    against the same convex solve on SciPy's BFGS."""
+    """The d = 3 Newton solve (and the d = 2 closed form) against the grid + Nelder-Mead +
+    finite-difference solver and against the same convex objective on SciPy's BFGS."""
 
     @pytest.mark.parametrize("d, reference", [
         (2, reference_flat_distance),
@@ -443,7 +445,7 @@ class TestFlatDistanceReference:
         step = 1e-6
         for _ in range(10):
             m = random_group(rng, d, 1.0).mat
-            fg = fm._flat_value_and_grad(m, basis, rs)
+            fg = flat_value_and_grad(m, basis, rs)
             coords = rng.normal(size=d - 1)
             _, grad = fg(coords)
             fd = np.array([
@@ -463,36 +465,81 @@ class TestFlatDistanceReference:
         last = float(re.search(r"value (\S+),", str(stalled.value)).group(1))
         assert abs(fm.flat_distance(x, pair) - last) <= 1e-9 * last
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_analytic_hessian_vs_central_differences(self, d):
+        # central differences of the exact gradient, on rows away from and on a flat
+        rng = np.random.default_rng(320 + d)
+        basis, k = fm._zero_sum_basis(d), root_system(d).killing_scale
+        step = 1e-6
+
+        def grad(m, coords):
+            return fm._flat_rows((m * np.exp(coords @ basis))[None], basis, k)[1][0]
+
+        for _ in range(10):
+            m = random_group(rng, d, 1.0).mat
+            coords = rng.normal(size=d - 1)
+            hess = fm._flat_rows((m * np.exp(coords @ basis))[None], basis, k)[2][0]
+            fd = np.array([(grad(m, coords + step * e) - grad(m, coords - step * e)) / (2.0 * step)
+                           for e in np.eye(d - 1)])
+            assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
+        # on a flat through o every a_i - a_j is 0, where phi(x) = x coth x takes its limit 1
+        hess = fm._flat_rows(pj.random_so(d, rng, size=5), basis, k)[2]
+        assert np.max(np.abs(hess - 2.0 * k * np.eye(d - 1))) <= 1e-14 * k
+
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("tilted", [True, False], ids=["iteration_cap", "no_descent"])
     def test_stall_raises_with_measured_value_and_gradient(self, monkeypatch, d, tilted):
         # a tilted plane never levels off, so the iteration cap stops the solve;
         # a flat value under a nonzero gradient leaves backtracking no descent
         tilt = 1.0 if tilted else 0.0
+        k = root_system(d).killing_scale
+        curvature = 2.0 * k * np.diag(np.arange(1.0, d))
 
-        def plane(m, basis, rs):
-            return lambda coords: (1e3 + tilt * float(coords.sum()), np.ones(d - 1))
+        def plane(ms, basis, k):
+            coords = np.log(np.diagonal(ms, axis1=1, axis2=2)) @ basis.T  # ms = exp(Y) at m = I
+            return (1e3 + tilt * coords.sum(axis=1), np.ones((len(ms), d - 1)),
+                    np.broadcast_to(curvature, (len(ms), d - 1, d - 1)), np.zeros(len(ms)),
+                    np.ones(len(ms), dtype=bool))
 
-        monkeypatch.setattr(fm, "_flat_value_and_grad", plane)
+        monkeypatch.setattr(fm, "_flat_rows", plane)
         with pytest.raises(NumericError, match="did not converge") as stalled:
             fm._flat_minimum(np.eye(d))  # flat_distance takes the closed form at d = 2
         value, grad = map(float, re.search(r"value (\S+), gradient (\S+)$", str(stalled.value)).groups())
-        # each step is -H g = -(1, ..., 1) / (2k): the inverse Hessian stays I / (2k)
-        k = root_system(d).killing_scale
-        expected = math.sqrt(1e3 - 200 * (d - 1) ** 2 / (2.0 * k)) if tilted else math.sqrt(1e3)
+        # each Newton step solves H p = -g: p_i = -1 / (2k i), lowering the tilted plane by
+        # sum_i 1 / (2k i) in each of the 200 (d - 1) iterations
+        descent = 200 * (d - 1) * sum(1.0 / (2.0 * k * i) for i in range(1, d))
+        expected = math.sqrt(1e3 - descent) if tilted else math.sqrt(1e3)
         assert value == pytest.approx(expected, rel=1e-12)
         assert grad == pytest.approx(math.sqrt(d - 1) / (2.0 * value), rel=1e-12)
+
+    def test_refuses_a_distance_beyond_float64_resolution(self):
+        # one seeded pair seen from x = exp(diag(e, -e/2, -e/2) ln 10).  The float64 SVD
+        # resolves s_3 of m exp(Y) only to eps s_1 / s_3 relative at the minimum: 1.5e-12
+        # at e = 2, 1.6e-9 at e = 4, 1.6e-6 at e = 6 and 5.1e-5 at e = 7.  Below
+        # FLAT_RESOLUTION Newton agrees with the BFGS it replaced within that ratio; above,
+        # it refuses where the BFGS returned 56.5731 at e = 8 (56.5757 at 60 digits)
+        rng = np.random.default_rng(1)
+        pair = fm.TransversePair(fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng)))
+        for e, resolution in ((2, 2e-12), (4, 2e-9), (6, 2e-6), (7, None), (8, None), (10, None)):
+            x = BasePoint(GroupElement.from_cartan_vector(np.array([e, -e / 2, -e / 2]) * math.log(10)))
+            if resolution:
+                old = scaled_bfgs_flat_minimum(pj._h_inverse(x) @ pair.witness.mat)
+                assert abs(fm.flat_distance(x, pair) - old) <= resolution * old, e
+                continue
+            with pytest.raises(NumericError, match="beyond float64 resolution") as refused:
+                fm.flat_distance(x, pair)
+            ratio = float(re.search(r"s_1/s_d (\S+)$", str(refused.value)).group(1))
+            assert np.finfo(float).eps * ratio > fm.FLAT_RESOLUTION, e
 
 
 def certificate_pair(g, x):
     """The pair whose flat a certificate of g at x measures: its two angular flags."""
-    k, _, l = pj.cartan_project(pj._conjugate(g, x))
-    return fm.TransversePair(*pj._angular_flags(x, k, l))
+    return fm.TransversePair(*pj.angular_points(g, x))
 
 
 class TestFlatDistanceOracle:
-    """The closed form at d = 2 and the I / (2k) start at d = 3 against the BFGS from the
-    identity that ran at every d before them."""
+    """The closed form at d = 2 and Newton's method at d = 3 against the BFGS loops that
+    ran before them."""
 
     def test_sl2_closed_form_matches_the_bfgs(self):
         # every fourth pair at a random float base point, the others at the three base
@@ -521,20 +568,37 @@ class TestFlatDistanceOracle:
                 assert close(new, ref), (i, new, ref)
         assert oracle_off <= 20
 
-    def test_sl3_scaled_start_matches_the_bfgs(self):
-        o = BasePoint.origin(3)
-        for g in criterion4_elements()[3]:
-            pair = certificate_pair(g, o)
-            new, ref = fm.flat_distance(o, pair), reference_flat_minimum(pair.witness.mat)
-            assert abs(new - ref) <= 1e-12 * ref, (new, ref)
+    def test_sl3_newton_matches_the_bfgs(self):
+        # both BFGS loops, from the identity and from I / (2k), at three base points.  The
+        # log-SVD rounds v by a few eps absolute, so the tolerance has a floor of 1e-14.  A
+        # BFGS loop stops at |grad F| <= 1e-8 and so sits above the minimum by up to
+        # |grad F|^2 / (8kv), which Newton's value does not: where a loop is off by more
+        # than the tolerance, SciPy's BFGS with a 1e-10 gradient tolerance must be nearer
+        # to Newton's value than to the loop's
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * max(b, 1e-2)
 
+        off = 0
+        for x in (BasePoint.origin(3), BasePoint(GroupElement.from_cartan_vector(np.linspace(0.02, -0.02, 3))),
+                  BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, 3)))):
+            hinv = pj._h_inverse(x)
+            for g in criterion4_elements()[3]:
+                pair = certificate_pair(g, x)
+                new = fm.flat_distance(x, pair)
+                for ref in (reference_flat_minimum(hinv @ pair.witness.mat),
+                            scaled_bfgs_flat_minimum(hinv @ pair.witness.mat)):
+                    if not close(new, ref):
+                        off += 1
+                        tight = scipy_bfgs_flat_distance(x, pair, 1e-10)
+                        assert abs(new - tight) < abs(ref - tight), (new, ref, tight)
+        assert off <= 4
     @pytest.mark.parametrize("sine, refused", [(0.99e-12, True), (1.01e-12, False)])
     def test_singular_witness_refused_in_both_paths(self, sine, refused):
         # fixed flags through e_1 and a line at angle asin(sine) to it: transverse, but
         # |det[xi_1 eta_1]| = sine is just below (or above) the witness's 1e-12
         eigvals = np.array([2.0, 0.5])
         eigvecs = np.array([[1.0, math.sqrt(1.0 - sine * sine)], [0.0, sine]])
-        pair = fm.TransversePair(*fm._eigen_flags(eigvals, eigvecs))
+        pair = fm.TransversePair(*map(fm.Flag._of_so_frame, fm._eigen_frames(eigvals, eigvecs)[0]))
         o = BasePoint.origin(2)
         stacked = fm._fixed_flat_distances(o, eigvals[None], eigvecs[None])
         if refused:

@@ -331,8 +331,8 @@ class TestVerdictTable:
                     pj._integer_inverse(x.h.int_mat) @ np.array(g.int_mat, dtype=object)
                     @ np.array(x.h.int_mat, dtype=object)) if x.h.int_mat is not None else g
                 old["wall_distance"] = root_system(g.d).wall_distance(pj.cartan_vector(conj))
-            # the flat distance is now the closed form at d = 2 and the BFGS from I / (2k)
-            # at d = 3, so it moves in the last digits
+            # the flat distance is now the closed form at d = 2 and Newton's method at
+            # d = 3, so it moves in the last digits
             new_flat, old_flat = new.pop("flat_dist"), old.pop("flat_dist")
             assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), label
             assert new == old, label
@@ -356,24 +356,59 @@ class TestVerdictTable:
             assert calls == ["eig"]
 
     def test_one_determinant_per_frame(self, monkeypatch):
-        # Cartan frame, the two angular flags in one stacked det, the witness (d = 3 only:
-        # the d = 2 flat distance has no witness), and the two fixed flags in the one
-        # stacked det of _eigen_frames; for d = 3 also the five 2 x 2 minor stacks
+        # the Cartan frame, the one stacked det of the four flags' frames (the angular and
+        # the fixed flags), and for d = 3 the 2 x 2 minors of their embedded lines in one
+        # stack, those of the perp lines of xi-, and the witness (the d = 2 flat distance
+        # has no witness)
         calls = []
         det = np.linalg.det
         monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(np.shape(m)) or det(m))
-        for d, n_calls in ((2, 3), (3, 9)):
+        for d, n_calls in ((2, 2), (3, 5)):
             o, r, eps = admissible_parameters(d)
             calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
             assert len(calls) == n_calls
-            assert calls.count((2, d, d)) == 2  # the angular and the fixed-flag frame pairs
+            assert calls.count((4, d, d)) == 1
+
+    def test_one_frame_action_per_certificate(self, monkeypatch):
+        # one QR of the stacked frames of xi+, xi-, and the attracting and repelling flags
+        calls = []
+        for name in ("qr", "eig", "eigvals"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, _s=solve, _n=name: calls.append((_n, np.shape(m))) or _s(m))
+        for d in (2, 3):
+            o, r, eps = admissible_parameters(d)
+            for g in (GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), criterion4_elements()[d][0]):
+                calls.clear()
+                assert lx.certify(g, o, r, eps).certified
+                assert sorted(calls) == [("eig", (d, d)), ("qr", (4, d, d))]
+
+    def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
+        # the solve now runs before the flat test; its failure still reaches the caller
+        # only for an element that would be certified
+        o, r, eps = admissible_parameters(3)
+        y = deep_regular_vector(3, o, eps, factor=1.3)
+        h = random_group(np.random.default_rng(107), 3, 0.4).mat  # its flat misses o by 1.14
+        far = GroupElement(h @ np.diag(np.exp(y)) @ np.linalg.inv(h), check=False)
+        near = criterion4_elements()[3][0]
+        conditions = lx.certify(far, o, r, eps).conditions
+        assert conditions["wall_margin_ok"] and conditions["transverse_ok"] and conditions["flat_dist"] > r
+
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(NumericError, match="eigenvalue solver failed"):
+            lx.certify(near, o, r, eps)
+        cert = lx.certify(far, o, r, eps)
+        assert cert.conditions == conditions and not cert.certified
 
 
 class TestFlatDistanceWork:
-    """What a certificate's flat distance runs: the closed form at d = 2, and at d = 3 a
-    BFGS that starts from the exact Hessian of a flat through the base point."""
+    """What a certificate's flat distance runs: the closed form at d = 2, and at d = 3
+    Newton's method on the exact Hessian."""
 
     def test_sl2_runs_no_witness_and_no_optimizer(self, monkeypatch):
         calls = []
@@ -407,19 +442,14 @@ class TestFlatDistanceWork:
 
     def test_sl3_optimizer_evaluations(self, monkeypatch):
         solves, evaluations = [], []
-        make = fm._flat_value_and_grad
-
-        def counting(m, basis, rs):
-            fg = make(m, basis, rs)
-            solves.append(1)
-            return lambda coords: evaluations.append(1) or fg(coords)
-
-        monkeypatch.setattr(fm, "_flat_value_and_grad", counting)
+        for name, log in (("_flat_minimum", solves), ("_flat_rows", evaluations)):
+            fn = getattr(fm, name)
+            monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _log=log: _log.append(1) or _fn(*args))
         o, r, eps = admissible_parameters(3)
         for g in criterion4_elements()[3]:
             assert lx.certify(g, o, r, eps).certified
         assert len(solves) == 500
-        assert len(evaluations) / len(solves) <= 4.5  # 6.0 from the identity
+        assert len(evaluations) / len(solves) <= 2.5  # 6.0 for the BFGS from I, 3.5 from I / (2k)
 
     def test_witness_refusal_is_not_transverse(self):
         # the angular flags meet at an angle of 1e-13: transverse (delta > 0), but the
