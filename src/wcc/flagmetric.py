@@ -155,30 +155,32 @@ def _delta(lines, perps):
 
 
 def _witness_frames(plus: np.ndarray, minus: np.ndarray):
-    """Transverse witnesses of stacked frame pairs (n, d, d), and per row the message
-    of the TransversalityError that row raises instead (None where it has a witness).
+    """Transverse witnesses of stacked SO(d) frame pairs (n, d, d), d = 2 or 3, and per
+    row the message of the TransversalityError that row raises instead (None where it
+    has a witness).
 
     Column k spans the line where the k-th forward subspace of ``plus`` meets the
-    (d-k+1)-th forward subspace of ``minus``: the null line of the d x (d+1) system
-    [a, -b], which is a line exactly when the system has full rank d.
+    (d-k+1)-th forward subspace of ``minus`` (the null line of the d x (d+1) system
+    [a, -b]): p_1, at d = 3 the line p_3 x m_3 where the planes normal to p_3 and m_3
+    meet, and m_1.  Only that middle system [p_1 p_2 -m_1 -m_2] can lose rank; its d-th
+    singular value is s = |p_3 x m_3| / sqrt(1 + |<p_3, m_3>|), from the eigenvalues of
+    2I - p_3 p_3^T - m_3 m_3^T, and unlike sqrt(1 - |<p_3, m_3>|) it does not cancel.
     """
     n, d = plus.shape[:2]
-    # the d systems of every row, each gathered from the columns of [plus, -minus], in one SVD
-    cols = [j for k in range(1, d + 1) for j in (*range(k), *range(d, 2 * d - k + 1))]
-    systems = np.concatenate([plus, -minus], axis=2)[:, :, cols].reshape(n, d, d, d + 1)
-    _, s, vh = np.linalg.svd(systems.swapaxes(1, 2))
-    s_min, g, norms = s[..., -1], np.empty((n, d, d)), np.empty((n, d))
-    for k in range(1, d + 1):
-        v = (plus[:, :, :k] @ vh[:, k - 1, -1, :k, None])[..., 0]
-        norms[:, k - 1] = np.sqrt(np.vecdot(v, v))  # np.linalg.norm per row
-        g[:, :, k - 1] = v
-    g /= np.maximum(norms, 1e-300)[:, None, :]
+    if d not in (2, 3):
+        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {d}")
+    g, s = np.empty((n, d, d)), np.ones(n)
+    g[:, :, 0], g[:, :, -1] = plus[:, :, 0], minus[:, :, 0]
+    if d == 3:
+        p, m = plus[:, :, 2], minus[:, :, 2]
+        line = p[:, [1, 2, 0]] * m[:, [2, 0, 1]] - p[:, [2, 0, 1]] * m[:, [1, 2, 0]]  # p x m
+        norm = np.sqrt(np.vecdot(line, line))
+        s = norm / np.sqrt(1.0 + np.abs(np.vecdot(p, m)))
+        g[:, :, 1] = line / np.maximum(norm, 1e-300)[:, None]
     errors, scale = [], np.ones(n)
-    for i, (det, row_s, row_n) in enumerate(zip(np.linalg.det(g), s_min.tolist(), norms.tolist())):
-        k = next((k for k in range(d) if row_s[k] < 1e-7 or row_n[k] < 1e-12), None)
-        if k is not None:
-            errors.append(f"subspaces meet in more than a line (d-th singular value {row_s[k]:.2e})"
-                          if row_s[k] < 1e-7 else "degenerate intersection in witness construction")
+    for i, (det, row_s) in enumerate(zip(np.linalg.det(g), s.tolist())):
+        if row_s < 1e-7:
+            errors.append(f"subspaces meet in more than a line (d-th singular value {row_s:.2e})")
         elif abs(det) < 1e-12:
             errors.append(_SINGULAR_WITNESS)
         else:
@@ -239,7 +241,7 @@ def gromov_product(xi: Flag, eta: Flag, x: BasePoint | None = None) -> np.ndarra
     holds exactly (the opposite orientation puts iota on the other summand).
     """
     d = xi.d
-    if x is not None and not np.allclose(x.h.mat, np.eye(d)):
+    if x is not None and not np.array_equal(x.h.mat, np.eye(d)):
         xi = xi.translate(_h_inverse(x))
         eta = eta.translate(_h_inverse(x))
     weights = []
@@ -292,24 +294,23 @@ def fixed_points(g: GroupElement):
     lam, is_lox, eig = _jordan_solve(g, TAU_LOX_DEFAULT, vectors=True)
     if not is_lox:
         raise LoxodromyError(f"element is not loxodromic: jordan projection {lam}")
-    (plus, minus), real = _eigen_frames(*eig)
-    if not real:
+    (plus, minus), real = _eigen_frames(eig[0][None], eig[1][None])
+    if not real[0]:
         raise LoxodromyError(_NON_REAL)
-    return Flag._of_so_frame(plus), Flag._of_so_frame(minus)
+    return Flag._of_so_frame(plus[0]), Flag._of_so_frame(minus[0])
 
 
 def _eigen_basis(eigvals: np.ndarray, eigvecs: np.ndarray):
-    """Real eigenbases of eigen-pairs over leading axes, by decreasing eigenvalue modulus,
+    """Real eigenbases of a stack (n, d), (n, d, d) of eigen-pairs, by decreasing modulus,
     and which rows have a real spectrum (the bases of the others are meaningless)."""
     real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
     order = np.argsort(-np.abs(eigvals.real), axis=-1)
-    return np.take_along_axis(eigvecs.real, order[..., None, :], axis=-1), real
+    return eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2), real
 
 
 def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
-    """Frames (2, ..., d, d) of the forward and backward eigenflags of eigen-pairs over
-    leading axes, gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real
-    spectrum (``_eigen_basis``)."""
+    """Frames (2, n, d, d) of the forward and backward eigenflags of a stack of eigen-pairs,
+    gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real spectrum."""
     basis, real = _eigen_basis(eigvals, eigvecs)
     frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
     _so_sign_fix(frames)
@@ -319,24 +320,25 @@ def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
 # ------------------------------------------------------------------- flats
 
 
-def _flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):
+def _flat_row(m: np.ndarray):
     """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), its exact gradient and
-    Hessian along ``basis`` (of Y in m exp(Y), at Y = 0) and log(s_1 / s_d), for a stack
-    (n, d, d) of m, and which rows have finite nonzero singular values (the others carry
-    no value).  With z_ij = (vh_i * vh_j) @ basis^T, d log s_i / dY = z_ii, so
-    grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
-    phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o."""
-    _, s, vh = np.linalg.svd(ms)
-    ok = np.isfinite(s).all(axis=-1) & (s[..., -1] > 0.0)
-    a = np.log(np.where(ok[..., None], s, 1.0))
-    a -= a.sum(axis=-1, keepdims=True) / a.shape[-1]  # np.mean, without its overhead
-    grad = 2.0 * k * ((a[..., None, :] @ (vh * vh)) @ basis.T)[..., 0, :]
-    n, d = s.shape
-    z = (vh[:, :, None, :] * vh[:, None, :, :]).reshape(n, d * d, d) @ basis.T
-    diff = (a[:, :, None] - a[:, None, :]).reshape(n, d * d, 1)
+    Hessian along the zero-sum basis (of Y in m exp(Y), at Y = 0) and log(s_1 / s_d), for
+    one matrix m (d, d); None where its singular values are not finite and nonzero.  With
+    z_ij = (vh_i * vh_j) @ basis^T, d log s_i / dY = z_ii, so grad F = 2k sum_i a_i z_ii
+    and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T, phi(x) = x coth x, phi(0) = 1: at
+    least 2k I, and 2k I on a flat through o."""
+    d = m.shape[-1]
+    basis, k = _zero_sum_basis(d), root_system(d).killing_scale
+    _, s, vh = np.linalg.svd(m)
+    if not (s[-1] > 0.0 and np.isfinite(s).all()):
+        return None
+    a = np.log(s)
+    a -= a.sum() / d  # np.mean, without its overhead
+    z = (vh[:, None] * vh).reshape(d * d, d) @ basis.T  # row i d + j is z_ij, z_ii every (d+1)-th
+    diff = (a[:, None] - a).ravel()
     phi = np.divide(diff, np.tanh(diff), out=np.ones_like(diff), where=diff != 0.0)
-    hess = 2.0 * k * (z.swapaxes(1, 2) @ (phi * z))
-    return k * np.vecdot(a, a), grad, hess, a[:, 0] - a[:, -1], ok
+    return (k * float(a @ a), 2.0 * k * (a @ z[:: d + 1]), 2.0 * k * (z.T @ (phi[:, None] * z)),
+            float(a[0] - a[-1]))
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +408,7 @@ def _flat_minimum(m: np.ndarray) -> float:
     """Distance from the origin to the flat m A o, for m = h_x^-1 w (``flat_distance``).
 
     Newton's method with Armijo backtracking from Y = 0 on F(Y) = d_X(o, m exp(Y) o)^2,
-    from the exact gradient and Hessian of ``_flat_rows``: F is convex along the flat
+    from the exact gradient and Hessian of ``_flat_row``: F is convex along the flat
     (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the minimum.
     It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when
     backtracking runs out, or when a step no longer lowers F beyond rounding, and returns
@@ -418,20 +420,18 @@ def _flat_minimum(m: np.ndarray) -> float:
     e = 2, d_X(o, x) = 13.8; 6.4e-8 at e = 6), and it is refused from e = 7.
     """
     d = m.shape[-1]
-    basis, k = _zero_sum_basis(d), root_system(d).killing_scale
+    basis = _zero_sum_basis(d)
 
-    def rows(coords: np.ndarray):
+    def evaluate(coords: np.ndarray):
         y = coords @ basis
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
-        if np.abs(y).max() <= 250.0:
-            f, g, h, spread, ok = _flat_rows((m * np.exp(y))[None], basis, k)
-            if ok[0]:
-                return float(f[0]), g[0], h[0], float(spread[0])
+        if np.abs(y).max() <= 250.0 and (row := _flat_row(m * np.exp(y))) is not None:
+            return row
         return 1e12 + float(coords @ coords), 2.0 * coords, 2.0 * np.eye(d - 1), math.inf
 
     y = np.zeros(d - 1)
-    f, g, h, spread = rows(y)
+    f, g, h, spread = evaluate(y)
     for _ in range(200 * (d - 1)):
         if np.abs(g).max() <= FLAT_TOL:
             break
@@ -439,7 +439,7 @@ def _flat_minimum(m: np.ndarray) -> float:
         slope = float(g @ p)
         t = 1.0
         for _ in range(60):
-            f_new, g_new, h_new, spread_new = rows(y + t * p)
+            f_new, g_new, h_new, spread_new = evaluate(y + t * p)
             if f_new <= f + 1e-4 * t * slope:
                 break
             t *= 0.5

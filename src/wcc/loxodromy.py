@@ -173,7 +173,7 @@ def certify(
             _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
         except NumericError as exc:
             lox, eigvals, eigvecs = exc, np.ones(d), np.eye(d)
-        basis, real = fm._eigen_basis(eigvals, eigvecs)
+        (basis,), (real,) = fm._eigen_basis(eigvals[None], eigvecs[None])
         h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
         frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
         pj._so_sign_fix(frames)

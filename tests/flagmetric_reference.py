@@ -3,7 +3,8 @@ kept for their tests: the transversality predicate and a representative with
 given Hopf coordinates (they were ``wcc.flagmetric.is_transverse``, with its
 default tolerance, and ``hopf_inverse``, unchanged), and the witness frames
 with one SVD per subspace dimension k (``wcc.flagmetric._witness_frames``
-before its d systems went into one stacked SVD), the oracle of its bits; and the
+before its d systems went into one stacked SVD, and then into a closed form), the
+oracle of its columns up to sign and of its refusals; and the
 Radon-Nikodym factor of a translated boundary measure (``rn_derivative``, unchanged
 from ``wcc.flagmetric``), which only the flag tests run."""
 

@@ -8,7 +8,9 @@ solve while it ran on ``scipy.optimize.minimize``, before the numpy BFGS.
 identity inverse Hessian with a first-step rescale, before d = 2 took the closed
 form and d = 3 the inverse Hessian I / (2k).  ``scaled_bfgs_flat_minimum`` is that
 d = 3 BFGS from I / (2k), before Newton's method on the exact Hessian replaced it.
-All four minimize through ``flat_value_and_grad``, the objective they ran on.
+All four minimize through ``flat_value_and_grad``, the objective they ran on, which
+reads ``stacked_flat_rows``: ``wcc.flagmetric``'s stacked kernel of F, its gradient and
+Hessian, before Newton's method took the one-matrix ``_flat_row``.
 ``decimal_sl2_flat_distance`` is the d = 2 closed form evaluated at 50 digits.
 """
 
@@ -22,7 +24,6 @@ from wcc.errors import NumericError, TransversalityError
 from wcc.flagmetric import (
     FLAT_TOL,
     TransversePair,
-    _flat_rows,
     _zero_sum_basis,
     gromov_product,
 )
@@ -30,8 +31,28 @@ from wcc.projections import BasePoint
 from wcc.rootsys import root_system
 
 
+def stacked_flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):
+    """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), its exact gradient and
+    Hessian along ``basis`` (of Y in m exp(Y), at Y = 0) and log(s_1 / s_d), for a stack
+    (n, d, d) of m, and which rows have finite nonzero singular values (the others carry
+    no value).  With z_ij = (vh_i * vh_j) @ basis^T, d log s_i / dY = z_ii, so
+    grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
+    phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o."""
+    _, s, vh = np.linalg.svd(ms)
+    ok = np.isfinite(s).all(axis=-1) & (s[..., -1] > 0.0)
+    a = np.log(np.where(ok[..., None], s, 1.0))
+    a -= a.sum(axis=-1, keepdims=True) / a.shape[-1]  # np.mean, without its overhead
+    grad = 2.0 * k * ((a[..., None, :] @ (vh * vh)) @ basis.T)[..., 0, :]
+    n, d = s.shape
+    z = (vh[:, :, None, :] * vh[:, None, :, :]).reshape(n, d * d, d) @ basis.T
+    diff = (a[:, :, None] - a[:, None, :]).reshape(n, d * d, 1)
+    phi = np.divide(diff, np.tanh(diff), out=np.ones_like(diff), where=diff != 0.0)
+    hess = 2.0 * k * (z.swapaxes(1, 2) @ (phi * z))
+    return k * np.vecdot(a, a), grad, hess, a[:, 0] - a[:, -1], ok
+
+
 def flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
-    """F(Y) = d_X(o, m exp(Y) o)^2 and its gradient along ``basis``: ``_flat_rows`` of
+    """F(Y) = d_X(o, m exp(Y) o)^2 and its gradient along ``basis``: ``stacked_flat_rows`` of
     the one-row stack m exp(Y)."""
     k = rs.killing_scale
 
@@ -40,7 +61,7 @@ def flat_value_and_grad(m: np.ndarray, basis: np.ndarray, rs):
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
         if np.abs(y).max() <= 250.0:
-            f, g, _, _, ok = _flat_rows((m * np.exp(y))[None], basis, k)
+            f, g, _, _, ok = stacked_flat_rows((m * np.exp(y))[None], basis, k)
             if ok[0]:
                 return float(f[0]), g[0]
         return 1e12 + float(coords @ coords), 2.0 * coords

@@ -20,10 +20,17 @@ from flat_reference import (
     reference_flat_objective,
     scaled_bfgs_flat_minimum,
     scipy_bfgs_flat_distance,
+    stacked_flat_rows,
 )
 from projection_reference import is_loxodromic
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def split_measured(message):
+    """A witness refusal message, and the singular value it reports (0.0 where none)."""
+    head, _, value = message.partition(" (d-th singular value ")
+    return head, float(value.rstrip(")") or 0.0)
 
 
 def rotation(theta):
@@ -151,6 +158,9 @@ class TestTransversality:
 
 
     def test_stacked_witness_solve_is_the_per_dimension_reference(self):
+        # the closed form against one SVD per subspace dimension: the same columns up to
+        # their signs and the same refusals, whose measured values differ only in rounding
+        # (identical planes read 0 here and about 1e-16 from the SVD)
         rng = np.random.default_rng(10)
         for d in (2, 3):
             for n in (1, 1, 1, 4, 40):
@@ -159,8 +169,41 @@ class TestTransversality:
                     a[0], b[-1] = b[0], a[-1][:, ::-1]
                 w, errors = fm._witness_frames(a, b)
                 ref, ref_errors = reference_witness_frames(a, b)
-                assert errors == ref_errors
-                assert w.tobytes() == ref.tobytes()
+                for error, ref_error in zip(errors, ref_errors, strict=True):
+                    assert (error is None) == (ref_error is None)
+                    if error:
+                        (head, value), (ref_head, ref_value) = map(split_measured, (error, ref_error))
+                        assert head == ref_head and abs(value - ref_value) <= 1e-12
+                signs = np.sign(np.vecdot(w, ref, axis=1))[:, None, :]
+                good = [error is None for error in errors]
+                assert np.max(np.abs(w * signs - ref)[good]) <= 1e-12
+
+    @pytest.mark.parametrize("s, refused", [(0.99e-7, True), (1.01e-7, False)])
+    def test_witness_threshold_is_the_reference_threshold(self, s, refused):
+        # second subspaces whose system [p_1 p_2 -m_1 -m_2] has d-th singular value s,
+        # s^2 = 1 - cos(theta) for the angle theta between the normals p_3 and m_3
+        rng = np.random.default_rng(11)
+        plus = pj.random_so(3, rng)
+        axis = plus @ np.array([0.6, 0.8, 0.0])  # in the plane of p_1 and p_2
+        theta = 2.0 * math.asin(s / math.sqrt(2.0))
+        cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+        turn = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * cross @ cross
+        spin = np.eye(3)
+        spin[:2, :2] = rotation(1.0)  # keeps m_3 = turn p_3 and moves m_1 off the line p_1
+        minus = turn @ plus @ spin
+        w, errors = fm._witness_frames(plus[None], minus[None])
+        ref, ref_errors = reference_witness_frames(plus[None], minus[None])
+        assert (errors[0] is not None) == (ref_errors[0] is not None) == refused
+        if refused:
+            assert errors[0].startswith("subspaces meet in more than a line (d-th singular value 9.9")
+        else:  # unit columns at an angle of about s: the witness is ill-conditioned
+            assert np.linalg.det(w[0]) == pytest.approx(1.0, rel=1e-6)
+
+    def test_witness_of_rank_four_is_refused(self):
+        rng = np.random.default_rng(12)
+        a, b = pj.random_so(4, rng, size=1), pj.random_so(4, rng, size=1)
+        with pytest.raises(PreconditionError, match="d = 2 and 3"):
+            fm._witness_frames(a, b)
 
 
 class TestGromov:
@@ -193,6 +236,18 @@ class TestGromov:
     def test_non_transverse_raises(self):
         with pytest.raises(TransversalityError):
             fm.gromov_product(fm.eta0(3), fm.eta0(3))
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-7])
+    def test_base_point_near_the_origin_is_not_the_origin(self, e):
+        # the product at x is the product at o of the pair carried by h_x^-1, however
+        # close h_x is to the identity
+        rng = np.random.default_rng(14)
+        xi, eta = fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng))
+        x = BasePoint(GroupElement.from_cartan_vector([e, 0.0, -e]))
+        hinv = pj._h_inverse(x)
+        moved = fm.gromov_product(xi.translate(hinv), eta.translate(hinv))
+        assert np.array_equal(fm.gromov_product(xi, eta, x), moved)
+        assert not np.array_equal(moved, fm.gromov_product(xi, eta))
 
 
 class TestBMS:
@@ -473,18 +528,33 @@ class TestFlatDistanceReference:
         step = 1e-6
 
         def grad(m, coords):
-            return fm._flat_rows((m * np.exp(coords @ basis))[None], basis, k)[1][0]
+            return fm._flat_row(m * np.exp(coords @ basis))[1]
 
         for _ in range(10):
             m = random_group(rng, d, 1.0).mat
             coords = rng.normal(size=d - 1)
-            hess = fm._flat_rows((m * np.exp(coords @ basis))[None], basis, k)[2][0]
+            hess = fm._flat_row(m * np.exp(coords @ basis))[2]
             fd = np.array([(grad(m, coords + step * e) - grad(m, coords - step * e)) / (2.0 * step)
                            for e in np.eye(d - 1)])
             assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
         # on a flat through o every a_i - a_j is 0, where phi(x) = x coth x takes its limit 1
-        hess = fm._flat_rows(pj.random_so(d, rng, size=5), basis, k)[2]
-        assert np.max(np.abs(hess - 2.0 * k * np.eye(d - 1))) <= 1e-14 * k
+        for m in pj.random_so(d, rng, size=5):
+            assert np.max(np.abs(fm._flat_row(m)[2] - 2.0 * k * np.eye(d - 1))) <= 1e-14 * k
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_row_kernel_is_the_stacked_kernel(self, d):
+        # value, gradient, Hessian and spread against the stacked kernel Newton ran on
+        # before, row by row; a zero singular value carries no value in either
+        rng = np.random.default_rng(330 + d)
+        basis, k = fm._zero_sum_basis(d), root_system(d).killing_scale
+        ms = np.array([random_group(rng, d, 1.5).mat for _ in range(20)])
+        for m, *stacked, ok in zip(ms, *stacked_flat_rows(ms, basis, k), strict=True):
+            assert ok
+            for got, want in zip(fm._flat_row(m), stacked, strict=True):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+        singular = np.zeros((d, d))
+        singular[0, 0] = 1.0
+        assert fm._flat_row(singular) is None and not stacked_flat_rows(singular[None], basis, k)[-1][0]
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("tilted", [True, False], ids=["iteration_cap", "no_descent"])
@@ -495,13 +565,11 @@ class TestFlatDistanceReference:
         k = root_system(d).killing_scale
         curvature = 2.0 * k * np.diag(np.arange(1.0, d))
 
-        def plane(ms, basis, k):
-            coords = np.log(np.diagonal(ms, axis1=1, axis2=2)) @ basis.T  # ms = exp(Y) at m = I
-            return (1e3 + tilt * coords.sum(axis=1), np.ones((len(ms), d - 1)),
-                    np.broadcast_to(curvature, (len(ms), d - 1, d - 1)), np.zeros(len(ms)),
-                    np.ones(len(ms), dtype=bool))
+        def plane(m):
+            coords = np.log(np.diagonal(m)) @ fm._zero_sum_basis(d).T  # m = exp(Y) at m = I
+            return 1e3 + tilt * float(coords.sum()), np.ones(d - 1), curvature, 0.0
 
-        monkeypatch.setattr(fm, "_flat_rows", plane)
+        monkeypatch.setattr(fm, "_flat_row", plane)
         with pytest.raises(NumericError, match="did not converge") as stalled:
             fm._flat_minimum(np.eye(d))  # flat_distance takes the closed form at d = 2
         value, grad = map(float, re.search(r"value (\S+), gradient (\S+)$", str(stalled.value)).groups())
@@ -598,7 +666,8 @@ class TestFlatDistanceOracle:
         # |det[xi_1 eta_1]| = sine is just below (or above) the witness's 1e-12
         eigvals = np.array([2.0, 0.5])
         eigvecs = np.array([[1.0, math.sqrt(1.0 - sine * sine)], [0.0, sine]])
-        pair = fm.TransversePair(*map(fm.Flag._of_so_frame, fm._eigen_frames(eigvals, eigvecs)[0]))
+        frames = fm._eigen_frames(eigvals[None], eigvecs[None])[0][:, 0]
+        pair = fm.TransversePair(*map(fm.Flag._of_so_frame, frames))
         o = BasePoint.origin(2)
         stacked = fm._fixed_flat_distances(o, eigvals[None], eigvecs[None])
         if refused:

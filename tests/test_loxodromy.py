@@ -442,7 +442,7 @@ class TestFlatDistanceWork:
 
     def test_sl3_optimizer_evaluations(self, monkeypatch):
         solves, evaluations = [], []
-        for name, log in (("_flat_minimum", solves), ("_flat_rows", evaluations)):
+        for name, log in (("_flat_minimum", solves), ("_flat_row", evaluations)):
             fn = getattr(fm, name)
             monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _log=log: _log.append(1) or _fn(*args))
         o, r, eps = admissible_parameters(3)
@@ -450,6 +450,15 @@ class TestFlatDistanceWork:
             assert lx.certify(g, o, r, eps).certified
         assert len(solves) == 500
         assert len(evaluations) / len(solves) <= 2.5  # 6.0 for the BFGS from I, 3.5 from I / (2k)
+
+    def test_sl3_witness_takes_no_svd(self, monkeypatch):
+        # the witness is a closed form: no stacked SVD of its d systems [a, -b], d x (d + 1)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: calls.append(np.shape(m)) or svd(m, *a, **k))
+        o, r, eps = admissible_parameters(3)
+        assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
+        assert calls and not any(shape[-3:] == (3, 3, 4) for shape in calls)
 
     def test_witness_refusal_is_not_transverse(self):
         # the angular flags meet at an angle of 1e-13: transverse (delta > 0), but the
