@@ -36,67 +36,6 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def is_reduced(f: Form) -> bool:
-    """Classical reduction window: sqrt(D) - b < 2|a| < sqrt(D) + b, 0 < b < sqrt(D).
-
-    All comparisons are exact (D is never a square here).
-    """
-    a, b, c = f
-    D = discriminant(f)
-    if D <= 0 or is_square(D):
-        raise ParameterError(f"form must have positive non-square discriminant, got {D}")
-    if b <= 0 or b * b >= D:
-        return False
-    t = 2 * abs(a)
-    if (t + b) * (t + b) <= D:  # need sqrt(D) < 2|a| + b
-        return False
-    if t - b >= 0 and (t - b) * (t - b) >= D:  # need 2|a| - b < sqrt(D)
-        return False
-    return True
-
-
-def rho_step(f: Form) -> Form:
-    """One Gauss reduction step (a,b,c) -> (c, r, (r^2 - D)/(4c))."""
-    a, b, c = f
-    D = discriminant(f)
-    if c == 0:
-        raise ParameterError("degenerate form (square discriminant)")
-    ac = abs(c)
-    s = math.isqrt(D)
-    r = (-b) % (2 * ac)
-    if ac > s:
-        if r > ac:
-            r -= 2 * ac
-    else:
-        # unique representative in (sqrt(D) - 2|c|, sqrt(D))
-        r = r + 2 * ac * ((s - r) // (2 * ac))
-    return (c, r, (r * r - D) // (4 * c))
-
-
-def reduce_form(f: Form) -> Form:
-    g = tuple(int(x) for x in f)
-    for _ in range(10000):
-        if is_reduced(g):
-            return g
-        g = rho_step(g)
-    raise NumericError(f"reduction did not terminate for {f}")
-
-
-def class_id(f: Form) -> tuple:
-    """Canonical id of the proper class: the reduction cycle through reduce(f),
-    in the rho direction, starting at its least form."""
-    g = reduce_form(f)
-    return next(cyc for cyc in form_classes(discriminant(g)) if g in cyc)
-
-
-def cycle(f: Form) -> tuple:
-    """The reduction cycle through a form, as the tuple starting at reduce(f)."""
-    g = reduce_form(f)
-    cyc = class_id(g)
-    i = cyc.index(g)
-    return cyc[i:] + cyc[:i]
-
-
 # ------------------------------------------------- the table of reduced forms
 
 _BLOCK = 1 << 17  # window pairs tested per numpy pass; bounds the scan's memory

@@ -192,18 +192,9 @@ def _witness_frames(plus: np.ndarray, minus: np.ndarray):
     return g, errors
 
 
-def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
-    """Unimodular g with g(eta0, zeta0) = (xi, eta), column by column as in
-    ``_witness_frames``."""
-    g, errors = _witness_frames(xi.frame[None], eta.frame[None])
-    if errors[0]:
-        raise TransversalityError(errors[0])
-    return GroupElement(g[0], check=False)
-
-
 @dataclass
 class TransversePair:
-    """An ordered transverse flag pair with its gauge value and witness."""
+    """An ordered transverse flag pair with its gauge value."""
 
     xi_plus: Flag
     xi_minus: Flag
@@ -221,10 +212,6 @@ class TransversePair:
         pair.xi_plus, pair.xi_minus = Flag._of_so_frame(plus), Flag._of_so_frame(minus)
         pair.delta_value = delta_value
         return pair
-
-    @cached_property
-    def witness(self) -> GroupElement:
-        return transverse_witness(self.xi_plus, self.xi_minus)
 
 
 # ---------------------------------------------------------- Gromov products
@@ -435,7 +422,7 @@ def _flat_minimum(m: np.ndarray) -> float:
     for _ in range(200 * (d - 1)):
         if np.abs(g).max() <= FLAT_TOL:
             break
-        p = -np.linalg.solve(h, g)
+        p = -_solve(h, g)
         slope = float(g @ p)
         t = 1.0
         for _ in range(60):
@@ -459,7 +446,18 @@ def _flat_minimum(m: np.ndarray) -> float:
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
-    return math.sqrt(max(0.0, f - 0.5 * float(g @ np.linalg.solve(h, g))))
+    return math.sqrt(max(0.0, f - 0.5 * float(g @ _solve(h, g))))
+
+
+def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """h^-1 g for the 1 x 1 and 2 x 2 Newton systems of d = 2, 3, by Cramer's rule: on one
+    2 x 2 system ``np.linalg.solve`` costs about six times as much."""
+    if len(g) == 1:
+        return g / h[0, 0]
+    (a, b), (c, d) = h.tolist()
+    u, v = g.tolist()
+    det = a * d - b * c
+    return np.array([(d * u - b * v) / det, (a * v - c * u) / det])
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:

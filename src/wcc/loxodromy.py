@@ -137,7 +137,8 @@ def certify(
     away from the walls.  Condition (ii): the two angular flags are
     transverse and their maximal flat passes within r of x.  On success the
     element is independently re-checked by eigenvalue gaps and the fixed
-    points are located within eps of the angular flags.
+    points are located within eps of the angular flags.  At d = 2 each is a
+    closed form (``_sl2_certificate``).
 
     One-directional: an uncertified element may still be loxodromic.
     """
@@ -151,20 +152,92 @@ def certify(
         raise ParameterError(
             f"epsilon must lie in (0, min(r/C_x, eps0)) = (0, {eps_cap:.6g}), got {epsilon}"
         )
+    conj = pj._conjugate(gamma, x)
+    if not np.isfinite(conj.mat).all():
+        raise PreconditionError(f"certify needs a finite conjugate h_x^-1 g h_x, got {conj.mat.tolist()}")
+    check = _sl2_certificate if d == 2 else _frame_certificate
+    conditions, certified, fixed_point_errors = check(gamma, x, conj, t_zero(x, epsilon), r)
+    return LoxodromyCertificate(
+        element=gamma,
+        base=x,
+        r=r,
+        epsilon=epsilon,
+        conditions=conditions,
+        certified=certified,
+        fixed_point_errors=fixed_point_errors,
+        constants=consts.as_dict() | {"C_x": cx},
+    )
 
+
+def _conditions(wall: float, t0: float) -> dict:
+    return {"wall_distance": wall, "t0": t0, "wall_margin_ok": bool(wall >= t0),
+            "transverse_ok": False, "flat_dist": math.inf}
+
+
+def _sl2_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
+    """Conditions, verdict and fixed-point errors of a d = 2 certificate from the entries of
+    m = h_x^-1 gamma h_x = (a b; c d) and the trace and determinant of gamma (exact for an
+    integer gamma, else rounded once), with no factorisation.  The wall distance is
+    log(s_1^2 / |det|) / ||alpha||_*, s_1 = (hypot(a + d, c - b) + hypot(a - d, b + c)) / 2
+    (an integer conjugate keeps the exact Frobenius mass of ``cartan_vector``).  The
+    angular lines u_1, v_2 of m lie at the angles (A + B) / 2 and (A - B) / 2 + pi / 2,
+    A = atan2(b + c, a - d), B = atan2(c - b, a + d); so their images under h_x meet at the
+    sine |a + d| / (hypot(a + d, c - b) |h_x u_1| |h_x v_2|), refused below the witness's
+    1e-12, and their flat passes sqrt(2) asinh(|b - c| / |a + d|) from x (Beardon, The
+    Geometry of Discrete Groups, ch. 7).  Loxodromy is a positive discriminant
+    (a + d)^2 - 4 det, with the gap test for a float gamma, and each fixed-point error the
+    sine |u x e| / (|u| |e|) of an angular line u and its eigenline e of gamma."""
+    (a, b), (c, d) = conj.mat.tolist()
+    if gamma.int_mat is not None:
+        (ga, gb), (gc, gd) = gamma.int_mat
+        trace, det, disc = float(ga + gd), 1.0, (ga + gd) ** 2 - 4
+    else:
+        (ga, gb), (gc, gd) = gamma.mat.tolist()
+        (na, da), (nb, db), (nc, dc), (nd, dd) = (v.as_integer_ratio() for v in (ga, gb, gc, gd))
+        trace, det = ga + gd, (na * nd * db * dc - nb * nc * da * dd) / (da * dd * db * dc)  # int / int rounds once
+        disc = trace * trace - 4.0 * det
+    if det == 0.0:
+        raise PreconditionError(f"certify needs an invertible element, got {gamma.mat.tolist()}")
+    rs, q = root_system(2), math.hypot(trace, c - b)
+    if conj.int_mat is not None:
+        wall = float(rs.wall_distances(pj.cartan_vector(conj)))
+    else:
+        s1 = 0.5 * (q + math.hypot(a - d, b + c))
+        wall = (2.0 * math.log(s1) - math.log(abs(det))) / float(rs.simple_dual_norms[0])
+    conditions = _conditions(wall, t0)
+    if not conditions["wall_margin_ok"]:
+        return conditions, False, None
+    spin, turn = math.atan2(b + c, a - d), math.atan2(c - b, trace)
+    (h00, h01), (h10, h11) = x.h.mat.tolist()  # exactly I at the origin
+    lines = [(h00 * v + h01 * w, h10 * v + h11 * w) for v, w in (
+        (math.cos(0.5 * (spin + turn)), math.sin(0.5 * (spin + turn))),
+        (-math.sin(0.5 * (spin - turn)), math.cos(0.5 * (spin - turn))))]
+    if trace != 0.0 and abs(trace) >= 1e-12 * q * math.hypot(*lines[0]) * math.hypot(*lines[1]):
+        conditions["transverse_ok"] = True
+        conditions["flat_dist"] = math.sqrt(2.0) * math.asinh(abs(c - b) / abs(trace))
+    root = math.sqrt(disc) if disc > 0 else 0.0
+    lox = disc > 0 if gamma.int_mat is not None else (
+        disc > 0.0 and 2.0 * math.log(0.5 * (abs(trace) + root)) - math.log(abs(det)) > pj.TAU_LOX_DEFAULT)
+    if not (conditions["transverse_ok"] and conditions["flat_dist"] < r and lox):
+        return conditions, False, None  # a misfired configuration is never certified
+    # the eigenvector (lambda - d, c) or (b, lambda - a) whose free entry is
+    # +-(|a - d| + sqrt(disc)) / 2, which does not cancel
+    half, errors = 0.5 * (abs(ga - gd) + root), []
+    for sign, (v, w) in zip((1.0, -1.0) if trace > 0 else (-1.0, 1.0), lines):
+        e = (sign * half, gc) if (ga >= gd) == (sign > 0) else (gb, sign * half)
+        errors.append(abs(e[0] * w - e[1] * v) / (math.hypot(*e) * math.hypot(v, w)))
+    return conditions, True, tuple(errors)
+
+
+def _frame_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
+    """Conditions, verdict and fixed-point errors of a certificate from one Cartan
+    decomposition of the conjugate, one eigen-solve and one frame pass."""
+    d = gamma.d
     rs = root_system(d)
-    t0 = t_zero(x, epsilon)
     # one Cartan decomposition of the conjugate gives the wall distance and the flags; its
     # sorted zero-sum row needs no chamber check, as the census's Cartan rows need none
-    k, a_x, l = pj.cartan_project(pj._conjugate(gamma, x))
-    wall = float(rs.wall_distances(a_x))
-    conditions = {
-        "wall_distance": wall,
-        "t0": t0,
-        "wall_margin_ok": bool(wall >= t0),
-        "transverse_ok": False,
-        "flat_dist": math.inf,
-    }
+    k, a_x, l = pj.cartan_project(conj)
+    conditions = _conditions(float(rs.wall_distances(a_x)), t0)
 
     if conditions["wall_margin_ok"]:
         # the one eigen-solve first, so that one frame action gives the angular and the
@@ -202,17 +275,7 @@ def certify(
             raise LoxodromyError(fm._NON_REAL)
         else:
             fixed_point_errors = tuple(fm._dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
-
-    return LoxodromyCertificate(
-        element=gamma,
-        base=x,
-        r=r,
-        epsilon=epsilon,
-        conditions=conditions,
-        certified=certified,
-        fixed_point_errors=fixed_point_errors,
-        constants=consts.as_dict() | {"C_x": cx},
-    )
+    return conditions, certified, fixed_point_errors
 
 
 def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:

@@ -73,6 +73,8 @@ class GroupElement:
         return cls(np.diag(np.exp(y)), check=False)
 
     def _check_unimodular(self):
+        if not np.isfinite(self.mat).all():
+            raise PreconditionError(f"matrix entries must be finite, got {self.mat[~np.isfinite(self.mat)][0]}")
         # the rounding error of a float determinant scales with the Hadamard bound
         hadamard = float(np.prod(np.linalg.norm(self.mat, axis=0)))
         det = float(np.linalg.det(self.mat))
@@ -369,12 +371,6 @@ def flag_frame_action(mat, frame) -> np.ndarray:
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs = np.where(signs == 0.0, 1.0, signs)
     return q * signs[..., None, :]
-
-
-def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
-    """Busemann cocycle beta_xi(x, y) = sigma(h_x^-1 h_y, h_y^-1 xi)."""
-    moved_frame = flag_frame_action(_h_inverse(y), _frame_of(xi))
-    return iwasawa_batch(_h_inverse(x) @ y.h.mat, moved_frame)
 
 
 def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:

@@ -113,11 +113,6 @@ class RootSystemA:
         scale = max(1.0, float(np.abs(y).max()))
         return bool((np.diff(y) <= CHAMBER_TOL * scale).all())
 
-    def chamber_sort(self, y) -> np.ndarray:
-        """Weyl representative: coordinates sorted non-increasingly."""
-        y = self.check_traceless(y)
-        return np.sort(y)[::-1]
-
     def wall_distance(self, y) -> float:
         """Killing distance from a chamber vector to the chamber boundary.
 
@@ -141,10 +136,6 @@ class RootSystemA:
         y = self.check_traceless(y)
         return -y[::-1]
 
-    def weyl_group(self):
-        """Coordinate permutations, as index tuples."""
-        return list(itertools.permutations(range(self.d)))
-
     def reversal_frame(self) -> np.ndarray:
         """Special-orthogonal permutation frame implementing the opposition.
 
@@ -159,9 +150,6 @@ class RootSystemA:
         """Volume growth exponent: max of twice rho over the Killing unit ball,
         which is the dual norm of 2 rho."""
         return self.dual_norm(self.two_rho)
-
-    def delta_zero_direction(self) -> np.ndarray:
-        return self.dual_vector(self.two_rho)
 
     def levi_delta0(self, theta) -> float:
         """Growth exponent of the Levi factor selected by a simple-root subset.

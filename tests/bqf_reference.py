@@ -8,7 +8,10 @@ cycles, the closed-form root keys and the continued fraction replaced them;
 the tests keep them, unchanged, as the references the new code is compared
 against.  ``reduced_forms`` (all reduced forms, read off the table) and
 ``form_of_matrix`` were ``wcc.bqf`` functions that only the tests called;
-they moved here unchanged.  The walk steps ``bqf.rho_step`` form by form, so the references
+they moved here unchanged, and so did the per-form reduction ``is_reduced``,
+``rho_step``, ``reduce_form``, ``class_id`` and ``cycle``, which no command,
+acceptance criterion or library function runs since the class census became one
+table.  The walk steps ``rho_step`` form by form, so the references
 never run the table.  The root key builds its automorph with the linear
 Pell search and its id with the rotation minimum, as it did then.
 """
@@ -45,7 +48,7 @@ def reference_reduced_forms(D: int) -> list:
             for sa in (a, -a):
                 c = (b * b - D) // (4 * sa)
                 f = (sa, b, c)
-                if bqf.is_reduced(f):
+                if is_reduced(f):
                     out.append(f)
     return sorted(out)
 
@@ -63,10 +66,10 @@ def _divisors(n: int) -> list:
 def _walk(f) -> tuple:
     """The rho cycle of a reduced form, as the tuple starting at the form."""
     out = [f]
-    g = bqf.rho_step(f)
+    g = rho_step(f)
     while g != f:
         out.append(g)
-        g = bqf.rho_step(g)
+        g = rho_step(g)
         if len(out) > 100000:
             raise NumericError(f"cycle of {f} did not close")
     return tuple(out)
@@ -74,7 +77,7 @@ def _walk(f) -> tuple:
 
 def reference_cycle(f) -> tuple:
     """The reduction cycle through a form, as the tuple starting at reduce(f)."""
-    return _walk(bqf.reduce_form(f))
+    return _walk(reduce_form(f))
 
 
 def reference_class_id(f) -> tuple:
@@ -136,3 +139,64 @@ def reference_pell4(D: int, v_cap: int = 10**7):
         if bqf.is_square(uu):
             return math.isqrt(uu), v
     raise NumericError(f"no Pell +4 solution found for D={D} below v={v_cap}")
+
+
+def is_reduced(f: tuple) -> bool:
+    """Classical reduction window: sqrt(D) - b < 2|a| < sqrt(D) + b, 0 < b < sqrt(D).
+
+    All comparisons are exact (D is never a square here).
+    """
+    a, b, c = f
+    D = bqf.discriminant(f)
+    if D <= 0 or bqf.is_square(D):
+        raise ParameterError(f"form must have positive non-square discriminant, got {D}")
+    if b <= 0 or b * b >= D:
+        return False
+    t = 2 * abs(a)
+    if (t + b) * (t + b) <= D:  # need sqrt(D) < 2|a| + b
+        return False
+    if t - b >= 0 and (t - b) * (t - b) >= D:  # need 2|a| - b < sqrt(D)
+        return False
+    return True
+
+
+def rho_step(f: tuple) -> tuple:
+    """One Gauss reduction step (a,b,c) -> (c, r, (r^2 - D)/(4c))."""
+    a, b, c = f
+    D = bqf.discriminant(f)
+    if c == 0:
+        raise ParameterError("degenerate form (square discriminant)")
+    ac = abs(c)
+    s = math.isqrt(D)
+    r = (-b) % (2 * ac)
+    if ac > s:
+        if r > ac:
+            r -= 2 * ac
+    else:
+        # unique representative in (sqrt(D) - 2|c|, sqrt(D))
+        r = r + 2 * ac * ((s - r) // (2 * ac))
+    return (c, r, (r * r - D) // (4 * c))
+
+
+def reduce_form(f: tuple) -> tuple:
+    g = tuple(int(x) for x in f)
+    for _ in range(10000):
+        if is_reduced(g):
+            return g
+        g = rho_step(g)
+    raise NumericError(f"reduction did not terminate for {f}")
+
+
+def class_id(f: tuple) -> tuple:
+    """Canonical id of the proper class: the reduction cycle through reduce(f),
+    in the rho direction, starting at its least form."""
+    g = reduce_form(f)
+    return next(cyc for cyc in bqf.form_classes(bqf.discriminant(g)) if g in cyc)
+
+
+def cycle(f: tuple) -> tuple:
+    """The reduction cycle through a form, as the tuple starting at reduce(f)."""
+    g = reduce_form(f)
+    cyc = class_id(g)
+    i = cyc.index(g)
+    return cyc[i:] + cyc[:i]

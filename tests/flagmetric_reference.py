@@ -6,14 +6,17 @@ with one SVD per subspace dimension k (``wcc.flagmetric._witness_frames``
 before its d systems went into one stacked SVD, and then into a closed form), the
 oracle of its columns up to sign and of its refusals; and the
 Radon-Nikodym factor of a translated boundary measure (``rn_derivative``, unchanged
-from ``wcc.flagmetric``), which only the flag tests run."""
+from ``wcc.flagmetric``), which only the flag tests run.  Also the witness of one pair
+(``transverse_witness``, and ``witness`` for a ``TransversePair``), which only the tests
+and references build: they were ``wcc.flagmetric.transverse_witness`` and the cached
+``TransversePair.witness``, unchanged."""
 
 import math
 
 import numpy as np
 
-from wcc.errors import PreconditionError
-from wcc.flagmetric import Flag, HopfPoint, dist_delta, eta0
+from wcc.errors import PreconditionError, TransversalityError
+from wcc.flagmetric import Flag, HopfPoint, TransversePair, _witness_frames, dist_delta, eta0
 from wcc.projections import GroupElement, iwasawa_cocycle
 from wcc.rootsys import root_system
 
@@ -53,9 +56,22 @@ def reference_witness_frames(plus: np.ndarray, minus: np.ndarray):
     return g / scale[:, None, None], errors
 
 
+def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
+    """Unimodular g with g(eta0, zeta0) = (xi, eta), column by column as in
+    ``_witness_frames``."""
+    g, errors = _witness_frames(xi.frame[None], eta.frame[None])
+    if errors[0]:
+        raise TransversalityError(errors[0])
+    return GroupElement(g[0], check=False)
+
+
+def witness(pair: TransversePair) -> GroupElement:
+    return transverse_witness(pair.xi_plus, pair.xi_minus)
+
+
 def hopf_inverse(point: HopfPoint) -> GroupElement:
     """A representative of the M-coset with the given Hopf coordinates."""
-    w = point.pair.witness
+    w = witness(point.pair)
     base = iwasawa_cocycle(w, eta0(w.d))
     shift = np.asarray(point.a_coord, dtype=float) - base
     return GroupElement(w.mat @ np.diag(np.exp(shift)), check=False)

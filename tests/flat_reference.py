@@ -30,6 +30,8 @@ from wcc.flagmetric import (
 from wcc.projections import BasePoint
 from wcc.rootsys import root_system
 
+from flagmetric_reference import witness
+
 
 def stacked_flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):
     """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), its exact gradient and
@@ -97,7 +99,7 @@ def reference_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e-
 
     d = x.d
     rs = root_system(d)
-    w = pair.witness
+    w = witness(pair)
     m = x.h.inverse().mat @ w.mat
     basis = _zero_sum_basis(d)
     f = reference_flat_objective(m, basis, rs)
@@ -149,7 +151,7 @@ def scipy_bfgs_flat_distance(x: BasePoint, pair: TransversePair, tol: float = 1e
     import scipy.optimize
 
     d = x.d
-    m = x.h.inverse().mat @ pair.witness.mat
+    m = x.h.inverse().mat @ witness(pair).mat
     fg = flat_value_and_grad(m, _zero_sum_basis(d), root_system(d))
     res = scipy.optimize.minimize(fg, np.zeros(d - 1), jac=True, method="BFGS",
                                   options={"gtol": tol})

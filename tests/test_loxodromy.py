@@ -1,5 +1,7 @@
+import faulthandler
 import json
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,19 @@ from wcc.volume import Domain
 
 from conftest import criterion4_elements, random_group
 from constants_reference import _fit_constants, dist_d2
-from loxodromy_reference import contraction_check, reference_jordan_cartan_gap
+from loxodromy_reference import (
+    contraction_check,
+    decimal_sl2_certificate,
+    reference_certify,
+    reference_jordan_cartan_gap,
+)
 from projection_reference import dist_x, is_loxodromic
 
 VERDICTS = Path(__file__).with_name("certify_verdicts.json")
+# bound on |value - 50-digit value| / max(1, |value|) of the d = 2 closed form; over the grid
+# of TestSl2ClosedForm (the d = 2 pinned cases, criterion 4's d = 2 family at the three base
+# points of sl2_base_points, and sl2_edge_cases) its largest error was 2.8 eps, on a wall distance
+SL2_VALUE_BOUND = 4.0 * np.finfo(float).eps
 
 
 def admissible_parameters(d):
@@ -120,6 +131,45 @@ def certify_cases():
             yv[0], yv[-1] = w, -w
             cases.append((f"near wall d={d}", GroupElement.from_cartan_vector(yv), o, r, eps))
     return cases
+
+
+def sl2_base_points():
+    return (BasePoint.origin(2), BasePoint(GroupElement.from_integer([[2, 1], [1, 1]])),
+            BasePoint(GroupElement.from_cartan_vector([0.04, -0.04])))
+
+
+def criterion4_family(x):
+    """Criterion 4's d = 2 construction (seed 4, 500 elements) at a base point x: each
+    element just past t_zero(x, eps), conjugated by h_x; the family itself at the origin.
+    Returns the elements and their (r, eps)."""
+    rs, consts = root_system(2), lx.fitted_constants(2)
+    r = 0.98 * consts.r0
+    eps = 0.9 * min(r / lx.cx_constant(x), consts.eps0)
+    y = 1.05 * lx.t_zero(x, eps) / math.sqrt(2) * np.array([0.5, -0.5])
+    rng, out = np.random.default_rng(4), []
+    for _ in range(500):
+        yh = rng.normal(size=2)
+        yh -= yh.mean()
+        yh *= rng.uniform(0.0, 0.3 * r) / max(rs.killing_norm(yh), 1e-12)
+        h = x.h.mat @ pj.random_so(2, rng) @ np.diag(np.exp(np.sort(yh)[::-1])) @ pj.random_so(2, rng)
+        signs = rng.choice([1.0, -1.0], size=2)
+        if np.prod(signs) < 0:
+            signs[0] *= -1
+        out.append(GroupElement(h @ (np.diag(np.exp(y)) @ np.diag(signs)) @ np.linalg.inv(h), check=False))
+    return out, r, eps
+
+
+def sl2_edge_cases():
+    """d = 2 elements past the wall margin at the origin with a + d = 0, b = 0 or c = 0."""
+    o, r, eps = admissible_parameters(2)
+    s = math.exp(1.05 * lx.t_zero(o, eps) / (2.0 * math.sqrt(2)))  # diag(s, 1 / s) is 1.05 t0 from the walls
+    mats = [GroupElement.from_integer([[50, 2501], [-1, -50]]),  # a + d = 0: not transverse
+            GroupElement.from_integer([[1, 0], [3000, 1]]), GroupElement.from_integer([[1, 3000], [0, 1]]),
+            GroupElement([[0.0, s], [-1.0 / s, 0.0]]), GroupElement([[s, s], [-1.0 / s, 0.0]])]
+    for off in (0.0, 0.01, 1.0, s):
+        mats += [GroupElement([[s, off], [0.0, 1.0 / s]]), GroupElement([[s, 0.0], [off, 1.0 / s]]),
+                 GroupElement([[-1.0 / s, off], [0.0, -s]]), GroupElement([[1.0 / s, 0.0], [off, s]])]
+    return [(g, o, r, eps) for g in mats]
 
 
 def verdict_row(cert) -> dict:
@@ -331,10 +381,23 @@ class TestVerdictTable:
                     pj._integer_inverse(x.h.int_mat) @ np.array(g.int_mat, dtype=object)
                     @ np.array(x.h.int_mat, dtype=object)) if x.h.int_mat is not None else g
                 old["wall_distance"] = root_system(g.d).wall_distance(pj.cartan_vector(conj))
-            # the flat distance is now the closed form at d = 2 and Newton's method at
-            # d = 3, so it moves in the last digits
             new_flat, old_flat = new.pop("flat_dist"), old.pop("flat_dist")
-            assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), label
+            if g.d == 2:
+                # the closed form: each float value within SL2_VALUE_BOUND of the 50-digit one,
+                # and nearer to it than the pinned value wherever that one is not
+                ref_wall, ref_flat, ref_errors = decimal_sl2_certificate(g, x)
+                values = [(new_flat, old_flat, ref_flat)] if math.isfinite(old_flat) else []
+                if g.int_mat is None:
+                    values.append((new.pop("wall_distance"), old.pop("wall_distance"), ref_wall))
+                if old["fixed_point_errors"] is not None:
+                    values += zip(new.pop("fixed_point_errors"), old.pop("fixed_point_errors"), ref_errors)
+                for value, pinned, ref in values:
+                    err, bound = abs(value - ref), SL2_VALUE_BOUND * max(1.0, abs(ref))
+                    assert err <= bound and (err <= abs(pinned - ref) or abs(pinned - ref) <= bound), label
+            else:
+                # the flat distance is Newton's method at d = 3, so it moves in the last digits
+                assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), label
+            assert new_flat == math.inf if old_flat == math.inf else math.isfinite(new_flat), label
             assert new == old, label
 
     def test_wide_integer_wall_distance_is_exact(self):
@@ -343,47 +406,51 @@ class TestVerdictTable:
         cert = lx.certify(g, o, 0.4, 0.0005)
         assert cert.conditions["wall_distance"] == 51.929538344805906
 
-    def test_one_eigen_solve_per_certificate(self, monkeypatch):
+    @pytest.fixture
+    def linalg_calls(self, monkeypatch):
+        """The (name, shape) of every np.linalg svd, eig, eigvals, qr, det and solve call."""
         calls = []
-        for name in ("eig", "eigvals"):
-            solve = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda m, _s=solve, _n=name: calls.append(_n) or _s(m))
-        for d in (2, 3):
+        for name in ("svd", "eig", "eigvals", "qr", "det", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, *args, _fn=fn, _name=name, **kwargs:
+                                calls.append((_name, np.shape(m))) or _fn(m, *args, **kwargs))
+        return calls
+
+    def test_one_eigen_solve_per_certificate(self, linalg_calls):
+        # and none at d = 2, which makes no np.linalg call at all
+        for d, expected in ((2, []), (3, ["eig"])):
             o, r, eps = admissible_parameters(d)
-            calls.clear()
+            linalg_calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
-            assert calls == ["eig"]
+            assert [name for name, _ in linalg_calls if name in ("eig", "eigvals")] == expected
+            assert bool(linalg_calls) == (d == 3)
 
-    def test_one_determinant_per_frame(self, monkeypatch):
-        # the Cartan frame, the one stacked det of the four flags' frames (the angular and
-        # the fixed flags), and for d = 3 the 2 x 2 minors of their embedded lines in one
-        # stack, those of the perp lines of xi-, and the witness (the d = 2 flat distance
-        # has no witness)
-        calls = []
-        det = np.linalg.det
-        monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(np.shape(m)) or det(m))
-        for d, n_calls in ((2, 2), (3, 5)):
+    def test_one_determinant_per_frame(self, linalg_calls):
+        # d = 3: the Cartan frame, the one stacked det of the four flags' frames (the angular
+        # and the fixed flags), the 2 x 2 minors of their embedded lines in one stack, those
+        # of the perp lines of xi-, and the witness; d = 2 takes none
+        for d, n_calls in ((2, 0), (3, 5)):
             o, r, eps = admissible_parameters(d)
-            calls.clear()
+            linalg_calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
-            assert len(calls) == n_calls
-            assert calls.count((4, d, d)) == 1
+            dets = [shape for name, shape in linalg_calls if name == "det"]
+            assert len(dets) == n_calls
+            assert dets.count((4, d, d)) == (d == 3)
+            assert bool(linalg_calls) == (d == 3)
 
-    def test_one_frame_action_per_certificate(self, monkeypatch):
-        # one QR of the stacked frames of xi+, xi-, and the attracting and repelling flags
-        calls = []
-        for name in ("qr", "eig", "eigvals"):
-            solve = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda m, _s=solve, _n=name: calls.append((_n, np.shape(m))) or _s(m))
+    def test_one_frame_action_per_certificate(self, linalg_calls):
+        # d = 3: one QR of the stacked frames of xi+, xi-, and the attracting and repelling
+        # flags; d = 2: no frame action and no eigen-solve
         for d in (2, 3):
             o, r, eps = admissible_parameters(d)
             for g in (GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), criterion4_elements()[d][0]):
-                calls.clear()
+                linalg_calls.clear()
                 assert lx.certify(g, o, r, eps).certified
-                assert sorted(calls) == [("eig", (d, d)), ("qr", (4, d, d))]
+                solves = sorted(call for call in linalg_calls if call[0] in ("qr", "eig", "eigvals"))
+                assert solves == ([] if d == 2 else [("eig", (d, d)), ("qr", (4, d, d))])
+                assert bool(linalg_calls) == (d == 3)
 
     def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
         # the solve now runs before the flat test; its failure still reaches the caller
@@ -404,6 +471,85 @@ class TestVerdictTable:
             lx.certify(near, o, r, eps)
         cert = lx.certify(far, o, r, eps)
         assert cert.conditions == conditions and not cert.certified
+
+
+class TestSl2ClosedForm:
+    """The d = 2 certificate is a closed form; the frame path it replaced
+    (``reference_certify``) is the oracle of its verdicts and flags, and a 50-digit
+    evaluation of the same matrices that of its values."""
+
+    @staticmethod
+    def grid():
+        yield from ((g, x, r, eps) for _, g, x, r, eps in certify_cases() if g.d == 2)
+        for x in sl2_base_points():
+            elements, r, eps = criterion4_family(x)
+            yield from ((g, x, r, eps) for g in elements)
+        yield from sl2_edge_cases()
+
+    def test_flags_match_the_frame_path(self):
+        for g, x, r, eps in self.grid():
+            new, old = lx.certify(g, x, r, eps), reference_certify(g, x, r, eps)
+            assert new.certified == old.certified, g
+            for key in ("wall_margin_ok", "transverse_ok", "t0"):
+                assert new.conditions[key] == old.conditions[key], (key, g)
+            assert (new.fixed_point_errors is None) == (old.fixed_point_errors is None), g
+
+    def test_values_within_the_bound_of_the_50_digit_reference(self):
+        certified = 0
+        for g, x, r, eps in self.grid():
+            cert, (wall, flat, errors) = lx.certify(g, x, r, eps), decimal_sl2_certificate(g, x)
+            values = [(cert.conditions["wall_distance"], wall)]
+            if cert.conditions["transverse_ok"]:
+                values.append((cert.conditions["flat_dist"], flat))
+            if cert.certified:
+                certified += 1
+                values += zip(cert.fixed_point_errors, errors)
+            for value, ref in values:
+                assert abs(value - ref) <= SL2_VALUE_BOUND * max(1.0, abs(ref)), (g, value, ref)
+        assert certified >= 1000
+
+    def test_edge_entries(self):
+        # a + d = 0 is refused as the witness refuses it; b = 0 and c = 0 give exact eigenlines
+        rows = [lx.certify(*case) for case in sl2_edge_cases()]
+        assert [c.conditions["transverse_ok"] for c in rows[:5]] == [False, True, True, False, True]
+        assert rows[0].conditions["flat_dist"] == math.inf and not rows[0].certified
+        assert all(c.certified and max(c.fixed_point_errors) < 1e-9 for c in rows[5:9])
+        with pytest.raises(PreconditionError, match="invertible"):
+            lx.certify(GroupElement([[1.0, 1.0], [1.0, 1.0]], check=False), *admissible_parameters(2))
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that does not return within 20 s instead of hanging the suite: SIGALRM
+    raises in Python code, and a watchdog thread ends the process if it is stuck in C."""
+    def timeout(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    faulthandler.dump_traceback_later(40, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_entries_are_refused(alarm, value, d):
+    o, r, eps = admissible_parameters(d)
+    mat = np.eye(d)
+    mat[0, -1] = value
+    with pytest.raises(PreconditionError, match="finite, got") as exc:
+        GroupElement(mat)
+    assert str(value) in str(exc.value)
+    with pytest.raises(PreconditionError, match="finite conjugate"):
+        lx.certify(GroupElement(mat, check=False), o, r, eps)
+    x = BasePoint(GroupElement.from_cartan_vector(np.linspace(5.0, -5.0, d)))
+    big = np.eye(d)
+    big[-1, 0] = 1e305  # finite, but e^10 times that entry of h_x^-1 g h_x is not
+    with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite conjugate"):
+        lx.certify(GroupElement(big, check=False), x, 0.4, 0.1 / lx.cx_constant(x))
 
 
 class TestFlatDistanceWork:
@@ -427,12 +573,10 @@ class TestFlatDistanceWork:
         assert sorted(calls) == ["_flat_minimum", "_witness_frames"]
 
     def test_sl3_certificate_and_fixed_flags_share_one_kernel(self, monkeypatch):
-        # both paths hand their frame pairs to the stacked kernel; neither builds a witness
-        # through the per-pair transverse_witness
+        # both paths hand their frame pairs to the stacked kernel
         calls = []
-        for name in ("_flat_distances", "transverse_witness"):
-            fn = getattr(fm, name)
-            monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        fn = fm._flat_distances
+        monkeypatch.setattr(fm, "_flat_distances", lambda *args: calls.append("_flat_distances") or fn(*args))
         o, r, eps = admissible_parameters(3)
         elements = criterion4_elements()[3][:5]
         assert lx.certify(elements[0], o, r, eps).certified
