@@ -450,7 +450,7 @@ def _cmd_check(args) -> int:
         lambda: abs(vol.ball_volume(rs2, 4.0).value / vol.closed_form_ball_d2(4.0) - 1) < 1e-9,
     )
     record(
-        "d=3 box expansion vs quadrature",
+        "d=3 box closed form vs quadrature",
         lambda: abs(
             vol.box_volume(rs3, 3.0, (1.0, 1.0)).value
             / vol.box_volume_quadrature(rs3, 3.0, (1.0, 1.0)).value

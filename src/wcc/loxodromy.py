@@ -88,6 +88,8 @@ def cx_constant(x: BasePoint) -> float:
     """Configuration constant 8 C2 C1 exp(C0 d_X(o, x)), once per value of x."""
     consts = fitted_constants(x.d)
     dx = root_system(x.d).killing_norm(pj.cartan_vector(x.h))  # d_X(o, x)
+    if math.log(8.0 * consts.c2 * consts.c1) + consts.c0 * dx > math.log(np.finfo(float).max):
+        raise NumericError(f"C_x overflows a float at d_X(o, x) = {dx}")
     return 8.0 * consts.c2 * consts.c1 * math.exp(consts.c0 * dx)
 
 

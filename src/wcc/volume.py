@@ -3,14 +3,14 @@
 The density integrated over a chamber region is  prod_roots sinh(alpha(Y)),
 against the Lebesgue measure normalized by the Killing norm.  Everything is
 computed in log space (Gauss-Legendre with node doubling), so large t only
-costs exponent bookkeeping, never overflow.  Parallelotope domains also get
-the exact finite expansion obtained by developing the sinh products into
-exponentials in the simple-root dual coordinates.
+costs exponent bookkeeping, never overflow.  Parallelotope domains at d = 2
+and 3 also get the closed form: in the simple-root dual coordinates the
+density's integral separates into sinh^2 and int sinh^2 factors, summed in
+log space with a stated rounding bound as the error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -48,6 +48,10 @@ class Domain:
     def __post_init__(self):
         if self.kind not in ("ball", "box"):
             raise ParameterError(f"domain kind must be 'ball' or 'box', got {self.kind!r}")
+        bad = [v for v in (self.t, *(self.edges or ()), self.regular_margin, self.slab)
+               if v is not None and not math.isfinite(v)]
+        if bad:
+            raise ParameterError(f"domain values must be finite, got {bad[0]}")
         if not self.t > 0:
             raise ParameterError(f"domain scale t must be positive, got {self.t}")
         if self.kind == "box":
@@ -67,11 +71,6 @@ class Domain:
             raise ParameterError(
                 f"box domain for d={d} needs {d - 1} edge lengths, got {len(self.edges)}"
             )
-
-    def contains_cartan(self, rs: RootSystemA, a) -> bool:
-        """Membership of a closed-chamber vector (checked): the one-row ``contains_rows``."""
-        wall = rs.wall_distance(a)
-        return bool(self.contains_rows(rs, np.asarray(a, dtype=float)[None], np.array([wall]))[0])
 
     def contains_rows(self, rs: RootSystemA, cartan: np.ndarray, walls: np.ndarray) -> np.ndarray:
         """Membership of (n, d) Cartan rows with their wall distances, unchecked: the
@@ -226,9 +225,12 @@ def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
 
 
 def _converge(evaluate, rel_tol: float = QUAD_REL_TOL):
-    """Double node counts from 24 until successive log values agree to rel_tol."""
+    """Double node counts from 24 until successive log values agree to rel_tol, refusing
+    a first value (nan, inf, or past rel_tol / eps) whose rounding alone exceeds rel_tol."""
     n = 24
     prev = evaluate(n)
+    if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
+        raise NumericError(f"quadrature log value {prev} cannot be resolved to {rel_tol}")
     while n <= MAX_NODES:
         n *= 2
         cur = evaluate(n)
@@ -399,8 +401,6 @@ def closed_form_ball_d2(t: float) -> float:
 def ball_volume(rs_or_d, t: float) -> VolumeResult:
     """Harish-Chandra volume of the chamber ball of Killing radius t, to ``QUAD_REL_TOL``."""
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
-    if not t > 0:
-        raise ParameterError(f"t must be positive, got {t}")
     domain = Domain("ball", t)
     log_val, err = _region_log_integral(rs, domain, "hc")
     result = _finish(log_val, "quadrature", err)
@@ -448,88 +448,58 @@ def fit_growth(rs: RootSystemA, t_grid, volumes_log) -> dict:
 # ------------------------------------------------------------- box volume
 
 
-def _expansion_terms(rs: RootSystemA):
-    """Signed exponential terms of the sinh-product development.
-
-    Yields (sign, coefficient vector in the simple-root basis) for
-    2^(sum of multiplicities) terms; the all-plus term is 2 rho.
-    """
-    roots = []
-    for root, mult in zip(rs.positive_roots, rs.multiplicities):
-        roots.extend([np.asarray(root)] * mult)
-    simple = np.array(rs.simple_roots).T
-    for signs in itertools.product((0, 1), repeat=len(roots)):
-        omega = sum((-1.0 if s else 1.0) * r for s, r in zip(signs, roots))
-        coeffs, *_ = np.linalg.lstsq(simple, omega, rcond=None)
-        coeffs = np.round(coeffs).astype(int)
-        if np.max(np.abs(simple @ coeffs - omega)) > 1e-9:
-            raise NumericError("expansion term is not an integer root combination")
-        yield (-1) ** sum(signs), coeffs
+def _log_s(z: float) -> float:
+    """log S(z), S(z) = (sinh 2z - 2z) / 4 = int_0^z sinh^2: (2z)^3/24 (1 + sum_{k>=2}
+    (2z)^(2k-2) 3!/(2k+1)!) below z = 1/2, e^(2z)/8 (1 - e^(-4z) - 4z e^(-2z)) above."""
+    if z >= 0.5:
+        return 2.0 * z - math.log(8.0) + math.log1p(-math.exp(-4.0 * z) - 4.0 * z * math.exp(-2.0 * z))
+    q, rest = 4.0 * z * z, 0.0
+    for k in range(9, 1, -1):  # Horner, to the k = 9 term 6/19! < 5e-17
+        rest = q * (rest + 6.0 / math.factorial(2 * k + 1))
+    return 3.0 * math.log(2.0 * z) - math.log(24.0) + math.log1p(rest)
 
 
 def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
-    """Exact finite expansion of the parallelotope volume.
+    """Harish-Chandra volume of the parallelotope in closed form, at d = 2 and 3
+    (d >= 4 is refused, as by the box quadrature).
 
-    Also returns the growth exponent (the sup of 2 rho over the
-    parallelotope), the leading coefficient, and the exponent of the
-    largest secondary term.
+    In the simple-root dual coordinates z_i in [0, t a_i] the density separates:
+    at d = 2 the volume is 2 jac sinh(t a / 2)^2; at d = 3, with X = t a_1 and
+    Y = t a_2, it is jac/2 (S(X) sinh(Y)^2 + sinh(X)^2 S(Y)), S as in ``_log_s``.
+    Nothing cancels in their logs, so ``error_estimate`` is the rounding bound
+    c eps max(1, sum |terms|), c = 4, over the log terms (of jac, each sinh^2 and
+    each S); not |log_value|, which is near 0 where large terms meet.  Against 50
+    digits the worst error is 0.73 eps times that sum on the grid of
+    ``TestBoxClosedForm`` in the tests, and 1.21 on 10,500 random boxes.
+
+    Also returns delta_P (the sup of 2 rho over the parallelotope), the leading
+    coefficient C_G, and the exponent delta_minus of the largest secondary term.
     """
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     edges = tuple(float(e) for e in edges)
-    domain = Domain("box", t, edges)
-    domain.for_dimension(rs.d)
-
-    duals = _dual_basis(rs)
-    jac = _box_jacobian(rs, duals)
-    n_mult = sum(rs.multiplicities)
-    prefactor_log = math.log(jac) - n_mult * math.log(2.0)
-
-    simple = np.array(rs.simple_roots).T
-    two_rho_coeffs, *_ = np.linalg.lstsq(simple, rs.two_rho, rcond=None)
-    two_rho_coeffs = np.round(two_rho_coeffs).astype(int)
-    delta_p = float(sum(n * a for n, a in zip(two_rho_coeffs, edges)))
-
-    # assemble log |term| with signs, while tracking the per-unit-t exponents
-    pos_logs, neg_logs = [], []
-    exponents = set()
-    for sign, coeffs in _expansion_terms(rs):
-        factor_logs = []
-        for n, a in zip(coeffs, edges):
-            if n == 0:
-                factor_logs.append([(0.0, math.log(t * a), 1)])
-            else:
-                # (e^{n t a} - 1)/n  ->  two signed exponential pieces
-                factor_logs.append(
-                    [
-                        (n * a, -math.log(abs(n)), 1 if n > 0 else -1),
-                        (0.0, -math.log(abs(n)), -1 if n > 0 else 1),
-                    ]
-                )
-        for combo in itertools.product(*factor_logs):
-            rate = sum(c[0] for c in combo)
-            log_mag = sum(c[1] for c in combo) + t * rate + prefactor_log
-            piece_sign = sign * int(np.prod([c[2] for c in combo]))
-            exponents.add(round(rate, 12))
-            (pos_logs if piece_sign > 0 else neg_logs).append(log_mag)
-
-    log_pos = logsumexp(pos_logs) if pos_logs else LOG_ZERO
-    log_neg = logsumexp(neg_logs) if neg_logs else LOG_ZERO
-    log_val = _log_sub(float(log_pos), float(log_neg))
-    if log_val == LOG_ZERO:
-        raise NumericError("box expansion cancelled to zero; t too small for log-space")
-
-    c_g = jac / (2.0**n_mult * float(np.prod([n for n in two_rho_coeffs])))
-    secondary = sorted(x for x in exponents if x < delta_p - 1e-9)
-    delta_minus = float(secondary[-1]) if secondary else 0.0
+    Domain("box", t, edges).for_dimension(rs.d)
+    if rs.d > 3:
+        raise ParameterError("box volume is shipped for d = 2 and 3")
+    jac = _box_jacobian(rs, _dual_basis(rs))
+    xs = [0.5 * t * edges[0]] if rs.d == 2 else [t * a for a in edges]
+    if min(xs) < np.finfo(float).tiny:  # a subnormal t a carries no rounding bound
+        raise NumericError(f"box volume needs each t * edge to be a normal float, got {min(xs)}")
+    log_sinh = _log_sinh(np.array(xs)).tolist()
+    if rs.d == 2:
+        terms = [math.log(2.0 * jac), 2.0 * log_sinh[0]]
+        log_val = sum(terms)
+    else:
+        terms = [math.log(0.5 * jac), _log_s(xs[0]), 2.0 * log_sinh[1], 2.0 * log_sinh[0], _log_s(xs[1])]
+        lo, hi = sorted([terms[1] + terms[2], terms[3] + terms[4]])
+        log_val = terms[0] + hi + math.log1p(math.exp(lo - hi))
+    if not math.isfinite(log_val):
+        raise NumericError(f"box volume log value is {log_val} at t * edges = {xs}")
+    rho = [i * (rs.d - i) for i in range(1, rs.d)]  # 2 rho in the simple roots
     return _finish(
-        log_val,
-        "closed_form",
-        0.0,
-        C_G=c_g,
-        delta_P=delta_p,
-        delta_minus=delta_minus,
-        jacobian=jac,
-        rho_coefficients=[int(n) for n in two_rho_coeffs],
+        log_val, "closed_form", 4.0 * math.ulp(1.0) * max(1.0, sum(map(abs, terms))),
+        C_G=jac / (2.0 ** len(rs.positive_roots) * math.prod(rho)),
+        delta_P=float(sum(n * a for n, a in zip(rho, edges))),
+        delta_minus=2.0 * max(edges) if rs.d == 3 else 0.0, jacobian=jac, rho_coefficients=rho,
     )
 
 

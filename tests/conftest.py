@@ -1,5 +1,7 @@
+import faulthandler
 import functools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -71,3 +73,19 @@ def classes_trace_10():
     from wcc.survey import conjugacy_classes_sl2
 
     return conjugacy_classes_sl2(10)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a call that does not return within 20 s instead of hanging the suite: SIGALRM
+    raises in Python code, and a watchdog thread ends the process if it is stuck in C."""
+    def timeout(signum, frame):
+        raise TimeoutError("no result within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    faulthandler.dump_traceback_later(40, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

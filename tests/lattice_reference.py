@@ -4,7 +4,7 @@ Every matrix goes through its own ``GroupElement``: the breadth-first word
 ball multiplies one element at a time, sl3 columns come from one SVD and one
 eigenvalue solve per element, and a base point conjugates record by record.
 sl2 columns are the closed forms of the integer kernels applied to one matrix
-at a time.  Records are filtered by ``Domain.contains_cartan`` (sl2
+at a time.  Records are filtered by ``volume_reference.contains_cartan`` (sl2
 full-integer censuses by their exact mass cap) and ordered by ``sort_key``.
 
 Also ``census_counts``, the count table of one census, and ``census_sweep``,
@@ -36,6 +36,8 @@ from wcc.lattice import (
 from wcc.projections import GroupElement, cartan_vector, jordan_project
 from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain, domain_volume
+
+from volume_reference import contains_cartan
 
 
 class CompletenessError(WccError):
@@ -141,7 +143,7 @@ def reference_census(spec, domain, word_radius: int = 4) -> list:
     else:
         words = word_ball(spec.generators or _default_sl3_generators(), word_radius)
         records = [_word_record(rows, spec.d) for rows in words]
-        records = [rec for rec in records if domain.contains_cartan(rs, rec.cartan)]
+        records = [rec for rec in records if contains_cartan(domain, rs, rec.cartan)]
     return conjugated(sorted(records, key=sort_key), spec.base_point)
 
 

@@ -20,6 +20,7 @@ from wcc.volume import Domain, domain_volume
 
 import lattice_reference as ref
 from lattice_reference import CompletenessError
+from volume_reference import contains_cartan
 
 
 def brute_force_sl2(entry_bound, frob_cap):
@@ -51,7 +52,7 @@ def per_record_census(t):
                 for d in range(-bound, bound + 1):
                     if a * d - b * c == 1:
                         rec = ref.from_rows([[a, b], [c, d]], rs)
-                        if domain.contains_cartan(rs, rec.cartan):
+                        if contains_cartan(domain, rs, rec.cartan):
                             records.append(rec)
     return records
 

@@ -1,7 +1,5 @@
-import faulthandler
 import json
 import math
-import signal
 from pathlib import Path
 
 import numpy as np
@@ -518,22 +516,6 @@ class TestSl2ClosedForm:
             lx.certify(GroupElement([[1.0, 1.0], [1.0, 1.0]], check=False), *admissible_parameters(2))
 
 
-@pytest.fixture
-def alarm():
-    """Fail a call that does not return within 20 s instead of hanging the suite: SIGALRM
-    raises in Python code, and a watchdog thread ends the process if it is stuck in C."""
-    def timeout(signum, frame):
-        raise TimeoutError("no result within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(20)
-    faulthandler.dump_traceback_later(40, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_non_finite_entries_are_refused(alarm, value, d):
@@ -550,6 +532,16 @@ def test_non_finite_entries_are_refused(alarm, value, d):
     big[-1, 0] = 1e305  # finite, but e^10 times that entry of h_x^-1 g h_x is not
     with np.errstate(over="ignore"), pytest.raises(PreconditionError, match="finite conjugate"):
         lx.certify(GroupElement(big, check=False), x, 0.4, 0.1 / lx.cx_constant(x))
+
+
+def test_overflowing_configuration_constant_is_refused():
+    # d_X(o, x) = 800 sqrt 2 at the base point diag(e^400, e^-400): e^(c0 d_X) overflows
+    far = BasePoint(GroupElement.from_cartan_vector([400.0, -400.0]))
+    with pytest.raises(NumericError, match="d_X\\(o, x\\) = 1131.37") as exc:
+        lx.cx_constant(far)
+    assert str(root_system(2).killing_norm(pj.cartan_vector(far.h))) in str(exc.value)
+    with pytest.raises(NumericError, match="C_x overflows"):
+        lx.certify(GroupElement([[2.0, 1.0], [1.0, 1.0]]), far, 0.4, 1e-3)
 
 
 class TestFlatDistanceWork:

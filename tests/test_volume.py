@@ -1,16 +1,20 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
 
 from wcc import volume as V
-from wcc.errors import ParameterError, PreconditionError
+from wcc.errors import NumericError, ParameterError, PreconditionError, WccError
 from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain
 
 from volume_reference import (
     _sample_chamber_point,
     _wall_scale,
+    contains_cartan,
+    decimal_box_log_volume,
+    expansion_box_volume,
     hc_integrand,
     lipschitz_probe,
     max_wall_distance,
@@ -302,7 +306,10 @@ class TestMeasuredError:
         assert slab.error_estimate == max(deltas) < V.QUAD_REL_TOL
 
     def test_box(self):
-        assert V.box_volume(3, 5.0, (1.0, 1.0)).error_estimate == 0.0
+        # the closed form reports its rounding bound, which covers the 50-digit error
+        res = V.box_volume(3, 5.0, (1.0, 1.0))
+        true_error = abs(decimal.Decimal(res.log_value) - decimal_box_log_volume(3, 5.0, (1.0, 1.0)))
+        assert 0.0 < float(true_error) <= res.error_estimate <= 1e-12 * abs(res.log_value)
         quad = V.box_volume_quadrature(3, 5.0, (1.0, 1.0))
         assert 0.0 <= quad.error_estimate < V.QUAD_REL_TOL
 
@@ -486,6 +493,109 @@ class TestBoxVolume:
             V.box_volume(3, 2.0, (1.0,))
 
 
+# the grid on which the rounding bound of the closed-form box volume is stated
+BOX_GRID = (
+    [(3, t, e) for t in (0.01, 0.03, 0.1, 0.3, 1.0, 2.0, 5.0, 16.0, 40.0, 300.0)
+     for e in ((1.0, 1.0), (1.0, 1e-3), (1e-3, 1.0), (0.3, 2.0), (0.8, 1.3))]
+    + [(2, t, (a,)) for t in (1e-6, 1e-4, 0.01, 1.0, 5.0, 300.0) for a in (1.0, 1e-3)]
+)
+# boxes of the tests above and of the self-check, on which every extra is as the expansion gave it
+BOX_INPUTS = [(2, 2.0, (1.0,)), (2, 3.0, (0.7,)), (2, 5.0, (0.4,)), (3, 5.0, (1.0, 1.0)),
+              (3, 3.0, (1.0, 1.0)), (3, 1.0, (0.8, 1.3)), (3, 4.0, (1.0, 0.5)), (3, 2.0, (1.0, 1.0)),
+              (3, 1.0, (1.0, 1e-3)), (3, 1.0, (1e-3, 1.0)), (3, 16.0, (0.3, 2.0))]
+
+
+class TestBoxClosedForm:
+    """The closed-form box volume against its 50-digit evaluation and against the
+    signed-exponential expansion it replaced."""
+
+    @pytest.mark.parametrize("d, t, edges", BOX_GRID + [
+        # boxes whose log is small against its terms, 8.4 and 5.1 eps max(1, |log|) off:
+        (3, 1.0, (1e-4, 9.987)),  # 2 log sinh(X) = -18.4 and log S(Y) = 17.9 meet at 0.023
+        (3, 9.852106691075484, (0.0032651020846314154, 0.3738499855881288)),  # log -1.02
+    ])
+    def test_error_is_a_bound(self, d, t, edges):
+        res = V.box_volume(d, t, edges)
+        true_error = float(abs(decimal.Decimal(res.log_value) - decimal_box_log_volume(d, t, edges)))
+        assert res.method == "closed_form"
+        assert true_error <= res.error_estimate <= 1e-12 * max(1.0, abs(res.log_value))
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 5.0, 16.0, 40.0, 300.0])
+    @pytest.mark.parametrize("edges", [(1.0, 1.0), (0.3, 2.0), (0.8, 1.3)])
+    def test_agrees_with_the_expansion_on_fat_boxes(self, t, edges):
+        # on thin boxes the expansion cancels (6.4e-10 at t = 1 on (1, 1e-3)), so those
+        # are checked against the 50-digit oracle only
+        res, old = V.box_volume(3, t, edges), expansion_box_volume(3, t, edges)
+        assert abs(res.log_value - old.log_value) <= 1e-12
+
+    @pytest.mark.parametrize("d, t, edges", BOX_INPUTS)
+    def test_extras_are_the_expansion_extras(self, d, t, edges):
+        new, old = V.box_volume(d, t, edges).extras, expansion_box_volume(d, t, edges).extras
+        assert abs(new["delta_minus"] - old["delta_minus"]) <= 1e-12  # the expansion rounds to 12 places
+        assert new["delta_minus"] == (2.0 * max(edges) if d == 3 else 0.0)
+        for key in ("C_G", "delta_P", "jacobian"):
+            assert same_bits(new[key], old[key])
+        assert new["rho_coefficients"] == old["rho_coefficients"] == ([1] if d == 2 else [2, 2])
+
+    def test_thin_and_small_boxes(self):
+        # the expansion printed 9.712e-17 here, 68% high, and raised at t = 1e-6 on d = 2
+        thin = V.box_volume(3, 0.01, (1.0, 1e-3))
+        exact = float(decimal_box_log_volume(3, 0.01, (1.0, 1e-3)).exp())
+        assert f"{exact:.4g}" == "5.779e-17" and abs(thin.value / exact - 1.0) <= 1e-12
+        assert expansion_box_volume(3, 0.01, (1.0, 1e-3)).value > 1.6 * exact
+        small = V.box_volume(2, 1e-6, (1e-3,))
+        assert small.value == pytest.approx(math.sqrt(2.0) * 2.0 * math.sinh(5e-10) ** 2, rel=1e-12)
+
+    def test_refusals(self):
+        with pytest.raises(ParameterError, match="d = 2 and 3"):
+            V.box_volume(4, 1.0, (1.0, 1.0, 1.0))
+        with pytest.raises(ParameterError, match="d = 2 and 3"):
+            V.box_volume_quadrature(4, 1.0, (1.0, 1.0, 1.0))
+        with pytest.raises(ParameterError, match="finite, got inf"):
+            V.box_volume(3, math.inf, (1.0, 1.0))
+        # t a overflows to inf, and e^(2 t a) past the float range
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="log value is nan at t \\* edges = \\[inf"):
+            V.box_volume(3, 1e308, (2.0, 1.0))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="log value is inf at"):
+            V.box_volume(2, 1e308, (10.0,))
+        with pytest.raises(NumericError, match="normal float, got 1e-320"):
+            V.box_volume(3, 1e-160, (1e-160, 1.0))
+
+
+def _volume_calls(d, value):
+    """Each volume entry point with ``value`` as t, as an edge, as a margin or as a slab."""
+    rs, edges = root_system(d), (1.0,) * (d - 1)
+    return [
+        lambda: V.ball_volume(rs, value),
+        lambda: V.box_volume(rs, value, edges),
+        lambda: V.box_volume(rs, 1.0, (value,) + edges[1:]),
+        lambda: V.box_volume_quadrature(rs, value, edges),
+        lambda: V.box_volume_quadrature(rs, 1.0, (value,) + edges[1:]),
+        lambda: V.domain_volume(rs, Domain("ball", value)),
+        lambda: V.domain_volume(rs, Domain("ball", 4.0, regular_margin=value)),
+        lambda: V.domain_volume(rs, Domain("box", 4.0, edges, regular_margin=value)),
+        lambda: V.domain_volume(rs, Domain("ball", 4.0, slab=value)),
+        lambda: V.slab_volume(rs, value, 0.5),
+        lambda: V.slab_volume(rs, 4.0, value),
+        lambda: V.slab_volume(rs, 4.0, value, "box", edges),
+    ]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 1e308], ids=["inf", "-inf", "nan", "1e308"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_non_finite_and_overflowing_inputs(alarm, d, value):
+    """Every call raises a ``WccError`` or returns a finite log value; a margin past the
+    largest wall distance leaves an empty region, whose volume is the exact 0.0."""
+    for call in _volume_calls(d, value):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = call()
+        except WccError:
+            continue
+        assert math.isfinite(res.log_value) or (res.log_value == -math.inf and res.value == 0.0)
+        assert math.isfinite(res.error_estimate)
+
+
 class TestSlab:
     def test_d2_explicit_ratio(self):
         rs = root_system(2)
@@ -527,16 +637,24 @@ class TestDomain:
     def test_membership(self):
         rs = root_system(2)
         dom = Domain("ball", 2.0)
-        assert dom.contains_cartan(rs, [0.5, -0.5])
-        assert not dom.contains_cartan(rs, [1.0, -1.0])
+        assert contains_cartan(dom, rs, [0.5, -0.5])
+        assert not contains_cartan(dom, rs, [1.0, -1.0])
         reg = Domain("ball", 2.0, regular_margin=1.0)
-        assert not reg.contains_cartan(rs, [0.3, -0.3])
+        assert not contains_cartan(reg, rs, [0.3, -0.3])
 
     def test_box_membership_d3(self):
         rs = root_system(3)
         dom = Domain("box", 2.0, (1.0, 0.5))
-        assert dom.contains_cartan(rs, [1.0, 0.0, -1.0])
-        assert not dom.contains_cartan(rs, [1.0, 0.8, -1.8])  # second root exceeds
+        assert contains_cartan(dom, rs, [1.0, 0.0, -1.0])
+        assert not contains_cartan(dom, rs, [1.0, 0.8, -1.8])  # second root exceeds
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_values_are_refused(self, value):
+        for kwargs in ({"kind": "ball", "t": value}, {"kind": "box", "t": 1.0, "edges": (value, 1.0)},
+                       {"kind": "ball", "t": 1.0, "regular_margin": value},
+                       {"kind": "ball", "t": 1.0, "slab": value}):
+            with pytest.raises(ParameterError, match=f"finite, got {value}"):
+                Domain(**kwargs)
 
     def test_max_top_weight_matches_sl2_bound(self):
         rs = root_system(2)

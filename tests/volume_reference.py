@@ -4,11 +4,14 @@ well-roundedness probes of the volume family, the largest wall distance of a
 domain and the pointwise Harish-Chandra density, which no command or acceptance
 criterion runs (they were ``wcc.volume.lipschitz_probe``, ``well_rounded_probe``,
 ``max_wall_distance`` and ``hc_integrand``, unchanged); the 2-D rule one outer
-node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; and the wall
+node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; the wall
 distance of one direction at a time, the oracle of the stacked
 ``RootSystemA.wall_distances`` in the ball quadrature (``wcc.volume._wall_scale``,
-unchanged)."""
+unchanged); the membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``,
+unchanged); and two oracles of the closed-form ``wcc.volume.box_volume``: the
+signed-exponential expansion it replaced, and both closed forms at 50 digits."""
 
+import decimal
 import itertools
 import math
 
@@ -21,8 +24,10 @@ from wcc.volume import (
     LOG_ZERO,
     QUAD_REL_TOL,
     Domain,
+    _box_jacobian,
     _converge,
     _dual_basis,
+    _finish,
     _gauss_legendre,
     _log_sub,
     _ortho_basis,
@@ -38,6 +43,12 @@ def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
     return min(
         max(0.0, float(c @ direction)) / rs.dual_norm(c) for c in rs.simple_roots
     )
+
+
+def contains_cartan(domain: Domain, rs: RootSystemA, a) -> bool:
+    """Membership of a closed-chamber vector (checked): the one-row ``contains_rows``."""
+    wall = rs.wall_distance(a)
+    return bool(domain.contains_rows(rs, np.asarray(a, dtype=float)[None], np.array([wall]))[0])
 
 
 def monte_carlo_volume(rs, domain, n_samples: int = 200000, seed: int = 3) -> dict:
@@ -141,7 +152,7 @@ def well_rounded_probe(
         u = _small_displacement(rs, eps / 2.0, rng)
         v = _small_displacement(rs, eps / 2.0, rng)
         a = pj.cartan_vector(pj.GroupElement(u @ g @ v, check=False))
-        if not (fat.contains_cartan(rs, a) and rs.wall_distance(a) >= delta - eps - 1e-9):
+        if not (contains_cartan(fat, rs, a) and rs.wall_distance(a) >= delta - eps - 1e-9):
             failures += 1
     return {
         "volume_sandwich_C": c_fit,
@@ -165,7 +176,7 @@ def _sample_chamber_point(rs: RootSystemA, domain: Domain, margin: float, rng) -
             y = sum(rng.uniform(0, domain.t * e) * u for e, u in zip(domain.edges, basis))
         y = np.asarray(y)
         y = np.sort(y)[::-1]
-        if domain.contains_cartan(rs, y) and rs.wall_distance(y) >= margin:
+        if contains_cartan(domain, rs, y) and rs.wall_distance(y) >= margin:
             return y
     raise NumericError("failed to sample a chamber point inside the trimmed domain")
 
@@ -233,3 +244,120 @@ def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_RE
         return float(logsumexp(pieces))
 
     return _converge(evaluate, rel_tol=rel_tol)
+
+
+def _expansion_terms(rs: RootSystemA):
+    """Signed exponential terms of the sinh-product development.
+
+    Yields (sign, coefficient vector in the simple-root basis) for
+    2^(sum of multiplicities) terms; the all-plus term is 2 rho.
+    """
+    roots = []
+    for root, mult in zip(rs.positive_roots, rs.multiplicities):
+        roots.extend([np.asarray(root)] * mult)
+    simple = np.array(rs.simple_roots).T
+    for signs in itertools.product((0, 1), repeat=len(roots)):
+        omega = sum((-1.0 if s else 1.0) * r for s, r in zip(signs, roots))
+        coeffs, *_ = np.linalg.lstsq(simple, omega, rcond=None)
+        coeffs = np.round(coeffs).astype(int)
+        if np.max(np.abs(simple @ coeffs - omega)) > 1e-9:
+            raise NumericError("expansion term is not an integer root combination")
+        yield (-1) ** sum(signs), coeffs
+
+
+def expansion_box_volume(rs_or_d, t: float, edges):
+    """Exact finite expansion of the parallelotope volume (``wcc.volume.box_volume``
+    before the closed form replaced it, unchanged, with its error of 0.0).  Its
+    signed pieces cancel on small or thin boxes: 0.52 in log at t = 0.01 on edges
+    (1, 1e-3), 6.4e-10 at t = 1 there, at most 2.3e-13 at t >= 1 on fat boxes.
+
+    Also returns the growth exponent (the sup of 2 rho over the
+    parallelotope), the leading coefficient, and the exponent of the
+    largest secondary term.
+    """
+    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+    edges = tuple(float(e) for e in edges)
+    domain = Domain("box", t, edges)
+    domain.for_dimension(rs.d)
+
+    duals = _dual_basis(rs)
+    jac = _box_jacobian(rs, duals)
+    n_mult = sum(rs.multiplicities)
+    prefactor_log = math.log(jac) - n_mult * math.log(2.0)
+
+    simple = np.array(rs.simple_roots).T
+    two_rho_coeffs, *_ = np.linalg.lstsq(simple, rs.two_rho, rcond=None)
+    two_rho_coeffs = np.round(two_rho_coeffs).astype(int)
+    delta_p = float(sum(n * a for n, a in zip(two_rho_coeffs, edges)))
+
+    # assemble log |term| with signs, while tracking the per-unit-t exponents
+    pos_logs, neg_logs = [], []
+    exponents = set()
+    for sign, coeffs in _expansion_terms(rs):
+        factor_logs = []
+        for n, a in zip(coeffs, edges):
+            if n == 0:
+                factor_logs.append([(0.0, math.log(t * a), 1)])
+            else:
+                # (e^{n t a} - 1)/n  ->  two signed exponential pieces
+                factor_logs.append(
+                    [
+                        (n * a, -math.log(abs(n)), 1 if n > 0 else -1),
+                        (0.0, -math.log(abs(n)), -1 if n > 0 else 1),
+                    ]
+                )
+        for combo in itertools.product(*factor_logs):
+            rate = sum(c[0] for c in combo)
+            log_mag = sum(c[1] for c in combo) + t * rate + prefactor_log
+            piece_sign = sign * int(np.prod([c[2] for c in combo]))
+            exponents.add(round(rate, 12))
+            (pos_logs if piece_sign > 0 else neg_logs).append(log_mag)
+
+    log_pos = logsumexp(pos_logs) if pos_logs else LOG_ZERO
+    log_neg = logsumexp(neg_logs) if neg_logs else LOG_ZERO
+    log_val = _log_sub(float(log_pos), float(log_neg))
+    if log_val == LOG_ZERO:
+        raise NumericError("box expansion cancelled to zero; t too small for log-space")
+
+    c_g = jac / (2.0**n_mult * float(np.prod([n for n in two_rho_coeffs])))
+    secondary = sorted(x for x in exponents if x < delta_p - 1e-9)
+    delta_minus = float(secondary[-1]) if secondary else 0.0
+    return _finish(
+        log_val,
+        "closed_form",
+        0.0,
+        C_G=c_g,
+        delta_P=delta_p,
+        delta_minus=delta_minus,
+        jacobian=jac,
+        rho_coefficients=[int(n) for n in two_rho_coeffs],
+    )
+
+
+def decimal_box_log_volume(d: int, t: float, edges) -> decimal.Decimal:
+    """The log of the closed-form box volume at 50 digits, from the exact values of the
+    float inputs and the exact jacobian (sqrt 2 at d = 2, 2 sqrt 3 at d = 3): with
+    X = t a_1, Y = t a_2, 2 sqrt 2 sinh(X / 2)^2 and sqrt 3 (S(X) sinh(Y)^2 +
+    sinh(X)^2 S(Y)), S(Z) = (sinh 2Z - 2Z) / 4, summed as its Taylor series
+    sum_k (2Z)^(2k+1) / (2k+1)! / 4 below Z = 1/2 (sinh Z = (e^Z - e^-Z) / 2 loses
+    at most 10 of the 50 digits at Z >= 1e-10)."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+
+        def sinh(z):
+            return (z.exp() - (-z).exp()) / 2
+
+        def s(z):
+            if z >= D("0.5"):
+                return (sinh(2 * z) - 2 * z) / 4
+            q, term, total, k = 4 * z * z, (2 * z) ** 3 / 6, D(0), 1
+            while term > total * D("1e-55"):
+                total, term, k = total + term, term * q / ((2 * k + 2) * (2 * k + 3)), k + 1
+            return total / 4
+
+        xs = [D(float(t)) * D(float(a)) for a in edges]
+        if d == 2:
+            return (2 * D(2).sqrt() * sinh(xs[0] / 2) ** 2).ln()
+        x, y = xs
+        return (D(3).sqrt() * (s(x) * sinh(y) ** 2 + sinh(x) ** 2 * s(y))).ln()
