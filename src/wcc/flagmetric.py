@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -73,6 +74,8 @@ class Flag:
         if frame.ndim != 2 or frame.shape[0] != frame.shape[1]:
             raise PreconditionError(f"flag frame must be square, got shape {frame.shape}")
         if check:
+            if not np.isfinite(frame).all():
+                raise PreconditionError(f"flag frame entries must be finite, got {frame[~np.isfinite(frame)][0]}")
             gram_err = np.abs(frame.T @ frame - np.eye(frame.shape[0])).max()
             if gram_err > FRAME_ORTHO_TOL:
                 raise PreconditionError(f"flag frame is not orthonormal (error {gram_err:.2e})")
@@ -127,17 +130,12 @@ def zeta0(d: int) -> Flag:
 
 def dist_d(xi: Flag, eta: Flag) -> float:
     """Boundary distance: max over k of the sine of the wedge-line angle."""
-    return float(_dist_d(xi.embedded_lines, eta.embedded_lines))
-
-
-def _dist_d(lines, others):
-    """``dist_d`` from the embedded lines of xi and of eta, over any leading axes."""
     worst = 0.0
-    for u, v in zip(lines, others):
+    for u, v in zip(xi.embedded_lines, eta.embedded_lines):
         # fmin and fmax: a NaN keeps the other operand, as Python's min and max do here
         c = np.fmin(1.0, np.abs(np.vecdot(u, v)))
         worst = np.fmax(worst, np.sqrt(np.fmax(0.0, 1.0 - c * c)))
-    return worst
+    return float(worst)
 
 
 def dist_delta(xi: Flag, eta: Flag) -> float:
@@ -154,42 +152,44 @@ def _delta(lines, perps):
     return best
 
 
-def _witness_frames(plus: np.ndarray, minus: np.ndarray):
-    """Transverse witnesses of stacked SO(d) frame pairs (n, d, d), d = 2 or 3, and per
-    row the message of the TransversalityError that row raises instead (None where it
-    has a witness).
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
 
-    Column k spans the line where the k-th forward subspace of ``plus`` meets the
-    (d-k+1)-th forward subspace of ``minus`` (the null line of the d x (d+1) system
-    [a, -b]): p_1, at d = 3 the line p_3 x m_3 where the planes normal to p_3 and m_3
-    meet, and m_1.  Only that middle system [p_1 p_2 -m_1 -m_2] can lose rank; its d-th
-    singular value is s = |p_3 x m_3| / sqrt(1 + |<p_3, m_3>|), from the eigenvalues of
-    2I - p_3 p_3^T - m_3 m_3^T, and unlike sqrt(1 - |<p_3, m_3>|) it does not cancel.
-    """
-    n, d = plus.shape[:2]
-    if d not in (2, 3):
-        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {d}")
-    g, s = np.empty((n, d, d)), np.ones(n)
-    g[:, :, 0], g[:, :, -1] = plus[:, :, 0], minus[:, :, 0]
-    if d == 3:
-        p, m = plus[:, :, 2], minus[:, :, 2]
-        line = p[:, [1, 2, 0]] * m[:, [2, 0, 1]] - p[:, [2, 0, 1]] * m[:, [1, 2, 0]]  # p x m
-        norm = np.sqrt(np.vecdot(line, line))
-        s = norm / np.sqrt(1.0 + np.abs(np.vecdot(p, m)))
-        g[:, :, 1] = line / np.maximum(norm, 1e-300)[:, None]
-    errors, scale = [], np.ones(n)
-    for i, (det, row_s) in enumerate(zip(np.linalg.det(g), s.tolist())):
-        if row_s < 1e-7:
-            errors.append(f"subspaces meet in more than a line (d-th singular value {row_s:.2e})")
-        elif abs(det) < 1e-12:
-            errors.append(_SINGULAR_WITNESS)
-        else:
-            errors.append(None)
-            if det < 0:
-                g[i, :, -1] *= -1.0
-            scale[i] = abs(det) ** (1.0 / d)  # a scalar power: the array power rounds differently
-    g /= scale[:, None, None]
-    return g, errors
+
+def _cross(u, v) -> tuple:
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _sine(u, v) -> float:
+    """|u x v| / (|u| |v|): unlike sqrt(1 - c^2) this sine does not cancel for nearby lines."""
+    return math.hypot(*_cross(u, v)) / (math.hypot(*u) * math.hypot(*v))
+
+
+def _so3_flag(first, second) -> tuple:
+    """The SO(3) flag of the line of ``first`` in its plane with ``second``: unit line, unit normal."""
+    normal = _cross(first, second)
+    a, b = math.hypot(*first), math.hypot(*normal)
+    return (first[0] / a, first[1] / a, first[2] / a), (normal[0] / b, normal[1] / b, normal[2] / b)
+
+
+def _sl3_witness(p1, p3, m1, m3):
+    """The witness of one SO(3) flag pair (unit lines p1, m1, unit plane normals p3, m3) as
+    the rows of a 3 x 3 matrix, or None and the message of the TransversalityError it raises.
+    Column k spans the line where the k-th forward subspace of the first flag meets the
+    (4-k)-th of the second: p_1, the line p_3 x m_3 where the planes meet, and m_1, with the
+    sign of the determinant on m_1 and its cube root off all three.  Only the middle system
+    [p_1 p_2 -m_1 -m_2] can lose rank; its third singular value is |p_3 x m_3| /
+    sqrt(1 + |<p_3, m_3>|), which unlike sqrt(1 - |<p_3, m_3>|) does not cancel."""
+    line = _cross(p3, m3)
+    norm = math.hypot(*line)
+    s = norm / math.sqrt(1.0 + abs(_dot(p3, m3)))
+    if s < 1e-7:
+        return None, f"subspaces meet in more than a line (d-th singular value {s:.2e})"
+    det = _dot(_cross(p1, line), m1) / norm  # of the columns p_1, line / norm, m_1
+    if abs(det) < 1e-12:
+        return None, _SINGULAR_WITNESS
+    scale = abs(det) ** (1.0 / 3.0)
+    return [[p1[i] / scale, line[i] / norm / scale, m1[i] / math.copysign(scale, det)] for i in range(3)], None
 
 
 @dataclass
@@ -287,18 +287,13 @@ def fixed_points(g: GroupElement):
     return Flag._of_so_frame(plus[0]), Flag._of_so_frame(minus[0])
 
 
-def _eigen_basis(eigvals: np.ndarray, eigvecs: np.ndarray):
-    """Real eigenbases of a stack (n, d), (n, d, d) of eigen-pairs, by decreasing modulus,
-    and which rows have a real spectrum (the bases of the others are meaningless)."""
-    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
-    order = np.argsort(-np.abs(eigvals.real), axis=-1)
-    return eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2), real
-
-
 def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
     """Frames (2, n, d, d) of the forward and backward eigenflags of a stack of eigen-pairs,
-    gauge-fixed into SO(d) as ``Flag`` does, and which rows have a real spectrum."""
-    basis, real = _eigen_basis(eigvals, eigvecs)
+    from their real eigenbases by decreasing modulus, gauge-fixed into SO(d) as ``Flag``
+    does, and which rows have a real spectrum (the frames of the others are meaningless)."""
+    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
+    order = np.argsort(-np.abs(eigvals.real), axis=-1)
+    basis = eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2)
     frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
     _so_sign_fix(frames)
     return frames, real
@@ -309,23 +304,35 @@ def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
 
 def _flat_row(m: np.ndarray):
     """F = d_X(o, m o)^2 = k |a - mean(a)|^2, a = log svd(m), its exact gradient and
-    Hessian along the zero-sum basis (of Y in m exp(Y), at Y = 0) and log(s_1 / s_d), for
-    one matrix m (d, d); None where its singular values are not finite and nonzero.  With
-    z_ij = (vh_i * vh_j) @ basis^T, d log s_i / dY = z_ii, so grad F = 2k sum_i a_i z_ii
-    and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T, phi(x) = x coth x, phi(0) = 1: at
-    least 2k I, and 2k I on a flat through o."""
-    d = m.shape[-1]
-    basis, k = _zero_sum_basis(d), root_system(d).killing_scale
+    Hessian along the zero-sum basis B (of Y in m exp(Y), at Y = 0) and log(s_1 / s_3), for
+    one matrix m (3, 3), in floats after the SVD; None where its singular values are not
+    finite and nonzero.  With z_ij = B (vh_i * vh_j), d log s_i / dY = z_ii, so
+    grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
+    phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o.  B has the
+    rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6, and z_ij = z_ji."""
+    (r2, _, _), (r6, _, _) = _zero_sum_basis(3).tolist()
+    k = root_system(3).killing_scale
     _, s, vh = np.linalg.svd(m)
-    if not (s[-1] > 0.0 and np.isfinite(s).all()):
+    s = s.tolist()
+    if not (s[-1] > 0.0 and all(map(math.isfinite, s))):
         return None
-    a = np.log(s)
-    a -= a.sum() / d  # np.mean, without its overhead
-    z = (vh[:, None] * vh).reshape(d * d, d) @ basis.T  # row i d + j is z_ij, z_ii every (d+1)-th
-    diff = (a[:, None] - a).ravel()
-    phi = np.divide(diff, np.tanh(diff), out=np.ones_like(diff), where=diff != 0.0)
-    return (k * float(a @ a), 2.0 * k * (a @ z[:: d + 1]), 2.0 * k * (z.T @ (phi[:, None] * z)),
-            float(a[0] - a[-1]))
+    a = [math.log(v) for v in s]
+    a = [v - sum(a) / 3.0 for v in a]
+    v = vh.tolist()
+    g0 = g1 = h00 = h01 = h11 = 0.0
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        (p0, p1, p2), (q0, q1, q2) = v[i], v[j]
+        w0, w1 = p0 * q0, p1 * q1
+        z0, z1 = (w0 - w1) * r2, (w0 + w1 - 2.0 * p2 * q2) * r6
+        if i == j:
+            g0, g1, weight = g0 + a[i] * z0, g1 + a[i] * z1, 1.0
+        else:
+            diff = a[i] - a[j]
+            weight = 2.0 * diff / math.tanh(diff) if diff != 0.0 else 2.0
+        h00, h01, h11 = h00 + weight * z0 * z0, h01 + weight * z0 * z1, h11 + weight * z1 * z1
+    two_k = 2.0 * k
+    return (k * sum(x * x for x in a), [two_k * g0, two_k * g1],
+            [[two_k * h00, two_k * h01], [two_k * h01, two_k * h11]], a[0] - a[-1])
 
 
 @lru_cache(maxsize=None)
@@ -350,18 +357,20 @@ def flat_distance(x: BasePoint, pair: TransversePair) -> float:
 
 def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
     """Distance from x to the maximal flat of each pair of a stack (n, d, d) of SO(d)
-    frames: per row the distance, or the library error the row raises.  At d = 2 the
-    closed form ``_sl2_flat_distances``; at d >= 3 ``_flat_minimum`` of m = h_x^-1 w,
-    w the row's witness (``_witness_frames``)."""
+    frames: per row the distance, or the library error the row raises.  At d = 2 the closed
+    form ``_sl2_flat_distances``; at d = 3 ``_flat_minimum`` of m = h_x^-1 w, w the witness
+    (``_sl3_witness``) of the lines and plane normals of the row (frame columns 1 and 3)."""
     if x.d == 2:
         values, singular = _sl2_flat_distances(x, plus, minus)
         return [TransversalityError(_SINGULAR_WITNESS) if bad else value
                 for value, bad in zip(values.tolist(), singular.tolist())]
-    witness, errors = _witness_frames(plus, minus)
+    if x.d != 3:
+        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {x.d}")
     hinv, rows = _h_inverse(x), []
-    for w, error in zip(witness, errors):
+    for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2))):
+        witness, error = _sl3_witness(*flags)
         try:
-            rows.append(TransversalityError(error) if error else _flat_minimum(hinv @ w))
+            rows.append(TransversalityError(error) if error else _flat_minimum(hinv @ np.array(witness)))
         except WccError as exc:
             rows.append(exc)
     return rows
@@ -395,9 +404,9 @@ def _flat_minimum(m: np.ndarray) -> float:
     """Distance from the origin to the flat m A o, for m = h_x^-1 w (``flat_distance``).
 
     Newton's method with Armijo backtracking from Y = 0 on F(Y) = d_X(o, m exp(Y) o)^2,
-    from the exact gradient and Hessian of ``_flat_row``: F is convex along the flat
-    (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the minimum.
-    It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when
+    in floats from the exact gradient and Hessian of ``_flat_row``: F is convex along the
+    flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
+    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when
     backtracking runs out, or when a step no longer lowers F beyond rounding, and returns
     sqrt(F - g^T H^-1 g / 2): less the decrease one more step predicts, to third order.
     A stall away from the flat raises NumericError, and so does a point where
@@ -407,32 +416,34 @@ def _flat_minimum(m: np.ndarray) -> float:
     e = 2, d_X(o, x) = 13.8; 6.4e-8 at e = 6), and it is refused from e = 7.
     """
     d = m.shape[-1]
-    basis = _zero_sum_basis(d)
+    columns = _zero_sum_basis(d).T.tolist()
 
-    def evaluate(coords: np.ndarray):
-        y = coords @ basis
+    def evaluate(coords: list):
+        y = [_dot(coords, col) for col in columns]
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
-        if np.abs(y).max() <= 250.0 and (row := _flat_row(m * np.exp(y))) is not None:
+        if max(map(abs, y)) <= 250.0 and (row := _flat_row(m * np.exp(y))) is not None:
             return row
-        return 1e12 + float(coords @ coords), 2.0 * coords, 2.0 * np.eye(d - 1), math.inf
+        return (1e12 + _dot(coords, coords), [2.0 * c for c in coords],
+                [[2.0 * (i == j) for j in range(d - 1)] for i in range(d - 1)], math.inf)
 
-    y = np.zeros(d - 1)
+    y = [0.0] * (d - 1)
     f, g, h, spread = evaluate(y)
     for _ in range(200 * (d - 1)):
-        if np.abs(g).max() <= FLAT_TOL:
+        if max(map(abs, g)) <= FLAT_TOL:
             break
-        p = -_solve(h, g)
-        slope = float(g @ p)
+        p = [-v for v in _solve(h, g)]
+        slope = _dot(g, p)
         t = 1.0
         for _ in range(60):
-            f_new, g_new, h_new, spread_new = evaluate(y + t * p)
+            trial = [a + t * b for a, b in zip(y, p)]
+            f_new, g_new, h_new, spread_new = evaluate(trial)
             if f_new <= f + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        y, f_old, f, g, h, spread = y + t * p, f, f_new, g_new, h_new, spread_new
+        y, f_old, f, g, h, spread = trial, f, f_new, g_new, h_new, spread_new
         if f_old - f <= 1e-15 * f_old:
             break
     value = math.sqrt(f)
@@ -441,23 +452,21 @@ def _flat_minimum(m: np.ndarray) -> float:
             f"flat distance beyond float64 resolution: value {value}, s_1/s_d {np.exp(spread):.3e}")
     if value > 1e-3:
         # gradient of the distance itself: grad F / (2 sqrt F)
-        grad_norm = float(np.linalg.norm(g)) / (2.0 * value)
+        grad_norm = math.hypot(*g) / (2.0 * value)
         if grad_norm > 1e-4 * max(1.0, value):
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
-    return math.sqrt(max(0.0, f - 0.5 * float(g @ _solve(h, g))))
+    return math.sqrt(max(0.0, f - 0.5 * _dot(g, _solve(h, g))))
 
 
-def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """h^-1 g for the 1 x 1 and 2 x 2 Newton systems of d = 2, 3, by Cramer's rule: on one
-    2 x 2 system ``np.linalg.solve`` costs about six times as much."""
+def _solve(h, g) -> list:
+    """h^-1 g of a 1 x 1 or 2 x 2 Newton system by Cramer's rule (np.linalg.solve: 6x the time)."""
     if len(g) == 1:
-        return g / h[0, 0]
-    (a, b), (c, d) = h.tolist()
-    u, v = g.tolist()
+        return [g[0] / h[0][0]]
+    ((a, b), (c, d)), (u, v) = h, g
     det = a * d - b * c
-    return np.array([(d * u - b * v) / det, (a * v - c * u) / det])
+    return [(d * u - b * v) / det, (a * v - c * u) / det]
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:

@@ -157,7 +157,7 @@ def certify(
     conj = pj._conjugate(gamma, x)
     if not np.isfinite(conj.mat).all():
         raise PreconditionError(f"certify needs a finite conjugate h_x^-1 g h_x, got {conj.mat.tolist()}")
-    check = _sl2_certificate if d == 2 else _frame_certificate
+    check = _sl2_certificate if d == 2 else _sl3_certificate
     conditions, certified, fixed_point_errors = check(gamma, x, conj, t_zero(x, epsilon), r)
     return LoxodromyCertificate(
         element=gamma,
@@ -231,53 +231,41 @@ def _sl2_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     return conditions, True, tuple(errors)
 
 
-def _frame_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
-    """Conditions, verdict and fixed-point errors of a certificate from one Cartan
-    decomposition of the conjugate, one eigen-solve and one frame pass."""
-    d = gamma.d
-    rs = root_system(d)
-    # one Cartan decomposition of the conjugate gives the wall distance and the flags; its
-    # sorted zero-sum row needs no chamber check, as the census's Cartan rows need none
-    k, a_x, l = pj.cartan_project(conj)
-    conditions = _conditions(float(rs.wall_distances(a_x)), t0)
-
-    if conditions["wall_margin_ok"]:
-        # the one eigen-solve first, so that one frame action gives the angular and the
-        # fixed flags; its failure is raised only for an element that would be certified
+def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
+    """Conditions, verdict and fixed-point errors of a d = 3 certificate in one float pass
+    over 3-vectors, around one SVD of m = h_x^-1 gamma h_x = k exp(a) l^-1, the Newton SVDs
+    of ``flagmetric.flat_distance`` and, for an element that would be certified, one
+    eigen-solve of gamma.  Each flag is a unit line and plane normal (``_so3_flag``), and
+    each fixed-point error the larger sine between their lines and between their normals."""
+    u, s, vh = np.linalg.svd(conj.mat)
+    ints = None if conj.int_mat is None else np.array([conj.int_mat], dtype=object)  # exact, as cartan_vector
+    conditions = _conditions(float(root_system(3).wall_distances(pj._robust_logs(s[None], ints, "svd")[0])), t0)
+    if not conditions["wall_margin_ok"]:
+        return conditions, False, None
+    (k1, k2), (l3, l2) = (x.h.mat @ u[:, :2]).T.tolist(), (vh[:0:-1] @ x.h.mat.T).tolist()
+    (p1, p3), (m1, m3) = fm._so3_flag(k1, k2), fm._so3_flag(l3, l2)
+    delta = min(abs(fm._dot(p1, m3)), abs(fm._dot(p3, m1)))  # dist_delta
+    conditions["transverse_ok"] = delta > 0.0
+    if conditions["transverse_ok"]:
+        frames = [np.array([line, fm._cross(normal, line), normal]).T for line, normal in ((p1, p3), (m1, m3))]
         try:
-            _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
-        except NumericError as exc:
-            lox, eigvals, eigvecs = exc, np.ones(d), np.eye(d)
-        (basis,), (real,) = fm._eigen_basis(eigvals[None], eigvecs[None])
-        h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
-        frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
-        pj._so_sign_fix(frames)
-        lines = fm._embedded_lines(frames)  # of xi+, xi-, the attracting and repelling flags
-        delta = float(fm._delta([u[0] for u in lines], fm._perp_lines(frames[1])))
-        conditions["transverse_ok"] = delta > 0.0
-        if conditions["transverse_ok"]:
-            try:
-                pair = fm.TransversePair._of_so_frames(frames[0], frames[1], delta)
-                conditions["flat_dist"] = fm.flat_distance(x, pair)
-            except TransversalityError:  # the witness's refusal inside flat_distance
-                conditions["transverse_ok"] = False
-            except NumericError:
-                pass
-
-    certified = conditions["transverse_ok"] and conditions["flat_dist"] < r  # past the wall margin
-
-    fixed_point_errors = None
-    if certified:
-        if isinstance(lox, NumericError):
-            raise lox
-        if not lox:
-            # the configuration misfired; never report an unsound certificate
-            certified = False
-        elif not real:
-            raise LoxodromyError(fm._NON_REAL)
-        else:
-            fixed_point_errors = tuple(fm._dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
-    return conditions, certified, fixed_point_errors
+            conditions["flat_dist"] = fm.flat_distance(x, fm.TransversePair._of_so_frames(*frames, delta))
+        except TransversalityError:  # the witness's refusal inside flat_distance
+            conditions["transverse_ok"] = False
+        except NumericError:
+            pass
+    if not (conditions["transverse_ok"] and conditions["flat_dist"] < r):
+        return conditions, False, None
+    _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
+    if not lox:
+        return conditions, False, None  # a misfired configuration is never certified
+    eigvals, vecs = eigvals.tolist(), eigvecs.real.T.tolist()
+    if not max(abs(v.imag) for v in eigvals) <= 1e-8 * max(map(abs, eigvals)):
+        raise LoxodromyError(fm._NON_REAL)
+    b1, b2, b3 = (vecs[i] for i in sorted(range(3), key=lambda i: -abs(eigvals[i].real)))  # by decreasing modulus
+    errors = (max(fm._sine(b1, p1), fm._sine(fm._cross(b1, b2), p3)),
+              max(fm._sine(b3, m1), fm._sine(fm._cross(b3, b2), m3)))
+    return conditions, True, errors
 
 
 def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:

@@ -68,8 +68,10 @@ class GroupElement:
     @classmethod
     def from_cartan_vector(cls, y) -> "GroupElement":
         y = np.asarray(y, dtype=float)
-        rs = root_system(len(y))
-        rs.check_traceless(y)
+        bad = y[~(np.abs(y) <= 709.78)]  # not finite, or exp(y) overflows (past log of the largest float)
+        if bad.size:
+            raise PreconditionError(f"cartan vector entries and their exp must be finite, got {bad[0]}")
+        root_system(len(y)).check_traceless(y)
         return cls(np.diag(np.exp(y)), check=False)
 
     def _check_unimodular(self):

@@ -148,7 +148,8 @@ def _log_sinh(x: np.ndarray) -> np.ndarray:
     small = (x > 0) & (x <= 20.0)
     large = x > 20.0
     out[small] = np.log(np.sinh(x[small]))
-    out[large] = x[large] + np.log1p(-np.exp(-2.0 * x[large])) - math.log(2.0)
+    # e^(-2x) is 0.0 in float64 from x = 373 on; the clamp keeps -2x finite near 1e308
+    out[large] = x[large] + np.log1p(-np.exp(-2.0 * np.minimum(x[large], 400.0))) - math.log(2.0)
     return out
 
 

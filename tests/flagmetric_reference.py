@@ -2,21 +2,24 @@
 kept for their tests: the transversality predicate and a representative with
 given Hopf coordinates (they were ``wcc.flagmetric.is_transverse``, with its
 default tolerance, and ``hopf_inverse``, unchanged), and the witness frames
-with one SVD per subspace dimension k (``wcc.flagmetric._witness_frames``
-before its d systems went into one stacked SVD, and then into a closed form), the
-oracle of its columns up to sign and of its refusals; and the
+with one SVD per subspace dimension k (the stacked ``wcc.flagmetric._witness_frames``
+before its d systems went into one stacked SVD, then into a closed form, and at d = 3
+into the one-pair ``_sl3_witness``), the oracle of its columns up to sign and of its
+refusals; and the
 Radon-Nikodym factor of a translated boundary measure (``rn_derivative``, unchanged
 from ``wcc.flagmetric``), which only the flag tests run.  Also the witness of one pair
 (``transverse_witness``, and ``witness`` for a ``TransversePair``), which only the tests
 and references build: they were ``wcc.flagmetric.transverse_witness`` and the cached
-``TransversePair.witness``, unchanged."""
+``TransversePair.witness``; at d = 2 its witness is that of the stacked ``_witness_frames``
+(columns xi_1 and eta_1), which the library no longer needs, as the d = 2 flat distance
+is a closed form."""
 
 import math
 
 import numpy as np
 
 from wcc.errors import PreconditionError, TransversalityError
-from wcc.flagmetric import Flag, HopfPoint, TransversePair, _witness_frames, dist_delta, eta0
+from wcc.flagmetric import Flag, HopfPoint, TransversePair, _sl3_witness, dist_delta, eta0
 from wcc.projections import GroupElement, iwasawa_cocycle
 from wcc.rootsys import root_system
 
@@ -58,11 +61,21 @@ def reference_witness_frames(plus: np.ndarray, minus: np.ndarray):
 
 def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
     """Unimodular g with g(eta0, zeta0) = (xi, eta), column by column as in
-    ``_witness_frames``."""
-    g, errors = _witness_frames(xi.frame[None], eta.frame[None])
-    if errors[0]:
-        raise TransversalityError(errors[0])
-    return GroupElement(g[0], check=False)
+    ``_sl3_witness``; at d = 2 the columns xi_1 and eta_1, refused below |det| = 1e-12."""
+    if xi.d == 3:
+        g, error = _sl3_witness(*(flag.frame[:, col].tolist() for flag in (xi, eta) for col in (0, 2)))
+        if error:
+            raise TransversalityError(error)
+        return GroupElement(g, check=False)
+    if xi.d != 2:
+        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {xi.d}")
+    g = np.stack([xi.frame[:, 0], eta.frame[:, 0]], axis=1)
+    det = np.linalg.det(g)
+    if abs(det) < 1e-12:
+        raise TransversalityError("witness frame is singular")
+    if det < 0:
+        g[:, -1] *= -1.0
+    return GroupElement(g / abs(det) ** 0.5, check=False)
 
 
 def witness(pair: TransversePair) -> GroupElement:

@@ -13,13 +13,15 @@ library function runs: ``ContractionResult`` and ``contraction_check`` were
 ``reference_certify`` is ``wcc.loxodromy.certify`` before d = 2 took the closed form:
 at every d one Cartan decomposition of the conjugate (an SVD), one eigen-solve, one
 frame action of the angular and fixed flags and their wedge lines.  It is the oracle
-of the d = 2 verdicts and condition flags.  ``decimal_sl2_certificate`` evaluates the
-d = 2 values at 50 digits from the exact values of the float (or integer) entries.
+of the d = 2 and d = 3 verdicts and condition flags.  ``decimal_sl2_certificate``
+evaluates the d = 2 values at 50 digits from the exact values of the float (or integer)
+entries, and ``decimal_sl3_certificate`` the d = 3 wall distance and fixed-point errors.
 """
 
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,6 +123,24 @@ def contraction_check(a, epsilon: float, n_samples: int = 1000, seed: int = 7) -
     return ContractionResult(analytic, sampled, contracted, worst)
 
 
+def _eigen_basis(eigvals: np.ndarray, eigvecs: np.ndarray):
+    """Real eigenbases of a stack (n, d), (n, d, d) of eigen-pairs, by decreasing modulus,
+    and which rows have a real spectrum (``wcc.flagmetric._eigen_basis``, unchanged)."""
+    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
+    order = np.argsort(-np.abs(eigvals.real), axis=-1)
+    return eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2), real
+
+
+def _dist_d(lines, others):
+    """``dist_d`` from the embedded lines of xi and of eta, over any leading axes
+    (``wcc.flagmetric._dist_d``, unchanged)."""
+    worst = 0.0
+    for u, v in zip(lines, others):
+        c = np.fmin(1.0, np.abs(np.vecdot(u, v)))
+        worst = np.fmax(worst, np.sqrt(np.fmax(0.0, 1.0 - c * c)))
+    return worst
+
+
 def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: float) -> LoxodromyCertificate:
     """Certify loxodromy from the chamber-displacement configuration at x."""
     d = gamma.d
@@ -151,7 +171,7 @@ def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: floa
             _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
         except NumericError as exc:
             lox, eigvals, eigvecs = exc, np.ones(d), np.eye(d)
-        (basis,), (real,) = fm._eigen_basis(eigvals[None], eigvecs[None])
+        (basis,), (real,) = _eigen_basis(eigvals[None], eigvecs[None])
         h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
         frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
         pj._so_sign_fix(frames)
@@ -178,7 +198,7 @@ def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: floa
         elif not real:
             raise LoxodromyError(fm._NON_REAL)
         else:
-            fixed_point_errors = tuple(fm._dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
+            fixed_point_errors = tuple(_dist_d([u[2:] for u in lines], [u[:2] for u in lines]).tolist())
 
     return LoxodromyCertificate(
         element=gamma,
@@ -245,3 +265,122 @@ def decimal_sl2_certificate(gamma: GroupElement, x: BasePoint):
             errors = tuple(float(_sine(_eigenvector(g, (trace + k * disc.sqrt()) / 2), w))
                            for k, w in zip((sign, -sign), lines))
         return float(wall), None if flat is None else float(flat), errors
+
+
+def _product3(p, q):
+    return [[sum(p[i][k] * q[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _transpose3(m):
+    return [list(row) for row in zip(*m)]
+
+
+def _det3(m):
+    return sum(m[0][j] * (m[1][(j + 1) % 3] * m[2][(j + 2) % 3] - m[1][(j + 2) % 3] * m[2][(j + 1) % 3])
+               for j in range(3))
+
+
+def _cross3(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _sine3(u, v):
+    w = _cross3(u, v)
+    return (_dot3(w, w) / (_dot3(u, u) * _dot3(v, v))).sqrt()
+
+
+def _char_cubic(m):
+    """Exact coefficients (trace, sum of principal 2 x 2 minors, determinant) of the
+    characteristic polynomial l^3 - tr l^2 + c1 l - det of a 3 x 3 matrix of Fractions,
+    and its exact discriminant."""
+    tr = m[0][0] + m[1][1] + m[2][2]
+    c1 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    det = _det3(m)
+    return tr, c1, det, tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 * det + 18 * tr * c1 * det - 27 * det**2
+
+
+def _bisect(p, lo, hi):
+    """A root of p between lo and hi, where p changes sign, to the context's precision."""
+    negative = p(lo) < 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        value = p(mid)
+        if value == 0:
+            return mid
+        if (value < 0) == negative:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _real_roots(tr, c1, det):
+    """The three distinct real roots of l^3 - tr l^2 + c1 l - det (exact Fraction
+    coefficients, positive discriminant), by bisection between the Cauchy bound and the two
+    critical points (tr -+ sqrt(tr^2 - 3 c1)) / 3, in the current Decimal context."""
+    tr, c1, det = (Decimal(v.numerator) / Decimal(v.denominator) for v in (tr, c1, det))
+
+    def p(lam):
+        return ((lam - tr) * lam + c1) * lam - det
+
+    root = (tr * tr - 3 * c1).sqrt()
+    bound = 1 + max(abs(tr), abs(c1), abs(det))
+    ends = [-bound, (tr - root) / 3, (tr + root) / 3, bound]
+    return [_bisect(p, lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _null_vector(m, lam):
+    """A null vector of m - lam I for a 3 x 3 Decimal matrix: the longest cross product of
+    two of its rows."""
+    rows = [[v - lam if i == j else v for j, v in enumerate(row)] for i, row in enumerate(m)]
+    return max((_cross3(rows[i], rows[j]) for i, j in ((0, 1), (0, 2), (1, 2))), key=lambda w: _dot3(w, w))
+
+
+def decimal_sl3_certificate(gamma: GroupElement, x: BasePoint):
+    """The wall distance and the fixed-point errors (None where the characteristic
+    discriminant of gamma is not positive) of a d = 3 certificate, at 50 digits from the
+    exact entries of gamma and h_x.  m = h_x^-1 gamma h_x with the exact inverse; the
+    eigenvalues of m m^T, of m^T m and of gamma by bisection on their characteristic
+    polynomials (whose coefficients are exact), and each eigenvector a cross product of two
+    rows of A - lambda I.  The wall distance is min_i ln(s_i^2 / s_(i+1)^2) / (2 ||alpha_i||_*);
+    the angular flags are those of (h k_1, h k_2) and (h l_3, h l_2), k_i and l_i the
+    eigenvectors of m m^T and m^T m, and the fixed flags those of (b_1, b_2) and
+    (b_3, b_2), b_i the eigenvectors of gamma by decreasing modulus; each error is the
+    larger sine between their lines and between their plane normals."""
+    g, h = ([[Fraction(v) for v in row] for row in (e.int_mat or e.mat.tolist())] for e in (gamma, x.h))
+    det_h = _det3(h)
+    adj = [[_det3_minor(h, j, i) * (-1) ** (i + j) / det_h for j in range(3)] for i in range(3)]
+    m = _product3(_product3(adj, g), h)
+    outer, inner = _product3(m, _transpose3(m)), _product3(_transpose3(m), m)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        (top, mid, _), (_, mid_in, low) = (sorted(_real_roots(*_char_cubic(s)[:3]), reverse=True)
+                                          for s in (outer, inner))
+        norms = [Decimal(v) for v in root_system(3).simple_dual_norms.tolist()]
+        wall = min((top / mid).ln() / (2 * norms[0]), (mid_in / low).ln() / (2 * norms[1]))
+        *coeffs, disc = _char_cubic(g)
+        if disc <= 0:
+            return float(wall), None
+        dec = [[Decimal(v.numerator) / Decimal(v.denominator) for v in row] for row in (*outer, *inner, *g, *h)]
+        outer, inner, g, h = dec[0:3], dec[3:6], dec[6:9], dec[9:12]
+
+        def moved(v):
+            return [_dot3(row, v) for row in h]
+
+        k1, k2 = (moved(_null_vector(outer, lam)) for lam in (top, mid))
+        l3, l2 = (moved(_null_vector(inner, lam)) for lam in (low, mid_in))
+        b1, b2, b3 = (_null_vector(g, lam) for lam in sorted(_real_roots(*coeffs), key=abs, reverse=True))
+        errors = (max(_sine3(b1, k1), _sine3(_cross3(b1, b2), _cross3(k1, k2))),
+                  max(_sine3(b3, l3), _sine3(_cross3(b3, b2), _cross3(l3, l2))))
+        return float(wall), tuple(float(e) for e in errors)
+
+
+def _det3_minor(m, i, j):
+    """The 2 x 2 minor of m without row i and column j."""
+    (a, b), (c, d) = ([v for k, v in enumerate(row) if k != j] for r, row in enumerate(m) if r != i)
+    return a * d - b * c

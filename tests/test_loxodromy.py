@@ -20,6 +20,7 @@ from constants_reference import _fit_constants, dist_d2
 from loxodromy_reference import (
     contraction_check,
     decimal_sl2_certificate,
+    decimal_sl3_certificate,
     reference_certify,
     reference_jordan_cartan_gap,
 )
@@ -30,6 +31,16 @@ VERDICTS = Path(__file__).with_name("certify_verdicts.json")
 # of TestSl2ClosedForm (the d = 2 pinned cases, criterion 4's d = 2 family at the three base
 # points of sl2_base_points, and sl2_edge_cases) its largest error was 2.8 eps, on a wall distance
 SL2_VALUE_BOUND = 4.0 * np.finfo(float).eps
+# bound on |error - 50-digit error| of a d = 3 fixed-point error, in units of eps s_1 / s_2 for
+# the singular values of h_x^-1 g h_x: a float SVD or eigen-solve resolves the vectors of the
+# smaller values only to about that.  Over the d = 3 pinned cases and criterion 4's d = 3
+# family (1,054 errors) the largest was 1.8
+SL3_ERROR_BOUND = 4.0
+
+
+def sl3_error_bound(g, x):
+    s = np.linalg.svd(pj._conjugate(g, x).mat, compute_uv=False)
+    return SL3_ERROR_BOUND * np.finfo(float).eps * s[0] / s[1]
 
 
 def admissible_parameters(d):
@@ -393,8 +404,16 @@ class TestVerdictTable:
                     err, bound = abs(value - ref), SL2_VALUE_BOUND * max(1.0, abs(ref))
                     assert err <= bound and (err <= abs(pinned - ref) or abs(pinned - ref) <= bound), label
             else:
-                # the flat distance is Newton's method at d = 3, so it moves in the last digits
+                # the flat distance is Newton's method at d = 3, so it moves in the last digits;
+                # each fixed-point error within sl3_error_bound of the 50-digit one, and nearer
+                # to it than the pinned value wherever that one is not
                 assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), label
+                if old["fixed_point_errors"] is not None:
+                    bound, (_, ref_errors) = sl3_error_bound(g, x), decimal_sl3_certificate(g, x)
+                    for value, pinned, ref in zip(new.pop("fixed_point_errors"), old.pop("fixed_point_errors"),
+                                                  ref_errors, strict=True):
+                        err = abs(value - ref)
+                        assert err <= bound and (err <= abs(pinned - ref) or abs(pinned - ref) <= bound), label
             assert new_flat == math.inf if old_flat == math.inf else math.isfinite(new_flat), label
             assert new == old, label
 
@@ -425,34 +444,36 @@ class TestVerdictTable:
             assert bool(linalg_calls) == (d == 3)
 
     def test_one_determinant_per_frame(self, linalg_calls):
-        # d = 3: the Cartan frame, the one stacked det of the four flags' frames (the angular
-        # and the fixed flags), the 2 x 2 minors of their embedded lines in one stack, those
-        # of the perp lines of xi-, and the witness; d = 2 takes none
-        for d, n_calls in ((2, 0), (3, 5)):
+        # none at either d: at d = 3 the flags are cross products, the transversality gauge
+        # two inner products and the witness determinant a triple product; d = 2 makes no
+        # np.linalg call at all
+        for d in (2, 3):
             o, r, eps = admissible_parameters(d)
             linalg_calls.clear()
             cert = lx.certify(GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), o, r, eps)
             assert cert.certified
-            dets = [shape for name, shape in linalg_calls if name == "det"]
-            assert len(dets) == n_calls
-            assert dets.count((4, d, d)) == (d == 3)
+            assert [name for name, _ in linalg_calls if name in ("det", "qr", "solve")] == []
             assert bool(linalg_calls) == (d == 3)
 
-    def test_one_frame_action_per_certificate(self, linalg_calls):
-        # d = 3: one QR of the stacked frames of xi+, xi-, and the attracting and repelling
-        # flags; d = 2: no frame action and no eigen-solve
+    def test_one_frame_action_per_certificate(self, linalg_calls, monkeypatch):
+        # d = 3: one SVD of the conjugate, one eigen-solve and one SVD per Newton evaluation
+        # of the flat distance, each of one 3 x 3 matrix, and no QR; d = 2: none of them
+        evaluations = []
+        flat_row = fm._flat_row
+        monkeypatch.setattr(fm, "_flat_row", lambda m: evaluations.append(1) or flat_row(m))
         for d in (2, 3):
             o, r, eps = admissible_parameters(d)
             for g in (GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), criterion4_elements()[d][0]):
                 linalg_calls.clear()
+                evaluations.clear()
                 assert lx.certify(g, o, r, eps).certified
-                solves = sorted(call for call in linalg_calls if call[0] in ("qr", "eig", "eigvals"))
-                assert solves == ([] if d == 2 else [("eig", (d, d)), ("qr", (4, d, d))])
-                assert bool(linalg_calls) == (d == 3)
+                expected = [] if d == 2 else [("eig", (3, 3))] + [("svd", (3, 3))] * (1 + len(evaluations))
+                assert sorted(linalg_calls) == expected
+                assert bool(evaluations) == (d == 3)
 
     def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
-        # the solve now runs before the flat test; its failure still reaches the caller
-        # only for an element that would be certified
+        # the solve runs only for an element that would be certified, so only there does
+        # its failure reach the caller
         o, r, eps = admissible_parameters(3)
         y = deep_regular_vector(3, o, eps, factor=1.3)
         h = random_group(np.random.default_rng(107), 3, 0.4).mat  # its flat misses o by 1.14
@@ -516,6 +537,49 @@ class TestSl2ClosedForm:
             lx.certify(GroupElement([[1.0, 1.0], [1.0, 1.0]], check=False), *admissible_parameters(2))
 
 
+class TestSl3Pass:
+    """The d = 3 certificate is one float pass over 3-vectors; the frame path it replaced
+    (``reference_certify``) is the oracle of its verdicts and conditions, and a 50-digit
+    evaluation of the same matrices that of its fixed-point errors."""
+
+    @staticmethod
+    def grid():
+        yield from ((g, x, r, eps) for _, g, x, r, eps in certify_cases() if g.d == 3)
+        o, r, eps = admissible_parameters(3)
+        yield from ((g, o, r, eps) for g in criterion4_elements()[3])
+
+    def test_conditions_match_the_frame_path(self):
+        for g, x, r, eps in self.grid():
+            new, old = lx.certify(g, x, r, eps), reference_certify(g, x, r, eps)
+            assert new.certified == old.certified, g
+            new_flat, old_flat = new.conditions.pop("flat_dist"), old.conditions.pop("flat_dist")
+            assert new_flat == old_flat or abs(new_flat - old_flat) <= 1e-13 * max(1.0, old_flat), g
+            assert new.conditions == old.conditions, g
+            assert (new.fixed_point_errors is None) == (old.fixed_point_errors is None), g
+
+    def test_errors_within_the_bound_of_the_50_digit_reference(self):
+        # the first 100 of criterion 4's family: the 50-digit solve takes about 10 ms an element
+        o, r, eps = admissible_parameters(3)
+        for g in criterion4_elements()[3][:100]:
+            cert, (_, errors) = lx.certify(g, o, r, eps), decimal_sl3_certificate(g, o)
+            bound = sl3_error_bound(g, o)
+            for value, ref in zip(cert.fixed_point_errors, errors, strict=True):
+                assert abs(value - ref) <= bound, (g, value, ref)
+
+    def test_decimal_wall_distance_is_within_the_float_resolution(self):
+        # the bisection against the wall distance of every d = 3 pinned case but the float
+        # ones, and of a diagonal element: the float SVD resolves s_3 only to eps s_1, and
+        # the exact-adjugate recovery of integer elements starts at s_1 / s_3 = 1e10
+        o, r, eps = admissible_parameters(3)
+        cases = [(g, x) for label, g, x, *_ in certify_cases() if g.d == 3 and not label.startswith("float")]
+        cases.append((GroupElement.from_cartan_vector(deep_regular_vector(3, o, eps)), o))
+        for g, x in cases:
+            (wall, _), s = decimal_sl3_certificate(g, x), np.linalg.svd(g.mat, compute_uv=False)
+            value = lx.certify(g, x, 0.4, eps).conditions["wall_distance"]
+            eps64 = np.finfo(float).eps
+            assert abs(wall - value) <= max(eps64 * s[0] / s[-1], 4.0 * eps64 * max(1.0, wall)), g
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_non_finite_entries_are_refused(alarm, value, d):
@@ -525,6 +589,14 @@ def test_non_finite_entries_are_refused(alarm, value, d):
     with pytest.raises(PreconditionError, match="finite, got") as exc:
         GroupElement(mat)
     assert str(value) in str(exc.value)
+    y, frame = np.zeros(d), np.eye(d)
+    y[0], y[-1], frame[0, -1] = value, -value, value
+    for build in (GroupElement.from_cartan_vector, fm.Flag):
+        with pytest.raises(PreconditionError, match="finite, got") as exc:
+            build(frame if build is fm.Flag else y)
+        assert str(value) in str(exc.value)
+    with pytest.raises(PreconditionError, match="and their exp must be finite, got 710.0"):
+        GroupElement.from_cartan_vector([710.0] + [0.0] * (d - 2) + [-710.0])  # exp(y) overflows
     with pytest.raises(PreconditionError, match="finite conjugate"):
         lx.certify(GroupElement(mat, check=False), o, r, eps)
     x = BasePoint(GroupElement.from_cartan_vector(np.linspace(5.0, -5.0, d)))
@@ -550,7 +622,7 @@ class TestFlatDistanceWork:
 
     def test_sl2_runs_no_witness_and_no_optimizer(self, monkeypatch):
         calls = []
-        for name in ("_flat_minimum", "_witness_frames"):
+        for name in ("_flat_minimum", "_sl3_witness"):
             fn = getattr(fm, name)
             monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
         o, r, eps = admissible_parameters(2)
@@ -562,19 +634,22 @@ class TestFlatDistanceWork:
         assert calls == []
         o, r, eps = admissible_parameters(3)  # the wrappers do see the d = 3 calls
         assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
-        assert sorted(calls) == ["_flat_minimum", "_witness_frames"]
+        assert sorted(calls) == ["_flat_minimum", "_sl3_witness"]
 
     def test_sl3_certificate_and_fixed_flags_share_one_kernel(self, monkeypatch):
-        # both paths hand their frame pairs to the stacked kernel
+        # the certificate and the stacked fixed-flag pass run the same one-pair witness and
+        # Newton solve, once per pair
         calls = []
-        fn = fm._flat_distances
-        monkeypatch.setattr(fm, "_flat_distances", lambda *args: calls.append("_flat_distances") or fn(*args))
+        for name in ("_sl3_witness", "_flat_minimum"):
+            fn = getattr(fm, name)
+            monkeypatch.setattr(fm, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
         o, r, eps = admissible_parameters(3)
         elements = criterion4_elements()[3][:5]
         assert lx.certify(elements[0], o, r, eps).certified
+        assert calls == ["_sl3_witness", "_flat_minimum"]
         rows = fm._fixed_flat_distances(o, *np.linalg.eig(np.array([g.mat for g in elements])))
         assert all(isinstance(row, float) for row in rows)
-        assert calls == ["_flat_distances", "_flat_distances"]
+        assert calls == ["_sl3_witness", "_flat_minimum"] * 6
 
     def test_sl3_optimizer_evaluations(self, monkeypatch):
         solves, evaluations = [], []
@@ -588,13 +663,16 @@ class TestFlatDistanceWork:
         assert len(evaluations) / len(solves) <= 2.5  # 6.0 for the BFGS from I, 3.5 from I / (2k)
 
     def test_sl3_witness_takes_no_svd(self, monkeypatch):
-        # the witness is a closed form: no stacked SVD of its d systems [a, -b], d x (d + 1)
-        calls = []
-        svd = np.linalg.svd
+        # the witness is a closed form in 3-vectors: no SVD of its systems [a, -b], 3 x 4;
+        # every SVD of the certificate is of one 3 x 3 matrix
+        calls, witnesses = [], []
+        svd, witness = np.linalg.svd, fm._sl3_witness
         monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: calls.append(np.shape(m)) or svd(m, *a, **k))
+        monkeypatch.setattr(fm, "_sl3_witness", lambda *args: witnesses.append(args) or witness(*args))
         o, r, eps = admissible_parameters(3)
         assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
-        assert calls and not any(shape[-3:] == (3, 3, 4) for shape in calls)
+        assert len(witnesses) == 1 and all(len(v) == 3 for v in witnesses[0])
+        assert calls and set(calls) == {(3, 3)}
 
     def test_witness_refusal_is_not_transverse(self):
         # the angular flags meet at an angle of 1e-13: transverse (delta > 0), but the
