@@ -150,6 +150,12 @@ def _parse_grid(text: str) -> list:
         raise ParameterError(f"{text!r} is not a list of finite numbers: {exc}") from None
 
 
+def _write_rows(args, suffix: str, columns, rows) -> None:
+    """With --out, the CSV artifact <out><suffix> of the named columns of each row dict."""
+    if args.out:
+        _write_csv(Path(args.out + suffix), columns, [tuple(r[c] for c in columns) for r in rows])
+
+
 def _write_csv(path: Path, header, rows):
     import csv
 
@@ -220,9 +226,7 @@ def _cmd_loxo(args) -> int:
     from .projections import BasePoint
 
     g = _parse_matrix(args.matrix)
-    base = BasePoint.origin(g.d)
-    if args.base:
-        base = BasePoint(_parse_matrix(args.base))
+    base = BasePoint(_parse_matrix(args.base)) if args.base else BasePoint.origin(g.d)
     cert = lx.certify(g, base, args.r, args.eps)
     payload = cert.as_dict()
     _emit(payload, {"cmd": "loxo", "matrix": g.mat, "r": args.r, "eps": args.eps,
@@ -312,11 +316,7 @@ def _cmd_angular(args) -> int:
     if args.sweep:
         spec = lt.LatticeSpec(args.group)
         report = sv.angular_sweep(spec, _parse_grid(args.sweep), bins=args.bins)
-        if args.out:
-            _write_csv(Path(args.out + "_angular_sweep.csv"),
-                       ["t", "n_regular", "ks_plus", "ks_minus"],
-                       [(r["t"], r["n_regular"], r["ks_plus"], r["ks_minus"])
-                        for r in report["rows"]])
+        _write_rows(args, "_angular_sweep.csv", ["t", "n_regular", "ks_plus", "ks_minus"], report["rows"])
         _emit(report, config)
         return 0
     spec, domain, records, complete = _load_or_enumerate(args)
@@ -339,22 +339,14 @@ def _cmd_tori(args) -> int:
               "trace_bound": args.trace_bound, "seed": args.seed}
     if args.T_grid:
         report = sv.torus_sweep(_parse_grid(args.T_grid))
-        if args.out:
-            _write_csv(Path(args.out + "_tori_sweep.csv"),
-                       ["T", "weighted_sum", "log_volume", "ratio"],
-                       [(r["T"], r["weighted_sum"], r["log_volume"], r["ratio"])
-                        for r in report["rows"]])
+        _write_rows(args, "_tori_sweep.csv", ["T", "weighted_sum", "log_volume", "ratio"], report["rows"])
         _emit(report, config)
         return 0
     if args.T is None and args.trace_bound is None:
         raise ParameterError("tori needs --T, --T-grid or --trace-bound")
     if args.T is not None:
         report = sv.torus_census(args.T)
-        if args.out:
-            _write_csv(Path(args.out + "_tori.csv"),
-                       ["trace", "period_volume", "multiplicity"],
-                       [(r["trace"], r["period_volume"], r["multiplicity"])
-                        for r in report["rows"]])
+        _write_rows(args, "_tori.csv", ["trace", "period_volume", "multiplicity"], report["rows"])
         _emit(report, config)
         return 0
     classes = sv.conjugacy_classes_sl2(args.trace_bound)
@@ -379,9 +371,7 @@ def _cmd_growth(args) -> int:
     grid = _parse_grid(args.T_grid)
     report = sv.conjugacy_growth(grid)
     report["delta0"] = root_system(2).delta_zero()
-    if args.out:
-        _write_csv(Path(args.out + "_growth.csv"), ["T", "count"],
-                   [(r["T"], r["count"]) for r in report["rows"]])
+    _write_rows(args, "_growth.csv", ["T", "count"], report["rows"])
     _emit(report, {"cmd": "growth", "T_grid": args.T_grid, "seed": args.seed})
     return 0
 

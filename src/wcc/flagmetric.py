@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -41,6 +41,7 @@ FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
 FLAT_RESOLUTION = 1e-5  # d >= 3 flat distances are refused where eps s_1 / s_d exceeds this
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 _SINGULAR_WITNESS = "witness frame is singular"
+_R2, _R6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)  # the first column of _zero_sum_basis(3), as it rounds
 
 
 def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
@@ -310,8 +311,7 @@ def _flat_row(m: np.ndarray):
     grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
     phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o.  B has the
     rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6, and z_ij = z_ji."""
-    (r2, _, _), (r6, _, _) = _zero_sum_basis(3).tolist()
-    k = root_system(3).killing_scale
+    r2, r6, k = _R2, _R6, root_system(3).killing_scale
     _, s, vh = np.linalg.svd(m)
     s = s.tolist()
     if not (s[-1] > 0.0 and all(map(math.isfinite, s))):
@@ -358,19 +358,19 @@ def flat_distance(x: BasePoint, pair: TransversePair) -> float:
 def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
     """Distance from x to the maximal flat of each pair of a stack (n, d, d) of SO(d)
     frames: per row the distance, or the library error the row raises.  At d = 2 the closed
-    form ``_sl2_flat_distances``; at d = 3 ``_flat_minimum`` of m = h_x^-1 w, w the witness
-    (``_sl3_witness``) of the lines and plane normals of the row (frame columns 1 and 3)."""
+    form ``_sl2_flat_distances``; at d = 3 ``_flat_minimum`` of m = h_x^-1 w (w at the shared
+    origin), w the witness (``_sl3_witness``) of the row's lines and plane normals."""
     if x.d == 2:
         values, singular = _sl2_flat_distances(x, plus, minus)
         return [TransversalityError(_SINGULAR_WITNESS) if bad else value
                 for value, bad in zip(values.tolist(), singular.tolist())]
     if x.d != 3:
         raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {x.d}")
-    hinv, rows = _h_inverse(x), []
+    to_x, rows = np.array if x is BasePoint.origin(3) else partial(np.matmul, _h_inverse(x)), []
     for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2))):
         witness, error = _sl3_witness(*flags)
         try:
-            rows.append(TransversalityError(error) if error else _flat_minimum(hinv @ np.array(witness)))
+            rows.append(TransversalityError(error) if error else _flat_minimum(to_x(witness)))
         except WccError as exc:
             rows.append(exc)
     return rows
@@ -389,7 +389,7 @@ def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
     """
     ends = np.concatenate([plus[:, :, :1], minus[:, :, :1]], axis=2)  # columns xi_1, eta_1
     singular = np.abs(_det2(ends)) < 1e-12
-    pq = _h_inverse(x) @ ends  # columns p, q
+    pq = ends if x is BasePoint.origin(2) else _h_inverse(x) @ ends  # columns p, q
     dot = pq[:, 0, 0] * pq[:, 0, 1] + pq[:, 1, 0] * pq[:, 1, 1]
     det = np.where(singular, 1.0, _det2(pq))  # no division by a refused zero
     return math.sqrt(2.0) * np.arcsinh(np.abs(dot / det)), singular

@@ -232,17 +232,22 @@ def _sl2_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
 
 
 def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
-    """Conditions, verdict and fixed-point errors of a d = 3 certificate in one float pass
-    over 3-vectors, around one SVD of m = h_x^-1 gamma h_x = k exp(a) l^-1, the Newton SVDs
-    of ``flagmetric.flat_distance`` and, for an element that would be certified, one
-    eigen-solve of gamma.  Each flag is a unit line and plane normal (``_so3_flag``), and
-    each fixed-point error the larger sine between their lines and between their normals."""
+    """Conditions, verdict and fixed-point errors of a d = 3 certificate in one float pass over
+    3-vectors, around one SVD of m = h_x^-1 gamma h_x = k exp(a) l^-1 (gamma itself at the
+    shared origin, and its frames not multiplied by h_x), the Newton SVDs of
+    ``flagmetric.flat_distance`` and, for an element that would be certified, one eigen-solve of
+    gamma for its loxodromy (``_loxodromic``) and fixed flags.  Each flag is a unit line and
+    plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
+    and between their normals."""
     u, s, vh = np.linalg.svd(conj.mat)
     ints = None if conj.int_mat is None else np.array([conj.int_mat], dtype=object)  # exact, as cartan_vector
     conditions = _conditions(float(root_system(3).wall_distances(pj._robust_logs(s[None], ints, "svd")[0])), t0)
     if not conditions["wall_margin_ok"]:
         return conditions, False, None
-    (k1, k2), (l3, l2) = (x.h.mat @ u[:, :2]).T.tolist(), (vh[:0:-1] @ x.h.mat.T).tolist()
+    if x is BasePoint.origin(3):
+        (k1, k2), (l3, l2) = u[:, :2].T.tolist(), vh[:0:-1].tolist()
+    else:
+        (k1, k2), (l3, l2) = (x.h.mat @ u[:, :2]).T.tolist(), (vh[:0:-1] @ x.h.mat.T).tolist()
     (p1, p3), (m1, m3) = fm._so3_flag(k1, k2), fm._so3_flag(l3, l2)
     delta = min(abs(fm._dot(p1, m3)), abs(fm._dot(p3, m1)))  # dist_delta
     conditions["transverse_ok"] = delta > 0.0
@@ -256,16 +261,24 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
             pass
     if not (conditions["transverse_ok"] and conditions["flat_dist"] < r):
         return conditions, False, None
-    _, lox, (eigvals, eigvecs) = pj._jordan_solve(gamma, vectors=True)
-    if not lox:
-        return conditions, False, None  # a misfired configuration is never certified
+    eigvals, eigvecs = pj._eig(gamma.mat, vectors=True)
     eigvals, vecs = eigvals.tolist(), eigvecs.real.T.tolist()
+    if not _loxodromic(gamma, eigvals):
+        return conditions, False, None  # a misfired configuration is never certified
     if not max(abs(v.imag) for v in eigvals) <= 1e-8 * max(map(abs, eigvals)):
         raise LoxodromyError(fm._NON_REAL)
     b1, b2, b3 = (vecs[i] for i in sorted(range(3), key=lambda i: -abs(eigvals[i].real)))  # by decreasing modulus
     errors = (max(fm._sine(b1, p1), fm._sine(fm._cross(b1, b2), p3)),
               max(fm._sine(b3, m1), fm._sine(fm._cross(b3, b2), m3)))
     return conditions, True, errors
+
+
+def _loxodromic(gamma: GroupElement, eigvals: list) -> bool:
+    """``jordan_project(gamma)[1]`` from the eigenvalues of gamma, in Python floats for a float gamma."""
+    if gamma.int_mat is not None:
+        return pj._int_char_discriminant(np.array(gamma.int_mat, dtype=object)) > 0
+    logs = [math.log(max(v, 1e-300)) for v in sorted(map(abs, eigvals), reverse=True)]
+    return all(a - b > pj.TAU_LOX_DEFAULT for a, b in zip(logs, logs[1:]))
 
 
 def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:

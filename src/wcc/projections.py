@@ -159,8 +159,12 @@ class BasePoint:
     h: GroupElement
 
     @classmethod
+    @lru_cache(maxsize=None)
     def origin(cls, d: int) -> "BasePoint":
-        return cls(GroupElement(np.eye(d), check=False))
+        """The origin: one shared base point per d, h = I with a read-only matrix."""
+        h = GroupElement(np.eye(d), check=False)
+        h.mat.flags.writeable = False
+        return cls(h)
 
     @property
     def d(self) -> int:
@@ -379,7 +383,7 @@ def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
     """h_x^-1 m h_x over the last two axes: m itself at the origin, exact in Python
     ints for an integer m (int64 or object) when h_x is integer, in floats otherwise."""
     h = x.h
-    if np.array_equal(h.mat, np.eye(h.d)):
+    if x is BasePoint.origin(h.d) or np.array_equal(h.mat, np.eye(h.d)):
         return mats
     if mats.dtype.kind != "f" and h.int_mat is not None:
         return _int_conjugate(mats, h.int_mat)
@@ -393,7 +397,9 @@ def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:
 
 
 def _conjugate(g: GroupElement, x: BasePoint) -> GroupElement:
-    """h_x^-1 g h_x as an element, exact (``_conjugate_stack``) when it is integer."""
+    """h_x^-1 g h_x as an element (g itself at the shared origin), exact when it is integer."""
+    if x is BasePoint.origin(x.d):
+        return g
     conj = _conjugate_stack(_one_row(g), x)[0]
     out = GroupElement(conj, check=False)
     if conj.dtype == object:

@@ -40,12 +40,7 @@ class RootSystemA:
         self.killing_scale = 2 * d
 
         # positive roots y_i - y_j, i < j, multiplicity 1 each
-        self.positive_roots = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                c = np.zeros(d)
-                c[i], c[j] = 1.0, -1.0
-                self.positive_roots.append(c)
+        self.positive_roots = [self.positive_roots_pair(i, j) for i in range(d) for j in range(i + 1, d)]
         self.multiplicities = [1] * len(self.positive_roots)
 
         # simple roots y_i - y_{i+1}

@@ -226,9 +226,10 @@ def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
 
 
 def _converge(evaluate, rel_tol: float = QUAD_REL_TOL):
-    """Double node counts from 24 until successive log values agree to rel_tol, refusing
-    a first value (nan, inf, or past rel_tol / eps) whose rounding alone exceeds rel_tol."""
-    n = 24
+    """Double node counts from 24 until successive log values agree to rel_tol, refusing a
+    first value (nan, inf, or past rel_tol / eps) whose rounding alone exceeds rel_tol, and a
+    delta that stops shrinking: not below the last, or at the rounding level eps |value| n."""
+    n, last = 24, math.inf
     prev = evaluate(n)
     if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
         raise NumericError(f"quadrature log value {prev} cannot be resolved to {rel_tol}")
@@ -240,7 +241,10 @@ def _converge(evaluate, rel_tol: float = QUAD_REL_TOL):
         delta = abs(cur - prev) if np.isfinite(cur) and np.isfinite(prev) else math.inf
         if delta < rel_tol:
             return cur, delta
-        prev = cur
+        if math.isfinite(delta) and (delta >= last or delta <= abs(cur) * math.ulp(1.0) * n):
+            raise NumericError(f"quadrature stalled at log value {cur}: delta {delta} at {n} nodes "
+                               f"did not shrink below {rel_tol}")
+        prev, last = cur, delta
     raise NumericError(f"quadrature did not converge below {rel_tol} by {MAX_NODES} nodes")
 
 
@@ -359,6 +363,8 @@ def _region_log_integral(
     his = [domain.t * e for e in domain.edges]
     if any(lo >= hi for lo, hi in zip(los, his)):
         return LOG_ZERO, 0.0
+    if max(his) * math.ulp(1.0) >= rel_tol:  # the log value grows as t * edge: past what _converge resolves
+        raise NumericError(f"box quadrature cannot resolve t * edge = {max(his)} to {rel_tol}")
     if d == 2:
         def density(z):
             return logf(rs, np.outer(z, duals[0])) + math.log(jac)

@@ -559,6 +559,8 @@ class TestFlatDistanceReference:
             fd = np.array([(grad(m, coords + step * e) - grad(m, coords - step * e)) / (2.0 * step)
                            for e in np.eye(d - 1)])
             assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
+        # the kernel's constant column of B is the zero-sum basis as it is rounded
+        assert basis[:, 0].tolist() == [fm._R2, fm._R6]
         # on a flat through o every a_i - a_j is 0, where phi(x) = x coth x takes its limit 1
         for m in pj.random_so(d, rng, size=5):
             assert np.max(np.abs(fm._flat_row(m)[2] - 2.0 * k * np.eye(d - 1))) <= 1e-14 * k

@@ -457,19 +457,30 @@ class TestVerdictTable:
 
     def test_one_frame_action_per_certificate(self, linalg_calls, monkeypatch):
         # d = 3: one SVD of the conjugate, one eigen-solve and one SVD per Newton evaluation
-        # of the flat distance, each of one 3 x 3 matrix, and no QR; d = 2: none of them
-        evaluations = []
-        flat_row = fm._flat_row
+        # of the flat distance, each of one 3 x 3 matrix, and no QR; d = 2: none of them.
+        # At the shared origin neither builds an identity, compares with one or reads h_x^-1
+        evaluations, set_up = [], []
+        flat_row, h_inverse = fm._flat_row, pj._h_inverse
         monkeypatch.setattr(fm, "_flat_row", lambda m: evaluations.append(1) or flat_row(m))
+        cases = []
         for d in (2, 3):
             o, r, eps = admissible_parameters(d)
             for g in (GroupElement.from_cartan_vector(deep_regular_vector(d, o, eps)), criterion4_elements()[d][0]):
-                linalg_calls.clear()
-                evaluations.clear()
-                assert lx.certify(g, o, r, eps).certified
-                expected = [] if d == 2 else [("eig", (3, 3))] + [("svd", (3, 3))] * (1 + len(evaluations))
-                assert sorted(linalg_calls) == expected
-                assert bool(evaluations) == (d == 3)
+                cases.append((g, o, r, eps))
+        for name in ("eye", "array_equal"):
+            monkeypatch.setattr(np, name, lambda *a, _fn=getattr(np, name), _name=name, **k:
+                                set_up.append(_name) or _fn(*a, **k))
+        for module in (pj, fm):
+            monkeypatch.setattr(module, "_h_inverse", lambda x: set_up.append("_h_inverse") or h_inverse(x))
+        for g, o, r, eps in cases:
+            linalg_calls.clear()
+            evaluations.clear()
+            set_up.clear()
+            assert lx.certify(g, o, r, eps).certified
+            expected = [] if g.d == 2 else [("eig", (3, 3))] + [("svd", (3, 3))] * (1 + len(evaluations))
+            assert sorted(linalg_calls) == expected
+            assert bool(evaluations) == (g.d == 3)
+            assert set_up == []
 
     def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
         # the solve runs only for an element that would be certified, so only there does
@@ -490,6 +501,74 @@ class TestVerdictTable:
             lx.certify(near, o, r, eps)
         cert = lx.certify(far, o, r, eps)
         assert cert.conditions == conditions and not cert.certified
+
+
+class TestSharedOrigin:
+    """``BasePoint.origin(d)`` is one read-only base point per d, at which a certificate
+    conjugates nothing; any other identity representative keeps the general path, its oracle."""
+
+    def test_one_read_only_origin_per_d(self):
+        for d in (2, 3):
+            o = BasePoint.origin(d)
+            assert BasePoint.origin(d) is o and np.array_equal(o.h.mat, np.eye(d))
+            with pytest.raises(ValueError, match="read-only"):
+                o.h.mat[0, 0] = 2.0
+            g = GroupElement.from_cartan_vector([0.5] + [0.0] * (d - 2) + [-0.5])
+            assert pj._conjugate(g, o) is g
+
+    def test_a_fresh_identity_gives_the_same_certificates(self):
+        origin_rows = 0
+        for label, g, x, r, eps in certify_cases():
+            if x is BasePoint.origin(g.d):
+                fresh = BasePoint(GroupElement(np.eye(g.d), check=False))
+                assert pj._conjugate(g, fresh) is not g
+                assert lx.certify(g, fresh, r, eps).as_dict() == lx.certify(g, x, r, eps).as_dict(), label
+                origin_rows += 1
+        assert origin_rows == 150
+
+
+class TestLoxodromyGate:
+    """A d = 3 certificate re-checks loxodromy on the eigenvalues of its one eigen-solve, in
+    Python floats for a float element (``_loxodromic``); ``_jordan_solve`` is its oracle."""
+
+    @staticmethod
+    def elements():
+        yield from criterion4_elements()[3]
+        yield from (g for _, g, *_ in certify_cases() if g.d == 3)
+        rng = np.random.default_rng(110)
+        for n in (1, 7, 100, 10**4, 10**6):
+            u = np.eye(3)
+            u[0, -1] = float(n)
+            yield GroupElement(u)
+        for _ in range(10):
+            yield GroupElement(pj.random_so(3, rng), check=False)
+        for w in (1e-3, 0.1, 0.5, 2.0, 3.0):
+            yield GroupElement.from_cartan_vector([w, 0.0, -w])
+
+    @staticmethod
+    def near_threshold():
+        """Elements whose smallest log gap is TAU_LOX_DEFAULT (1 +- 1e-3), at either pair, with
+        negative eigenvalues and conjugated by a rotation, each with its expected verdict."""
+        rng = np.random.default_rng(111)
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            small = factor * pj.TAU_LOX_DEFAULT
+            for gaps in ((small, 0.7), (0.7, small), (small, 2.5)):
+                y = np.array([gaps[0] + gaps[1], gaps[1], 0.0])
+                diag = GroupElement.from_cartan_vector(y - y.mean()).mat
+                k = pj.random_so(3, rng)
+                for mat in (diag, diag @ np.diag([-1.0, -1.0, 1.0]), k @ diag @ k.T):
+                    yield GroupElement(mat, check=False), factor > 1.0
+
+    def test_the_gate_matches_the_jordan_solve(self):
+        verdicts = []
+        for g in self.elements():
+            verdicts.append(lx._loxodromic(g, pj._eig(g.mat).tolist()))
+            assert verdicts[-1] == pj._jordan_solve(g)[1], g
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_gaps_at_the_threshold(self):
+        for g, expected in self.near_threshold():
+            assert lx._loxodromic(g, pj._eig(g.mat).tolist()) == pj._jordan_solve(g)[1] == expected, g
 
 
 class TestSl2ClosedForm:

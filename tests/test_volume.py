@@ -1,5 +1,7 @@
 import decimal
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from volume_reference import (
     _wall_scale,
     contains_cartan,
     decimal_box_log_volume,
+    doubling_converge,
     expansion_box_volume,
     hc_integrand,
     lipschitz_probe,
@@ -315,6 +318,55 @@ class TestMeasuredError:
         assert 0.0 <= quad.error_estimate < V.QUAD_REL_TOL
 
 
+class TestStalledQuadrature:
+    """A doubling whose delta stops shrinking is refused at once; the doubling without that
+    refusal (``doubling_converge``) is the oracle of every result that converges."""
+
+    def test_the_rounding_floor_is_refused_with_its_figures(self, alarm):
+        # the values at 1536, 3072 and 6144 nodes agree to 12 digits, but their deltas stay near
+        # 2e-8, the rounding level of the rule: no doubling takes them below 1e-9
+        with pytest.raises(NumericError, match=r"log value 115474\.434\d*: delta (\S+) at 1536 nodes") as err:
+            V.ball_volume(3, 1e5)
+        delta = float(re.search(r"delta (\S+) at", str(err.value)).group(1))
+        assert V.QUAD_REL_TOL < delta <= 115475.0 * math.ulp(1.0) * 1536
+
+    def test_an_unresolvable_box_is_refused_before_any_node(self, monkeypatch):
+        # t * edge past rel_tol / eps = 4.5e6: the log value grows with it (about t a at d = 2,
+        # 4 t a at d = 3) past what the doubling resolves, and at 1e308 the nodes' images overflow
+        monkeypatch.setattr(V, "_gauss_legendre", None)
+        for d, t, edges in ((3, 1e308, (1.0, 1.0)), (3, 1.0, (1e308, 1.0)), (3, 1.0, (1.0, 5e6)), (2, 5e6, (1.0,))):
+            with pytest.raises(NumericError, match=re.escape(f"t * edge = {t * max(edges)} to 1e-09")):
+                V.box_volume_quadrature(d, t, edges)
+
+    def test_a_non_finite_delta_keeps_doubling(self):
+        # an empty first rule (log 0) and a non-finite value have no delta to compare: the
+        # doubling goes on, as it did, and converges or fails as the old doubling does
+        for values in ({24: V.LOG_ZERO}, {48: math.nan}, {24: V.LOG_ZERO, 48: math.inf}):
+            def evaluate(n, values=values):
+                return values.get(n, 1.0 + 10.0 / n**6)
+
+            value, delta = V._converge(evaluate)
+            assert (value, delta) == doubling_converge(evaluate) and delta < V.QUAD_REL_TOL
+
+    def test_converging_results_are_unchanged(self, monkeypatch):
+        # t up to 1e4, where every case below converges; bit for bit, deltas included
+        def results():
+            out = []
+            for d, t in itertools.product((2, 3), (0.01, 10.0, 1000.0, 1e4)):
+                rs, edges = root_system(d), (1.0, 1e-3)[: d - 1]
+                for domain, integrand, margin, rel_tol in (
+                        (Domain("ball", t), "hc", 0.0, V.QUAD_REL_TOL),
+                        (Domain("ball", t), "two_rho", 0.2 * t, 1e-7),
+                        (Domain("box", t, edges), "hc", 0.0, V.QUAD_REL_TOL),
+                        (Domain("box", t, edges), "hc", 0.1 * t, V.QUAD_REL_TOL)):
+                    out.append(V._region_log_integral(rs, domain, integrand, margin, rel_tol))
+            return out
+
+        new = results()
+        monkeypatch.setattr(V, "_converge", doubling_converge)
+        assert new == results()
+
+
 class TestGaussLegendreRules:
     """Each Gauss-Legendre rule is computed once per node count and shared read-only."""
 
@@ -592,8 +644,7 @@ def test_non_finite_and_overflowing_inputs(alarm, d, value):
     largest wall distance leaves an empty region, whose volume is the exact 0.0."""
     for call in _volume_calls(d, value):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = call()
+            res = call()
         except WccError:
             continue
         assert math.isfinite(res.log_value) or (res.log_value == -math.inf and res.value == 0.0)

@@ -9,7 +9,8 @@ distance of one direction at a time, the oracle of the stacked
 ``RootSystemA.wall_distances`` in the ball quadrature (``wcc.volume._wall_scale``,
 unchanged); the membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``,
 unchanged); and two oracles of the closed-form ``wcc.volume.box_volume``: the
-signed-exponential expansion it replaced, and both closed forms at 50 digits."""
+signed-exponential expansion it replaced, and both closed forms at 50 digits; and the
+node doubling without the stall refusal, the oracle of ``wcc.volume._converge``."""
 
 import decimal
 import itertools
@@ -22,6 +23,7 @@ from wcc.errors import NumericError, ParameterError, PreconditionError
 from wcc.rootsys import CHAMBER_TOL, RootSystemA, root_system
 from wcc.volume import (
     LOG_ZERO,
+    MAX_NODES,
     QUAD_REL_TOL,
     Domain,
     _box_jacobian,
@@ -244,6 +246,25 @@ def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_RE
         return float(logsumexp(pieces))
 
     return _converge(evaluate, rel_tol=rel_tol)
+
+
+def doubling_converge(evaluate, rel_tol: float = QUAD_REL_TOL):
+    """``wcc.volume._converge`` before it refused a delta that stops shrinking: it doubles
+    up to 2 MAX_NODES nodes whatever the deltas do (unchanged otherwise)."""
+    n = 24
+    prev = evaluate(n)
+    if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
+        raise NumericError(f"quadrature log value {prev} cannot be resolved to {rel_tol}")
+    while n <= MAX_NODES:
+        n *= 2
+        cur = evaluate(n)
+        if prev == LOG_ZERO and cur == LOG_ZERO:
+            return cur, 0.0
+        delta = abs(cur - prev) if np.isfinite(cur) and np.isfinite(prev) else math.inf
+        if delta < rel_tol:
+            return cur, delta
+        prev = cur
+    raise NumericError(f"quadrature did not converge below {rel_tol} by {MAX_NODES} nodes")
 
 
 def _expansion_terms(rs: RootSystemA):
