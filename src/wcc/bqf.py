@@ -170,15 +170,6 @@ def pell4_fundamental(D: int):
     return u, v * scale
 
 
-def automorph(f: Form):
-    """Fundamental automorph matrix of a primitive indefinite form."""
-    A, B, C = f
-    if content(f) != 1:
-        raise ParameterError("automorph is defined for primitive forms")
-    u, v = pell4_fundamental(discriminant(f))
-    return ((u - B * v) // 2, -C * v), (A * v, (u + B * v) // 2)
-
-
 def primitive_split(trace: int, f: Form):
     """Power decomposition of a positive-trace hyperbolic class.
 

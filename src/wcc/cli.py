@@ -117,10 +117,6 @@ def _parse_matrix(text: str):
     return GroupElement(np.asarray(rows))
 
 
-def _parse_edges(text: str | None):
-    return tuple(_parse_grid(text)) if text else None
-
-
 def _finite(text: str) -> float:
     """The type of every real-valued option: a float that is not NaN or infinite."""
     value = float(text)
@@ -239,7 +235,11 @@ def _cmd_volume(args) -> int:
     from .rootsys import for_group
 
     rs = for_group(args.group)
-    edges = _parse_edges(args.edges)
+    edges = tuple(_parse_grid(args.edges)) if args.edges else None
+    if edges and args.domain != "box":
+        raise ParameterError("--edges needs --domain box")
+    # refuses a box without edges, and --slab with --regular-margin
+    domain = vol.Domain(args.domain, args.t, edges, args.regular_margin, args.slab)
     config = {
         "cmd": "volume", "group": args.group, "domain": args.domain, "t": args.t,
         "edges": edges, "slab": args.slab, "regular_margin": args.regular_margin,
@@ -248,21 +248,14 @@ def _cmd_volume(args) -> int:
     if args.slab is not None:
         res = vol.slab_volume(rs, args.t, args.slab, args.domain, edges)
         extras = {"ratio_to_volume": res.extras["ratio"], "log_volume": res.extras["log_volume"]}
-    elif args.domain == "box":
-        if edges is None:
-            raise ParameterError("box volume needs --edges")
+    elif args.domain == "box" and args.regular_margin is None:
         res = vol.box_volume(rs, args.t, edges)
         extras = {key: res.extras[key] for key in ("C_G", "delta_P", "delta_minus")}
     else:
-        res = vol.domain_volume(rs, vol.Domain("ball", args.t, regular_margin=args.regular_margin))
-        extras = {}
+        res, extras = vol.domain_volume(rs, domain), {}
     _emit({"value_log": res.log_value, "value": res.value, "method": res.method,
            "error": res.error_estimate, "delta0": rs.delta_zero(), **extras}, config)
     return 0
-
-
-def _default_cache_root():
-    return os.environ.get(CACHE_ENV, "wcc_cache")
 
 
 def _cmd_enumerate(args) -> int:
@@ -270,11 +263,11 @@ def _cmd_enumerate(args) -> int:
     from .volume import Domain
 
     spec = lt.LatticeSpec(args.group)
-    edges = _parse_edges(args.edges)
+    edges = tuple(_parse_grid(args.edges)) if args.edges else None
     domain = Domain(args.domain, args.t, edges, regular_margin=args.regular_margin)
     records, meta = lt.enumerate_elements(spec, domain, shards=args.shards,
                                           word_radius=args.word_radius)
-    out_dir = Path(args.out or _default_cache_root())
+    out_dir = Path(args.out or os.environ.get(CACHE_ENV, "wcc_cache"))
     lt.save_cache(out_dir, spec, domain, records, meta, shards=args.shards)
     payload = {
         "out": str(out_dir),

@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -41,7 +41,9 @@ FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
 FLAT_RESOLUTION = 1e-5  # d >= 3 flat distances are refused where eps s_1 / s_d exceeds this
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 _SINGULAR_WITNESS = "witness frame is singular"
-_R2, _R6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)  # the first column of _zero_sum_basis(3), as it rounds
+_R2, _R6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)
+# the columns of the zero-sum basis B of ``_flat_row``, rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6
+_ZERO_SUM_COLUMNS = ((_R2, _R6), (-_R2, _R6), (0.0, -2.0 * _R6))
 
 
 def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
@@ -335,17 +337,6 @@ def _flat_row(m: np.ndarray):
             [[two_k * h00, two_k * h01], [two_k * h01, two_k * h11]], a[0] - a[-1])
 
 
-@lru_cache(maxsize=None)
-def _zero_sum_basis(d: int) -> np.ndarray:
-    """Euclidean-orthonormal basis rows of the zero-sum subspace, read-only, once per d."""
-    k = np.arange(1, d)
-    basis = np.tri(d - 1, d)  # row k - 1 is (1, ..., 1, -k, 0, ..., 0) with k ones, normalised
-    basis[k - 1, k] = -k
-    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
-    basis.flags.writeable = False
-    return basis
-
-
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
     """Distance from x to the maximal flat of a transverse pair: the one-row case of
     ``_flat_distances``."""
@@ -406,7 +397,7 @@ def _flat_minimum(m: np.ndarray) -> float:
     Newton's method with Armijo backtracking from Y = 0 on F(Y) = d_X(o, m exp(Y) o)^2,
     in floats from the exact gradient and Hessian of ``_flat_row``: F is convex along the
     flat (Bridson-Haefliger II.2) and smooth also on it, so a stationary point is the
-    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 200 (d-1) iterations, when
+    minimum.  It stops at max |grad F| <= ``FLAT_TOL``, after 400 iterations, when
     backtracking runs out, or when a step no longer lowers F beyond rounding, and returns
     sqrt(F - g^T H^-1 g / 2): less the decrease one more step predicts, to third order.
     A stall away from the flat raises NumericError, and so does a point where
@@ -415,21 +406,18 @@ def _flat_minimum(m: np.ndarray) -> float:
     e = 2 .. 9, the value was within 0.05 eps s_1 / s_d of a 60-digit SVD (1.8e-14 at
     e = 2, d_X(o, x) = 13.8; 6.4e-8 at e = 6), and it is refused from e = 7.
     """
-    d = m.shape[-1]
-    columns = _zero_sum_basis(d).T.tolist()
-
     def evaluate(coords: list):
-        y = [_dot(coords, col) for col in columns]
+        y = [_dot(coords, col) for col in _ZERO_SUM_COLUMNS]
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
         if max(map(abs, y)) <= 250.0 and (row := _flat_row(m * np.exp(y))) is not None:
             return row
         return (1e12 + _dot(coords, coords), [2.0 * c for c in coords],
-                [[2.0 * (i == j) for j in range(d - 1)] for i in range(d - 1)], math.inf)
+                [[2.0, 0.0], [0.0, 2.0]], math.inf)
 
-    y = [0.0] * (d - 1)
+    y = [0.0, 0.0]
     f, g, h, spread = evaluate(y)
-    for _ in range(200 * (d - 1)):
+    for _ in range(400):
         if max(map(abs, g)) <= FLAT_TOL:
             break
         p = [-v for v in _solve(h, g)]
@@ -461,9 +449,7 @@ def _flat_minimum(m: np.ndarray) -> float:
 
 
 def _solve(h, g) -> list:
-    """h^-1 g of a 1 x 1 or 2 x 2 Newton system by Cramer's rule (np.linalg.solve: 6x the time)."""
-    if len(g) == 1:
-        return [g[0] / h[0][0]]
+    """h^-1 g of the 2 x 2 Newton system by Cramer's rule (np.linalg.solve: 6x the time)."""
     ((a, b), (c, d)), (u, v) = h, g
     det = a * d - b * c
     return [(d * u - b * v) / det, (a * v - c * u) / det]

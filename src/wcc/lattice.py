@@ -19,7 +19,7 @@ import math
 import os
 import shutil
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,14 +51,6 @@ class LatticeSpec:
     @property
     def d(self) -> int:
         return 2 if self.group == "sl2" else 3
-
-    def key(self) -> dict:
-        return {
-            "group": self.group,
-            "presentation": self.presentation,
-            "generators": self.generators,
-            "base_point": self.base_point,
-        }
 
 
 @dataclass
@@ -333,14 +325,8 @@ def _write_cache(directory: Path, spec: LatticeSpec, domain: Domain, census: Cen
         counts.append(len(rows))
     manifest = {
         "version": CACHE_VERSION,
-        "spec": spec.key(),
-        "domain": {
-            "kind": domain.kind,
-            "t": domain.t,
-            "edges": list(domain.edges) if domain.edges else None,
-            "regular_margin": domain.regular_margin,
-            "slab": domain.slab,
-        },
+        "spec": asdict(spec),
+        "domain": asdict(domain),
         "complete": meta.complete,
         "bound": meta.bound,
         "word_radius": meta.word_radius,

@@ -96,13 +96,6 @@ class GroupElement:
             return GroupElement.from_integer(_integer_inverse(self.int_mat))
         return GroupElement(np.linalg.inv(self.mat), check=False)
 
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        out = GroupElement(self.mat @ other.mat, check=False)
-        if self.int_mat is not None and other.int_mat is not None:
-            a, b = self.int_mat, other.int_mat
-            out.int_mat = (np.array(a, dtype=object) @ np.array(b, dtype=object)).tolist()
-        return out
-
     def __repr__(self):
         return f"GroupElement({self.mat.tolist()})"
 

@@ -11,7 +11,7 @@ against.  ``reduced_forms`` (all reduced forms, read off the table) and
 they moved here unchanged, and so did the per-form reduction ``is_reduced``,
 ``rho_step``, ``reduce_form``, ``class_id`` and ``cycle``, which no command,
 acceptance criterion or library function runs since the class census became one
-table.  The walk steps ``rho_step`` form by form, so the references
+table, and the fundamental ``automorph`` matrix of a primitive form.  The walk steps ``rho_step`` form by form, so the references
 never run the table.  The root key builds its automorph with the linear
 Pell search and its id with the rotation minimum, as it did then.
 """
@@ -31,6 +31,15 @@ def form_of_matrix(m) -> tuple:
     """Fixed-point form (c, d-a, -b) of an integer matrix [[a,b],[c,d]]."""
     (a, b), (c, d) = m
     return (int(c), int(d) - int(a), -int(b))
+
+
+def automorph(f):
+    """Fundamental automorph matrix of a primitive indefinite form."""
+    A, B, C = f
+    if bqf.content(f) != 1:
+        raise ParameterError("automorph is defined for primitive forms")
+    u, v = bqf.pell4_fundamental(bqf.discriminant(f))
+    return ((u - B * v) // 2, -C * v), (A * v, (u + B * v) // 2)
 
 
 def reference_reduced_forms(D: int) -> list:

@@ -17,6 +17,7 @@ Hessian, before Newton's method took the one-matrix ``_flat_row``.
 import decimal
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,13 +25,25 @@ from wcc.errors import NumericError, TransversalityError
 from wcc.flagmetric import (
     FLAT_TOL,
     TransversePair,
-    _zero_sum_basis,
     gromov_product,
 )
 from wcc.projections import BasePoint
 from wcc.rootsys import root_system
 
 from flagmetric_reference import witness
+
+
+@lru_cache(maxsize=None)
+def _zero_sum_basis(d: int) -> np.ndarray:
+    """Euclidean-orthonormal basis rows of the zero-sum subspace, read-only, once per d:
+    ``wcc.flagmetric``'s basis of Y at every d, before its one d = 3 use became the
+    constant ``_ZERO_SUM_COLUMNS``."""
+    k = np.arange(1, d)
+    basis = np.tri(d - 1, d)  # row k - 1 is (1, ..., 1, -k, 0, ..., 0) with k ones, normalised
+    basis[k - 1, k] = -k
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    basis.flags.writeable = False
+    return basis
 
 
 def stacked_flat_rows(ms: np.ndarray, basis: np.ndarray, k: float):

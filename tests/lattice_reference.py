@@ -84,19 +84,18 @@ def word_ball(generators, radius: int):
     gens = []
     for g in generators:
         ge = GroupElement.from_integer([list(r) for r in g])
-        gens.append(ge)
-        gens.append(ge.inverse())
-    d = gens[0].d
+        gens.append(np.array(ge.int_mat, dtype=object))
+        gens.append(np.array(ge.inverse().int_mat, dtype=object))
+    d = len(gens[0])
     identity = tuple(tuple(int(x) for x in row) for row in np.eye(d, dtype=int))
     seen = {identity}
     frontier = [identity]
     for _ in range(radius):
         new = []
         for rows in frontier:
-            left = GroupElement.from_integer([list(r) for r in rows])
+            left = np.array(rows, dtype=object)
             for g in gens:
-                prod = left @ g
-                key = tuple(tuple(int(x) for x in row) for row in prod.int_mat)
+                key = tuple(tuple(int(x) for x in row) for row in (left @ g).tolist())
                 if key not in seen:
                     seen.add(key)
                     new.append(key)
@@ -109,9 +108,9 @@ def conjugated(records, base_point) -> list:
     if base_point is None:
         return records
     base = GroupElement.from_integer([list(r) for r in base_point])
-    inv = base.inverse()
+    h, inv = (np.array(m.int_mat, dtype=object) for m in (base, base.inverse()))
     records = [replace(rec, matrix=tuple(tuple(int(x) for x in row) for row in (
-        base @ GroupElement.from_integer([list(r) for r in rec.matrix]) @ inv).int_mat))
+        h @ np.array(rec.matrix, dtype=object) @ inv).tolist()))
         for rec in records]
     return sorted(records, key=sort_key)
 

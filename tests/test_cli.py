@@ -119,6 +119,27 @@ class TestVolume:
         code, _ = run(capsys, "volume", "--group", "sl2", "--t", "6", "--slab", "7")
         assert code == 2
 
+    def test_box_with_a_margin_is_the_filtered_box(self, capsys):
+        # the unfiltered closed form is 17009.904115160243
+        code, doc = run_json(capsys, "volume", "--group", "sl3", "--domain", "box", "--t", "3",
+                             "--edges", "1,1", "--regular-margin", "0.5")
+        assert code == 0
+        want = vol.domain_volume(vol.root_system(3),
+                                 vol.Domain("box", 3.0, (1.0, 1.0), regular_margin=0.5))
+        assert doc["result"]["value"] == want.value == 16992.550875559107
+        assert doc["result"]["method"] == "quadrature"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--domain", "ball", "--t", "8", "--slab", "0.8", "--regular-margin", "2"],
+         "mutually exclusive"),
+        (["--domain", "ball", "--t", "8", "--edges", "1,1"], "--edges needs --domain box"),
+    ])
+    def test_refuses_options_it_would_ignore(self, capsys, argv, message):
+        code = dispatch(["volume", "--group", "sl3", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and message in captured.err
+
 
 class TestEnumerate:
     def test_writes_cache_and_angular_reads_it(self, capsys, tmp_path):
@@ -245,6 +266,34 @@ class TestSurveyCommands:
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("commands, digest", [
+        (["project --group sl2 --matrix [[1,1],[0,1]]"], "fa7c1db2fade2fde"),
+        (["flag --group sl3 --op gromov"], "a5cd3b9d5f4664fa"),
+        (["flag --group sl3 --op hopf --matrix [[2,1,0],[1,1,0],[0,0,1]]"], "870973f9c659c6bb"),
+        (["volume --group sl2 --domain ball --t 1"], "b7d259168099936f"),
+        (["loxo --matrix [[8,3],[5,2]] --r 0.4 --eps 0.01"], "2a24e682a7950e3c"),
+        (["enumerate --group sl2 --t 12 --out census12 --shards 4"], "b8fbb0757eac3b92"),
+        (["enumerate --group sl2 --t 12 --out census12 --shards 4",
+          "angular --cache census12 --out report"], "d7684e06e85a8c37"),
+        (["angular --group sl2 --sweep 9,10,11,12,13"], "187f9177442999f0"),
+        (["tori --trace-bound 10"], "507a292560a147b6"),
+        (["tori --T-grid 10,11,12,13,14 --out tori"], "8f5dedf63d296db6"),
+        (["growth --T-grid 10,11,12,13,14,15,16 --out growth"], "135e962a2a3b0fbb"),
+    ])
+    def test_readme_command_pinned(self, capsys, tmp_path, monkeypatch, commands, digest):
+        # sha256 prefix of the stdout of each command, then the name and bytes of every
+        # file the commands wrote; relative --out paths keep the printed paths stable
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        h = hashlib.sha256()
+        for argv in commands:
+            code, out = run(capsys, *argv.split())
+            assert code == 0
+            h.update(out.encode())
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            h.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest()[:16] == digest
 
 
 class TestCheck:

@@ -129,6 +129,20 @@ class TestBallVolume:
             res = V.ball_volume(2, t)
             assert res.value == pytest.approx(V.closed_form_ball_d2(t), rel=1e-9)
 
+    @pytest.mark.parametrize("t", [1e-6, 1000.0, 1500.0, 3000.0, 1e4])
+    def test_d2_cross_check_in_logs(self, t):
+        # the closed form cosh(t / sqrt 2) - 1 cancels near t = 0 and overflows from
+        # t = 1005; the cross-check compares logs, so neither refuses a converged value
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            x = decimal.Decimal(t) / decimal.Decimal(2).sqrt()
+            exact = float((decimal.Decimal(2).sqrt() * ((x.exp() + (-x).exp()) / 2 - 1)).ln())
+        res = V.ball_volume(2, t)
+        assert abs(res.log_value - exact) <= 1e-9
+        assert res.extras["closed_form"] == V.closed_form_ball_d2(t)
+        assert (res.value == math.inf) == (t >= 1000.0)
+        assert (res.extras["closed_form"] == math.inf) == (t > 1000.0)
+
     def test_small_t_vanishes(self):
         assert V.ball_volume(3, 1e-4).value < 1e-10
 
