@@ -264,6 +264,8 @@ def _cmd_enumerate(args) -> int:
 
     spec = lt.LatticeSpec(args.group)
     edges = tuple(_parse_grid(args.edges)) if args.edges else None
+    if edges and args.domain != "box":
+        raise ParameterError("--edges needs --domain box")
     domain = Domain(args.domain, args.t, edges, regular_margin=args.regular_margin)
     records, meta = lt.enumerate_elements(spec, domain, shards=args.shards,
                                           word_radius=args.word_radius)

@@ -2,11 +2,11 @@
 
 The density integrated over a chamber region is  prod_roots sinh(alpha(Y)),
 against the Lebesgue measure normalized by the Killing norm.  Everything is
-computed in log space (Gauss-Legendre with node doubling), so large t only
-costs exponent bookkeeping, never overflow.  Parallelotope domains at d = 2
-and 3 also get the closed form: in the simple-root dual coordinates the
-density's integral separates into sinh^2 and int sinh^2 factors, summed in
-log space with a stated rounding bound as the error.
+computed in log space, so large t only costs exponent bookkeeping, never
+overflow.  In the simple-root coordinates z_i = alpha_i(Y) every domain but the
+d = 3 ball is a union of rectangles, over which the density integrates in closed
+form, with a stated rounding bound as the error; the d = 3 ball, with its margin
+or slab, takes Gauss-Legendre with node doubling in polar coordinates.
 """
 
 from __future__ import annotations
@@ -258,19 +258,6 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
-    if hi <= lo:
-        return LOG_ZERO, 0.0
-
-    def evaluate(n):
-        x, w = _gauss_legendre(n)
-        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        logw = np.log(0.5 * (hi - lo) * w)
-        return float(logsumexp(log_density(u) + logw))
-
-    return _converge(evaluate, rel_tol=rel_tol)
-
-
 def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
     """Iterated integral with inner bounds ``lo2_fn(u)``, ``hi2_fn(u)`` of the array u
     of outer nodes (arrays, or scalars that are broadcast).
@@ -306,80 +293,104 @@ def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
 # --------------------------------------------------------- region integrals
 
 
-def _region_log_integral(
-    rs: RootSystemA,
-    domain: Domain,
-    integrand: str,
-    margin: float = 0.0,
-    rel_tol: float = QUAD_REL_TOL,
-) -> tuple[float, float]:
-    """Log integral over the domain restricted to wall distance >= margin, and
-    the last doubling delta of its quadrature (the largest over its pieces)."""
-    logf = _INTEGRANDS[integrand]
-    d = rs.d
-    if domain.kind == "ball":
-        t = domain.t
-        if d == 2:
-            b1 = rs.dual_vector(rs.two_rho)
+def _region_volume(rs: RootSystemA, domain: Domain, integrand: str, rel_tol: float) -> VolumeResult:
+    """Integral of the density over the domain with its filter: the quadrature on the d = 3
+    ball, a closed form on every other domain, which is rectangles in z_i = alpha_i(Y).
 
-            def density(u):
-                return logf(rs, np.outer(u, b1))
+    A slab is its own rectangles, never a difference, so nothing cancels but the widths
+    b - a of rounded ends.  The error is then the rounding bound c eps max(1, sum |terms|),
+    c = 4, over the log terms and each width's condition (a + b) / (b - a).  Against 50
+    digits the worst error is 0.36 of it on the grid of ``TestRectangleClosedForm`` in the
+    tests, and 0.42 on 24,000 random domains with margins up to the largest wall distance.
+    """
+    domain.for_dimension(rs.d)
+    if rs.d > 3:
+        raise ParameterError(f"{domain.kind} volume is shipped for d = 2 and 3")
+    if domain.kind == "ball" and rs.d == 3:
+        log_val, delta = _ball_log_quad(rs, domain, _INTEGRANDS[integrand], rel_tol)
+        return _finish(log_val, "quadrature", delta)
+    # at d = 2 the chamber is one ray, and the ball the box of edge alpha(b1) = ||alpha||_*
+    norms = rs.simple_dual_norms.tolist()  # wall distance >= m is z_i >= m ||alpha_i||_*
+    his = [domain.t * e for e in (norms if domain.kind == "ball" else domain.edges)]
+    if domain.slab is None:
+        rects = [[((domain.regular_margin or 0.0) * n, hi) for n, hi in zip(norms, his)]]
+    else:  # z_0 <= c_0, or z_0 > c_0 and z_1 <= c_1
+        c = [min(domain.slab * n, hi) for n, hi in zip(norms, his)]
+        rects = ([[(0.0, c[0])]] if rs.d == 2 else
+                 [[(0.0, c[0]), (0.0, his[1])], [(c[0], his[0]), (0.0, c[1])]])
+    rects = [r for r in rects if all(a < b for a, b in r)]
+    if not rects:
+        return _finish(LOG_ZERO, "closed_form", 0.0)
+    width = min(b - a for r in rects for a, b in r)
+    if width < 2.0 * np.finfo(float).tiny:  # a subnormal argument carries no rounding bound
+        raise NumericError(f"closed-form volume needs half of each width b - a to be a normal float, "
+                           f"got {width}")
+    pieces = [_log_rectangle(r, integrand) for r in rects]
+    terms = [math.log(_box_jacobian(rs, _dual_basis(rs)))] + [x for _, ts in pieces for x in ts]
+    terms += [(a + b) / (b - a) for r in rects for a, b in r]  # rounded ends: the width's condition
+    log_val = terms[0] + logsumexp([v for v, _ in pieces])
+    if not math.isfinite(log_val):
+        raise NumericError(f"volume log value is {log_val} at t * edges = {his}")
+    return _finish(log_val, "closed_form", 4.0 * math.ulp(1.0) * max(1.0, sum(map(abs, terms))))
 
-            return _log_quad_1d(density, max(0.0, margin), t, rel_tol)
-        if d != 3:
-            raise ParameterError("ball quadrature is shipped for d = 2 and 3")
-        b1, b2, th_lo, th_hi = _chamber_arc(rs)
 
-        def directions(theta):
-            return np.multiply.outer(np.cos(theta), b1) + np.multiply.outer(np.sin(theta), b2)
+def _log_rectangle(rect, integrand: str) -> tuple[float, list[float]]:
+    """Log of the integral of the density over one rectangle of intervals [a, b] in the
+    z_i, without the jacobian, and its log terms.  With s = a + b and w = b - a:
+    at d = 2, 2 sinh(s/2) sinh(w/2) (hc) and 2 e^(s/2) sinh(w/2) (two_rho); at d = 3,
+    prod e^s sinh(w) (two_rho) and A_0 B_1 + B_0 A_1 (hc), with A = int sinh^2 =
+    sinh(s/2)^2 sinh(w) + (sinh w - w)/2 and B = int sinh cosh = sinh(w) sinh(s)/2.
+    Each is a sum of products of positive factors: nothing cancels."""
+    ss, ws = [a + b for a, b in rect], [b - a for a, b in rect]
+    if len(rect) == 1:
+        s = 0.5 * ss[0]
+        sh_s, sh_w = _log_sinh(np.array([s, 0.5 * ws[0]])).tolist()
+        terms = [math.log(2.0), s if integrand == "two_rho" else sh_s, sh_w]
+        return sum(terms), terms
+    sh_w, sh_s, sh_half = _log_sinh(np.array([ws, ss, [0.5 * s for s in ss]])).tolist()
+    if integrand == "two_rho":
+        terms = ss + sh_w
+        return sum(terms), terms
+    log_2, q = math.log(2.0), [_log_s(w) for w in ws]
+    log_a = [logsumexp([2.0 * h + x, y]) for h, x, y in zip(sh_half, sh_w, q)]
+    log_b = [x + y - log_2 for x, y in zip(sh_w, sh_s)]
+    terms = sh_half + sh_half + sh_w + sh_w + sh_s + q + [log_2, log_2]
+    return logsumexp([log_a[0] + log_b[1], log_b[0] + log_a[1]]), terms
 
-        def r_lo(theta):
-            if margin <= 0.0:
-                return 0.0
-            w = rs.wall_distances(directions(theta))  # wall(r u) = r * wall(u)
-            with np.errstate(divide="ignore"):
-                return np.where(w <= 0.0, t, np.minimum(t, margin / w))
 
-        def density(theta, r):
-            return logf(rs, directions(theta) * r[:, None]) + np.log(r)
+def _ball_log_quad(rs: RootSystemA, domain: Domain, logf, rel_tol: float) -> tuple[float, float]:
+    """Log integral over the d = 3 ball, or its part with wall distance above the margin or
+    within the slab, and the last doubling delta of its quadrature (the largest over its
+    pieces).  The direction at angle theta has wall distance w, and the radial window is
+    [min(t, margin/w), t], or [0, min(t, slab/w)]."""
+    t = domain.t
+    cut = domain.regular_margin or domain.slab or 0.0
+    b1, b2, th_lo, th_hi = _chamber_arc(rs)
 
-        points = _arc_cuts(th_lo, th_hi, t, margin)
-        pieces, delta = [], 0.0
-        for a, b in zip(points[:-1], points[1:]):
-            if margin > 0.0 and rs.wall_distances(directions(0.5 * (a + b))) <= margin / t:
-                continue  # window empty on this piece
-            val, err = _log_quad_2d(density, a, b, r_lo, lambda _: t, rel_tol)
-            delta = max(delta, err)
-            if val != LOG_ZERO:
-                pieces.append(val)
-        return (logsumexp(pieces) if pieces else LOG_ZERO), delta
+    def directions(theta):
+        return np.multiply.outer(np.cos(theta), b1) + np.multiply.outer(np.sin(theta), b2)
 
-    # box domain: simple-root dual coordinates make everything rectangular
-    domain.for_dimension(d)
-    duals = _dual_basis(rs)
-    jac = _box_jacobian(rs, duals)
-    wall_factors = 1.0 / rs.simple_dual_norms
-    los = [margin / wf if margin > 0 else 0.0 for wf in wall_factors.tolist()]
-    his = [domain.t * e for e in domain.edges]
-    if any(lo >= hi for lo, hi in zip(los, his)):
-        return LOG_ZERO, 0.0
-    if max(his) * math.ulp(1.0) >= rel_tol:  # the log value grows as t * edge: past what _converge resolves
-        raise NumericError(f"box quadrature cannot resolve t * edge = {max(his)} to {rel_tol}")
-    if d == 2:
-        def density(z):
-            return logf(rs, np.outer(z, duals[0])) + math.log(jac)
+    def r_cut(theta):
+        if cut <= 0.0:
+            return 0.0
+        w = rs.wall_distances(directions(theta))  # wall(r u) = r * wall(u)
+        with np.errstate(divide="ignore"):
+            return np.where(w <= 0.0, t, np.minimum(t, cut / w))
 
-        return _log_quad_1d(density, los[0], his[0], rel_tol)
-    if d == 3:
-        u0, u1 = duals
+    def density(theta, r):
+        return logf(rs, directions(theta) * r[:, None]) + np.log(r)
 
-        def density(z0, z1):
-            ys = np.outer(z0, u0) + np.outer(z1, u1)
-            return logf(rs, ys) + math.log(jac)
-
-        return _log_quad_2d(density, los[0], his[0],
-                            lambda _: los[1], lambda _: his[1], rel_tol)
-    raise ParameterError("box quadrature is shipped for d = 2 and 3")
+    r_lo, r_hi = (r_cut, lambda _: t) if domain.slab is None else (lambda _: 0.0, r_cut)
+    points = _arc_cuts(th_lo, th_hi, t, cut)
+    pieces, delta = [], 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        if domain.slab is None and cut > 0.0 and rs.wall_distances(directions(0.5 * (a + b))) <= cut / t:
+            continue  # window empty on this piece
+        val, err = _log_quad_2d(density, a, b, r_lo, r_hi, rel_tol)
+        delta = max(delta, err)
+        if val != LOG_ZERO:
+            pieces.append(val)
+    return (logsumexp(pieces) if pieces else LOG_ZERO), delta
 
 
 def _box_jacobian(rs: RootSystemA, duals) -> float:
@@ -388,50 +399,27 @@ def _box_jacobian(rs: RootSystemA, duals) -> float:
     return abs(float(np.linalg.det(cols)))
 
 
-def _log_sub(log_a: float, log_b: float) -> float:
-    """log(exp(log_a) - exp(log_b)) with the usual guards."""
-    if log_b == LOG_ZERO:
-        return log_a
-    if log_b >= log_a:
-        return LOG_ZERO
-    return log_a + math.log1p(-math.exp(log_b - log_a))
-
-
 # ------------------------------------------------------------- ball volume
 
 
 def closed_form_ball_d2(t: float) -> float:
-    """Exact d=2 ball volume: sqrt(2) (cosh(t / sqrt 2) - 1), inf past the float range."""
+    """Exact d=2 ball volume 2 sqrt 2 sinh(t / (2 sqrt 2))^2, inf past the float range."""
     try:
-        return math.sqrt(2.0) * (math.cosh(t / math.sqrt(2.0)) - 1.0)
+        return 2.0 * math.sqrt(2.0) * math.sinh(t / (2.0 * math.sqrt(2.0))) ** 2
     except OverflowError:
         return math.inf
 
 
 def ball_volume(rs_or_d, t: float) -> VolumeResult:
-    """Harish-Chandra volume of the chamber ball of Killing radius t, to ``QUAD_REL_TOL``;
-    at d = 2 checked in logs against the closed form 2 sqrt 2 sinh(t / (2 sqrt 2))^2."""
+    """Harish-Chandra volume of the chamber ball of Killing radius t: the closed form at
+    d = 2, the quadrature to ``QUAD_REL_TOL`` at d = 3."""
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
-    result = domain_volume(rs, Domain("ball", t))
-    if rs.d == 2:
-        log_c = math.log(2.0 * math.sqrt(2.0)) + 2.0 * float(_log_sinh(t / (2.0 * math.sqrt(2.0))))
-        if abs(math.expm1(result.log_value - log_c)) > 1e-6:
-            raise NumericError(f"d=2 ball quadrature disagrees with the closed form: "
-                               f"log {result.log_value} vs {log_c}")
-        result.extras["closed_form"] = closed_form_ball_d2(t)
-    return result
+    return domain_volume(rs, Domain("ball", t))
 
 
 def domain_volume(rs: RootSystemA, domain: Domain, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
     """Volume of a (possibly filtered) domain with the HC density."""
-    if domain.regular_margin is not None:
-        log_val, err = _region_log_integral(rs, domain, "hc", domain.regular_margin, rel_tol)
-    else:
-        log_val, err = _region_log_integral(rs, domain, "hc", 0.0, rel_tol)
-        if domain.slab is not None:
-            reg, reg_err = _region_log_integral(rs, domain, "hc", domain.slab, rel_tol)
-            log_val, err = _log_sub(log_val, reg), max(err, reg_err)
-    return _finish(log_val, "quadrature", err)
+    return _region_volume(rs, domain, "hc", rel_tol)
 
 
 def fit_growth(rs: RootSystemA, t_grid, volumes_log) -> dict:
@@ -456,64 +444,53 @@ def fit_growth(rs: RootSystemA, t_grid, volumes_log) -> dict:
 # ------------------------------------------------------------- box volume
 
 
-def _log_s(z: float) -> float:
-    """log S(z), S(z) = (sinh 2z - 2z) / 4 = int_0^z sinh^2: (2z)^3/24 (1 + sum_{k>=2}
-    (2z)^(2k-2) 3!/(2k+1)!) below z = 1/2, e^(2z)/8 (1 - e^(-4z) - 4z e^(-2z)) above."""
-    if z >= 0.5:
-        return 2.0 * z - math.log(8.0) + math.log1p(-math.exp(-4.0 * z) - 4.0 * z * math.exp(-2.0 * z))
-    q, rest = 4.0 * z * z, 0.0
+def _log_s(w: float) -> float:
+    """log (sinh w - w) / 2: w^3/12 (1 + sum_{k>=2} w^(2k-2) 3!/(2k+1)!) below w = 1,
+    e^w/4 (1 - e^(-2w) - 2w e^(-w)) above."""
+    if w >= 1.0:
+        return w - math.log(4.0) + math.log1p(-math.exp(-2.0 * w) - 2.0 * w * math.exp(-w))
+    q, rest = w * w, 0.0
     for k in range(9, 1, -1):  # Horner, to the k = 9 term 6/19! < 5e-17
         rest = q * (rest + 6.0 / math.factorial(2 * k + 1))
-    return 3.0 * math.log(2.0 * z) - math.log(24.0) + math.log1p(rest)
+    return 3.0 * math.log(w) - math.log(12.0) + math.log1p(rest)
 
 
 def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
-    """Harish-Chandra volume of the parallelotope in closed form, at d = 2 and 3
-    (d >= 4 is refused, as by the box quadrature).
-
-    In the simple-root dual coordinates z_i in [0, t a_i] the density separates:
-    at d = 2 the volume is 2 jac sinh(t a / 2)^2; at d = 3, with X = t a_1 and
-    Y = t a_2, it is jac/2 (S(X) sinh(Y)^2 + sinh(X)^2 S(Y)), S as in ``_log_s``.
-    Nothing cancels in their logs, so ``error_estimate`` is the rounding bound
-    c eps max(1, sum |terms|), c = 4, over the log terms (of jac, each sinh^2 and
-    each S); not |log_value|, which is near 0 where large terms meet.  Against 50
-    digits the worst error is 0.73 eps times that sum on the grid of
-    ``TestBoxClosedForm`` in the tests, and 1.21 on 10,500 random boxes.
-
-    Also returns delta_P (the sup of 2 rho over the parallelotope), the leading
-    coefficient C_G, and the exponent delta_minus of the largest secondary term.
-    """
+    """Harish-Chandra volume of the parallelotope, the closed form of ``domain_volume`` at
+    d = 2 and 3, with delta_P (the sup of 2 rho over the parallelotope), the leading
+    coefficient C_G, and the exponent delta_minus of the largest secondary term."""
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     edges = tuple(float(e) for e in edges)
-    Domain("box", t, edges).for_dimension(rs.d)
-    if rs.d > 3:
-        raise ParameterError("box volume is shipped for d = 2 and 3")
+    res = domain_volume(rs, Domain("box", t, edges))
     jac = _box_jacobian(rs, _dual_basis(rs))
-    xs = [0.5 * t * edges[0]] if rs.d == 2 else [t * a for a in edges]
-    if min(xs) < np.finfo(float).tiny:  # a subnormal t a carries no rounding bound
-        raise NumericError(f"box volume needs each t * edge to be a normal float, got {min(xs)}")
-    log_sinh = _log_sinh(np.array(xs)).tolist()
-    if rs.d == 2:
-        terms = [math.log(2.0 * jac), 2.0 * log_sinh[0]]
-        log_val = sum(terms)
-    else:
-        terms = [math.log(0.5 * jac), _log_s(xs[0]), 2.0 * log_sinh[1], 2.0 * log_sinh[0], _log_s(xs[1])]
-        lo, hi = sorted([terms[1] + terms[2], terms[3] + terms[4]])
-        log_val = terms[0] + hi + math.log1p(math.exp(lo - hi))
-    if not math.isfinite(log_val):
-        raise NumericError(f"box volume log value is {log_val} at t * edges = {xs}")
     rho = [i * (rs.d - i) for i in range(1, rs.d)]  # 2 rho in the simple roots
-    return _finish(
-        log_val, "closed_form", 4.0 * math.ulp(1.0) * max(1.0, sum(map(abs, terms))),
+    res.extras.update(
         C_G=jac / (2.0 ** len(rs.positive_roots) * math.prod(rho)),
         delta_P=float(sum(n * a for n, a in zip(rho, edges))),
         delta_minus=2.0 * max(edges) if rs.d == 3 else 0.0, jacobian=jac, rho_coefficients=rho,
     )
+    return res
 
 
 def box_volume_quadrature(rs_or_d, t: float, edges) -> VolumeResult:
+    """The d = 3 box volume by the 2-D rule over [0, t a_1] x [0, t a_2], to ``QUAD_REL_TOL``:
+    an evaluation independent of the closed form of ``box_volume``."""
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
-    return domain_volume(rs, Domain("box", t, tuple(float(e) for e in edges)))
+    Domain("box", t, tuple(float(e) for e in edges)).for_dimension(rs.d)
+    if rs.d != 3:
+        raise ParameterError("box quadrature is shipped for d = 3")
+    his = [t * float(e) for e in edges]
+    # the log value grows as t * edge, past what _converge resolves from rel_tol / eps on
+    if max(his) * math.ulp(1.0) >= QUAD_REL_TOL:
+        raise NumericError(f"box quadrature cannot resolve t * edge = {max(his)} to {QUAD_REL_TOL}")
+    u0, u1 = duals = _dual_basis(rs)
+    log_jac = math.log(_box_jacobian(rs, duals))
+
+    def density(z0, z1):
+        return log_hc_integrand(rs, np.outer(z0, u0) + np.outer(z1, u1)) + log_jac
+
+    log_val, delta = _log_quad_2d(density, 0.0, his[0], lambda _: 0.0, lambda _: his[1])
+    return _finish(log_val, "quadrature", delta)
 
 
 # ------------------------------------------------------------ slab volumes
@@ -536,20 +513,13 @@ def slab_volume(
     rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
     if not 0.0 < s < t:
         raise ParameterError(f"slab parameter must satisfy 0 < s < t, got s={s}, t={t}")
-    domain = Domain(kind, t, tuple(edges) if edges else None)
-    full_tworho, full_err = _region_log_integral(rs, domain, "two_rho", 0.0, rel_tol)
-    regular_tworho, regular_err = _region_log_integral(rs, domain, "two_rho", s, rel_tol)
-    log_slab = _log_sub(full_tworho, regular_tworho)
-    vol = domain_volume(rs, domain, rel_tol)
-    log_ratio = log_slab - vol.log_value
-    return _finish(
-        log_slab,
-        "quadrature",
-        max(full_err, regular_err),
-        log_ratio=log_ratio,
-        ratio=math.exp(log_ratio) if log_ratio < 700 else math.inf,
-        log_volume=vol.log_value,
-    )
+    edges = tuple(edges) if edges else None
+    res = _region_volume(rs, Domain(kind, t, edges, slab=s), "two_rho", rel_tol)
+    vol = domain_volume(rs, Domain(kind, t, edges), rel_tol)
+    log_ratio = res.log_value - vol.log_value
+    res.extras.update(log_ratio=log_ratio, ratio=math.exp(log_ratio) if log_ratio < 700 else math.inf,
+                      log_volume=vol.log_value)
+    return res
 
 
 def slab_decay_sweep(rs_or_d, epsilons, t_grid) -> dict:

@@ -17,10 +17,13 @@ from volume_reference import (
     _wall_scale,
     contains_cartan,
     decimal_box_log_volume,
+    decimal_log_volume,
     doubling_converge,
+    exact_rectangles,
     expansion_box_volume,
     hc_integrand,
     lipschitz_probe,
+    log_quad_1d,
     max_wall_distance,
     monte_carlo_volume,
     reference_log_quad_2d,
@@ -131,17 +134,19 @@ class TestBallVolume:
 
     @pytest.mark.parametrize("t", [1e-6, 1000.0, 1500.0, 3000.0, 1e4])
     def test_d2_cross_check_in_logs(self, t):
-        # the closed form cosh(t / sqrt 2) - 1 cancels near t = 0 and overflows from
-        # t = 1005; the cross-check compares logs, so neither refuses a converged value
+        # the log value holds past the float range, within its reported error of 50 digits;
+        # the quadrature it replaced was 7.9e-11 off at t = 1e4 and reported 1.27e-11
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             x = decimal.Decimal(t) / decimal.Decimal(2).sqrt()
-            exact = float((decimal.Decimal(2).sqrt() * ((x.exp() + (-x).exp()) / 2 - 1)).ln())
+            exact = (decimal.Decimal(2).sqrt() * ((x.exp() + (-x).exp()) / 2 - 1)).ln()
         res = V.ball_volume(2, t)
-        assert abs(res.log_value - exact) <= 1e-9
-        assert res.extras["closed_form"] == V.closed_form_ball_d2(t)
+        assert float(abs(decimal.Decimal(res.log_value) - exact)) <= res.error_estimate
         assert (res.value == math.inf) == (t >= 1000.0)
-        assert (res.extras["closed_form"] == math.inf) == (t > 1000.0)
+        # the literal sinh form neither cancels near 0 nor raises past the float range
+        closed = V.closed_form_ball_d2(t)
+        assert (closed == math.inf) == (t > 1000.0)
+        assert closed == math.inf or abs(math.log(closed) - float(exact)) <= 1e-14 * max(1.0, float(exact))
 
     def test_small_t_vanishes(self):
         assert V.ball_volume(3, 1e-4).value < 1e-10
@@ -218,7 +223,7 @@ class TestStackedWallDistance:
         """(a, b, lo2_fn) of each 2-D rule of the d=3 ball integral at this margin."""
         calls = []
         monkeypatch.setattr(V, "_log_quad_2d", lambda *args: calls.append(args) or (0.0, 0.0))
-        V._region_log_integral(root_system(3), Domain("ball", t), "hc", margin)
+        V.domain_volume(root_system(3), Domain("ball", t, regular_margin=margin))
         return [(a, b, lo2_fn) for _, a, b, lo2_fn, _, _ in calls]
 
     @pytest.mark.parametrize("t, margin", [
@@ -243,13 +248,15 @@ class TestStackedWallDistance:
         quad = V._log_quad_2d
 
         def counted_quad(density, a, b, lo2_fn, hi2_fn, rel_tol=V.QUAD_REL_TOL):
-            def lo2(u):
-                before = len(shapes)
-                out = lo2_fn(u)
-                per_rule.append((len(u), shapes[before:]))
-                return out
+            def counted(bound):
+                def inner(u):
+                    before = len(shapes)
+                    out = bound(u)
+                    per_rule.append((len(u), shapes[before:]))
+                    return out
+                return inner
 
-            return quad(density, a, b, lo2, hi2_fn, rel_tol)
+            return quad(density, a, b, counted(lo2_fn), counted(hi2_fn), rel_tol)
 
         monkeypatch.setattr(RootSystemA, "wall_distances",
                             lambda rs, ys: shapes.append(np.shape(ys)) or kernel(rs, ys))
@@ -257,13 +264,13 @@ class TestStackedWallDistance:
         monkeypatch.setattr(V, "_log_quad_2d", counted_quad)
         V.slab_volume(root_system(3), 8.0, 0.8)
         assert norms == []
-        # a rule of the margin-free integrals reads no wall distance, one of the
-        # 0.8-margin integral reads all its outer nodes at once
+        # a bound of the unfiltered volume reads no wall distance, the outer radial bound
+        # of the 0.8 slab reads all its outer nodes at once
         assert all(calls in ([], [(n, 3)]) for n, calls in per_rule)
         in_rules = sum(len(calls) for _, calls in per_rule)
-        assert 0 < in_rules < len(per_rule) < 100
-        # the rest are the empty-window tests, one direction per piece of the 0.8 arc
-        assert shapes.count((3,)) == len(shapes) - in_rules == 4
+        assert 0 < in_rules < len(per_rule) < 200
+        # no piece of the slab is empty, so no other direction is read
+        assert len(shapes) == in_rules
 
 
 class TestPinnedVolumes:
@@ -298,30 +305,35 @@ class TestPinnedVolumes:
 
 
 class TestMeasuredError:
-    """Volume results report the last doubling delta, not the requested tolerance."""
+    """Volume results report the last doubling delta of the d = 3 ball quadrature, or the
+    rounding bound of a closed form, not the requested tolerance."""
+
+    @staticmethod
+    def delta(domain, logf=V.log_hc_integrand):
+        return V._ball_log_quad(root_system(3), domain, logf, V.QUAD_REL_TOL)[1]
 
     def test_ball_reports_its_delta(self):
-        for d in (2, 3):
-            rs = root_system(d)
-            res = V.ball_volume(rs, 6.0)
-            assert res.error_estimate == V._region_log_integral(rs, Domain("ball", 6.0), "hc")[1]
-            assert 0.0 <= res.error_estimate < V.QUAD_REL_TOL
+        res = V.ball_volume(3, 6.0)
+        assert res.error_estimate == self.delta(Domain("ball", 6.0))
+        assert 0.0 <= res.error_estimate < V.QUAD_REL_TOL
+        res = V.ball_volume(2, 6.0)
+        exact = decimal_log_volume(2, exact_rectangles(2, Domain("ball", 6.0)))
+        assert res.method == "closed_form"
+        assert 0.0 < float(abs(decimal.Decimal(res.log_value) - exact)) <= res.error_estimate < 1e-14
 
     def test_regular_margin_reports_its_delta(self):
-        rs = root_system(3)
         dom = Domain("ball", 8.0, regular_margin=2.0)
-        res = V.domain_volume(rs, dom)
-        assert res.error_estimate == V._region_log_integral(rs, dom, "hc", 2.0)[1] < V.QUAD_REL_TOL
+        res = V.domain_volume(root_system(3), dom)
+        assert res.error_estimate == self.delta(dom) < V.QUAD_REL_TOL
 
     def test_slab_reports_the_larger_delta(self):
-        rs = root_system(3)
-        dom = Domain("ball", 8.0)
-        res = V.slab_volume(rs, 8.0, 0.8)
-        deltas = [V._region_log_integral(rs, dom, "two_rho", m)[1] for m in (0.0, 0.8)]
-        assert res.error_estimate == max(deltas) < V.QUAD_REL_TOL
-        slab = V.domain_volume(rs, Domain("ball", 8.0, slab=0.8))
-        deltas = [V._region_log_integral(rs, dom, "hc", m)[1] for m in (0.0, 0.8)]
-        assert slab.error_estimate == max(deltas) < V.QUAD_REL_TOL
+        # the slab is one region, not a difference of two: it reports the larger delta of its
+        # own arc pieces
+        dom = Domain("ball", 8.0, slab=0.8)
+        res = V.slab_volume(root_system(3), 8.0, 0.8)
+        assert res.error_estimate == self.delta(dom, V.log_two_rho_integrand) < V.QUAD_REL_TOL
+        slab = V.domain_volume(root_system(3), dom)
+        assert slab.error_estimate == self.delta(dom) < V.QUAD_REL_TOL
 
     def test_box(self):
         # the closed form reports its rounding bound, which covers the 50-digit error
@@ -348,7 +360,8 @@ class TestStalledQuadrature:
         # t * edge past rel_tol / eps = 4.5e6: the log value grows with it (about t a at d = 2,
         # 4 t a at d = 3) past what the doubling resolves, and at 1e308 the nodes' images overflow
         monkeypatch.setattr(V, "_gauss_legendre", None)
-        for d, t, edges in ((3, 1e308, (1.0, 1.0)), (3, 1.0, (1e308, 1.0)), (3, 1.0, (1.0, 5e6)), (2, 5e6, (1.0,))):
+        for d, t, edges in ((3, 1e308, (1.0, 1.0)), (3, 1.0, (1e308, 1.0)), (3, 1.0, (1.0, 5e6)),
+                            (3, 5e6, (1.0, 1.0))):
             with pytest.raises(NumericError, match=re.escape(f"t * edge = {t * max(edges)} to 1e-09")):
                 V.box_volume_quadrature(d, t, edges)
 
@@ -365,15 +378,15 @@ class TestStalledQuadrature:
     def test_converging_results_are_unchanged(self, monkeypatch):
         # t up to 1e4, where every case below converges; bit for bit, deltas included
         def results():
-            out = []
-            for d, t in itertools.product((2, 3), (0.01, 10.0, 1000.0, 1e4)):
-                rs, edges = root_system(d), (1.0, 1e-3)[: d - 1]
-                for domain, integrand, margin, rel_tol in (
-                        (Domain("ball", t), "hc", 0.0, V.QUAD_REL_TOL),
-                        (Domain("ball", t), "two_rho", 0.2 * t, 1e-7),
-                        (Domain("box", t, edges), "hc", 0.0, V.QUAD_REL_TOL),
-                        (Domain("box", t, edges), "hc", 0.1 * t, V.QUAD_REL_TOL)):
-                    out.append(V._region_log_integral(rs, domain, integrand, margin, rel_tol))
+            out, rs = [], root_system(3)
+            for t in (0.01, 10.0, 1000.0, 1e4):
+                for domain, logf, rel_tol in (
+                        (Domain("ball", t), V.log_hc_integrand, V.QUAD_REL_TOL),
+                        (Domain("ball", t, regular_margin=0.2 * t), V.log_two_rho_integrand, 1e-7),
+                        (Domain("ball", t, slab=0.2 * t), V.log_two_rho_integrand, 1e-7)):
+                    out.append(V._ball_log_quad(rs, domain, logf, rel_tol))
+                box = V.box_volume_quadrature(rs, t, (1.0, 1e-3))
+                out.append((box.log_value, box.error_estimate))
             return out
 
         new = results()
@@ -430,8 +443,7 @@ class TestStackedQuadrature:
                 V.slab_volume(rs3, t, 0.1 * t),
                 V.box_volume_quadrature(rs3, t, (1.0, 1.0)),
                 V.box_volume_quadrature(rs3, t, (0.3, 2.0)),
-                V.domain_volume(rs3, Domain("box", t, (1.0, 0.5), regular_margin=0.2)),
-                V.slab_volume(rs3, t, 0.2 * t, "box", (1.0, 1.0)),
+                V.domain_volume(rs3, Domain("ball", t, slab=0.3 * t)),
             ]
         return [(r.log_value, r.value, r.error_estimate, r.extras) for r in out]
 
@@ -616,7 +628,7 @@ class TestBoxClosedForm:
     def test_refusals(self):
         with pytest.raises(ParameterError, match="d = 2 and 3"):
             V.box_volume(4, 1.0, (1.0, 1.0, 1.0))
-        with pytest.raises(ParameterError, match="d = 2 and 3"):
+        with pytest.raises(ParameterError, match="d = 3"):
             V.box_volume_quadrature(4, 1.0, (1.0, 1.0, 1.0))
         with pytest.raises(ParameterError, match="finite, got inf"):
             V.box_volume(3, math.inf, (1.0, 1.0))
@@ -630,6 +642,86 @@ class TestBoxClosedForm:
             V.box_volume(2, 1e308, (10.0,))
         with pytest.raises(NumericError, match="normal float, got 1e-320"):
             V.box_volume(3, 1e-160, (1e-160, 1.0))
+
+
+# the grid on which the rounding bound of every closed-form domain is stated
+RECT_TS = (1e-8, 1e-4, 0.01, 0.3, 1.0, 3.0, 10.0, 40.0, 300.0, 1e3, 1e4)
+RECT_FILTERS = ({}, {"regular_margin": 0.1}, {"regular_margin": 0.3}, {"slab": 0.05}, {"slab": 0.3})
+
+
+class TestRectangleClosedForm:
+    """Every domain but the d = 3 ball is rectangles in the simple-root coordinates, each
+    with its closed form; a slab is its own rectangles, not a difference of two volumes."""
+
+    @pytest.mark.parametrize("d, kind, edges", [
+        (2, "ball", None), (2, "box", (1.0,)), (2, "box", (1e-3,)), (3, "box", (1.0, 1.0)),
+        (3, "box", (1.0, 1e-3)), (3, "box", (1e-3, 1.0)), (3, "box", (0.3, 2.0)), (3, "box", (0.8, 1.3)),
+    ])
+    def test_error_is_a_bound(self, d, kind, edges):
+        for t, filt, integrand in itertools.product(RECT_TS, RECT_FILTERS, ("hc", "two_rho")):
+            domain = Domain(kind, t, edges, **{key: f * t for key, f in filt.items()})
+            res = V._region_volume(root_system(d), domain, integrand, V.QUAD_REL_TOL)
+            rects = exact_rectangles(d, domain)
+            if not rects:  # a margin past the largest wall distance
+                assert res.value == 0.0
+                continue
+            true_error = float(abs(decimal.Decimal(res.log_value) - decimal_log_volume(d, rects, integrand)))
+            assert res.method == "closed_form", domain
+            assert true_error <= res.error_estimate <= 1e-12 * max(1.0, abs(res.log_value)), (domain, integrand)
+
+    @pytest.mark.parametrize("d, domain, integrand", [
+        # the difference of two volumes returned -inf for each of these, a volume of 0
+        (2, Domain("ball", 60.0, slab=0.5), "two_rho"),
+        (2, Domain("ball", 100.0, slab=1.0), "two_rho"),
+        (2, Domain("ball", 60.0, slab=0.5), "hc"),
+        (3, Domain("box", 20.0, (1.0, 1.0), slab=0.5), "two_rho"),
+        (3, Domain("box", 30.0, (1.0, 1.0), slab=0.2), "hc"),
+        # 0.37042 where the value is 0.37430, with a reported error of 3.6e-14
+        (2, Domain("ball", 40.0, slab=1.0), "two_rho"),
+        # the quadrature was 7.9e-11 off and reported 1.27e-11
+        (2, Domain("ball", 1e4), "hc"),
+    ])
+    def test_slabs_that_cancelled(self, d, domain, integrand):
+        if integrand == "two_rho":
+            res = V.slab_volume(d, domain.t, domain.slab, domain.kind, domain.edges)
+        else:
+            res = V.domain_volume(root_system(d), domain)
+        exact = decimal_log_volume(d, exact_rectangles(d, domain), integrand)
+        assert math.isfinite(res.log_value)
+        assert float(abs(decimal.Decimal(res.log_value) - exact)) <= res.error_estimate
+
+    def test_d3_ball_slab_is_one_quadrature(self):
+        # the difference of two volumes logged 58.08789836356 with a reported error of 8.5e-13
+        res = V.domain_volume(root_system(3), Domain("ball", 60.0, slab=1.0))
+        tight, _ = V._ball_log_quad(root_system(3), Domain("ball", 60.0, slab=1.0), V.log_hc_integrand, 1e-11)
+        assert res.method == "quadrature"
+        assert abs(res.log_value - tight) <= res.error_estimate < V.QUAD_REL_TOL
+
+    @pytest.mark.parametrize("d, kind, edges", [(2, "ball", None), (2, "box", (0.7,)), (3, "box", (1.0, 0.4)),
+                                                (3, "box", (0.3, 2.0)), (3, "ball", None)])
+    @pytest.mark.parametrize("t, s", [(0.5, 0.1), (8.0, 0.8), (8.0, 3.0), (40.0, 2.0)])
+    def test_slab_and_regular_part_make_the_domain(self, d, kind, edges, t, s):
+        # the slab and the margin-s region are computed apart; together they are the domain
+        rs = root_system(d)
+        whole, slab, regular = (V.domain_volume(rs, Domain(kind, t, edges, **kw))
+                                for kw in ({}, {"slab": s}, {"regular_margin": s}))
+        both = V.logsumexp([slab.log_value, regular.log_value])
+        assert abs(both - whole.log_value) <= 2.0 * max(whole.error_estimate, slab.error_estimate,
+                                                        regular.error_estimate, 4e-16 * abs(both))
+
+    @pytest.mark.parametrize("filt", [{}, {"regular_margin": 0.1}, {"regular_margin": 0.7}, {"slab": 0.1},
+                                      {"slab": 0.7}])
+    @pytest.mark.parametrize("t", [0.1, 3.0, 40.0])
+    def test_d2_matches_the_quadrature_it_replaced(self, t, filt):
+        # along the ray b1 of unit wall distance, Killing radius is wall distance
+        rs = root_system(2)
+        b1 = rs.dual_vector(rs.two_rho)
+        kw = {key: f * t for key, f in filt.items()}
+        lo, hi = kw.get("regular_margin", 0.0), kw.get("slab", t)
+        for integrand, logf in V._INTEGRANDS.items():
+            quad, _ = log_quad_1d(lambda u, logf=logf: logf(rs, np.outer(u, b1)), lo, hi)
+            res = V._region_volume(rs, Domain("ball", t, **kw), integrand, V.QUAD_REL_TOL)
+            assert abs(res.log_value - quad) <= 1e-9, (integrand, res, quad)
 
 
 def _volume_calls(d, value):
@@ -681,7 +773,7 @@ class TestSlab:
         wmax = max_wall_distance(rs, dom)
         assert wmax == pytest.approx(3.0, abs=1e-9)
         res = V.slab_volume(rs, 6.0, wmax * 0.99999, "ball")
-        full, _ = V._region_log_integral(rs, dom, "two_rho", 0.0)
+        full, _ = V._ball_log_quad(rs, dom, V.log_two_rho_integrand, V.QUAD_REL_TOL)
         assert res.log_value == pytest.approx(full, abs=1e-3)
 
     def test_decay_sweep_positive_kappa(self):

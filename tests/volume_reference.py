@@ -8,9 +8,11 @@ node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; the wall
 distance of one direction at a time, the oracle of the stacked
 ``RootSystemA.wall_distances`` in the ball quadrature (``wcc.volume._wall_scale``,
 unchanged); the membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``,
-unchanged); and two oracles of the closed-form ``wcc.volume.box_volume``: the
-signed-exponential expansion it replaced, and both closed forms at 50 digits; and the
-node doubling without the stall refusal, the oracle of ``wcc.volume._converge``."""
+unchanged); the 1-D quadrature and the log difference that the closed forms of
+``wcc.volume`` replaced (``_log_quad_1d`` and ``_log_sub``, unchanged); the oracles of the
+closed forms: the signed-exponential box expansion, and the integral over any rectangles
+in the simple-root coordinates at 50 digits, for both densities; and the node doubling
+without the stall refusal, the oracle of ``wcc.volume._converge``."""
 
 import decimal
 import itertools
@@ -31,13 +33,35 @@ from wcc.volume import (
     _dual_basis,
     _finish,
     _gauss_legendre,
-    _log_sub,
     _ortho_basis,
-    _region_log_integral,
     domain_volume,
     log_hc_integrand,
     logsumexp,
 )
+
+
+def _log_sub(log_a: float, log_b: float) -> float:
+    """log(exp(log_a) - exp(log_b)) with the usual guards (``wcc.volume._log_sub``, unchanged)."""
+    if log_b == LOG_ZERO:
+        return log_a
+    if log_b >= log_a:
+        return LOG_ZERO
+    return log_a + math.log1p(-math.exp(log_b - log_a))
+
+
+def log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
+    """Gauss-Legendre with node doubling on [lo, hi] of a log density (``wcc.volume._log_quad_1d``,
+    unchanged), the d = 2 quadrature that the closed forms replaced."""
+    if hi <= lo:
+        return LOG_ZERO, 0.0
+
+    def evaluate(n):
+        x, w = _gauss_legendre(n)
+        u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        logw = np.log(0.5 * (hi - lo) * w)
+        return float(logsumexp(log_density(u) + logw))
+
+    return _converge(evaluate, rel_tol=rel_tol)
 
 
 def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
@@ -136,12 +160,14 @@ def well_rounded_probe(
     edges_t = tuple(edges) if edges else None
     domain = Domain(kind, t, edges_t)
 
-    vol_s, _ = _region_log_integral(rs, domain, "hc", delta)
+    def trimmed(t, margin):
+        return domain_volume(rs, Domain(kind, t, edges_t, regular_margin=margin)).log_value
+
+    vol_s = trimmed(t, delta)
     if eps == 0.0:
         return {"volume_sandwich_C": 0.0, "samples_ok": True, "vol_S": vol_s,
                 "vol_plus": vol_s, "vol_minus": vol_s, "n_samples": 0, "failures": 0}
-    vol_plus, _ = _region_log_integral(rs, Domain(kind, t + eps, edges_t), "hc", max(delta - eps, 0.0))
-    vol_minus, _ = _region_log_integral(rs, Domain(kind, t - eps, edges_t), "hc", delta + eps)
+    vol_plus, vol_minus = trimmed(t + eps, max(delta - eps, 0.0)), trimmed(t - eps, delta + eps)
     diff = _log_sub(vol_plus, vol_minus)
     c_fit = math.exp(diff - vol_s) / eps if diff != LOG_ZERO else 0.0
 
@@ -355,30 +381,73 @@ def expansion_box_volume(rs_or_d, t: float, edges):
     )
 
 
-def decimal_box_log_volume(d: int, t: float, edges) -> decimal.Decimal:
-    """The log of the closed-form box volume at 50 digits, from the exact values of the
-    float inputs and the exact jacobian (sqrt 2 at d = 2, 2 sqrt 3 at d = 3): with
-    X = t a_1, Y = t a_2, 2 sqrt 2 sinh(X / 2)^2 and sqrt 3 (S(X) sinh(Y)^2 +
-    sinh(X)^2 S(Y)), S(Z) = (sinh 2Z - 2Z) / 4, summed as its Taylor series
-    sum_k (2Z)^(2k+1) / (2k+1)! / 4 below Z = 1/2 (sinh Z = (e^Z - e^-Z) / 2 loses
-    at most 10 of the 50 digits at Z >= 1e-10)."""
+def decimal_log_volume(d: int, rects, integrand: str = "hc", prec: int = 120) -> decimal.Decimal:
+    """The log of the integral of the density over rectangles in z_i = alpha_i(Y) at 50
+    digits: each rectangle a list of d - 1 intervals (a, b) of Decimals (or floats, taken
+    exactly), with the exact jacobian (sqrt 2 at d = 2, 2 sqrt 3 at d = 3).
+
+    Each factor is the difference of its antiderivative at b and a, at ``prec`` digits:
+    at d = 2, cosh b - cosh a (hc) and e^b - e^a (two_rho); at d = 3, with
+    I(f) = f(b) - f(a), I(sinh(2z)/4 - z/2) I(sinh(z)^2/2) + the same swapped (hc), and
+    prod I(e^(2z)/2) (two_rho).  The differences lose about 35 of the 120 digits on
+    rectangles of side 1e-11 at the origin, and fewer on larger ones."""
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
-        ctx.prec = 50
+        ctx.prec = prec
 
         def sinh(z):
             return (z.exp() - (-z).exp()) / 2
 
-        def s(z):
-            if z >= D("0.5"):
-                return (sinh(2 * z) - 2 * z) / 4
-            q, term, total, k = 4 * z * z, (2 * z) ** 3 / 6, D(0), 1
-            while term > total * D("1e-55"):
-                total, term, k = total + term, term * q / ((2 * k + 2) * (2 * k + 3)), k + 1
-            return total / 4
+        def cosh(z):
+            return (z.exp() + (-z).exp()) / 2
 
-        xs = [D(float(t)) * D(float(a)) for a in edges]
-        if d == 2:
-            return (2 * D(2).sqrt() * sinh(xs[0] / 2) ** 2).ln()
-        x, y = xs
-        return (D(3).sqrt() * (s(x) * sinh(y) ** 2 + sinh(x) ** 2 * s(y))).ln()
+        def sq(z):  # int sinh^2
+            return sinh(2 * z) / 4 - z / 2
+
+        def sc(z):  # int sinh cosh
+            return sinh(z) ** 2 / 2
+
+        def e2(z):  # int e^(2z)
+            return (2 * z).exp() / 2
+
+        def diff(f, interval):
+            a, b = interval
+            return f(D(b)) - f(D(a))
+
+        total = D(0)
+        for rect in rects:
+            if d == 2:
+                total += D(2).sqrt() * diff(D.exp if integrand == "two_rho" else cosh, rect[0])
+            elif integrand == "two_rho":
+                total += 2 * D(3).sqrt() * diff(e2, rect[0]) * diff(e2, rect[1])
+            else:
+                x, y = rect
+                total += 2 * D(3).sqrt() * (diff(sq, x) * diff(sc, y) + diff(sc, x) * diff(sq, y))
+        ctx.prec = 50
+        return +total.ln()
+
+
+def exact_rectangles(d: int, domain: Domain):
+    """The rectangles of ``decimal_log_volume`` for a domain, from the exact values of its
+    floats and the exact dual norm of each simple root (1/sqrt 2 at d = 2, 1/sqrt 3 at
+    d = 3): the ball at d = 2 is the interval of edge 1/sqrt 2, a margin m raises each lower
+    end to m ||alpha_i||_*, and a slab s is z_0 <= c_0, or z_0 > c_0 and z_1 <= c_1, with
+    c_i = min(s ||alpha_i||_*, t a_i)."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        norm = 1 / D(d).sqrt()
+        edges = [norm] if domain.kind == "ball" else [D(e) for e in domain.edges]
+        his = [D(domain.t) * e for e in edges]
+        if domain.slab is None:
+            rects = [[(D(domain.regular_margin or 0.0) * norm, hi) for hi in his]]
+        else:
+            c = [min(D(domain.slab) * norm, hi) for hi in his]
+            rects = ([[(D(0), c[0])]] if d == 2 else
+                     [[(D(0), c[0]), (D(0), his[1])], [(c[0], his[0]), (D(0), c[1])]])
+        return [r for r in rects if all(a < b for a, b in r)]
+
+
+def decimal_box_log_volume(d: int, t: float, edges) -> decimal.Decimal:
+    """The log of the box volume at 50 digits: ``decimal_log_volume`` over [0, t a_i]."""
+    return decimal_log_volume(d, exact_rectangles(d, Domain("box", t, tuple(edges))))
