@@ -233,15 +233,15 @@ def _sl2_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
 
 def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: float, r: float):
     """Conditions, verdict and fixed-point errors of a d = 3 certificate in one float pass over
-    3-vectors, around one SVD of m = h_x^-1 gamma h_x = k exp(a) l^-1 (gamma itself at the
-    shared origin, and its frames not multiplied by h_x), the Newton SVDs of
-    ``flagmetric.flat_distance`` and, for an element that would be certified, one eigen-solve of
-    gamma for its loxodromy (``_loxodromic``) and fixed flags.  Each flag is a unit line and
-    plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
+    3-vectors, around one SVD of m = h_x^-1 gamma h_x = k exp(a) l^-1 (gamma itself at the shared
+    origin, and its frames not multiplied by h_x; an integer m takes its logs from ``cartan_vector``),
+    the Newton SVDs of ``flagmetric.flat_distance`` and, for an element that would be certified, one
+    eigen-solve of gamma for its loxodromy (``_loxodromic``) and fixed flags.  Each flag is a unit line
+    and plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
     and between their normals."""
     u, s, vh = np.linalg.svd(conj.mat)
-    ints = None if conj.int_mat is None else np.array([conj.int_mat], dtype=object)  # exact, as cartan_vector
-    conditions = _conditions(float(root_system(3).wall_distances(pj._robust_logs(s[None], ints, "svd")[0])), t0)
+    logs = pj._robust_logs(s) if conj.int_mat is None else pj.cartan_vector(conj)  # exact for an integer conj
+    conditions = _conditions(float(root_system(3).wall_distances(logs)), t0)
     if not conditions["wall_margin_ok"]:
         return conditions, False, None
     if x is BasePoint.origin(3):

@@ -11,13 +11,14 @@ All decompositions are numerical:
 
 The low-level kernels accept numpy stacks ``(..., d, d)`` so that the large
 seeded identity suites can run vectorized; integer (n, 2, 2) and (n, 3, 3)
-stacks give the census columns (sl2 in closed form, sl3 by stacked solves),
-and an integer ``GroupElement`` goes through the same integer body as an exact
-one-row stack of Python ints.
+stacks give the census columns (sl2 in closed form, sl3 by stacked solves of
+exact compounds), and an integer ``GroupElement`` goes through the same integer
+body as an exact one-row stack of Python ints.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -100,45 +101,47 @@ class GroupElement:
         return f"GroupElement({self.mat.tolist()})"
 
 
+def _compound(m, k: int):
+    """The k-th compound over the last two axes: the exact k x k minors on k-subsets of rows and
+    columns in lexicographic order, in the dtype of m (m itself for k = 1)."""
+    return m if k == 1 else _int_det(m[(..., *_minor_index(m.shape[-1], k))]).T  # _int_det reverses axes
+
+
+@lru_cache(maxsize=None)
+def _minor_index(n: int, k: int):
+    """Row and column indices gathering the k x k blocks of the k-th compound of n x n matrices."""
+    sub = np.array(list(itertools.combinations(range(n), k)))
+    return sub[:, None, :, None], sub[None, :, None, :]
+
+
 def _integer_inverse(m) -> np.ndarray:
     """Adjugate over the last two axes of integer matrices with determinant 1: their
-    exact inverse, in the dtype of an array argument and in Python ints for lists."""
+    exact inverse, in the dtype of an array argument and in Python ints for lists.
+    It is the (d-1)-th compound, reversed, transposed and signed."""
     m = m if isinstance(m, np.ndarray) else np.array(m, dtype=object)
     n = m.shape[-1]
-    keep = ~np.eye(n, dtype=bool)
-    adj = np.ones_like(m)
-    if n > 1:
-        for i in range(n):
-            for j in range(n):
-                adj[..., i, j] = (-1) ** (i + j) * _int_det(m[..., keep[j], :][..., keep[i]])
-    return adj
+    if n == 1:
+        return np.ones_like(m)
+    sign = (-1) ** np.add.outer(np.arange(n), np.arange(n))
+    return sign * np.swapaxes(_compound(m, n - 1)[..., ::-1, ::-1], -1, -2)
 
 
-def _robust_logs(values_desc: np.ndarray, int_mats, kind: str) -> np.ndarray:
-    """Zero-sum logs of descending singular ("svd") or eigen ("eig") moduli, along the
-    last axis of one row or of a stack of rows.
-
-    Where a row of the integer-exact stack ``int_mats`` (an int64 array, or an
-    object array of Python ints) spans more than 1e10, the values below 1 are
-    recomputed as reciprocals of the large values of the exact adjugate; the
-    small values of the direct solve only carry absolute accuracy
-    eps * sigma_max.  Float matrices (``int_mats`` None) get the direct
-    values: their representation already limits what is recoverable.
-    """
-    values = np.maximum(values_desc, 1e-300)
-    out = np.log(values)
+def _robust_logs(values_desc: np.ndarray) -> np.ndarray:
+    """Zero-sum logs of descending singular or eigenvalue moduli, along the last axis
+    of one row or of a stack of rows."""
+    out = np.log(np.maximum(values_desc, 1e-300))
     out -= out.sum(axis=-1, keepdims=True) / out.shape[-1]  # np.mean, without its overhead
-    wide = () if int_mats is None else np.flatnonzero(values[:, 0] > 1e10 * values[:, -1])
-    for i in wide:
-        adj = _integer_inverse(int_mats[i]).astype(float)
-        if kind == "svd":
-            mirror = np.linalg.svd(adj, compute_uv=False)
-        else:
-            mirror = np.sort(np.abs(np.linalg.eigvals(adj)))[::-1]
-        row = np.array([np.log(v) if v >= 1.0 else -np.log(m)
-                        for v, m in zip(values[i], np.maximum(mirror, 1e-300)[::-1])])
-        out[i] = row - np.mean(row)
     return out
+
+
+def _compound_logs(mats: np.ndarray, top, first=None) -> np.ndarray:
+    """Logs a_k = log(T_k / T_(k-1)) of integer det-one matrices (d >= 3), T_0 = T_d = 1, T_k the top
+    singular value or eigenvalue modulus ``top`` of their exact k-th compound (``first`` passes T_1).
+    A top singular value is resolved to eps relative (Demmel et al., LAA 299, 1999), a small one not."""
+    tops = np.ones((len(mats), mats.shape[-1] + 1))
+    for k in range(1, mats.shape[-1]):
+        tops[:, k] = first if k == 1 and first is not None else top(_compound(mats, k).astype(float))
+    return np.log(tops[:, 1:] / tops[:, :-1])
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def cartan_batch(mats):
     """Stacked Cartan decomposition: mats = k exp(a) l^-1 with k,l in SO(d)."""
     u, s, vh = np.linalg.svd(np.asarray(mats, dtype=float))
     _so_sign_fix(u, vh)
-    return u, _robust_logs(s, None, "svd"), np.swapaxes(vh, -1, -2)
+    return u, _robust_logs(s), np.swapaxes(vh, -1, -2)
 
 
 def cartan_project(g: GroupElement):
@@ -237,7 +240,7 @@ def _cartan_rows(mats: np.ndarray) -> np.ndarray:
     if mats.shape[1] == 2:
         s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats).astype(float) / 2.0)
         return np.stack([s, 0.0 - s], axis=1)  # 0.0 - s: +0.0, not -0.0, at s = 0
-    return _robust_logs(np.linalg.svd(mats.astype(float))[1], mats, "svd")
+    return _compound_logs(mats, lambda c: np.linalg.svd(c, compute_uv=False)[:, 0])
 
 
 def cartan_vector(g) -> np.ndarray:
@@ -247,8 +250,9 @@ def cartan_vector(g) -> np.ndarray:
     elements (exact one-row stacks of Python ints, with no 2^30 bound) share one
     body: for d = 2, sigma^2 + sigma^-2 = F (the Frobenius mass) gives
     log sigma_max = 1/2 log((F + sqrt(F^2 - 4)) / 2) = 1/2 arccosh(F / 2); for
-    d >= 3 the rows come from one stacked SVD, with the exact-adjugate recovery
-    of ``_robust_logs``."""
+    d >= 3 the logs of sigma_1 ... sigma_k are those of the top singular values of
+    the exact k-th compounds (``_compound_logs``), one stacked SVD per k, so
+    every log is resolved to eps relative."""
     if not isinstance(g, GroupElement):
         return _cartan_rows(_int_stack(g))
     return _cartan_rows(_one_row(g))[0]
@@ -286,13 +290,6 @@ def _eig(mats, vectors: bool = False):
         raise NumericError(f"eigenvalue solver failed on {mats!r}") from exc
 
 
-def _eig_logs(mats, int_mats=None, eig=None) -> np.ndarray:
-    """``_robust_logs`` of the descending eigenvalue moduli of one float matrix or a stack;
-    ``eig`` passes eigenvalues already solved for."""
-    eig = _eig(mats) if eig is None else eig
-    return _robust_logs(np.sort(np.abs(eig), axis=-1)[..., ::-1], int_mats, "eig")
-
-
 def _gap_test(lam: np.ndarray, tau_lox: float) -> np.ndarray:
     """Loxodromy from log-moduli rows: every consecutive gap exceeds tau_lox."""
     return (lam.shape[-1] > 1) & (-np.diff(lam, axis=-1) > tau_lox).all(axis=-1)
@@ -303,14 +300,15 @@ def _jordan_rows(mats: np.ndarray, tau_lox: float = TAU_LOX_DEFAULT, eig=None):
     of a float stack; exact for an integer one (as ``_cartan_rows``).  ``eig`` passes
     the eigenvalues of the stack already solved for."""
     if mats.dtype.kind == "f":
-        lam = _eig_logs(mats, eig=eig)
+        lam = _robust_logs(np.sort(np.abs(_eig(mats) if eig is None else eig), axis=-1)[..., ::-1])
         return lam, _gap_test(lam, tau_lox)
     if mats.shape[1] == 2:
         half_trace = np.abs(mats[:, 0, 0] + mats[:, 1, 1]).astype(float) / 2.0
         ell = np.arccosh(np.maximum(half_trace, 1.0))
         lam = np.stack([ell, 0.0 - ell], axis=1)
-    else:
-        lam = _eig_logs(mats.astype(float), mats, eig)
+    else:  # separate solves can order equal moduli either way: sorted back into the chamber
+        lam = np.sort(_compound_logs(mats, lambda c: np.abs(_eig(c)).max(axis=-1),
+                                     None if eig is None else np.abs(eig).max(axis=-1)))[:, ::-1]
     # distinct real eigenvalues iff disc > 0; for unimodular integer matrices of
     # size <= 3 that also forces distinct moduli
     disc = _int_char_discriminant(mats)
@@ -325,9 +323,10 @@ def jordan_project(g, tau_lox: float = TAU_LOX_DEFAULT):
     consecutive log-moduli gaps exceed ``tau_lox``.  Integer elements are exact
     one-row stacks of Python ints and share the body of integer (n, d, d)
     stacks (rows and a boolean array): for d = 2 the rows are
-    +-arccosh(|tr| / 2), zero when not loxodromic; for d >= 3 they come from
-    one stacked eigenvalue solve.  For d <= 3 loxodromy is the exact test
-    "the characteristic discriminant is positive": defective or complex
+    +-arccosh(|tr| / 2), zero when not loxodromic; for d >= 3 the logs of
+    |lambda_1 ... lambda_k| are those of the top eigenvalue moduli of the exact
+    k-th compounds, one stacked eigenvalue solve per k.  For d <= 3 loxodromy is
+    the exact test "the characteristic discriminant is positive": defective or complex
     spectra are never misflagged by eigensolver noise, which reaches sqrt(eps)
     at a double root and would swamp the default gap threshold.  Larger
     integer elements keep the gap test.

@@ -76,6 +76,17 @@ def classes_trace_10():
 
 
 @pytest.fixture
+def linalg_calls(monkeypatch):
+    """The (name, shape) of every np.linalg svd, eig, eigvals, qr, det and solve call."""
+    calls = []
+    for name in ("svd", "eig", "eigvals", "qr", "det", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, *args, _fn=fn, _name=name, **kwargs:
+                            calls.append((_name, np.shape(m))) or _fn(m, *args, **kwargs))
+    return calls
+
+
+@pytest.fixture
 def alarm():
     """Fail a call that does not return within 20 s instead of hanging the suite: SIGALRM
     raises in Python code, and a watchdog thread ends the process if it is stuck in C."""

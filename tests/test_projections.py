@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 
 import numpy as np
@@ -7,13 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcc import flagmetric as fm
+from wcc import lattice as lt
 from wcc import projections as pj
 from wcc.errors import PreconditionError, RegularityError
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
 from conftest import random_group
-from projection_reference import busemann, cartan_distance, dist_x, reference_cartan, reference_jordan
+from projection_reference import (
+    busemann,
+    cartan_distance,
+    cofactor_inverse,
+    dist_x,
+    exact_compound,
+    jordan_log_bounds,
+    reference_cartan,
+    reference_jordan,
+    sixty_digit_logs,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -248,21 +260,27 @@ class TestIntegerStacks:
     @given(st.lists(det_one_matrices(2), min_size=1, max_size=6),
            st.lists(det_one_matrices(3), min_size=1, max_size=6))
     def test_stacks_match_group_element_path(self, mats2, mats3):
-        """sl3 rows are the per-element float solves of the reference bit for bit; sl2
-        closed forms agree with its SVD and eigenvalue solves within those solves' own
-        error: the small singular value carries eps * sigma_max (so eps * sigma_max /
-        sigma_min on its log, up to the 1e10 switch to the adjugate), the eigenvalues
-        eps * |M|^2 / gap."""
+        """Stack rows are the GroupElement rows bit for bit.  Both agree with the
+        reference's per-element float solves within those solves' own error: the
+        small singular value carries eps * sigma_max (so eps * sigma_max / sigma_min on
+        its log, up to the reference's 1e10 switch to the adjugate), the eigenvalues
+        eps * |M|^2 / gap at d = 2 and, at d = 3, that Cartan bound times the condition
+        number of the eigenvector matrix (Bauer-Fike)."""
         for mats in (mats2, mats3):
             stack = np.array(mats, dtype=np.int64)
             cartan = pj.cartan_vector(stack)
             jordan, lox = pj.jordan_project(stack)
             for m, a, lam, is_lox in zip(mats, cartan, jordan, lox):
                 want_a, want_lam = reference_cartan(m), reference_jordan(m)
-                assert bool(is_lox) == pj.jordan_project(GroupElement.from_integer(m))[1]
+                g_lam, g_lox = pj.jordan_project(GroupElement.from_integer(m))
+                assert pj.cartan_vector(GroupElement.from_integer(m)).tobytes() == a.tobytes()
+                assert g_lam.tobytes() == lam.tobytes() and g_lox == bool(is_lox)
                 if len(m) == 3:
-                    assert a.tobytes() == want_a.tobytes()
-                    assert lam.tobytes() == want_lam.tobytes()
+                    ratio = math.exp(a[0] - a[2])
+                    assert np.max(np.abs(a - want_a)) <= 4 * EPS * ratio + 1e-14
+                    if is_lox:
+                        cond = np.linalg.cond(np.linalg.eig(np.array(m, dtype=float))[1])
+                        assert np.max(np.abs(lam - want_lam)) <= 4 * EPS * ratio * cond + 1e-14
                     continue
                 ratio = math.exp(2.0 * a[0])
                 assert np.max(np.abs(a - want_a)) <= 4 * EPS * min(ratio, 1e10) + 1e-14
@@ -309,6 +327,117 @@ class TestIntegerStacks:
             for kernel in (pj.cartan_vector, pj.jordan_project):
                 with pytest.raises(PreconditionError):
                     kernel(bad)
+
+
+def elementary_word(rng, d: int, length: int) -> list:
+    """A seeded word of the given length in the elementary generators I + e_ij (i != j)
+    of SL(d, Z), as a list of rows of Python ints."""
+    m = np.eye(d, dtype=int).astype(object)
+    for _ in range(length):
+        i, j = rng.choice(d, size=2, replace=False)
+        m[:, j] += m[:, i]  # m @ (I + e_ij)
+    return m.tolist()
+
+
+@functools.cache
+def sixty_digit_cases():
+    """200 SL(3, Z) words of length 8-40 and 6 SL(4, Z) words of length 8-16 in the
+    elementary generators, each with its 60-digit Cartan and Jordan logs."""
+    rng = np.random.default_rng(2027)
+    words = [elementary_word(rng, 3, int(rng.integers(8, 41))) for _ in range(200)]
+    words += [elementary_word(rng, 4, int(rng.integers(8, 17))) for _ in range(6)]
+    return [(m, *sixty_digit_logs(m)) for m in words]
+
+
+class TestSixtyDigitOracle:
+    """Integer logs at d >= 3 against 60-digit ones.  Each comes from the top singular
+    value or eigenvalue of an exact compound, which a float solve resolves to eps
+    relative for the singular value and to its first-order conditioning for the
+    eigenvalue: no log carries the eps s_1 / s_d of the small moduli of one solve."""
+
+    def test_cases_reach_past_the_float_resolution(self):
+        # s_1 / s_d from tens to past 1e9, where one float SVD resolved log s_d only to
+        # about eps s_1 / s_d = 2e-7
+        ratios = [math.exp(cartan[0] - cartan[-1]) for _, cartan, _ in sixty_digit_cases()]
+        assert min(ratios) < 1e2 and max(ratios) > 1e9
+
+    def test_cartan_logs_within_four_eps(self):
+        for m, cartan, _ in sixty_digit_cases():
+            a = pj.cartan_vector(GroupElement.from_integer(m))
+            assert np.all(np.abs(a - cartan) <= 4 * EPS * np.maximum(1.0, np.abs(cartan))), m
+
+    def test_jordan_logs_within_their_conditioning(self):
+        for m, _, jordan in sixty_digit_cases():
+            lam = pj.jordan_project(GroupElement.from_integer(m))[0]
+            bound = 4 * (jordan_log_bounds(m) + EPS * np.maximum(1.0, np.abs(jordan)))
+            assert np.all(np.abs(lam - jordan) <= bound), m
+
+
+class TestCompound:
+    """The exact compounds behind the integer logs and the integer inverse."""
+
+    def test_compound_is_the_exact_minors(self):
+        rng = np.random.default_rng(2701)
+        for d in (2, 3, 4):
+            m = rng.integers(-50, 50, size=(d, d)).tolist()
+            for k in range(1, d + 1):
+                want = exact_compound(m, k)
+                assert pj._compound(np.array(m, dtype=object), k).tolist() == want
+                if d <= 3:
+                    assert pj._compound(np.array([m, m]), k).tolist() == [want, want]
+
+    def test_integer_inverse_keeps_python_ints(self):
+        # entries near 2^70 in M and its inverse: the inverse stays exact in object dtype
+        a, b = 2**35 + 3, 2**35 - 5
+        m = [[1 + a * b, a, a], [b, 1, 1], [0, 0, 1]]
+        inv = pj._integer_inverse(m)
+        assert inv.dtype == object and all(type(v) is int for v in inv.flat)
+        assert 2**69 < inv[1, 1] == 1 + a * b < 2**71
+        assert (np.array(m, dtype=object) @ inv).tolist() == np.eye(3, dtype=int).tolist()
+        assert GroupElement.from_integer(m).inverse().int_mat == inv.tolist()
+
+    def test_integer_inverse_is_the_cofactor_loop(self):
+        rng = np.random.default_rng(2702)
+        for d in (2, 3):
+            stack = rng.integers(-2**30, 2**30, size=(40, d, d))
+            got, want = pj._integer_inverse(stack), cofactor_inverse(stack)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        stack = rng.integers(-1000, 1000, size=(10, 4, 4)).astype(object) * 2**40
+        got, want = pj._integer_inverse(stack), cofactor_inverse(stack)
+        assert got.dtype == want.dtype == object and got.tolist() == want.tolist()
+        assert pj._integer_inverse([[1]]).tolist() == [[1]]
+
+    def test_integer_rows_stay_in_the_closed_chamber(self):
+        # the logs come from separate solves, one per compound; where moduli are equal (a
+        # complex or near-defective top pair) the Jordan rows are sorted back into the chamber
+        ball = np.array(lt._word_ball(lt._default_sl3_generators(), 3), dtype=np.int64)
+        cartan, (jordan, lox) = pj.cartan_vector(ball), pj.jordan_project(ball)
+        assert len(ball) == 883 and not lox.all()
+        for rows in (cartan, jordan):
+            assert np.all(np.diff(rows, axis=1) <= 0.0)
+            assert np.max(np.abs(rows.sum(axis=1))) <= 4 * EPS * max(1.0, np.max(np.abs(rows)))
+
+    def test_integer_logs_take_one_solve_per_compound(self, linalg_calls):
+        # d = 3: one solve of M and one of its second compound, stacked, and none per row
+        m = elementary_word(np.random.default_rng(2703), 3, 30)
+        pj.cartan_vector(GroupElement.from_integer(m))
+        assert linalg_calls == [("svd", (1, 3, 3))] * 2
+        linalg_calls.clear()
+        pj.cartan_vector(np.array([m] * 5))
+        assert linalg_calls == [("svd", (5, 3, 3))] * 2
+        linalg_calls.clear()
+        pj.jordan_project(np.array([m] * 5))
+        assert linalg_calls == [("eigvals", (5, 3, 3))] * 2
+
+    def test_fixed_points_share_the_eigen_solve(self, linalg_calls):
+        # the eigen-solve of M serves the Jordan logs and the fixed flags; its second
+        # compound takes one more eigenvalue solve
+        g = GroupElement.from_integer(elementary_word(np.random.default_rng(2704), 3, 30))
+        assert pj.jordan_project(g)[1]
+        linalg_calls.clear()
+        fm.fixed_points(g)
+        assert [c for c in linalg_calls if c[0] in ("svd", "eig", "eigvals")] == [
+            ("eig", (3, 3)), ("eigvals", (1, 3, 3))]
 
 
 class TestIwasawa:
