@@ -173,7 +173,7 @@ def _cmd_project(args) -> int:
     if g.d != rs.d:
         raise ParameterError(f"matrix dimension {g.d} does not match group {args.group}")
     tau_lox = pj.TAU_LOX_DEFAULT if args.tau_lox is None else args.tau_lox
-    k, a, l = pj.cartan_project(g)
+    a = pj.cartan_vector(g)
     lam, lox = pj.jordan_project(g, tau_lox)
     payload = {
         "cartan": a,
@@ -236,9 +236,7 @@ def _cmd_volume(args) -> int:
 
     rs = for_group(args.group)
     edges = tuple(_parse_grid(args.edges)) if args.edges else None
-    if edges and args.domain != "box":
-        raise ParameterError("--edges needs --domain box")
-    # refuses a box without edges, and --slab with --regular-margin
+    # refuses a box without edges, edges without a box, and --slab with --regular-margin
     domain = vol.Domain(args.domain, args.t, edges, args.regular_margin, args.slab)
     config = {
         "cmd": "volume", "group": args.group, "domain": args.domain, "t": args.t,
@@ -264,8 +262,6 @@ def _cmd_enumerate(args) -> int:
 
     spec = lt.LatticeSpec(args.group)
     edges = tuple(_parse_grid(args.edges)) if args.edges else None
-    if edges and args.domain != "box":
-        raise ParameterError("--edges needs --domain box")
     domain = Domain(args.domain, args.t, edges, regular_margin=args.regular_margin)
     records, meta = lt.enumerate_elements(spec, domain, shards=args.shards,
                                           word_radius=args.word_radius)

@@ -30,7 +30,6 @@ from .projections import (
     TAU_LOX_DEFAULT,
     flag_frame_action,
     iwasawa_cocycle,
-    _h_inverse,
     _jordan_solve,
     _so_sign_fix,
 )
@@ -232,8 +231,8 @@ def gromov_product(xi: Flag, eta: Flag, x: BasePoint | None = None) -> np.ndarra
     """
     d = xi.d
     if x is not None and not np.array_equal(x.h.mat, np.eye(d)):
-        xi = xi.translate(_h_inverse(x))
-        eta = eta.translate(_h_inverse(x))
+        xi = xi.translate(x.h_inverse)
+        eta = eta.translate(x.h_inverse)
     weights = []
     for u, v in zip(eta.embedded_lines, xi.perp_lines):
         delta_k = abs(float(u @ v))
@@ -357,7 +356,7 @@ def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
                 for value, bad in zip(values.tolist(), singular.tolist())]
     if x.d != 3:
         raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {x.d}")
-    to_x, rows = np.array if x is BasePoint.origin(3) else partial(np.matmul, _h_inverse(x)), []
+    to_x, rows = np.array if x is BasePoint.origin(3) else partial(np.matmul, x.h_inverse), []
     for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2))):
         witness, error = _sl3_witness(*flags)
         try:
@@ -380,7 +379,7 @@ def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
     """
     ends = np.concatenate([plus[:, :, :1], minus[:, :, :1]], axis=2)  # columns xi_1, eta_1
     singular = np.abs(_det2(ends)) < 1e-12
-    pq = ends if x is BasePoint.origin(2) else _h_inverse(x) @ ends  # columns p, q
+    pq = ends if x is BasePoint.origin(2) else x.h_inverse @ ends  # columns p, q
     dot = pq[:, 0, 0] * pq[:, 0, 1] + pq[:, 1, 0] * pq[:, 1, 1]
     det = np.where(singular, 1.0, _det2(pq))  # no division by a refused zero
     return math.sqrt(2.0) * np.arcsinh(np.abs(dot / det)), singular

@@ -385,15 +385,15 @@ def _read_cache(directory: Path):
 def load_cache(directory):
     """Load and verify a census cache; returns (spec, domain, census, manifest).
 
-    Rejects an unreadable or malformed manifest, any mismatch with it, a
-    missing or unlisted shard, duplicates, entries beyond 2^30, a determinant
-    other than 1 and records off the stored domain; columns and order are
-    those ``enumerate_elements`` gives, also with a base point.
+    Rejects with PreconditionError an unreadable, malformed or refused (version, spec,
+    domain) manifest, any mismatch with it, a missing or unlisted shard, duplicates,
+    entries beyond 2^30, a determinant other than 1 and records off the stored domain;
+    columns and order are those ``enumerate_elements`` gives, also with a base point.
     """
     directory = Path(directory)
     try:
         manifest, spec, domain, table = _read_cache(directory)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ParameterError) as exc:
         raise PreconditionError(f"cache at {directory} is unreadable: {exc!r}") from exc
     ordered = table[np.lexsort(table.T)]  # equal rows become adjacent
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():

@@ -83,9 +83,10 @@ def fitted_constants(d: int) -> FittedConstants:
     return FittedConstants(d, 4.0 * root_system(d).c_a(), *_PINNED_CONSTANTS[d])
 
 
-@pj._base_point_memo
+@lru_cache(maxsize=64)
 def cx_constant(x: BasePoint) -> float:
-    """Configuration constant 8 C2 C1 exp(C0 d_X(o, x)), once per value of x."""
+    """Configuration constant 8 C2 C1 exp(C0 d_X(o, x)), once per base point: a frozen
+    BasePoint hashes and compares its h, and GroupElement compares by identity."""
     consts = fitted_constants(x.d)
     dx = root_system(x.d).killing_norm(pj.cartan_vector(x.h))  # d_X(o, x)
     if math.log(8.0 * consts.c2 * consts.c1) + consts.c0 * dx > math.log(np.finfo(float).max):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -166,32 +166,13 @@ class BasePoint:
     def d(self) -> int:
         return self.h.d
 
-
-class _Key(tuple):
-    """A cache key that carries the base point it was made from."""
-
-
-def _base_point_memo(fn):
-    """``fn(x)`` in a bounded ``lru_cache`` keyed on the value of x's representative h, as
-    callers build fresh base points: its floats, and its exact entries when it is integer."""
-    cached = lru_cache(maxsize=64)(lambda key: fn(key.x))
-
-    @wraps(fn)
-    def memo(x: BasePoint):
-        key = _Key((x.h.mat.shape, x.h.mat.tobytes(), x.h.int_mat and tuple(map(tuple, x.h.int_mat))))
-        key.x = x
-        return cached(key)
-
-    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
-    return memo
-
-
-@_base_point_memo
-def _h_inverse(x: BasePoint) -> np.ndarray:
-    """h_x^-1, read-only (exact for an integer h, as ``GroupElement.inverse``)."""
-    inv = x.h.inverse().mat
-    inv.flags.writeable = False
-    return inv
+    @cached_property
+    def h_inverse(self) -> np.ndarray:
+        """h_x^-1, computed once per base point, read-only (exact for an integer h, as
+        ``GroupElement.inverse``)."""
+        inv = self.h.inverse().mat
+        inv.flags.writeable = False
+        return inv
 
 
 def _so_sign_fix(u, vh=None) -> None:
@@ -379,7 +360,7 @@ def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
         return mats
     if mats.dtype.kind != "f" and h.int_mat is not None:
         return _int_conjugate(mats, h.int_mat)
-    return _h_inverse(x) @ mats.astype(float) @ h.mat
+    return x.h_inverse @ mats.astype(float) @ h.mat
 
 
 def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:

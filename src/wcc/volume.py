@@ -26,6 +26,10 @@ LOG_ZERO = -math.inf
 _QUAD_BLOCK = 1 << 16  # (outer, inner) nodes per stacked block of the 2-D rule
 
 
+def _root_system(rs_or_d) -> RootSystemA:
+    return rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+
+
 # ------------------------------------------------------------------ domains
 
 
@@ -59,6 +63,8 @@ class Domain:
                 raise ParameterError("box domain needs per-simple-root edge lengths")
             if any(e <= 0 for e in self.edges):
                 raise ParameterError(f"box edges must be positive, got {self.edges}")
+        elif self.edges is not None:
+            raise ParameterError(f"edges need a box domain, got kind {self.kind!r}")
         if self.regular_margin is not None and self.slab is not None:
             raise ParameterError("regular_margin and slab are mutually exclusive")
         if self.slab is not None and not 0.0 < self.slab < self.t:
@@ -413,7 +419,7 @@ def closed_form_ball_d2(t: float) -> float:
 def ball_volume(rs_or_d, t: float) -> VolumeResult:
     """Harish-Chandra volume of the chamber ball of Killing radius t: the closed form at
     d = 2, the quadrature to ``QUAD_REL_TOL`` at d = 3."""
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+    rs = _root_system(rs_or_d)
     return domain_volume(rs, Domain("ball", t))
 
 
@@ -459,7 +465,7 @@ def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
     """Harish-Chandra volume of the parallelotope, the closed form of ``domain_volume`` at
     d = 2 and 3, with delta_P (the sup of 2 rho over the parallelotope), the leading
     coefficient C_G, and the exponent delta_minus of the largest secondary term."""
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+    rs = _root_system(rs_or_d)
     edges = tuple(float(e) for e in edges)
     res = domain_volume(rs, Domain("box", t, edges))
     jac = _box_jacobian(rs, _dual_basis(rs))
@@ -475,7 +481,7 @@ def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
 def box_volume_quadrature(rs_or_d, t: float, edges) -> VolumeResult:
     """The d = 3 box volume by the 2-D rule over [0, t a_1] x [0, t a_2], to ``QUAD_REL_TOL``:
     an evaluation independent of the closed form of ``box_volume``."""
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+    rs = _root_system(rs_or_d)
     Domain("box", t, tuple(float(e) for e in edges)).for_dimension(rs.d)
     if rs.d != 3:
         raise ParameterError("box quadrature is shipped for d = 3")
@@ -510,9 +516,7 @@ def slab_volume(
     (the integrand dominating the HC density there) and reports the ratio to
     the true domain volume.
     """
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
-    if not 0.0 < s < t:
-        raise ParameterError(f"slab parameter must satisfy 0 < s < t, got s={s}, t={t}")
+    rs = _root_system(rs_or_d)
     edges = tuple(edges) if edges else None
     res = _region_volume(rs, Domain(kind, t, edges, slab=s), "two_rho", rel_tol)
     vol = domain_volume(rs, Domain(kind, t, edges), rel_tol)
@@ -529,7 +533,7 @@ def slab_decay_sweep(rs_or_d, epsilons, t_grid) -> dict:
     The fitted exponent is the empirical counterpart of the (non-
     constructive) slab decay rate: log ratio regressed on -log volume.
     """
-    rs = rs_or_d if isinstance(rs_or_d, RootSystemA) else root_system(rs_or_d)
+    rs = _root_system(rs_or_d)
     t_grid = list(t_grid)
     report = {"kind": "ball", "t_grid": t_grid, "per_epsilon": {}}
     for eps in epsilons:

@@ -31,7 +31,6 @@ from wcc.projections import (
     BasePoint,
     GroupElement,
     _frame_of,
-    _h_inverse,
     _int_det,
     cartan_vector,
     flag_frame_action,
@@ -178,5 +177,5 @@ def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
 
 def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
     """Busemann cocycle beta_xi(x, y) = sigma(h_x^-1 h_y, h_y^-1 xi)."""
-    moved_frame = flag_frame_action(_h_inverse(y), _frame_of(xi))
-    return iwasawa_batch(_h_inverse(x) @ y.h.mat, moved_frame)
+    moved_frame = flag_frame_action(y.h_inverse, _frame_of(xi))
+    return iwasawa_batch(x.h_inverse @ y.h.mat, moved_frame)

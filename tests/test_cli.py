@@ -58,6 +58,12 @@ class TestProject:
         assert doc["result"]["loxodromic"] is False
         assert "config_hash" in doc
 
+    def test_integer_d3_takes_two_svds(self, capsys, linalg_calls):
+        # the two compounds of the exact Cartan logs; no frames, which the output does not carry
+        code, doc = run_json(capsys, "project", "--group", "sl3", "--matrix", "[[2,1,0],[1,1,0],[0,0,1]]")
+        assert code == 0
+        assert [call for call in linalg_calls if call[0] == "svd"] == [("svd", (1, 3, 3))] * 2
+
     def test_dimension_mismatch(self, capsys):
         code, out = run(capsys, "project", "--group", "sl3", "--matrix", "[[1,1],[0,1]]")
         assert code == 2
@@ -138,7 +144,7 @@ class TestVolume:
     @pytest.mark.parametrize("argv, message", [
         (["--domain", "ball", "--t", "8", "--slab", "0.8", "--regular-margin", "2"],
          "mutually exclusive"),
-        (["--domain", "ball", "--t", "8", "--edges", "1,1"], "--edges needs --domain box"),
+        (["--domain", "ball", "--t", "8", "--edges", "1,1"], "edges need a box domain"),
     ])
     def test_refuses_options_it_would_ignore(self, capsys, argv, message):
         code = dispatch(["volume", "--group", "sl3", *argv])
@@ -172,7 +178,7 @@ class TestEnumerate:
                          "--out", str(tmp_path / "census")])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and "--edges needs --domain box" in captured.err
+        assert captured.out == "" and "edges need a box domain" in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("damage", ["truncate", "drop_key", "drop_shard"])

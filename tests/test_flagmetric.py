@@ -267,7 +267,7 @@ class TestGromov:
         rng = np.random.default_rng(14)
         xi, eta = fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng))
         x = BasePoint(GroupElement.from_cartan_vector([e, 0.0, -e]))
-        hinv = pj._h_inverse(x)
+        hinv = x.h_inverse
         moved = fm.gromov_product(xi.translate(hinv), eta.translate(hinv))
         assert np.array_equal(fm.gromov_product(xi, eta, x), moved)
         assert not np.array_equal(moved, fm.gromov_product(xi, eta))
@@ -618,7 +618,7 @@ class TestFlatDistanceReference:
         for e, resolution in ((2, 2e-12), (4, 2e-9), (6, 2e-6), (7, None), (8, None), (10, None)):
             x = BasePoint(GroupElement.from_cartan_vector(np.array([e, -e / 2, -e / 2]) * math.log(10)))
             if resolution:
-                old = scaled_bfgs_flat_minimum(pj._h_inverse(x) @ witness(pair).mat)
+                old = scaled_bfgs_flat_minimum(x.h_inverse @ witness(pair).mat)
                 assert abs(fm.flat_distance(x, pair) - old) <= resolution * old, e
                 continue
             with pytest.raises(NumericError, match="beyond float64 resolution") as refused:
@@ -651,7 +651,7 @@ class TestFlatDistanceOracle:
         for i in range(2000):
             x = fixed[i % 4 - 1] if i % 4 else BasePoint(random_group(rng, 2, rng.uniform(0.1, 2.0)))
             pair = fm.TransversePair(fm.Flag(pj.random_so(2, rng)), fm.Flag(pj.random_so(2, rng)))
-            hinv = pj._h_inverse(x)
+            hinv = x.h_inverse
             new = fm.flat_distance(x, pair)
             ref = reference_flat_minimum(hinv @ witness(pair).mat)
             exact = decimal_sl2_flat_distance(hinv, pair.xi_plus.frame[:, 0], pair.xi_minus.frame[:, 0])
@@ -676,7 +676,7 @@ class TestFlatDistanceOracle:
         off = 0
         for x in (BasePoint.origin(3), BasePoint(GroupElement.from_cartan_vector(np.linspace(0.02, -0.02, 3))),
                   BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, 3)))):
-            hinv = pj._h_inverse(x)
+            hinv = x.h_inverse
             for g in criterion4_elements()[3]:
                 pair = certificate_pair(g, x)
                 new = fm.flat_distance(x, pair)

@@ -316,6 +316,22 @@ class TestCacheVerification:
         with pytest.raises(PreconditionError, match="config_hash"):
             lt.load_cache(tmp_path)
 
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("domain", "t", -1.0, "domain scale t must be positive"),
+        ("domain", "kind", "disk", "domain kind must be"),
+        ("domain", "edges", [1.0], "edges need a box domain"),
+        ("spec", "group", "sl4", "group must be sl2 or sl3"),
+    ])
+    def test_rejects_a_refused_config_that_passes_its_hash(self, tmp_path, part, key, value, message):
+        # the library's refusal was a ParameterError, and a ball with edges loaded
+        write_census(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[part][key] = value
+        manifest["config_hash"] = lt._config_hash(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PreconditionError, match=message):
+            lt.load_cache(tmp_path)
+
     def test_rejects_unlisted_shard(self, tmp_path):
         write_census(tmp_path)
         (tmp_path / "shard_0001.bin").write_bytes((tmp_path / "shard_0000.bin").read_bytes())

@@ -448,9 +448,9 @@ class TestVerdictTable:
     def test_one_frame_action_per_certificate(self, linalg_calls, monkeypatch):
         # d = 3: one SVD of the conjugate, one eigen-solve and one SVD per Newton evaluation
         # of the flat distance, each of one 3 x 3 matrix, and no QR; d = 2: none of them.
-        # At the shared origin neither builds an identity, compares with one or reads h_x^-1
+        # At the shared origin neither builds an identity, compares with one or computes h_x^-1
         evaluations, set_up = [], []
-        flat_row, h_inverse = fm._flat_row, pj._h_inverse
+        flat_row = fm._flat_row
         monkeypatch.setattr(fm, "_flat_row", lambda m: evaluations.append(1) or flat_row(m))
         cases = []
         for d in (2, 3):
@@ -460,9 +460,8 @@ class TestVerdictTable:
         for name in ("eye", "array_equal"):
             monkeypatch.setattr(np, name, lambda *a, _fn=getattr(np, name), _name=name, **k:
                                 set_up.append(_name) or _fn(*a, **k))
-        for module in (pj, fm):
-            monkeypatch.setattr(module, "_h_inverse", lambda x: set_up.append("_h_inverse") or h_inverse(x))
         for g, o, r, eps in cases:
+            o.__dict__.pop("h_inverse", None)  # the shared origin: another test may have read it
             linalg_calls.clear()
             evaluations.clear()
             set_up.clear()
@@ -471,6 +470,7 @@ class TestVerdictTable:
             assert sorted(linalg_calls) == expected
             assert bool(evaluations) == (g.d == 3)
             assert set_up == []
+            assert "h_inverse" not in o.__dict__
 
     def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
         # the solve runs only for an element that would be certified, so only there does
@@ -760,13 +760,14 @@ class TestFlatDistanceWork:
         assert not cert.certified
 
 
-def _clear_base_point_caches():
+def _clear_base_point_caches(*points):
     lx.cx_constant.cache_clear()
-    pj._h_inverse.cache_clear()
+    for x in points:
+        x.__dict__.pop("h_inverse", None)
 
 
 class TestBasePointCaches:
-    """C_x and h_x^-1 are memoised on the value of the base point; every certificate
+    """C_x and h_x^-1 are computed once per base point object; every certificate
     reads them."""
 
     def test_verdicts_cold_and_warm_are_identical(self):
@@ -775,44 +776,50 @@ class TestBasePointCaches:
         def rows():
             return [verdict_row(lx.certify(g, x, r, eps)) for _, g, x, r, eps in cases]
 
-        _clear_base_point_caches()
+        _clear_base_point_caches(*(x for _, _, x, _, _ in cases))
         cold = rows()
         assert rows() == cold
         assert lx.cx_constant.cache_info().hits >= len(cases)
 
     def test_integer_and_float_base_points_do_not_share_an_entry(self):
-        def exact():
-            return BasePoint(GroupElement.from_integer([[5, 2], [2, 1]]))
-
-        def floats():
-            return BasePoint(GroupElement([[5, 2], [2, 1]]))
-
+        exact = BasePoint(GroupElement.from_integer([[5, 2], [2, 1]]))
+        floats = BasePoint(GroupElement([[5, 2], [2, 1]]))
         # the exact and float paths round differently here, so a shared entry would show
-        assert lx.cx_constant.__wrapped__(exact()) != lx.cx_constant.__wrapped__(floats())
-        assert not np.array_equal(exact().h.inverse().mat, floats().h.inverse().mat)
+        assert lx.cx_constant.__wrapped__(exact) != lx.cx_constant.__wrapped__(floats)
+        assert not np.array_equal(exact.h.inverse().mat, floats.h.inverse().mat)
         for order in ((exact, floats), (floats, exact)):
-            _clear_base_point_caches()
-            for make in order + order:  # a miss, then a hit on a fresh but equal point
-                x = make()
+            _clear_base_point_caches(exact, floats)
+            for x in order + order:  # a miss, then a hit on the same object
                 assert lx.cx_constant(x) == lx.cx_constant.__wrapped__(x)
-                assert pj._h_inverse(x).tobytes() == x.h.inverse().mat.tobytes()
+                assert x.h_inverse.tobytes() == x.h.inverse().mat.tobytes()
+        assert lx.cx_constant.cache_info().hits == 2
 
     def test_cached_arrays_refuse_writes(self):
-        inverse = pj._h_inverse(BasePoint(GroupElement.from_cartan_vector([0.1, 0.0, -0.1])))
+        x = BasePoint(GroupElement.from_cartan_vector([0.1, 0.0, -0.1]))
         with pytest.raises(ValueError, match="read-only"):
-            inverse[0, 0] = 1.0
+            x.h_inverse[0, 0] = 1.0
+        with pytest.raises(AttributeError):  # the frozen dataclass refuses both
+            x.h_inverse = np.eye(3)
+        with pytest.raises(AttributeError):
+            del x.h_inverse
 
     def test_a_seen_base_point_takes_no_svd(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        _clear_base_point_caches()
-        y = [0.2, -0.05, -0.15]
-        first = lx.cx_constant(BasePoint(GroupElement.from_cartan_vector(y)))
-        assert len(calls) == 1
+        # C_x takes the one SVD of h_x itself; a second certificate at the same object
+        # takes every other SVD again but not that one
+        x = BasePoint(GroupElement.from_cartan_vector([0.2, -0.05, -0.15]))
+        consts = lx.fitted_constants(3)
+        r = 0.98 * consts.r0
+        eps = 0.9 * min(r / lx.cx_constant.__wrapped__(x), consts.eps0)
+        g = criterion4_elements()[3][0]
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k:
+                            calls.append(np.asarray(m).tobytes() == x.h.mat.tobytes()) or svd(m, *a, **k))
+        _clear_base_point_caches(x)
+        lx.certify(g, x, r, eps)
+        first = list(calls)
         calls.clear()
-        assert lx.cx_constant(BasePoint(GroupElement.from_cartan_vector(y))) == first
-        assert calls == []
+        lx.certify(g, x, r, eps)
+        assert first.count(True) == 1 and calls == [c for c in first if not c]
 
 
 class TestJordanCartanGap:

@@ -795,6 +795,14 @@ class TestDomain:
         with pytest.raises(ParameterError):
             Domain("ball", 2.0, regular_margin=0.1, slab=0.5)
 
+    def test_edges_need_a_box(self):
+        # a ball with edges was accepted, with the plain ball's volume
+        for edges in ((1.0,), ()):
+            with pytest.raises(ParameterError, match="edges need a box domain, got kind 'ball'"):
+                Domain("ball", 3.0, edges)
+        with pytest.raises(ParameterError, match="edges need a box domain"):
+            V.slab_volume(2, 4.0, 1.0, "ball", (1.0,))
+
     def test_membership(self):
         rs = root_system(2)
         dom = Domain("ball", 2.0)
