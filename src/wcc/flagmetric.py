@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -41,8 +41,6 @@ FLAT_RESOLUTION = 1e-5  # d >= 3 flat distances are refused where eps s_1 / s_d 
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 _SINGULAR_WITNESS = "witness frame is singular"
 _R2, _R6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)
-# the columns of the zero-sum basis B of ``_flat_row``, rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6
-_ZERO_SUM_COLUMNS = ((_R2, _R6), (-_R2, _R6), (0.0, -2.0 * _R6))
 
 
 def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
@@ -312,7 +310,7 @@ def _flat_row(m: np.ndarray):
     grad F = 2k sum_i a_i z_ii and Hess F = 2k sum_ij phi(a_i - a_j) z_ij z_ij^T,
     phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o.  B has the
     rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6, and z_ij = z_ji."""
-    r2, r6, k = _R2, _R6, root_system(3).killing_scale
+    r2, r6, k = _R2, _R6, 6.0  # the d = 3 Killing scale 2d
     _, s, vh = np.linalg.svd(m)
     s = s.tolist()
     if not (s[-1] > 0.0 and all(map(math.isfinite, s))):
@@ -337,9 +335,11 @@ def _flat_row(m: np.ndarray):
 
 
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
-    """Distance from x to the maximal flat of a transverse pair: the one-row case of
-    ``_flat_distances``."""
-    value = _flat_distances(x, pair.xi_plus.frame[None], pair.xi_minus.frame[None])[0]
+    """Distance from x to the maximal flat of a transverse pair: at d = 3 ``_sl3_flat_distance``
+    of its lines and plane normals, else the one-row case of ``_flat_distances``."""
+    plus, minus = pair.xi_plus.frame, pair.xi_minus.frame
+    value = (_sl3_flat_distance(x, *plus.T[::2].tolist(), *minus.T[::2].tolist()) if x.d == 3
+             else _flat_distances(x, plus[None], minus[None])[0])
     if isinstance(value, WccError):
         raise value
     return value
@@ -348,22 +348,27 @@ def flat_distance(x: BasePoint, pair: TransversePair) -> float:
 def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
     """Distance from x to the maximal flat of each pair of a stack (n, d, d) of SO(d)
     frames: per row the distance, or the library error the row raises.  At d = 2 the closed
-    form ``_sl2_flat_distances``; at d = 3 ``_flat_minimum`` of m = h_x^-1 w (w at the shared
-    origin), w the witness (``_sl3_witness``) of the row's lines and plane normals."""
+    form ``_sl2_flat_distances``; at d = 3 ``_sl3_flat_distance`` of each row."""
     if x.d == 2:
         values, singular = _sl2_flat_distances(x, plus, minus)
         return [TransversalityError(_SINGULAR_WITNESS) if bad else value
                 for value, bad in zip(values.tolist(), singular.tolist())]
     if x.d != 3:
         raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {x.d}")
-    to_x, rows = np.array if x is BasePoint.origin(3) else partial(np.matmul, x.h_inverse), []
-    for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2))):
-        witness, error = _sl3_witness(*flags)
-        try:
-            rows.append(TransversalityError(error) if error else _flat_minimum(to_x(witness)))
-        except WccError as exc:
-            rows.append(exc)
-    return rows
+    return [_sl3_flat_distance(x, *flags)
+            for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2)))]
+
+
+def _sl3_flat_distance(x: BasePoint, p1, p3, m1, m3):
+    """Distance from x to the flat of one SO(3) flag pair (unit lines p1, m1, plane normals p3, m3), or
+    the library error it raises: ``_flat_minimum`` of h_x^-1 w (w at the origin), w its witness."""
+    witness, error = _sl3_witness(p1, p3, m1, m3)
+    if error:
+        return TransversalityError(error)
+    try:
+        return _flat_minimum(np.array(witness) if x is BasePoint.origin(3) else x.h_inverse @ witness)
+    except WccError as exc:
+        return exc
 
 
 def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
@@ -405,32 +410,31 @@ def _flat_minimum(m: np.ndarray) -> float:
     e = 2 .. 9, the value was within 0.05 eps s_1 / s_d of a 60-digit SVD (1.8e-14 at
     e = 2, d_X(o, x) = 13.8; 6.4e-8 at e = 6), and it is refused from e = 7.
     """
-    def evaluate(coords: list):
-        y = [_dot(coords, col) for col in _ZERO_SUM_COLUMNS]
+    def evaluate(c0, c1):
+        y0, y1, y2 = c0 * _R2 + c1 * _R6, c1 * _R6 - c0 * _R2, c1 * (-2.0 * _R6)  # Y = B^T c, B of ``_flat_row``
         # keep exp() finite during line searches; F is coercive, so a growing
         # penalty outside the window cannot hide the minimum
-        if max(map(abs, y)) <= 250.0 and (row := _flat_row(m * np.exp(y))) is not None:
+        if max(abs(y0), abs(y1), abs(y2)) <= 250.0 and (row := _flat_row(m * np.exp((y0, y1, y2)))):
             return row
-        return (1e12 + _dot(coords, coords), [2.0 * c for c in coords],
-                [[2.0, 0.0], [0.0, 2.0]], math.inf)
+        return 1e12 + (c0 * c0 + c1 * c1), (2.0 * c0, 2.0 * c1), ((2.0, 0.0), (0.0, 2.0)), math.inf
 
-    y = [0.0, 0.0]
-    f, g, h, spread = evaluate(y)
+    y0 = y1 = 0.0
+    f, (g0, g1), h, spread = evaluate(y0, y1)
     for _ in range(400):
-        if max(map(abs, g)) <= FLAT_TOL:
+        if max(abs(g0), abs(g1)) <= FLAT_TOL:
             break
-        p = [-v for v in _solve(h, g)]
-        slope = _dot(g, p)
+        p0, p1 = _solve(h, -g0, -g1)
+        slope = g0 * p0 + g1 * p1
         t = 1.0
         for _ in range(60):
-            trial = [a + t * b for a, b in zip(y, p)]
-            f_new, g_new, h_new, spread_new = evaluate(trial)
+            trial = y0 + t * p0, y1 + t * p1
+            f_new, g_new, h_new, spread_new = evaluate(*trial)
             if f_new <= f + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
             break
-        y, f_old, f, g, h, spread = trial, f, f_new, g_new, h_new, spread_new
+        (y0, y1), f_old, f, (g0, g1), h, spread = trial, f, f_new, g_new, h_new, spread_new
         if f_old - f <= 1e-15 * f_old:
             break
     value = math.sqrt(f)
@@ -439,19 +443,19 @@ def _flat_minimum(m: np.ndarray) -> float:
             f"flat distance beyond float64 resolution: value {value}, s_1/s_d {np.exp(spread):.3e}")
     if value > 1e-3:
         # gradient of the distance itself: grad F / (2 sqrt F)
-        grad_norm = math.hypot(*g) / (2.0 * value)
+        grad_norm = math.hypot(g0, g1) / (2.0 * value)
         if grad_norm > 1e-4 * max(1.0, value):
             raise NumericError(
                 f"flat-distance optimizer did not converge: value {value}, gradient {grad_norm}"
             )
-    return math.sqrt(max(0.0, f - 0.5 * _dot(g, _solve(h, g))))
+    return math.sqrt(max(0.0, f - 0.5 * _dot((g0, g1), _solve(h, g0, g1))))
 
 
-def _solve(h, g) -> list:
-    """h^-1 g of the 2 x 2 Newton system by Cramer's rule (np.linalg.solve: 6x the time)."""
-    ((a, b), (c, d)), (u, v) = h, g
+def _solve(h, u, v) -> tuple:
+    """h^-1 (u, v) of the 2 x 2 Newton system by Cramer's rule (np.linalg.solve: 6x the time)."""
+    (a, b), (c, d) = h
     det = a * d - b * c
-    return [(d * u - b * v) / det, (a * v - c * u) / det]
+    return (d * u - b * v) / det, (a * v - c * u) / det
 
 
 def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:

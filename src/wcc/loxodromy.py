@@ -241,8 +241,14 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     and plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
     and between their normals."""
     u, s, vh = np.linalg.svd(conj.mat)
-    logs = pj._robust_logs(s) if conj.int_mat is None else pj.cartan_vector(conj)  # exact for an integer conj
-    conditions = _conditions(float(root_system(3).wall_distances(logs)), t0)
+    if conj.int_mat is None:  # wall_distances(_robust_logs(s)) in floats, bit for bit
+        a1, a2, a3 = logs = np.log(np.maximum(s, 1e-300)).tolist()  # np.log: math.log differs in the last bit
+        mean = sum(logs) / 3.0  # left to right, as numpy sums three values
+        root = min((a1 - mean) - (a2 - mean), (a2 - mean) - (a3 - mean))  # the simple roots share one dual norm
+        wall = (root if root > 0.0 else 0.0) / float(root_system(3).simple_dual_norms[0])  # clipped as np.where
+    else:  # the exact logs of an integer conj
+        wall = float(root_system(3).wall_distances(pj.cartan_vector(conj)))
+    conditions = _conditions(wall, t0)
     if not conditions["wall_margin_ok"]:
         return conditions, False, None
     if x is BasePoint.origin(3):

@@ -6,7 +6,7 @@ import pytest
 
 from wcc import flagmetric as fm
 from wcc import projections as pj
-from wcc.errors import LoxodromyError, NumericError, PreconditionError, TransversalityError
+from wcc.errors import LoxodromyError, NumericError, PreconditionError, TransversalityError, WccError
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
@@ -56,6 +56,19 @@ def one_pair_witness(plus, minus):
 
 def rotation(theta):
     return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def near_coplanar_frames(rng, s):
+    """SO(3) frames whose second subspaces give the system [p_1 p_2 -m_1 -m_2] the d-th
+    singular value s, s^2 = 1 - cos(theta) for the angle theta between the normals p_3, m_3."""
+    plus = pj.random_so(3, rng)
+    axis = plus @ np.array([0.6, 0.8, 0.0])  # in the plane of p_1 and p_2
+    theta = 2.0 * math.asin(s / math.sqrt(2.0))
+    cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    turn = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * cross @ cross
+    spin = np.eye(3)
+    spin[:2, :2] = rotation(1.0)  # keeps m_3 = turn p_3 and moves m_1 off the line p_1
+    return plus, turn @ plus @ spin
 
 
 def m_gauges(d):
@@ -165,18 +178,41 @@ class TestTransversality:
             fm.TransversePair(fm.eta0(3), fm.eta0(3))
 
     def test_stacked_witnesses_fail_row_by_row(self):
+        # the stack and the one-pair flat_distance share one d = 3 row kernel: row by row the
+        # same value bit for bit, or the same error class and message, at the origin, a float
+        # and an integer base point, and the x at which the seeded pair of
+        # test_refuses_a_distance_beyond_float64_resolution is refused (e = 7)
         rng = np.random.default_rng(9)
-        a, b = pj.random_so(3, rng, size=3), pj.random_so(3, rng, size=3)
+        a, b = pj.random_so(3, rng, size=5), pj.random_so(3, rng, size=5)
         a[1], b[1] = np.eye(3), np.eye(3)  # the second and third forward subspaces meet in a plane
-        o = BasePoint.origin(3)
-        rows = fm._flat_distances(o, a, b)
+        a[3], b[3] = near_coplanar_frames(np.random.default_rng(11), 0.99e-7)  # transverse, refused
+        seeded = np.random.default_rng(1)
+        a[4], b[4] = (fm.Flag(pj.random_so(3, seeded)).frame for _ in range(2))
+        far = BasePoint(GroupElement.from_cartan_vector(np.array([7, -3.5, -3.5]) * math.log(10)))
+        points = (BasePoint.origin(3), BasePoint(random_group(rng, 3, 0.5)),
+                  BasePoint(GroupElement.from_integer([[1, 1, 0], [0, 1, 0], [0, 0, 1]])), far)
         with pytest.raises(TransversalityError) as err:
             transverse_witness(fm.eta0(3), fm.eta0(3))
-        assert isinstance(rows[1], TransversalityError) and str(rows[1]) == str(err.value)
-        assert str(rows[1]).startswith("subspaces meet in more than a line")
-        for i in (0, 2):
-            assert rows[i] == fm.flat_distance(o, fm.TransversePair(fm.Flag(a[i]), fm.Flag(b[i])))
-
+        with pytest.raises(TransversalityError, match="not transverse"):
+            fm.TransversePair(fm.Flag(a[1]), fm.Flag(b[1]))
+        for x in points:
+            rows = fm._flat_distances(x, a, b)
+            assert isinstance(rows[1], TransversalityError) and str(rows[1]) == str(err.value)
+            assert str(rows[1]).startswith("subspaces meet in more than a line")
+            assert isinstance(rows[3], TransversalityError)
+            assert str(rows[3]).startswith("subspaces meet in more than a line (d-th singular value 9.9")
+            if x is not far:
+                assert all(isinstance(rows[i], float) for i in (0, 2, 4))
+            for i in (0, 2, 3, 4):
+                try:
+                    one = fm.flat_distance(x, fm.TransversePair(fm.Flag(a[i]), fm.Flag(b[i])))
+                except WccError as exc:
+                    one = exc
+                if isinstance(one, float):
+                    assert one == rows[i], (x, i)
+                else:
+                    assert type(one) is type(rows[i]) and str(one) == str(rows[i]), (x, i)
+        assert isinstance(rows[4], NumericError) and "beyond float64 resolution" in str(rows[4])
 
     def test_stacked_witness_solve_is_the_per_dimension_reference(self):
         # the closed form against one SVD per subspace dimension, row by row on the stacks
@@ -205,15 +241,7 @@ class TestTransversality:
     def test_witness_threshold_is_the_reference_threshold(self, s, refused):
         # second subspaces whose system [p_1 p_2 -m_1 -m_2] has d-th singular value s,
         # s^2 = 1 - cos(theta) for the angle theta between the normals p_3 and m_3
-        rng = np.random.default_rng(11)
-        plus = pj.random_so(3, rng)
-        axis = plus @ np.array([0.6, 0.8, 0.0])  # in the plane of p_1 and p_2
-        theta = 2.0 * math.asin(s / math.sqrt(2.0))
-        cross = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
-        turn = np.eye(3) + math.sin(theta) * cross + (1.0 - math.cos(theta)) * cross @ cross
-        spin = np.eye(3)
-        spin[:2, :2] = rotation(1.0)  # keeps m_3 = turn p_3 and moves m_1 off the line p_1
-        minus = turn @ plus @ spin
+        plus, minus = near_coplanar_frames(np.random.default_rng(11), s)
         w, error = one_pair_witness(plus, minus)
         ref, ref_errors = reference_witness_frames(plus[None], minus[None])
         assert (error is not None) == (ref_errors[0] is not None) == refused
@@ -560,10 +588,10 @@ class TestFlatDistanceReference:
             fd = np.array([(grad(m, coords + step * e) - grad(m, coords - step * e)) / (2.0 * step)
                            for e in np.eye(d - 1)])
             assert np.max(np.abs(hess - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(hess))))
-        # the kernel's constant column of B and Newton's columns of B are the zero-sum
-        # basis as it is rounded
+        # the kernel's constant column of B and the coefficients of Y = B^T c that Newton
+        # writes out are the zero-sum basis as it is rounded
         assert basis[:, 0].tolist() == [fm._R2, fm._R6]
-        assert basis.T.tolist() == list(map(list, fm._ZERO_SUM_COLUMNS))
+        assert basis.tolist() == [[fm._R2, -fm._R2, 0.0], [fm._R6, fm._R6, -2.0 * fm._R6]]
         # on a flat through o every a_i - a_j is 0, where phi(x) = x coth x takes its limit 1
         for m in pj.random_so(d, rng, size=5):
             assert np.max(np.abs(fm._flat_row(m)[2] - 2.0 * k * np.eye(d - 1))) <= 1e-14 * k

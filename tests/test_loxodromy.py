@@ -12,7 +12,7 @@ from wcc import survey as sv
 from wcc.errors import LoxodromyError, NumericError, ParameterError, PreconditionError
 from wcc.lattice import LatticeSpec, enumerate_elements
 from wcc.projections import BasePoint, GroupElement
-from wcc.rootsys import root_system
+from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain
 
 from conftest import criterion4_elements, random_group
@@ -472,6 +472,37 @@ class TestVerdictTable:
             assert set_up == []
             assert "h_inverse" not in o.__dict__
 
+    def test_lapack_calls_of_a_d3_certificate(self, linalg_calls, monkeypatch):
+        # a float conjugate's wall distance comes from the certificate's own SVD: rejected at
+        # the wall margin it makes that one SVD and no eigen-solve, certified it makes 1 + n
+        # SVDs for n Newton evaluations and one eigen-solve, and neither goes through
+        # cartan_vector or wall_distances; an integer conjugate keeps the exact logs
+        o, r, eps = admissible_parameters(3)  # C_x of the origin before the counters
+        rejected = [GroupElement.from_cartan_vector([w, 0.0, -w]) for w in (1e-4, 3.0)]
+        rejected.append(GroupElement(pj.random_so(3, np.random.default_rng(108)), check=False))
+        certified = [criterion4_elements()[3][0],
+                     GroupElement.from_cartan_vector(deep_regular_vector(3, o, eps))]
+        integer = next(g for label, g, *_ in certify_cases() if label == "integer d=3")
+        calls = []
+        for owner, name in ((pj, "cartan_vector"), (RootSystemA, "wall_distances"), (fm, "_flat_row")):
+            monkeypatch.setattr(owner, name, lambda *a, _fn=getattr(owner, name), _name=name:
+                                calls.append(_name) or _fn(*a))
+        for g in rejected + certified + [integer]:
+            linalg_calls.clear()
+            calls.clear()
+            cert = lx.certify(g, o, r, eps)
+            if g is integer:
+                assert calls.count("cartan_vector") == calls.count("wall_distances") == 1
+                continue
+            n = calls.count("_flat_row")
+            assert calls == ["_flat_row"] * n
+            if g in rejected:
+                assert not cert.conditions["wall_margin_ok"] and n == 0
+                assert linalg_calls == [("svd", (3, 3))]
+            else:
+                assert cert.certified and n > 0
+                assert sorted(linalg_calls) == [("eig", (3, 3))] + [("svd", (3, 3))] * (1 + n)
+
     def test_eigen_solver_failure_raises_only_when_certified(self, monkeypatch):
         # the solve runs only for an element that would be certified, so only there does
         # its failure reach the caller
@@ -634,6 +665,33 @@ class TestSl3Pass:
             bound = sl3_error_bound(g, o)
             for value, ref in zip(cert.fixed_point_errors, errors, strict=True):
                 assert abs(value - ref) <= bound, (g, value, ref)
+
+    def test_float_wall_distance_is_the_kernel_of_its_logs(self):
+        # a float conjugate's wall distance, in Python floats from the logs of the
+        # certificate's SVD, is wall_distances(_robust_logs(s)) of that SVD bit for bit: over
+        # the float pinned cases, criterion 4's family, and at the origin and a float base
+        # point the benchmark's adversarial shapes and two elements with a repeated singular
+        # value, whose zero root clips to +0.0.  One division serves both simple roots
+        rs = root_system(3)
+        assert rs.simple_dual_norms[0] == rs.simple_dual_norms[1]
+        rng = np.random.default_rng(109)
+        o, r, _ = admissible_parameters(3)
+        shapes = [GroupElement(np.eye(3) + n * np.eye(3, k=2)) for n in (1, 7, 100, 10**4, 10**6)]
+        shapes += [GroupElement(pj.random_so(3, rng), check=False) for _ in range(10)]
+        shapes += [GroupElement.from_cartan_vector([w, 0.0, -w]) for w in (1e-4, 0.1, 1.0, 3.0)]
+        repeated = [GroupElement(np.eye(3)), GroupElement.from_cartan_vector([1.0, 1.0, -2.0])]
+        cases = [case for case in self.grid() if case[0].int_mat is None]
+        for x in (o, BasePoint(random_group(rng, 3, 0.3))):
+            eps = 0.5 * min(r / lx.cx_constant(x), lx.fitted_constants(3).eps0)
+            cases += [(g, x, r, eps) for g in shapes + repeated]
+        assert len(cases) == 50 + 500 + 2 * 21  # 40 built about t_zero and 10 adversarial pinned
+        for g, x, r, eps in cases:
+            wall = lx.certify(g, x, r, eps).conditions["wall_distance"]
+            s = np.linalg.svd(pj._conjugate(g, x).mat)[1]
+            assert type(wall) is float and wall == float(rs.wall_distances(pj._robust_logs(s))), g
+            assert math.copysign(1.0, wall) == 1.0, g
+            if g in repeated and x is o:
+                assert wall == 0.0, g
 
     def test_decimal_wall_distance_is_within_the_float_resolution(self):
         # the bisection against the wall distance of every d = 3 pinned case but the float
