@@ -24,6 +24,7 @@ from .errors import (
     TransversalityError,
     WccError,
 )
+from . import projections as pj
 from .projections import (
     BasePoint,
     GroupElement,
@@ -311,7 +312,7 @@ def _flat_row(m: np.ndarray):
     phi(x) = x coth x, phi(0) = 1: at least 2k I, and 2k I on a flat through o.  B has the
     rows (1, -1, 0) / sqrt 2 and (1, 1, -2) / sqrt 6, and z_ij = z_ji."""
     r2, r6, k = _R2, _R6, 6.0  # the d = 3 Killing scale 2d
-    _, s, vh = np.linalg.svd(m)
+    _, s, vh = pj._lapack("svd_f", m)
     s = s.tolist()
     if not (s[-1] > 0.0 and all(map(math.isfinite, s))):
         return None
@@ -419,7 +420,10 @@ def _flat_minimum(m: np.ndarray) -> float:
         return 1e12 + (c0 * c0 + c1 * c1), (2.0 * c0, 2.0 * c1), ((2.0, 0.0), (0.0, 2.0)), math.inf
 
     y0 = y1 = 0.0
-    f, (g0, g1), h, spread = evaluate(y0, y1)
+    if (row := _flat_row(m)) is None:  # s_d of m itself is 0 or not finite: no step can start
+        s = pj._lapack("svd_f", m)[1]  # that SVD again, bit for bit, for the refusal to name
+        raise NumericError(f"flat distance beyond float64 resolution: s_1 {s[0]:.3e}, s_d {s[-1]:.3e}")
+    f, (g0, g1), h, spread = row
     for _ in range(400):
         if max(abs(g0), abs(g1)) <= FLAT_TOL:
             break

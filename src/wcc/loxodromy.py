@@ -240,7 +240,7 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     eigen-solve of gamma for its loxodromy (``_loxodromic``) and fixed flags.  Each flag is a unit line
     and plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
     and between their normals."""
-    u, s, vh = np.linalg.svd(conj.mat)
+    u, s, vh = pj._lapack("svd_f", conj.mat)
     if conj.int_mat is None:  # wall_distances(_robust_logs(s)) in floats, bit for bit
         a1, a2, a3 = logs = np.log(np.maximum(s, 1e-300)).tolist()  # np.log: math.log differs in the last bit
         mean = sum(logs) / 3.0  # left to right, as numpy sums three values

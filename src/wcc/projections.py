@@ -134,6 +134,19 @@ def _robust_logs(values_desc: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lapack(name: str, m: np.ndarray):
+    """numpy's LAPACK gufunc ``svd_f`` (u, s, vh), ``svd`` (s), ``eig`` (w, v) or ``eigvals`` (w) on float64
+    input: np.linalg's result bit for bit, without its Python wrapper, and eigen-pairs stay complex."""
+    if name.startswith("eig") and not np.isfinite(m).all():  # which np.linalg refuses before LAPACK
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return getattr(np.linalg._umath_linalg, name)(m)
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("LAPACK solver did not converge")
+
+
 def _compound_logs(mats: np.ndarray, top, first=None) -> np.ndarray:
     """Logs a_k = log(T_k / T_(k-1)) of integer det-one matrices (d >= 3), T_0 = T_d = 1, T_k the top
     singular value or eigenvalue modulus ``top`` of their exact k-th compound (``first`` passes T_1).
@@ -186,7 +199,7 @@ def _so_sign_fix(u, vh=None) -> None:
 
 def cartan_batch(mats):
     """Stacked Cartan decomposition: mats = k exp(a) l^-1 with k,l in SO(d)."""
-    u, s, vh = np.linalg.svd(np.asarray(mats, dtype=float))
+    u, s, vh = _lapack("svd_f", np.asarray(mats, dtype=float))
     _so_sign_fix(u, vh)
     return u, _robust_logs(s), np.swapaxes(vh, -1, -2)
 
@@ -221,7 +234,7 @@ def _cartan_rows(mats: np.ndarray) -> np.ndarray:
     if mats.shape[1] == 2:
         s = 0.5 * np.arccosh(np.einsum("nij,nij->n", mats, mats).astype(float) / 2.0)
         return np.stack([s, 0.0 - s], axis=1)  # 0.0 - s: +0.0, not -0.0, at s = 0
-    return _compound_logs(mats, lambda c: np.linalg.svd(c, compute_uv=False)[:, 0])
+    return _compound_logs(mats, lambda c: _lapack("svd", c)[:, 0])
 
 
 def cartan_vector(g) -> np.ndarray:
@@ -251,22 +264,22 @@ def _int_char_discriminant(mats):
     d = mats.shape[-1]
     if d > 3:
         return None
-    # int64 stacks keep tr^2 - 4 exact; the transposes t have the same characteristic
-    # polynomials, and t[i, j] is a scalar for a single matrix
-    t = (mats.astype(object) if d == 3 else mats).T
+    # int64 stacks (entries within 2^30) keep tr^2 - 4 and |c1| <= 3 * 2^61 exact; the transposes t
+    # have the same characteristic polynomials, and t[i, j] is a scalar for a single matrix
+    t = mats.T
     tr = sum(t[i, i] for i in range(d))
     if d == 2:
         return tr * tr - 4
     c1 = sum(t[i, i] * t[j, j] - t[i, j] * t[j, i] for i, j in ((0, 1), (0, 2), (1, 2)))
-    # x^3 - tr x^2 + c1 x - 1
+    tr, c1 = np.asarray(tr, dtype=object), np.asarray(c1, dtype=object)  # x^3 - tr x^2 + c1 x - 1 in Python ints
     return tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27
 
 
 def _eig(mats, vectors: bool = False):
     """Eigenvalues (with ``vectors``, eigenvalues and eigenvectors) of one float matrix
-    or a stack; a solver failure is a NumericError."""
+    or a stack, complex; a solver failure is a NumericError."""
     try:
-        return np.linalg.eig(mats) if vectors else np.linalg.eigvals(mats)
+        return _lapack("eig" if vectors else "eigvals", mats)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solver failed on {mats!r}") from exc
 

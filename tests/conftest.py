@@ -77,9 +77,14 @@ def classes_trace_10():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """The (name, shape) of every np.linalg svd, eig, eigvals, qr, det and solve call."""
+    """The (name, shape) of every svd, eig and eigvals call of the library, through its one LAPACK
+    helper ``projections._lapack`` (whose ``svd_f`` and ``svd`` both count as svd), and of every
+    np.linalg qr, det and solve call."""
     calls = []
-    for name in ("svd", "eig", "eigvals", "qr", "det", "solve"):
+    lapack = pj._lapack
+    monkeypatch.setattr(pj, "_lapack", lambda name, m: calls.append(
+        ("svd" if name.startswith("svd") else name, np.shape(m))) or lapack(name, m))
+    for name in ("qr", "det", "solve"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda m, *args, _fn=fn, _name=name, **kwargs:
                             calls.append((_name, np.shape(m))) or _fn(m, *args, **kwargs))

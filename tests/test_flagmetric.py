@@ -654,6 +654,20 @@ class TestFlatDistanceReference:
             ratio = float(re.search(r"s_1/s_d (\S+)$", str(refused.value)).group(1))
             assert np.finfo(float).eps * ratio > fm.FLAT_RESOLUTION, e
 
+    def test_refuses_a_zero_s_d_with_the_singular_values_it_measured(self):
+        # the SVD of this witness conjugate at Y = 0 returns s_3 = 0.0: no Newton step can
+        # start, so the refusal names that s_1 and s_d and no distance (not the 1e6 of the
+        # penalty that stands in for F where s_d = 0)
+        rng = np.random.default_rng(3)
+        plus, minus = pj.random_so(3, rng), pj.random_so(3, rng)
+        x = BasePoint(GroupElement.from_cartan_vector([40, 0, -40]))
+        s = np.linalg.svd(x.h_inverse @ np.array(one_pair_witness(plus, minus)[0]))[1]
+        assert s[0] > 1e17 and s[-1] == 0.0
+        with pytest.raises(NumericError) as refused:
+            fm.flat_distance(x, fm.TransversePair(fm.Flag(plus), fm.Flag(minus)))
+        assert str(refused.value) == (
+            f"flat distance beyond float64 resolution: s_1 {s[0]:.3e}, s_d {s[-1]:.3e}")
+
 
 def certificate_pair(g, x):
     """The pair whose flat a certificate of g at x measures: its two angular flags."""

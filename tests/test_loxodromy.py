@@ -514,10 +514,14 @@ class TestVerdictTable:
         conditions = lx.certify(far, o, r, eps).conditions
         assert conditions["wall_margin_ok"] and conditions["transverse_ok"] and conditions["flat_dist"] > r
 
-        def failing(m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        lapack = pj._lapack
 
-        monkeypatch.setattr(np.linalg, "eig", failing)
+        def failing(name, m):
+            if name == "eig":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return lapack(name, m)
+
+        monkeypatch.setattr(pj, "_lapack", failing)
         with pytest.raises(NumericError, match="eigenvalue solver failed"):
             lx.certify(near, o, r, eps)
         cert = lx.certify(far, o, r, eps)
@@ -796,8 +800,9 @@ class TestFlatDistanceWork:
         # the witness is a closed form in 3-vectors: no SVD of its systems [a, -b], 3 x 4;
         # every SVD of the certificate is of one 3 x 3 matrix
         calls, witnesses = [], []
-        svd, witness = np.linalg.svd, fm._sl3_witness
-        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: calls.append(np.shape(m)) or svd(m, *a, **k))
+        lapack, witness = pj._lapack, fm._sl3_witness
+        monkeypatch.setattr(pj, "_lapack", lambda name, m:
+                            (name.startswith("svd") and calls.append(np.shape(m))) or lapack(name, m))
         monkeypatch.setattr(fm, "_sl3_witness", lambda *args: witnesses.append(args) or witness(*args))
         o, r, eps = admissible_parameters(3)
         assert lx.certify(criterion4_elements()[3][0], o, r, eps).certified
@@ -869,9 +874,9 @@ class TestBasePointCaches:
         r = 0.98 * consts.r0
         eps = 0.9 * min(r / lx.cx_constant.__wrapped__(x), consts.eps0)
         g = criterion4_elements()[3][0]
-        calls, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k:
-                            calls.append(np.asarray(m).tobytes() == x.h.mat.tobytes()) or svd(m, *a, **k))
+        calls, lapack = [], pj._lapack
+        monkeypatch.setattr(pj, "_lapack", lambda name, m: (name.startswith("svd") and calls.append(
+            np.asarray(m).tobytes() == x.h.mat.tobytes())) or lapack(name, m))
         _clear_base_point_caches(x)
         lx.certify(g, x, r, eps)
         first = list(calls)

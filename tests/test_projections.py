@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from wcc import flagmetric as fm
 from wcc import lattice as lt
 from wcc import projections as pj
-from wcc.errors import PreconditionError, RegularityError
+from wcc.errors import NumericError, PreconditionError, RegularityError
 from wcc.projections import BasePoint, GroupElement
 from wcc.rootsys import root_system
 
-from conftest import random_group
+from conftest import random_group, random_group_batch
 from projection_reference import (
     busemann,
     cartan_distance,
@@ -438,6 +438,71 @@ class TestCompound:
         fm.fixed_points(g)
         assert [c for c in linalg_calls if c[0] in ("svd", "eig", "eigvals")] == [
             ("eig", (3, 3)), ("eigvals", (1, 3, 3))]
+
+    def test_int64_discriminants_are_the_python_int_ones(self):
+        # tr and c1 in int64, only the cubic in Python ints: against the all-object path on
+        # the radius-4 word ball and on entries at +-2^30, where |c1| reaches 3 * 2^61
+        ball = np.array(lt._word_ball(lt._default_sl3_generators(), 4), dtype=np.int64)
+        edge = np.random.default_rng(2705).choice([-2**30, 2**30, 2**30 - 1, -1, 0, 1], size=(500, 3, 3))
+        top = 2**30 * np.array([[[1, 1, 1], [-1, 1, 1], [-1, -1, 1]]])
+        for stack in (ball, edge, top, -top):
+            got = pj._int_char_discriminant(stack)
+            assert got.dtype == object and all(type(v) is int for v in got)
+            assert got.tolist() == pj._int_char_discriminant(stack.astype(object)).tolist()
+        tr, c1 = 3 * 2**30, 3 * 2**61
+        assert pj._int_char_discriminant(top)[0] == tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27
+        # an integer element has no 2^30 bound: its one-row stack stays in Python ints
+        a, b = 2**35 + 3, 2**35 - 5
+        g = GroupElement.from_integer([[1 + a * b, a, a], [b, 1, 1], [0, 0, 1]])
+        tr = c1 = 3 + a * b  # principal minors 1, 1 + ab and 1
+        assert pj._int_char_discriminant(pj._one_row(g)).tolist() == [
+            tr**2 * c1**2 - 4 * c1**3 - 4 * tr**3 + 18 * tr * c1 - 27]
+
+
+class TestLapack:
+    """``_lapack`` calls the LAPACK gufuncs behind np.linalg's svd, eig and eigvals: the same
+    outputs bit for bit, with eigen-pairs kept complex."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        if not np.iscomplexobj(want):  # np.linalg drops an imaginary part that is zero throughout
+            assert not np.any(got.imag)
+            got = got.real
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_agrees_with_np_linalg(self):
+        rng = np.random.default_rng(2706)
+        ball = np.array(lt._word_ball(lt._default_sl3_generators(), 3), dtype=np.int64)
+        one = np.array([elementary_word(rng, 3, 30)], dtype=object)
+        inputs = [*rng.normal(size=(5, 3, 3)), random_group(rng, 3, 2.0).mat,
+                  random_group_batch(rng, 2, 50), random_group_batch(rng, 3, 50),
+                  rng.normal(size=(50, 2, 2)), rng.normal(size=(50, 3, 3)), ball.astype(float),
+                  *(pj._compound(stack, k).astype(float) for stack in (ball, one) for k in (1, 2))]
+        complex_rows = 0
+        for m in inputs:
+            u, s, vh = np.linalg.svd(m)
+            for got, want in zip(pj._lapack("svd_f", m), (u, s, vh)):
+                self.assert_same_bits(got, want)
+            self.assert_same_bits(pj._lapack("svd", m), np.linalg.svd(m, compute_uv=False))
+            w, v = np.linalg.eig(m)
+            for got, want in zip(pj._lapack("eig", m), (w, v)):
+                self.assert_same_bits(got, want)
+            self.assert_same_bits(pj._lapack("eigvals", m), np.linalg.eigvals(m))
+            complex_rows += int(np.sum(np.any(np.asarray(w).imag != 0.0, axis=-1)))
+        assert complex_rows > 50  # single matrices and rows of stacks with a complex spectrum
+
+    def test_nan_input_raises(self):
+        # as np.linalg does: its eig and eigvals refuse before LAPACK, its svd fails in LAPACK
+        for m in (np.array([[np.nan, 1.0], [0.0, 1.0]]), np.full((3, 3), np.nan),
+                  np.stack([np.eye(3), np.diag([np.nan, 1.0, 1.0])])):
+            for name, today in (("svd_f", np.linalg.svd), ("svd", functools.partial(np.linalg.svd, compute_uv=False)),
+                                ("eig", np.linalg.eig), ("eigvals", np.linalg.eigvals)):
+                for solve in (functools.partial(pj._lapack, name), today):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        solve(m)
+            for vectors in (False, True):
+                with pytest.raises(NumericError, match="eigenvalue solver failed"):
+                    pj._eig(m, vectors)
 
 
 class TestIwasawa:
