@@ -39,6 +39,7 @@ from .rootsys import root_system
 FRAME_ORTHO_TOL = 1e-8
 FLAT_TOL = 1e-8  # flat_distance stops at max |grad F| <= FLAT_TOL
 FLAT_RESOLUTION = 1e-5  # d >= 3 flat distances are refused where eps s_1 / s_d exceeds this
+_MAX_SPREAD = math.log(FLAT_RESOLUTION / np.finfo(float).eps)  # the log(s_1 / s_d) of that refusal
 _NON_REAL = "element has non-real eigenvalues despite loxodromy check"
 _SINGULAR_WITNESS = "witness frame is singular"
 _R2, _R6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)
@@ -442,7 +443,7 @@ def _flat_minimum(m: np.ndarray) -> float:
         if f_old - f <= 1e-15 * f_old:
             break
     value = math.sqrt(f)
-    if spread > math.log(FLAT_RESOLUTION / np.finfo(float).eps):
+    if spread > _MAX_SPREAD:
         raise NumericError(
             f"flat distance beyond float64 resolution: value {value}, s_1/s_d {np.exp(spread):.3e}")
     if value > 1e-3:

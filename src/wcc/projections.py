@@ -18,7 +18,9 @@ body as an exact one-row stack of Python ints.
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -76,11 +78,12 @@ class GroupElement:
         return cls(np.diag(np.exp(y)), check=False)
 
     def _check_unimodular(self):
-        if not np.isfinite(self.mat).all():
-            raise PreconditionError(f"matrix entries must be finite, got {self.mat[~np.isfinite(self.mat)][0]}")
-        # the rounding error of a float determinant scales with the Hadamard bound
-        hadamard = float(np.prod(np.linalg.norm(self.mat, axis=0)))
-        det = float(np.linalg.det(self.mat))
+        m = self.mat
+        if not all(map(math.isfinite, m.ravel().tolist())):
+            raise PreconditionError(f"matrix entries must be finite, got {m[~np.isfinite(m)][0]}")
+        # the rounding error of a float determinant scales with the Hadamard bound (np.linalg's values, unwrapped)
+        hadamard = math.prod(np.sqrt(np.add.reduce(m * m, axis=0)).tolist())
+        det = float(_GUFUNC["det"](m))
         if not abs(det - 1.0) <= _DET_TOL * max(1.0, hadamard):
             raise PreconditionError(f"matrix must have determinant 1, got {det}")
 
@@ -134,17 +137,46 @@ def _robust_logs(values_desc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lapack(name: str, m: np.ndarray):
-    """numpy's LAPACK gufunc ``svd_f`` (u, s, vh), ``svd`` (s), ``eig`` (w, v) or ``eigvals`` (w) on float64
-    input: np.linalg's result bit for bit, without its Python wrapper, and eigen-pairs stay complex."""
-    if name.startswith("eig") and not np.isfinite(m).all():  # which np.linalg refuses before LAPACK
-        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
-    with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return getattr(np.linalg._umath_linalg, name)(m)
+def _numpy_private(*names) -> list:
+    """numpy's private objects by dotted name, or one ImportError that names every missing one and
+    numpy's version (wcc calls them directly, verified on numpy 2.4.6 only)."""
+    found, missing = [], []
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        try:
+            found.append(getattr(importlib.import_module(module), attr))
+        except (ImportError, AttributeError):
+            missing.append(name)
+    if missing:
+        raise ImportError(f"wcc needs numpy's private {', '.join(missing)}, missing in numpy {np.__version__}")
+    return found
 
 
 def _lapack_failed(err, flag):
     raise np.linalg.LinAlgError("LAPACK solver did not converge")
+
+
+_GUFUNCS = ("svd_f", "svd", "eig", "eigvals", "det")
+*_gufuncs, _make_extobj, _extobj_contextvar = _numpy_private(
+    *(f"numpy.linalg._umath_linalg.{name}" for name in _GUFUNCS),
+    "numpy._core.umath._make_extobj", "numpy._core._ufunc_config._extobj_contextvar")
+_GUFUNC = dict(zip(_GUFUNCS, _gufuncs))
+# the np.errstate that np.linalg's svd, eig and eigvals enter, built once
+_LAPACK_ERRSTATE = _make_extobj(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _lapack(name: str, m: np.ndarray):
+    """numpy's LAPACK gufunc ``svd_f`` (u, s, vh), ``svd`` (s), ``eig`` (w, v) or ``eigvals`` (w) on float64 input:
+    np.linalg's result bit for bit, in its error state (prebuilt; left also on a raise, so a solver failure raises
+    LinAlgError), and eigen-pairs stay complex.  An eigen-solve refuses a non-finite input, as np.linalg does.  An SVD
+    input must be finite (LAPACK may never return on an inf): ``cartan_batch`` and ``_conjugate_stack`` refuse it."""
+    if name.startswith("eig") and not np.isfinite(m).all():  # which np.linalg refuses before LAPACK
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    token = _extobj_contextvar.set(_LAPACK_ERRSTATE)
+    try:
+        return _GUFUNC[name](m)
+    finally:
+        _extobj_contextvar.reset(token)
 
 
 def _compound_logs(mats: np.ndarray, top, first=None) -> np.ndarray:
@@ -198,8 +230,11 @@ def _so_sign_fix(u, vh=None) -> None:
 
 
 def cartan_batch(mats):
-    """Stacked Cartan decomposition: mats = k exp(a) l^-1 with k,l in SO(d)."""
-    u, s, vh = _lapack("svd_f", np.asarray(mats, dtype=float))
+    """Stacked Cartan decomposition: mats = k exp(a) l^-1 with k,l in SO(d), of finite mats."""
+    mats = np.asarray(mats, dtype=float)
+    if not np.isfinite(mats).all():  # an infinite entry can keep LAPACK's SVD from returning
+        raise PreconditionError(f"cartan decomposition needs finite entries, got {mats[~np.isfinite(mats)][0]}")
+    u, s, vh = _lapack("svd_f", mats)
     _so_sign_fix(u, vh)
     return u, _robust_logs(s), np.swapaxes(vh, -1, -2)
 
@@ -367,13 +402,19 @@ def flag_frame_action(mat, frame) -> np.ndarray:
 
 def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
     """h_x^-1 m h_x over the last two axes: m itself at the origin, exact in Python
-    ints for an integer m (int64 or object) when h_x is integer, in floats otherwise."""
+    ints for an integer m (int64 or object) when h_x is integer, in floats otherwise,
+    where a non-finite entry (an overflow) is a NumericError that names it."""
     h = x.h
     if x is BasePoint.origin(h.d) or np.array_equal(h.mat, np.eye(h.d)):
         return mats
     if mats.dtype.kind != "f" and h.int_mat is not None:
         return _int_conjugate(mats, h.int_mat)
-    return x.h_inverse @ mats.astype(float) @ h.mat
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by the entry
+        conj = x.h_inverse @ mats.astype(float) @ h.mat
+    if (bad := np.argwhere(~np.isfinite(conj))).size:
+        entry = tuple(bad[0].tolist())
+        raise NumericError(f"h_x^-1 g h_x is not finite in floats: entry {entry} is {conj[entry]}")
+    return conj
 
 
 def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:

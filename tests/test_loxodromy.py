@@ -257,6 +257,34 @@ class TestFittedConstants:
         assert ratio_far == pytest.approx(ratio_near**4, rel=1e-9)
 
 
+    def test_as_dict_is_fresh_per_call_and_per_certificate(self):
+        consts = lx.fitted_constants(3)
+        mutated = consts.as_dict()
+        mutated["C1"] = -1.0
+        assert consts.as_dict()["C1"] == consts.c1 and consts.as_dict() is not consts.as_dict()
+        o, r, eps = admissible_parameters(3)
+        g = criterion4_elements()[3][0]
+        first, second = lx.certify(g, o, r, eps), lx.certify(g, o, r, eps)
+        assert first.constants is not second.constants
+        first.constants["C1"] = -1.0
+        assert second.constants["C1"] == consts.c1 and second.constants["C_x"] == lx.cx_constant(o)
+        assert lx.certify(g, o, r, eps).constants == {**consts.as_dict(), "C_x": lx.cx_constant(o)}
+
+    def test_t_zero_is_its_formula_once_per_base_point_and_epsilon(self):
+        rng = np.random.default_rng(109)
+        for d in (2, 3):
+            for x in (BasePoint.origin(d), BasePoint(random_group(rng, d, 0.3))):
+                for eps in (1e-6, 0.01, 0.5):
+                    want = lx.T0_SAFETY * math.sqrt(d) * (2.0 * math.log(lx.cx_constant(x)) - 2.0 * math.log(eps))
+                    assert lx.t_zero(x, eps) == want
+                    hits = lx.t_zero.cache_info().hits
+                    assert lx.t_zero(x, eps) == want and lx.t_zero.cache_info().hits == hits + 1
+                for eps in (0.0, 1.0, -0.1, 1.5, math.nan):
+                    for _ in range(2):  # a refusal is not cached
+                        with pytest.raises(ParameterError, match="epsilon must be in"):
+                            lx.t_zero(x, eps)
+
+
 class TestContraction:
     def test_deep_vector_contracts_samples(self):
         res = contraction_check(np.array([10.0, 0.0, -10.0]), 0.1, n_samples=300)
@@ -740,6 +768,15 @@ def test_non_finite_entries_are_refused(alarm, value, d):
         lx.certify(GroupElement(big, check=False), x, 0.4, 0.1 / lx.cx_constant(x))
 
 
+def test_overflowing_conjugate_is_refused_before_an_svd(alarm):
+    # h_x^-1 g h_x of a loxodromic g overflows to inf at (2, 0): a NumericError naming the
+    # entry, where an SVD of it would not return
+    g = GroupElement([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    x = BasePoint(GroupElement.from_cartan_vector([700.0, 0.0, -700.0]))
+    with pytest.raises(NumericError, match=r"is not finite in floats: entry \(0, 2, 0\) is inf"):
+        lx.jordan_cartan_gap(g, x)
+
+
 def test_overflowing_configuration_constant_is_refused():
     # d_X(o, x) = 800 sqrt 2 at the base point diag(e^400, e^-400): e^(c0 d_X) overflows
     far = BasePoint(GroupElement.from_cartan_vector([400.0, -400.0]))
@@ -784,6 +821,23 @@ class TestFlatDistanceWork:
         rows = fm._fixed_flat_distances(o, *np.linalg.eig(np.array([g.mat for g in elements])))
         assert all(isinstance(row, float) for row in rows)
         assert calls == ["_sl3_witness", "_flat_minimum"] * 6
+
+    def test_sl3_certificate_makes_one_flat_distance_call(self, monkeypatch):
+        # on a pair of SO(3) frames built from the flags' lines and normals, in one array
+        pairs, flat_distance = [], fm.flat_distance
+        monkeypatch.setattr(fm, "flat_distance", lambda x, pair: pairs.append(pair) or flat_distance(x, pair))
+        o, r, eps = admissible_parameters(3)
+        for g in criterion4_elements()[3][:20]:
+            pairs.clear()
+            assert lx.certify(g, o, r, eps).certified
+            assert len(pairs) == 1
+            for frame in (pairs[0].xi_plus.frame, pairs[0].xi_minus.frame):
+                line, normal = frame.T[::2].tolist()
+                assert np.array_equal(frame, np.array([line, fm._cross(normal, line), normal]).T)
+                assert np.allclose(frame.T @ frame, np.eye(3), atol=1e-14)
+        pairs.clear()
+        cert = lx.certify(GroupElement.from_cartan_vector([1.0, 0.0, -1.0]), o, r, eps)
+        assert not cert.conditions["wall_margin_ok"] and pairs == []
 
     def test_sl3_optimizer_evaluations(self, monkeypatch):
         solves, evaluations = [], []

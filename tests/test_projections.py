@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,29 @@ class TestUnimodularCheck:
                     GroupElement(m)
                     beyond_entry_scale += abs(np.linalg.det(m) - 1.0) > 1e-9 * np.max(np.abs(m))
         assert beyond_entry_scale >= 10
+
+    def test_same_verdicts_and_values_as_np_linalg(self):
+        # the check without np.linalg's wrappers: the determinant and the Hadamard bound of
+        # np.linalg.det and np.linalg.norm bit for bit, so the same matrices pass and fail
+        rng = np.random.default_rng(2707)
+        refused = 0
+        for d in (2, 3, 4):
+            for scale in (0.0, 1e-9, 1e-7, 1e-3):
+                for _ in range(40):
+                    m = random_group(rng, d, 3.0).mat
+                    m[0] *= 1.0 + scale * rng.normal()
+                    det = float(np.linalg.det(m))
+                    hadamard = float(np.prod(np.linalg.norm(m, axis=0)))
+                    assert float(pj._GUFUNC["det"](m)) == det
+                    want = abs(det - 1.0) <= pj._DET_TOL * max(1.0, hadamard)
+                    try:
+                        GroupElement(m)
+                    except PreconditionError as exc:
+                        assert not want and str(exc) == f"matrix must have determinant 1, got {det}"
+                        refused += 1
+                    else:
+                        assert want
+        assert 40 < refused < 480
 
 
 class TestIntegerStacks:
@@ -504,6 +528,37 @@ class TestLapack:
                 with pytest.raises(NumericError, match="eigenvalue solver failed"):
                     pj._eig(m, vectors)
 
+    def test_leaves_the_error_state_as_it_was(self):
+        # also after a LAPACK failure, and under a caller's own error state
+        nan = np.full((3, 3), np.nan)
+        for outer in ({}, {"all": "raise"}, {"all": "warn", "call": print}):
+            with np.errstate(**outer):
+                before = np.geterr(), np.geterrcall()
+                pj._lapack("svd_f", np.eye(3))
+                pj._lapack("eig", np.eye(3))
+                assert (np.geterr(), np.geterrcall()) == before
+                for name in ("svd_f", "svd"):
+                    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                        pj._lapack(name, nan)
+                    assert (np.geterr(), np.geterrcall()) == before
+
+    def test_failure_raises_without_a_warning(self):
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                pj._lapack("svd_f", np.stack([np.eye(3), np.diag([np.nan, 1.0, 1.0])]))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_private_numpy_names_resolve_or_name_what_is_missing(self):
+        svd_f, contextvar = pj._numpy_private("numpy.linalg._umath_linalg.svd_f",
+                                              "numpy._core._ufunc_config._extobj_contextvar")
+        assert svd_f is np.linalg._umath_linalg.svd_f and contextvar is pj._extobj_contextvar
+        missing = ("numpy.linalg._umath_linalg.no_such_gufunc", "numpy._no_such_module.name")
+        with pytest.raises(ImportError) as exc:
+            pj._numpy_private("numpy.linalg._umath_linalg.svd", *missing)
+        assert all(name in str(exc.value) for name in missing)
+        assert f"numpy {np.__version__}" in str(exc.value) and "_umath_linalg.svd," not in str(exc.value)
+
 
 class TestIwasawa:
     def test_zero_on_compact(self):
@@ -643,6 +698,27 @@ class TestCartanAt:
                     ig = GroupElement.from_integer([[2, 1], [1, 1]])
                     conj = GroupElement(x.h.inverse().mat @ ig.mat @ x.h.mat, check=False)
                     assert np.array_equal(pj.cartan_at(ig, x), pj.cartan_vector(conj))
+
+
+class TestNonFiniteInput:
+    """An infinite entry can keep LAPACK's SVD from returning: it is refused before the SVD."""
+
+    def test_overflowing_conjugate_is_refused(self, alarm):
+        g = GroupElement([[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+        x = BasePoint(GroupElement.from_cartan_vector([700.0, 0.0, -700.0]))  # entry (2, 0) is e^1400
+        for project in (pj.cartan_at, pj.angular_points):
+            with pytest.raises(NumericError, match=r"is not finite in floats: entry \(0, 2, 0\) is inf"):
+                project(g, x)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_float_element_is_refused(self, alarm, value):
+        for d in (2, 3):
+            mat = np.eye(d)
+            mat[-1, 0] = value
+            g = GroupElement(mat, check=False)
+            for project in (pj.cartan_vector, pj.cartan_project, lambda g: pj.cartan_at(g, BasePoint.origin(d))):
+                with pytest.raises(PreconditionError, match=f"needs finite entries, got {value}"):
+                    project(g)
 
 
 class TestAngularPoints:
