@@ -29,8 +29,6 @@ CACHE_ENV = "WCC_CACHE"
 def _json_default(obj):
     if isinstance(obj, (np.ndarray, np.integer, np.floating)):
         return obj.tolist()
-    if isinstance(obj, Path):
-        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -367,18 +365,6 @@ def _cmd_growth(args) -> int:
     return 0
 
 
-def _random_group(rng, d, scale):
-    """Random unimodular matrix with chamber displacement of controlled size."""
-    from . import projections as pj
-
-    y = rng.normal(size=d) * scale
-    y -= y.mean()
-    y = np.sort(y)[::-1]
-    k1 = pj.random_so(d, rng)
-    k2 = pj.random_so(d, rng)
-    return pj.GroupElement(k1 @ np.diag(np.exp(y)) @ k2, check=False)
-
-
 def _cmd_check(args) -> int:
     from . import flagmetric as fm, lattice as lt, loxodromy as lx, projections as pj
     from . import survey as sv, volume as vol
@@ -400,26 +386,26 @@ def _cmd_check(args) -> int:
     record("delta0 sl3", lambda: abs(rs3.delta_zero() - 2 / math.sqrt(3)) < 1e-9)
     record("levi gap positive", lambda: rs3.c_gap() > 0)
 
+    def random_groups(n):
+        """n random SL(3,R) matrices k1 exp(y) k2 with a chamber displacement y of scale 0.5."""
+        y = rng.normal(size=(n, 3)) * 0.5
+        y = -np.sort(y.mean(axis=1, keepdims=True) - y)  # centred, in descending order
+        return pj.random_so(3, rng, n) @ (np.exp(y)[:, :, None] * pj.random_so(3, rng, n))
+
     def cocycle_check():
         n = 50 if quick else 400
-        worst = 0.0
-        for _ in range(n):
-            g1 = _random_group(rng, 3, 0.5)
-            g2 = _random_group(rng, 3, 0.5)
-            xi = fm.Flag(pj.random_so(3, rng))
-            lhs = pj.iwasawa_cocycle(pj.GroupElement(g1.mat @ g2.mat, check=False), xi)
-            rhs = pj.iwasawa_cocycle(g1, xi.translate(g2)) + pj.iwasawa_cocycle(g2, xi)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst < 1e-8
+        g1, g2, frames = random_groups(n), random_groups(n), pj.random_so(3, rng, n)
+        lhs = pj.iwasawa_batch(g1 @ g2, frames)
+        rhs = pj.iwasawa_batch(g1, pj.flag_frame_action(g2, frames)) + pj.iwasawa_batch(g2, frames)
+        return np.max(np.abs(lhs - rhs)) < 1e-8
 
     record("iwasawa cocycle relation", cocycle_check)
 
     def gromov_check():
         n = 25 if quick else 200
         worst = 0.0
-        for _ in range(n):
-            g = _random_group(rng, 3, 0.5)
-            xi, eta = fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng))
+        for g, xi, eta in zip(random_groups(n), pj.random_so(3, rng, n), pj.random_so(3, rng, n)):
+            g, xi, eta = pj.GroupElement(g, check=False), fm.Flag(xi), fm.Flag(eta)
             lhs = fm.gromov_product(xi.translate(g), eta.translate(g)) - fm.gromov_product(xi, eta)
             rhs = rs3.opposition(pj.iwasawa_cocycle(g, xi)) + pj.iwasawa_cocycle(g, eta)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))

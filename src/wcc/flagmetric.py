@@ -111,7 +111,9 @@ class Flag:
 
     def translate(self, g) -> "Flag":
         mat = g.mat if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
-        return Flag(flag_frame_action(mat, self.frame), check=False)
+        if mat.shape != self.frame.shape:
+            raise PreconditionError(f"a flag of R^{self.d} needs a {self.d} x {self.d} matrix, got shape {mat.shape}")
+        return Flag._of_so_frame(flag_frame_action(mat, self.frame))
 
     def __repr__(self):
         return f"Flag({self.frame.tolist()})"
@@ -291,14 +293,12 @@ def fixed_points(g: GroupElement):
 
 def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
     """Frames (2, n, d, d) of the forward and backward eigenflags of a stack of eigen-pairs,
-    from their real eigenbases by decreasing modulus, gauge-fixed into SO(d) as ``Flag``
-    does, and which rows have a real spectrum (the frames of the others are meaningless)."""
+    from their real eigenbases by decreasing modulus (in SO(d), as ``flag_frame_action``
+    returns them), and which rows have a real spectrum (the frames of the others are meaningless)."""
     real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
     order = np.argsort(-np.abs(eigvals.real), axis=-1)
     basis = eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2)
-    frames = flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]]))
-    _so_sign_fix(frames)
-    return frames, real
+    return flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]])), real
 
 
 # ------------------------------------------------------------------- flats

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import shutil
 from collections.abc import Sequence
@@ -47,6 +48,14 @@ class LatticeSpec:
             raise ParameterError(f"unknown presentation {self.presentation!r}")
         if self.presentation == "generated" and not self.generators:
             raise ParameterError("generated presentation needs generator matrices")
+        named = [("generator", g) for g in self.generators or ()]
+        if self.base_point is not None:
+            named.append(("base point", self.base_point))
+        for what, m in named:
+            rows = np.array(m, dtype=object)
+            if not (rows.shape == (self.d, self.d) and all(isinstance(x, numbers.Integral) for x in rows.flat)
+                    and _int_det(np.frompyfunc(int, 1, 1)(rows)) == 1):
+                raise ParameterError(f"{what} must be {self.d} x {self.d} integer rows of determinant 1, got {m!r}")
 
     @property
     def d(self) -> int:
@@ -133,46 +142,38 @@ def _round12(x: np.ndarray) -> np.ndarray:
 
 
 def _conjugate(table: np.ndarray, h) -> np.ndarray:
-    """Rows of h m h^-1 for the rows m of an int64 (n, d*d) table, exact in Python ints."""
-    h = np.array(h, dtype=object)
-    if _int_det(h) != 1:
-        raise PreconditionError(f"base point must have determinant 1, got {_int_det(h)}")
+    """Rows of h^-1 r h for the rows r of an int64 (n, d*d) table, exact in Python ints."""
     d = len(h)
-    out = _int_conjugate(table.reshape(-1, d, d), _integer_inverse(h))
-    return out.reshape(len(table), d * d).astype(np.int64)
+    return _int_conjugate(table.reshape(-1, d, d), h).reshape(len(table), d * d).astype(np.int64)
 
 
 def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_point=None):
-    """The census of the rows m of an int64 (n, d*d) table that lie in the domain,
+    """The census of the rows g of an int64 (n, d*d) table that lie in the domain,
     and the number of rows that do not.
 
-    The columns are those of m, the displacement seen from x = h.o; the matrix
-    is h m h^-1 (m itself at the origin).  Rows are ordered by
+    The columns are those of m = h^-1 g h, the displacement seen from x = h.o (g
+    itself at the origin), each row conjugated once.  Rows are ordered by
     (round(|a|^2, 12), matrix entries).  sl2 membership is the exact integer
     mass cap with ``Domain.filter_rows``; sl3 membership is ``Domain.contains_rows``.
     """
-    d = rs.d
-    mats = table.reshape(-1, d, d)
+    m = table if base_point is None else _conjugate(table, base_point)
+    mats = m.reshape(-1, rs.d, rs.d)
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
     walls = rs.wall_distances(cartan)
-    if d == 2:  # the exact mass cap in place of the float ball or box test
-        inside = domain.filter_rows(np.einsum("ij,ij->i", table, table) <= _sl2_mass_cap(domain, rs), walls)
+    if rs.d == 2:  # the exact mass cap in place of the float ball or box test
+        inside = domain.filter_rows(np.einsum("ij,ij->i", m, m) <= _sl2_mass_cap(domain, rs), walls)
     else:
         inside = domain.contains_rows(rs, cartan, walls)
     keep = np.flatnonzero(inside)
-    table = table[keep] if base_point is None else _conjugate(table[keep], base_point)
-    order = np.lexsort((*table.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
+    order = np.lexsort((*table[keep].T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
     rows = keep[order]
-    census = Census(table[order], cartan[rows], walls[rows], lox[rows], jordan[rows])
+    census = Census(table[rows], cartan[rows], walls[rows], lox[rows], jordan[rows])
     return census, len(inside) - len(keep)
 
 
 def restrict(table: np.ndarray, spec: LatticeSpec, domain: Domain):
-    """The census of the rows g of a census table that lie in the domain, and the
-    number of rows that do not, with the columns of m = h^-1 g h (``_table_records``)."""
-    if spec.base_point is not None:
-        table = _conjugate(table, _integer_inverse(np.array(spec.base_point, dtype=object)))
+    """``_table_records`` of the rows g of a census table under the spec's base point."""
     return _table_records(table, root_system(spec.d), domain, spec.base_point)
 
 
@@ -188,11 +189,9 @@ def _default_sl3_generators():
 
 
 def _word_ball(generators, radius: int) -> np.ndarray:
-    """Breadth-first ball over the generators and their inverses: its distinct
+    """Breadth-first ball over det-one integer generators and their inverses: its distinct
     matrices as an int64 (n, d, d) stack in lexicographic order of the entries."""
     gens = np.array(generators, dtype=object)
-    if np.any(_int_det(gens) != 1):
-        raise PreconditionError("word-ball generators must be integer matrices of determinant 1")
     steps = np.concatenate([gens, _integer_inverse(gens)])
     d = gens.shape[-1]
     ball = frontier = np.eye(d, dtype=np.int64)[None]
@@ -251,6 +250,8 @@ def enumerate_elements(
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
         table = words.reshape(len(words), -1)
         meta = EnumerationMeta(False, word_radius=word_radius)
+    if spec.base_point is not None:  # the origin scan m, as the rows g = h m h^-1 of the census
+        table = _conjugate(table, _integer_inverse(spec.base_point))
     census, _ = _table_records(table, rs, domain, spec.base_point)
     return census, meta
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NumericError, PreconditionError, RegularityError
-from .rootsys import RootSystemA, root_system
+from .rootsys import root_system
 
 TAU_LOX_DEFAULT = 1e-9
 _DET_TOL = 1e-9
@@ -90,10 +90,6 @@ class GroupElement:
     @property
     def d(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def root_system(self) -> RootSystemA:
-        return root_system(self.d)
 
     def inverse(self) -> "GroupElement":
         if self.int_mat is not None:
@@ -374,11 +370,6 @@ def _jordan_solve(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT, vectors: bo
     return lam[0], bool(lox[0]), eig
 
 
-def _frame_of(xi) -> np.ndarray:
-    frame = getattr(xi, "frame", xi)
-    return np.asarray(frame, dtype=float)
-
-
 def iwasawa_batch(mats, frames):
     """Stacked Iwasawa cocycle values sigma(g, xi) with g k_xi = k exp(sigma) n."""
     prod = np.asarray(mats, dtype=float) @ np.asarray(frames, dtype=float)
@@ -388,16 +379,18 @@ def iwasawa_batch(mats, frames):
 
 
 def iwasawa_cocycle(g: GroupElement, xi) -> np.ndarray:
-    """Iwasawa cocycle sigma(g, xi) from the QR factorization of g k_xi."""
-    return iwasawa_batch(g.mat, _frame_of(xi))
+    """Iwasawa cocycle sigma(g, xi) of a ``Flag`` xi, from the QR factorization of g k_xi."""
+    return iwasawa_batch(g.mat, xi.frame)
 
 
 def flag_frame_action(mat, frame) -> np.ndarray:
-    """K-part of g k_xi: the frame of the translated flag, positive-diag QR."""
+    """K-part of g k_xi over any leading axes: the frame of the translated flag from the
+    positive-diagonal QR, gauge-fixed into SO(d) (``_so_sign_fix``)."""
     q, r = np.linalg.qr(np.asarray(mat, dtype=float) @ np.asarray(frame, dtype=float))
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0.0, 1.0, signs)
-    return q * signs[..., None, :]
+    q *= np.where(signs == 0.0, 1.0, signs)[..., None, :]
+    _so_sign_fix(q)
+    return q
 
 
 def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
@@ -459,13 +452,10 @@ def angular_points(g: GroupElement, x: BasePoint):
             wall_distance=wall,
         )
     frames = flag_frame_action(x.h.mat, np.stack([k, l @ rs.reversal_frame()]))
-    _so_sign_fix(frames)
     return Flag._of_so_frame(frames[0]), Flag._of_so_frame(frames[1])
 
 
 def random_so(d: int, rng: np.random.Generator, size=None) -> np.ndarray:
     """Haar-uniform SO(d) frames from the positive-diagonal QR of Gaussian matrices."""
     shape = (d, d) if size is None else (size, d, d)
-    q = flag_frame_action(np.eye(d), rng.normal(size=shape))
-    _so_sign_fix(q)
-    return q
+    return flag_frame_action(np.eye(d), rng.normal(size=shape))

@@ -30,7 +30,6 @@ from wcc.projections import (
     TAU_LOX_DEFAULT,
     BasePoint,
     GroupElement,
-    _frame_of,
     _int_det,
     cartan_vector,
     flag_frame_action,
@@ -177,5 +176,5 @@ def is_loxodromic(g: GroupElement, tau_lox: float = TAU_LOX_DEFAULT) -> bool:
 
 def busemann(xi, x: BasePoint, y: BasePoint) -> np.ndarray:
     """Busemann cocycle beta_xi(x, y) = sigma(h_x^-1 h_y, h_y^-1 xi)."""
-    moved_frame = flag_frame_action(y.h_inverse, _frame_of(xi))
+    moved_frame = flag_frame_action(y.h_inverse, xi.frame)
     return iwasawa_batch(x.h_inverse @ y.h.mat, moved_frame)

@@ -149,6 +149,11 @@ class TestDistances:
         with pytest.raises(PreconditionError):
             fm.Flag(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("g", [np.eye(3), np.stack([np.eye(2)] * 4), [[1.0, 1.0]]])
+    def test_translate_refuses_a_matrix_of_another_shape(self, g):
+        with pytest.raises(PreconditionError, match="a flag of R\\^2 needs a 2 x 2 matrix"):
+            fm.eta0(2).translate(g)
+
 
 class TestTransversality:
     def test_standard_examples(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wcc import lattice as lt
 from wcc import survey as sv
-from wcc.errors import FeasibilityError, PreconditionError, WccError
+from wcc.errors import FeasibilityError, ParameterError, PreconditionError, WccError
 from wcc.lattice import LatticeSpec
 from wcc.rootsys import root_system
 from wcc.volume import Domain, domain_volume
@@ -441,6 +441,41 @@ class TestBasePoint:
         rewrite_shard(tmp_path, rows)
         with pytest.raises(PreconditionError, match="off its domain"):
             lt.load_cache(tmp_path)
+
+
+MALFORMED_SL2 = {
+    "wrong size": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "ragged": ((1, 1), (0,)),
+    "non-integer": ((0.5, 0), (0, 2)),
+    "determinant 2": ((2, 0), (0, 1)),
+}
+
+
+class TestSpecInputs:
+    @pytest.mark.parametrize("m", MALFORMED_SL2.values(), ids=MALFORMED_SL2.keys())
+    def test_malformed_base_point_is_refused_at_construction(self, m):
+        with pytest.raises(ParameterError, match="base point must be 2 x 2 integer rows of determinant 1"):
+            LatticeSpec("sl2", base_point=m)
+
+    @pytest.mark.parametrize("m", MALFORMED_SL2.values(), ids=MALFORMED_SL2.keys())
+    def test_malformed_generator_is_refused_at_construction(self, m):
+        with pytest.raises(ParameterError, match="generator must be 2 x 2 integer rows of determinant 1"):
+            LatticeSpec("sl2", "generated", (((1, 1), (0, 1)), m))
+
+    @pytest.mark.parametrize("m", MALFORMED_SL2.values(), ids=MALFORMED_SL2.keys())
+    def test_malformed_base_point_in_a_cache_is_refused_at_load(self, tmp_path, m):
+        # the manifest passes its config_hash, so only the spec's own check refuses it
+        write_census(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["spec"]["base_point"] = m
+        manifest["config_hash"] = lt._config_hash(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(PreconditionError, match="base point must be 2 x 2 integer rows"):
+            lt.load_cache(tmp_path)
+
+    def test_integer_rows_of_any_integer_type_are_accepted(self):
+        spec = LatticeSpec("sl3", "generated", (np.eye(3, dtype=np.int64),), base_point=SL3_BASE)
+        assert len(lt.enumerate_elements(spec, Domain("ball", 3.0), word_radius=1)[0]) > 0
 
 
 class TestWordBall:

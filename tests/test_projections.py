@@ -597,6 +597,49 @@ class TestIwasawa:
             assert np.allclose(pj.iwasawa_cocycle(g, fm.Flag(gauged)), base, atol=1e-12)
 
 
+def assert_in_so(frames):
+    """Orthonormal frames of determinant +1 over any leading axes, which the SO(d) sign
+    fix leaves bit for bit as they are."""
+    d = frames.shape[-1]
+    assert np.abs(np.swapaxes(frames, -1, -2) @ frames - np.eye(d)).max() < 1e-12
+    assert np.abs(np.linalg.det(frames) - 1.0).max() < 1e-12
+    fixed = frames.copy()
+    pj._so_sign_fix(fixed)
+    assert fixed.tobytes() == frames.tobytes()
+
+
+class TestFrameContract:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_frame_action_gives_the_positive_diagonal_qr_frame_in_so(self, d):
+        rng = np.random.default_rng(40 + d)
+        mats, frames = rng.normal(size=(64, d, d)), pj.random_so(d, rng, 64)
+        prod = mats @ frames
+        q, r = np.linalg.qr(prod)
+        plain = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+        flipped = np.linalg.det(plain) < 0
+        assert 0 < np.count_nonzero(flipped) < 64  # rows of both kinds
+        out = pj.flag_frame_action(mats, frames)
+        assert_in_so(out)
+        # the flag's columns are the plain frame's; the last column, a pure gauge, flips where det < 0
+        assert np.array_equal(out[..., :-1], plain[..., :-1])
+        assert np.array_equal(out[..., -1], np.where(flipped[:, None], -plain[..., -1], plain[..., -1]))
+        r = np.swapaxes(out, -1, -2) @ prod  # g k_xi = out r
+        assert np.abs(np.tril(r, -1)).max() < 1e-12
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert (diag[:, :-1] > 0).all()
+        assert np.array_equal(diag[:, -1] > 0, np.linalg.det(prod) > 0)
+
+    def test_random_so_translate_and_angular_frames_are_in_so(self):
+        rng = np.random.default_rng(44)
+        for d in (2, 3):
+            assert_in_so(pj.random_so(d, rng, 200))
+            assert_in_so(pj.random_so(d, rng))
+            for _ in range(20):
+                g, x = random_group(rng, d), BasePoint(random_group(rng, d))
+                plus, minus = pj.angular_points(g, x)
+                assert_in_so(np.stack([plus.frame, minus.frame, plus.translate(g).frame]))
+
+
 class TestBusemann:
     def test_same_point_is_zero(self):
         rng = np.random.default_rng(10)
