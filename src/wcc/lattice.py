@@ -147,16 +147,14 @@ def _conjugate(table: np.ndarray, h) -> np.ndarray:
     return _int_conjugate(table.reshape(-1, d, d), h).reshape(len(table), d * d).astype(np.int64)
 
 
-def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_point=None):
-    """The census of the rows g of an int64 (n, d*d) table that lie in the domain,
-    and the number of rows that do not.
+def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=None):
+    """The census of the rows of an int64 (n, d*d) table of displacements m = h^-1 g h seen
+    from x = h.o that lie in the domain, and the number of rows that do not.
 
-    The columns are those of m = h^-1 g h, the displacement seen from x = h.o (g
-    itself at the origin), each row conjugated once.  Rows are ordered by
-    (round(|a|^2, 12), matrix entries).  sl2 membership is the exact integer
-    mass cap with ``Domain.filter_rows``; sl3 membership is ``Domain.contains_rows``.
-    """
-    m = table if base_point is None else _conjugate(table, base_point)
+    The columns are those of m, the rows ``census_rows(kept indices)``: the elements g (m
+    itself by default), which a caller conjugates only where kept.  Rows are ordered by
+    (round(|a|^2, 12), entries of g).  sl2 membership is the exact integer mass cap with
+    ``Domain.filter_rows``; sl3 membership is ``Domain.contains_rows``."""
     mats = m.reshape(-1, rs.d, rs.d)
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
@@ -166,15 +164,17 @@ def _table_records(table: np.ndarray, rs: RootSystemA, domain: Domain, base_poin
     else:
         inside = domain.contains_rows(rs, cartan, walls)
     keep = np.flatnonzero(inside)
-    order = np.lexsort((*table[keep].T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
+    g = m[keep] if census_rows is None else census_rows(keep)
+    order = np.lexsort((*g.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
     rows = keep[order]
-    census = Census(table[rows], cartan[rows], walls[rows], lox[rows], jordan[rows])
+    census = Census(g[order], cartan[rows], walls[rows], lox[rows], jordan[rows])
     return census, len(inside) - len(keep)
 
 
 def restrict(table: np.ndarray, spec: LatticeSpec, domain: Domain):
     """``_table_records`` of the rows g of a census table under the spec's base point."""
-    return _table_records(table, root_system(spec.d), domain, spec.base_point)
+    m = table if spec.base_point is None else _conjugate(table, spec.base_point)
+    return _table_records(m, root_system(spec.d), domain, table.__getitem__)
 
 
 def _default_sl3_generators():
@@ -250,10 +250,10 @@ def enumerate_elements(
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
         table = words.reshape(len(words), -1)
         meta = EnumerationMeta(False, word_radius=word_radius)
-    if spec.base_point is not None:  # the origin scan m, as the rows g = h m h^-1 of the census
-        table = _conjugate(table, _integer_inverse(spec.base_point))
-    census, _ = _table_records(table, rs, domain, spec.base_point)
-    return census, meta
+    if spec.base_point is None:
+        return _table_records(table, rs, domain)[0], meta
+    h_inverse = _integer_inverse(spec.base_point)  # the origin scan is m: the kept rows are g = h m h^-1
+    return _table_records(table, rs, domain, lambda keep: _conjugate(table[keep], h_inverse))[0], meta
 
 
 # ------------------------------------------------------------------- cache

@@ -5,8 +5,9 @@ against the Lebesgue measure normalized by the Killing norm.  Everything is
 computed in log space, so large t only costs exponent bookkeeping, never
 overflow.  In the simple-root coordinates z_i = alpha_i(Y) every domain but the
 d = 3 ball is a union of rectangles, over which the density integrates in closed
-form, with a stated rounding bound as the error; the d = 3 ball, with its margin
-or slab, takes Gauss-Legendre with node doubling in polar coordinates.
+form, with a stated rounding bound as the error.  The d = 3 ball, with its margin
+or slab, is polar: along each direction of the half chamber arc the radial integral
+is in closed form, and one Gauss-Legendre rule with node doubling takes the angle.
 """
 
 from __future__ import annotations
@@ -168,14 +169,6 @@ def log_hc_integrand(rs: RootSystemA, ys: np.ndarray) -> np.ndarray:
     return total
 
 
-def log_two_rho_integrand(rs: RootSystemA, ys: np.ndarray) -> np.ndarray:
-    ys = np.atleast_2d(ys)
-    return ys @ rs.two_rho
-
-
-_INTEGRANDS = {"hc": log_hc_integrand, "two_rho": log_two_rho_integrand}
-
-
 # ---------------------------------------------------- chamber geometry bits
 
 
@@ -202,56 +195,32 @@ def _dual_basis(rs: RootSystemA) -> list[np.ndarray]:
     return duals
 
 
-def _chamber_arc(rs: RootSystemA) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """Polar frame for d=3: orthonormal (b1, b2) with b1 the rho direction, and
-    the angle window of the chamber, the 60 degree wedge that b1 bisects."""
-    basis = _ortho_basis(rs)
-    b1 = rs.dual_vector(rs.two_rho)
-    b2 = basis[1] - rs.killing_inner(basis[1], b1) * b1
-    b2 = b2 / rs.killing_norm(b2)
-    return b1, b2, -math.pi / 6, math.pi / 6
-
-
-def _arc_cuts(lo: float, hi: float, t: float, margin: float) -> list[float]:
-    """Cuts of the d=3 chamber window [lo, hi] = [-pi/6, pi/6] on whose pieces
-    the inner radial bound min(t, margin/w) of a ball is smooth.
-
-    The wall distance of the unit direction at angle theta is
-    w = sin(pi/6 - |theta|): the nearest wall switches at 0, and the bound
-    starts clipping where w = margin/t.
-    """
-    if margin <= 0.0:
-        return [lo, hi]
-    if margin >= 0.5 * t:
-        return [lo, 0.0, hi]
-    edge = hi - math.asin(margin / t)
-    return [lo, -edge, 0.0, edge, hi]
-
-
 # ------------------------------------------------------ quadrature drivers
 
 
-def _converge(evaluate, rel_tol: float = QUAD_REL_TOL):
-    """Double node counts from 24 until successive log values agree to rel_tol, refusing a
-    first value (nan, inf, or past rel_tol / eps) whose rounding alone exceeds rel_tol, and a
-    delta that stops shrinking: not below the last, or at the rounding level eps |value| n."""
+def _converge(evaluate):
+    """Double node counts from 24 to ``MAX_NODES`` until successive log values agree to
+    ``QUAD_REL_TOL``, refusing a first value (nan, inf, or past QUAD_REL_TOL / eps) whose
+    rounding alone exceeds it, and a delta that stops shrinking: not below the last, or at the
+    rounding level eps |value| n."""
     n, last = 24, math.inf
     prev = evaluate(n)
-    if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
-        raise NumericError(f"quadrature log value {prev} cannot be resolved to {rel_tol}")
-    while n <= MAX_NODES:
+    if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < QUAD_REL_TOL:
+        raise NumericError(f"quadrature log value {prev} cannot be resolved to {QUAD_REL_TOL}")
+    while n < MAX_NODES:
         n *= 2
         cur = evaluate(n)
         if prev == LOG_ZERO and cur == LOG_ZERO:
             return cur, 0.0
         delta = abs(cur - prev) if np.isfinite(cur) and np.isfinite(prev) else math.inf
-        if delta < rel_tol:
+        if delta < QUAD_REL_TOL:
             return cur, delta
         if math.isfinite(delta) and (delta >= last or delta <= abs(cur) * math.ulp(1.0) * n):
             raise NumericError(f"quadrature stalled at log value {cur}: delta {delta} at {n} nodes "
-                               f"did not shrink below {rel_tol}")
+                               f"did not shrink below {QUAD_REL_TOL}")
         prev, last = cur, delta
-    raise NumericError(f"quadrature did not converge below {rel_tol} by {MAX_NODES} nodes")
+    raise NumericError(f"quadrature did not converge below {QUAD_REL_TOL} by {MAX_NODES} nodes: "
+                       f"log value {prev}, delta {last}")
 
 
 @lru_cache(maxsize=None)
@@ -264,44 +233,35 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
-    """Iterated integral with inner bounds ``lo2_fn(u)``, ``hi2_fn(u)`` of the array u
-    of outer nodes (arrays, or scalars that are broadcast).
+def _log_quad_2d(log_density, hi1: float, hi2: float):
+    """Gauss-Legendre product rule over [0, hi1] x [0, hi2], doubled by ``_converge``.
 
-    Every (outer, inner) node of one node count goes through ``log_density`` in one
-    stacked pass (in blocks of whole outer rows), and each row's inner sum is the
-    row-wise ``logsumexp``; outer nodes with an empty inner window are dropped.
+    Every node of one count goes through ``log_density`` in one stacked pass (in blocks of
+    whole outer rows), and each row's inner sum is the row-wise ``logsumexp``.
     """
-    if hi1 <= lo1:
+    if not (hi1 > 0.0 and hi2 > 0.0):
         return LOG_ZERO, 0.0
 
     def evaluate(n):
         x, w = _gauss_legendre(n)
-        u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
-        logw_u = np.log(0.5 * (hi1 - lo1) * w)
-        lo2, hi2 = np.broadcast_to(lo2_fn(u), u.shape), np.broadcast_to(hi2_fn(u), u.shape)
-        keep = ~(hi2 <= lo2)  # the per-node test: NaN bounds are kept, not dropped
-        u, logw_u, lo2, hi2 = u[keep], logw_u[keep], lo2[keep], hi2[keep]
-        if not len(u):
-            return LOG_ZERO
+        u, logw_u = 0.5 * hi1 * x + 0.5 * hi1, np.log(0.5 * hi1 * w)
+        v, logw_v = 0.5 * hi2 * x + 0.5 * hi2, np.log(0.5 * hi2 * w)
         step, pieces = max(1, _QUAD_BLOCK // n), []
-        for i in range(0, len(u), step):
-            rows = slice(i, i + step)
-            half = (0.5 * (hi2[rows] - lo2[rows]))[:, None]
-            v = half * x + (0.5 * (hi2[rows] + lo2[rows]))[:, None]
-            vals = log_density(np.repeat(u[rows], n), v.ravel()).reshape(v.shape)
-            pieces.append(logsumexp(vals + np.log(half * w)) + logw_u[rows])
+        for i in range(0, n, step):
+            rows = u[i:i + step]
+            vals = log_density(np.repeat(rows, n), np.tile(v, len(rows))).reshape(len(rows), n)
+            pieces.append(logsumexp(vals + logw_v) + logw_u[i:i + step])
         return float(logsumexp(np.concatenate(pieces)))
 
-    return _converge(evaluate, rel_tol=rel_tol)
+    return _converge(evaluate)
 
 
 # --------------------------------------------------------- region integrals
 
 
-def _region_volume(rs: RootSystemA, domain: Domain, integrand: str, rel_tol: float) -> VolumeResult:
-    """Integral of the density over the domain with its filter: the quadrature on the d = 3
-    ball, a closed form on every other domain, which is rectangles in z_i = alpha_i(Y).
+def _region_volume(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeResult:
+    """Integral of the density over the domain with its filter: ``_ball_volume_d3`` on the
+    d = 3 ball, a closed form on every other domain, which is rectangles in z_i = alpha_i(Y).
 
     A slab is its own rectangles, never a difference, so nothing cancels but the widths
     b - a of rounded ends.  The error is then the rounding bound c eps max(1, sum |terms|),
@@ -313,8 +273,7 @@ def _region_volume(rs: RootSystemA, domain: Domain, integrand: str, rel_tol: flo
     if rs.d > 3:
         raise ParameterError(f"{domain.kind} volume is shipped for d = 2 and 3")
     if domain.kind == "ball" and rs.d == 3:
-        log_val, delta = _ball_log_quad(rs, domain, _INTEGRANDS[integrand], rel_tol)
-        return _finish(log_val, "quadrature", delta)
+        return _ball_volume_d3(rs, domain, integrand)
     # at d = 2 the chamber is one ray, and the ball the box of edge alpha(b1) = ||alpha||_*
     norms = rs.simple_dual_norms.tolist()  # wall distance >= m is z_i >= m ||alpha_i||_*
     his = [domain.t * e for e in (norms if domain.kind == "ball" else domain.edges)]
@@ -364,39 +323,87 @@ def _log_rectangle(rect, integrand: str) -> tuple[float, list[float]]:
     return logsumexp([log_a[0] + log_b[1], log_b[0] + log_a[1]]), terms
 
 
-def _ball_log_quad(rs: RootSystemA, domain: Domain, logf, rel_tol: float) -> tuple[float, float]:
-    """Log integral over the d = 3 ball, or its part with wall distance above the margin or
-    within the slab, and the last doubling delta of its quadrature (the largest over its
-    pieces).  The direction at angle theta has wall distance w, and the radial window is
-    [min(t, margin/w), t], or [0, min(t, slab/w)]."""
-    t = domain.t
-    cut = domain.regular_margin or domain.slab or 0.0
-    b1, b2, th_lo, th_hi = _chamber_arc(rs)
+# M(x) = (x cosh x - sinh x) / x^2 - x/3 = x^3 sum_(k>=2) 2k x^(2k-4) / (2k+1)! and P(x) =
+# e^x (x - 1) + 1 = x^2 sum_(k>=2) (k-1) x^(k-2) / k!, to a next term below 1e-17 of the sum
+_M_SERIES = [2 * k / math.factorial(2 * k + 1) for k in range(12, 1, -1)]
+_P_SERIES = [(k - 1) / math.factorial(k) for k in range(19, 1, -1)]
 
-    def directions(theta):
-        return np.multiply.outer(np.cos(theta), b1) + np.multiply.outer(np.sin(theta), b2)
 
-    def r_cut(theta):
-        if cut <= 0.0:
-            return 0.0
-        w = rs.wall_distances(directions(theta))  # wall(r u) = r * wall(u)
-        with np.errstate(divide="ignore"):
-            return np.where(w <= 0.0, t, np.minimum(t, cut / w))
+def _log_m(x: np.ndarray) -> np.ndarray:
+    """log M(x), x > 0: the series below 2, and above it x - log(2 x^2) +
+    log(x - 1 + (x + 1) e^(-2x) - 2/3 x^3 e^(-x)), whose sum cancels at most a factor 3."""
+    lo, hi = np.minimum(x, 2.0), np.maximum(x, 2.0)
+    tail = hi - 1.0 + (hi + 1.0) * np.exp(-2.0 * hi) - np.exp(3.0 * np.log(hi) - hi) * (2.0 / 3.0)
+    return np.where(x < 2.0, 3.0 * np.log(lo) + np.log(np.polyval(_M_SERIES, lo * lo)),
+                    hi + np.log(tail) - 2.0 * np.log(hi) - math.log(2.0))
 
-    def density(theta, r):
-        return logf(rs, directions(theta) * r[:, None]) + np.log(r)
 
-    r_lo, r_hi = (r_cut, lambda _: t) if domain.slab is None else (lambda _: 0.0, r_cut)
-    points = _arc_cuts(th_lo, th_hi, t, cut)
-    pieces, delta = [], 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        if domain.slab is None and cut > 0.0 and rs.wall_distances(directions(0.5 * (a + b))) <= cut / t:
-            continue  # window empty on this piece
-        val, err = _log_quad_2d(density, a, b, r_lo, r_hi, rel_tol)
-        delta = max(delta, err)
-        if val != LOG_ZERO:
-            pieces.append(val)
-    return (logsumexp(pieces) if pieces else LOG_ZERO), delta
+def _log_p(x: np.ndarray) -> np.ndarray:
+    """log P(x), x > 0: the positive series below 1, and x + log(x - 1 + e^(-x)) above."""
+    lo, hi = np.minimum(x, 1.0), np.maximum(x, 1.0)
+    return np.where(x < 1.0, 2.0 * np.log(lo) + np.log(np.polyval(_P_SERIES, lo)),
+                    hi + np.log(hi - 1.0 + np.exp(-hi)))
+
+
+def _log_radial(integrand: str, a: np.ndarray, b: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
+    """log of int_0^h r f(r) dr along directions whose simple roots take a and b, and the log of
+    the largest term it subtracts: P(2(a + b)h) / (2(a + b))^2 for f = e^(2(a + b)r) (two_rho),
+    and h^2/4 (M(2(a + b)h) - M(2ah) - M(2bh)) for f = sinh(ar) sinh(br) sinh((a + b)r) =
+    (sinh 2(a + b)r - sinh 2ar - sinh 2br) / 4 (hc), which cancels only next to a wall."""
+    if integrand == "two_rho":
+        log_val = _log_p(2.0 * (a + b) * h) - 2.0 * np.log(2.0 * (a + b))
+        return log_val, log_val
+    log_h2 = 2.0 * np.log(h) - math.log(4.0)
+    top, low_a, low_b = (_log_m(2.0 * x * h) + log_h2 for x in (a + b, a, b))
+    return top + np.log1p(-np.minimum(np.exp(low_a - top) + np.exp(low_b - top), 1.0)), top
+
+
+def _ball_volume_d3(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeResult:
+    """The d = 3 ball, or its part with wall distance above the margin or within the slab.
+
+    The density is even about rho on the chamber arc [-pi/6, pi/6], so the volume is twice
+    that over the half arc, where the unit direction at the angle phi from the wall has simple
+    roots a = n sin(phi), b = n sin(pi/3 - phi) (n their dual norm) and wall distance sin(phi).
+    Its radial window, [0, t], or [r, t] for a margin c and [0, r] for a slab c with
+    r = c / sin(phi) < t (phi above asin(c/t)), is ``_log_radial`` in closed form (a margin
+    the difference of two).  One Gauss-Legendre rule, doubled by ``_converge``, takes the arc
+    in phi but a slab's side past asin(c/t) in r in [2c, t], where in phi it grows too fast.
+
+    The error is the last doubling delta plus the rounding bound 4 eps (1 + |log value|) S / V,
+    with S the rule over the magnitudes that the windows subtract and V the rule itself: a
+    log term rounds to eps times its size, at most about |log value|, and a subtraction
+    scales that by S / V."""
+    t, n = domain.t, float(rs.simple_dual_norms[0])
+    c = domain.regular_margin or domain.slab or 0.0
+    edge = math.asin(c / t) if c < 0.5 * t else math.pi / 6  # where c / sin(phi) reaches t
+    lo, hi = (0.0, edge) if domain.slab is not None else (edge, math.pi / 6)
+    radii, ratios = domain.slab is not None and edge < math.pi / 6, []
+
+    def evaluate(nodes):
+        x, w = _gauss_legendre(nodes)
+        u = 0.5 * (x + 1.0)  # the nodes on [0, 1], whose weights are w / 2
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pieces = [(lo + (hi - lo) * u, np.log(0.5 * (hi - lo) * w), np.full(nodes, t))]
+            if radii:  # phi = asin(q), q = c / r, and d phi = q dr / (r sqrt(1 - q^2))
+                span = t - 2.0 * c
+                r = 2.0 * c + span * u
+                q = c / r
+                pieces.append((np.arcsin(q), np.log(0.5 * span * w * q / np.sqrt(1.0 - q * q) / r), r))
+            phi, log_w, h = map(np.concatenate, zip(*pieces))
+            a, b = n * np.sin(phi), n * np.sin(math.pi / 3 - phi)
+            log_val, log_mag = _log_radial(integrand, a, b, h)
+            if domain.regular_margin:  # the window [c n / a, t]
+                low, low_mag = _log_radial(integrand, a, b, np.minimum(t, c * n / a))
+                log_val = log_val + np.log1p(-np.exp(np.minimum(low - log_val, 0.0)))
+                log_mag = np.logaddexp(log_mag, low_mag)
+            total = logsumexp(log_val + log_w)
+            ratios.append(logsumexp(log_mag + log_w) - total)
+        return math.log(2.0) + total
+
+    log_value, error = _converge(evaluate)
+    if log_value > LOG_ZERO:  # every window is empty for a margin of t/2 on (or just short, in floats)
+        error += 4.0 * math.ulp(1.0) * (1.0 + abs(log_value)) * math.exp(ratios[-1])
+    return _finish(log_value, "quadrature", error)
 
 
 def _box_jacobian(rs: RootSystemA, duals) -> float:
@@ -418,14 +425,14 @@ def closed_form_ball_d2(t: float) -> float:
 
 def ball_volume(rs_or_d, t: float) -> VolumeResult:
     """Harish-Chandra volume of the chamber ball of Killing radius t: the closed form at
-    d = 2, the quadrature to ``QUAD_REL_TOL`` at d = 3."""
+    d = 2, the angular rule over closed-form radial integrals at d = 3."""
     rs = _root_system(rs_or_d)
     return domain_volume(rs, Domain("ball", t))
 
 
-def domain_volume(rs: RootSystemA, domain: Domain, rel_tol: float = QUAD_REL_TOL) -> VolumeResult:
+def domain_volume(rs: RootSystemA, domain: Domain) -> VolumeResult:
     """Volume of a (possibly filtered) domain with the HC density."""
-    return _region_volume(rs, domain, "hc", rel_tol)
+    return _region_volume(rs, domain, "hc")
 
 
 def fit_growth(rs: RootSystemA, t_grid, volumes_log) -> dict:
@@ -486,7 +493,7 @@ def box_volume_quadrature(rs_or_d, t: float, edges) -> VolumeResult:
     if rs.d != 3:
         raise ParameterError("box quadrature is shipped for d = 3")
     his = [t * float(e) for e in edges]
-    # the log value grows as t * edge, past what _converge resolves from rel_tol / eps on
+    # the log value grows as t * edge, past what _converge resolves from QUAD_REL_TOL / eps on
     if max(his) * math.ulp(1.0) >= QUAD_REL_TOL:
         raise NumericError(f"box quadrature cannot resolve t * edge = {max(his)} to {QUAD_REL_TOL}")
     u0, u1 = duals = _dual_basis(rs)
@@ -495,21 +502,14 @@ def box_volume_quadrature(rs_or_d, t: float, edges) -> VolumeResult:
     def density(z0, z1):
         return log_hc_integrand(rs, np.outer(z0, u0) + np.outer(z1, u1)) + log_jac
 
-    log_val, delta = _log_quad_2d(density, 0.0, his[0], lambda _: 0.0, lambda _: his[1])
+    log_val, delta = _log_quad_2d(density, his[0], his[1])
     return _finish(log_val, "quadrature", delta)
 
 
 # ------------------------------------------------------------ slab volumes
 
 
-def slab_volume(
-    rs_or_d,
-    t: float,
-    s: float,
-    kind: str = "ball",
-    edges=None,
-    rel_tol: float = QUAD_REL_TOL,
-) -> VolumeResult:
+def slab_volume(rs_or_d, t: float, s: float, kind: str = "ball", edges=None) -> VolumeResult:
     """Upper-bound mass of the almost-singular slab and its ratio to the volume.
 
     Integrates exp(2 rho) over the part of the domain within wall distance s
@@ -518,8 +518,8 @@ def slab_volume(
     """
     rs = _root_system(rs_or_d)
     edges = tuple(edges) if edges else None
-    res = _region_volume(rs, Domain(kind, t, edges, slab=s), "two_rho", rel_tol)
-    vol = domain_volume(rs, Domain(kind, t, edges), rel_tol)
+    res = _region_volume(rs, Domain(kind, t, edges, slab=s), "two_rho")
+    vol = domain_volume(rs, Domain(kind, t, edges))
     log_ratio = res.log_value - vol.log_value
     res.extras.update(log_ratio=log_ratio, ratio=math.exp(log_ratio) if log_ratio < 700 else math.inf,
                       log_volume=vol.log_value)
@@ -527,8 +527,7 @@ def slab_volume(
 
 
 def slab_decay_sweep(rs_or_d, epsilons, t_grid) -> dict:
-    """Fit the decay of the ball's slab ratio at s = eps * t across a t sweep, each
-    volume to a relative 1e-7.
+    """Fit the decay of the ball's slab ratio at s = eps * t across a t sweep.
 
     The fitted exponent is the empirical counterpart of the (non-
     constructive) slab decay rate: log ratio regressed on -log volume.
@@ -539,7 +538,7 @@ def slab_decay_sweep(rs_or_d, epsilons, t_grid) -> dict:
     for eps in epsilons:
         rows = []
         for t in t_grid:
-            res = slab_volume(rs, t, eps * t, rel_tol=1e-7)
+            res = slab_volume(rs, t, eps * t)
             rows.append(
                 {
                     "t": t,

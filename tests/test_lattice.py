@@ -686,6 +686,52 @@ class TestTableOracle:
             lt._word_ball(gens, 2)
 
 
+class TestConjugateOnce:
+    """A census at a base point h conjugates each row once: the scan's displacements m
+    go to g = h m h^-1 only where kept (they all went to g and back to m), and
+    ``restrict`` (with it ``load_cache``) takes each g to m once."""
+
+    @staticmethod
+    def conjugated_rows(monkeypatch) -> list:
+        rows, conjugate = [], lt._int_conjugate
+        monkeypatch.setattr(lt, "_int_conjugate", lambda mats, h: rows.append(len(mats)) or conjugate(mats, h))
+        return rows
+
+    def test_rows_through_the_conjugation(self, monkeypatch, tmp_path):
+        spec, domain = LatticeSpec("sl3", base_point=SL3_BASE), Domain("ball", 3.0)
+        rows = self.conjugated_rows(monkeypatch)
+        census, meta = lt.enumerate_elements(spec, domain, word_radius=5)
+        scanned = len(lt._word_ball(lt._default_sl3_generators(), 5))
+        assert (scanned, len(census)) == (30163, 895) and sum(rows) <= scanned + len(census)
+        rows.clear()
+        assert len(lt.restrict(census.table, spec, domain)[0]) == len(census) and rows == [len(census)]
+        lt.save_cache(tmp_path, spec, domain, census, meta)
+        rows.clear()
+        lt.load_cache(tmp_path)
+        assert rows == [len(census)]
+
+    @pytest.mark.parametrize("spec, domain, radius, digest", [
+        (LatticeSpec("sl3", base_point=SL3_BASE), Domain("ball", 3.0), 5, "08c804a33cbb52df"),
+        (LatticeSpec("sl3", base_point=SL3_BASE), Domain("ball", 4.0, regular_margin=0.3), 4, "91e4c4551754837d"),
+        (LatticeSpec("sl2", base_point=((2, 1), (1, 1))), Domain("ball", 6.0), 4, "b96bfa599bf7db6b"),
+        (LatticeSpec("sl2", base_point=((2, 1), (1, 1))), Domain("ball", 7.0, slab=0.5), 4, "7c77d34363c1250d"),
+    ])
+    def test_census_columns_and_cache_are_as_they_were(self, tmp_path, spec, domain, radius, digest):
+        # sha256 prefixes recorded from the census that conjugated every scanned row twice:
+        # its table and columns, its cache files in three shards, and the columns loaded back
+        h = hashlib.sha256()
+        census, meta = lt.enumerate_elements(spec, domain, word_radius=radius)
+        lt.save_cache(tmp_path / "c", spec, domain, census, meta, shards=3)
+        loaded = lt.load_cache(tmp_path / "c")[2]
+        for col in (census.table, census.cartan, census.wall_margin, census.loxodromic, census.jordan):
+            h.update(np.ascontiguousarray(col).tobytes())
+        for path in sorted((tmp_path / "c").iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        for col in (loaded.table, loaded.cartan, loaded.wall_margin, loaded.loxodromic, loaded.jordan):
+            h.update(np.ascontiguousarray(col).tobytes())
+        assert h.hexdigest()[:16] == digest
+
+
 @pytest.fixture(scope="module")
 def flip_cache(tmp_path_factory):
     directory = tmp_path_factory.mktemp("flip")

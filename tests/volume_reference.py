@@ -1,23 +1,24 @@
 """A uniform-box Monte-Carlo estimate of chamber-domain volumes, a test reference
-for the quadrature and the closed forms of ``wcc.volume``; and the Lipschitz and
+for the quadratures and the closed forms of ``wcc.volume``; and the Lipschitz and
 well-roundedness probes of the volume family, the largest wall distance of a
 domain and the pointwise Harish-Chandra density, which no command or acceptance
 criterion runs (they were ``wcc.volume.lipschitz_probe``, ``well_rounded_probe``,
 ``max_wall_distance`` and ``hc_integrand``, unchanged); the 2-D rule one outer
 node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; the wall
-distance of one direction at a time, the oracle of the stacked
-``RootSystemA.wall_distances`` in the ball quadrature (``wcc.volume._wall_scale``,
-unchanged); the membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``,
-unchanged); the 1-D quadrature and the log difference that the closed forms of
-``wcc.volume`` replaced (``_log_quad_1d`` and ``_log_sub``, unchanged); the oracles of the
-closed forms: the signed-exponential box expansion, and the integral over any rectangles
-in the simple-root coordinates at 50 digits, for both densities; and the node doubling
-without the stall refusal, the oracle of ``wcc.volume._converge``."""
+distance of one direction at a time (``wcc.volume._wall_scale``, unchanged); the
+membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``, unchanged);
+the 1-D quadrature, its e^(2 rho) density and the log difference that the closed forms
+of ``wcc.volume`` replaced (``_log_quad_1d``, ``log_two_rho_integrand`` and ``_log_sub``,
+unchanged); the oracles of the closed forms: the signed-exponential box expansion, the
+integral over any rectangles in the simple-root coordinates at 50 digits, for both
+densities, and the d = 3 ball, with its margin or slab, at 60 digits; and the node
+doubling without the stall refusal, the oracle of ``wcc.volume._converge``."""
 
 import decimal
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from wcc import projections as pj
@@ -49,7 +50,12 @@ def _log_sub(log_a: float, log_b: float) -> float:
     return log_a + math.log1p(-math.exp(log_b - log_a))
 
 
-def log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
+def log_two_rho_integrand(rs: RootSystemA, ys: np.ndarray) -> np.ndarray:
+    """Log of e^(2 rho) at chamber points (rows of ys)."""
+    return np.atleast_2d(ys) @ rs.two_rho
+
+
+def log_quad_1d(log_density, lo: float, hi: float):
     """Gauss-Legendre with node doubling on [lo, hi] of a log density (``wcc.volume._log_quad_1d``,
     unchanged), the d = 2 quadrature that the closed forms replaced."""
     if hi <= lo:
@@ -61,7 +67,7 @@ def log_quad_1d(log_density, lo: float, hi: float, rel_tol=QUAD_REL_TOL):
         logw = np.log(0.5 * (hi - lo) * w)
         return float(logsumexp(log_density(u) + logw))
 
-    return _converge(evaluate, rel_tol=rel_tol)
+    return _converge(evaluate)
 
 
 def _wall_scale(rs: RootSystemA, direction: np.ndarray) -> float:
@@ -246,37 +252,27 @@ def hc_integrand(rs_or_d, y) -> float:
     return 0.0 if val == LOG_ZERO else math.exp(val)
 
 
-def reference_log_quad_2d(log_density, lo1, hi1, lo2_fn, hi2_fn, rel_tol=QUAD_REL_TOL):
-    """Iterated integral with inner bounds depending on the outer variable, with one
-    inner rule and one ``logsumexp`` per outer node (``wcc.volume._log_quad_2d`` before
-    it became one stacked pass).  The bounds map the outer-node array to arrays (or
-    scalars, broadcast) of bounds, as there."""
-    if hi1 <= lo1:
+def reference_log_quad_2d(log_density, hi1, hi2):
+    """The product rule over [0, hi1] x [0, hi2] with one inner rule and one ``logsumexp`` per
+    outer node (``wcc.volume._log_quad_2d`` before it became one stacked pass)."""
+    if not (hi1 > 0.0 and hi2 > 0.0):
         return LOG_ZERO, 0.0
 
     def evaluate(n):
         x, w = _gauss_legendre(n)
-        u = 0.5 * (hi1 - lo1) * x + 0.5 * (hi1 + lo1)
-        logw_u = np.log(0.5 * (hi1 - lo1) * w)
-        lo2s, hi2s = np.broadcast_to(lo2_fn(u), u.shape), np.broadcast_to(hi2_fn(u), u.shape)
-        pieces = []
-        for ui, lwi, lo2, hi2 in zip(u, logw_u, lo2s, hi2s):
-            if hi2 <= lo2:
-                continue
-            v = 0.5 * (hi2 - lo2) * x + 0.5 * (hi2 + lo2)
-            logw_v = np.log(0.5 * (hi2 - lo2) * w)
-            vals = log_density(np.full_like(v, ui), v)
-            pieces.append(logsumexp(vals + logw_v) + lwi)
-        if not pieces:
-            return LOG_ZERO
+        u = 0.5 * hi1 * x + 0.5 * hi1
+        logw_u = np.log(0.5 * hi1 * w)
+        v = 0.5 * hi2 * x + 0.5 * hi2
+        logw_v = np.log(0.5 * hi2 * w)
+        pieces = [logsumexp(log_density(np.full_like(v, ui), v) + logw_v) + lwi for ui, lwi in zip(u, logw_u)]
         return float(logsumexp(pieces))
 
-    return _converge(evaluate, rel_tol=rel_tol)
+    return _converge(evaluate)
 
 
 def doubling_converge(evaluate, rel_tol: float = QUAD_REL_TOL):
-    """``wcc.volume._converge`` before it refused a delta that stops shrinking: it doubles
-    up to 2 MAX_NODES nodes whatever the deltas do (unchanged otherwise)."""
+    """``wcc.volume._converge`` before it refused a delta that stops shrinking and stopped at
+    MAX_NODES: it doubles up to 2 MAX_NODES nodes whatever the deltas do (unchanged otherwise)."""
     n = 24
     prev = evaluate(n)
     if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
@@ -451,3 +447,67 @@ def exact_rectangles(d: int, domain: Domain):
 def decimal_box_log_volume(d: int, t: float, edges) -> decimal.Decimal:
     """The log of the box volume at 50 digits: ``decimal_log_volume`` over [0, t a_i]."""
     return decimal_log_volume(d, exact_rectangles(d, Domain("box", t, tuple(edges))))
+
+
+def mp_log_ball_volume(t: float, integrand: str = "hc", regular_margin=None, slab=None, dps: int = 60):
+    """The log of the d = 3 ball volume, or of its part with wall distance above a margin or
+    within a slab c, at ``dps`` digits (``integrand`` is "hc" or "two_rho").
+
+    Along the direction at angle theta from the rho direction the simple roots take
+    a = sin(pi/6 - theta) / sqrt 3 and b = sin(pi/6 + theta) / sqrt 3, and the wall distance
+    is sqrt(3) a.  The radial integral of r f(r) over [0, h] is in closed form: for hc,
+    h^2/4 (M(2(a + b)h) - M(2ah) - M(2bh)) with M(x) = (x cosh x - sinh x) / x^2 - x/3 (by
+    sinh x sinh y sinh(x + y) = (sinh 2(x + y) - sinh 2x - sinh 2y) / 4), and for two_rho
+    P(2(a + b)h) / (2(a + b))^2 with P(x) = e^x (x - 1) + 1, each summed as its positive
+    series below x = 1.  The radial window is [0, t], [c / w, t] (margin) or
+    [0, min(t, c / w)] (slab), which reaches t at theta_c = pi/6 - asin(c/t).  ``mpmath.quad``
+    takes twice the angular integral over [0, theta_c, pi/6], split further around the
+    largest of 64 samples and scaled by it, so that its tolerance is relative.  The working
+    precision is dps + 20 digits; at dps = 60 and 75 the values of the test grid agree to
+    5e-57."""
+    with mpmath.workdps(dps + 20):
+        t, n = mpmath.mpf(t), 1 / mpmath.sqrt(3)
+        c = mpmath.mpf(regular_margin or slab or 0)
+        edge = mpmath.pi / 6 - mpmath.asin(c / t) if c < t / 2 else mpmath.mpf(0)
+        if regular_margin and edge == 0:
+            return -mpmath.inf
+
+        def series(term, ratio):
+            total, k = term, 2
+            while term > total * mpmath.eps:
+                term *= ratio(k)
+                total += term
+                k += 1
+            return total
+
+        def m(x):
+            if x < 1:
+                return series(x**3 / 30, lambda k: (k + 1) * x * x / (k * (2 * k + 2) * (2 * k + 3)))
+            return (x * mpmath.cosh(x) - mpmath.sinh(x)) / x**2 - x / 3
+
+        def p(x):
+            if x < 1:
+                return series(x * x / 2, lambda k: k * x / ((k - 1) * (k + 1)))
+            return mpmath.exp(x) * (x - 1) + 1
+
+        def radial(a, b, h):
+            if integrand == "two_rho":
+                return p(2 * (a + b) * h) / (2 * (a + b)) ** 2
+            return h**2 / 4 * (m(2 * (a + b) * h) - m(2 * a * h) - m(2 * b * h))
+
+        def f(theta):
+            a, b = n * mpmath.sin(mpmath.pi / 6 - theta), n * mpmath.sin(mpmath.pi / 6 + theta)
+            if a <= 0 or (regular_margin and theta >= edge):
+                return mpmath.mpf(0)
+            if regular_margin:
+                return radial(a, b, t) - radial(a, b, c / (a / n))
+            return radial(a, b, min(t, c / (a / n)) if slab else t)
+
+        top = edge if regular_margin else mpmath.pi / 6
+        points = [mpmath.mpf(0), top] + ([edge] if slab and 0 < edge else [])
+        grid = [top * j / 64 for j in range(64)]
+        samples = [f(theta) for theta in grid]
+        scale = max(samples)
+        peak, width = grid[samples.index(scale)], 1 / mpmath.sqrt(1 + 2 * n * t)
+        points = sorted(set(points + [peak + k * width for k in (-8, -2, 2, 8) if 0 < peak + k * width < top]))
+        return mpmath.log(2 * scale * mpmath.quad(lambda theta: f(theta) / scale, points))
