@@ -169,13 +169,6 @@ def _sine(u, v) -> float:
     return math.hypot(*_cross(u, v)) / (math.hypot(*u) * math.hypot(*v))
 
 
-def _so3_flag(first, second) -> tuple:
-    """The SO(3) flag of the line of ``first`` in its plane with ``second``: unit line, unit normal."""
-    normal = _cross(first, second)
-    a, b = math.hypot(*first), math.hypot(*normal)
-    return (first[0] / a, first[1] / a, first[2] / a), (normal[0] / b, normal[1] / b, normal[2] / b)
-
-
 def _sl3_witness(p1, p3, m1, m3):
     """The witness of one SO(3) flag pair (unit lines p1, m1, unit plane normals p3, m3) as
     the rows of a 3 x 3 matrix, or None and the message of the TransversalityError it raises.
@@ -317,23 +310,24 @@ def _flat_row(m: np.ndarray):
     s = s.tolist()
     if not (s[-1] > 0.0 and all(map(math.isfinite, s))):
         return None
-    a = [math.log(v) for v in s]
-    a = [v - sum(a) / 3.0 for v in a]
-    v = vh.tolist()
-    g0 = g1 = h00 = h01 = h11 = 0.0
-    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        (p0, p1, p2), (q0, q1, q2) = v[i], v[j]
-        w0, w1 = p0 * q0, p1 * q1
-        z0, z1 = (w0 - w1) * r2, (w0 + w1 - 2.0 * p2 * q2) * r6
-        if i == j:
-            g0, g1, weight = g0 + a[i] * z0, g1 + a[i] * z1, 1.0
-        else:
-            diff = a[i] - a[j]
-            weight = 2.0 * diff / math.tanh(diff) if diff != 0.0 else 2.0
-        h00, h01, h11 = h00 + weight * z0 * z0, h01 + weight * z0 * z1, h11 + weight * z1 * z1
+    l0, l1, l2 = logs = [math.log(v) for v in s]
+    mean = sum(logs) / 3.0
+    a0, a1, a2 = l0 - mean, l1 - mean, l2 - mean
+    (u0, u1, u2), (v0, v1, v2), (w0, w1, w2) = vh.tolist()  # z_ij from p = v_i0 v_j0, q = v_i1 v_j1
+    x0, y0 = ((p := u0 * u0) - (q := u1 * u1)) * r2, (p + q - 2.0 * u2 * u2) * r6
+    x1, y1 = ((p := v0 * v0) - (q := v1 * v1)) * r2, (p + q - 2.0 * v2 * v2) * r6
+    x2, y2 = ((p := w0 * w0) - (q := w1 * w1)) * r2, (p + q - 2.0 * w2 * w2) * r6
+    x01, y01 = ((p := u0 * v0) - (q := u1 * v1)) * r2, (p + q - 2.0 * u2 * v2) * r6
+    x02, y02 = ((p := u0 * w0) - (q := u1 * w1)) * r2, (p + q - 2.0 * u2 * w2) * r6
+    x12, y12 = ((p := v0 * w0) - (q := v1 * w1)) * r2, (p + q - 2.0 * v2 * w2) * r6
+    e01, e02, e12 = [2.0 * e / math.tanh(e) if e != 0.0 else 2.0 for e in (a0 - a1, a0 - a2, a1 - a2)]
+    g0, g1 = 0.0 + a0 * x0 + a1 * x1 + a2 * x2, 0.0 + a0 * y0 + a1 * y1 + a2 * y2
+    h00 = 0.0 + x0 * x0 + x1 * x1 + x2 * x2 + e01 * x01 * x01 + e02 * x02 * x02 + e12 * x12 * x12
+    h01 = 0.0 + x0 * y0 + x1 * y1 + x2 * y2 + e01 * x01 * y01 + e02 * x02 * y02 + e12 * x12 * y12
+    h11 = 0.0 + y0 * y0 + y1 * y1 + y2 * y2 + e01 * y01 * y01 + e02 * y02 * y02 + e12 * y12 * y12
     two_k = 2.0 * k
-    return (k * sum(x * x for x in a), [two_k * g0, two_k * g1],
-            [[two_k * h00, two_k * h01], [two_k * h01, two_k * h11]], a[0] - a[-1])
+    return (k * sum((a0 * a0, a1 * a1, a2 * a2)), [two_k * g0, two_k * g1],
+            [[two_k * h00, two_k * h01], [two_k * h01, two_k * h11]], a0 - a2)
 
 
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:

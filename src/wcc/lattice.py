@@ -1,9 +1,9 @@
 """Exact enumeration of integer lattice elements in chamber domains.
 
 SL(2,Z) is enumerated exactly: the domain bounds the largest singular value,
-hence every entry, and the determinant condition fixes the fourth entry from
-the other three; membership is the integer Frobenius mass against the
-domain's cap.  SL(3,Z) (or any generated presentation) ships as a
+hence the Frobenius mass, by an integer cap decided at 50 digits; each
+primitive first column within it gives the matrices of mass within the cap
+as one integer range.  SL(3,Z) (or any generated presentation) ships as a
 breadth-first word ball with exact dedup and an explicit incompleteness
 flag: stats downstream are samples, not censuses.  Every census is one int64
 table with its columns (a ``Census``), conjugated by a base point in one exact
@@ -21,17 +21,18 @@ import os
 import shutil
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FeasibilityError, ParameterError, PreconditionError
+from .errors import FeasibilityError, NumericError, ParameterError, PreconditionError
 from .projections import _int_conjugate, _int_det, _integer_inverse, cartan_vector, jordan_project
 from .rootsys import RootSystemA, root_system
 from .volume import Domain
 
 CACHE_VERSION = 2
-CANDIDATE_CAP = int(1e9)
+CANDIDATE_CAP = int(5e6)  # sl2 scan rows: a census peaks near 190 bytes a row, ~1 GB here (t ~ 19.3)
 
 
 @dataclass(frozen=True)
@@ -108,28 +109,51 @@ class Census(Sequence):
 
 
 def _sl2_mass_cap(domain: Domain, rs: RootSystemA) -> int:
-    """Ball and box bound sigma_max by M: for det-one g that is mass <= M^2 + M^-2."""
-    m = math.exp(domain.max_top_weight(rs))
-    return math.floor(m * m + 1.0 / (m * m))
+    """Ball and box bound sigma_max by M = exp(w), w the domain's ``max_top_weight`` (t / sqrt 8 for
+    a ball, t e / 2 for a box of edge e): for det-one g that is mass <= M^2 + M^-2.  Decided exactly:
+    M^2 from the exact t and e in ``decimal``, and floor(M^2 + M^-2) at 50 digits past the point.
+    M^2 + M^-2 is no integer for t > 0 (e^(2w) is transcendental by Lindemann-Weierstrass), so a
+    value within 1e-40 of one above 2 raises NumericError (one within 1e-40 of 2 gives 2)."""
+    if (w := domain.max_top_weight(rs)) > 350.0:  # no int64 census nears M^2 > e^700, and decimal would crawl
+        raise NumericError(f"census cap exp({2.0 * w}) is beyond float range")
+    with localcontext() as ctx:
+        ctx.prec = 60 + int(w)  # 50 digits past the point at least
+        t = Decimal(domain.t)
+        m2 = (t / Decimal(2).sqrt() if domain.kind == "ball" else t * Decimal(domain.edges[0])).exp()
+        value = m2 + 1 / m2
+        if (near := value.to_integral_value()) > 2 and abs(value - near) < Decimal("1e-40"):
+            raise NumericError(f"census cap {value} at t = {domain.t!r} is too close to an integer")
+        return max(2, int(value.to_integral_value(ROUND_FLOOR)))
 
 
-def _sl2_candidates(bound: int, a_lo: int, a_hi: int, mass_cap: int) -> np.ndarray:
-    """Int64 rows (a, b, c, d) of det-one matrices with a in [a_lo, a_hi], mass <= mass_cap.
-
-    For a != 0 the scan solves ad - bc = 1 for d; a = 0 forces bc = -1, d free.
-    """
-    r = np.arange(-bound, bound + 1, dtype=np.int64)
-    bc1 = 1 + np.multiply.outer(r, r)
-    parts = [np.empty((0, 4), dtype=np.int64)]
-    for a in range(a_lo, a_hi + 1):
-        if a == 0:
-            d = r[r * r <= mass_cap - 2]
-            parts += [np.stack([0 * d, 0 * d + s, 0 * d - s, d], axis=1) for s in (1, -1)]
-            continue
-        b, c = np.nonzero(bc1 % a == 0)
-        rows = np.stack([np.full_like(b, a), b - bound, c - bound, bc1[b, c] // a], axis=1)
-        parts.append(rows[np.einsum("ij,ij->i", rows, rows) <= mass_cap])
-    return np.concatenate(parts)
+def _sl2_candidates(a_lo: int, a_hi: int, mass_cap: int) -> np.ndarray:
+    """Int64 rows (a, b, c, d) of the det-one matrices with a in [a_lo, a_hi] and mass <= mass_cap,
+    in time linear in the rows.  Their first columns (a, c) are primitive with n = a^2 + c^2 < mass_cap,
+    as n (b^2 + d^2) >= (ad - bc)^2 = 1; one stacked extended Euclid gives a d0 - b0 c = 1, and the
+    matrices of that column are (a, b0 + k a; c, d0 + k c).  With p = a b0 + c d0, Lagrange's identity
+    n (b0^2 + d0^2) - p^2 = 1 makes n (mass - n) = (n k + p)^2 + 1, so mass <= mass_cap exactly for
+    |n k + p| <= isqrt(n (mass_cap - n) - 1)."""
+    top = math.isqrt(mass_cap - 1)
+    a, c = np.meshgrid(np.arange(max(a_lo, -top), min(a_hi, top) + 1, dtype=np.int64),
+                       np.arange(-top, top + 1, dtype=np.int64), indexing="ij")
+    n = a * a + c * c
+    keep = (n < mass_cap) & (np.gcd(a, c) == 1)
+    a, c, n = a[keep], c[keep], n[keep]
+    r0, r1, x0, x1, y0, y1 = a, c, np.ones_like(a), 0 * a, 0 * a, np.ones_like(a)
+    while (live := r1 != 0).any():  # r0 = a x0 + c y0 and r1 = a x1 + c y1 throughout
+        q = r0 // np.where(live, r1, 1)
+        r0, r1, x0, x1, y0, y1 = (np.where(live, new, old) for new, old in (
+            (r1, r0), (r0 - q * r1, r1), (x1, x0), (x0 - q * x1, x1), (y1, y0), (y0 - q * y1, y1)))
+    d0, b0 = x0 * r0, -y0 * r0  # r0 = gcd = +-1
+    p, disc = a * b0 + c * d0, n * (mass_cap - n) - 1
+    s = np.sqrt(disc.astype(float)).astype(np.int64)
+    s += (s + 1) * (s + 1) <= disc
+    s -= s * s > disc
+    k_lo, k_hi = -((p + s) // n), (s - p) // n
+    count = np.maximum(k_hi - k_lo + 1, 0)
+    col = np.repeat(np.arange(len(n)), count)
+    k = k_lo[col] + np.arange(len(col)) - np.repeat(np.cumsum(count) - count, count)
+    return np.stack([a[col], b0[col] + k * a[col], c[col], d0[col] + k * c[col]], axis=1)
 
 
 def _round12(x: np.ndarray) -> np.ndarray:
@@ -225,27 +249,24 @@ def enumerate_elements(
 
     Returns (census, meta); the census rows are sorted by displacement norm
     then entries.  The sl2 full-integer path is exact; everything else is a word
-    ball with ``meta.complete = False``.  An sl2 scan beyond ``CANDIDATE_CAP``
-    candidates raises ``FeasibilityError``.
+    ball with ``meta.complete = False``.  An sl2 scan of more than ``CANDIDATE_CAP``
+    estimated rows raises ``FeasibilityError``; ``meta.candidates`` counts the rows it generates.
     """
     rs = root_system(spec.d)
     domain.for_dimension(spec.d)
     if spec.group == "sl2" and spec.presentation == "full_integer":
-        sigma_max = math.exp(domain.max_top_weight(rs))
-        bound = int(math.floor(sigma_max + 1e-12))
-        candidates = (2 * bound + 1) ** 3
-        if candidates > CANDIDATE_CAP:
-            raise FeasibilityError(
-                f"sl2 enumeration would scan ~{candidates:.2e} candidates "
-                f"(entry bound {bound}), beyond the cap of {CANDIDATE_CAP:.0e}",
-                estimated_candidates=candidates,
-            )
+        top = domain.max_top_weight(rs)
+        estimate = 6.0 * math.exp(min(2.0 * top, 700.0))  # ~6 (M^2 + M^-2) rows
+        if estimate > CANDIDATE_CAP:
+            raise FeasibilityError(f"sl2 enumeration would generate ~{estimate:.2e} rows, beyond the cap of "
+                                   f"{CANDIDATE_CAP:.0e}", estimated_candidates=estimate)
+        bound = int(math.floor(math.exp(top) + 1e-12))
         shards = max(1, min(shards, 2 * bound + 1))
         edges = np.linspace(-bound, bound + 1, shards + 1).astype(int)
         ranges = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(shards)]
         mass_cap = _sl2_mass_cap(domain, rs)
-        table = np.concatenate([_sl2_candidates(bound, lo, hi, mass_cap) for lo, hi in ranges])
-        meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=candidates)
+        table = np.concatenate([_sl2_candidates(lo, hi, mass_cap) for lo, hi in ranges])
+        meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=len(table))
     else:
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
         table = words.reshape(len(words), -1)

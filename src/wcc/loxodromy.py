@@ -226,8 +226,8 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     origin, and its frames not multiplied by h_x; an integer m takes its logs from ``cartan_vector``),
     the Newton SVDs of ``flagmetric.flat_distance`` and, for an element that would be certified, one
     eigen-solve of gamma for its loxodromy (``_loxodromic``) and fixed flags.  Each flag is a unit line
-    and plane normal (``_so3_flag``), and each fixed-point error the larger sine between their lines
-    and between their normals."""
+    and plane normal, and each fixed-point error the larger sine between their lines and between
+    their normals."""
     u, s, vh = pj._lapack("svd_f", conj.mat)
     if conj.int_mat is None:  # wall_distances(_robust_logs(s)) in floats, bit for bit
         a1, a2, a3 = logs = np.log(np.maximum(s, 1e-300)).tolist()  # np.log: math.log differs in the last bit
@@ -243,13 +243,15 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
         (k1, k2), (l3, l2) = u[:, :2].T.tolist(), vh[:0:-1].tolist()
     else:
         (k1, k2), (l3, l2) = (x.h.mat @ u[:, :2]).T.tolist(), (vh[:0:-1] @ x.h.mat.T).tolist()
-    (p1, p3), (m1, m3) = fm._so3_flag(k1, k2), fm._so3_flag(l3, l2)
+    p1, p3, m1, m3 = [(v0 / n, v1 / n, v2 / n) for v0, v1, v2 in (k1, fm._cross(k1, k2), l3, fm._cross(l3, l2))
+                      for n in (math.hypot(v0, v1, v2),)]  # unit lines and plane normals
     delta = min(abs(fm._dot(p1, m3)), abs(fm._dot(p3, m1)))  # dist_delta
     conditions["transverse_ok"] = delta > 0.0
     if conditions["transverse_ok"]:
-        frames = np.array([[p1, fm._cross(p3, p1), p3], [m1, fm._cross(m3, m1), m3]]).transpose(0, 2, 1)
+        frames = np.array([*p1, *fm._cross(p3, p1), *p3, *m1, *fm._cross(m3, m1), *m3]).reshape(2, 3, 3)
+        pair = fm.TransversePair._of_so_frames(*frames.transpose(0, 2, 1), delta)
         try:
-            conditions["flat_dist"] = fm.flat_distance(x, fm.TransversePair._of_so_frames(*frames, delta))
+            conditions["flat_dist"] = fm.flat_distance(x, pair)
         except TransversalityError:  # the witness's refusal inside flat_distance
             conditions["transverse_ok"] = False
         except NumericError:
@@ -294,15 +296,19 @@ def _flat_bound_rows(mats: np.ndarray, x: BasePoint) -> list:
     per row its gap, or the library error ``jordan_cartan_gap`` raises for it.
 
     An integer stack (int64, or Python ints) has exact Jordan and Cartan rows, the
-    latter of its exact conjugates when h_x is integer.  One eigen-solve gives the
+    latter of its exact conjugates when h_x is integer, and at d = 2 its flat distances
+    are the closed forms of ``_sl2_axis_distances``.  Otherwise one eigen-solve gives the
     Jordan rows and the fixed flags, whose flat distances come from
     ``flagmetric._fixed_flat_distances``.
     """
-    eigvals, eigvecs = pj._eig(mats.astype(float), vectors=True)
+    closed = mats.shape[1] == 2 and mats.dtype.kind != "f"
+    eigvals, eigvecs = (None, None) if closed else pj._eig(mats.astype(float), vectors=True)
     lam, lox = pj._jordan_rows(mats, pj.TAU_LOX_DEFAULT, eigvals)
-    diff = lam - pj._cartan_rows(pj._conjugate_stack(mats, x))
+    conj = pj._conjugate_stack(mats, x)
+    diff = lam - pj._cartan_rows(conj)
     gaps = np.sqrt(root_system(mats.shape[1]).killing_scale * np.vecdot(diff, diff))  # killing_norm
-    flats = iter(fm._fixed_flat_distances(x, eigvals[lox], eigvecs[lox]))
+    flats = iter(_sl2_axis_distances(conj[lox], pj._int_char_discriminant(mats[lox])).tolist() if closed
+                 else fm._fixed_flat_distances(x, eigvals[lox], eigvecs[lox]))
 
     rows = []
     for is_lox, gap in zip(lox.tolist(), gaps.tolist()):
@@ -315,3 +321,12 @@ def _flat_bound_rows(mats: np.ndarray, x: BasePoint) -> list:
         else:
             rows.append(gap)
     return rows
+
+
+def _sl2_axis_distances(conj: np.ndarray, disc: np.ndarray) -> np.ndarray:
+    """Distance from o to the axis of each hyperbolic m = (a b; c d) of a stack, given its exact
+    tr^2 - 4: sqrt(2) asinh(|b - c| / sqrt(tr^2 - 4)), as sinh(d(o, m o) / 2) = cosh rho sinh(l / 2)
+    for the distance rho to the axis and the translation length l (Beardon, The Geometry of Discrete
+    Groups, ch. 7), and d_X = sqrt(2) d_H in the Killing normalisation."""
+    skew = np.abs((conj[:, 0, 1] - conj[:, 1, 0]).astype(float))
+    return math.sqrt(2.0) * np.arcsinh(skew / np.sqrt(disc.astype(float)))

@@ -92,15 +92,6 @@ class RootSystemA:
         c0 = c - np.mean(c)
         return float(np.linalg.norm(c0) / np.sqrt(self.killing_scale))
 
-    def dual_vector(self, c) -> np.ndarray:
-        """Unit Cartan vector maximizing the functional c on the Killing sphere."""
-        c = _as_vector(c, self.d)
-        c0 = c - np.mean(c)
-        n = np.linalg.norm(c0)
-        if n == 0.0:
-            raise ParameterError("zero functional has no maximizing direction")
-        return c0 / (n * np.sqrt(self.killing_scale))
-
     # --------------------------------------------------------------- chamber
 
     def in_closed_chamber(self, y) -> bool:

@@ -5,7 +5,9 @@ ball multiplies one element at a time, sl3 columns come from one SVD and one
 eigenvalue solve per element, and a base point conjugates record by record.
 sl2 columns are the closed forms of the integer kernels applied to one matrix
 at a time.  Records are filtered by ``volume_reference.contains_cartan`` (sl2
-full-integer censuses by their exact mass cap) and ordered by ``sort_key``.
+full-integer censuses by their exact mass cap, taken here at 50 digits by mpmath)
+and ordered by ``sort_key``.  ``cube_candidates`` is the scan of every candidate
+of the entry cube that ``wcc.lattice._sl2_candidates`` replaced, kept as its oracle.
 
 Also ``census_counts``, the count table of one census, and ``census_sweep``,
 counts over a sweep of balls with their fitted slab decay, which no command
@@ -21,6 +23,7 @@ import math
 from dataclasses import replace
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
 from wcc.errors import WccError
@@ -29,7 +32,6 @@ from wcc.lattice import (
     ElementRecord,
     LatticeSpec,
     _default_sl3_generators,
-    _sl2_mass_cap,
     enumerate_elements,
     restrict,
 )
@@ -115,13 +117,42 @@ def conjugated(records, base_point) -> list:
     return sorted(records, key=sort_key)
 
 
+def mass_cap(domain) -> int:
+    """floor(M^2 + M^-2) = floor(2 cosh(2w)) of an sl2 ball or box, w its ``max_top_weight``
+    (t / sqrt 8, or t e / 2), from the exact t and e at 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(domain.t)
+        two_w = t / mpmath.sqrt(2) if domain.kind == "ball" else t * mpmath.mpf(domain.edges[0])
+        return int(mpmath.floor(2 * mpmath.cosh(two_w)))
+
+
 def sl2_ball(domain, rs: RootSystemA):
     """Every SL(2,Z) matrix of mass within the domain's cap, by nested loops."""
-    cap = _sl2_mass_cap(domain, rs)
+    cap = mass_cap(domain)
     bound = math.isqrt(cap)
     rng = range(-bound, bound + 1)
     return [((a, b), (c, d)) for a in rng for b in rng for c in rng for d in rng
             if a * d - b * c == 1 and a * a + b * b + c * c + d * d <= cap]
+
+
+def cube_candidates(bound: int, a_lo: int, a_hi: int, cap: int) -> np.ndarray:
+    """Int64 rows (a, b, c, d) of det-one matrices with a in [a_lo, a_hi], mass <= cap,
+    from every (b, c) of the cube [-bound, bound]^2 (``wcc.lattice._sl2_candidates`` as it was).
+
+    For a != 0 the scan solves ad - bc = 1 for d; a = 0 forces bc = -1, d free.
+    """
+    r = np.arange(-bound, bound + 1, dtype=np.int64)
+    bc1 = 1 + np.multiply.outer(r, r)
+    parts = [np.empty((0, 4), dtype=np.int64)]
+    for a in range(a_lo, a_hi + 1):
+        if a == 0:
+            d = r[r * r <= cap - 2]
+            parts += [np.stack([0 * d, 0 * d + s, 0 * d - s, d], axis=1) for s in (1, -1)]
+            continue
+        b, c = np.nonzero(bc1 % a == 0)
+        rows = np.stack([np.full_like(b, a), b - bound, c - bound, bc1[b, c] // a], axis=1)
+        parts.append(rows[np.einsum("ij,ij->i", rows, rows) <= cap])
+    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=None)

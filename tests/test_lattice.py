@@ -6,6 +6,7 @@ import pstats
 import struct
 import tempfile
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,72 @@ class TestExactEnumeration:
             s = np.linalg.svd(g, compute_uv=False)
             assert np.allclose(np.log(s) - np.mean(np.log(s)), rec.cartan, atol=1e-9)
             assert s[0] <= sigma_bound * (1 + 1e-12)
+
+
+def sphere_radius(mass: int):
+    """Killing radius sqrt(2) arccosh(F / 2) of the sl2 matrices of mass F, at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.sqrt(2) * mpmath.acosh(mpmath.mpf(mass) / 2)
+
+
+class TestExactSphere:
+    """The census cap is floor(M^2 + M^-2) of the exact t: membership on a sphere is exact."""
+
+    @pytest.mark.parametrize("rows, t, inside", [
+        ((1, 2, 0, 1), 2.492900960560922, False),  # norm 2.3e-17 above t: a float cap kept it
+        ((44, 1, 43, 1), 11.652171323187684, True),  # norm 1.7e-16 below t: a float cap lost it
+    ])
+    def test_float_cap_probes(self, rows, t, inside):
+        census, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", t))
+        assert (list(rows) in census.table.tolist()) == inside
+        assert (mpmath.mpf(t) >= sphere_radius(sum(x * x for x in rows))) == inside
+
+    def test_elements_on_their_own_sphere_and_one_ulp_either_side(self):
+        rs = root_system(2)
+        masses = sorted({sum(x * x for x in m) for n in range(2, 150) for m in (
+            (n, 1, n - 1, 1), (1, n, 0, 1), (n, n + 1, n - 1, n))})
+        decided = set()
+        for mass in masses:
+            radius = sphere_radius(mass)
+            on = float(radius)  # the nearest float, on either side of the sphere
+            for t in (on, math.nextafter(on, math.inf), math.nextafter(on, 0.0)):
+                for domain in (Domain("ball", t), Domain("box", t / math.sqrt(2), (1.0,))):
+                    cap = lt._sl2_mass_cap(domain, rs)
+                    assert cap == ref.mass_cap(domain)
+                    if domain.kind == "ball":
+                        assert (cap >= mass) == (mpmath.mpf(t) >= radius)
+                        decided.add((t == on, cap >= mass))
+        assert decided == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_tiny_ball_holds_the_mass_two_elements(self):
+        assert lt._sl2_mass_cap(Domain("ball", 1e-30), root_system(2)) == 2
+        census, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 1e-30))
+        assert sorted(census.table.tolist()) == [[-1, 0, 0, -1], [0, -1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1]]
+
+
+class TestOutputSensitiveScan:
+    @pytest.mark.parametrize("t", [0.5, 3.0, 5.0, 11.0, 13.0])
+    def test_rows_of_every_shard_match_the_cube_scan(self, t):
+        rs, domain = root_system(2), Domain("ball", t)
+        cap, bound = lt._sl2_mass_cap(domain, rs), math.isqrt(ref.mass_cap(domain))
+        cube = ref.cube_candidates(bound, -bound, bound, cap)  # its shards are ranges of a
+        for shards in (1, 2, 4, 7):
+            census, meta = lt.enumerate_elements(LatticeSpec("sl2"), domain, shards=shards)
+            assert any(lo <= 0 <= hi for lo, hi in meta.shard_ranges) and meta.bound >= bound
+            total = 0
+            for lo, hi in meta.shard_ranges:
+                rows, want = lt._sl2_candidates(lo, hi, cap), cube[(lo <= cube[:, 0]) & (cube[:, 0] <= hi)]
+                assert np.array_equal(rows[np.lexsort(rows.T)], want[np.lexsort(want.T)])
+                total += len(rows)
+            assert meta.candidates == total == len(census)
+
+    def test_candidate_cap_counts_estimated_rows(self, monkeypatch):
+        monkeypatch.setattr(lt, "CANDIDATE_CAP", 6 * 400)
+        lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 8.0))  # cap 286: ~1716 rows
+        with pytest.raises(FeasibilityError) as err:
+            lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 9.0))
+        cap = ref.mass_cap(Domain("ball", 9.0))
+        assert 6 * cap <= err.value.estimated_candidates <= 6 * (cap + 1)
 
 
 class TestShardingAndCache:

@@ -2,6 +2,7 @@ import functools
 import math
 from collections import deque
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from survey_reference import balanced_split, class_id_of_matrix, reference_class
 from wcc import bqf
 from wcc import flagmetric as fm
 from wcc import loxodromy as lx
+from wcc import projections as pj
 from wcc import survey as sv
 from wcc.errors import NumericError, ParameterError, WccError
 from wcc.lattice import LatticeSpec, enumerate_elements
@@ -423,6 +425,45 @@ class TestStackedFlatBound:
         assert len(gaps) == len(ref["gaps"]) == report["checked"]
         assert gaps == pytest.approx(ref["gaps"], rel=1e-12, abs=0.0)
         assert report["max_gap"] == pytest.approx(ref["max_gap"], rel=1e-12, abs=0.0)
+
+
+def survey_base(base: str):
+    return {"origin": BasePoint.origin(2),
+            "integer": BasePoint(GroupElement.from_integer([[2, 1], [1, 1]])),
+            "float": BasePoint(GroupElement.from_cartan_vector([0.3, -0.3]))}[base]
+
+
+class TestClosedFormFlats:
+    """The d = 2 axis distances of an integer survey, sqrt(2) asinh(|b - c| / sqrt(tr^2 - 4)) of
+    m = h_x^-1 g h_x, against the fixed-flag path they replaced and a 40-digit evaluation."""
+
+    @pytest.mark.parametrize("base", ["origin", "integer", "float"])
+    def test_axis_distances(self, census_t8, base):
+        census, x = census_t8[0], survey_base(base)
+        mats = census.table[census.loxodromic].reshape(-1, 2, 2)
+        conj = pj._conjugate_stack(mats, x)
+        disc = pj._int_char_discriminant(mats)
+        flats = lx._sl2_axis_distances(conj, disc)
+        eps = np.finfo(float).eps
+        # the fixed-flag path itself strays up to 6.4 eps (1 + value) from the truth at the integer base point
+        fixed = np.array(fm._fixed_flat_distances(x, *np.linalg.eig(mats.astype(float))))
+        assert np.all(np.abs(flats - fixed) <= 8 * eps * (1 + fixed))
+        with mpmath.workdps(40):
+            exact = [float(mpmath.sqrt(2) * mpmath.asinh(abs(mpmath.mpf(b) - mpmath.mpf(c)) / mpmath.sqrt(q)))
+                     for b, c, q in zip(conj[:, 0, 1].tolist(), conj[:, 1, 0].tolist(), disc.tolist())]
+        assert np.all(np.abs(flats - exact) <= 2 * eps * (1 + np.array(exact)))
+        symmetric = conj[:, 0, 1] == conj[:, 1, 0]
+        assert (base == "float" or symmetric.any()) and np.all(flats[symmetric] == 0.0)
+
+    @pytest.mark.parametrize("base", ["origin", "integer", "float"])
+    def test_integer_survey_factors_nothing(self, census_t8, linalg_calls, base):
+        census = census_t8[0]
+        n = int(np.count_nonzero(census.loxodromic))
+        report = sv.flat_bound_survey(census, survey_base(base))
+        assert report["violations"] == 0 and report["checked"] == n
+        # a float base point leaves only the SVD of the float conjugates' Cartan rows
+        want = [("svd", (n, 2, 2))] if base == "float" else []
+        assert [call for call in linalg_calls if call[0] in ("eig", "eigvals", "svd", "qr")] == want
 
 
 class TestBalancedSplit:

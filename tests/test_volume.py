@@ -13,6 +13,7 @@ from wcc.errors import NumericError, ParameterError, PreconditionError, WccError
 from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain
 
+from rootsys_reference import dual_vector
 from volume_reference import (
     _sample_chamber_point,
     _wall_scale,
@@ -36,7 +37,7 @@ from volume_reference import (
 
 def polar_frame(rs):
     """Killing-orthonormal (b1, b2) of the d = 3 chamber plane, b1 the rho direction."""
-    b1, helmert = rs.dual_vector(rs.two_rho), V._ortho_basis(rs)[1]
+    b1, helmert = dual_vector(rs, rs.two_rho), V._ortho_basis(rs)[1]
     b2 = helmert - rs.killing_inner(helmert, b1) * b1
     return b1, b2 / rs.killing_norm(b2)
 
@@ -827,7 +828,7 @@ class TestRectangleClosedForm:
     def test_d2_matches_the_quadrature_it_replaced(self, t, filt):
         # along the ray b1 of unit wall distance, Killing radius is wall distance
         rs = root_system(2)
-        b1 = rs.dual_vector(rs.two_rho)
+        b1 = dual_vector(rs, rs.two_rho)
         kw = {key: f * t for key, f in filt.items()}
         lo, hi = kw.get("regular_margin", 0.0), kw.get("slab", t)
         for integrand, logf in (("hc", V.log_hc_integrand), ("two_rho", log_two_rho_integrand)):

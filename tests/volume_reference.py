@@ -40,6 +40,8 @@ from wcc.volume import (
     logsumexp,
 )
 
+from rootsys_reference import dual_vector
+
 
 def _log_sub(log_a: float, log_b: float) -> float:
     """log(exp(log_a) - exp(log_b)) with the usual guards (``wcc.volume._log_sub``, unchanged)."""
@@ -231,7 +233,7 @@ def max_wall_distance(rs: RootSystemA, domain: Domain) -> float:
             return domain.t
         # alpha(rho) = 1 for every simple root alpha, so the rho ray is
         # equidistant from the walls and farthest from them
-        return domain.t * _wall_scale(rs, rs.dual_vector(rs.two_rho))
+        return domain.t * _wall_scale(rs, dual_vector(rs, rs.two_rho))
     domain.for_dimension(rs.d)
     duals = _dual_basis(rs)
     corners = itertools.product(*[(0.0, domain.t * e) for e in domain.edges])
