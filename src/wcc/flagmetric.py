@@ -17,13 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    LoxodromyError,
-    NumericError,
-    PreconditionError,
-    TransversalityError,
-    WccError,
-)
+from .errors import LoxodromyError, NumericError, PreconditionError, TransversalityError, WccError
 from . import projections as pj
 from .projections import (
     BasePoint,
@@ -69,7 +63,8 @@ def _perp_lines(frames: np.ndarray) -> list[np.ndarray]:
 
 
 class Flag:
-    """A full flag, represented by a special-orthogonal frame modulo M."""
+    """A full flag, represented by a special-orthogonal frame modulo M.  A d = 3 flag built
+    from its unit line and plane normal (``_of_lines``) builds its frame when it is read."""
 
     def __init__(self, frame, check: bool = True):
         frame = np.array(frame, dtype=float)
@@ -90,6 +85,23 @@ class Flag:
         flag = cls.__new__(cls)
         flag.frame = frame
         return flag
+
+    @classmethod
+    def _of_lines(cls, line, normal) -> Flag:
+        """The d = 3 flag of a unit line in the plane of a unit normal orthogonal to it."""
+        flag = cls.__new__(cls)
+        flag.lines = line, normal
+        return flag
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        line, normal = self.lines
+        return np.array([line, _cross(normal, line), normal]).T
+
+    @cached_property
+    def lines(self) -> tuple:
+        """The first and last frame columns: at d = 3 the unit line and plane normal."""
+        return self.frame[:, 0].tolist(), self.frame[:, -1].tolist()
 
     @property
     def d(self) -> int:
@@ -203,11 +215,10 @@ class TransversePair:
             raise TransversalityError("flag pair is not transverse")
 
     @classmethod
-    def _of_so_frames(cls, plus: np.ndarray, minus: np.ndarray, delta_value: float) -> TransversePair:
-        """The pair of two SO(d) frames whose positive gauge value is known, taken as it is."""
+    def _of_flags(cls, plus: Flag, minus: Flag, delta_value: float) -> TransversePair:
+        """The pair of two flags whose positive gauge value is known, taken as it is."""
         pair = cls.__new__(cls)
-        pair.xi_plus, pair.xi_minus = Flag._of_so_frame(plus), Flag._of_so_frame(minus)
-        pair.delta_value = delta_value
+        pair.xi_plus, pair.xi_minus, pair.delta_value = plus, minus, delta_value
         return pair
 
 
@@ -333,9 +344,9 @@ def _flat_row(m: np.ndarray):
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
     """Distance from x to the maximal flat of a transverse pair: at d = 3 ``_sl3_flat_distance``
     of its lines and plane normals, else the one-row case of ``_flat_distances``."""
-    plus, minus = pair.xi_plus.frame, pair.xi_minus.frame
-    value = (_sl3_flat_distance(x, *plus.T[::2].tolist(), *minus.T[::2].tolist()) if x.d == 3
-             else _flat_distances(x, plus[None], minus[None])[0])
+    plus, minus = pair.xi_plus, pair.xi_minus
+    value = (_sl3_flat_distance(x, *plus.lines, *minus.lines) if x.d == 3
+             else _flat_distances(x, plus.frame[None], minus.frame[None])[0])
     if isinstance(value, WccError):
         raise value
     return value

@@ -171,20 +171,21 @@ def _conjugate(table: np.ndarray, h) -> np.ndarray:
     return _int_conjugate(table.reshape(-1, d, d), h).reshape(len(table), d * d).astype(np.int64)
 
 
-def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=None):
+def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=None, mass_cap=None):
     """The census of the rows of an int64 (n, d*d) table of displacements m = h^-1 g h seen
     from x = h.o that lie in the domain, and the number of rows that do not.
 
     The columns are those of m, the rows ``census_rows(kept indices)``: the elements g (m
     itself by default), which a caller conjugates only where kept.  Rows are ordered by
-    (round(|a|^2, 12), entries of g).  sl2 membership is the exact integer mass cap with
-    ``Domain.filter_rows``; sl3 membership is ``Domain.contains_rows``."""
+    (round(|a|^2, 12), entries of g).  sl2 membership is the exact integer mass cap (the
+    domain's ``_sl2_mass_cap`` unless given) with ``Domain.filter_rows``; sl3 membership is
+    ``Domain.contains_rows``."""
     mats = m.reshape(-1, rs.d, rs.d)
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
     walls = rs.wall_distances(cartan)
     if rs.d == 2:  # the exact mass cap in place of the float ball or box test
-        inside = domain.filter_rows(np.einsum("ij,ij->i", m, m) <= _sl2_mass_cap(domain, rs), walls)
+        inside = domain.filter_rows(np.vecdot(m, m) <= (mass_cap or _sl2_mass_cap(domain, rs)), walls)
     else:
         inside = domain.contains_rows(rs, cartan, walls)
     keep = np.flatnonzero(inside)
@@ -269,12 +270,12 @@ def enumerate_elements(
         meta = EnumerationMeta(True, bound=bound, shard_ranges=ranges, candidates=len(table))
     else:
         words = _word_ball(spec.generators or _default_sl3_generators(), word_radius)
-        table = words.reshape(len(words), -1)
+        table, mass_cap = words.reshape(len(words), -1), None
         meta = EnumerationMeta(False, word_radius=word_radius)
     if spec.base_point is None:
-        return _table_records(table, rs, domain)[0], meta
+        return _table_records(table, rs, domain, mass_cap=mass_cap)[0], meta
     h_inverse = _integer_inverse(spec.base_point)  # the origin scan is m: the kept rows are g = h m h^-1
-    return _table_records(table, rs, domain, lambda keep: _conjugate(table[keep], h_inverse))[0], meta
+    return _table_records(table, rs, domain, lambda keep: _conjugate(table[keep], h_inverse), mass_cap)[0], meta
 
 
 # ------------------------------------------------------------------- cache

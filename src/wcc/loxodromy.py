@@ -17,14 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    LoxodromyError,
-    NumericError,
-    ParameterError,
-    PreconditionError,
-    TransversalityError,
-    WccError,
-)
+from .errors import LoxodromyError, NumericError, ParameterError, PreconditionError, TransversalityError, WccError
 from . import flagmetric as fm
 from . import projections as pj
 from .projections import BasePoint, GroupElement
@@ -157,7 +150,7 @@ def certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: float) -> Loxo
     check = _sl2_certificate if d == 2 else _sl3_certificate
     conditions, certified, fixed_point_errors = check(gamma, x, conj, t_zero(x, epsilon), r)
     return LoxodromyCertificate(gamma, x, r, epsilon, conditions, certified, fixed_point_errors,
-                                consts.as_dict() | {"C_x": cx})
+                                {**consts._dict, "C_x": cx})
 
 
 def _conditions(wall: float, t0: float) -> dict:
@@ -229,8 +222,8 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     and plane normal, and each fixed-point error the larger sine between their lines and between
     their normals."""
     u, s, vh = pj._lapack("svd_f", conj.mat)
-    if conj.int_mat is None:  # wall_distances(_robust_logs(s)) in floats, bit for bit
-        a1, a2, a3 = logs = np.log(np.maximum(s, 1e-300)).tolist()  # np.log: math.log differs in the last bit
+    if conj.int_mat is None:  # wall_distances(_robust_logs(s)) in floats, bit for bit (np.log: math.log differs)
+        a1, a2, a3 = logs = np.log(s if s[2] >= 1e-300 else np.maximum(s, 1e-300)).tolist()  # s descends
         mean = sum(logs) / 3.0  # left to right, as numpy sums three values
         root = min((a1 - mean) - (a2 - mean), (a2 - mean) - (a3 - mean))  # the simple roots share one dual norm
         wall = (root if root > 0.0 else 0.0) / float(root_system(3).simple_dual_norms[0])  # clipped as np.where
@@ -240,7 +233,7 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     if not conditions["wall_margin_ok"]:
         return conditions, False, None
     if x is BasePoint.origin(3):
-        (k1, k2), (l3, l2) = u[:, :2].T.tolist(), vh[:0:-1].tolist()
+        (k1, k2, _), (_, l2, l3) = u.T.tolist(), vh.tolist()
     else:
         (k1, k2), (l3, l2) = (x.h.mat @ u[:, :2]).T.tolist(), (vh[:0:-1] @ x.h.mat.T).tolist()
     p1, p3, m1, m3 = [(v0 / n, v1 / n, v2 / n) for v0, v1, v2 in (k1, fm._cross(k1, k2), l3, fm._cross(l3, l2))
@@ -248,8 +241,7 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
     delta = min(abs(fm._dot(p1, m3)), abs(fm._dot(p3, m1)))  # dist_delta
     conditions["transverse_ok"] = delta > 0.0
     if conditions["transverse_ok"]:
-        frames = np.array([*p1, *fm._cross(p3, p1), *p3, *m1, *fm._cross(m3, m1), *m3]).reshape(2, 3, 3)
-        pair = fm.TransversePair._of_so_frames(*frames.transpose(0, 2, 1), delta)
+        pair = fm.TransversePair._of_flags(fm.Flag._of_lines(p1, p3), fm.Flag._of_lines(m1, m3), delta)
         try:
             conditions["flat_dist"] = fm.flat_distance(x, pair)
         except TransversalityError:  # the witness's refusal inside flat_distance
@@ -271,11 +263,11 @@ def _sl3_certificate(gamma: GroupElement, x: BasePoint, conj: GroupElement, t0: 
 
 
 def _loxodromic(gamma: GroupElement, eigvals: list) -> bool:
-    """``jordan_project(gamma)[1]`` from the eigenvalues of gamma, in Python floats for a float gamma."""
+    """``jordan_project(gamma)[1]`` from the three eigenvalues of gamma, in Python floats for a float gamma."""
     if gamma.int_mat is not None:
         return pj._int_char_discriminant(np.array(gamma.int_mat, dtype=object)) > 0
-    logs = [math.log(max(v, 1e-300)) for v in sorted(map(abs, eigvals), reverse=True)]
-    return all(a - b > pj.TAU_LOX_DEFAULT for a, b in zip(logs, logs[1:]))
+    l1, l2, l3 = [math.log(max(v, 1e-300)) for v in sorted(map(abs, eigvals), reverse=True)]
+    return l1 - l2 > pj.TAU_LOX_DEFAULT and l2 - l3 > pj.TAU_LOX_DEFAULT
 
 
 def jordan_cartan_gap(gamma: GroupElement, x: BasePoint) -> float:

@@ -166,7 +166,8 @@ def _lapack(name: str, m: np.ndarray):
     np.linalg's result bit for bit, in its error state (prebuilt; left also on a raise, so a solver failure raises
     LinAlgError), and eigen-pairs stay complex.  An eigen-solve refuses a non-finite input, as np.linalg does.  An SVD
     input must be finite (LAPACK may never return on an inf): ``cartan_batch`` and ``_conjugate_stack`` refuse it."""
-    if name.startswith("eig") and not np.isfinite(m).all():  # which np.linalg refuses before LAPACK
+    if name.startswith("eig") and not (  # as np.linalg refuses it; one matrix in Python floats, 3x faster
+            np.isfinite(m).all() if m.ndim > 2 else all(map(math.isfinite, m.ravel().tolist()))):
         raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
     token = _extobj_contextvar.set(_LAPACK_ERRSTATE)
     try:

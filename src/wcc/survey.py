@@ -322,15 +322,8 @@ def torus_sweep(T_grid, classes: ClassTable | None = None) -> dict:
     for T in T_grid:
         *_, right_sum, regroup_exact = _torus_sums(T, classes)
         vol = domain_volume(rs, Domain("ball", T))
-        rows.append(
-            {
-                "T": T,
-                "weighted_sum": right_sum,
-                "log_volume": vol.log_value,
-                "ratio": right_sum / math.exp(vol.log_value),
-                "regroup_exact": regroup_exact,
-            }
-        )
+        rows.append({"T": T, "weighted_sum": right_sum, "log_volume": vol.log_value,
+                     "ratio": right_sum / math.exp(vol.log_value), "regroup_exact": regroup_exact})
     report = {"rows": rows}
     if len(rows) >= 2:
         last, prev = rows[-1]["ratio"], rows[-2]["ratio"]
@@ -349,6 +342,8 @@ def conjugacy_growth(T_grid, classes: ClassTable | None = None) -> dict:
     of non-cocompactness.
     """
     T_grid = [float(t) for t in T_grid]
+    if len(set(T_grid)) < 3:
+        raise ParameterError(f"the growth fit has three parameters: it needs three distinct T, got {T_grid}")
     if classes is None:
         classes = conjugacy_classes_sl2(trace_bound_for_length(max(T_grid)))
     # classes come in trace order and the length grows with the trace
@@ -411,23 +406,26 @@ def jordan_cartan_survey(trace_bound: int, radii=(0, 2, 4, 6)) -> dict:
 
 
 def flat_bound_survey(records, x: BasePoint | None = None) -> dict:
-    """Jordan-Cartan flat bound over the loxodromic part of a census (a ``Census`` or
-    a list of ``ElementRecord``s), as one stacked pass; elements whose gap raises a
-    library error are violations, listed under ``failures``."""
+    """Jordan-Cartan flat bound over the loxodromic part of a census (a ``Census``, read
+    by its columns, or a list of ``ElementRecord``s), as one stacked pass; elements whose
+    gap raises a library error are violations, listed under ``failures``."""
+    from .lattice import Census
     from .loxodromy import _flat_bound_rows
     from .projections import _INT_STACK_MAX, BasePoint
 
-    lox = [rec.matrix for rec in records if rec.loxodromic]
-    if not lox:
+    if isinstance(records, Census):
+        d = math.isqrt(records.table.shape[1])
+        mats = records.table[records.loxodromic].reshape(-1, d, d)
+    else:
+        mats = np.array([rec.matrix for rec in records if rec.loxodromic], dtype=object)
+    if not len(mats):
         return {"checked": 0, "violations": 0, "failures": [], "max_gap": 0.0}
-    mats = np.array(lox, dtype=object)
-    if np.all(np.abs(mats) <= _INT_STACK_MAX):
-        mats = mats.astype(np.int64)
+    mats = mats.astype(np.int64 if np.all(np.abs(mats) <= _INT_STACK_MAX) else object)
     base = x if x is not None else BasePoint.origin(mats.shape[1])
     gaps, failures = [], []
-    for matrix, row in zip(lox, _flat_bound_rows(mats, base)):
-        if isinstance(row, WccError):
-            failures.append({"matrix": matrix, "error": f"{type(row).__name__}: {row}"})
+    for i, row in enumerate(_flat_bound_rows(mats, base)):
+        if isinstance(row, WccError):  # the matrix as ``ElementRecord.matrix`` holds it: rows of ints
+            failures.append({"matrix": tuple(map(tuple, mats[i].tolist())), "error": f"{type(row).__name__}: {row}"})
         else:
             gaps.append(row)
     return {"checked": len(gaps), "violations": len(failures), "failures": failures,

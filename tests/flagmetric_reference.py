@@ -63,7 +63,7 @@ def transverse_witness(xi: Flag, eta: Flag) -> GroupElement:
     """Unimodular g with g(eta0, zeta0) = (xi, eta), column by column as in
     ``_sl3_witness``; at d = 2 the columns xi_1 and eta_1, refused below |det| = 1e-12."""
     if xi.d == 3:
-        g, error = _sl3_witness(*(flag.frame[:, col].tolist() for flag in (xi, eta) for col in (0, 2)))
+        g, error = _sl3_witness(*xi.lines, *eta.lines)
         if error:
             raise TransversalityError(error)
         return GroupElement(g, check=False)

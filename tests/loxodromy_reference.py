@@ -180,7 +180,7 @@ def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: floa
         conditions["transverse_ok"] = delta > 0.0
         if conditions["transverse_ok"]:
             try:
-                pair = fm.TransversePair._of_so_frames(frames[0], frames[1], delta)
+                pair = fm.TransversePair._of_flags(*map(fm.Flag._of_so_frame, frames[:2]), delta)
                 conditions["flat_dist"] = fm.flat_distance(x, pair)
             except TransversalityError:
                 conditions["transverse_ok"] = False

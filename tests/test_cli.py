@@ -390,6 +390,17 @@ def test_malformed_value_is_a_parameter_error(capsys, argv, token):
     assert "error: " in captured.err and token in captured.err
 
 
+@pytest.mark.parametrize("grid", ["16", "16,16,16,16", "15,16", "14,14,16"])
+def test_growth_needs_three_distinct_T(capsys, grid):
+    # the fit has three parameters: one T died in an uncaught LinAlgError, two gave
+    # standard errors near 1e-8 from a singular fit
+    code = dispatch(["growth", "--T-grid", grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "three distinct T" in captured.err
+
+
 def _loaded_modules(argv, tmp_path) -> set:
     """The `wcc` modules (without the prefix) and the watched numpy subpackages that
     one fresh process running the command has loaded."""
@@ -426,7 +437,7 @@ def test_import_loads_only_errors(tmp_path):
     ("tori --T 9",
      {"lattice", "projections", "volume", "flagmetric", "loxodromy", "numpy.polynomial"}),
     ("tori --T-grid 10,11", {"lattice", "projections", "flagmetric", "loxodromy"}),
-    ("growth --T-grid 10,11",
+    ("growth --T-grid 10,11,12",
      {"lattice", "projections", "volume", "flagmetric", "loxodromy", "numpy.polynomial"}),
     ("enumerate --group sl2 --t 5 --out census", {"survey", "bqf", "flagmetric", "loxodromy"}),
     # the duplicate check of load_cache sorts rows; np.unique(axis=0) would import numpy.ma

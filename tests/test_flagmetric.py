@@ -482,6 +482,40 @@ class TestFixedPoints:
             fm.fixed_points(GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), check=False))
 
 
+class TestFlagLines:
+    """A flag's ``lines`` (its unit line and, at d = 3, its unit plane normal) and its frame."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_frame_built_lines_are_the_first_and_last_columns(self, d):
+        rng = np.random.default_rng(41)
+        for flag in (fm.Flag(pj.random_so(d, rng)), fm.eta0(d), fm.zeta0(d).translate(random_group(rng, d, 0.5))):
+            line, last = flag.lines
+            assert line == flag.frame[:, 0].tolist() and last == flag.frame[:, -1].tolist()
+
+    def test_line_built_frame_is_built_when_read(self):
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            frame = fm.Flag(pj.random_so(3, rng)).frame
+            line, normal = frame[:, 0].tolist(), frame[:, 2].tolist()
+            flag = fm.Flag._of_lines(line, normal)
+            assert "frame" not in vars(flag) and flag.lines == (line, normal)
+            assert np.array_equal(flag.frame, np.array([line, fm._cross(normal, line), normal]).T)
+            np.testing.assert_allclose(flag.frame, frame, rtol=0, atol=1e-15)
+            assert flag.d == 3 and flag.lines == (line, normal)
+
+    def test_line_built_pair_gives_the_frame_built_distance(self):
+        rng = np.random.default_rng(43)
+        o = BasePoint.origin(3)
+        x = BasePoint(GroupElement.from_cartan_vector([0.4, -0.1, -0.3]))
+        for _ in range(10):
+            pair = fm.TransversePair(fm.Flag(pj.random_so(3, rng)), fm.Flag(pj.random_so(3, rng)))
+            lined = fm.TransversePair._of_flags(*(fm.Flag._of_lines(*flag.lines) for flag in
+                                                  (pair.xi_plus, pair.xi_minus)), pair.delta_value)
+            for base in (o, x):
+                assert fm.flat_distance(base, lined) == fm.flat_distance(base, pair)
+            assert all("frame" not in vars(flag) for flag in (lined.xi_plus, lined.xi_minus))
+
+
 class TestFlatDistance:
     def test_zero_on_the_flat(self):
         pair = fm.TransversePair(fm.eta0(3), fm.zeta0(3))

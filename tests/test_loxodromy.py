@@ -822,8 +822,21 @@ class TestFlatDistanceWork:
         assert all(isinstance(row, float) for row in rows)
         assert calls == ["_sl3_witness", "_flat_minimum"] * 6
 
+    def test_sl3_certificate_hands_flat_distance_unbuilt_frames(self, monkeypatch):
+        # the pair's flags are their unit lines and plane normals: no SO(3) frame is built
+        pairs, flat_distance = [], fm.flat_distance
+        monkeypatch.setattr(fm, "flat_distance", lambda x, pair: pairs.append(pair) or flat_distance(x, pair))
+        o, r, eps = admissible_parameters(3)
+        for g in criterion4_elements()[3]:
+            assert lx.certify(g, o, r, eps).certified
+        assert len(pairs) == len(criterion4_elements()[3])
+        for pair in pairs:
+            assert all("frame" not in vars(flag) for flag in (pair.xi_plus, pair.xi_minus))
+            assert pair.delta_value == min(abs(fm._dot(pair.xi_plus.lines[0], pair.xi_minus.lines[1])),
+                                           abs(fm._dot(pair.xi_plus.lines[1], pair.xi_minus.lines[0])))
+
     def test_sl3_certificate_makes_one_flat_distance_call(self, monkeypatch):
-        # on a pair of SO(3) frames built from the flags' lines and normals, in one array
+        # on a pair of flags built from their lines and normals, whose SO(3) frames are built when read
         pairs, flat_distance = [], fm.flat_distance
         monkeypatch.setattr(fm, "flat_distance", lambda x, pair: pairs.append(pair) or flat_distance(x, pair))
         o, r, eps = admissible_parameters(3)

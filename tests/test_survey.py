@@ -254,8 +254,18 @@ class TestGrowth:
         assert report["poly_exponent_std_err"] >= 0.0
 
     def test_grid_validation(self):
-        with pytest.raises(ParameterError):
-            sv.conjugacy_growth([0.5, 1.0])
+        with pytest.raises(ParameterError, match="below the shortest class length"):
+            sv.conjugacy_growth([0.5, 1.0, 5.0])
+
+    @pytest.mark.parametrize("grid", [[16.0], [16.0] * 4, [15.0, 16.0], [14.0, 14.0, 16.0]])
+    def test_fewer_than_three_distinct_T_are_refused(self, grid):
+        with pytest.raises(ParameterError, match="three distinct T"):
+            sv.conjugacy_growth(grid)
+
+    def test_three_distinct_T_are_enough(self):
+        report = sv.conjugacy_growth([6.0, 7.0, 8.0])
+        assert [row["T"] for row in report["rows"]] == [6.0, 7.0, 8.0]
+        assert math.isfinite(report["rate_fit"]) and report["rate_std_err"] >= 0.0
 
 
 class TestAngular:
@@ -371,6 +381,25 @@ class TestJordanCartanSurvey:
         monkeypatch.setattr(lx, "_flat_bound_rows", lambda mats, base: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             sv.flat_bound_survey(lox)
+
+    def test_census_and_its_records_give_one_report(self, census_t8, monkeypatch):
+        # a census is read by its columns, a list of records by its records: one report,
+        # failures included
+        census = census_t8[0]
+        lox = [r for r in census if r.loxodromic]
+        bad = [lox[2].matrix, lox[-1].matrix]
+        rows = lx._flat_bound_rows
+
+        def failing_rows(mats, base):
+            return [NumericError("solver stalled") if tuple(map(tuple, m)) in bad else row
+                    for m, row in zip(mats.tolist(), rows(mats, base))]
+
+        monkeypatch.setattr(lx, "_flat_bound_rows", failing_rows)
+        from_records = sv.flat_bound_survey(lox)
+        assert sv.flat_bound_survey(list(census)) == from_records
+        assert [f["matrix"] for f in from_records["failures"]] == bad
+        monkeypatch.setattr(type(census), "_records", lambda self, rows: pytest.fail("a record was built"))
+        assert sv.flat_bound_survey(census) == from_records
 
 
 @functools.cache
