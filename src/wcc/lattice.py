@@ -126,6 +126,12 @@ def _sl2_mass_cap(domain: Domain, rs: RootSystemA) -> int:
         return max(2, int(value.to_integral_value(ROUND_FLOOR)))
 
 
+def _sl2_wall_cap(radius: float, rs: RootSystemA) -> int:
+    """The mass cap of the rows within wall distance r, the ball of radius r; 2 at r = 0.  From
+    r = 900 on it is the cap at 900, e^636, which passes every int64 mass (below e^89) as well."""
+    return _sl2_mass_cap(Domain("ball", min(radius, 900.0)), rs) if radius > 0 else 2
+
+
 def _sl2_candidates(a_lo: int, a_hi: int, mass_cap: int) -> np.ndarray:
     """Int64 rows (a, b, c, d) of the det-one matrices with a in [a_lo, a_hi] and mass <= mass_cap,
     in time linear in the rows.  Their first columns (a, c) are primitive with n = a^2 + c^2 < mass_cap,
@@ -177,15 +183,21 @@ def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=N
 
     The columns are those of m, the rows ``census_rows(kept indices)``: the elements g (m
     itself by default), which a caller conjugates only where kept.  Rows are ordered by
-    (round(|a|^2, 12), entries of g).  sl2 membership is the exact integer mass cap (the
-    domain's ``_sl2_mass_cap`` unless given) with ``Domain.filter_rows``; sl3 membership is
+    (round(|a|^2, 12), entries of g).  sl2 membership is exact in integer masses: the cap of
+    the domain (its ``_sl2_mass_cap`` unless given), and that of the ball of radius s or m for a
+    slab s or a margin m, as the wall distance at d = 2 is the Killing norm.  sl3 membership is
     ``Domain.contains_rows``."""
     mats = m.reshape(-1, rs.d, rs.d)
     cartan = cartan_vector(mats)
     jordan, lox = jordan_project(mats)
     walls = rs.wall_distances(cartan)
-    if rs.d == 2:  # the exact mass cap in place of the float ball or box test
-        inside = domain.filter_rows(np.vecdot(m, m) <= (mass_cap or _sl2_mass_cap(domain, rs)), walls)
+    if rs.d == 2:
+        mass = np.vecdot(m, m)
+        inside = mass <= (mass_cap or _sl2_mass_cap(domain, rs))
+        if domain.slab is not None:
+            inside &= mass <= _sl2_wall_cap(domain.slab, rs)
+        elif domain.regular_margin is not None:
+            inside &= mass > _sl2_wall_cap(domain.regular_margin, rs)
     else:
         inside = domain.contains_rows(rs, cartan, walls)
     keep = np.flatnonzero(inside)

@@ -5,8 +5,8 @@ ball multiplies one element at a time, sl3 columns come from one SVD and one
 eigenvalue solve per element, and a base point conjugates record by record.
 sl2 columns are the closed forms of the integer kernels applied to one matrix
 at a time.  Records are filtered by ``volume_reference.contains_cartan`` (sl2
-full-integer censuses by their exact mass cap, taken here at 50 digits by mpmath)
-and ordered by ``sort_key``.  ``cube_candidates`` is the scan of every candidate
+full-integer censuses by their exact mass cap and their wall distance against a
+margin or slab, each taken here at 50 digits by mpmath) and ordered by ``sort_key``.  ``cube_candidates`` is the scan of every candidate
 of the entry cube that ``wcc.lattice._sl2_candidates`` replaced, kept as its oracle.
 
 Also ``census_counts``, the count table of one census, and ``census_sweep``,
@@ -126,6 +126,16 @@ def mass_cap(domain) -> int:
         return int(mpmath.floor(2 * mpmath.cosh(two_w)))
 
 
+def sl2_wall_kept(mass: int, domain) -> bool:
+    """Whether the margin or slab of the domain keeps an sl2 matrix of mass F, at 50 digits: its
+    wall distance is its Killing norm sqrt(2) arccosh(F / 2), against the exact float filter."""
+    with mpmath.workdps(50):
+        wall = mpmath.sqrt(2) * mpmath.acosh(mpmath.mpf(mass) / 2)
+        if domain.slab is not None:
+            return wall <= mpmath.mpf(domain.slab)
+        return domain.regular_margin is None or wall > mpmath.mpf(domain.regular_margin)
+
+
 def sl2_ball(domain, rs: RootSystemA):
     """Every SL(2,Z) matrix of mass within the domain's cap, by nested loops."""
     cap = mass_cap(domain)
@@ -166,10 +176,8 @@ def reference_census(spec, domain, word_radius: int = 4) -> list:
     """What ``enumerate_elements`` returns, built one record at a time."""
     rs = root_system(spec.d)
     if spec.group == "sl2" and spec.presentation == "full_integer":
-        records = [sl2_record(rows, rs) for rows in sl2_ball(domain, rs)]
-        records = [rec for rec in records
-                   if (domain.regular_margin is None or rec.wall_margin > domain.regular_margin)
-                   and (domain.slab is None or rec.wall_margin <= domain.slab)]
+        records = [sl2_record(rows, rs) for rows in sl2_ball(domain, rs)
+                   if sl2_wall_kept(sum(x * x for row in rows for x in row), domain)]
     else:
         words = word_ball(spec.generators or _default_sl3_generators(), word_radius)
         records = [_word_record(rows, spec.d) for rows in words]

@@ -18,6 +18,8 @@ from wcc import volume as vol
 from wcc.cli import dispatch
 from wcc.errors import NumericError
 
+from volume_reference import box_volume_quadrature
+
 
 def json_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, default=cli._json_default)
@@ -328,6 +330,20 @@ class TestCheck:
         code, out = run(capsys, "check")
         assert code == 0
         assert out.splitlines()[-1].startswith("overall") and "FAIL" not in out
+
+    def test_box_line_runs_no_doubling(self, capsys, monkeypatch):
+        # the box line's quadrature is one fixed product rule: it passes with the doubling
+        # broken, and agrees with the doubled 2-D rule of the tests
+        doubled = box_volume_quadrature(3, 3.0, (1.0, 1.0)).value
+        assert abs(cli._box_product_rule() / doubled - 1.0) <= 1e-12
+
+        def broken(evaluate):
+            raise NumericError("no doubling")
+
+        monkeypatch.setattr(vol, "_converge", broken)
+        _, out = run(capsys, "check", "--quick")
+        line = next(line for line in out.splitlines() if line.startswith("d=3 box closed form vs quadrature"))
+        assert line.split()[-1] == "PASS"
 
     def test_library_error_is_a_fail_line(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -228,6 +228,24 @@ class TestExactSphere:
                         decided.add((t == on, cap >= mass))
         assert decided == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_slab_and_margin_on_each_sphere_and_one_ulp_either_side(self):
+        # the float wall distance kept 32 of these masses in the slab of their own sphere at
+        # t = 12, e.g. mass 6 in the slab 2.492900960560922, 2.3e-17 below its radius
+        spec, census = LatticeSpec("sl2"), lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 12.0))[0]
+        masses = np.vecdot(census.table, census.table)
+        decided = set()
+        for mass in range(3, 400):
+            rows = census.table[masses == mass]
+            on = float(sphere_radius(mass))
+            for s in ([] if len(rows) == 0 else [on, math.nextafter(on, math.inf), math.nextafter(on, 0.0)]):
+                for domain in (Domain("ball", 12.0, slab=s), Domain("ball", 12.0, regular_margin=s)):
+                    kept = len(lt.restrict(rows, spec, domain)[0])
+                    assert kept in (0, len(rows)) and (kept > 0) == ref.sl2_wall_kept(mass, domain), (mass, domain)
+                    decided.add((domain.slab is None, s == on, kept > 0))
+        assert len(decided) == 8
+        # a margin past every int64 row's wall distance keeps none, with no cap of e^(m / sqrt 2)
+        assert len(lt.enumerate_elements(spec, Domain("ball", 12.0, regular_margin=1e4))[0]) == 0
+
     def test_tiny_ball_holds_the_mass_two_elements(self):
         assert lt._sl2_mass_cap(Domain("ball", 1e-30), root_system(2)) == 2
         census, _ = lt.enumerate_elements(LatticeSpec("sl2"), Domain("ball", 1e-30))

@@ -3,8 +3,10 @@ for the quadratures and the closed forms of ``wcc.volume``; and the Lipschitz an
 well-roundedness probes of the volume family, the largest wall distance of a
 domain and the pointwise Harish-Chandra density, which no command or acceptance
 criterion runs (they were ``wcc.volume.lipschitz_probe``, ``well_rounded_probe``,
-``max_wall_distance`` and ``hc_integrand``, unchanged); the 2-D rule one outer
-node at a time, the oracle of the stacked ``wcc.volume._log_quad_2d``; the wall
+``max_wall_distance`` and ``hc_integrand``, unchanged); the d = 3 box volume by a
+2-D product rule with node doubling, one outer node at a time, which criterion 2 holds
+against the closed form (``wcc.volume.box_volume_quadrature`` on the stacked
+``_log_quad_2d``, whose floats it gives bit for bit, with ``log_hc_integrand``); the wall
 distance of one direction at a time (``wcc.volume._wall_scale``, unchanged); the
 membership of one Cartan vector (``wcc.volume.Domain.contains_cartan``, unchanged);
 the 1-D quadrature, its e^(2 rho) density and the log difference that the closed forms
@@ -12,7 +14,7 @@ of ``wcc.volume`` replaced (``_log_quad_1d``, ``log_two_rho_integrand`` and ``_l
 unchanged); the oracles of the closed forms: the signed-exponential box expansion, the
 integral over any rectangles in the simple-root coordinates at 50 digits, for both
 densities, and the d = 3 ball, with its margin or slab, at 60 digits; and the node
-doubling without the stall refusal, the oracle of ``wcc.volume._converge``."""
+doubling up to 2 MAX_NODES nodes, the oracle of ``wcc.volume._converge``."""
 
 import decimal
 import itertools
@@ -34,9 +36,10 @@ from wcc.volume import (
     _dual_basis,
     _finish,
     _gauss_legendre,
+    _log_sinh,
     _ortho_basis,
+    _root_system,
     domain_volume,
-    log_hc_integrand,
     logsumexp,
 )
 
@@ -254,9 +257,18 @@ def hc_integrand(rs_or_d, y) -> float:
     return 0.0 if val == LOG_ZERO else math.exp(val)
 
 
+def log_hc_integrand(rs: RootSystemA, ys: np.ndarray) -> np.ndarray:
+    """Log of the Harish-Chandra density at chamber points (rows of ys)."""
+    ys = np.atleast_2d(ys)
+    total = np.zeros(ys.shape[0])
+    for root, mult in zip(rs.positive_roots, rs.multiplicities):
+        total = total + mult * _log_sinh(ys @ root)
+    return total
+
+
 def reference_log_quad_2d(log_density, hi1, hi2):
-    """The product rule over [0, hi1] x [0, hi2] with one inner rule and one ``logsumexp`` per
-    outer node (``wcc.volume._log_quad_2d`` before it became one stacked pass)."""
+    """The product rule over [0, hi1] x [0, hi2], doubled by ``wcc.volume._converge``, with one
+    inner rule and one ``logsumexp`` per outer node."""
     if not (hi1 > 0.0 and hi2 > 0.0):
         return LOG_ZERO, 0.0
 
@@ -272,9 +284,30 @@ def reference_log_quad_2d(log_density, hi1, hi2):
     return _converge(evaluate)
 
 
+def box_volume_quadrature(rs_or_d, t: float, edges):
+    """The d = 3 box volume by the 2-D rule over [0, t a_1] x [0, t a_2], to ``QUAD_REL_TOL``:
+    an evaluation independent of the closed form of ``wcc.volume.box_volume``."""
+    rs = _root_system(rs_or_d)
+    Domain("box", t, tuple(float(e) for e in edges)).for_dimension(rs.d)
+    if rs.d != 3:
+        raise ParameterError("box quadrature is shipped for d = 3")
+    his = [t * float(e) for e in edges]
+    # the log value grows as t * edge, past what _converge resolves from QUAD_REL_TOL / eps on
+    if max(his) * math.ulp(1.0) >= QUAD_REL_TOL:
+        raise NumericError(f"box quadrature cannot resolve t * edge = {max(his)} to {QUAD_REL_TOL}")
+    u0, u1 = duals = _dual_basis(rs)
+    log_jac = math.log(_box_jacobian(rs, duals))
+
+    def density(z0, z1):
+        return log_hc_integrand(rs, np.outer(z0, u0) + np.outer(z1, u1)) + log_jac
+
+    log_val, delta = reference_log_quad_2d(density, his[0], his[1])
+    return _finish(log_val, "quadrature", delta)
+
+
 def doubling_converge(evaluate, rel_tol: float = QUAD_REL_TOL):
-    """``wcc.volume._converge`` before it refused a delta that stops shrinking and stopped at
-    MAX_NODES: it doubles up to 2 MAX_NODES nodes whatever the deltas do (unchanged otherwise)."""
+    """``wcc.volume._converge`` before it stopped at MAX_NODES: it doubles up to 2 MAX_NODES
+    nodes whatever the deltas do (unchanged otherwise)."""
     n = 24
     prev = evaluate(n)
     if prev != LOG_ZERO and not abs(prev) * math.ulp(1.0) < rel_tol:
