@@ -192,6 +192,9 @@ def _cmd_flag(args) -> int:
     d = for_group(args.group).d
     xi = fm.Flag(_parse_rows(args.xi, "xi")) if args.xi else fm.eta0(d)
     eta = fm.Flag(_parse_rows(args.eta, "eta")) if args.eta else fm.zeta0(d)
+    for name, flag in (("xi", xi), ("eta", eta)):
+        if flag.d != d:
+            raise ParameterError(f"{name} dimension {flag.d} does not match group {args.group}")
     payload: dict = {}
     if args.op == "dist":
         payload["dist"] = fm.dist_d(xi, eta)
@@ -204,6 +207,8 @@ def _cmd_flag(args) -> int:
         if not args.matrix:
             raise ParameterError("hopf needs --matrix")
         g = _parse_matrix(args.matrix)
+        if g.d != d:
+            raise ParameterError(f"matrix dimension {g.d} does not match group {args.group}")
         hp = fm.hopf(g)
         payload["xi_plus_frame"] = hp.pair.xi_plus.frame
         payload["xi_minus_frame"] = hp.pair.xi_minus.frame
@@ -221,6 +226,8 @@ def _cmd_loxo(args) -> int:
 
     g = _parse_matrix(args.matrix)
     base = BasePoint(_parse_matrix(args.base)) if args.base else BasePoint.origin(g.d)
+    if base.d != g.d:
+        raise ParameterError(f"base point dimension {base.d} does not match matrix dimension {g.d}")
     cert = lx.certify(g, base, args.r, args.eps)
     payload = cert.as_dict()
     _emit(payload, {"cmd": "loxo", "matrix": g.mat, "r": args.r, "eps": args.eps,

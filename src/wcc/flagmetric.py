@@ -51,17 +51,6 @@ def wedge_coordinates(columns: np.ndarray) -> np.ndarray:
     return np.linalg.det(columns[..., list(itertools.combinations(range(d), k)), :])
 
 
-def _embedded_lines(frames: np.ndarray) -> list[np.ndarray]:
-    """``Flag.embedded_lines`` of frames over any leading axes."""
-    return [wedge_coordinates(frames[..., :k]) for k in range(1, frames.shape[-1])]
-
-
-def _perp_lines(frames: np.ndarray) -> list[np.ndarray]:
-    """``Flag.perp_lines`` of frames over any leading axes."""
-    d = frames.shape[-1]
-    return [wedge_coordinates(frames[..., d - k :]) for k in range(1, d)]
-
-
 class Flag:
     """A full flag, represented by a special-orthogonal frame modulo M.  A d = 3 flag built
     from its unit line and plane normal (``_of_lines``) builds its frame when it is read."""
@@ -110,7 +99,7 @@ class Flag:
     @cached_property
     def embedded_lines(self) -> list[np.ndarray]:
         """Unit wedge of the first k columns, k = 1 .. d-1."""
-        return _embedded_lines(self.frame)
+        return [wedge_coordinates(self.frame[:, :k]) for k in range(1, self.d)]
 
     @cached_property
     def perp_lines(self) -> list[np.ndarray]:
@@ -119,7 +108,7 @@ class Flag:
         These are the embedded lines of the opposite flag through the origin,
         used by the transversality gauge delta.
         """
-        return _perp_lines(self.frame)
+        return [wedge_coordinates(self.frame[:, self.d - k :]) for k in range(1, self.d)]
 
     def translate(self, g) -> "Flag":
         mat = g.mat if isinstance(g, GroupElement) else np.asarray(g, dtype=float)
@@ -156,16 +145,10 @@ def dist_d(xi: Flag, eta: Flag) -> float:
 
 def dist_delta(xi: Flag, eta: Flag) -> float:
     """Transversality gauge: min over k of |<w_k(xi), perp_k(eta)>| in [0, 1]."""
-    return float(_delta(xi.embedded_lines, eta.perp_lines))
-
-
-def _delta(lines, perps):
-    """``dist_delta`` from the embedded lines of xi and the perp lines of eta, over any
-    leading axes."""
     best = 1.0
-    for u, v in zip(lines, perps):
+    for u, v in zip(xi.embedded_lines, eta.perp_lines):
         best = np.fmin(best, np.abs(np.vecdot(u, v)))  # fmin: a NaN keeps best, as min does
-    return best
+    return float(best)
 
 
 def _dot(u, v) -> float:
@@ -286,23 +269,14 @@ def fixed_points(g: GroupElement):
     the two flags are the orthonormalized forward and backward eigenflags.  The
     loxodromy test (at ``TAU_LOX_DEFAULT``) reads the same eigen-solve.
     """
-    lam, is_lox, eig = _jordan_solve(g, TAU_LOX_DEFAULT, vectors=True)
+    lam, is_lox, (eigvals, eigvecs) = _jordan_solve(g, TAU_LOX_DEFAULT, vectors=True)
     if not is_lox:
         raise LoxodromyError(f"element is not loxodromic: jordan projection {lam}")
-    (plus, minus), real = _eigen_frames(eig[0][None], eig[1][None])
-    if not real[0]:
+    if not np.abs(eigvals.imag).max() <= 1e-8 * np.abs(eigvals).max():
         raise LoxodromyError(_NON_REAL)
-    return Flag._of_so_frame(plus[0]), Flag._of_so_frame(minus[0])
-
-
-def _eigen_frames(eigvals: np.ndarray, eigvecs: np.ndarray):
-    """Frames (2, n, d, d) of the forward and backward eigenflags of a stack of eigen-pairs,
-    from their real eigenbases by decreasing modulus (in SO(d), as ``flag_frame_action``
-    returns them), and which rows have a real spectrum (the frames of the others are meaningless)."""
-    real = np.abs(eigvals.imag).max(axis=-1) <= 1e-8 * np.abs(eigvals).max(axis=-1)
-    order = np.argsort(-np.abs(eigvals.real), axis=-1)
-    basis = eigvecs.real[np.arange(len(order))[:, None], :, order].swapaxes(1, 2)
-    return flag_frame_action(np.eye(basis.shape[-1]), np.stack([basis, basis[..., ::-1]])), real
+    basis = eigvecs.real[:, np.argsort(-np.abs(eigvals.real))]  # by decreasing modulus
+    plus, minus = flag_frame_action(np.eye(g.d), np.stack([basis, basis[:, ::-1]]))  # in SO(d)
+    return Flag._of_so_frame(plus), Flag._of_so_frame(minus)
 
 
 # ------------------------------------------------------------------- flats
@@ -343,27 +317,20 @@ def _flat_row(m: np.ndarray):
 
 def flat_distance(x: BasePoint, pair: TransversePair) -> float:
     """Distance from x to the maximal flat of a transverse pair: at d = 3 ``_sl3_flat_distance``
-    of its lines and plane normals, else the one-row case of ``_flat_distances``."""
+    of its lines and plane normals, at d = 2 ``_sl2_flat_distance`` of its lines."""
     plus, minus = pair.xi_plus, pair.xi_minus
-    value = (_sl3_flat_distance(x, *plus.lines, *minus.lines) if x.d == 3
-             else _flat_distances(x, plus.frame[None], minus.frame[None])[0])
+    d = len(plus.lines[0])  # from the lines: a d = 3 flag built from its lines builds no frame
+    if d != x.d:
+        raise PreconditionError(f"flags of R^{d} need a base point of that dimension, got d = {x.d}")
+    if d == 3:
+        value = _sl3_flat_distance(x, *plus.lines, *minus.lines)
+    elif d == 2:
+        value = _sl2_flat_distance(x, plus.lines[0], minus.lines[0])
+    else:
+        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {d}")
     if isinstance(value, WccError):
         raise value
     return value
-
-
-def _flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray) -> list:
-    """Distance from x to the maximal flat of each pair of a stack (n, d, d) of SO(d)
-    frames: per row the distance, or the library error the row raises.  At d = 2 the closed
-    form ``_sl2_flat_distances``; at d = 3 ``_sl3_flat_distance`` of each row."""
-    if x.d == 2:
-        values, singular = _sl2_flat_distances(x, plus, minus)
-        return [TransversalityError(_SINGULAR_WITNESS) if bad else value
-                for value, bad in zip(values.tolist(), singular.tolist())]
-    if x.d != 3:
-        raise PreconditionError(f"witness frames are built for d = 2 and 3, got d = {x.d}")
-    return [_sl3_flat_distance(x, *flags)
-            for flags in zip(*(frames[:, :, col].tolist() for frames in (plus, minus) for col in (0, 2)))]
 
 
 def _sl3_flat_distance(x: BasePoint, p1, p3, m1, m3):
@@ -378,28 +345,21 @@ def _sl3_flat_distance(x: BasePoint, p1, p3, m1, m3):
         return exc
 
 
-def _sl2_flat_distances(x: BasePoint, plus: np.ndarray, minus: np.ndarray):
-    """Distance from x to the flat of each pair of a stack (n, 2, 2) of SO(2) frames, in
-    closed form, and which rows the witness refuses: |det[xi_1 eta_1]| < 1e-12 for the
-    first frame columns, the only witness test that unit columns can fail at d = 2.
+def _sl2_flat_distance(x: BasePoint, xi, eta):
+    """Distance from x to the flat of one SO(2) flag pair (unit lines xi, eta) in closed form, or
+    the TransversalityError of the witness: |det[xi eta]| < 1e-12, the only witness test that
+    unit lines can fail at d = 2.
 
-    The flat is the geodesic of H^2 between the lines of p = h_x^-1 xi_1 and
-    q = h_x^-1 eta_1.  Carried by h_x^-1 and a rotation to the geodesic (0, inf), whose
-    hyperbolic distance to z is asinh(|Re z| / Im z), its distance to o is
-    asinh(|<p, q>| / |det[p q]|) (Beardon, The Geometry of Discrete Groups, ch. 7), and
-    d_X = sqrt(2) d_H in the Killing normalisation.
+    The flat is the geodesic of H^2 between the lines of p = h_x^-1 xi and q = h_x^-1 eta.
+    Carried by h_x^-1 and a rotation to the geodesic (0, inf), whose hyperbolic distance to z
+    is asinh(|Re z| / Im z), its distance to o is asinh(|<p, q>| / |det[p q]|) (Beardon, The
+    Geometry of Discrete Groups, ch. 7), and d_X = sqrt(2) d_H in the Killing normalisation.
     """
-    ends = np.concatenate([plus[:, :, :1], minus[:, :, :1]], axis=2)  # columns xi_1, eta_1
-    singular = np.abs(_det2(ends)) < 1e-12
-    pq = ends if x is BasePoint.origin(2) else x.h_inverse @ ends  # columns p, q
-    dot = pq[:, 0, 0] * pq[:, 0, 1] + pq[:, 1, 0] * pq[:, 1, 1]
-    det = np.where(singular, 1.0, _det2(pq))  # no division by a refused zero
-    return math.sqrt(2.0) * np.arcsinh(np.abs(dot / det)), singular
-
-
-def _det2(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (n, 2, 2), written out: no LU as in ``np.linalg.det``."""
-    return m[:, 0, 0] * m[:, 1, 1] - m[:, 1, 0] * m[:, 0, 1]
+    ends = np.array([[xi[0], eta[0]], [xi[1], eta[1]]])  # columns xi, eta
+    if abs(xi[0] * eta[1] - xi[1] * eta[0]) < 1e-12:
+        return TransversalityError(_SINGULAR_WITNESS)
+    (p0, q0), (p1, q1) = (ends if x is BasePoint.origin(2) else x.h_inverse @ ends).tolist()
+    return math.sqrt(2.0) * float(np.arcsinh(abs((p0 * q0 + p1 * q1) / (p0 * q1 - p1 * q0))))
 
 
 def _flat_minimum(m: np.ndarray) -> float:
@@ -466,18 +426,3 @@ def _solve(h, u, v) -> tuple:
     (a, b), (c, d) = h
     det = a * d - b * c
     return (d * u - b * v) / det, (a * v - c * u) / det
-
-
-def _fixed_flat_distances(x: BasePoint, eigvals: np.ndarray, eigvecs: np.ndarray) -> list:
-    """``flat_distance(x, TransversePair(*fixed flags))`` for a stack of eigen-pairs in one
-    stacked pass: per row the distance, or the library error that the per-element path
-    (``fixed_points``, ``TransversePair``, ``flat_distance``) raises for it.  The rows
-    with a real spectrum and transverse fixed flags go to ``_flat_distances``."""
-    (plus, minus), real = _eigen_frames(eigvals, eigvecs)
-    delta = _delta(_embedded_lines(plus), _perp_lines(minus))
-    rows = [LoxodromyError(_NON_REAL) if not is_real
-            else TransversalityError("flag pair is not transverse") if not gauge > 0.0 else None
-            for is_real, gauge in zip(real.tolist(), delta.tolist())]
-    good = np.array([row is None for row in rows], dtype=bool)
-    flats = iter(_flat_distances(x, plus[good], minus[good]))
-    return [next(flats) if row is None else row for row in rows]

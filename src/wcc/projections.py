@@ -399,6 +399,7 @@ def _conjugate_stack(mats: np.ndarray, x: BasePoint) -> np.ndarray:
     ints for an integer m (int64 or object) when h_x is integer, in floats otherwise,
     where a non-finite entry (an overflow) is a NumericError that names it."""
     h = x.h
+    _same_dimension(mats.shape[-1], x)
     if x is BasePoint.origin(h.d) or np.array_equal(h.mat, np.eye(h.d)):
         return mats
     if mats.dtype.kind != "f" and h.int_mat is not None:
@@ -419,13 +420,21 @@ def _int_conjugate(mats: np.ndarray, h) -> np.ndarray:
 
 def _conjugate(g: GroupElement, x: BasePoint) -> GroupElement:
     """h_x^-1 g h_x as an element (g itself at the shared origin), exact when it is integer."""
-    if x is BasePoint.origin(x.d):
-        return g
-    conj = _conjugate_stack(_one_row(g), x)[0]
-    out = GroupElement(conj, check=False)
-    if conj.dtype == object:
-        out.int_mat = conj.tolist()
-    return out
+    _same_dimension(g.d, x)
+    return g if x is BasePoint.origin(x.d) else _row_element(_conjugate_stack(_one_row(g), x)[0])
+
+
+def _same_dimension(d: int, x: BasePoint) -> None:
+    if d != x.d:
+        raise PreconditionError(f"a d = {d} element needs a base point of that dimension, got d = {x.d}")
+
+
+def _row_element(row: np.ndarray) -> GroupElement:
+    """A stack row as an element, unchecked, with its exact ints when it is integer."""
+    g = GroupElement(row, check=False)
+    if row.dtype.kind != "f":
+        g.int_mat = row.tolist()
+    return g
 
 
 def cartan_at(g: GroupElement, x: BasePoint) -> np.ndarray:

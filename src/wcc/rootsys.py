@@ -13,6 +13,7 @@ Cartan subspace are stored as coefficient arrays ``c`` acting by ``c @ y``.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -179,22 +180,12 @@ class RootSystemA:
     def c_a(self) -> float:
         """Comparison constant between sup_k |chi_k| and the Killing norm.
 
-        Smallest C >= 1 with (1/C)||y|| <= sup_k |chi_k(y)| <= C ||y||.  The
-        upper ratio is max_k of the dual norm of chi_k; the lower one is
-        attained at a vertex of the polytope { |chi_k(y)| <= 1 for all k }.
+        Smallest C >= 1 with (1/C)||y|| <= sup_k |chi_k(y)| <= C ||y||.  Every dual norm
+        of chi_k is below 1, so C is the largest Killing norm at a vertex of the polytope
+        { |chi_k(y)| <= 1 for all k }, y_k = s_k - s_(k-1) with s_k = +-1 and s_0 = s_d = 0;
+        alternating signs give sum y_k^2 = 4d - 6.
         """
-        upper = max(self.dual_norm(chi) for chi in self.fundamental_weights)
-        worst = 0.0
-        n = self.d - 1
-        chi_matrix = np.array(self.fundamental_weights)  # (d-1, d)
-        ones = np.ones((1, self.d))
-        system = np.vstack([chi_matrix, ones])
-        for signs in itertools.product((-1.0, 1.0), repeat=n):
-            rhs = np.append(np.array(signs), 0.0)
-            y = np.linalg.solve(system, rhs)
-            worst = max(worst, self.killing_norm(y))
-        lower = 1.0 / worst
-        return max(upper, 1.0 / lower, 1.0)
+        return math.sqrt(self.killing_scale * (4 * self.d - 6))
 
 
 @lru_cache(maxsize=None)

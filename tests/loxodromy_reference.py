@@ -141,6 +141,27 @@ def _dist_d(lines, others):
     return worst
 
 
+def _embedded_lines(frames: np.ndarray) -> list:
+    """``Flag.embedded_lines`` of frames over any leading axes (``wcc.flagmetric._embedded_lines``,
+    unchanged)."""
+    return [fm.wedge_coordinates(frames[..., :k]) for k in range(1, frames.shape[-1])]
+
+
+def _perp_lines(frames: np.ndarray) -> list:
+    """``Flag.perp_lines`` of frames over any leading axes (``wcc.flagmetric._perp_lines``, unchanged)."""
+    d = frames.shape[-1]
+    return [fm.wedge_coordinates(frames[..., d - k :]) for k in range(1, d)]
+
+
+def _delta(lines, perps):
+    """``dist_delta`` from the embedded lines of xi and the perp lines of eta, over any leading
+    axes (``wcc.flagmetric._delta``, unchanged)."""
+    best = 1.0
+    for u, v in zip(lines, perps):
+        best = np.fmin(best, np.abs(np.vecdot(u, v)))
+    return best
+
+
 def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: float) -> LoxodromyCertificate:
     """Certify loxodromy from the chamber-displacement configuration at x."""
     d = gamma.d
@@ -175,8 +196,8 @@ def reference_certify(gamma: GroupElement, x: BasePoint, r: float, epsilon: floa
         h, eye, lr = x.h.mat, np.eye(d), l @ rs.reversal_frame()
         frames = pj.flag_frame_action(np.stack([h, h, eye, eye]), np.stack([k, lr, basis, basis[:, ::-1]]))
         pj._so_sign_fix(frames)
-        lines = fm._embedded_lines(frames)  # of xi+, xi-, the attracting and repelling flags
-        delta = float(fm._delta([u[0] for u in lines], fm._perp_lines(frames[1])))
+        lines = _embedded_lines(frames)  # of xi+, xi-, the attracting and repelling flags
+        delta = float(_delta([u[0] for u in lines], _perp_lines(frames[1])))
         conditions["transverse_ok"] = delta > 0.0
         if conditions["transverse_ok"]:
             try:

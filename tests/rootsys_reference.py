@@ -1,7 +1,9 @@
 """Root-system helpers that no command, acceptance criterion or library function runs,
 kept for their tests.  They were the ``wcc.rootsys.RootSystemA`` methods
 ``weyl_group``, ``chamber_sort``, ``delta_zero_direction`` and ``dual_vector``,
-unchanged, and now take the root system as their first argument."""
+unchanged, and now take the root system as their first argument.  ``reference_c_a`` is
+``RootSystemA.c_a`` before its closed form: a linear solve at every vertex of the polytope
+{ |chi_k(y)| <= 1 for all k }."""
 
 import itertools
 
@@ -34,3 +36,20 @@ def dual_vector(rs: RootSystemA, c) -> np.ndarray:
     if n == 0.0:
         raise ParameterError("zero functional has no maximizing direction")
     return c0 / (n * np.sqrt(rs.killing_scale))
+
+
+def reference_c_a(rs: RootSystemA) -> float:
+    """Smallest C >= 1 with (1/C)||y|| <= sup_k |chi_k(y)| <= C ||y||.  The upper ratio is
+    max_k of the dual norm of chi_k; the lower one is attained at a vertex of the polytope."""
+    upper = max(rs.dual_norm(chi) for chi in rs.fundamental_weights)
+    worst = 0.0
+    n = rs.d - 1
+    chi_matrix = np.array(rs.fundamental_weights)  # (d-1, d)
+    ones = np.ones((1, rs.d))
+    system = np.vstack([chi_matrix, ones])
+    for signs in itertools.product((-1.0, 1.0), repeat=n):
+        rhs = np.append(np.array(signs), 0.0)
+        y = np.linalg.solve(system, rhs)
+        worst = max(worst, rs.killing_norm(y))
+    lower = 1.0 / worst
+    return max(upper, 1.0 / lower, 1.0)

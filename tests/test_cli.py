@@ -1,3 +1,4 @@
+import ast
 import decimal
 import hashlib
 import io
@@ -81,6 +82,22 @@ class TestLoxo:
         code, out = run(capsys, "loxo", "--matrix", matrix, "--r", "0.4", "--eps", "0.01")
         assert code == 2
         assert out == ""
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("argv", [
+        "flag --group sl3 --op dist --xi [[1,0],[0,1]]",
+        "flag --group sl3 --op delta --xi [[1,0],[0,1]]",
+        "flag --group sl3 --op gromov --xi [[1,0],[0,1]]",
+        "flag --group sl2 --op dist --eta [[1,0,0],[0,1,0],[0,0,1]]",
+        "flag --group sl3 --op hopf --matrix [[2,1],[1,1]]",
+        "loxo --matrix [[2,1],[1,1]] --base [[1,0,0],[0,1,0],[0,0,1]] --r 0.4 --eps 0.01",
+    ])
+    def test_exit_code(self, capsys, argv):
+        code = dispatch(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "does not match" in captured.err
 
 
 class TestVolume:
@@ -415,6 +432,37 @@ def test_growth_needs_three_distinct_T(capsys, grid):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "three distinct T" in captured.err
+
+
+def test_every_src_function_is_named_outside_the_tests():
+    # the standing rule of the simplicity aim: a function or method of src/wcc (dunders aside)
+    # stays only if src/wcc, an acceptance criterion or the benchmark names it, as a Name or
+    # an Attribute outside its own def; the benchmark also names the functions it times as
+    # strings ("module.name" or "name")
+    src = sorted(Path(wcc.__file__).parent.glob("*.py"))
+    bench = sorted(Path(__file__).resolve().parents[1].joinpath("perfbench").glob("*.py"))
+    defs, refs = [], {}  # src defs; name -> the sets of defs enclosing each reference
+
+    def visit(node, path, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.extend([(path.name, child)] if path in src else [])
+                visit(child, path, enclosing | {child})
+                continue
+            if isinstance(child, ast.Name):
+                refs.setdefault(child.id, []).append(enclosing)
+            elif isinstance(child, ast.Attribute):
+                refs.setdefault(child.attr, []).append(enclosing)
+            elif path in bench and isinstance(child, ast.Constant) and isinstance(child.value, str):
+                refs.setdefault(child.value.rsplit(".", 1)[-1], []).append(enclosing)
+            visit(child, path, enclosing)
+
+    for path in [*src, Path(__file__).with_name("test_acceptance.py"), *bench]:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, frozenset())
+    unnamed = [f"{file}:{node.lineno} {node.name}" for file, node in defs
+               if not (node.name.startswith("__") and node.name.endswith("__"))
+               and all(node in enclosing for enclosing in refs.get(node.name, []))]
+    assert unnamed == []
 
 
 def _loaded_modules(argv, tmp_path) -> set:

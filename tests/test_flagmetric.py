@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wcc import flagmetric as fm
+from wcc import loxodromy as lx
 from wcc import projections as pj
 from wcc.errors import LoxodromyError, NumericError, PreconditionError, TransversalityError, WccError
 from wcc.projections import BasePoint, GroupElement
@@ -182,10 +183,9 @@ class TestTransversality:
         with pytest.raises(TransversalityError):
             fm.TransversePair(fm.eta0(3), fm.eta0(3))
 
-    def test_stacked_witnesses_fail_row_by_row(self):
-        # the stack and the one-pair flat_distance share one d = 3 row kernel: row by row the
-        # same value bit for bit, or the same error class and message, at the origin, a float
-        # and an integer base point, and the x at which the seeded pair of
+    def test_witnesses_fail_pair_by_pair(self):
+        # flat_distance refuses pair by pair, with the error class and message of the witness, at
+        # the origin, a float and an integer base point, and the x at which the seeded pair of
         # test_refuses_a_distance_beyond_float64_resolution is refused (e = 7)
         rng = np.random.default_rng(9)
         a, b = pj.random_so(3, rng, size=5), pj.random_so(3, rng, size=5)
@@ -201,22 +201,18 @@ class TestTransversality:
         with pytest.raises(TransversalityError, match="not transverse"):
             fm.TransversePair(fm.Flag(a[1]), fm.Flag(b[1]))
         for x in points:
-            rows = fm._flat_distances(x, a, b)
+            rows = []
+            for plus, minus in zip(a, b):  # a gauge of 1 leaves the refusal to the witness
+                try:
+                    rows.append(fm.flat_distance(x, fm.TransversePair._of_flags(fm.Flag(plus), fm.Flag(minus), 1.0)))
+                except WccError as exc:
+                    rows.append(exc)
             assert isinstance(rows[1], TransversalityError) and str(rows[1]) == str(err.value)
             assert str(rows[1]).startswith("subspaces meet in more than a line")
             assert isinstance(rows[3], TransversalityError)
             assert str(rows[3]).startswith("subspaces meet in more than a line (d-th singular value 9.9")
             if x is not far:
                 assert all(isinstance(rows[i], float) for i in (0, 2, 4))
-            for i in (0, 2, 3, 4):
-                try:
-                    one = fm.flat_distance(x, fm.TransversePair(fm.Flag(a[i]), fm.Flag(b[i])))
-                except WccError as exc:
-                    one = exc
-                if isinstance(one, float):
-                    assert one == rows[i], (x, i)
-                else:
-                    assert type(one) is type(rows[i]) and str(one) == str(rows[i]), (x, i)
         assert isinstance(rows[4], NumericError) and "beyond float64 resolution" in str(rows[4])
 
     def test_stacked_witness_solve_is_the_per_dimension_reference(self):
@@ -770,23 +766,25 @@ class TestFlatDistanceOracle:
         assert off <= 4
     @pytest.mark.parametrize("sine, refused", [(0.99e-12, True), (1.01e-12, False)])
     def test_singular_witness_refused_in_both_paths(self, sine, refused):
-        # fixed flags through e_1 and a line at angle asin(sine) to it: transverse, but
-        # |det[xi_1 eta_1]| = sine is just below (or above) the witness's 1e-12
-        eigvals = np.array([2.0, 0.5])
-        eigvecs = np.array([[1.0, math.sqrt(1.0 - sine * sine)], [0.0, sine]])
-        frames = fm._eigen_frames(eigvals[None], eigvecs[None])[0][:, 0]
-        pair = fm.TransversePair(*map(fm.Flag._of_so_frame, frames))
+        # flags through e_1 and a line at angle asin(sine) to it: transverse, but
+        # |det[xi_1 eta_1]| = sine is just below (or above) the witness's 1e-12.  They are
+        # the fixed flags of g = (2 b; 0 1/2), whose float flat-bound row is the second path
+        cos = math.sqrt(1.0 - sine * sine)
+        pair = fm.TransversePair(fm.eta0(2), fm.Flag([[cos, -sine], [sine, cos]]))
+        g = np.array([[2.0, -1.5 * cos / sine], [0.0, 0.5]])  # (g - 1/2)(cos, sine) = 0
         o = BasePoint.origin(2)
-        stacked = fm._fixed_flat_distances(o, eigvals[None], eigvecs[None])
+        plus, minus = fm.fixed_points(GroupElement(g))
+        assert abs(np.linalg.det(np.array([plus.frame[:, 0], minus.frame[:, 0]])) / sine - 1.0) < 1e-3
+        row = lx._flat_bound_rows(g[None], o)[0]
         if refused:
             for call in (lambda: fm.flat_distance(o, pair), lambda: witness(pair)):
                 with pytest.raises(TransversalityError, match="^witness frame is singular$"):
                     call()
-            assert isinstance(stacked[0], TransversalityError)
-            assert str(stacked[0]) == "witness frame is singular"
+            assert isinstance(row, TransversalityError)
+            assert str(row) == "witness frame is singular"
         else:
-            assert stacked == [fm.flat_distance(o, pair)]
-            assert stacked[0] > 30.0
+            assert fm.flat_distance(o, pair) > 30.0
+            assert isinstance(row, float)
 
 
 class TestCorridors:

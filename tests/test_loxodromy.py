@@ -808,8 +808,8 @@ class TestFlatDistanceWork:
         assert sorted(calls) == ["_flat_minimum", "_sl3_witness"]
 
     def test_sl3_certificate_and_fixed_flags_share_one_kernel(self, monkeypatch):
-        # the certificate and the stacked fixed-flag pass run the same one-pair witness and
-        # Newton solve, once per pair
+        # the certificate and the float flat-bound rows of the fixed flags run the same one-pair
+        # witness and Newton solve, once per pair
         calls = []
         for name in ("_sl3_witness", "_flat_minimum"):
             fn = getattr(fm, name)
@@ -818,7 +818,7 @@ class TestFlatDistanceWork:
         elements = criterion4_elements()[3][:5]
         assert lx.certify(elements[0], o, r, eps).certified
         assert calls == ["_sl3_witness", "_flat_minimum"]
-        rows = fm._fixed_flat_distances(o, *np.linalg.eig(np.array([g.mat for g in elements])))
+        rows = lx._flat_bound_rows(np.array([g.mat for g in elements]), o)
         assert all(isinstance(row, float) for row in rows)
         assert calls == ["_sl3_witness", "_flat_minimum"] * 6
 
@@ -991,6 +991,28 @@ class TestJordanCartanGap:
                 for base in (o, x):
                     assert lx.jordan_cartan_gap(g, base) == pytest.approx(
                         reference_jordan_cartan_gap(g, base), rel=1e-9)
+
+
+class TestDimensionMismatch:
+    """An element, or a flag pair, and a base point of another dimension are refused by name, also
+    where the base point is the shared origin or another representative of it."""
+
+    @pytest.mark.parametrize("entry", ["certify", "cartan_at", "angular_points", "jordan_cartan_gap",
+                                       "flat_distance"])
+    @pytest.mark.parametrize("d, e", [(2, 3), (3, 2)])
+    def test_refused(self, entry, d, e):
+        g = GroupElement.from_integer([[2, 1], [1, 1]]) if d == 2 else criterion4_elements()[3][0]
+        # an epsilon above the cap of either dimension: the dimension is refused first
+        call = {"certify": lambda x: lx.certify(g, x, 0.4, 0.05), "cartan_at": lambda x: pj.cartan_at(g, x),
+                "angular_points": lambda x: pj.angular_points(g, x),
+                "jordan_cartan_gap": lambda x: lx.jordan_cartan_gap(g, x),
+                "flat_distance": lambda x: fm.flat_distance(x, fm.TransversePair(*fm.fixed_points(g)))}[entry]
+        shear = np.eye(e, dtype=int) + np.eye(e, k=1, dtype=int)
+        for x in (BasePoint.origin(e), BasePoint(GroupElement.from_integer(np.eye(e, dtype=int))),
+                  BasePoint(GroupElement.from_integer(shear)),
+                  BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, e)))):
+            with pytest.raises(PreconditionError, match=rf"(d = {d} element|R\^{d}).* base point .*got d = {e}$"):
+                call(x)
 
 
 class TestDistanceSurrogates:

@@ -7,7 +7,7 @@ import pytest
 from wcc import rootsys
 from wcc.errors import NumericError, ParameterError, PreconditionError
 
-from rootsys_reference import chamber_sort, delta_zero_direction, dual_vector, weyl_group
+from rootsys_reference import chamber_sort, delta_zero_direction, dual_vector, reference_c_a, weyl_group
 
 # Agreement required between the optimization and closed-form values of the
 # growth exponents; a larger discrepancy means a regression somewhere.
@@ -335,6 +335,12 @@ class TestNormComparison:
                 sup = max(abs(float(chi @ y)) for chi in rs.fundamental_weights)
                 assert sup <= ca * n + 1e-12
                 assert sup >= n / ca - 1e-12
+
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_c_a_closed_form_is_the_vertex_solve(self, d):
+        rs = rootsys.RootSystemA(d)
+        assert rs.c_a() == reference_c_a(rs)
 
 
 def test_for_group_parsing():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 from collections import deque
 
@@ -407,6 +408,11 @@ def census_t6():
     return enumerate_elements(LatticeSpec("sl2"), Domain("ball", 6.0))[0]
 
 
+@functools.cache
+def sl3_word_ball():
+    return enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)[0]
+
+
 class TestStackedFlatBound:
     """The stacked survey against the per-element loop it replaced."""
 
@@ -421,24 +427,37 @@ class TestStackedFlatBound:
         self.check(census_t8[0], None)
 
     def test_sl3_word_ball_matches_the_reference(self):
-        census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
-        self.check(census, BasePoint(GroupElement.from_integer([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
+        self.check(sl3_word_ball(), BasePoint(GroupElement.from_integer([[1, 1, 0], [0, 1, 0], [0, 0, 1]])))
 
-    @pytest.mark.parametrize("base", ["origin", "integer", "float"])
-    def test_flat_values_are_flat_distance_bit_for_bit(self, base):
-        # the stacked fixed-flag distances give exactly what flat_distance returns for
-        # the fixed flags of each element
-        census, _ = enumerate_elements(LatticeSpec("sl3"), Domain("ball", 5.0), word_radius=3)
-        for lox in ([r for r in census_t6() if r.loxodromic], [r for r in census if r.loxodromic]):
-            mats = np.array([rec.matrix for rec in lox], dtype=float)
-            d = mats.shape[1]
-            x = {"origin": BasePoint.origin(d),
-                 "integer": BasePoint(GroupElement.from_integer(
-                     {2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}[d])),
-                 "float": BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, d)))}[base]
-            pairs = [fm.TransversePair(*fm.fixed_points(GroupElement(m, check=False))) for m in mats]
-            want = [fm.flat_distance(x, pair) for pair in pairs]
-            assert fm._fixed_flat_distances(x, *np.linalg.eig(mats)) == want
+    # every row of the fixed-flag stacks, pinned: each gap as its repr and each error as
+    # "type: message", over the loxodromic rows of the sl2 t = 6 census and of the sl3 word
+    # ball, each as int64 and as float, at three base points
+    PINNED_ROWS = {
+        (2, "int64", "origin"): "13bea853e65b39ce47ddda99e7d886c31fc56aa53c4d0852589904b6b00e4fa9",
+        (2, "int64", "integer"): "732973980d92db3dd402248c100cfb4e884f2afb8b1fe6989de8dc00a17e5826",
+        (2, "int64", "float"): "d963282d3b9210aebaa9ceaf29ab9bffcf0920c0a246a4094000b2753fcfe496",
+        (2, "float", "origin"): "a17db5ebc6d15082c7e0e934dd894367d0650114c9080296d942d99af22d2642",
+        (2, "float", "integer"): "dabbcd630e555a90cd0166727e3b87e681b3d7c859db2b0f169c69faf04529bd",
+        (2, "float", "float"): "7965e66b607caef038158cd2d4429805b8266734b55db2c1e0c60c481cbda47b",
+        (3, "int64", "origin"): "e7f10ad49aa869bfb47bd038a5df48f8af534d92fdad70b123b023dd224789be",
+        (3, "int64", "integer"): "ea890ad159f259c1a2a5cbef18ea635462cf62d48fe4e5047e6764788cb11436",
+        (3, "int64", "float"): "6d7bb03e4981c9bd658b75e96496da16c9c0241deece7fe2266a81b1239df461",
+        (3, "float", "origin"): "e67ec7b0ce171d3c40c63e43f7a32b7df11cc0c8682db9eb72213f28ab47726f",
+        (3, "float", "integer"): "1cdd18ac0c4eb28859eaf5fe4f3a5e6c282ca7469ce84eb46c7b36065a52082e",
+        (3, "float", "float"): "c17265f56e0022159a772fc12578c638e9a4ea9e68ee4ddfc61be39c5b099d93",
+    }
+
+    @pytest.mark.parametrize("d, kind, base", sorted(PINNED_ROWS))
+    def test_rows_are_pinned(self, d, kind, base):
+        census = census_t6() if d == 2 else sl3_word_ball()
+        mats = census.table[census.loxodromic].reshape(-1, d, d).astype(kind)
+        h = {2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 0], [0, 0, 1]]}[d]
+        x = {"origin": BasePoint.origin(d), "integer": BasePoint(GroupElement.from_integer(h)),
+             "float": BasePoint(GroupElement.from_cartan_vector(np.linspace(0.3, -0.3, d)))}[base]
+        rows = lx._flat_bound_rows(mats, x)
+        text = "\n".join(repr(row) if isinstance(row, float) else f"{type(row).__name__}: {row}" for row in rows)
+        assert len(rows) == {2: 240, 3: 228}[d]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_ROWS[d, kind, base]
 
     @staticmethod
     def check(census, x):
@@ -464,7 +483,7 @@ def survey_base(base: str):
 
 class TestClosedFormFlats:
     """The d = 2 axis distances of an integer survey, sqrt(2) asinh(|b - c| / sqrt(tr^2 - 4)) of
-    m = h_x^-1 g h_x, against the fixed-flag path they replaced and a 40-digit evaluation."""
+    m = h_x^-1 g h_x, against the flat distance of the fixed flags and a 40-digit evaluation."""
 
     @pytest.mark.parametrize("base", ["origin", "integer", "float"])
     def test_axis_distances(self, census_t8, base):
@@ -475,7 +494,8 @@ class TestClosedFormFlats:
         flats = lx._sl2_axis_distances(conj, disc)
         eps = np.finfo(float).eps
         # the fixed-flag path itself strays up to 6.4 eps (1 + value) from the truth at the integer base point
-        fixed = np.array(fm._fixed_flat_distances(x, *np.linalg.eig(mats.astype(float))))
+        fixed = np.array([fm.flat_distance(x, fm.TransversePair(*fm.fixed_points(GroupElement(m, check=False))))
+                          for m in mats.astype(float)])
         assert np.all(np.abs(flats - fixed) <= 8 * eps * (1 + fixed))
         with mpmath.workdps(40):
             exact = [float(mpmath.sqrt(2) * mpmath.asinh(abs(mpmath.mpf(b) - mpmath.mpf(c)) / mpmath.sqrt(q)))
