@@ -133,9 +133,16 @@ def zeta0(d: int) -> Flag:
 # ------------------------------------------------------------------ metrics
 
 
+def _pair_dimension(xi: Flag, eta: Flag) -> int:
+    """The dimension of two flags of one R^d; flags of two dimensions are refused."""
+    if xi.d != eta.d:
+        raise PreconditionError(f"a flag pair needs flags of one dimension, got R^{xi.d} and R^{eta.d}")
+    return xi.d
+
+
 def dist_d(xi: Flag, eta: Flag) -> float:
     """Boundary distance: max over k of the sine of the wedge-line angle."""
-    worst = 0.0
+    worst, _ = 0.0, _pair_dimension(xi, eta)
     for u, v in zip(xi.embedded_lines, eta.embedded_lines):
         # fmin and fmax: a NaN keeps the other operand, as Python's min and max do here
         c = np.fmin(1.0, np.abs(np.vecdot(u, v)))
@@ -145,7 +152,7 @@ def dist_d(xi: Flag, eta: Flag) -> float:
 
 def dist_delta(xi: Flag, eta: Flag) -> float:
     """Transversality gauge: min over k of |<w_k(xi), perp_k(eta)>| in [0, 1]."""
-    best = 1.0
+    best, _ = 1.0, _pair_dimension(xi, eta)
     for u, v in zip(xi.embedded_lines, eta.perp_lines):
         best = np.fmin(best, np.abs(np.vecdot(u, v)))  # fmin: a NaN keeps best, as min does
     return float(best)
@@ -218,7 +225,7 @@ def gromov_product(xi: Flag, eta: Flag, x: BasePoint | None = None) -> np.ndarra
     identity (g.xi | g.eta) - (xi | eta) = iota sigma(g,xi) + sigma(g,eta)
     holds exactly (the opposite orientation puts iota on the other summand).
     """
-    d = xi.d
+    d = _pair_dimension(xi, eta)
     if x is not None and not np.array_equal(x.h.mat, np.eye(d)):
         xi = xi.translate(x.h_inverse)
         eta = eta.translate(x.h_inverse)

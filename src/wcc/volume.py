@@ -6,8 +6,8 @@ computed in log space, so large t only costs exponent bookkeeping, never
 overflow.  In the simple-root coordinates z_i = alpha_i(Y) every domain but the
 d = 3 ball is a union of rectangles, over which the density integrates in closed
 form, with a stated rounding bound as the error.  The d = 3 ball, with its margin
-or slab, is polar: along each direction of the half chamber arc the radial integral
-is in closed form, and one Gauss-Legendre rule with node doubling takes the angle.
+or slab, is one window of the wall distance: each strip along a wall integrates in
+closed form, and one Gauss-Legendre rule with node doubling takes the window.
 """
 
 from __future__ import annotations
@@ -217,8 +217,9 @@ def _gauss_legendre(n: int):
 
 
 def _region_volume(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeResult:
-    """Integral of the density over the domain with its filter: ``_ball_volume_d3`` on the
-    d = 3 ball, a closed form on every other domain, which is rectangles in z_i = alpha_i(Y).
+    """Integral of the density over the domain with its filter: ``_ball_volume_d3`` (one strip
+    rule in the wall distance) on the d = 3 ball, a closed form on every other domain, which
+    is rectangles in z_i = alpha_i(Y).
 
     A slab is its own rectangles, never a difference, so nothing cancels but the widths
     b - a of rounded ends.  The error is then the rounding bound c eps max(1, sum |terms|),
@@ -280,87 +281,60 @@ def _log_rectangle(rect, integrand: str) -> tuple[float, list[float]]:
     return logsumexp([log_a[0] + log_b[1], log_b[0] + log_a[1]]), terms
 
 
-# M(x) = (x cosh x - sinh x) / x^2 - x/3 = x^3 sum_(k>=2) 2k x^(2k-4) / (2k+1)! and P(x) =
-# e^x (x - 1) + 1 = x^2 sum_(k>=2) (k-1) x^(k-2) / k!, to a next term below 1e-17 of the sum
-_M_SERIES = [2 * k / math.factorial(2 * k + 1) for k in range(12, 1, -1)]
-_P_SERIES = [(k - 1) / math.factorial(k) for k in range(19, 1, -1)]
-
-
-def _log_m(x: np.ndarray) -> np.ndarray:
-    """log M(x), x > 0: the series below 2, and above it x - log(2 x^2) +
-    log(x - 1 + (x + 1) e^(-2x) - 2/3 x^3 e^(-x)), whose sum cancels at most a factor 3."""
-    lo, hi = np.minimum(x, 2.0), np.maximum(x, 2.0)
-    tail = hi - 1.0 + (hi + 1.0) * np.exp(-2.0 * hi) - np.exp(3.0 * np.log(hi) - hi) * (2.0 / 3.0)
-    return np.where(x < 2.0, 3.0 * np.log(lo) + np.log(np.polyval(_M_SERIES, lo * lo)),
-                    hi + np.log(tail) - 2.0 * np.log(hi) - math.log(2.0))
-
-
-def _log_p(x: np.ndarray) -> np.ndarray:
-    """log P(x), x > 0: the positive series below 1, and x + log(x - 1 + e^(-x)) above."""
-    lo, hi = np.minimum(x, 1.0), np.maximum(x, 1.0)
-    return np.where(x < 1.0, 2.0 * np.log(lo) + np.log(np.polyval(_P_SERIES, lo)),
-                    hi + np.log(hi - 1.0 + np.exp(-hi)))
-
-
-def _log_radial(integrand: str, a: np.ndarray, b: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-    """log of int_0^h r f(r) dr along directions whose simple roots take a and b, and the log of
-    the largest term it subtracts: P(2(a + b)h) / (2(a + b))^2 for f = e^(2(a + b)r) (two_rho),
-    and h^2/4 (M(2(a + b)h) - M(2ah) - M(2bh)) for f = sinh(ar) sinh(br) sinh((a + b)r) =
-    (sinh 2(a + b)r - sinh 2ar - sinh 2br) / 4 (hc), which cancels only next to a wall."""
+def _log_strip(integrand: str, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log of k int f dx over the strips x in [sqrt 3 y, X] of the half chamber, where the simple
+    roots take u = n y and (k x - u) / 2 (k = sqrt 3 n) and v = k (X - sqrt 3 y), and the sum of
+    the magnitudes of its log terms: e^(4u) (e^v - 1) = 2 e^(4u + v/2) sinh(v/2) for f = e^(2 rho)
+    (two_rho), and sinh u [cosh 3u (sinh v - v) / 2 + sinh 3u sinh(v/2)^2 + v sinh 2u sinh u] for
+    f = sinh(u) (cosh kx - cosh u) / 2 (hc).  Every term is positive: nothing is subtracted."""
+    sh_half = _log_sinh(0.5 * v)
     if integrand == "two_rho":
-        log_val = _log_p(2.0 * (a + b) * h) - 2.0 * np.log(2.0 * (a + b))
-        return log_val, log_val
-    log_h2 = 2.0 * np.log(h) - math.log(4.0)
-    top, low_a, low_b = (_log_m(2.0 * x * h) + log_h2 for x in (a + b, a, b))
-    return top + np.log1p(-np.minimum(np.exp(low_a - top) + np.exp(low_b - top), 1.0)), top
+        terms = [4.0 * u, 0.5 * v, sh_half, math.log(2.0)]
+        return sum(terms), sum(map(np.abs, terms))
+    sh_u, sh_2u, sh_3u = _log_sinh(np.array([u, 2.0 * u, 3.0 * u]))
+    ch_3u, s_v = np.logaddexp(3.0 * u, -3.0 * u) - math.log(2.0), np.array([_log_s(x) for x in v.tolist()])
+    inner = np.logaddexp(np.logaddexp(ch_3u + s_v, sh_3u + 2.0 * sh_half), np.log(v) + sh_2u + sh_u)
+    terms = [sh_u, ch_3u, s_v, sh_3u, 2.0 * sh_half, np.log(v), sh_2u, sh_u]
+    return sh_u + inner, sum(map(np.abs, terms))
 
 
 def _ball_volume_d3(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeResult:
     """The d = 3 ball, or its part with wall distance above the margin or within the slab.
 
-    The density is even about rho on the chamber arc [-pi/6, pi/6], so the volume is twice
-    that over the half arc, where the unit direction at the angle phi from the wall has simple
-    roots a = n sin(phi), b = n sin(pi/3 - phi) (n their dual norm) and wall distance sin(phi).
-    Its radial window, [0, t], or [r, t] for a margin c and [0, r] for a slab c with
-    r = c / sin(phi) < t (phi above asin(c/t)), is ``_log_radial`` in closed form (a margin
-    the difference of two).  One Gauss-Legendre rule, doubled by ``_converge``, takes the arc
-    in phi but a slab's side past asin(c/t) in r in [2c, t], where in phi it grows too fast.
+    The density is even about rho, so the volume is twice that over the half chamber between a
+    wall and rho.  There, with y the wall distance and x the coordinate along the wall, the
+    ball is the strips x in [sqrt 3 y, sqrt(t^2 - y^2)] over y in [0, t/2]; a margin c keeps
+    y in [c, t/2] and a slab c keeps y in [0, min(c, t/2)].  ``_log_strip`` takes each strip in
+    closed form, and one Gauss-Legendre rule, doubled by ``_converge``, takes the window in
+    sigma = sqrt(1/2 - y/t), in which the strips' width, vanishing at rho, is smooth.  Each node
+    is taken in units of t: y as y_hi - (sigma - s_lo)(sigma + s_lo) from the window's end y_hi
+    at sigma = s_lo, which does not cancel next to the wall, and t/2 - y as t sigma^2.
 
-    The error is the last doubling delta plus the rounding bound 4 eps (1 + |log value|) S / V,
-    with S the rule over the magnitudes that the windows subtract and V the rule itself: a
-    log term rounds to eps times its size, at most about |log value|, and a subtraction
-    scales that by S / V."""
+    The error is the last doubling delta plus the rounding bound 4 eps (1 + |log value| +
+    sum_i p_i M_i), with M_i the summed magnitudes of node i's log terms and log weight and p_i
+    that node's share of the sum."""
     t, n = domain.t, float(rs.simple_dual_norms[0])
-    c = domain.regular_margin or domain.slab or 0.0
-    edge = math.asin(c / t) if c < 0.5 * t else math.pi / 6  # where c / sin(phi) reaches t
-    lo, hi = (0.0, edge) if domain.slab is not None else (edge, math.pi / 6)
-    radii, ratios = domain.slab is not None and edge < math.pi / 6, []
+    k = math.sqrt(3.0) * n
+    lo, hi = (domain.regular_margin or 0.0, 0.5 * t) if domain.slab is None else (0.0, min(domain.slab, 0.5 * t))
+    if not lo < hi:  # a margin of t/2, the largest wall distance, or more leaves nothing
+        return _finish(LOG_ZERO, "quadrature", 0.0)
+    s_lo = math.sqrt((0.5 * t - hi) / t)  # sigma runs over [s_lo, s_lo + width]
+    width, mags = (hi - lo) / t / (s_lo + math.sqrt((0.5 * t - lo) / t)), []
 
     def evaluate(nodes):
         x, w = _gauss_legendre(nodes)
-        u = 0.5 * (x + 1.0)  # the nodes on [0, 1], whose weights are w / 2
+        z = 0.5 * width * (x + 1.0)  # sigma - s_lo
+        sigma, y = s_lo + z, hi / t - z * (2.0 * s_lo + z)  # y / t
+        gap = 2.0 * sigma * sigma * (1.0 + 2.0 * y) / (np.sqrt(1.0 - y * y) + math.sqrt(3.0) * y)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pieces = [(lo + (hi - lo) * u, np.log(0.5 * (hi - lo) * w), np.full(nodes, t))]
-            if radii:  # phi = asin(q), q = c / r, and d phi = q dr / (r sqrt(1 - q^2))
-                span = t - 2.0 * c
-                r = 2.0 * c + span * u
-                q = c / r
-                pieces.append((np.arcsin(q), np.log(0.5 * span * w * q / np.sqrt(1.0 - q * q) / r), r))
-            phi, log_w, h = map(np.concatenate, zip(*pieces))
-            a, b = n * np.sin(phi), n * np.sin(math.pi / 3 - phi)
-            log_val, log_mag = _log_radial(integrand, a, b, h)
-            if domain.regular_margin:  # the window [c n / a, t]
-                low, low_mag = _log_radial(integrand, a, b, np.minimum(t, c * n / a))
-                log_val = log_val + np.log1p(-np.exp(np.minimum(low - log_val, 0.0)))
-                log_mag = np.logaddexp(log_mag, low_mag)
+            log_val, mag = _log_strip(integrand, n * t * y, k * t * gap)  # gap = (X - sqrt 3 y) / t
+            log_w = np.log(sigma * w * (2.0 * width / k)) + math.log(t)  # 2 dy / k, dy = 2 t sigma d sigma
             total = logsumexp(log_val + log_w)
-            ratios.append(logsumexp(log_mag + log_w) - total)
-        return math.log(2.0) + total
+            mags.append(float(np.sum(np.exp(log_val + log_w - total) * (mag + np.abs(log_w)))))
+        return total
 
     log_value, error = _converge(evaluate)
-    if log_value > LOG_ZERO:  # every window is empty for a margin of t/2 on (or just short, in floats)
-        error += 4.0 * math.ulp(1.0) * (1.0 + abs(log_value)) * math.exp(ratios[-1])
-    return _finish(log_value, "quadrature", error)
+    return _finish(log_value, "quadrature", error + 4.0 * math.ulp(1.0) * (1.0 + abs(log_value) + mags[-1]))
 
 
 def _box_jacobian(rs: RootSystemA, duals) -> float:
@@ -382,7 +356,7 @@ def closed_form_ball_d2(t: float) -> float:
 
 def ball_volume(rs_or_d, t: float) -> VolumeResult:
     """Harish-Chandra volume of the chamber ball of Killing radius t: the closed form at
-    d = 2, the angular rule over closed-form radial integrals at d = 3."""
+    d = 2, the rule in the wall distance over closed-form strip integrals at d = 3."""
     rs = _root_system(rs_or_d)
     return domain_volume(rs, Domain("ball", t))
 

@@ -292,16 +292,16 @@ class TestSurveyCommands:
         ("tori --T 12", "bfa6a478b17f772c"),
         ("tori --T-grid 10,11,12,13,14", "f734998bfc883b51"),
         ("growth --T-grid 10,11,12,13,14,15,16", "7b217384ddbb6cdd"),
-        ("volume --group sl3 --domain ball --t 8", "e4ce72c5f0c7b668"),
-        ("volume --group sl3 --domain ball --t 8 --slab 0.8", "89940a2285a79313"),
-        ("volume --group sl3 --domain ball --t 8 --regular-margin 2", "afb8a3b8b28db3f3"),
+        ("volume --group sl3 --domain ball --t 8", "6be581f984034c2a"),
+        ("volume --group sl3 --domain ball --t 8 --slab 0.8", "8ce5395947fc17fc"),
+        ("volume --group sl3 --domain ball --t 8 --regular-margin 2", "c8d40229f676e476"),
         ("volume --group sl3 --domain box --t 5 --edges 1,1", "d0dba856fea677fb"),
         ("volume --group sl2 --domain ball --t 4", "8ccd6be7ba5ad036"),
     ])
     def test_stdout_pinned(self, capsys, argv, digest):
         # sha256 prefixes recorded from the per-form cycle walk that the table
         # of reduced forms replaced: the growth commands print the same bytes;
-        # the d = 3 ball digests from the angular rule over closed-form radial integrals
+        # the d = 3 ball digests from the strip rule in the wall distance
         # (the slab as one region, README command); the sl2 volumes (also in the torus
         # sweep) and the box from the rectangle closed forms
         code, out = run(capsys, *argv.split())

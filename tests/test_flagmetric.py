@@ -155,6 +155,15 @@ class TestDistances:
         with pytest.raises(PreconditionError, match="a flag of R\\^2 needs a 2 x 2 matrix"):
             fm.eta0(2).translate(g)
 
+    @pytest.mark.parametrize("call", [
+        lambda xi, eta: fm.TransversePair(xi, eta), fm.dist_d, fm.dist_delta, fm.gromov_product, fm.bms_weight,
+    ], ids=["TransversePair", "dist_d", "dist_delta", "gromov_product", "bms_weight"])
+    def test_flags_of_two_dimensions_are_refused(self, call):
+        for xi, eta, dims in ((fm.eta0(2), fm.zeta0(3), "R^2 and R^3"), (fm.eta0(3), fm.eta0(2), "R^3 and R^2"),
+                              (fm.Flag._of_lines([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), fm.zeta0(2), "R^3 and R^2")):
+            with pytest.raises(PreconditionError, match=f"one dimension, got {re.escape(dims)}$"):
+                call(xi, eta)
+
 
 class TestTransversality:
     def test_standard_examples(self):

@@ -7,6 +7,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wcc import volume as V
 from wcc.errors import NumericError, ParameterError, PreconditionError, WccError
@@ -192,9 +194,11 @@ class TestBallVolume:
 
 
 class TestChamberGeometry:
-    """The A2 facts that the ball rule takes in closed form, against their numeric oracles:
+    """The A2 facts that the ball rules take in closed form, against their numeric oracles:
     the window [-pi/6, pi/6] about rho, the simple roots n sin(phi) and n sin(pi/3 - phi) at
-    the angle phi from the nearer wall, and the cut where the window bound reaches t."""
+    the angle phi from the nearer wall (n y and n (sqrt 3 x - y) / 2 at the wall distance
+    y = r sin(phi) and x = r cos(phi), as the strip rule takes them), and the cut where the
+    polar oracle's window bound reaches t."""
 
     def test_window_matches_bisection(self):
         assert np.allclose(bisected_chamber_window(root_system(3)), (-math.pi / 6, math.pi / 6),
@@ -229,26 +233,21 @@ class TestChamberGeometry:
 
 
 class TestStackedWallDistance:
-    """The ball rule reads each node's wall distance as a sine, with no call of the stacked
-    ``RootSystemA.wall_distances``: its windows are the one-direction oracle's."""
+    """The ball rule reads each node's wall distance from its window variable, with no call of
+    the stacked ``RootSystemA.wall_distances``: every strip lies in the margin's window."""
 
     @pytest.mark.parametrize("t, margin", [
         (2.0, 0.1), (5.0, 1.0), (8.0, 0.8), (8.0, 2.0), (8.0, 3.9), (12.0, 5.9), (8.0, 4.0),
     ])
     def test_inner_bound_is_the_per_node_bound(self, monkeypatch, t, margin):
-        rs, calls, radial = root_system(3), [], V._log_radial
-        monkeypatch.setattr(V, "_log_radial", lambda *args: calls.append(args) or radial(*args))
+        rs, calls, strip = root_system(3), [], V._log_strip
+        monkeypatch.setattr(V, "_log_strip", lambda *args: calls.append(args) or strip(*args))
         monkeypatch.setattr(RootSystemA, "wall_distances", None)
         res = V.domain_volume(rs, Domain("ball", t, regular_margin=margin))
-        assert (res.value == 0.0) == (margin >= t / 2.0)  # t/2 is the largest wall distance
-        u0, u1 = V._dual_basis(rs)
-        assert calls and len(calls) % 2 == 0
-        for (_, a, b, top), (_, _, _, low) in zip(calls[::2], calls[1::2]):  # each rule's window [low, top]
-            assert np.all(top == t)
-            for a_i, b_i, low_i in zip(a[::7], b[::7], low[::7]):
-                u = a_i * u0 + b_i * u1  # the node's direction: its simple roots take a_i and b_i
-                assert rs.killing_norm(u) == pytest.approx(1.0, rel=1e-14)
-                assert low_i == pytest.approx(min(t, margin / _wall_scale(rs, u)), rel=1e-13)
+        assert (res.value == 0.0) == (margin >= t / 2.0) == (not calls)  # t/2 is the largest wall distance
+        n = float(rs.simple_dual_norms[0])
+        for _, u, _ in calls:  # the simple root u = n y of each node's strip gives its wall distance y
+            assert np.all((margin < u / n) & (u / n < t / 2.0))
 
 
 # ``mp_log_ball_volume`` at 60 digits, to 22: the log volume of the d = 3 ball of radius t
@@ -313,12 +312,7 @@ def ball_domain(t, filt):
     return Domain("ball", t, **{key: f * t for key, f in filt.items()})
 
 
-BALL_ORACLE = {  # (t, regular_margin, slab, integrand): the 60-digit log volume, to 22
-    (t, domain.regular_margin, domain.slab, integrand): value
-    for t, values in BALL_GRID.items()
-    for (domain, integrand), value in zip([(ball_domain(t, f), i) for f in BALL_FILTERS for i in ("hc", "two_rho")],
-                                          values)
-} | {
+BALL_PINNED = {  # (t, regular_margin, slab, integrand): the 60-digit log volume, to 22
     (60.0, None, 1.0, "hc"): "58.08789839259954747305",
     (8.0, 2.0, None, "hc"): "8.108632379264562347302",
     (8.0, 3.9, None, "hc"): "3.290768991187148103801",
@@ -329,7 +323,20 @@ BALL_ORACLE = {  # (t, regular_margin, slab, integrand): the 60-digit log volume
     (8.0, None, 0.8, "hc"): "5.609908402743596720463",
     (8.0, None, None, "hc"): "8.516120617481606545389",
     (6.0, None, None, "hc"): "5.818387046516130715958",
+    # the polar rule returned each of these outside its reported error: 60033.7751351002
+    # (5.3e-11), 81.5723444538139 (7.3e-14), -3.0432550479134113 (2.3e-12) and
+    # 23996.97033997489 (6.5e-10)
+    (6e4, None, 60.0, "hc"): "60033.77571131306581214",
+    (70.0, 0.07, None, "hc"): "81.57234445362616297325",
+    (8.0, None, 8e-6, "two_rho"): "-3.043255047556883588145",
+    (2.4e4, None, 0.024, "two_rho"): "23996.97038193112936669",
 }
+BALL_ORACLE = {
+    (t, domain.regular_margin, domain.slab, integrand): value
+    for t, values in BALL_GRID.items()
+    for (domain, integrand), value in zip([(ball_domain(t, f), i) for f in BALL_FILTERS for i in ("hc", "two_rho")],
+                                          values)
+} | BALL_PINNED
 
 
 class TestBallOracle:
@@ -348,7 +355,7 @@ class TestBallOracle:
             assert res.method == "quadrature"
             assert float(abs(decimal.Decimal(res.log_value) - exact)) <= res.error_estimate < 1e-8, (domain, integrand)
 
-    @pytest.mark.parametrize("t, margin, slab, integrand", [k for k in BALL_ORACLE if k[0] not in BALL_GRID])
+    @pytest.mark.parametrize("t, margin, slab, integrand", list(BALL_PINNED))
     def test_pinned_cases(self, t, margin, slab, integrand):
         res = V._region_volume(root_system(3), Domain("ball", t, regular_margin=margin, slab=slab), integrand)
         exact = decimal.Decimal(BALL_ORACLE[t, margin, slab, integrand])
@@ -356,22 +363,30 @@ class TestBallOracle:
 
     @pytest.mark.parametrize("t, margin, slab, integrand", [
         (0.5, None, None, "hc"), (8.0, 0.3 * 8.0, None, "two_rho"), (1000.0, None, 0.05 * 1000.0, "hc"),
+        (8.0, None, 8e-6, "two_rho"),
     ])
     def test_table_is_the_oracle(self, t, margin, slab, integrand):
         value = decimal.Decimal(mpmath.nstr(mp_log_ball_volume(t, integrand, margin, slab), 40))
         assert abs(value - decimal.Decimal(BALL_ORACLE[t, margin, slab, integrand])) <= decimal.Decimal("1e-21") * abs(value)
 
-    def test_radial_series_and_exponential_forms(self):
-        # log M and log P within 4 eps max(1, |log|) of 50 digits, on both sides of the switch
-        # from the series to the exponential form (x = 2 for M, x = 1 for P)
-        xs = np.concatenate([np.geomspace(1e-8, 1e4, 200), [0.999999, 1.0, 1.000001, 1.999999, 2.0, 2.000001]])
-        with mpmath.workdps(50):
-            for x, log_m, log_p in zip(xs, V._log_m(xs), V._log_p(xs)):
-                m = mpmath.mpf(x)
-                exact_m = mpmath.log((m * mpmath.cosh(m) - mpmath.sinh(m)) / m**2 - m / 3)
-                exact_p = mpmath.log(mpmath.exp(m) * (m - 1) + 1)
-                for got, exact in ((log_m, exact_m), (log_p, exact_p)):
-                    assert abs(got - exact) <= 4.0 * math.ulp(1.0) * max(1.0, abs(exact)), x
+    def test_strip_closed_forms(self):
+        # k times the integral over x of each density along the strip, within 4 eps (1 + the
+        # summed magnitudes of its log terms) of a 30-digit Gauss-Legendre quadrature in x, for
+        # u = n y and v = k (X - sqrt 3 y) from 1e-8 to 1e4; with k = 1 the strip is x in
+        # [3u, 3u + v].  Both densities grow at least like e^x, so the quadrature stops 120
+        # below the top, where the rest is under e^-120 of the integral
+        grid = np.geomspace(1e-8, 1e4, 9)
+        u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+        densities = {"hc": lambda x, u: mpmath.sinh(u) * mpmath.sinh((x + u) / 2) * mpmath.sinh((x - u) / 2),
+                     "two_rho": lambda x, u: mpmath.exp(u + x)}
+        with mpmath.workdps(30):
+            for integrand, density in densities.items():
+                log_val, mag = V._log_strip(integrand, u, v)
+                for u_i, v_i, got, m in zip(u.tolist(), v.tolist(), log_val.tolist(), mag.tolist()):
+                    top = 3 * mpmath.mpf(u_i) + mpmath.mpf(v_i)
+                    ends = [top - s for s in (min(v_i, 120.0), 10.0, 1.0, 0.0) if s <= min(v_i, 120.0)]
+                    exact = mpmath.log(mpmath.quad(lambda x: density(x, u_i), ends, method="gauss-legendre"))
+                    assert abs(got - exact) <= 4.0 * math.ulp(1.0) * (1.0 + m), (integrand, u_i, v_i)
 
     def test_a_margin_past_the_largest_wall_distance_is_empty(self):
         for margin in (4.0, 4.5):
@@ -428,7 +443,7 @@ def recorded_deltas(monkeypatch) -> list:
 
 class TestMeasuredError:
     """Volume results report their measured error, not the requested tolerance: on the d = 3
-    ball the last doubling delta plus the rounding bound of its closed radial integrals, on
+    ball the last doubling delta plus the rounding bound of its closed strip integrals, on
     every other domain the rounding bound of its closed form."""
 
     @staticmethod
@@ -451,8 +466,8 @@ class TestMeasuredError:
         self.check(monkeypatch, Domain("ball", 8.0, regular_margin=2.0))
 
     def test_slab_reports_the_larger_delta(self, monkeypatch):
-        # the slab is one region, not a difference of two: one rule over both of its arc
-        # pieces, so one delta, where the 2-D rule reported the larger of two
+        # the slab is one region, not a difference of two: one rule over its one window, so
+        # one delta, where the 2-D rule reported the larger of two
         for integrand in ("two_rho", "hc"):
             self.check(monkeypatch, Domain("ball", 8.0, slab=0.8), integrand)
 
@@ -466,11 +481,14 @@ class TestMeasuredError:
 
 
 # log values of d = 3 volumes that the doubling refused while it also refused a delta that
-# stopped shrinking (a stall), by mp_log_ball_volume at 60 digits: (t, slab) with the hc density
+# stopped shrinking (a stall), or that the polar rule refused at MAX_NODES (the last two), by
+# mp_log_ball_volume at 60 digits: (t, slab) with the hc density
 STALLED_ORACLE = {
     (1e4, 500.0): "10275.42066631538660906799724837820086752",
     (1e4, 10.0): "10004.92669931763331944397279831190884795",
     (3e5, None): "346415.0910170069305584284650680882270044",
+    (3e5, 6e4): "328579.3845363715018406714234700996736657",
+    (1e6, 1e4): "1005722.681923654132998253056884554559411",
 }
 
 
@@ -494,11 +512,17 @@ class TestStalledQuadrature:
 
     def test_a_first_value_past_the_resolution_is_refused(self):
         # 4.6e6 eps = 1.03e-9: its rounding alone passes QUAD_REL_TOL, so no doubling starts
-        with pytest.raises(NumericError, match=r"^quadrature log value 4618806\.4\d* cannot be resolved to 1e-09$"):
+        with pytest.raises(NumericError, match=r"^quadrature log value 4618808\.4\d* cannot be resolved to 1e-09$"):
             V.ball_volume(3, 4e6)
 
+    def test_a_thick_slab_at_large_t_is_refused(self):
+        # rounding noise of about eps |log value| per node keeps the delta above QUAD_REL_TOL;
+        # mp_log_ball_volume gives 1095265.550220015814
+        with pytest.raises(NumericError, match=r"did not converge below 1e-09 by 3072 nodes: log value 1095265\.55"):
+            V.domain_volume(root_system(3), Domain("ball", 1e6, slab=2e5))
+
     def test_the_ball_past_the_old_floor_is_a_value(self):
-        # the 2-D rule stalled here at 1536 nodes; the angular rule converges, within its error
+        # the 2-D rule stalled here at 1536 nodes; the strip rule converges, within its error
         # of the 60-digit value
         res = V.ball_volume(3, 1e5)
         assert abs(res.log_value - 115474.434032847215) <= res.error_estimate < V.QUAD_REL_TOL
@@ -804,6 +828,16 @@ class TestRectangleClosedForm:
         both = V.logsumexp([slab.log_value, regular.log_value])
         assert abs(both - whole.log_value) <= 2.0 * max(whole.error_estimate, slab.error_estimate,
                                                         regular.error_estimate, 4e-16 * abs(both))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.floats(-3.0, 4.0), st.floats(-7.0, math.log10(0.49)))
+    @example(math.log10(6e4), -3.0).via("s = 60 at t = 6e4")
+    @example(math.log10(70.0), -3.0).via("s = 0.07 at t = 70")
+    @example(math.log10(8.0), -6.0).via("s = 8e-6 at t = 8")
+    @example(math.log10(2.4e4), -6.0).via("s = 0.024 at t = 2.4e4")
+    def test_slab_and_regular_part_make_the_d3_ball(self, log_t, log_fraction):
+        # the identity above on the d = 3 ball, for t in [1e-3, 1e4] and s / t in [1e-7, 0.49]
+        self.test_slab_and_regular_part_make_the_domain(3, "ball", None, 10.0**log_t, 10.0**(log_t + log_fraction))
 
     @pytest.mark.parametrize("filt", [{}, {"regular_margin": 0.1}, {"regular_margin": 0.7}, {"slab": 0.1},
                                       {"slab": 0.7}])
