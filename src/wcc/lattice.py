@@ -189,7 +189,6 @@ def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=N
     ``Domain.contains_rows``."""
     mats = m.reshape(-1, rs.d, rs.d)
     cartan = cartan_vector(mats)
-    jordan, lox = jordan_project(mats)
     walls = rs.wall_distances(cartan)
     if rs.d == 2:
         mass = np.vecdot(m, m)
@@ -204,7 +203,8 @@ def _table_records(m: np.ndarray, rs: RootSystemA, domain: Domain, census_rows=N
     g = m[keep] if census_rows is None else census_rows(keep)
     order = np.lexsort((*g.T[::-1], _round12(np.vecdot(cartan[keep], cartan[keep]))))
     rows = keep[order]
-    census = Census(g[order], cartan[rows], walls[rows], lox[rows], jordan[rows])
+    jordan, lox = jordan_project(mats[rows])  # row by row: the kept rows only
+    census = Census(g[order], cartan[rows], walls[rows], lox, jordan)
     return census, len(inside) - len(keep)
 
 

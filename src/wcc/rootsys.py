@@ -12,13 +12,12 @@ Cartan subspace are stored as coefficient arrays ``c`` acting by ``c @ y``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError
 
 ZERO_SUM_TOL = 1e-9
 CHAMBER_TOL = 1e-9
@@ -42,7 +41,6 @@ class RootSystemA:
 
         # positive roots y_i - y_j, i < j, multiplicity 1 each
         self.positive_roots = [self.positive_roots_pair(i, j) for i in range(d) for j in range(i + 1, d)]
-        self.multiplicities = [1] * len(self.positive_roots)
 
         # simple roots y_i - y_{i+1}
         self.simple_roots = [self.positive_roots_pair(i, i + 1) for i in range(d - 1)]
@@ -81,11 +79,6 @@ class RootSystemA:
     def killing_norm(self, y) -> float:
         y = self.check_traceless(y)
         return float(np.sqrt(self.killing_scale * np.dot(y, y)))
-
-    def killing_inner(self, x, y) -> float:
-        x = self.check_traceless(x)
-        y = self.check_traceless(y)
-        return float(self.killing_scale * np.dot(x, y))
 
     def dual_norm(self, c) -> float:
         """Killing-dual norm of a linear functional: max of c.y on the unit ball."""
@@ -138,44 +131,11 @@ class RootSystemA:
         which is the dual norm of 2 rho."""
         return self.dual_norm(self.two_rho)
 
-    def levi_delta0(self, theta) -> float:
-        """Growth exponent of the Levi factor selected by a simple-root subset.
-
-        ``theta`` is a collection of simple-root indices (0-based).  The
-        relevant root set is the positive roots supported entirely on the
-        complement of theta; the exponent is the max of their sum over the
-        unit ball, its dual norm.  theta = empty recovers delta_zero, theta =
-        all gives 0.
-        """
-        theta = frozenset(theta)
-        if not theta.issubset(range(self.d - 1)):
-            raise ParameterError(f"theta must be a subset of simple-root indices, got {theta}")
-        complement = set(range(self.d - 1)) - theta
-        total = np.zeros(self.d)
-        for root in self.positive_roots:
-            support = self._simple_support(root)
-            if support.issubset(complement):
-                total += root
-        return self.dual_norm(total)
-
-    def _simple_support(self, root) -> set:
-        """Indices of simple roots appearing in a positive root y_i - y_j."""
-        i = int(np.argmax(root))
-        j = int(np.argmin(root))
-        return set(range(i, j))
-
     def c_gap(self) -> float:
-        """Uniform gap: min over nonempty theta of delta_zero - levi_delta0."""
-        d0 = self.delta_zero()
-        gaps = []
-        indices = list(range(self.d - 1))
-        for r in range(1, len(indices) + 1):
-            for theta in itertools.combinations(indices, r):
-                gaps.append(d0 - self.levi_delta0(theta))
-        gap = min(gaps)
-        if gap <= 0.0:
-            raise NumericError(f"uniform Levi gap must be positive, got {gap}")
-        return gap
+        """Uniform gap: min over nonempty simple-root subsets theta of delta_zero minus the
+        growth exponent of the Levi factor of theta.  The largest of those drops an end simple
+        root and leaves sl(d-1), whose 2 rho has dual norm sqrt((d-1)(d-2)/6)."""
+        return self.delta_zero() - math.sqrt((self.d - 1) * (self.d - 2) / 6)
 
     def c_a(self) -> float:
         """Comparison constant between sup_k |chi_k| and the Killing norm.

@@ -264,8 +264,11 @@ def conjugacy_classes_sl2(trace_bound: int) -> ClassTable:
 
 
 def trace_bound_for_length(T: float) -> int:
-    """Largest trace whose Jordan length fits in the Killing ball of radius T."""
-    return max(2, int(math.floor(2.0 * math.cosh(T / SQRT8))))
+    """Largest trace whose Jordan length fits in the Killing ball of radius T, and 3 below the
+    shortest class (trace 3, length sqrt 8 arccosh(3/2)), so that a census there is empty."""
+    if not T > 0:  # the bound is even in T: a negative T would ask for as many classes as -T
+        raise ParameterError(f"torus scale T must be positive, got {T}")
+    return max(3, int(math.floor(2.0 * math.cosh(T / SQRT8))))
 
 
 def _torus_sums(T: float, classes: ClassTable):

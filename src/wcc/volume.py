@@ -97,10 +97,8 @@ class Domain:
         if self.kind == "ball":
             return self.t * rs.dual_norm(chi1)
         self.for_dimension(rs.d)
-        duals = _dual_basis(rs)
-        return self.t * sum(
-            e * max(0.0, float(chi1 @ u)) for e, u in zip(self.edges, duals)
-        )
+        # chi_1 on the i-th dual vector (1, ..., 1, 0, ..., 0) - i/d of the simple roots
+        return self.t * sum(e * ((rs.d - i) / rs.d) for i, e in enumerate(self.edges, 1))
 
 
 @dataclass
@@ -113,8 +111,15 @@ class VolumeResult:
 
 
 def _finish(log_value: float, method: str, error: float, **extras) -> VolumeResult:
-    value = math.exp(log_value) if log_value < 700.0 else math.inf
-    return VolumeResult(value, log_value, method, error, extras=extras or {})
+    return VolumeResult(_exp(log_value), log_value, method, error, extras=extras or {})
+
+
+def _exp(x: float) -> float:
+    """e^x, inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------- integrands
@@ -156,27 +161,10 @@ def _log_sinh(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------- chamber geometry bits
 
 
-def _ortho_basis(rs: RootSystemA) -> np.ndarray:
-    """Killing-orthonormal basis rows of the traceless subspace: the normalised
-    Helmert rows (1, ..., 1, -k, 0, ..., 0), already mutually orthogonal."""
-    basis = []
-    for k in range(1, rs.d):
-        v = np.zeros(rs.d)
-        v[:k] = 1.0
-        v[k] = -float(k)
-        basis.append(v / rs.killing_norm(v))
-    return np.array(basis)
-
-
-def _dual_basis(rs: RootSystemA) -> list[np.ndarray]:
-    """Traceless vectors u_beta with beta'(u_beta) = delta."""
-    duals = []
-    system = np.vstack([np.array(rs.simple_roots), np.ones(rs.d)])
-    for i in range(rs.d - 1):
-        rhs = np.zeros(rs.d)
-        rhs[i] = 1.0
-        duals.append(np.linalg.solve(system, rhs))
-    return duals
+def _cell_area(rs: RootSystemA) -> float:
+    """Killing area of the unit cell of the simple-root coordinates z_i: 1 / sqrt of the
+    simple roots' Killing Gram determinant, the A_(d-1) Cartan matrix (determinant d) over 2d."""
+    return (2 * rs.d) ** ((rs.d - 1) / 2) / math.sqrt(rs.d)
 
 
 # ------------------------------------------------------ quadrature drivers
@@ -249,7 +237,7 @@ def _region_volume(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeRes
         raise NumericError(f"closed-form volume needs half of each width b - a to be a normal float, "
                            f"got {width}")
     pieces = [_log_rectangle(r, integrand) for r in rects]
-    terms = [math.log(_box_jacobian(rs, _dual_basis(rs)))] + [x for _, ts in pieces for x in ts]
+    terms = [math.log(_cell_area(rs))] + [x for _, ts in pieces for x in ts]
     terms += [(a + b) / (b - a) for r in rects for a, b in r]  # rounded ends: the width's condition
     log_val = terms[0] + logsumexp([v for v, _ in pieces])
     if not math.isfinite(log_val):
@@ -337,12 +325,6 @@ def _ball_volume_d3(rs: RootSystemA, domain: Domain, integrand: str) -> VolumeRe
     return _finish(log_value, "quadrature", error + 4.0 * math.ulp(1.0) * (1.0 + abs(log_value) + mags[-1]))
 
 
-def _box_jacobian(rs: RootSystemA, duals) -> float:
-    basis = _ortho_basis(rs)
-    cols = np.array([[rs.killing_inner(u, b) for b in basis] for u in duals]).T
-    return abs(float(np.linalg.det(cols)))
-
-
 # ------------------------------------------------------------- ball volume
 
 
@@ -406,7 +388,7 @@ def box_volume(rs_or_d, t: float, edges) -> VolumeResult:
     rs = _root_system(rs_or_d)
     edges = tuple(float(e) for e in edges)
     res = domain_volume(rs, Domain("box", t, edges))
-    jac = _box_jacobian(rs, _dual_basis(rs))
+    jac = _cell_area(rs)
     rho = [i * (rs.d - i) for i in range(1, rs.d)]  # 2 rho in the simple roots
     res.extras.update(
         C_G=jac / (2.0 ** len(rs.positive_roots) * math.prod(rho)),
@@ -431,8 +413,7 @@ def slab_volume(rs_or_d, t: float, s: float, kind: str = "ball", edges=None) -> 
     res = _region_volume(rs, Domain(kind, t, edges, slab=s), "two_rho")
     vol = domain_volume(rs, Domain(kind, t, edges))
     log_ratio = res.log_value - vol.log_value
-    res.extras.update(log_ratio=log_ratio, ratio=math.exp(log_ratio) if log_ratio < 700 else math.inf,
-                      log_volume=vol.log_value)
+    res.extras.update(log_ratio=log_ratio, ratio=_exp(log_ratio), log_volume=vol.log_value)
     return res
 
 

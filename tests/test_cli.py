@@ -295,7 +295,7 @@ class TestSurveyCommands:
         ("volume --group sl3 --domain ball --t 8", "6be581f984034c2a"),
         ("volume --group sl3 --domain ball --t 8 --slab 0.8", "8ce5395947fc17fc"),
         ("volume --group sl3 --domain ball --t 8 --regular-margin 2", "c8d40229f676e476"),
-        ("volume --group sl3 --domain box --t 5 --edges 1,1", "d0dba856fea677fb"),
+        ("volume --group sl3 --domain box --t 5 --edges 1,1", "80731308c04dba01"),
         ("volume --group sl2 --domain ball --t 4", "8ccd6be7ba5ad036"),
     ])
     def test_stdout_pinned(self, capsys, argv, digest):
@@ -421,6 +421,37 @@ def test_malformed_value_is_a_parameter_error(capsys, argv, token):
     assert code == 2
     assert captured.out == ""
     assert "error: " in captured.err and token in captured.err
+
+
+@pytest.mark.parametrize("argv, T", [
+    (["tori", "--T", "-100"], "-100.0"),
+    (["tori", "--T", "0"], "0.0"),
+    (["tori", "--T-grid=-100,-50"], "-50.0"),
+    (["growth", "--T-grid=-100,-90,-80"], "-80.0"),
+])
+def test_non_positive_T_is_refused_before_any_class_table(capsys, monkeypatch, argv, T):
+    # the trace bound 2 cosh(T / sqrt 8) is even in T: T = -100 would ask for every trace
+    # up to about 2.3e15, so the class table must never be built here
+    def refuse(trace_bound):
+        raise AssertionError(f"class table built for trace bound {trace_bound}")
+
+    monkeypatch.setattr("wcc.survey.conjugacy_classes_sl2", refuse)
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: torus scale T must be positive, got {T}\n"
+
+
+def test_T_below_the_shortest_class_reaches_each_command(capsys):
+    # 0 < T < sqrt 8 arccosh(3/2) = 2.72: an empty census, sweep rows of weighted sum 0, and
+    # the growth fit's own refusal, not the class table's refusal of a trace bound below 3
+    code, doc = run_json(capsys, "tori", "--T", "1")
+    assert code == 0 and doc["result"]["classes_in_ball"] == 0 and doc["result"]["rows"] == []
+    code, doc = run_json(capsys, "tori", "--T-grid", "1,2")
+    assert code == 0 and [row["weighted_sum"] for row in doc["result"]["rows"]] == [0.0, 0.0]
+    code = dispatch(["growth", "--T-grid", "1,2,2.5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == "error: T grid starts below the shortest class length\n"
 
 
 @pytest.mark.parametrize("grid", ["16", "16,16,16,16", "15,16", "14,14,16"])

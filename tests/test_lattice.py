@@ -641,6 +641,33 @@ class TestCensusCounts:
         assert report["slab_decay"][0.1]["kappa_fit"] > 0.0
 
 
+class TestJordanOfKeptRows:
+    """``_table_records`` solves Jordan rows and loxodromy flags for the rows it keeps only;
+    the stacked solves work row by row, so each is the value of the full scan's solve."""
+
+    @pytest.mark.parametrize("spec, domain, radius", [
+        (LatticeSpec("sl3"), Domain("ball", 3.0), 4),
+        (LatticeSpec("sl3", base_point=((1, 1, 0), (0, 1, 0), (0, 1, 1))), Domain("ball", 3.0), 4),
+        (LatticeSpec("sl3"), Domain("box", 2.0, (1.0, 0.5), regular_margin=0.2), 3),
+        (LatticeSpec("sl2"), Domain("ball", 7.0, slab=1.0), 4),
+    ])
+    def test_only_kept_rows_reach_jordan_project(self, monkeypatch, spec, domain, radius):
+        seen, solve = [], lt.jordan_project
+        monkeypatch.setattr(lt, "jordan_project", lambda mats: seen.append(mats) or solve(mats))
+        census, meta = lt.enumerate_elements(spec, domain, word_radius=radius)
+        assert len(seen) == 1
+        kept = lt._conjugate(census.table, spec.base_point) if spec.base_point else census.table
+        assert np.array_equal(seen[0].reshape(len(kept), -1), kept)
+        scanned = (lt._sl2_candidates(-meta.bound, meta.bound, lt._sl2_mass_cap(domain, root_system(2)))
+                   if meta.complete else lt._word_ball(lt._default_sl3_generators(), radius))
+        scanned = scanned.reshape(len(scanned), -1)  # the origin scan m = h^-1 g h
+        assert 0 < len(census) < len(scanned)
+        jordan, lox = solve(scanned.reshape(-1, spec.d, spec.d))  # every scanned row, as before
+        index = {row.tobytes(): i for i, row in enumerate(scanned)}
+        pick = [index[row.tobytes()] for row in kept]
+        assert np.array_equal(census.jordan, jordan[pick]) and np.array_equal(census.loxodromic, lox[pick])
+
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 SL3_BASE = ((1, 1, 0), (0, 1, 0), (0, 1, 1))
 SL2_GENS = (((1, 1), (0, 1)), ((1, 0), (1, 1)))

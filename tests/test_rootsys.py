@@ -7,7 +7,8 @@ import pytest
 from wcc import rootsys
 from wcc.errors import NumericError, ParameterError, PreconditionError
 
-from rootsys_reference import chamber_sort, delta_zero_direction, dual_vector, reference_c_a, weyl_group
+from rootsys_reference import (chamber_sort, delta_zero_direction, dual_vector, reference_c_a,
+                               reference_levi_delta0, weyl_group)
 
 # Agreement required between the optimization and closed-form values of the
 # growth exponents; a larger discrepancy means a regression somewhere.
@@ -181,7 +182,7 @@ class TestClosedFormsAgainstAscent:
         for r in range(d):
             for theta in itertools.combinations(range(d - 1), r):
                 vals[theta] = max_linear_on_sphere(rs, levi_functional(rs, theta))[0]
-                assert abs(rs.levi_delta0(theta) - vals[theta]) <= OPT_AGREE_TOL
+                assert abs(reference_levi_delta0(rs, theta) - vals[theta]) <= OPT_AGREE_TOL
         gap = min(vals[()] - v for theta, v in vals.items() if theta)
         assert abs(rs.c_gap() - gap) <= 2 * OPT_AGREE_TOL
 
@@ -289,21 +290,21 @@ class TestRootCombinatorics:
 class TestLeviExponents:
     def test_empty_theta_recovers_delta_zero(self):
         rs = rootsys.root_system(3)
-        assert rs.levi_delta0(set()) == pytest.approx(rs.delta_zero(), abs=1e-10)
+        assert reference_levi_delta0(rs, set()) == pytest.approx(rs.delta_zero(), abs=1e-10)
 
     def test_full_theta_is_zero(self):
-        assert rootsys.root_system(3).levi_delta0({0, 1}) == 0.0
+        assert reference_levi_delta0(rootsys.root_system(3), {0, 1}) == 0.0
 
     def test_single_root_oracle(self):
         rs = rootsys.root_system(3)
         # theta = {alpha_1} leaves only alpha_2; its max over the unit ball is
         # the dual norm of alpha_2.
-        assert rs.levi_delta0({0}) == pytest.approx(rs.dual_norm(rs.simple_roots[1]), abs=1e-10)
+        assert reference_levi_delta0(rs, {0}) == pytest.approx(rs.dual_norm(rs.simple_roots[1]), abs=1e-10)
 
     def test_monotone_decreasing_in_theta(self):
         rs = rootsys.root_system(3)
         vals = {
-            frozenset(t): rs.levi_delta0(t)
+            frozenset(t): reference_levi_delta0(rs, t)
             for r in range(3)
             for t in itertools.combinations(range(2), r)
         }
@@ -319,7 +320,15 @@ class TestLeviExponents:
             d0 = rs.delta_zero()
             for r in range(1, rs.d - 1 + 1):
                 for theta in itertools.combinations(range(rs.d - 1), r):
-                    assert rs.levi_delta0(theta) <= d0 - gap + 1e-10
+                    assert reference_levi_delta0(rs, theta) <= d0 - gap + 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_c_gap_closed_form_is_the_subset_minimum(self, d):
+        rs = rootsys.RootSystemA(d)
+        d0 = rs.delta_zero()
+        gap = min(d0 - reference_levi_delta0(rs, theta)
+                  for r in range(1, d) for theta in itertools.combinations(range(d - 1), r))
+        assert abs(rs.c_gap() - gap) <= 1e-15
 
 
 class TestNormComparison:

@@ -216,6 +216,25 @@ class TestTorusCensus:
         assert sv.torus_sweep(grid, classes) == sv.torus_sweep(grid)
         assert sv.conjugacy_growth(grid, classes) == sv.conjugacy_growth(grid)
 
+    @pytest.mark.parametrize("call", [lambda: sv.torus_census(-100.0), lambda: sv.torus_census(0.0),
+                                      lambda: sv.torus_sweep([-100.0, -50.0]),
+                                      lambda: sv.conjugacy_growth([-100.0, -90.0, -80.0])])
+    def test_non_positive_T_builds_no_class_table(self, call, monkeypatch):
+        def refuse(trace_bound):
+            raise AssertionError(f"class table built for trace bound {trace_bound}")
+
+        monkeypatch.setattr(sv, "conjugacy_classes_sl2", refuse)
+        with pytest.raises(ParameterError, match="torus scale T must be positive"):
+            call()
+
+    def test_below_the_shortest_class(self):
+        shortest = SQRT8 * math.acosh(1.5)
+        assert sv.trace_bound_for_length(1.0) == sv.trace_bound_for_length(shortest) == 3
+        assert sv.torus_census(1.0)["classes_in_ball"] == 0
+        assert [r["weighted_sum"] for r in sv.torus_sweep([1.0, 2.0])["rows"]] == [0.0, 0.0]
+        with pytest.raises(ParameterError, match="below the shortest class length"):
+            sv.conjugacy_growth([1.0, 2.0, 2.5])
+
 
 class TestClassIdText:
     """``ClassTable.class_id_text`` is the repr of ``class_id``, built in one pass."""

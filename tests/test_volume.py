@@ -16,8 +16,11 @@ from wcc.rootsys import RootSystemA, root_system
 from wcc.volume import Domain
 
 import volume_reference
-from rootsys_reference import dual_vector
+from rootsys_reference import dual_vector, killing_inner
 from volume_reference import (
+    _box_jacobian,
+    _dual_basis,
+    _ortho_basis,
     _sample_chamber_point,
     _wall_scale,
     box_volume_quadrature,
@@ -41,8 +44,8 @@ from volume_reference import (
 
 def polar_frame(rs):
     """Killing-orthonormal (b1, b2) of the d = 3 chamber plane, b1 the rho direction."""
-    b1, helmert = dual_vector(rs, rs.two_rho), V._ortho_basis(rs)[1]
-    b2 = helmert - rs.killing_inner(helmert, b1) * b1
+    b1, helmert = dual_vector(rs, rs.two_rho), _ortho_basis(rs)[1]
+    b2 = helmert - killing_inner(rs, helmert, b1) * b1
     return b1, b2 / rs.killing_norm(b2)
 
 
@@ -157,11 +160,21 @@ class TestBallVolume:
             exact = (decimal.Decimal(2).sqrt() * ((x.exp() + (-x).exp()) / 2 - 1)).ln()
         res = V.ball_volume(2, t)
         assert float(abs(decimal.Decimal(res.log_value) - exact)) <= res.error_estimate
-        assert (res.value == math.inf) == (t >= 1000.0)
+        assert (res.value == math.inf) == (t > 1000.0)
         # the literal sinh form neither cancels near 0 nor raises past the float range
         closed = V.closed_form_ball_d2(t)
         assert (closed == math.inf) == (t > 1000.0)
         assert closed == math.inf or abs(math.log(closed) - float(exact)) <= 1e-14 * max(1.0, float(exact))
+
+    @pytest.mark.parametrize("t", [997.0, 1003.0, 1005.0, 2000.0])
+    def test_value_is_finite_up_to_the_float_range(self, t):
+        # log values 704.6 and 708.9 are representable; 710.3 and 1413 are past
+        # log(max float) = 709.78
+        res = V.ball_volume(2, t)
+        if res.log_value < math.log(np.finfo(float).max):
+            assert 700.0 < res.log_value and res.value == math.exp(res.log_value) < math.inf
+        else:
+            assert res.log_value > 709.78 and res.value == math.inf
 
     def test_small_t_vanishes(self):
         assert V.ball_volume(3, 1e-4).value < 1e-10
@@ -657,6 +670,32 @@ class TestLogsumexp:
         assert same_bits(V.logsumexp(np.array(a, dtype=float)), reference(np.array(a, dtype=float)))
 
 
+class TestCellGeometry:
+    """The closed forms of the simple-root cell: its Killing area (2d)^((d-1)/2) / sqrt d and
+    chi_1 on the i-th dual vector, (d - i) / d, against the Gram determinant of the Helmert
+    and dual bases and the linear solve they replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_cell_area(self, d):
+        rs = root_system(d)
+        area = V._cell_area(rs)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = (decimal.Decimal(2 * d) ** (d - 1) / d).sqrt()
+        assert abs(decimal.Decimal(area) - exact) <= decimal.Decimal(math.ulp(area))
+        assert abs(area - _box_jacobian(rs, _dual_basis(rs))) <= 2 * math.ulp(area)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_max_top_weight_of_a_box_is_the_dual_basis_value(self, d):
+        rs = root_system(d)
+        chi1, duals = rs.fundamental_weights[0], _dual_basis(rs)
+        rng = np.random.default_rng(60 + d)
+        for _ in range(2000):
+            t, edges = 10.0 ** rng.uniform(-3, 3), tuple(10.0 ** rng.uniform(-3, 1, d - 1))
+            old = t * sum(e * max(0.0, float(chi1 @ u)) for e, u in zip(edges, duals))
+            assert same_bits(Domain("box", t, edges).max_top_weight(rs), old)
+
+
 class TestBoxVolume:
     def test_d2_closed_form(self):
         for t, a in ((2.0, 1.0), (3.0, 0.7), (5.0, 0.4)):
@@ -673,7 +712,7 @@ class TestBoxVolume:
         rs = root_system(3)
         edges = (0.8, 1.3)
         res = V.box_volume(rs, 1.0, edges)
-        duals = V._dual_basis(rs)
+        duals = _dual_basis(rs)
         sup = 0.0
         for corner in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             y = sum(c * e * u for c, e, u in zip(corner, edges, duals))
@@ -735,8 +774,15 @@ class TestBoxClosedForm:
         new, old = V.box_volume(d, t, edges).extras, expansion_box_volume(d, t, edges).extras
         assert abs(new["delta_minus"] - old["delta_minus"]) <= 1e-12  # the expansion rounds to 12 places
         assert new["delta_minus"] == (2.0 * max(edges) if d == 3 else 0.0)
-        for key in ("C_G", "delta_P", "jacobian"):
-            assert same_bits(new[key], old[key])
+        assert same_bits(new["delta_P"], old["delta_P"])
+        if d == 2:
+            assert same_bits(new["C_G"], old["C_G"]) and same_bits(new["jacobian"], old["jacobian"])
+        else:  # the expansion's Gram determinant is 1.5 ulp above 2 sqrt 3, the closed form 0.55
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                exact = {"jacobian": 2 * decimal.Decimal(3).sqrt(), "C_G": decimal.Decimal(3).sqrt() / 16}
+            for key, value in exact.items():
+                assert abs(decimal.Decimal(new[key]) - value) <= decimal.Decimal(math.ulp(new[key]))
         assert new["rho_coefficients"] == old["rho_coefficients"] == ([1] if d == 2 else [2, 2])
 
     def test_thin_and_small_boxes(self):

@@ -13,8 +13,11 @@ the 1-D quadrature, its e^(2 rho) density and the log difference that the closed
 of ``wcc.volume`` replaced (``_log_quad_1d``, ``log_two_rho_integrand`` and ``_log_sub``,
 unchanged); the oracles of the closed forms: the signed-exponential box expansion, the
 integral over any rectangles in the simple-root coordinates at 50 digits, for both
-densities, and the d = 3 ball, with its margin or slab, at 60 digits; and the node
-doubling up to 2 MAX_NODES nodes, the oracle of ``wcc.volume._converge``."""
+densities, and the d = 3 ball, with its margin or slab, at 60 digits; the node
+doubling up to 2 MAX_NODES nodes, the oracle of ``wcc.volume._converge``; and the Helmert
+basis, the dual basis of the simple roots and the Gram determinant of the cell they span
+(``wcc.volume._ortho_basis``, ``_dual_basis`` and ``_box_jacobian``, unchanged), the
+oracles of ``wcc.volume._cell_area`` and of ``Domain.max_top_weight`` on a box."""
 
 import decimal
 import itertools
@@ -31,19 +34,47 @@ from wcc.volume import (
     MAX_NODES,
     QUAD_REL_TOL,
     Domain,
-    _box_jacobian,
     _converge,
-    _dual_basis,
     _finish,
     _gauss_legendre,
     _log_sinh,
-    _ortho_basis,
     _root_system,
     domain_volume,
     logsumexp,
 )
 
-from rootsys_reference import dual_vector
+from rootsys_reference import dual_vector, killing_inner
+
+
+def _ortho_basis(rs: RootSystemA) -> np.ndarray:
+    """Killing-orthonormal basis rows of the traceless subspace: the normalised
+    Helmert rows (1, ..., 1, -k, 0, ..., 0), already mutually orthogonal."""
+    basis = []
+    for k in range(1, rs.d):
+        v = np.zeros(rs.d)
+        v[:k] = 1.0
+        v[k] = -float(k)
+        basis.append(v / rs.killing_norm(v))
+    return np.array(basis)
+
+
+def _dual_basis(rs: RootSystemA) -> list[np.ndarray]:
+    """Traceless vectors u_beta with beta'(u_beta) = delta."""
+    duals = []
+    system = np.vstack([np.array(rs.simple_roots), np.ones(rs.d)])
+    for i in range(rs.d - 1):
+        rhs = np.zeros(rs.d)
+        rhs[i] = 1.0
+        duals.append(np.linalg.solve(system, rhs))
+    return duals
+
+
+def _box_jacobian(rs: RootSystemA, duals) -> float:
+    """The Killing area of the cell spanned by ``duals``: |det| of their coordinates in
+    ``_ortho_basis``, the Gram-determinant oracle of ``wcc.volume._cell_area``."""
+    basis = _ortho_basis(rs)
+    cols = np.array([[killing_inner(rs, u, b) for b in basis] for u in duals]).T
+    return abs(float(np.linalg.det(cols)))
 
 
 def _log_sub(log_a: float, log_b: float) -> float:
@@ -261,8 +292,8 @@ def log_hc_integrand(rs: RootSystemA, ys: np.ndarray) -> np.ndarray:
     """Log of the Harish-Chandra density at chamber points (rows of ys)."""
     ys = np.atleast_2d(ys)
     total = np.zeros(ys.shape[0])
-    for root, mult in zip(rs.positive_roots, rs.multiplicities):
-        total = total + mult * _log_sinh(ys @ root)
+    for root in rs.positive_roots:  # multiplicity 1 each
+        total = total + _log_sinh(ys @ root)
     return total
 
 
@@ -330,9 +361,7 @@ def _expansion_terms(rs: RootSystemA):
     Yields (sign, coefficient vector in the simple-root basis) for
     2^(sum of multiplicities) terms; the all-plus term is 2 rho.
     """
-    roots = []
-    for root, mult in zip(rs.positive_roots, rs.multiplicities):
-        roots.extend([np.asarray(root)] * mult)
+    roots = [np.asarray(root) for root in rs.positive_roots]  # multiplicity 1 each
     simple = np.array(rs.simple_roots).T
     for signs in itertools.product((0, 1), repeat=len(roots)):
         omega = sum((-1.0 if s else 1.0) * r for s, r in zip(signs, roots))
@@ -360,7 +389,7 @@ def expansion_box_volume(rs_or_d, t: float, edges):
 
     duals = _dual_basis(rs)
     jac = _box_jacobian(rs, duals)
-    n_mult = sum(rs.multiplicities)
+    n_mult = len(rs.positive_roots)
     prefactor_log = math.log(jac) - n_mult * math.log(2.0)
 
     simple = np.array(rs.simple_roots).T
